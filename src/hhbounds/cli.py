@@ -47,7 +47,7 @@ from .errors import ConditionNotViolatedError, HHBoundsError
 from .funcs import ConvexFunction
 from .geometry import Simplex
 from .quadrature import EXACT_KINDS, integrate_exact, integrate_mc
-from .serialize import dumps, read_json, write_json
+from .serialize import dumps, dumps_lines, read_json, write_json
 
 _ONE_D_CHAINS = ("cor2", "cor3")
 
@@ -90,8 +90,7 @@ def _chain_seed(base_seed: int, slot: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0] >> 1)
 
 
-def _emit_lines(lines: list[str], out_path: str | None) -> None:
-    text = "\n".join(lines) + "\n"
+def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
     else:
@@ -121,29 +120,30 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             raise ValueError(f"chains {bad} require a 1-D simplex")
 
     reports = []
-    gt_parent = None
+    # Ground truth per seed slot, computed on first use.  Each slot stands
+    # for one domain fixed by the arguments: 0 the simplex, 1 the thm4/thm5
+    # centred subsimplex, 2 the cor3 window.
+    gts: dict = {}
 
-    def parent_gt():
-        nonlocal gt_parent
-        if gt_parent is None:
-            gt_parent = _ground_truth(f, s, samples, _chain_seed(seed, 0))
-        return gt_parent
+    def gt(domain: Simplex, slot: int):
+        if slot not in gts:
+            gts[slot] = _ground_truth(f, domain, samples, _chain_seed(seed, slot))
+        return gts[slot]
 
     for name in theorems:
         if name == "choquet":
-            reports.append(choquet_chain(f, s, parent_gt()))
+            reports.append(choquet_chain(f, s, gt(s, 0)))
         elif name == "thm2":
             point = _parse_point(args.point, s)
-            reports.append(thm2_upper(f, s, point, parent_gt()))
+            reports.append(thm2_upper(f, s, point, gt(s, 0)))
         elif name == "thm3":
             sub = s.homothety_about_centroid(args.t)
-            reports.append(thm3_chain(f, s, sub, args.j, parent_gt()))
+            reports.append(thm3_chain(f, s, sub, args.j, gt(s, 0)))
         elif name in ("thm4", "thm5"):
             point = _parse_point(args.point, s)
             sub = s.centered_subsimplex(point, args.t * s.max_centered_scale(point))
-            gt_sub = _ground_truth(f, sub, samples, _chain_seed(seed, 1))
             op = thm4_chain if name == "thm4" else thm5_upper
-            reports.append(op(f, s, sub, gt_sub))
+            reports.append(op(f, s, sub, gt(sub, 1)))
         elif name == "thm6":
             # Default mixture instance: facet midpoints with uniform weights,
             # whose average is always the centroid.
@@ -153,7 +153,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             reports.append(thm6_chain(f, s, midpoints, betas))
         elif name == "cor2":
             a, b = sorted(float(v[0]) for v in s.vertices)
-            reports.append(cor2_chain(f, a, b, args.lam, parent_gt()))
+            reports.append(cor2_chain(f, a, b, args.lam, gt(s, 0)))
         elif name == "cor3":
             a, b = sorted(float(v[0]) for v in s.vertices)
             y = args.cor3_y
@@ -163,12 +163,12 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
                 )
             center = (args.cor3_p * a + args.cor3_q * b) / (args.cor3_p + args.cor3_q)
             window = Simplex([[center - y], [center + y]])
-            gt_w = _ground_truth(f, window, samples, _chain_seed(seed, 2))
+            gt_w = gt(window, 2)
             reports.append(cor3_check(args.cor3_p, args.cor3_q, a, b, y, f, gt_w))
         else:  # unreachable: argparse restricts choices
             raise ValueError(f"unknown theorem {name!r}")
 
-    _emit_lines([dumps(r.to_json_dict()) for r in reports], args.out)
+    _emit("".join(dumps(r.to_json_dict()) + "\n" for r in reports), args.out)
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -246,7 +246,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
     s = _load_simplex(args.simplex)
     points = sample_uniform(s, args.count, _default_seed(args.seed))
-    _emit_lines([dumps(row.tolist()) for row in points], args.out)
+    _emit(dumps_lines(points), args.out)
     return 0
 
 

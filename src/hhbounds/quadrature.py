@@ -83,18 +83,41 @@ class IntegralEstimate:
         )
 
 
+def _row_sums(W: np.ndarray) -> np.ndarray:
+    """Row sums of an ``(m, w)`` array, bit-identical to a C-contiguous row sum.
+
+    numpy adds a contiguous row of fewer than 8 elements left to right, and
+    from 8 up with an 8-way pairwise unroll.  Below width 8 the columns are
+    accumulated left to right here, one elementwise pass each: the same
+    order, without numpy's per-row reduction overhead, which on 2-5 wide rows
+    costs more than the additions.  From width 8 up numpy's own contiguous
+    row sum is used (a strided or ``axis=0`` sum would add sequentially and
+    round differently).  ``W`` may be a transposed view, as in the ``(k, m)``
+    layout of :meth:`ConvexFunction._eval_batch`.
+    """
+    if W.shape[1] >= 8:
+        return np.ascontiguousarray(W).sum(axis=1)
+    total = W[:, 0].copy()
+    for j in range(1, W.shape[1]):
+        total += W[:, j]
+    return total
+
+
 def sample_uniform(s: Simplex, count: int, seed: int) -> np.ndarray:
     """Draw ``count`` uniform points from ``s`` as a ``(count, n)`` array.
 
     Vertex weights are i.i.d. standard exponentials normalized to sum one
     (uniform-Dirichlet); the stream is deterministic per seed and every row
-    lies inside the simplex by construction.
+    lies inside the simplex by construction.  The normalizing sums keep
+    numpy's summation order (see :func:`_row_sums`), so every point, and
+    with it every campaign result and failure replay, is reproduced bit for
+    bit.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
     weights = rng.standard_exponential((count, s.dimension + 1))
-    weights /= weights.sum(axis=1, keepdims=True)
+    weights /= _row_sums(weights)[:, None]
     return weights @ s.vertices
 
 

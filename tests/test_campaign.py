@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,16 @@ class TestRunCampaign:
         a = run_campaign(cfg).to_json()
         b = run_campaign(cfg).to_json()
         assert a == b
+
+    def test_result_bytes_pinned(self):
+        # Regression gate for kernel and refactoring work: the default mix
+        # (all kinds and chains, dims 1-8) must keep producing these exact
+        # result bytes.  A change here has to be stated and explained.
+        cfg = CampaignConfig(trials_per_theorem=48, mc_samples=2000)
+        digest = hashlib.sha256(run_campaign(cfg).to_json().encode()).hexdigest()
+        assert digest == (
+            "64f21cda48dc624a101efc2774a141b744f1a6920ff6d926be8eee6b87edade3"
+        )
 
     def test_wall_time_not_serialized(self, small_result):
         assert small_result.wall_time_seconds > 0.0

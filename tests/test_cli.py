@@ -3,9 +3,18 @@ import json
 import numpy as np
 import pytest
 
-from hhbounds import ConvexFunction, Simplex, standard_simplex
+from hhbounds import (
+    ConvexFunction,
+    Simplex,
+    integrate_mc,
+    random_convex,
+    random_simplex,
+    sample_uniform,
+    standard_simplex,
+)
+from hhbounds import cli
 from hhbounds.cli import main
-from hhbounds.serialize import write_json
+from hhbounds.serialize import dumps, write_json
 
 
 @pytest.fixture()
@@ -163,6 +172,27 @@ class TestBounds:
         assert len(reports) == 6
         assert all(r["verdict"] == "pass" for r in reports)
 
+    def test_subsimplex_ground_truth_shared(
+        self, capsys, monkeypatch, triangle_file, tmp_path
+    ):
+        # thm4 and thm5 use one subsimplex ground truth: the reports equal
+        # those of separate calls, with one MC integral fewer.
+        path = str(tmp_path / "lse.json")
+        write_json(path, random_convex(2, "log_sum_exp", 4).to_json_dict())
+        calls = []
+
+        def counting(*args):
+            calls.append(args[1])
+            return integrate_mc(*args)
+
+        monkeypatch.setattr(cli, "integrate_mc", counting)
+        args = ("bounds", triangle_file, path, "--mc-samples", "3000", "--seed", "9")
+        _, both, _ = run_cli(capsys, *args, "--theorem", "thm4", "--theorem", "thm5")
+        assert len(calls) == 1
+        _, out4, _ = run_cli(capsys, *args, "--theorem", "thm4")
+        _, out5, _ = run_cli(capsys, *args, "--theorem", "thm5")
+        assert both == out4 + out5
+
     def test_out_file(self, capsys, tmp_path, unit_interval_file, sq_1d_file):
         out_path = str(tmp_path / "reports.jsonl")
         code, out, _ = run_cli(
@@ -301,6 +331,14 @@ class TestSample:
             assert s.contains(np.asarray(row))
         _, out2, _ = run_cli(capsys, "sample", triangle_file, "--count", "50", "--seed", "3")
         assert out1 == out2
+
+    def test_rows_match_per_row_dumps(self, capsys, tmp_path):
+        s = random_simplex(4, np.random.default_rng(5))
+        path = str(tmp_path / "s4.json")
+        write_json(path, s.to_json_dict())
+        _, out, _ = run_cli(capsys, "sample", path, "--count", "300", "--seed", "2")
+        rows = sample_uniform(s, 300, 2)
+        assert out == "".join(dumps(row.tolist()) + "\n" for row in rows)
 
     def test_every_stdout_line_is_json(self, capsys, triangle_file):
         _, out, _ = run_cli(capsys, "sample", triangle_file, "--count", "5", "--seed", "0")

@@ -69,6 +69,59 @@ class TestEvaluate:
             f(np.array([1.0, 2.0, 3.0]))
 
 
+# Reference (m, k)-layout evaluations the kernels must reproduce bit for bit:
+# every campaign result and failure replay depends on these exact values.
+def reference_max_of_affines(X, slopes, offsets):
+    return (X @ slopes.T + offsets).max(axis=1)
+
+
+def reference_log_sum_exp(X, slopes, offsets):
+    Z = X @ slopes.T + offsets
+    peak = Z.max(axis=1)
+    return peak + np.log(np.exp(Z - peak[:, None]).sum(axis=1))
+
+
+REFERENCES = {
+    "max_of_affines": reference_max_of_affines,
+    "log_sum_exp": reference_log_sum_exp,
+}
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("kind", sorted(REFERENCES))
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_pieces_1_to_10(self, kind, dim):
+        rng = np.random.default_rng(100 * dim + len(kind))
+        s = random_simplex(dim, rng)
+        X = rng.dirichlet(np.ones(dim + 1), size=1001) @ s.vertices
+        for k in range(1, 11):
+            slopes = rng.standard_normal((k, dim)) * rng.uniform(0.5, 3.0)
+            offsets = rng.standard_normal(k)
+            f = ConvexFunction(kind, {"slopes": slopes, "offsets": offsets})
+            want = REFERENCES[kind](X, f.params["slopes"], f.params["offsets"])
+            assert np.array_equal(f(X), want), (kind, dim, k)
+            one = REFERENCES[kind](X[3:4], f.params["slopes"], f.params["offsets"])
+            assert f(X[3]) == one[0]
+
+    @pytest.mark.parametrize("kind", sorted(REFERENCES))
+    def test_generated_functions(self, kind):
+        rng = np.random.default_rng(7)
+        for dim in range(1, 9):
+            s = random_simplex(dim, rng)
+            f = random_convex(dim, kind, 1000 + dim, simplex=s)
+            X = rng.dirichlet(np.ones(dim + 1), size=4097) @ s.vertices
+            want = REFERENCES[kind](X, f.params["slopes"], f.params["offsets"])
+            assert np.array_equal(f(X), want)
+
+    def test_log_sum_exp_overflow_case(self):
+        params = {"slopes": [[1000.0], [-1000.0]], "offsets": [0.0, 0.0]}
+        f = ConvexFunction("log_sum_exp", params)
+        X = np.linspace(-1.0, 1.0, 101).reshape(-1, 1)
+        want = reference_log_sum_exp(X, f.params["slopes"], f.params["offsets"])
+        assert np.all(np.isfinite(want))
+        assert np.array_equal(f(X), want)
+
+
 class TestConstruction:
     def test_psd_certificate_rejects_indefinite(self):
         with pytest.raises(ValueError):

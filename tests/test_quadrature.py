@@ -15,6 +15,7 @@ from hhbounds import (
     sample_uniform,
     standard_simplex,
 )
+from hhbounds.quadrature import _row_sums
 
 UNIT_INTERVAL = Simplex([[0.0], [1.0]])
 SQ_1D = ConvexFunction(
@@ -49,6 +50,33 @@ class TestSampleUniform:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             sample_uniform(standard_simplex(2), 0, seed=0)
+
+    @pytest.mark.parametrize("dim", range(1, 10))
+    def test_bit_identical_to_reference(self, dim):
+        # dims 1-9 give weight rows 2-10 wide: both sides of the width-8
+        # switch in _row_sums
+        def reference(s, count, seed):
+            weights = np.random.default_rng(seed).standard_exponential(
+                (count, s.dimension + 1)
+            )
+            weights /= weights.sum(axis=1, keepdims=True)
+            return weights @ s.vertices
+
+        s = random_simplex(dim, np.random.default_rng(dim))
+        for count, seed in ((1, 5), (7, 6), (20_001, 7)):
+            assert np.array_equal(sample_uniform(s, count, seed), reference(s, count, seed))
+
+
+class TestRowSums:
+    @pytest.mark.parametrize("width", range(1, 13))
+    def test_matches_numpy_row_sum(self, width):
+        rng = np.random.default_rng(width)
+        # mixed signs and magnitudes make any change of summation order show
+        W = rng.standard_normal((5000, width)) * 10.0 ** rng.uniform(-8, 8, (5000, width))
+        want = W.sum(axis=1)
+        assert np.array_equal(_row_sums(W), want)
+        # a transposed view of the (width, m) layout gives the same sums
+        assert np.array_equal(_row_sums(np.ascontiguousarray(W.T).T), want)
 
 
 class TestIntegrateMC:

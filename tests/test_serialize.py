@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hhbounds.serialize import dumps, jsonable, read_json, write_json
+from hhbounds.serialize import dumps, dumps_lines, jsonable, read_json, write_json
 
 
 class TestDumps:
@@ -45,6 +45,29 @@ class TestDumps:
 
     def test_nonstring_keys_normalized(self):
         assert dumps({1: "x"}) == '{"1":"x"}'
+
+
+class TestDumpsLines:
+    def test_matches_dumps_per_row(self):
+        rng = np.random.default_rng(0)
+        M = rng.standard_normal((200, 4)) * 10.0 ** rng.integers(-320, 300, (200, 4))
+        M[0] = [-0.0, 1.0, 1e16, 2.0**-1074]
+        M[1] = [1 / 3, -2.5, 123456789.0, 5e-324]
+        assert dumps_lines(M) == "".join(dumps(row.tolist()) + "\n" for row in M)
+
+    def test_single_column(self):
+        assert dumps_lines(np.array([[0.5], [2.0]])) == "[0.5]\n[2]\n"
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_rejected_as_dumps(self, bad):
+        M = np.ones((3, 2))
+        M[1, 1] = bad
+        M[2, 0] = float("nan")
+        with pytest.raises(ValueError) as expected:
+            dumps(M[1].tolist())
+        with pytest.raises(ValueError) as got:
+            dumps_lines(M)
+        assert str(got.value) == str(expected.value)
 
 
 class TestFiles:
