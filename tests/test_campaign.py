@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hhbounds import (
     CampaignConfig,
     ConditionNotViolatedError,
     MissingBaselineError,
+    Simplex,
     default_config,
     integrate_exact,
     random_convex,
@@ -185,6 +187,76 @@ class TestReplay:
         rep = replay_failure(witness)
         assert list(rep.slacks) == witness["slacks"]
         assert rep.condition_holds is False
+
+
+class TestPinnedReplay:
+    """Fixed outputs that the campaign and replay paths must keep exactly."""
+
+    def test_two_sample_campaign_pinned_and_replayed(self):
+        # mc_samples=2 makes the Monte Carlo tolerance noisy enough that the
+        # default mix fails on several chains, so the failure path is covered.
+        result = run_campaign(CampaignConfig(trials_per_theorem=48, mc_samples=2))
+        text = result.to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "d942f2899aa76784c9e6975decd8b962c0a67a14a55801541e3967e0197a7897"
+        )
+        failures = json.loads(text)["failures"]
+        assert len(failures) == 32
+        assert {d["chain"] for d in failures} == {
+            "choquet", "thm2", "thm3", "thm4", "cor2", "cor3"
+        }
+        for descriptor in failures:
+            report = replay_failure(descriptor)
+            assert list(report.slacks) == descriptor["slacks"]
+            assert report.verdict == descriptor["verdict"]
+            assert report.tolerance_used == descriptor["tolerance"]
+
+    _TRIANGLE = Simplex([[0.0, 0.0], [2.0, 0.0], [0.5, 1.5]])
+
+    def test_thm5_descriptor_replay_pinned(self):
+        s = self._TRIANGLE
+        p = [0.7, 0.4]
+        sub = s.centered_subsimplex(p, 0.5 * s.max_centered_scale(p))
+        descriptor = {
+            "chain": "thm5",
+            "dimension": 2,
+            "simplex": s.to_json_dict(),
+            "function": {
+                "kind": "log_sum_exp",
+                "params": {
+                    "slopes": [[1.0, 0.5], [-0.5, 1.0], [0.2, -1.0]],
+                    "offsets": [0.0, 0.3, -0.2],
+                },
+                "label": "",
+            },
+            "params": {"subsimplex": sub.to_json_dict()},
+            "ground_truth": {"method": "monte_carlo", "samples": 3000, "seed": 41},
+        }
+        report = replay_failure(json.loads(dumps(descriptor)))
+        assert report.verdict == "pass"
+        assert list(report.slacks) == [0.1258579133606128, 0.0687450378234471]
+        assert report.tolerance_used == 0.006167550807916049
+
+    def test_thm6_descriptor_replay_pinned(self):
+        descriptor = {
+            "chain": "thm6",
+            "dimension": 2,
+            "simplex": self._TRIANGLE.to_json_dict(),
+            "function": {
+                "kind": "hinge_distance",
+                "params": {"slope": [0.6, -0.8], "threshold": -0.1},
+                "label": "",
+            },
+            "params": {
+                "points": [[1.25, 0.75], [0.25, 0.75], [1.0, 0.0]],
+                "betas": [1 / 3, 1 / 3, 1 / 3],
+            },
+            "ground_truth": None,
+        }
+        report = replay_failure(json.loads(dumps(descriptor)))
+        assert report.verdict == "pass"
+        assert list(report.slacks) == [0.11666666666666661, 0.15000000000000013]
+        assert report.tolerance_used == 1e-08
 
 
 class TestTightness:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -203,6 +204,80 @@ class TestBounds:
         assert code == 0 and out == ""
         with open(out_path) as handle:
             assert json.loads(handle.readline())["chain"] == "choquet"
+
+
+class TestBoundsPinned:
+    """sha256 of ``hh bounds`` stdout on fixed instances with every flag set.
+
+    The Monte Carlo cases pin the seed of each ground-truth domain: the
+    simplex (also cor2's interval), the thm4/thm5 subsimplex and the cor3
+    window each draw from their own slot of ``--seed``.
+    """
+
+    SIMPLEX_3D = [[0.0, 0.0, 0.0], [1.5, 0.1, 0.0], [0.2, 1.3, 0.1], [0.1, 0.3, 1.2]]
+    INTERVAL = [[-0.5], [1.5]]
+    LSE_3D = {
+        "kind": "log_sum_exp",
+        "params": {
+            "slopes": [[1.0, 0.5, -0.3], [-0.5, 1.0, 0.2], [0.2, -1.0, 0.7]],
+            "offsets": [0.0, 0.3, -0.2],
+        },
+    }
+    QUAD_3D = {
+        "kind": "quadratic_psd",
+        "params": {
+            "matrix": [[2.0, 0.3, 0.0], [0.3, 1.0, -0.2], [0.0, -0.2, 1.5]],
+            "slope": [0.1, -0.4, 0.2],
+            "offset": 0.5,
+        },
+    }
+    HINGE_1D = {"kind": "hinge_distance", "params": {"slope": [1.0], "threshold": -0.2}}
+    QUAD_1D = {
+        "kind": "quadratic_psd",
+        "params": {"matrix": [[2.0]], "slope": [-0.5], "offset": 0.1},
+    }
+    FLAGS = (
+        "--seed", "11", "--t", "0.6", "--j", "2", "--lam", "0.3",
+        "--cor3-p", "2", "--cor3-q", "0.5", "--mc-samples", "4000",
+    )
+    SIX = ("choquet", "thm2", "thm3", "thm4", "thm5", "thm6")
+
+    def digest(self, capsys, tmp_path, vertices, func, chains, point):
+        simplex_path = str(tmp_path / "simplex.json")
+        func_path = str(tmp_path / "func.json")
+        write_json(simplex_path, {"dimension": len(vertices[0]), "vertices": vertices})
+        write_json(func_path, func)
+        theorem_args = [arg for name in chains for arg in ("--theorem", name)]
+        code, out, _ = run_cli(
+            capsys, "bounds", simplex_path, func_path, *theorem_args,
+            *self.FLAGS, "--point", point,
+        )
+        assert code == 0
+        return hashlib.sha256(out.encode()).hexdigest()
+
+    @pytest.mark.parametrize(
+        "func_name, expected",
+        [
+            ("LSE_3D", "dba6c757744b0308428252bb2461a61856ef136b494547da2a1546f17b54254e"),
+            ("QUAD_3D", "029b06d9d48d9bb3a92b61bb414e991fd3ad03857f370206cd5c8f28698d981f"),
+        ],
+    )
+    def test_simplex_chains(self, capsys, tmp_path, func_name, expected):
+        func = getattr(self, func_name)
+        got = self.digest(capsys, tmp_path, self.SIMPLEX_3D, func, self.SIX, "0.4,0.4,0.3")
+        assert got == expected
+
+    @pytest.mark.parametrize(
+        "func_name, expected",
+        [
+            ("HINGE_1D", "5ac3ff2b877ec14d2fa172ba935c82777273d60f2a2e43dbdba3f2243782eb48"),
+            ("QUAD_1D", "e7902074956bf294ad1b7f52e99e0a6e5ae16089f587969eb1a792d7a00daa4d"),
+        ],
+    )
+    def test_interval_chains(self, capsys, tmp_path, func_name, expected):
+        func = getattr(self, func_name)
+        got = self.digest(capsys, tmp_path, self.INTERVAL, func, ("cor2", "cor3"), "0.2")
+        assert got == expected
 
 
 class TestCampaign:
