@@ -1,17 +1,27 @@
 """Randomized verification campaigns, tightness statistics, and 1-D
 counterexample search for the conditional weighted-endpoint chain.
 
+:data:`CHAINS` is the one table of the eight bound chains.  Each entry
+names the domain its ground truth is integrated over (a key of
+:data:`DOMAINS`: the parent simplex, the centred subsimplex, the cor2
+interval or the cor3 window; or none), calls its operation in
+:mod:`hhbounds.chains` on an instance ``(function, simplex or None,
+params)``, and carries its tightness triple and whether it is 1-D only.
+:func:`run_instances` runs instances through that table, sharing one ground
+truth per seed slot; the campaign, :func:`replay_failure` and ``hh bounds``
+all go through it, and the exact-or-Monte-Carlo policy and its replay
+recipes live in :mod:`hhbounds.quadrature`.
+
 A campaign draws, per trial, a well-conditioned random simplex, a random
-convex function, subsimplex parameters, 1-D companion instances for the
-interval chains, and evaluates every selected chain, sharing each ground
-truth across the chains that need it.  Trials derive child seeds from the
-master seed through a counter-based splittable scheme
+convex function, subsimplex parameters and 1-D companion instances for the
+interval chains, and evaluates every selected chain.  Trials derive child
+seeds from the master seed through a counter-based splittable scheme
 (``numpy.random.SeedSequence`` with the trial index as spawn key), so the
 campaign is deterministic in the master seed, trials are independent, and
 aggregation order does not matter.
 
-Failures are recorded as fully self-contained descriptors (simplex,
-function, chain parameters, ground-truth recipe) and
+Failures are recorded as self-contained descriptors (simplex, function,
+chain parameters, ground-truth recipe) in the shape of an instance, and
 :func:`replay_failure` re-runs one descriptor bit-for-bit.
 
 Wall time is kept on the in-memory result only; the serialized result is a
@@ -21,8 +31,10 @@ byte-identical file.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -46,38 +58,144 @@ from .errors import (
 )
 from .funcs import KINDS, ConvexFunction, random_convex
 from .geometry import Simplex
-from .quadrature import EXACT_KINDS, integrate_exact, integrate_mc
-from .serialize import dumps
+from .quadrature import (
+    ground_truth,
+    ground_truth_recipe,
+    integrate_mc,
+    replay_ground_truth,
+)
+from .serialize import dumps, jsonable
 from .tolerances import COND_LIMIT, TOL_CHAIN
 
 __all__ = [
+    "CHAINS",
     "CampaignConfig",
     "CampaignResult",
     "default_config",
     "random_simplex",
     "replay_failure",
     "run_campaign",
+    "run_instances",
     "search_cor3_counterexample",
     "slack_histograms_csv",
     "tightness_ratio",
     "tightness_table",
 ]
 
-#: Term indices (mean, refined upper, classical upper) per chain that carries
-#: a refinement of a classical upper bound.
-TIGHTNESS_TRIPLES: dict[str, tuple[int, int, int]] = {
-    "thm2": (0, 1, 2),
-    "thm3": (2, 3, 4),
-    "thm5": (0, 1, 2),
-    "cor2": (2, 3, 4),
+_DEFAULT_SCALES = (0.2, 0.4, 0.6, 0.8, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# chain registry
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Chain:
+    """One bound chain, run on an instance ``(function, simplex, params)``.
+
+    ``domain`` is the :data:`DOMAINS` key of its ground-truth domain (None
+    for a chain without an integral), ``run(f, simplex, params, gt)`` calls
+    the chain operation, ``tightness`` holds the term indices (mean, refined
+    upper, classical upper) of a chain refining a classical upper bound,
+    and ``one_d`` marks a chain that needs a 1-D instance.
+    """
+
+    domain: str | None
+    run: Callable[..., ChainReport]
+    tightness: tuple[int, int, int] | None = None
+    one_d: bool = False
+
+
+def _cor3_window(s: Simplex | None, p: dict) -> Simplex:
+    center = (p["p"] * p["a"] + p["q"] * p["b"]) / (p["p"] + p["q"])
+    return Simplex([[center - p["y"]], [center + p["y"]]])
+
+
+#: Ground-truth domains, each worked out from an instance's (simplex, params).
+#: cor2's interval is the instance's 1-D simplex when it has one (``hh
+#: bounds``), else ``[a, b]`` (campaign trials and descriptors).
+DOMAINS: dict[str, Callable[[Simplex | None, dict], Simplex]] = {
+    "parent": lambda s, p: s,
+    "subsimplex": lambda s, p: p["subsimplex"],
+    "interval": lambda s, p: Simplex([[p["a"]], [p["b"]]]) if s is None else s,
+    "window": _cor3_window,
 }
 
-_DEFAULT_SCALES = (0.2, 0.4, 0.6, 0.8, 1.0)
+# The chain operations are looked up by name at call time, so wrappers
+# installed on this module's attributes see every call.
+CHAINS: dict[str, Chain] = {
+    "choquet": Chain("parent", lambda f, s, p, gt: choquet_chain(f, s, gt)),
+    "thm2": Chain(
+        "parent", lambda f, s, p, gt: thm2_upper(f, s, p["point"], gt), (0, 1, 2)
+    ),
+    "thm3": Chain(
+        "parent",
+        lambda f, s, p, gt: thm3_chain(f, s, p["subsimplex"], p["j"], gt),
+        (2, 3, 4),
+    ),
+    "thm4": Chain("subsimplex", lambda f, s, p, gt: thm4_chain(f, s, p["subsimplex"], gt)),
+    "thm5": Chain(
+        "subsimplex",
+        lambda f, s, p, gt: thm5_upper(f, s, p["subsimplex"], gt),
+        (0, 1, 2),
+    ),
+    "thm6": Chain(None, lambda f, s, p, gt: thm6_chain(f, s, p["points"], p["betas"])),
+    "cor2": Chain(
+        "interval",
+        lambda f, s, p, gt: cor2_chain(f, p["a"], p["b"], p["lam"], gt),
+        (2, 3, 4),
+        one_d=True,
+    ),
+    "cor3": Chain(
+        "window",
+        lambda f, s, p, gt: cor3_check(p["p"], p["q"], p["a"], p["b"], p["y"], f, gt),
+        one_d=True,
+    ),
+}
+
+
+def run_instances(instances, slots: dict[str, int], seeds, mc_samples: int):
+    """Run ``(name, (function, simplex, params))`` chain instances in order.
+
+    ``slots`` maps each ground-truth domain to an index into ``seeds``.
+    Instances whose domains share a slot must share the function and the
+    domain: they share one ground truth, made by
+    :func:`~hhbounds.quadrature.ground_truth` on first use.  Yields
+    ``(name, instance, report, recipe)``; ``recipe`` replays the ground
+    truth, and is None for a chain without one.
+    """
+    shared: dict[int, tuple] = {}
+    for name, instance in instances:
+        func, simplex, params = instance
+        chain = CHAINS[name]
+        gt = recipe = None
+        if chain.domain is not None:
+            slot = slots[chain.domain]
+            if slot not in shared:
+                domain = DOMAINS[chain.domain](simplex, params)
+                est = ground_truth(func, domain, mc_samples, seeds[slot])
+                shared[slot] = est, ground_truth_recipe(est, seeds[slot])
+            gt, recipe = shared[slot]
+        yield name, instance, chain.run(func, simplex, params, gt), recipe
 
 
 # ---------------------------------------------------------------------------
 # configuration / result containers
 # ---------------------------------------------------------------------------
+
+
+def _json_number(key: str, value) -> float:
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{key}: expected a number, got {value!r}")
+
+
+def _json_int(key: str, value) -> int:
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if float(value).is_integer():
+            return int(value)
+    raise ValueError(f"{key}: expected an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -137,16 +255,28 @@ class CampaignConfig:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CampaignConfig":
+        """A validated config from parsed JSON; ill-typed values raise ValueError.
+
+        Integer fields and ``dimensions`` take integral numbers only (no
+        bools), list fields take lists only, and ``subsimplex_scales`` takes
+        numbers only.
+        """
+        if not isinstance(data, dict):
+            raise ValueError("campaign config must be a JSON object")
         known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        parse_item = {"dimensions": _json_int, "subsimplex_scales": _json_number}
         kwargs: dict = {}
         for key, value in data.items():
-            if key in ("dimensions", "theorems", "subsimplex_scales", "function_kinds"):
-                kwargs[key] = tuple(value)
+            if key in ("trials_per_theorem", "mc_samples", "master_seed"):
+                kwargs[key] = _json_int(key, value)
+            elif isinstance(value, (list, tuple)):
+                parse = parse_item.get(key, lambda _, item: item)
+                kwargs[key] = tuple(parse(key, item) for item in value)
             else:
-                kwargs[key] = int(value)
+                raise ValueError(f"{key}: expected a list, got {value!r}")
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg
@@ -223,36 +353,17 @@ def _draw_seed(rng: np.random.Generator) -> int:
     return int(rng.integers(0, 2**63))
 
 
-@dataclass
-class _Trial:
-    index: int
-    dim: int
-    simplex: Simplex
-    func: ConvexFunction
-    point: np.ndarray
-    t_scale: float
-    sub_homothety: Simplex
-    sub_centered: Simplex
-    mix_points: np.ndarray
-    mix_betas: np.ndarray
-    cor2_a: float
-    cor2_b: float
-    cor2_lam: float
-    cor2_func: ConvexFunction
-    cor3_p: float
-    cor3_q: float
-    cor3_a: float
-    cor3_b: float
-    cor3_y: float
-    cor3_func: ConvexFunction
-    seed_parent: int
-    seed_sub: int
-    seed_cor2: int
-    seed_cor3: int
+#: Which of a trial's four ground-truth seeds each domain uses.
+_TRIAL_SEED_SLOTS = {"parent": 0, "subsimplex": 1, "interval": 2, "window": 3}
 
 
-def _build_trial(cfg: CampaignConfig, index: int) -> _Trial:
+def _build_trial(cfg: CampaignConfig, index: int):
     """Deterministically generate one trial from the master seed.
+
+    Returns ``(dim, seeds, instances)``: the trial's four ground-truth seeds
+    (indexed by :data:`_TRIAL_SEED_SLOTS`) and, per chain name, a list of
+    instances ``(function, simplex or None, params)``, one per subsimplex
+    vertex index for thm3 and one for every other chain.
 
     The draw order below is part of the determinism contract: simplex
     (with retries), function seed, subsimplex scale, interior point, mixture
@@ -286,143 +397,35 @@ def _build_trial(cfg: CampaignConfig, index: int) -> _Trial:
     gamma = 1.0 if w_min >= 0.0 else min(1.0, 0.9 * base / (base - w_min))
     mix_points = s.centroid + gamma * (shifted - s.centroid)
 
-    cor2_a = float(rng.normal(0.0, 1.0))
-    cor2_b = cor2_a + 0.3 + float(rng.exponential(1.0))
-    cor2_lam = float(rng.uniform(0.0, 1.0))
+    a = float(rng.normal(0.0, 1.0))
+    b = a + 0.3 + float(rng.exponential(1.0))
+    cor2 = {"a": a, "b": b, "lam": float(rng.uniform(0.0, 1.0))}
     cor2_func = random_convex(
-        1, kind, _draw_seed(rng), simplex=Simplex([[cor2_a], [cor2_b]])
+        1, kind, _draw_seed(rng), simplex=DOMAINS["interval"](None, cor2)
     )
 
-    cor3_p = float(rng.uniform(0.2, 5.0))
-    cor3_q = float(rng.uniform(0.2, 5.0))
-    cor3_a = float(rng.normal(0.0, 1.0))
-    cor3_b = cor3_a + 0.3 + float(rng.exponential(1.0))
-    threshold = (cor3_b - cor3_a) * min(cor3_p, cor3_q) / (cor3_p + cor3_q)
-    cor3_y = float(rng.uniform(0.05, 1.0)) * threshold
-    cor3_center = (cor3_p * cor3_a + cor3_q * cor3_b) / (cor3_p + cor3_q)
+    p, q = float(rng.uniform(0.2, 5.0)), float(rng.uniform(0.2, 5.0))
+    a = float(rng.normal(0.0, 1.0))
+    b = a + 0.3 + float(rng.exponential(1.0))
+    y = float(rng.uniform(0.05, 1.0)) * ((b - a) * min(p, q) / (p + q))
+    cor3 = {"p": p, "q": q, "a": a, "b": b, "y": y}
     cor3_func = random_convex(
-        1,
-        kind,
-        _draw_seed(rng),
-        simplex=Simplex([[cor3_center - cor3_y], [cor3_center + cor3_y]]),
+        1, kind, _draw_seed(rng), simplex=DOMAINS["window"](None, cor3)
     )
 
-    seeds = rng.integers(0, 2**63, size=4)
-    return _Trial(
-        index=index,
-        dim=dim,
-        simplex=s,
-        func=f,
-        point=point,
-        t_scale=t_scale,
-        sub_homothety=sub_homothety,
-        sub_centered=sub_centered,
-        mix_points=mix_points,
-        mix_betas=betas,
-        cor2_a=cor2_a,
-        cor2_b=cor2_b,
-        cor2_lam=cor2_lam,
-        cor2_func=cor2_func,
-        cor3_p=cor3_p,
-        cor3_q=cor3_q,
-        cor3_a=cor3_a,
-        cor3_b=cor3_b,
-        cor3_y=cor3_y,
-        cor3_func=cor3_func,
-        seed_parent=int(seeds[0]),
-        seed_sub=int(seeds[1]),
-        seed_cor2=int(seeds[2]),
-        seed_cor3=int(seeds[3]),
-    )
-
-
-def _gt_with_recipe(f: ConvexFunction, domain: Simplex, mc_samples: int, seed: int):
-    """Ground truth per the exact-when-possible policy, plus a replay recipe."""
-    if f.kind in EXACT_KINDS:
-        return integrate_exact(f, domain), {"method": "exact_polynomial"}
-    est = integrate_mc(f, domain, mc_samples, seed)
-    return est, {"method": "monte_carlo", "samples": mc_samples, "seed": seed}
-
-
-def _evaluate_trial(cfg: CampaignConfig, case: _Trial):
-    """Yield (chain_name, report, descriptor_fields) for every selected chain.
-
-    ``descriptor_fields`` is ``(function, params, gt_recipe, simplex_or_None)``,
-    enough to build a replayable failure descriptor on demand.
-    """
-    s, f = case.simplex, case.func
-    selected = set(cfg.theorems)
-    results = []
-    gt_s = recipe_s = None
-    if selected & {"choquet", "thm2", "thm3"}:
-        gt_s, recipe_s = _gt_with_recipe(f, s, cfg.mc_samples, case.seed_parent)
-    gt_sub = recipe_sub = None
-    if selected & {"thm4", "thm5"}:
-        gt_sub, recipe_sub = _gt_with_recipe(
-            f, case.sub_centered, cfg.mc_samples, case.seed_sub
-        )
-    for name in cfg.theorems:
-        if name == "choquet":
-            results.append(("choquet", choquet_chain(f, s, gt_s), (f, {}, recipe_s, s)))
-        elif name == "thm2":
-            report = thm2_upper(f, s, case.point, gt_s)
-            params = {"point": case.point.tolist()}
-            results.append(("thm2", report, (f, params, recipe_s, s)))
-        elif name == "thm3":
-            sub = case.sub_homothety
-            for j in range(case.dim + 1):
-                report = thm3_chain(f, s, sub, j, gt_s)
-                params = {"subsimplex": sub.to_json_dict(), "j": j}
-                results.append(("thm3", report, (f, params, recipe_s, s)))
-        elif name in ("thm4", "thm5"):
-            sub = case.sub_centered
-            params = {"subsimplex": sub.to_json_dict()}
-            if name == "thm4":
-                report = thm4_chain(f, s, sub, gt_sub)
-            else:
-                report = thm5_upper(f, s, sub, gt_sub)
-            results.append((name, report, (f, params, recipe_sub, s)))
-        elif name == "thm6":
-            report = thm6_chain(f, s, case.mix_points, case.mix_betas)
-            params = {
-                "points": case.mix_points.tolist(),
-                "betas": case.mix_betas.tolist(),
-            }
-            results.append(("thm6", report, (f, params, None, s)))
-        elif name == "cor2":
-            interval = Simplex([[case.cor2_a], [case.cor2_b]])
-            gt2, recipe2 = _gt_with_recipe(
-                case.cor2_func, interval, cfg.mc_samples, case.seed_cor2
-            )
-            report = cor2_chain(case.cor2_func, case.cor2_a, case.cor2_b, case.cor2_lam, gt2)
-            params = {"a": case.cor2_a, "b": case.cor2_b, "lam": case.cor2_lam}
-            results.append(("cor2", report, (case.cor2_func, params, recipe2, None)))
-        elif name == "cor3":
-            center = (case.cor3_p * case.cor3_a + case.cor3_q * case.cor3_b) / (
-                case.cor3_p + case.cor3_q
-            )
-            window = Simplex([[center - case.cor3_y], [center + case.cor3_y]])
-            gt3, recipe3 = _gt_with_recipe(
-                case.cor3_func, window, cfg.mc_samples, case.seed_cor3
-            )
-            report = cor3_check(
-                case.cor3_p,
-                case.cor3_q,
-                case.cor3_a,
-                case.cor3_b,
-                case.cor3_y,
-                case.cor3_func,
-                gt3,
-            )
-            params = {
-                "p": case.cor3_p,
-                "q": case.cor3_q,
-                "a": case.cor3_a,
-                "b": case.cor3_b,
-                "y": case.cor3_y,
-            }
-            results.append(("cor3", report, (case.cor3_func, params, recipe3, None)))
-    return results
+    seeds = [int(seed) for seed in rng.integers(0, 2**63, size=4)]
+    centered = {"subsimplex": sub_centered}
+    instances = {
+        "choquet": [(f, s, {})],
+        "thm2": [(f, s, {"point": point})],
+        "thm3": [(f, s, {"subsimplex": sub_homothety, "j": j}) for j in range(dim + 1)],
+        "thm4": [(f, s, centered)],
+        "thm5": [(f, s, centered)],
+        "thm6": [(f, s, {"points": mix_points, "betas": betas})],
+        "cor2": [(cor2_func, None, cor2)],
+        "cor3": [(cor3_func, None, cor3)],
+    }
+    return dim, seeds, instances
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +451,7 @@ def tightness_ratio(values, triple, tolerance: float = TOL_CHAIN) -> float | Non
 
 class _ChainAgg:
     def __init__(self, name: str) -> None:
-        self.name = name
+        self.triple = CHAINS[name].tightness
         self.evaluations = 0
         self.passes = 0
         self.failures = 0
@@ -466,9 +469,8 @@ class _ChainAgg:
             if pos == len(self.slack_values):
                 self.slack_values.append([])
             self.slack_values[pos].append(slack)
-        triple = TIGHTNESS_TRIPLES.get(self.name)
-        if triple is not None:
-            ratio = tightness_ratio(report.values, triple, report.tolerance_used)
+        if self.triple is not None:
+            ratio = tightness_ratio(report.values, self.triple, report.tolerance_used)
             if ratio is None:
                 self.ratio_nulls += 1
             else:
@@ -490,20 +492,17 @@ class _ChainAgg:
             "passes": self.passes,
             "failures": self.failures,
             "slacks": slacks,
+            "tightness": None,
         }
-        if self.name in TIGHTNESS_TRIPLES:
-            tightness: dict = {"n": len(self.ratios), "nulls": self.ratio_nulls}
-            if self.ratios:
-                tightness.update(
-                    min=float(np.min(self.ratios)),
-                    p50=float(np.median(self.ratios)),
-                    max=float(np.max(self.ratios)),
-                )
-            else:
-                tightness.update(min=None, p50=None, max=None)
-            data["tightness"] = tightness
-        else:
-            data["tightness"] = None
+        if self.triple is not None:
+            ratios = self.ratios
+            data["tightness"] = {
+                "n": len(ratios),
+                "nulls": self.ratio_nulls,
+                "min": float(np.min(ratios)) if ratios else None,
+                "p50": float(np.median(ratios)) if ratios else None,
+                "max": float(np.max(ratios)) if ratios else None,
+            }
         return data
 
 
@@ -514,19 +513,25 @@ def run_campaign(cfg: CampaignConfig) -> CampaignResult:
     aggs = {name: _ChainAgg(name) for name in cfg.theorems}
     failures: list[dict] = []
     for index in range(cfg.trials_per_theorem):
-        case = _build_trial(cfg, index)
-        for name, report, (func, params, gt_recipe, simplex) in _evaluate_trial(
-            cfg, case
+        dim, seeds, instances = _build_trial(cfg, index)
+        selected = ((name, inst) for name in cfg.theorems for inst in instances[name])
+        for name, (func, simplex, params), report, recipe in run_instances(
+            selected, _TRIAL_SEED_SLOTS, seeds, cfg.mc_samples
         ):
             aggs[name].record(report)
             if not report.passed:
                 descriptor = {
                     "chain": name,
-                    "trial": case.index,
-                    "dimension": case.dim,
+                    "trial": index,
+                    "dimension": dim,
                     "function": func.to_json_dict(),
-                    "params": params,
-                    "ground_truth": gt_recipe,
+                    "params": {
+                        key: value.to_json_dict()
+                        if isinstance(value, Simplex)
+                        else jsonable(value)
+                        for key, value in params.items()
+                    },
+                    "ground_truth": recipe,
                     "verdict": report.verdict,
                     "slacks": list(report.slacks),
                     "tolerance": report.tolerance_used,
@@ -544,6 +549,20 @@ def run_campaign(cfg: CampaignConfig) -> CampaignResult:
     )
 
 
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+#: How descriptor params are read back; every other param is a float.
+_PARAM_DECODERS = {
+    "subsimplex": Simplex.from_json_dict,
+    "j": int,
+    "point": _floats,
+    "points": _floats,
+    "betas": _floats,
+}
+
+
 def replay_failure(descriptor: dict, mc_samples: int | None = None) -> ChainReport:
     """Re-run one failure (or witness) descriptor, reproducing it exactly.
 
@@ -551,45 +570,23 @@ def replay_failure(descriptor: dict, mc_samples: int | None = None) -> ChainRepo
     sample counts reproduces the verdict and slacks bit-for-bit.
     """
     name = descriptor["chain"]
+    if name not in CHAINS:
+        raise ValueError(f"unknown chain name {name!r}")
+    chain = CHAINS[name]
     func = ConvexFunction.from_json_dict(descriptor["function"])
-    params = descriptor["params"]
+    simplex = descriptor.get("simplex")
+    if simplex is not None:
+        simplex = Simplex.from_json_dict(simplex)
+    params = {
+        key: _PARAM_DECODERS.get(key, float)(value)
+        for key, value in descriptor["params"].items()
+    }
     recipe = descriptor.get("ground_truth")
-
-    def gt_for(domain: Simplex):
-        if recipe is None:
-            return None
-        if recipe["method"] == "exact_polynomial":
-            return integrate_exact(func, domain)
-        samples = int(recipe["samples"] if mc_samples is None else mc_samples)
-        return integrate_mc(func, domain, samples, int(recipe["seed"]))
-
-    if name in ("choquet", "thm2", "thm3", "thm4", "thm5", "thm6"):
-        s = Simplex.from_json_dict(descriptor["simplex"])
-        if name == "choquet":
-            return choquet_chain(func, s, gt_for(s))
-        if name == "thm2":
-            return thm2_upper(func, s, np.asarray(params["point"], float), gt_for(s))
-        if name == "thm3":
-            sub = Simplex.from_json_dict(params["subsimplex"])
-            return thm3_chain(func, s, sub, int(params["j"]), gt_for(s))
-        if name == "thm4":
-            sub = Simplex.from_json_dict(params["subsimplex"])
-            return thm4_chain(func, s, sub, gt_for(sub))
-        if name == "thm5":
-            sub = Simplex.from_json_dict(params["subsimplex"])
-            return thm5_upper(func, s, sub, gt_for(sub))
-        return thm6_chain(func, s, np.asarray(params["points"], float),
-                          np.asarray(params["betas"], float))
-    if name == "cor2":
-        a, b = float(params["a"]), float(params["b"])
-        return cor2_chain(func, a, b, float(params["lam"]), gt_for(Simplex([[a], [b]])))
-    if name == "cor3":
-        p, q = float(params["p"]), float(params["q"])
-        a, b, y = float(params["a"]), float(params["b"]), float(params["y"])
-        center = (p * a + q * b) / (p + q)
-        window = Simplex([[center - y], [center + y]])
-        return cor3_check(p, q, a, b, y, func, gt_for(window))
-    raise ValueError(f"unknown chain name {name!r}")
+    gt = None
+    if chain.domain is not None and recipe is not None:
+        domain = DOMAINS[chain.domain](simplex, params)
+        gt = replay_ground_truth(func, domain, recipe, mc_samples)
+    return chain.run(func, simplex, params, gt)
 
 
 # ---------------------------------------------------------------------------
@@ -772,7 +769,7 @@ def search_cor3_counterexample(
         "dimension": 1,
         "function": func.to_json_dict(),
         "params": {"p": p, "q": q, "a": a, "b": b, "y": y},
-        "ground_truth": {"method": "monte_carlo", "samples": mc_samples, "seed": gt_seed},
+        "ground_truth": ground_truth_recipe(gt, gt_seed),
         "verdict": report.verdict,
         "slacks": list(report.slacks),
         "tolerance": report.tolerance_used,

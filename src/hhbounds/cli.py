@@ -25,31 +25,18 @@ import sys
 import numpy as np
 
 from .campaign import (
+    CHAINS,
     CampaignConfig,
     default_config,
     run_campaign,
+    run_instances,
     search_cor3_counterexample,
     slack_histograms_csv,
 )
-from .chains import (
-    CHAIN_NAMES,
-    choquet_chain,
-    cor2_chain,
-    cor3_check,
-    cor3_condition_holds,
-    thm2_upper,
-    thm3_chain,
-    thm4_chain,
-    thm5_upper,
-    thm6_chain,
-)
-from .errors import ConditionNotViolatedError, HHBoundsError
+from .errors import HHBoundsError
 from .funcs import ConvexFunction
 from .geometry import Simplex
-from .quadrature import EXACT_KINDS, integrate_exact, integrate_mc
 from .serialize import dumps, dumps_lines, read_json, write_json
-
-_ONE_D_CHAINS = ("cor2", "cor3")
 
 
 def _default_seed(value: int | None) -> int:
@@ -79,12 +66,6 @@ def _parse_point(text: str, s: Simplex) -> np.ndarray:
     return np.asarray(coords, dtype=float)
 
 
-def _ground_truth(f: ConvexFunction, domain: Simplex, samples: int, seed: int):
-    if f.kind in EXACT_KINDS:
-        return integrate_exact(f, domain)
-    return integrate_mc(f, domain, samples, seed)
-
-
 def _chain_seed(base_seed: int, slot: int) -> int:
     ss = np.random.SeedSequence(entropy=base_seed, spawn_key=(slot,))
     return int(ss.generate_state(1, dtype=np.uint64)[0] >> 1)
@@ -103,6 +84,52 @@ def _emit(text: str, out_path: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _endpoints(s: Simplex) -> tuple[float, float]:
+    a, b = sorted(float(v[0]) for v in s.vertices)
+    return a, b
+
+
+def _centred_subsimplex(args: argparse.Namespace, s: Simplex) -> dict:
+    point = _parse_point(args.point, s)
+    t = args.t * s.max_centered_scale(point)
+    return {"subsimplex": s.centered_subsimplex(point, t)}
+
+
+def _facet_midpoints(args: argparse.Namespace, s: Simplex) -> dict:
+    # Facet midpoints with uniform weights: their average is the centroid.
+    n, V = s.dimension, s.vertices
+    return {"points": (V.sum(axis=0) - V) / n, "betas": np.full(n + 1, 1.0 / (n + 1))}
+
+
+def _cor2_params(args: argparse.Namespace, s: Simplex) -> dict:
+    a, b = _endpoints(s)
+    return {"a": a, "b": b, "lam": args.lam}
+
+
+def _cor3_params(args: argparse.Namespace, s: Simplex) -> dict:
+    a, b = _endpoints(s)
+    p, q, y = args.cor3_p, args.cor3_q, args.cor3_y
+    if y is None:
+        y = 0.5 * (b - a) * min(p, q) / (p + q)
+    return {"p": p, "q": q, "a": a, "b": b, "y": y}
+
+
+#: Each chain's params, from the arguments and the simplex.
+_ARGV_PARAMS = {
+    "choquet": lambda args, s: {},
+    "thm2": lambda args, s: {"point": _parse_point(args.point, s)},
+    "thm3": lambda args, s: {"subsimplex": s.homothety_about_centroid(args.t), "j": args.j},
+    "thm4": _centred_subsimplex,
+    "thm5": _centred_subsimplex,
+    "thm6": _facet_midpoints,
+    "cor2": _cor2_params,
+    "cor3": _cor3_params,
+}
+
+#: Seed slot of each ground-truth domain; cor2's interval is the simplex.
+_SEED_SLOTS = {"parent": 0, "interval": 0, "subsimplex": 1, "window": 2}
+
+
 def _cmd_bounds(args: argparse.Namespace) -> int:
     s = _load_simplex(args.simplex)
     f = _load_function(args.function)
@@ -111,63 +138,15 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             f"function dimension {f.dim} does not match simplex {s.dimension}"
         )
     seed = _default_seed(args.seed)
-    samples = args.mc_samples
     theorems = args.theorem or ["choquet"]
-    n = s.dimension
-    if n != 1:
-        bad = [t for t in theorems if t in _ONE_D_CHAINS]
+    if s.dimension != 1:
+        bad = [t for t in theorems if CHAINS[t].one_d]
         if bad:
             raise ValueError(f"chains {bad} require a 1-D simplex")
-
-    reports = []
-    # Ground truth per seed slot, computed on first use.  Each slot stands
-    # for one domain fixed by the arguments: 0 the simplex, 1 the thm4/thm5
-    # centred subsimplex, 2 the cor3 window.
-    gts: dict = {}
-
-    def gt(domain: Simplex, slot: int):
-        if slot not in gts:
-            gts[slot] = _ground_truth(f, domain, samples, _chain_seed(seed, slot))
-        return gts[slot]
-
-    for name in theorems:
-        if name == "choquet":
-            reports.append(choquet_chain(f, s, gt(s, 0)))
-        elif name == "thm2":
-            point = _parse_point(args.point, s)
-            reports.append(thm2_upper(f, s, point, gt(s, 0)))
-        elif name == "thm3":
-            sub = s.homothety_about_centroid(args.t)
-            reports.append(thm3_chain(f, s, sub, args.j, gt(s, 0)))
-        elif name in ("thm4", "thm5"):
-            point = _parse_point(args.point, s)
-            sub = s.centered_subsimplex(point, args.t * s.max_centered_scale(point))
-            op = thm4_chain if name == "thm4" else thm5_upper
-            reports.append(op(f, s, sub, gt(sub, 1)))
-        elif name == "thm6":
-            # Default mixture instance: facet midpoints with uniform weights,
-            # whose average is always the centroid.
-            V = s.vertices
-            midpoints = (V.sum(axis=0) - V) / n
-            betas = np.full(n + 1, 1.0 / (n + 1))
-            reports.append(thm6_chain(f, s, midpoints, betas))
-        elif name == "cor2":
-            a, b = sorted(float(v[0]) for v in s.vertices)
-            reports.append(cor2_chain(f, a, b, args.lam, gt(s, 0)))
-        elif name == "cor3":
-            a, b = sorted(float(v[0]) for v in s.vertices)
-            y = args.cor3_y
-            if y is None:
-                y = 0.5 * (b - a) * min(args.cor3_p, args.cor3_q) / (
-                    args.cor3_p + args.cor3_q
-                )
-            center = (args.cor3_p * a + args.cor3_q * b) / (args.cor3_p + args.cor3_q)
-            window = Simplex([[center - y], [center + y]])
-            gt_w = gt(window, 2)
-            reports.append(cor3_check(args.cor3_p, args.cor3_q, a, b, y, f, gt_w))
-        else:  # unreachable: argparse restricts choices
-            raise ValueError(f"unknown theorem {name!r}")
-
+    seeds = [_chain_seed(seed, slot) for slot in range(3)]
+    instances = ((name, (f, s, _ARGV_PARAMS[name](args, s))) for name in theorems)
+    runs = run_instances(instances, _SEED_SLOTS, seeds, args.mc_samples)
+    reports = [report for _, _, report, _ in runs]
     _emit("".join(dumps(r.to_json_dict()) + "\n" for r in reports), args.out)
     return 0 if all(r.passed for r in reports) else 1
 
@@ -217,22 +196,12 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_cor3_search(args: argparse.Namespace) -> int:
-    if cor3_condition_holds(args.p, args.q, args.a, args.b, args.y):
-        print(
-            "window-width condition holds: the chain is valid for every convex "
-            "function, nothing to search",
-            file=sys.stderr,
-        )
-        return 2
     witness = search_cor3_counterexample(
         args.p, args.q, args.a, args.b, args.y,
         budget=args.budget, seed=_default_seed(args.seed),
         mc_samples=args.mc_samples,
     )
-    if witness is None:
-        sys.stdout.write(dumps({"witness": None}) + "\n")
-    else:
-        sys.stdout.write(dumps({"witness": witness}) + "\n")
+    sys.stdout.write(dumps({"witness": witness}) + "\n")
     return 0
 
 
@@ -266,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("simplex", help="simplex descriptor JSON file")
     p_bounds.add_argument("function", help="convex function descriptor JSON file")
     p_bounds.add_argument(
-        "--theorem", action="append", choices=CHAIN_NAMES, metavar="NAME",
+        "--theorem", action="append", choices=tuple(CHAINS), metavar="NAME",
         help="chain to evaluate (repeatable); default: choquet",
     )
     p_bounds.add_argument(
@@ -342,9 +311,6 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except ConditionNotViolatedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (
         HHBoundsError,
         ValueError,

@@ -13,6 +13,10 @@ Two routes:
 
 The second-moment formula is re-verified against Monte Carlo in the test
 suite rather than trusted.
+
+:func:`ground_truth` is the one policy choosing between the routes.  Each
+estimate it makes has a replay recipe (:func:`ground_truth_recipe`), and
+:func:`replay_ground_truth` turns a recipe back into the same estimate.
 """
 
 from __future__ import annotations
@@ -28,8 +32,10 @@ __all__ = [
     "EXACT_KINDS",
     "IntegralEstimate",
     "ground_truth",
+    "ground_truth_recipe",
     "integrate_exact",
     "integrate_mc",
+    "replay_ground_truth",
     "sample_uniform",
 ]
 
@@ -160,7 +166,32 @@ def integrate_exact(f, s: Simplex) -> IntegralEstimate:
 
 
 def ground_truth(f, s: Simplex, mc_samples: int = 100_000, seed: int = 0) -> IntegralEstimate:
-    """Preferred ground-truth policy: exact when the kind allows, else MC."""
+    """The ground-truth policy: exact when the kind allows, else MC."""
     if getattr(f, "kind", None) in EXACT_KINDS:
         return integrate_exact(f, s)
     return integrate_mc(f, s, mc_samples, seed)
+
+
+def ground_truth_recipe(estimate: IntegralEstimate, seed: int) -> dict:
+    """The replay recipe of an estimate that :func:`ground_truth` made with ``seed``."""
+    if estimate.method == METHOD_EXACT:
+        return {"method": METHOD_EXACT}
+    return {"method": METHOD_MC, "samples": estimate.samples, "seed": seed}
+
+
+def replay_ground_truth(
+    f, s: Simplex, recipe: dict, mc_samples: int | None
+) -> IntegralEstimate:
+    """Recompute an estimate from its recipe by the method the recipe records.
+
+    A Monte Carlo recipe replays by Monte Carlo even for a kind that now has
+    an exact mean, so old descriptors reproduce bit for bit.  ``mc_samples``
+    overrides the recorded sample count; None keeps it.
+    """
+    method = recipe["method"]
+    if method == METHOD_EXACT:
+        return integrate_exact(f, s)
+    if method != METHOD_MC:
+        raise ValueError(f"unknown ground-truth method {method!r}")
+    samples = int(recipe["samples"] if mc_samples is None else mc_samples)
+    return integrate_mc(f, s, samples, int(recipe["seed"]))

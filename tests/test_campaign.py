@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hhbounds import (
+    CHAIN_NAMES,
     CampaignConfig,
     ConditionNotViolatedError,
     MissingBaselineError,
@@ -23,7 +24,9 @@ from hhbounds import (
     tightness_ratio,
     tightness_table,
 )
-from hhbounds.campaign import TIGHTNESS_TRIPLES
+from hhbounds import quadrature
+from hhbounds.campaign import CHAINS
+from hhbounds.cli import build_parser
 from hhbounds.serialize import dumps
 
 SMALL = CampaignConfig(
@@ -68,6 +71,57 @@ class TestConfig:
         with pytest.raises(ValueError, match="trials"):
             CampaignConfig.from_json_dict({"trials": 10})
 
+    @pytest.mark.parametrize(
+        "data, key",
+        [
+            ({"master_seed": 1.9}, "master_seed"),
+            ({"trials_per_theorem": True}, "trials_per_theorem"),
+            ({"mc_samples": "4000"}, "mc_samples"),
+            ({"dimensions": 3}, "dimensions"),
+            ({"dimensions": [2.5]}, "dimensions"),
+            ({"dimensions": [True]}, "dimensions"),
+            ({"subsimplex_scales": ["a"]}, "subsimplex_scales"),
+            ({"theorems": "thm2"}, "theorems"),
+        ],
+    )
+    def test_ill_typed_values_rejected(self, data, key):
+        with pytest.raises(ValueError, match=key):
+            CampaignConfig.from_json_dict(data)
+
+    def test_non_object_config_rejected(self):
+        with pytest.raises(ValueError, match="object"):
+            CampaignConfig.from_json_dict([1, 2])
+
+    def test_integral_floats_accepted(self):
+        cfg = CampaignConfig.from_json_dict({"trials_per_theorem": 3.0, "dimensions": [2.0]})
+        assert cfg.trials_per_theorem == 3 and cfg.dimensions == (2,)
+        assert isinstance(cfg.trials_per_theorem, int)
+
+
+class TestRegistry:
+    def test_keys_are_the_chain_names(self):
+        assert tuple(CHAINS) == CHAIN_NAMES
+
+    def test_bounds_theorem_choices_come_from_registry(self):
+        parser = build_parser()
+        bounds = next(
+            action.choices["bounds"]
+            for action in parser._actions
+            if action.dest == "command"
+        )
+        (theorem,) = [a for a in bounds._actions if a.dest == "theorem"]
+        assert tuple(theorem.choices) == tuple(CHAINS)
+
+    def test_tightness_rows_unchanged(self):
+        rows = {name: c.tightness for name, c in CHAINS.items() if c.tightness}
+        assert rows == {
+            "thm2": (0, 1, 2),
+            "thm3": (2, 3, 4),
+            "thm5": (0, 1, 2),
+            "cor2": (2, 3, 4),
+        }
+        assert [name for name, c in CHAINS.items() if c.one_d] == ["cor2", "cor3"]
+
 
 class TestRunCampaign:
     def test_zero_failures_on_small_suite(self, small_result):
@@ -110,6 +164,21 @@ class TestRunCampaign:
         assert digest == (
             "64f21cda48dc624a101efc2774a141b744f1a6920ff6d926be8eee6b87edade3"
         )
+
+    def test_four_ground_truths_per_trial(self, monkeypatch):
+        # 4 ground truths per trial (parent, subsimplex, cor2 interval, cor3
+        # window), each shared by every chain on its domain
+        counts = {"integrate_mc": 0, "integrate_exact": 0}
+        for name in counts:
+            original = getattr(quadrature, name)
+
+            def counting(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(quadrature, name, counting)
+        run_campaign(CampaignConfig(trials_per_theorem=48))
+        assert counts == {"integrate_mc": 128, "integrate_exact": 64}
 
     def test_wall_time_not_serialized(self, small_result):
         assert small_result.wall_time_seconds > 0.0
@@ -270,7 +339,7 @@ class TestTightness:
         )
         gt = integrate_exact(sq, unit)
         rep = thm2_upper(sq, unit, np.array([0.5]), gt)
-        ratio = tightness_ratio(rep.values, TIGHTNESS_TRIPLES["thm2"])
+        ratio = tightness_ratio(rep.values, CHAINS["thm2"].tightness)
         assert abs(ratio - 0.25) < 1e-14
 
     def test_degenerate_gap_is_null(self):
@@ -278,7 +347,7 @@ class TestTightness:
         s = standard_simplex(2)
         gt = integrate_exact(f, s)
         rep = thm2_upper(f, s, s.centroid, gt)
-        assert tightness_ratio(rep.values, TIGHTNESS_TRIPLES["thm2"]) is None
+        assert tightness_ratio(rep.values, CHAINS["thm2"].tightness) is None
 
     def test_table_rows_and_bounds(self, small_result):
         rows = tightness_table(small_result)

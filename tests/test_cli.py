@@ -13,7 +13,7 @@ from hhbounds import (
     sample_uniform,
     standard_simplex,
 )
-from hhbounds import cli
+from hhbounds import quadrature
 from hhbounds.cli import main
 from hhbounds.serialize import dumps, write_json
 
@@ -186,7 +186,7 @@ class TestBounds:
             calls.append(args[1])
             return integrate_mc(*args)
 
-        monkeypatch.setattr(cli, "integrate_mc", counting)
+        monkeypatch.setattr(quadrature, "integrate_mc", counting)
         args = ("bounds", triangle_file, path, "--mc-samples", "3000", "--seed", "9")
         _, both, _ = run_cli(capsys, *args, "--theorem", "thm4", "--theorem", "thm5")
         assert len(calls) == 1
@@ -318,6 +318,22 @@ class TestCampaign:
         code, out, err = run_cli(capsys, "campaign", "--config", config)
         assert code == 2 and out == ""
         assert "thmX" in err
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"master_seed": 1.9}, "master_seed"),
+            ({"trials_per_theorem": True}, "trials_per_theorem"),
+            ({"dimensions": 3}, "dimensions"),
+            ({"dimensions": [2.5]}, "dimensions"),
+            ({"subsimplex_scales": ["a"]}, "subsimplex_scales"),
+        ],
+    )
+    def test_ill_typed_config_exit_2(self, capsys, tmp_path, overrides, key):
+        config = self.make_config(tmp_path, **overrides)
+        code, out, err = run_cli(capsys, "campaign", "--config", config)
+        assert code == 2 and out == ""
+        assert key in err
 
     def test_unwritable_out_exit_2(self, capsys, tmp_path):
         config = self.make_config(tmp_path)

@@ -15,7 +15,11 @@ from hhbounds import (
     sample_uniform,
     standard_simplex,
 )
-from hhbounds.quadrature import _row_sums
+from hhbounds.quadrature import (
+    _row_sums,
+    ground_truth_recipe,
+    replay_ground_truth,
+)
 
 UNIT_INTERVAL = Simplex([[0.0], [1.0]])
 SQ_1D = ConvexFunction(
@@ -206,6 +210,31 @@ class TestGroundTruthPolicy:
         f = random_convex(1, "hinge_distance", 19, simplex=UNIT_INTERVAL)
         est = ground_truth(f, UNIT_INTERVAL, mc_samples=500, seed=0)
         assert est.method == "monte_carlo" and est.samples == 500
+
+    def test_recipe_round_trip(self):
+        hinge = random_convex(1, "hinge_distance", 19, simplex=UNIT_INTERVAL)
+        for f in (SQ_1D, hinge):
+            est = ground_truth(f, UNIT_INTERVAL, mc_samples=500, seed=7)
+            recipe = ground_truth_recipe(est, 7)
+            assert replay_ground_truth(f, UNIT_INTERVAL, recipe, None) == est
+        assert ground_truth_recipe(ground_truth(SQ_1D, UNIT_INTERVAL), 7) == {
+            "method": "exact_polynomial"
+        }
+        assert ground_truth_recipe(ground_truth(hinge, UNIT_INTERVAL, 500, 7), 7) == {
+            "method": "monte_carlo", "samples": 500, "seed": 7
+        }
+
+    def test_replay_honours_recorded_method(self):
+        # a Monte Carlo recipe stays Monte Carlo for a kind with an exact mean
+        recipe = {"method": "monte_carlo", "samples": 400, "seed": 3}
+        est = replay_ground_truth(SQ_1D, UNIT_INTERVAL, recipe, None)
+        assert est == integrate_mc(SQ_1D, UNIT_INTERVAL, 400, 3)
+        override = replay_ground_truth(SQ_1D, UNIT_INTERVAL, recipe, 900)
+        assert override == integrate_mc(SQ_1D, UNIT_INTERVAL, 900, 3)
+
+    def test_replay_rejects_unknown_method(self):
+        with pytest.raises(ValueError, match="exact"):
+            replay_ground_truth(SQ_1D, UNIT_INTERVAL, {"method": "exact"}, None)
 
 
 class TestIntegralEstimate:
