@@ -165,6 +165,35 @@ class TestRunCampaign:
             "64f21cda48dc624a101efc2774a141b744f1a6920ff6d926be8eee6b87edade3"
         )
 
+    #: sha256 of ``dumps(per_theorem[name])`` for the chains whose ground
+    #: truth (parent simplex, cor2 interval) or lack of one keeps its weight
+    #: stream, for the 48-trial default mix at 2000 and at 2 MC samples.
+    _UNMOVED_SECTIONS = {
+        2000: {
+            "choquet": "43777830326fd2ffe881c1510eabc52b0b02e9119d50d1c2da032cca15905dcc",
+            "thm2": "9aebda95c77eb9f31f3e809007f5209f82efaecb348fdd2212ce7ed3f5450388",
+            "thm3": "af6fd2d7d70125bc9b4981e7fa55f137060c972845390fd83a7da35e633d855e",
+            "thm6": "615fd1dd8bf9eebb83d86555f1f69573c21ae4d80a8ca3f05279d99ab744d0c1",
+            "cor2": "2daf82caa40083f0114f453d6c51c6d8b90f6cce41af9efefe463a3c7b4f0438",
+        },
+        2: {
+            "choquet": "7a6d0f1ccc9f1895ffcb991b3dd10780b4f7efcea47ae84a3fb55b7ca5c34cab",
+            "thm2": "0031f31f97f9d129a217ab5f10844cabb7caf648b8acbecad95a000c5cc4b1b5",
+            "thm3": "18072e4847655611bd56452ed7d7067d4a9092e85feba69bed5ff6d5afaaddba",
+            "thm6": "615fd1dd8bf9eebb83d86555f1f69573c21ae4d80a8ca3f05279d99ab744d0c1",
+            "cor2": "b95d7497c4482d2f509864619c30f8fb6cf40a8d55198881a7adff539b97f2d3",
+        },
+    }
+
+    @pytest.mark.parametrize("mc_samples", [2000, 2])
+    def test_unmoved_sections_pinned(self, mc_samples):
+        result = run_campaign(CampaignConfig(trials_per_theorem=48, mc_samples=mc_samples))
+        digests = {
+            name: hashlib.sha256(dumps(result.per_theorem[name]).encode()).hexdigest()
+            for name in self._UNMOVED_SECTIONS[mc_samples]
+        }
+        assert digests == self._UNMOVED_SECTIONS[mc_samples]
+
     def test_four_ground_truths_per_trial(self, monkeypatch):
         # 4 ground truths per trial (parent, subsimplex, cor2 interval, cor3
         # window), each shared by every chain on its domain
