@@ -8,9 +8,12 @@ interval or the cor3 window; or none), calls its operation in
 :mod:`hhbounds.chains` on an instance ``(function, simplex or None,
 params)``, and carries its tightness triple and whether it is 1-D only.
 :func:`run_instances` runs instances through that table, sharing one ground
-truth per seed slot; the campaign, :func:`replay_failure` and ``hh bounds``
-all go through it, and the exact-or-Monte-Carlo policy and its replay
-recipes live in :mod:`hhbounds.quadrature`.
+truth per domain and integrating the domains of one seed slot together, on
+one Monte Carlo weight stream, before any chain runs; the campaign,
+:func:`replay_failure` and ``hh bounds`` all go through it, and the
+exact-or-Monte-Carlo policy and its replay recipes live in
+:mod:`hhbounds.quadrature`.  A campaign trial puts its parent simplex and
+subsimplex on one slot, and its cor2 interval and cor3 window on another.
 
 A campaign draws, per trial, a well-conditioned random simplex, a random
 convex function, subsimplex parameters and 1-D companion instances for the
@@ -59,8 +62,8 @@ from .errors import (
 from .funcs import KINDS, ConvexFunction, random_convex
 from .geometry import Simplex
 from .quadrature import (
-    ground_truth,
     ground_truth_recipe,
+    ground_truths,
     integrate_mc,
     replay_ground_truth,
 )
@@ -158,26 +161,35 @@ CHAINS: dict[str, Chain] = {
 def run_instances(instances, slots: dict[str, int], seeds, mc_samples: int):
     """Run ``(name, (function, simplex, params))`` chain instances in order.
 
-    ``slots`` maps each ground-truth domain to an index into ``seeds``.
-    Instances whose domains share a slot must share the function and the
-    domain: they share one ground truth, made by
-    :func:`~hhbounds.quadrature.ground_truth` on first use.  Yields
-    ``(name, instance, report, recipe)``; ``recipe`` replays the ground
-    truth, and is None for a chain without one.
+    Every instance on one ground-truth domain must have the same function
+    and domain, and they share one ground truth.  ``slots`` maps each domain
+    to an index into ``seeds``.  Before any chain runs, the domains of one
+    slot are integrated together by
+    :func:`~hhbounds.quadrature.ground_truths` on that slot's seed, so their
+    Monte Carlo estimates share one weight stream; domains that are the very
+    same (function, simplex) objects share one estimate.  Yields ``(name,
+    instance, report, recipe)``; ``recipe`` replays the ground truth, and is
+    None for a chain without one.
     """
-    shared: dict[int, tuple] = {}
+    instances = list(instances)
+    pairs: dict[int, dict[tuple, tuple]] = {}  # slot -> object ids -> (f, domain)
+    keys: dict[str, tuple] = {}  # domain name -> (slot, object ids)
+    for name, (func, simplex, params) in instances:
+        domain = CHAINS[name].domain
+        if domain is not None and domain not in keys:
+            pair = func, DOMAINS[domain](simplex, params)
+            ids = id(pair[0]), id(pair[1])
+            pairs.setdefault(slots[domain], {}).setdefault(ids, pair)
+            keys[domain] = slots[domain], ids
+    estimates: dict[tuple, tuple] = {}
+    for slot, slot_pairs in pairs.items():
+        made = ground_truths(slot_pairs.values(), mc_samples, seeds[slot])
+        for ids, est in zip(slot_pairs, made):
+            estimates[slot, ids] = est, ground_truth_recipe(est, seeds[slot])
     for name, instance in instances:
-        func, simplex, params = instance
-        chain = CHAINS[name]
-        gt = recipe = None
-        if chain.domain is not None:
-            slot = slots[chain.domain]
-            if slot not in shared:
-                domain = DOMAINS[chain.domain](simplex, params)
-                est = ground_truth(func, domain, mc_samples, seeds[slot])
-                shared[slot] = est, ground_truth_recipe(est, seeds[slot])
-            gt, recipe = shared[slot]
-        yield name, instance, chain.run(func, simplex, params, gt), recipe
+        domain = CHAINS[name].domain
+        gt, recipe = (None, None) if domain is None else estimates[keys[domain]]
+        yield name, instance, CHAINS[name].run(*instance, gt), recipe
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +203,21 @@ def _json_number(key: str, value) -> float:
     raise ValueError(f"{key}: expected a number, got {value!r}")
 
 
+def _check_int(key: str, value) -> None:
+    """Reject a bool or non-integer ``value`` of an integer field ``key``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{key}: expected an integer, got {value!r}")
+
+
 def _json_int(key: str, value) -> int:
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        if float(value).is_integer():
-            return int(value)
-    raise ValueError(f"{key}: expected an integer, got {value!r}")
+    """An integer field read from JSON; an integral float such as 3.0 is allowed."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    _check_int(key, value)
+    return int(value)
+
+
+_INT_FIELDS = ("trials_per_theorem", "mc_samples", "master_seed")
 
 
 @dataclass(frozen=True)
@@ -219,12 +241,18 @@ class CampaignConfig:
     function_kinds: tuple[str, ...] = KINDS
 
     def validate(self) -> None:
+        for key in _INT_FIELDS:
+            _check_int(key, getattr(self, key))
+        for dim in self.dimensions:
+            _check_int("dimensions", dim)
         if not self.dimensions or any(d < 1 for d in self.dimensions):
             raise ValueError("dimensions must be a nonempty list of integers >= 1")
         if self.trials_per_theorem < 1:
             raise ValueError("trials_per_theorem must be >= 1")
         if self.mc_samples < 2:
             raise ValueError("mc_samples must be >= 2")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be >= 0")
         if not self.theorems:
             raise ValueError("theorems must be nonempty")
         for name in self.theorems:
@@ -270,7 +298,7 @@ class CampaignConfig:
         parse_item = {"dimensions": _json_int, "subsimplex_scales": _json_number}
         kwargs: dict = {}
         for key, value in data.items():
-            if key in ("trials_per_theorem", "mc_samples", "master_seed"):
+            if key in _INT_FIELDS:
                 kwargs[key] = _json_int(key, value)
             elif isinstance(value, (list, tuple)):
                 parse = parse_item.get(key, lambda _, item: item)
@@ -353,8 +381,11 @@ def _draw_seed(rng: np.random.Generator) -> int:
     return int(rng.integers(0, 2**63))
 
 
-#: Which of a trial's four ground-truth seeds each domain uses.
-_TRIAL_SEED_SLOTS = {"parent": 0, "subsimplex": 1, "interval": 2, "window": 3}
+#: Which of a trial's four ground-truth seeds each domain uses.  The parent
+#: and the subsimplex share one weight stream, and so do the cor2 interval
+#: and the cor3 window; seeds 1 and 3 are drawn but unused, which keeps the
+#: draw order.
+_TRIAL_SEED_SLOTS = {"parent": 0, "subsimplex": 0, "interval": 2, "window": 2}
 
 
 def _build_trial(cfg: CampaignConfig, index: int):

@@ -14,9 +14,18 @@ Two routes:
 The second-moment formula is re-verified against Monte Carlo in the test
 suite rather than trusted.
 
-:func:`ground_truth` is the one policy choosing between the routes.  Each
-estimate it makes has a replay recipe (:func:`ground_truth_recipe`), and
-:func:`replay_ground_truth` turns a recipe back into the same estimate.
+Uniform weights depend only on the dimension and the seed, not on the
+simplex, so :func:`integrate_mc_shared` integrates several ``(function,
+simplex)`` pairs of one dimension on one weight stream, drawn in blocks of
+:data:`MC_BLOCK_ROWS` rows.  Each pair's values are those it gets alone
+(:func:`integrate_mc` is the one-pair case), and every value is bit-identical
+to drawing, normalising and evaluating all rows at once.
+
+:func:`ground_truths` is the one policy choosing between the routes
+(:func:`ground_truth` is its one-pair case).  Each estimate it makes has a
+replay recipe (:func:`ground_truth_recipe`), and :func:`replay_ground_truth`
+turns a recipe back into the same estimate, also for an estimate that
+shared its weight stream.
 """
 
 from __future__ import annotations
@@ -31,10 +40,13 @@ from .geometry import Simplex
 __all__ = [
     "EXACT_KINDS",
     "IntegralEstimate",
+    "MC_BLOCK_ROWS",
     "ground_truth",
     "ground_truth_recipe",
+    "ground_truths",
     "integrate_exact",
     "integrate_mc",
+    "integrate_mc_shared",
     "replay_ground_truth",
     "sample_uniform",
 ]
@@ -44,6 +56,11 @@ METHOD_EXACT = "exact_polynomial"
 
 #: Function kinds with an exact closed-form mean.
 EXACT_KINDS: tuple[str, ...] = ("affine", "quadratic_psd")
+
+#: Weight rows per block of :func:`integrate_mc_shared`; the value changes
+#: no result.  On 48-trial default-mix campaign rounds (2-core Xeon, one
+#: BLAS thread) 8192 was faster than 4096 and 32768.
+MC_BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -109,36 +126,84 @@ def _row_sums(W: np.ndarray) -> np.ndarray:
     return total
 
 
+def _uniform_weights(rng: np.random.Generator, rows: int, width: int) -> np.ndarray:
+    """The next ``rows`` uniform-Dirichlet weight rows of ``width`` vertices.
+
+    I.i.d. standard exponentials normalized to sum one.  Drawing a stream in
+    consecutive blocks gives the same rows as one draw, and the normalizing
+    sums keep numpy's summation order (see :func:`_row_sums`).
+    """
+    weights = rng.standard_exponential((rows, width))
+    weights /= _row_sums(weights)[:, None]
+    return weights
+
+
 def sample_uniform(s: Simplex, count: int, seed: int) -> np.ndarray:
     """Draw ``count`` uniform points from ``s`` as a ``(count, n)`` array.
 
     Vertex weights are i.i.d. standard exponentials normalized to sum one
     (uniform-Dirichlet); the stream is deterministic per seed and every row
-    lies inside the simplex by construction.  The normalizing sums keep
-    numpy's summation order (see :func:`_row_sums`), so every point, and
-    with it every campaign result and failure replay, is reproduced bit for
-    bit.
+    lies inside the simplex by construction.  Every point, and with it every
+    campaign result and failure replay, is reproduced bit for bit.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    rng = np.random.default_rng(seed)
-    weights = rng.standard_exponential((count, s.dimension + 1))
-    weights /= _row_sums(weights)[:, None]
+    weights = _uniform_weights(np.random.default_rng(seed), count, s.dimension + 1)
     return weights @ s.vertices
+
+
+def _block_stops(count: int) -> list[int]:
+    """End rows of the weight blocks of a ``count``-row stream.
+
+    A last block of one row joins the block before it: a one-row matmul
+    takes BLAS's vector path, which can round differently from the
+    matrix path every other block (and a one-draw stream) takes.
+    """
+    return [*range(MC_BLOCK_ROWS, count - 1, MC_BLOCK_ROWS), count]
+
+
+def integrate_mc_shared(pairs, count: int, seed: int) -> list[IntegralEstimate]:
+    """Monte Carlo means of ``(f, simplex)`` pairs of one dimension on one stream.
+
+    One seeded stream of ``count`` weight rows is drawn in blocks; every
+    block is mapped into each pair's simplex and its values stored in that
+    pair's value array, from which the mean and std_error are computed as
+    for a single integral.  A pair's estimate therefore does not depend on
+    the other pairs: it equals :func:`integrate_mc` of that pair alone with
+    the same seed, bit for bit.
+    """
+    if count < 2:
+        raise ValueError("count must be >= 2")
+    pairs = list(pairs)
+    if not pairs:
+        return []
+    dims = {s.dimension for _, s in pairs}
+    if len(dims) != 1:
+        raise DimensionMismatchError(f"pairs span simplex dimensions {sorted(dims)}")
+    for f, s in pairs:
+        if getattr(f, "dim", s.dimension) != s.dimension:
+            raise DimensionMismatchError(
+                f"function dimension {f.dim} does not match simplex {s.dimension}"
+            )
+    rng = np.random.default_rng(seed)
+    width = dims.pop() + 1
+    values = [np.empty(count) for _ in pairs]
+    start = 0
+    for stop in _block_stops(count):
+        weights = _uniform_weights(rng, stop - start, width)
+        for (f, s), out in zip(pairs, values):
+            out[start:stop] = f(weights @ s.vertices)
+        start = stop
+    root = np.sqrt(count)
+    return [
+        IntegralEstimate(float(v.mean()), float(v.std(ddof=1) / root), METHOD_MC, count)
+        for v in values
+    ]
 
 
 def integrate_mc(f, s: Simplex, count: int, seed: int) -> IntegralEstimate:
     """Monte Carlo estimate of the mean of ``f`` over ``s``."""
-    if count < 2:
-        raise ValueError("count must be >= 2")
-    if getattr(f, "dim", s.dimension) != s.dimension:
-        raise DimensionMismatchError(
-            f"function dimension {f.dim} does not match simplex {s.dimension}"
-        )
-    values = np.asarray(f(sample_uniform(s, count, seed)), dtype=float)
-    mean = float(values.mean())
-    std_error = float(values.std(ddof=1) / np.sqrt(count))
-    return IntegralEstimate(mean, std_error, METHOD_MC, count)
+    return integrate_mc_shared([(f, s)], count, seed)[0]
 
 
 def integrate_exact(f, s: Simplex) -> IntegralEstimate:
@@ -165,15 +230,32 @@ def integrate_exact(f, s: Simplex) -> IntegralEstimate:
     return IntegralEstimate(mean, 0.0, METHOD_EXACT, 0)
 
 
+def ground_truths(pairs, mc_samples: int = 100_000, seed: int = 0) -> list[IntegralEstimate]:
+    """The ground-truth policy for ``(f, simplex)`` pairs of one dimension.
+
+    Exact where the kind allows; the other pairs by Monte Carlo, all on the
+    one weight stream of ``seed`` (:func:`integrate_mc_shared`).
+    """
+    pairs = list(pairs)
+    estimates = [
+        integrate_exact(f, s) if getattr(f, "kind", None) in EXACT_KINDS else None
+        for f, s in pairs
+    ]
+    mc = [i for i, est in enumerate(estimates) if est is None]
+    if mc:
+        shared = integrate_mc_shared([pairs[i] for i in mc], mc_samples, seed)
+        for i, est in zip(mc, shared):
+            estimates[i] = est
+    return estimates
+
+
 def ground_truth(f, s: Simplex, mc_samples: int = 100_000, seed: int = 0) -> IntegralEstimate:
-    """The ground-truth policy: exact when the kind allows, else MC."""
-    if getattr(f, "kind", None) in EXACT_KINDS:
-        return integrate_exact(f, s)
-    return integrate_mc(f, s, mc_samples, seed)
+    """The ground-truth policy for one pair: exact when the kind allows, else MC."""
+    return ground_truths([(f, s)], mc_samples, seed)[0]
 
 
 def ground_truth_recipe(estimate: IntegralEstimate, seed: int) -> dict:
-    """The replay recipe of an estimate that :func:`ground_truth` made with ``seed``."""
+    """The replay recipe of an estimate that :func:`ground_truths` made with ``seed``."""
     if estimate.method == METHOD_EXACT:
         return {"method": METHOD_EXACT}
     return {"method": METHOD_MC, "samples": estimate.samples, "seed": seed}

@@ -3,7 +3,8 @@
 Run with ``pytest -v tests/test_acceptance.py`` (add ``-s`` to see the
 per-criterion PASS lines).  The full randomized campaign (criterion 3) runs
 once as a session fixture and is reused by criteria 5 and 8; criterion 8
-performs the second, byte-comparison run.
+performs the second, byte-comparison run.  These three are marked ``slow``;
+``pytest -m "not slow"`` leaves them out for a fast development loop.
 """
 
 import time
@@ -80,6 +81,7 @@ def test_criterion_2_pinned_upper_desk_check():
     )
 
 
+@pytest.mark.slow
 def test_criterion_3_full_randomized_suite(full_campaign):
     result = full_campaign
     cfg = result.config
@@ -124,6 +126,7 @@ def test_criterion_4_affine_equality_suite():
     )
 
 
+@pytest.mark.slow
 def test_criterion_5_refinement_dominance(full_campaign):
     per = full_campaign.per_theorem
     # slack position 1 is refined -> classical for thm2, improved -> thm4
@@ -180,6 +183,7 @@ def test_criterion_7_cross_method_geometry():
     )
 
 
+@pytest.mark.slow
 def test_criterion_8_campaign_determinism(full_campaign, tmp_path_factory):
     directory = tmp_path_factory.mktemp("determinism")
     first = directory / "run1.json"

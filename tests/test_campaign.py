@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -92,6 +93,32 @@ class TestConfig:
         with pytest.raises(ValueError, match="object"):
             CampaignConfig.from_json_dict([1, 2])
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"trials_per_theorem": 2.5}, "trials_per_theorem"),
+            ({"trials_per_theorem": 3.0}, "trials_per_theorem"),
+            ({"trials_per_theorem": True}, "trials_per_theorem"),
+            ({"mc_samples": 1000.5}, "mc_samples"),
+            ({"master_seed": 7.0}, "master_seed"),
+            ({"dimensions": (2.5,)}, "dimensions"),
+            ({"dimensions": (2, True)}, "dimensions"),
+        ],
+    )
+    def test_validate_rejects_non_int(self, overrides, key):
+        # a config built in Python fails here, not inside the trial loop
+        with pytest.raises(ValueError, match=key):
+            CampaignConfig(**overrides).validate()
+
+    def test_negative_master_seed_rejected(self):
+        with pytest.raises(ValueError, match="master_seed"):
+            CampaignConfig(master_seed=-1).validate()
+        with pytest.raises(ValueError, match="master_seed"):
+            CampaignConfig.from_json_dict({"master_seed": -1})
+
+    def test_numpy_integers_accepted(self):
+        CampaignConfig(trials_per_theorem=np.int64(3), dimensions=(np.int32(2),)).validate()
+
     def test_integral_floats_accepted(self):
         cfg = CampaignConfig.from_json_dict({"trials_per_theorem": 3.0, "dimensions": [2.0]})
         assert cfg.trials_per_theorem == 3 and cfg.dimensions == (2,)
@@ -162,7 +189,7 @@ class TestRunCampaign:
         cfg = CampaignConfig(trials_per_theorem=48, mc_samples=2000)
         digest = hashlib.sha256(run_campaign(cfg).to_json().encode()).hexdigest()
         assert digest == (
-            "64f21cda48dc624a101efc2774a141b744f1a6920ff6d926be8eee6b87edade3"
+            "efe731fbf1bd288f0a78cb0af2c391ae304ea6a00aeee7dbfe359ad7b3cb4c6d"
         )
 
     #: sha256 of ``dumps(per_theorem[name])`` for the chains whose ground
@@ -196,18 +223,33 @@ class TestRunCampaign:
 
     def test_four_ground_truths_per_trial(self, monkeypatch):
         # 4 ground truths per trial (parent, subsimplex, cor2 interval, cor3
-        # window), each shared by every chain on its domain
-        counts = {"integrate_mc": 0, "integrate_exact": 0}
-        for name in counts:
-            original = getattr(quadrature, name)
+        # window), each shared by every chain on its domain; the parent and
+        # subsimplex estimates share one weight stream, and so do the
+        # interval and window estimates
+        counts = {"streams": 0, "mc": 0, "exact": 0}
+        shared, exact = quadrature.integrate_mc_shared, quadrature.integrate_exact
 
-            def counting(*args, _name=name, _original=original):
-                counts[_name] += 1
-                return _original(*args)
+        def counting_shared(pairs, *args):
+            counts["streams"] += 1
+            counts["mc"] += len(pairs)
+            return shared(pairs, *args)
 
-            monkeypatch.setattr(quadrature, name, counting)
+        def counting_exact(*args):
+            counts["exact"] += 1
+            return exact(*args)
+
+        monkeypatch.setattr(quadrature, "integrate_mc_shared", counting_shared)
+        monkeypatch.setattr(quadrature, "integrate_exact", counting_exact)
         run_campaign(CampaignConfig(trials_per_theorem=48))
-        assert counts == {"integrate_mc": 128, "integrate_exact": 64}
+        assert counts == {"streams": 64, "mc": 128, "exact": 64}
+
+    def test_single_chain_selection_keeps_its_section(self):
+        # a shared pass gives each domain the estimate it gets alone, so a
+        # campaign of thm4 only reproduces the thm4 section of the full one
+        cfg = CampaignConfig(trials_per_theorem=24, mc_samples=2000)
+        full = run_campaign(cfg).per_theorem["thm4"]
+        alone = run_campaign(dataclasses.replace(cfg, theorems=("thm4",)))
+        assert dumps(alone.per_theorem["thm4"]) == dumps(full)
 
     def test_wall_time_not_serialized(self, small_result):
         assert small_result.wall_time_seconds > 0.0
@@ -296,10 +338,10 @@ class TestPinnedReplay:
         result = run_campaign(CampaignConfig(trials_per_theorem=48, mc_samples=2))
         text = result.to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "d942f2899aa76784c9e6975decd8b962c0a67a14a55801541e3967e0197a7897"
+            "fb9c5dfa1c34f41dc9870b9406e0e2d1e7a5650e69229106ab570c930331f6a5"
         )
         failures = json.loads(text)["failures"]
-        assert len(failures) == 32
+        assert len(failures) == 35
         assert {d["chain"] for d in failures} == {
             "choquet", "thm2", "thm3", "thm4", "cor2", "cor3"
         }

@@ -7,7 +7,6 @@ import pytest
 from hhbounds import (
     ConvexFunction,
     Simplex,
-    integrate_mc,
     random_convex,
     random_simplex,
     sample_uniform,
@@ -181,12 +180,13 @@ class TestBounds:
         path = str(tmp_path / "lse.json")
         write_json(path, random_convex(2, "log_sum_exp", 4).to_json_dict())
         calls = []
+        shared = quadrature.integrate_mc_shared
 
-        def counting(*args):
-            calls.append(args[1])
-            return integrate_mc(*args)
+        def counting(pairs, *args):
+            calls.extend(pairs)
+            return shared(pairs, *args)
 
-        monkeypatch.setattr(quadrature, "integrate_mc", counting)
+        monkeypatch.setattr(quadrature, "integrate_mc_shared", counting)
         args = ("bounds", triangle_file, path, "--mc-samples", "3000", "--seed", "9")
         _, both, _ = run_cli(capsys, *args, "--theorem", "thm4", "--theorem", "thm5")
         assert len(calls) == 1
@@ -334,6 +334,24 @@ class TestCampaign:
         code, out, err = run_cli(capsys, "campaign", "--config", config)
         assert code == 2 and out == ""
         assert key in err
+
+    def test_non_integral_mc_samples_exit_2(self, capsys, tmp_path):
+        config = self.make_config(tmp_path, mc_samples=1000.5)
+        code, out, err = run_cli(capsys, "campaign", "--config", config)
+        assert code == 2 and out == ""
+        assert "mc_samples" in err
+
+    def test_negative_master_seed_exit_2(self, capsys, monkeypatch, tmp_path):
+        config = self.make_config(tmp_path, master_seed=-1)
+        code, out, err = run_cli(capsys, "campaign", "--config", config)
+        assert code == 2 and out == "" and "master_seed" in err
+        code, out, err = run_cli(
+            capsys, "campaign", "--config", self.make_config(tmp_path), "--seed", "-1"
+        )
+        assert code == 2 and out == "" and "master_seed" in err
+        monkeypatch.setenv("HH_SEED", "-1")
+        code, out, err = run_cli(capsys, "campaign", "--config", self.make_config(tmp_path))
+        assert code == 2 and out == "" and "master_seed" in err
 
     def test_unwritable_out_exit_2(self, capsys, tmp_path):
         config = self.make_config(tmp_path)

@@ -4,7 +4,9 @@ from numpy.testing import assert_allclose
 
 from hhbounds import (
     ConvexFunction,
+    DimensionMismatchError,
     IntegralEstimate,
+    KINDS,
     Simplex,
     UnsupportedKindError,
     ground_truth,
@@ -16,8 +18,11 @@ from hhbounds import (
     standard_simplex,
 )
 from hhbounds.quadrature import (
+    MC_BLOCK_ROWS,
     _row_sums,
     ground_truth_recipe,
+    ground_truths,
+    integrate_mc_shared,
     replay_ground_truth,
 )
 
@@ -108,6 +113,76 @@ class TestIntegrateMC:
             big = integrate_mc(f, s, 8000, seed=seed + 1000)
             ratio = small.std_error / big.std_error
             assert 2.0 * 0.75 < ratio < 2.0 * 1.25
+
+
+def _one_shot_values(f, s, count, seed):
+    """The pre-blocking integrate_mc values: all rows drawn, normalised and evaluated at once."""
+    weights = np.random.default_rng(seed).standard_exponential((count, s.dimension + 1))
+    weights /= weights.sum(axis=1, keepdims=True)
+    return np.asarray(f(weights @ s.vertices), dtype=float)
+
+
+class _Recording:
+    """A function that keeps every batch of values it returns."""
+
+    def __init__(self, f):
+        self.f, self.dim, self.batches = f, f.dim, []
+
+    def __call__(self, X):
+        self.batches.append(self.f(X))
+        return self.batches[-1]
+
+
+class TestBlockedMC:
+    # counts on both sides of a block boundary, including a one-row tail
+    COUNTS = (2, MC_BLOCK_ROWS - 1, MC_BLOCK_ROWS, MC_BLOCK_ROWS + 1, 100_000)
+
+    @pytest.mark.parametrize("dim", range(1, 10))
+    def test_bit_identical_to_one_shot(self, dim):
+        s = random_simplex(dim, np.random.default_rng(dim))
+        for k, kind in enumerate(KINDS):
+            f = random_convex(dim, kind, 100 * dim + k, simplex=s)
+            for count in self.COUNTS:
+                want = _one_shot_values(f, s, count, 31 + k)
+                recording = _Recording(f)
+                est = integrate_mc(recording, s, count, 31 + k)
+                assert np.array_equal(np.concatenate(recording.batches), want)
+                assert est == IntegralEstimate(
+                    float(want.mean()),
+                    float(want.std(ddof=1) / np.sqrt(count)),
+                    "monte_carlo",
+                    count,
+                )
+
+    @pytest.mark.parametrize("dim", (1, 2, 5, 9))
+    def test_shared_pass_equals_each_pair_alone(self, dim):
+        # the replay guarantee: an estimate from a shared pass is the one a
+        # recipe replays through integrate_mc of its pair alone
+        rng = np.random.default_rng(40 + dim)
+        parent = random_simplex(dim, rng)
+        pairs = [
+            (random_convex(dim, kind, 7 * k, simplex=parent), parent)
+            for k, kind in enumerate(KINDS)
+        ]
+        pairs.append((pairs[2][0], parent.homothety_about_centroid(0.3)))
+        pairs.append((pairs[4][0], random_simplex(dim, rng)))
+        for count in (2, MC_BLOCK_ROWS + 1, 3 * MC_BLOCK_ROWS + 5):
+            shared = [_Recording(f) for f, _ in pairs]
+            alone = [_Recording(f) for f, _ in pairs]
+            got = integrate_mc_shared([(r, s) for r, (_, s) in zip(shared, pairs)], count, 11)
+            assert got == [integrate_mc(r, s, count, 11) for r, (_, s) in zip(alone, pairs)]
+            for a, b in zip(shared, alone):
+                assert np.array_equal(np.concatenate(a.batches), np.concatenate(b.batches))
+
+    def test_mixed_dimensions_rejected(self):
+        pairs = [(random_convex(1, "affine", 1), UNIT_INTERVAL), (SQ_2D, standard_simplex(2))]
+        with pytest.raises(DimensionMismatchError):
+            integrate_mc_shared(pairs, 100, 0)
+
+    def test_count_validation(self):
+        with pytest.raises(ValueError):
+            integrate_mc_shared([(SQ_1D, UNIT_INTERVAL)], 1, 0)
+        assert integrate_mc_shared([], 100, 0) == []
 
 
 class TestIntegrateExact:
@@ -231,6 +306,19 @@ class TestGroundTruthPolicy:
         assert est == integrate_mc(SQ_1D, UNIT_INTERVAL, 400, 3)
         override = replay_ground_truth(SQ_1D, UNIT_INTERVAL, recipe, 900)
         assert override == integrate_mc(SQ_1D, UNIT_INTERVAL, 900, 3)
+
+    def test_policy_over_pairs(self):
+        # exact pairs stay exact; the MC pairs share the seed's weight stream
+        hinge = random_convex(1, "hinge_distance", 19, simplex=UNIT_INTERVAL)
+        window = Simplex([[0.25], [0.75]])
+        got = ground_truths([(hinge, UNIT_INTERVAL), (SQ_1D, window), (hinge, window)], 500, 7)
+        assert got == [
+            integrate_mc(hinge, UNIT_INTERVAL, 500, 7),
+            integrate_exact(SQ_1D, window),
+            integrate_mc(hinge, window, 500, 7),
+        ]
+        # no MC pair: the sample count is not used
+        assert ground_truths([(SQ_1D, window)], 0, 7) == [integrate_exact(SQ_1D, window)]
 
     def test_replay_rejects_unknown_method(self):
         with pytest.raises(ValueError, match="exact"):
