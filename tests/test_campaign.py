@@ -192,6 +192,45 @@ class TestRunCampaign:
             "efe731fbf1bd288f0a78cb0af2c391ae304ea6a00aeee7dbfe359ad7b3cb4c6d"
         )
 
+    def test_polynomial_and_smooth_kinds_result_pinned(self):
+        # The default mix without max_of_affines and hinge_distance, whose
+        # ground-truth routes are the ones that may change.
+        cfg = CampaignConfig(
+            trials_per_theorem=48,
+            mc_samples=2000,
+            function_kinds=("affine", "quadratic_psd", "exp_affine", "log_sum_exp"),
+        )
+        digest = hashlib.sha256(run_campaign(cfg).to_json().encode()).hexdigest()
+        assert digest == (
+            "72774f9a21cb01bf5612751de8857e27f1d4b0ee7a0f76a5707acfb8f7bfcd4d"
+        )
+
+    #: sha256 of ``dumps(per_theorem[name])`` for the simplex chains of a
+    #: max_of_affines campaign in dims 2-8, where its draws and its Monte
+    #: Carlo ground truth stay as they are.
+    _MAX_OF_AFFINES_SECTIONS = {
+        "choquet": "45171b7f6df11a2eab0c17d34e71ca01bc97f70674ec910ed64212325d45a8ed",
+        "thm2": "2123e4a9bc1e7d016913e52b7c470006e8800ea509aaf232a8ed906fdde4c470",
+        "thm3": "c83aad92bb666e73824840b159ebbcb8412e7a0a0429849ba22a5871d3717b2f",
+        "thm4": "d2e8d7b9f71e921c02bdaa72442fefa7d07c296e3d325e5d275b3ab84566070b",
+        "thm5": "6cd73cb8213ae0130fad809ab5eda9263eaa6f8a1f1abe4a36beddf32063fb16",
+        "thm6": "24fe56aff75014dfb97d57a380aabaab4e8b1b2e1f6b9cecf6632db3a90c1c7f",
+    }
+
+    def test_max_of_affines_multidim_sections_pinned(self):
+        cfg = CampaignConfig(
+            dimensions=tuple(range(2, 9)),
+            trials_per_theorem=28,
+            mc_samples=2000,
+            function_kinds=("max_of_affines",),
+        )
+        result = run_campaign(cfg)
+        digests = {
+            name: hashlib.sha256(dumps(result.per_theorem[name]).encode()).hexdigest()
+            for name in self._MAX_OF_AFFINES_SECTIONS
+        }
+        assert digests == self._MAX_OF_AFFINES_SECTIONS
+
     #: sha256 of ``dumps(per_theorem[name])`` for the chains whose ground
     #: truth (parent simplex, cor2 interval) or lack of one keeps its weight
     #: stream, for the 48-trial default mix at 2000 and at 2 MC samples.
