@@ -2,7 +2,8 @@
 
 Simplex geometry primitives (volumes, two independent barycentric-coordinate
 routes, subsimplex constructors), a zoo of convex test functions, quadrature
-ground truth (exact for polynomial kinds, seeded Monte Carlo otherwise),
+ground truth (closed form for the polynomial kinds, the hinge and the 1-D
+max of affines, seeded Monte Carlo otherwise),
 one operation per published bound chain, and a randomized verification
 harness with tightness analytics and counterexample search.
 """

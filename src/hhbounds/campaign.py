@@ -218,6 +218,7 @@ def _json_int(key: str, value) -> int:
 
 
 _INT_FIELDS = ("trials_per_theorem", "mc_samples", "master_seed")
+_LIST_FIELDS = ("dimensions", "theorems", "subsimplex_scales", "function_kinds")
 
 
 @dataclass(frozen=True)
@@ -243,6 +244,12 @@ class CampaignConfig:
     def validate(self) -> None:
         for key in _INT_FIELDS:
             _check_int(key, getattr(self, key))
+        for key in _LIST_FIELDS:
+            value = getattr(self, key)
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{key}: expected a list, got {value!r}")
+        for scale in self.subsimplex_scales:
+            _json_number("subsimplex_scales", scale)
         for dim in self.dimensions:
             _check_int("dimensions", dim)
         if not self.dimensions or any(d < 1 for d in self.dimensions):
@@ -257,7 +264,7 @@ class CampaignConfig:
             raise ValueError("theorems must be nonempty")
         for name in self.theorems:
             if name not in CHAIN_NAMES:
-                raise ValueError(f"unknown theorem name {name!r}")
+                raise ValueError(f"theorems: unknown theorem name {name!r}")
         if len(set(self.theorems)) != len(self.theorems):
             raise ValueError("theorems contains duplicates")
         if not self.subsimplex_scales or any(
@@ -266,7 +273,7 @@ class CampaignConfig:
             raise ValueError("subsimplex_scales must lie in (0, 1]")
         for kind in self.function_kinds:
             if kind not in KINDS:
-                raise ValueError(f"unknown function kind {kind!r}")
+                raise ValueError(f"function_kinds: unknown function kind {kind!r}")
         if not self.function_kinds:
             raise ValueError("function_kinds must be nonempty")
 

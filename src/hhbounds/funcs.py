@@ -215,7 +215,8 @@ def random_convex(
       linear part.
     * ``max_of_affines``: 2-5 pieces with unit-ball-normalized slopes, all
       passing through a common interior anchor point (so the kink structure
-      lies inside the simplex).
+      lies inside the simplex).  In 1-D the slopes are also scaled by
+      U(0.5, 1.5), so their magnitudes differ and every draw has a kink.
     * ``exp_affine``: slope of norm U(0.5, 1.5); offset centers the exponent
       near zero at the anchor.
     * ``log_sum_exp``: 2-4 terms, unit slopes scaled by U(0.5, 1.5), offsets
@@ -253,6 +254,9 @@ def random_convex(
         k = int(rng.integers(2, 6))
         slopes = _unit_rows(rng, k, dim)
         shared_value = 0.5 * rng.standard_normal()
+        if dim == 1:
+            # 1-D unit slopes are +-1, so all pieces could share one slope
+            slopes = slopes * rng.uniform(0.5, 1.5, size=(k, 1))
         params = {"slopes": slopes, "offsets": shared_value - slopes @ anchor}
     elif kind == "exp_affine":
         slope = rng.uniform(0.5, 1.5) * _unit_vector(rng, dim)

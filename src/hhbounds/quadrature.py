@@ -4,15 +4,33 @@ Two routes:
 
 * seeded uniform Monte Carlo (any function kind), with the uniform measure
   realized by normalized-exponential Dirichlet weights over the vertices;
-* exact closed-form means for the polynomial kinds (``affine``,
-  ``quadratic_psd``) via the first and second moments of barycentric
-  weights under the uniform measure:
+* exact closed-form means (:func:`has_exact_mean` says where):
 
-      E[w_i]      = 1/(n+1)
-      E[w_i w_j]  = (1 + delta_ij) / ((n+1)(n+2))
+  - ``affine`` and ``quadratic_psd``, in any dimension, via the first and
+    second moments of barycentric weights under the uniform measure::
 
-The second-moment formula is re-verified against Monte Carlo in the test
-suite rather than trusted.
+        E[w_i]      = 1/(n+1)
+        E[w_i w_j]  = (1 + delta_ij) / ((n+1)(n+2))
+
+  - ``hinge_distance`` ``max(0, a.x - c)``, in any dimension.  With the
+    vertex values ``t_k = a.V_k - c`` sorted, the mean is ``G[0..n]/(n+1)``.
+    ``G[i..j]`` is the divided difference ``(x)_+^(j-i+1)[t_i..t_j]`` of a
+    truncated power, which is ``j-i+1`` times the mean over the face with
+    those nodes (Hermite-Genocchi with Curry-Schoenberg)::
+
+        G[i..i] = max(t_i, 0)
+        G[i..j] = t_i + ... + t_j                       if t_i >= 0
+                = 0                                     if t_j <= 0
+                = (t_j G[i+1..j] - t_i G[i..j-1]) / (t_j - t_i)   otherwise
+
+    In the last case both weights are nonnegative (de Boor's B-spline
+    recurrence), so nearly coinciding nodes cause no cancellation;
+  - ``max_of_affines`` on a 1-D simplex: the trapezoid rule on the interval
+    ends and the pieces' pairwise intersections inside it, exact because
+    the function is linear between consecutive points.
+
+The second-moment formula and each closed form are re-verified against
+Monte Carlo in the test suite rather than trusted.
 
 Uniform weights depend only on the dimension and the seed, not on the
 simplex, so :func:`integrate_mc_shared` integrates several ``(function,
@@ -44,6 +62,7 @@ __all__ = [
     "ground_truth",
     "ground_truth_recipe",
     "ground_truths",
+    "has_exact_mean",
     "integrate_exact",
     "integrate_mc",
     "integrate_mc_shared",
@@ -54,8 +73,9 @@ __all__ = [
 METHOD_MC = "monte_carlo"
 METHOD_EXACT = "exact_polynomial"
 
-#: Function kinds with an exact closed-form mean.
-EXACT_KINDS: tuple[str, ...] = ("affine", "quadratic_psd")
+#: Function kinds with an exact closed-form mean in every dimension
+#: (``max_of_affines`` has one on 1-D simplices only; see :func:`has_exact_mean`).
+EXACT_KINDS: tuple[str, ...] = ("affine", "quadratic_psd", "hinge_distance")
 
 #: Weight rows per block of :func:`integrate_mc_shared`; the value changes
 #: no result.  On 48-trial default-mix campaign rounds (2-core Xeon, one
@@ -206,12 +226,55 @@ def integrate_mc(f, s: Simplex, count: int, seed: int) -> IntegralEstimate:
     return integrate_mc_shared([(f, s)], count, seed)[0]
 
 
-def integrate_exact(f, s: Simplex) -> IntegralEstimate:
-    """Exact mean of an affine or PSD-quadratic function over ``s``."""
+def has_exact_mean(f, s: Simplex) -> bool:
+    """Whether :func:`integrate_exact` has a closed form for ``f`` over ``s``."""
     kind = getattr(f, "kind", None)
-    if kind not in EXACT_KINDS:
+    return kind in EXACT_KINDS or (kind == "max_of_affines" and s.dimension == 1)
+
+
+def _hinge_mean(t: np.ndarray) -> float:
+    """Mean of ``max(0, x)`` over a simplex whose vertices map to the nodes ``t``.
+
+    The recurrence of the module docstring, run in place: after pass ``m``,
+    ``g[i]`` holds ``G[i..i+m]``.
+    """
+    t = sorted(float(x) for x in t)
+    g = [max(x, 0.0) for x in t]
+    for m in range(1, len(t)):
+        for i in range(len(t) - m):
+            lo, hi = t[i], t[i + m]
+            if lo >= 0.0:
+                g[i] = sum(t[i : i + m + 1])
+            elif hi <= 0.0:
+                g[i] = 0.0
+            else:
+                g[i] = (hi * g[i + 1] - lo * g[i]) / (hi - lo)
+    return g[0] / len(t)
+
+
+def _max_of_affines_mean_1d(f, s: Simplex) -> float:
+    """Mean of a 1-D ``max_of_affines`` over ``s`` by the trapezoid rule.
+
+    The envelope's kinks are among the pieces' pairwise intersections, so
+    the function is linear between consecutive points of the interval ends
+    and the intersections inside the interval.
+    """
+    lo, hi = np.sort(s.vertices[:, 0])
+    slopes, offsets = f.params["slopes"][:, 0], f.params["offsets"]
+    with np.errstate(divide="ignore", invalid="ignore"):  # equal slopes never cross
+        cross = (offsets[None, :] - offsets[:, None]) / (slopes[:, None] - slopes[None, :])
+    x = np.unique(np.concatenate([[lo, hi], cross[(lo < cross) & (cross < hi)]]))
+    y = f(x[:, None])
+    return float((np.diff(x) * (y[:-1] + y[1:])).sum() / (2.0 * (hi - lo)))
+
+
+def integrate_exact(f, s: Simplex) -> IntegralEstimate:
+    """Exact mean of ``f`` over ``s`` where :func:`has_exact_mean` allows."""
+    kind = getattr(f, "kind", None)
+    if not has_exact_mean(f, s):
         raise UnsupportedKindError(
-            f"no exact mean for kind {kind!r}; supported: {EXACT_KINDS}"
+            f"no exact mean for kind {kind!r} in dimension {s.dimension}; supported: "
+            f"{EXACT_KINDS} in any dimension, 'max_of_affines' in dimension 1"
         )
     if f.dim != s.dimension:
         raise DimensionMismatchError(
@@ -221,26 +284,27 @@ def integrate_exact(f, s: Simplex) -> IntegralEstimate:
     centroid = s.centroid
     if kind == "affine":
         mean = float(p["slope"] @ centroid + p["offset"])
-    else:
+    elif kind == "quadratic_psd":
         V = s.vertices
         np1 = s.dimension + 1
         gram = V @ p["matrix"] @ V.T
         moments = (np.ones((np1, np1)) + np.eye(np1)) / (np1 * (np1 + 1))
         mean = float((moments * gram).sum() + p["slope"] @ centroid + p["offset"])
+    elif kind == "hinge_distance":
+        mean = _hinge_mean(s.vertices @ p["slope"] - p["threshold"])
+    else:
+        mean = _max_of_affines_mean_1d(f, s)
     return IntegralEstimate(mean, 0.0, METHOD_EXACT, 0)
 
 
 def ground_truths(pairs, mc_samples: int = 100_000, seed: int = 0) -> list[IntegralEstimate]:
     """The ground-truth policy for ``(f, simplex)`` pairs of one dimension.
 
-    Exact where the kind allows; the other pairs by Monte Carlo, all on the
-    one weight stream of ``seed`` (:func:`integrate_mc_shared`).
+    Exact where :func:`has_exact_mean` allows; the other pairs by Monte
+    Carlo, all on the one weight stream of ``seed`` (:func:`integrate_mc_shared`).
     """
     pairs = list(pairs)
-    estimates = [
-        integrate_exact(f, s) if getattr(f, "kind", None) in EXACT_KINDS else None
-        for f, s in pairs
-    ]
+    estimates = [integrate_exact(f, s) if has_exact_mean(f, s) else None for f, s in pairs]
     mc = [i for i, est in enumerate(estimates) if est is None]
     if mc:
         shared = integrate_mc_shared([pairs[i] for i in mc], mc_samples, seed)
@@ -250,7 +314,7 @@ def ground_truths(pairs, mc_samples: int = 100_000, seed: int = 0) -> list[Integ
 
 
 def ground_truth(f, s: Simplex, mc_samples: int = 100_000, seed: int = 0) -> IntegralEstimate:
-    """The ground-truth policy for one pair: exact when the kind allows, else MC."""
+    """The ground-truth policy for one pair: exact where it can be, else MC."""
     return ground_truths([(f, s)], mc_samples, seed)[0]
 
 

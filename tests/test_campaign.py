@@ -110,6 +110,25 @@ class TestConfig:
         with pytest.raises(ValueError, match=key):
             CampaignConfig(**overrides).validate()
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"dimensions": 3}, "dimensions"),
+            ({"function_kinds": 5}, "function_kinds"),
+            ({"function_kinds": "affine"}, "function_kinds"),
+            ({"function_kinds": ("affine", "cubic")}, "function_kinds"),
+            ({"subsimplex_scales": ("a",)}, "subsimplex_scales"),
+            ({"subsimplex_scales": (True,)}, "subsimplex_scales"),
+            ({"subsimplex_scales": 0.5}, "subsimplex_scales"),
+            ({"theorems": "thm2"}, "theorems"),
+            ({"theorems": ("thm2", "thm9")}, "theorems"),
+        ],
+    )
+    def test_validate_rejects_ill_typed_lists(self, overrides, key):
+        # these used to raise TypeError, or name the wrong value
+        with pytest.raises(ValueError, match=key):
+            CampaignConfig(**overrides).validate()
+
     def test_negative_master_seed_rejected(self):
         with pytest.raises(ValueError, match="master_seed"):
             CampaignConfig(master_seed=-1).validate()
@@ -189,7 +208,7 @@ class TestRunCampaign:
         cfg = CampaignConfig(trials_per_theorem=48, mc_samples=2000)
         digest = hashlib.sha256(run_campaign(cfg).to_json().encode()).hexdigest()
         assert digest == (
-            "efe731fbf1bd288f0a78cb0af2c391ae304ea6a00aeee7dbfe359ad7b3cb4c6d"
+            "7b6596876c8265dacab0f99317f51d5c3048e61b930c4683242503c8221b800c"
         )
 
     def test_polynomial_and_smooth_kinds_result_pinned(self):
@@ -231,23 +250,23 @@ class TestRunCampaign:
         }
         assert digests == self._MAX_OF_AFFINES_SECTIONS
 
-    #: sha256 of ``dumps(per_theorem[name])`` for the chains whose ground
-    #: truth (parent simplex, cor2 interval) or lack of one keeps its weight
-    #: stream, for the 48-trial default mix at 2000 and at 2 MC samples.
+    #: sha256 of ``dumps(per_theorem[name])`` for the chains on the parent
+    #: simplex and the cor2 interval, and for thm6, for the 48-trial default
+    #: mix at 2000 and at 2 MC samples.
     _UNMOVED_SECTIONS = {
         2000: {
-            "choquet": "43777830326fd2ffe881c1510eabc52b0b02e9119d50d1c2da032cca15905dcc",
-            "thm2": "9aebda95c77eb9f31f3e809007f5209f82efaecb348fdd2212ce7ed3f5450388",
-            "thm3": "af6fd2d7d70125bc9b4981e7fa55f137060c972845390fd83a7da35e633d855e",
+            "choquet": "98e27b5a514f95afe916d04860c9212782136043197b020a0a529b840a9fe497",
+            "thm2": "d4d2b1de4ba5cf2bba7aadf35bf85120957d607b110f59eab458113fa52648bd",
+            "thm3": "19215789bda56a6069928c3bcfb80c342a89aad8a9c64e733d6537f69177e17c",
             "thm6": "615fd1dd8bf9eebb83d86555f1f69573c21ae4d80a8ca3f05279d99ab744d0c1",
-            "cor2": "2daf82caa40083f0114f453d6c51c6d8b90f6cce41af9efefe463a3c7b4f0438",
+            "cor2": "d0cbdcf7d880e17b14bd4767a70801b2f1fdb82f53683f7ed23ba22f02fba393",
         },
         2: {
-            "choquet": "7a6d0f1ccc9f1895ffcb991b3dd10780b4f7efcea47ae84a3fb55b7ca5c34cab",
-            "thm2": "0031f31f97f9d129a217ab5f10844cabb7caf648b8acbecad95a000c5cc4b1b5",
-            "thm3": "18072e4847655611bd56452ed7d7067d4a9092e85feba69bed5ff6d5afaaddba",
+            "choquet": "f3b6846fc2d23176cc217e7683791111f3db48a0ce51aae00dcbf43ffb6f5db5",
+            "thm2": "5e2f3453bc633dfe7029bdf14a760d6f00035a9dc5ee6b185b89b36115b2c7f4",
+            "thm3": "8181ad86a6a9cc0d1d723367afb75c3e803414760ff4f9ee5e431a9990b13bf9",
             "thm6": "615fd1dd8bf9eebb83d86555f1f69573c21ae4d80a8ca3f05279d99ab744d0c1",
-            "cor2": "b95d7497c4482d2f509864619c30f8fb6cf40a8d55198881a7adff539b97f2d3",
+            "cor2": "0d3113c7eb455a68a022842ce7bdf48ab81010a02f869df7d930e1ebb0b99d21",
         },
     }
 
@@ -264,7 +283,9 @@ class TestRunCampaign:
         # 4 ground truths per trial (parent, subsimplex, cor2 interval, cor3
         # window), each shared by every chain on its domain; the parent and
         # subsimplex estimates share one weight stream, and so do the
-        # interval and window estimates
+        # interval and window estimates.  Of the 8 hinge_distance trials all
+        # 32 are exact; of the 8 max_of_affines trials, the 16 on 1-D
+        # intervals and windows and the 4 on the two 1-D parents are exact.
         counts = {"streams": 0, "mc": 0, "exact": 0}
         shared, exact = quadrature.integrate_mc_shared, quadrature.integrate_exact
 
@@ -280,7 +301,7 @@ class TestRunCampaign:
         monkeypatch.setattr(quadrature, "integrate_mc_shared", counting_shared)
         monkeypatch.setattr(quadrature, "integrate_exact", counting_exact)
         run_campaign(CampaignConfig(trials_per_theorem=48))
-        assert counts == {"streams": 64, "mc": 128, "exact": 64}
+        assert counts == {"streams": 38, "mc": 76, "exact": 116}
 
     def test_single_chain_selection_keeps_its_section(self):
         # a shared pass gives each domain the estimate it gets alone, so a
@@ -360,6 +381,22 @@ class TestReplay:
         rehydrated = replay_failure(json.loads(dumps(descriptor)))
         assert direct.slacks == rehydrated.slacks
 
+    def test_exact_hinge_descriptor_replays(self):
+        rng = np.random.default_rng(2)
+        s = random_simplex(4, rng)
+        f = random_convex(4, "hinge_distance", 6, simplex=s)
+        descriptor = {
+            "chain": "thm3",
+            "simplex": s.to_json_dict(),
+            "function": f.to_json_dict(),
+            "params": {"subsimplex": s.homothety_about_centroid(0.4).to_json_dict(), "j": 2},
+            "ground_truth": {"method": "exact_polynomial"},
+        }
+        report = replay_failure(json.loads(dumps(descriptor)))
+        assert report.ground_truth == integrate_exact(f, s)
+        assert report.tolerance_used == 1e-8 and report.verdict == "pass"
+        assert replay_failure(descriptor).slacks == report.slacks
+
     def test_witness_descriptor_replays(self):
         witness = search_cor3_counterexample(1.0, 1.0, 0.0, 1.0, 0.75, budget=2000, seed=3)
         assert witness is not None
@@ -377,10 +414,10 @@ class TestPinnedReplay:
         result = run_campaign(CampaignConfig(trials_per_theorem=48, mc_samples=2))
         text = result.to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "fb9c5dfa1c34f41dc9870b9406e0e2d1e7a5650e69229106ab570c930331f6a5"
+            "f99e1dfa47c48011cd7c90bf06c36c31725875b83dc3d93dcab9d5d2af681606"
         )
         failures = json.loads(text)["failures"]
-        assert len(failures) == 35
+        assert len(failures) == 26
         assert {d["chain"] for d in failures} == {
             "choquet", "thm2", "thm3", "thm4", "cor2", "cor3"
         }

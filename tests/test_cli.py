@@ -270,7 +270,7 @@ class TestBoundsPinned:
     @pytest.mark.parametrize(
         "func_name, expected",
         [
-            ("HINGE_1D", "5ac3ff2b877ec14d2fa172ba935c82777273d60f2a2e43dbdba3f2243782eb48"),
+            ("HINGE_1D", "52350841abc64dea821d3d7d067968a1ba9a6a446483b7cf69f4163216dcc3df"),
             ("QUAD_1D", "e7902074956bf294ad1b7f52e99e0a6e5ae16089f587969eb1a792d7a00daa4d"),
         ],
     )

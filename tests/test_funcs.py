@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -184,6 +186,34 @@ class TestRandomConvex:
         f = random_convex(4, "max_of_affines", 21)
         norms = np.linalg.norm(f.params["slopes"], axis=1)
         assert_allclose(norms, 1.0, atol=1e-12)
+
+    def test_max_of_affines_1d_always_has_a_kink(self):
+        # 1-D unit slopes are +-1; without distinct magnitudes about a
+        # quarter of the draws had one slope only and were affine
+        rng = np.random.default_rng(5)
+        for seed in range(2000):
+            s = random_simplex(1, rng)
+            f = random_convex(1, "max_of_affines", seed, simplex=s)
+            slopes = f.params["slopes"][:, 0]
+            assert len(set(slopes)) == len(slopes)
+            assert np.all((0.5 <= np.abs(slopes)) & (np.abs(slopes) <= 1.5))
+            # a convex function lies strictly below its chord at the midpoint
+            # unless it is affine on the interval
+            lo, hi = s.vertices[:, 0]
+            gap = 0.5 * (f([lo]) + f([hi])) - f([0.5 * (lo + hi)])
+            assert gap > 1e-12
+
+    def test_max_of_affines_multidim_draws_unchanged(self):
+        # the 1-D slope scaling draws nothing in dims >= 2
+        digest = hashlib.sha256()
+        for dim in range(2, 9):
+            for seed in range(50):
+                f = random_convex(dim, "max_of_affines", seed)
+                digest.update(f.params["slopes"].tobytes())
+                digest.update(f.params["offsets"].tobytes())
+        assert digest.hexdigest() == (
+            "6ba3f76bd3ee5e6528c68a538cd09ff5234e866996f77a1194502f07f8ce9574"
+        )
 
     def test_hinge_kink_inside_simplex(self):
         rng = np.random.default_rng(2)

@@ -1,5 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hhbounds import (
@@ -19,6 +23,7 @@ from hhbounds import (
 )
 from hhbounds.quadrature import (
     MC_BLOCK_ROWS,
+    _hinge_mean,
     _row_sums,
     ground_truth_recipe,
     ground_truths,
@@ -276,26 +281,242 @@ class TestIntegrateExact:
             assert np.abs(emp - expected).max() < 5e-3
 
 
+def _rational_hinge_mean(t):
+    """Mean of max(0, x) over nodes ``t`` (distinct), in exact arithmetic.
+
+    ``(x)_+^(n+1)[t_0..t_n] / (n+1)``, with the divided difference written
+    out as ``sum_k (t_k)_+^(n+1) / prod_{j != k} (t_k - t_j)``.
+    """
+    nodes = [Fraction(float(x)) for x in t]
+    total = Fraction(0)
+    for k, tk in enumerate(nodes):
+        denominator = Fraction(1)
+        for j, tj in enumerate(nodes):
+            if j != k:
+                denominator *= tk - tj
+        total += max(tk, Fraction(0)) ** len(nodes) / denominator
+    return total / len(nodes)
+
+
+def _hinge(slope, threshold):
+    return ConvexFunction(
+        "hinge_distance", {"slope": np.atleast_1d(slope), "threshold": threshold}
+    )
+
+
+def _max_1d(slopes, offsets):
+    return ConvexFunction(
+        "max_of_affines", {"slopes": np.reshape(slopes, (-1, 1)), "offsets": offsets}
+    )
+
+
+def _dense_trapezoid_mean(f, lo, hi, points=200_001):
+    x = np.linspace(lo, hi, points)
+    y = f(x[:, None])
+    return float((np.diff(x) * (y[:-1] + y[1:])).sum() / (2.0 * (hi - lo)))
+
+
+def _point_on_kink(f, s):
+    """The mean of the points where the hinge's kink crosses the edges of ``s``.
+
+    They are the vertices of the simplex's section by the kink hyperplane,
+    so their mean lies on the kink and, when it cuts the simplex, inside it.
+    """
+    t = s.vertices @ f.params["slope"] - f.params["threshold"]
+    crossings = [
+        s.vertices[i] + t[i] / (t[i] - t[j]) * (s.vertices[j] - s.vertices[i])
+        for i in range(len(t))
+        for j in range(len(t))
+        if t[i] < 0.0 < t[j]
+    ]
+    return np.mean(crossings, axis=0)
+
+
+class TestHingeMean:
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_against_mc(self, dim):
+        # the parent simplex, and subsimplices centred on the kink, so each
+        # holds a fair share of both sides however small it is
+        rng = np.random.default_rng(60 + dim)
+        for _ in range(4):
+            parent = random_simplex(dim, rng)
+            f = random_convex(dim, "hinge_distance", int(rng.integers(2**31)), simplex=parent)
+            p = _point_on_kink(f, parent)
+            for scale in (1.0, 0.5, 0.2):
+                s = parent
+                if scale < 1.0:
+                    s = parent.centered_subsimplex(p, scale * parent.max_centered_scale(p))
+                exact = integrate_exact(f, s)
+                assert exact.method == "exact_polynomial"
+                mc = integrate_mc(f, s, 100_000, seed=int(rng.integers(2**31)))
+                assert abs(exact.mean_value - mc.mean_value) <= 4 * mc.std_error
+
+    def test_against_rational_divided_difference(self):
+        rng = np.random.default_rng(61)
+        for _ in range(500):
+            t = rng.standard_normal(int(rng.integers(1, 10))) * 10.0 ** rng.uniform(-3, 3)
+            want = float(_rational_hinge_mean(t))
+            assert abs(_hinge_mean(t) - want) <= 1e-14 * max(1.0, np.abs(t).max())
+
+    def test_near_coincident_nodes_straddling_the_kink(self):
+        # a cluster of width eps around 0, and one around a point near 0:
+        # the error stays at round-off of the largest node
+        rng = np.random.default_rng(62)
+        for eps in (1e-3, 1e-6, 1e-9, 1e-12, 1e-15):
+            for _ in range(20):
+                t = rng.uniform(-1.0, 1.0, int(rng.integers(2, 10))) * eps
+                t += rng.choice([0.0, 0.3 * eps, -0.3 * eps])
+                if t.min() >= 0.0 or t.max() <= 0.0 or len(set(t)) < len(t):
+                    continue
+                got = _hinge_mean(t)
+                assert 0.0 <= got <= t.max()
+                want = float(_rational_hinge_mean(t))
+                assert abs(got - want) <= 1e-15 * np.abs(t).max()
+
+    def test_coincident_nodes_against_beta_marginal(self):
+        # on the standard simplex x_1 ~ Beta(1, n), so the mean of
+        # max(0, x_1 - c) is (1 - c)^(n+1) / (n+1); n of the n+1 nodes coincide
+        for dim in range(1, 9):
+            s = standard_simplex(dim)
+            for c in (0.05, 0.3, 0.8):
+                f = _hinge(np.eye(dim)[0], c)
+                want = (1.0 - c) ** (dim + 1) / (dim + 1)
+                assert abs(integrate_exact(f, s).mean_value - want) <= 1e-15
+
+    def test_simplex_on_one_side_of_the_kink(self):
+        rng = np.random.default_rng(63)
+        for dim in range(1, 9):
+            s = random_simplex(dim, rng)
+            slope = rng.standard_normal(dim)
+            t = s.vertices @ slope
+            above = _hinge(slope, float(t.min()) - 0.5)
+            affine = ConvexFunction("affine", {"slope": slope, "offset": 0.5 - t.min()})
+            got = integrate_exact(above, s).mean_value
+            assert got == pytest.approx(integrate_exact(affine, s).mean_value, rel=1e-14)
+            below = _hinge(slope, float(t.max()) + 0.5)
+            assert integrate_exact(below, s).mean_value == 0.0
+
+    def test_1d_against_antiderivative(self):
+        # mean of max(0, a x - c) over [lo, hi] is (F(hi) - F(lo)) / (hi - lo)
+        # with F(x) = max(0, a x - c)^2 / (2 a)
+        rng = np.random.default_rng(64)
+        for _ in range(200):
+            lo = float(rng.normal())
+            hi = lo + float(rng.exponential()) + 0.01
+            a = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3.0))
+            c = a * float(rng.uniform(lo - 0.5, hi + 0.5))
+            F = lambda x: max(0.0, a * x - c) ** 2 / (2.0 * a)  # noqa: E731
+            want = (F(hi) - F(lo)) / (hi - lo)
+            got = integrate_exact(_hinge(a, c), Simplex([[hi], [lo]])).mean_value
+            assert got == pytest.approx(want, rel=1e-13, abs=1e-15)
+
+
+class TestMaxOfAffines1D:
+    def test_against_mc(self):
+        rng = np.random.default_rng(70)
+        for _ in range(30):
+            parent = random_simplex(1, rng)
+            f = random_convex(1, "max_of_affines", int(rng.integers(2**31)), simplex=parent)
+            for scale in (1.0, 0.2):
+                s = parent.homothety_about_centroid(scale)
+                exact = integrate_exact(f, s)
+                mc = integrate_mc(f, s, 100_000, seed=int(rng.integers(2**31)))
+                assert abs(exact.mean_value - mc.mean_value) <= 4 * mc.std_error
+
+    def test_against_dense_trapezoid(self):
+        rng = np.random.default_rng(71)
+        for _ in range(30):
+            k = int(rng.integers(1, 7))
+            f = _max_1d(rng.standard_normal(k), rng.standard_normal(k))
+            lo = float(rng.normal())
+            hi = lo + float(rng.exponential()) + 0.01
+            want = _dense_trapezoid_mean(f, lo, hi)
+            got = integrate_exact(f, Simplex([[lo], [hi]])).mean_value
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+    def test_parallel_pieces(self):
+        # equal slopes never intersect; a dominated piece and a duplicate
+        # piece change nothing
+        f = _max_1d([1.0, 1.0, -0.5, -0.5], [0.0, 0.3, 0.1, 0.1])
+        s = Simplex([[-1.0], [2.0]])
+        want = _dense_trapezoid_mean(f, -1.0, 2.0)
+        assert integrate_exact(f, s).mean_value == pytest.approx(want, abs=1e-9)
+        lines = _max_1d([2.0, 2.0], [0.0, 1.0])
+        assert integrate_exact(lines, s).mean_value == pytest.approx(2.0 * 0.5 + 1.0)
+
+    def test_breakpoints_outside_the_interval(self):
+        # the pieces cross at 0, left of [0.5, 2], and at the end point of
+        # [0, 1]: the function is affine on each interval
+        f = _max_1d([1.0, -1.0], [0.0, 0.0])
+        assert integrate_exact(f, Simplex([[2.0], [0.5]])).mean_value == 1.25
+        assert integrate_exact(f, Simplex([[0.0], [1.0]])).mean_value == 0.5
+        assert integrate_exact(f, Simplex([[-3.0], [-1.0]])).mean_value == 2.0
+
+    def test_higher_dimensions_unsupported(self):
+        s = standard_simplex(2)
+        f = random_convex(2, "max_of_affines", 3, simplex=s)
+        with pytest.raises(UnsupportedKindError):
+            integrate_exact(f, s)
+        assert ground_truth(f, s, mc_samples=500, seed=1).method == "monte_carlo"
+        g = random_convex(1, "max_of_affines", 3, simplex=UNIT_INTERVAL)
+        assert ground_truth(g, UNIT_INTERVAL, mc_samples=500, seed=1).method == (
+            "exact_polynomial"
+        )
+
+
+finite_nodes = st.lists(
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False), min_size=1, max_size=9
+)
+
+
+class TestHingeMeanProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(finite_nodes, st.randoms(use_true_random=False))
+    def test_permutation_invariance(self, t, random):
+        shuffled = list(t)
+        random.shuffle(shuffled)
+        assert _hinge_mean(shuffled) == _hinge_mean(t)
+
+    @settings(max_examples=200, deadline=None)
+    @given(finite_nodes, st.integers(-20, 20), st.floats(0.01, 100.0))
+    def test_positive_homogeneity(self, t, power, factor):
+        t = np.array(t)
+        # a power of two scales every operation exactly
+        assert _hinge_mean(t * 2.0**power) == _hinge_mean(t) * 2.0**power
+        scaled = _hinge_mean(t * factor)
+        assert abs(scaled - factor * _hinge_mean(t)) <= 1e-13 * factor * max(
+            1.0, np.abs(t).max()
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(finite_nodes)
+    def test_positive_minus_negative_part_is_the_mean(self, t):
+        # max(0, x) - max(0, -x) = x, and the mean of x is the node average
+        t = np.array(t)
+        gap = _hinge_mean(t) - _hinge_mean(-t)
+        assert abs(gap - t.mean()) <= 1e-13 * max(1.0, np.abs(t).max())
+
+
 class TestGroundTruthPolicy:
     def test_exact_kinds_use_exact(self):
         est = ground_truth(SQ_1D, UNIT_INTERVAL, mc_samples=100, seed=0)
         assert est.method == "exact_polynomial"
 
     def test_other_kinds_use_mc(self):
-        f = random_convex(1, "hinge_distance", 19, simplex=UNIT_INTERVAL)
+        f = random_convex(1, "log_sum_exp", 19, simplex=UNIT_INTERVAL)
         est = ground_truth(f, UNIT_INTERVAL, mc_samples=500, seed=0)
         assert est.method == "monte_carlo" and est.samples == 500
 
     def test_recipe_round_trip(self):
-        hinge = random_convex(1, "hinge_distance", 19, simplex=UNIT_INTERVAL)
-        for f in (SQ_1D, hinge):
+        lse = random_convex(1, "log_sum_exp", 19, simplex=UNIT_INTERVAL)
+        for f in (SQ_1D, lse):
             est = ground_truth(f, UNIT_INTERVAL, mc_samples=500, seed=7)
             recipe = ground_truth_recipe(est, 7)
             assert replay_ground_truth(f, UNIT_INTERVAL, recipe, None) == est
         assert ground_truth_recipe(ground_truth(SQ_1D, UNIT_INTERVAL), 7) == {
             "method": "exact_polynomial"
         }
-        assert ground_truth_recipe(ground_truth(hinge, UNIT_INTERVAL, 500, 7), 7) == {
+        assert ground_truth_recipe(ground_truth(lse, UNIT_INTERVAL, 500, 7), 7) == {
             "method": "monte_carlo", "samples": 500, "seed": 7
         }
 
@@ -309,16 +530,35 @@ class TestGroundTruthPolicy:
 
     def test_policy_over_pairs(self):
         # exact pairs stay exact; the MC pairs share the seed's weight stream
-        hinge = random_convex(1, "hinge_distance", 19, simplex=UNIT_INTERVAL)
+        lse = random_convex(1, "log_sum_exp", 19, simplex=UNIT_INTERVAL)
         window = Simplex([[0.25], [0.75]])
-        got = ground_truths([(hinge, UNIT_INTERVAL), (SQ_1D, window), (hinge, window)], 500, 7)
+        got = ground_truths([(lse, UNIT_INTERVAL), (SQ_1D, window), (lse, window)], 500, 7)
         assert got == [
-            integrate_mc(hinge, UNIT_INTERVAL, 500, 7),
+            integrate_mc(lse, UNIT_INTERVAL, 500, 7),
             integrate_exact(SQ_1D, window),
-            integrate_mc(hinge, window, 500, 7),
+            integrate_mc(lse, window, 500, 7),
         ]
         # no MC pair: the sample count is not used
         assert ground_truths([(SQ_1D, window)], 0, 7) == [integrate_exact(SQ_1D, window)]
+
+    def test_exact_hinge_recipe_replays(self):
+        s = random_simplex(3, np.random.default_rng(4))
+        hinge = random_convex(3, "hinge_distance", 5, simplex=s)
+        est = ground_truth(hinge, s, mc_samples=500, seed=7)
+        assert est == integrate_exact(hinge, s)
+        recipe = ground_truth_recipe(est, 7)
+        assert recipe == {"method": "exact_polynomial"}
+        assert replay_ground_truth(hinge, s, recipe, None) == est
+
+    def test_old_mc_hinge_recipe_replays_bit_for_bit(self):
+        # a recipe recorded while the hinge went by Monte Carlo; the values
+        # are the ones it gave then
+        s = random_simplex(3, np.random.default_rng(4))
+        hinge = random_convex(3, "hinge_distance", 5, simplex=s)
+        recipe = {"method": "monte_carlo", "samples": 3000, "seed": 23}
+        assert replay_ground_truth(hinge, s, recipe, None) == IntegralEstimate(
+            0.14644721670131436, 0.003258131288686053, "monte_carlo", 3000
+        )
 
     def test_replay_rejects_unknown_method(self):
         with pytest.raises(ValueError, match="exact"):
