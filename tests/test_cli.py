@@ -417,6 +417,18 @@ class TestCor3Search:
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
 
+    def test_output_pinned(self, capsys):
+        # sha256 of the whole stdout: witness, certification and recipe
+        code, out, _ = run_cli(
+            capsys,
+            "cor3-search", "--p", "2", "--q", "0.5", "--a", "-1", "--b", "1",
+            "--y", "0.9", "--budget", "1500", "--seed", "12",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "10e5b6cd307914360eecf54e55d77ea1a5206692c3f4c03b4f246f6970b0c667"
+        )
+
     def test_exhausted_budget_reports_null(self, capsys):
         code, out, _ = run_cli(
             capsys,
