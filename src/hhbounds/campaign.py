@@ -64,7 +64,7 @@ from .geometry import Simplex
 from .quadrature import (
     ground_truth_recipe,
     ground_truths,
-    integrate_mc,
+    integrate_exact,
     replay_ground_truth,
 )
 from .serialize import dumps, jsonable
@@ -707,13 +707,13 @@ def _certifiable_margin(
     orientation: int, kink: float, p: float, q: float, a: float, b: float,
     lo: float, hi: float, mc_samples: int,
 ) -> float:
-    """How far a candidate's violation clears its own verification tolerance.
+    """How far a candidate's violation clears four standard errors of its mean.
 
-    The chain verdict uses tolerance 4 * std_error, so a violation only
-    certifies when it exceeds four exact standard deviations of the hinge
-    over the window divided by sqrt(samples).  Maximizing this margin (not
-    the raw violation) steers the search away from near-affine hinges whose
-    violation drowns in their own Monte Carlo noise.
+    The standard error is that of a ``mc_samples``-sample Monte Carlo mean
+    of the hinge over the window (exact standard deviation over
+    sqrt(samples)).  Maximizing this margin (not the raw violation) steers
+    the search away from near-affine hinges whose violation is tiny.  The
+    witness itself is certified with its exact window mean.
     """
     m1, m2 = _hinge_window_moments(orientation, kink, lo, hi)
     f_a = max(0.0, orientation * (a - kink))
@@ -740,9 +740,10 @@ def search_cor3_counterexample(
     location, scored by exact window moments (grid sweep, then seeded random
     refinement around the best kink) through :func:`_certifiable_margin`.
     ``budget`` caps the number of candidates examined.  The best candidate is
-    then verified through :func:`cor3_check` with Monte Carlo ground truth; a
-    witness descriptor (replayable via :func:`replay_failure`) is returned
-    only if the verified slack is negative beyond the report tolerance.
+    then verified through :func:`cor3_check` with its exact window mean
+    (:func:`~hhbounds.quadrature.integrate_exact`); a witness descriptor
+    (replayable via :func:`replay_failure`) is returned only if the verified
+    slack is negative beyond the report tolerance.
     Returns None when the budget is exhausted without a certifiable
     violation.
     """
@@ -795,9 +796,7 @@ def search_cor3_counterexample(
         params={"slope": [float(orientation)], "threshold": float(orientation) * kink},
         label=f"hinge-witness-{orientation:+d}",
     )
-    gt_seed = _draw_seed(rng)
-    window = Simplex([[lo], [hi]])
-    gt = integrate_mc(func, window, mc_samples, gt_seed)
+    gt = integrate_exact(func, Simplex([[lo], [hi]]))
     report = cor3_check(p, q, a, b, y, func, gt)
     worst = min(report.slacks)
     if worst >= -report.tolerance_used:
@@ -807,7 +806,7 @@ def search_cor3_counterexample(
         "dimension": 1,
         "function": func.to_json_dict(),
         "params": {"p": p, "q": q, "a": a, "b": b, "y": y},
-        "ground_truth": ground_truth_recipe(gt, gt_seed),
+        "ground_truth": ground_truth_recipe(gt, None),
         "verdict": report.verdict,
         "slacks": list(report.slacks),
         "tolerance": report.tolerance_used,

@@ -26,6 +26,7 @@ Chain catalogue (``CHAIN_NAMES``):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,24 +144,30 @@ def _build_report(
     )
 
 
-def _vertex_values(f, s: Simplex) -> np.ndarray:
-    return np.asarray(f(s.vertices), dtype=float)
+def _values(f, *rows) -> np.ndarray:
+    """``f`` at every row of ``rows`` (points or batches of points), in one call."""
+    return np.asarray(f(np.vstack(rows)), dtype=float)
 
 
+@functools.lru_cache(maxsize=8)
 def _containment_weights(s: Simplex, sub: Simplex) -> np.ndarray:
-    """Parent weights of every subsimplex vertex; raises if any escapes."""
+    """Parent weights of every subsimplex vertex, then of the subsimplex centroid.
+
+    Row ``k < n+1`` holds the weights of sub vertex ``k`` and the last row
+    those of ``sub.centroid``, from one stacked solve; raises if a vertex
+    escapes.  Simplices are immutable, so the result is cached by the
+    identity of the pair and shared, read-only, by thm3's ``j`` sweep, thm4
+    and thm5.
+    """
     if sub.dimension != s.dimension:
         raise DimensionMismatchError("subsimplex dimension differs from parent")
-    W = s.solve_weights(sub.vertices)
-    if W.min() < -TOL_GEOM:
+    W = s.solve_weights(np.vstack([sub.vertices, sub.centroid]))
+    if W[:-1].min() < -TOL_GEOM:
         raise SubsimplexEscapesParentError(
-            f"subsimplex vertex outside parent (min weight {W.min():.3e})"
+            f"subsimplex vertex outside parent (min weight {W[:-1].min():.3e})"
         )
+    W.setflags(write=False)
     return W
-
-
-def _eval_at(f, t: float) -> float:
-    return float(f(np.array([t])))
 
 
 # ---------------------------------------------------------------------------
@@ -174,11 +181,12 @@ def choquet_chain(f, s: Simplex, gt: IntegralEstimate) -> ChainReport:
     ``gt`` must be the mean of ``f`` over ``s`` under the uniform measure,
     whose barycenter is the centroid with equal vertex weights 1/(n+1).
     """
-    fv = _vertex_values(f, s)
+    values = _values(f, s.vertices, s.centroid)
+    fv = values[:-1]
     return _build_report(
         "choquet",
         [
-            ("f_at_centroid", f(s.centroid)),
+            ("f_at_centroid", values[-1]),
             ("integral_mean", gt.mean_value),
             ("vertex_average", fv.mean()),
         ],
@@ -197,9 +205,10 @@ def thm2_upper(f, s: Simplex, p, gt: IntegralEstimate) -> ChainReport:
     weights = s.solve_weights(p)
     if weights.min() < -TOL_GEOM:
         raise PointOutsideSimplexError("pin point lies outside the simplex")
-    fv = _vertex_values(f, s)
+    values = _values(f, s.vertices, p)
+    fv = values[:-1]
     np1 = s.dimension + 1
-    refined = ((1.0 - weights) @ fv + f(p)) / np1
+    refined = ((1.0 - weights) @ fv + values[-1]) / np1
     return _build_report(
         "thm2",
         [
@@ -228,24 +237,26 @@ def thm3_chain(f, s: Simplex, sub: Simplex, j: int, gt: IntegralEstimate) -> Cha
     np1 = s.dimension + 1
     if not 0 <= j < np1:
         raise IndexError(f"vertex index {j} out of range 0..{np1 - 1}")
-    W = _containment_weights(s, sub)
+    W = _containment_weights(s, sub)[:-1]
     centroid = s.centroid
     if np.max(np.abs(sub.centroid - centroid)) > TOL_GEOM:
         raise BarycenterMismatchError(
             "subsimplex centroid differs from parent centroid"
         )
-    fv = _vertex_values(f, s)
     q_j = sub.vertices[j]
-    mask = np.arange(np1) != j
-    upper = (float((W[mask] @ fv).sum()) + f(q_j)) / np1
     # Arguments of the lower bound: centroid of the parent with vertex i
     # replaced by sub vertex j.
     args = (s.vertices.sum(axis=0) - s.vertices + q_j) / np1
-    lower = float(W[j] @ np.asarray(f(args), dtype=float))
+    # rows: vertices, then the lower-bound arguments, then centroid and q_j
+    values = _values(f, s.vertices, args, centroid, q_j)
+    fv, f_args = values[:np1], values[np1 : 2 * np1]
+    mask = np.arange(np1) != j
+    upper = (float((W[mask] @ fv).sum()) + values[-1]) / np1
+    lower = float(W[j] @ f_args)
     return _build_report(
         "thm3",
         [
-            ("f_at_centroid", f(centroid)),
+            ("f_at_centroid", values[-2]),
             ("subsimplex_lower", lower),
             ("integral_mean", gt.mean_value),
             ("subsimplex_upper", upper),
@@ -261,16 +272,14 @@ def thm4_chain(f, s: Simplex, sub: Simplex, gt_sub: IntegralEstimate) -> ChainRe
     Terms: [f(P), mean over sub, sum_j w_j(P) f(V_j)] with weights taken in
     the parent simplex.  ``gt_sub`` must be the mean of ``f`` over ``sub``.
     """
-    _containment_weights(s, sub)
-    P = sub.centroid
-    weights = s.solve_weights(P)
-    fv = _vertex_values(f, s)
+    weights = _containment_weights(s, sub)[-1]
+    values = _values(f, s.vertices, sub.centroid)
     return _build_report(
         "thm4",
         [
-            ("f_at_barycenter", f(P)),
+            ("f_at_barycenter", values[-1]),
             ("subsimplex_mean", gt_sub.mean_value),
-            ("weighted_vertex_bound", float(weights @ fv)),
+            ("weighted_vertex_bound", float(weights @ values[:-1])),
         ],
         gt_sub,
     )
@@ -283,13 +292,11 @@ def thm5_upper(f, s: Simplex, sub: Simplex, gt_sub: IntegralEstimate) -> ChainRe
     sum_j w_j(P) f(V_j)]; the last term is thm4's upper bound, carried so
     the improvement is visible.
     """
-    _containment_weights(s, sub)
-    P = sub.centroid
-    weights = s.solve_weights(P)
-    fv = _vertex_values(f, s)
+    weights = _containment_weights(s, sub)[-1]
+    values = _values(f, s.vertices, sub.centroid)
     n = s.dimension
-    vertex_bound = float(weights @ fv)
-    improved = (n * vertex_bound + f(P)) / (n + 1)
+    vertex_bound = float(weights @ values[:-1])
+    improved = (n * vertex_bound + values[-1]) / (n + 1)
     return _build_report(
         "thm5",
         [
@@ -325,13 +332,14 @@ def thm6_chain(f, s: Simplex, points, betas) -> ChainReport:
         raise CentroidConstraintViolatedError(
             "beta-mixture of points misses the centroid"
         )
-    fv = _vertex_values(f, s)
+    np1 = s.dimension + 1
+    values = _values(f, s.vertices, centroid, M)
     return _build_report(
         "thm6",
         [
-            ("f_at_centroid", f(centroid)),
-            ("point_mixture", float(betas @ np.asarray(f(M), dtype=float))),
-            ("vertex_average", fv.mean()),
+            ("f_at_centroid", values[np1]),
+            ("point_mixture", float(betas @ values[np1 + 1 :])),
+            ("vertex_average", values[:np1].mean()),
         ],
         None,
     )
@@ -365,20 +373,22 @@ def cor2_chain(f, a: float, b: float, lam: float, gt: IntegralEstimate) -> Chain
     if getattr(f, "dim", 1) != 1:
         raise DimensionMismatchError("cor2 requires a 1-D function")
     m = (1.0 - lam) * a + lam * b
-    lower = lam * _eval_at(f, (a + m) / 2.0) + (1.0 - lam) * _eval_at(f, (b + m) / 2.0)
-    upper = (
-        (1.0 - lam) * _eval_at(f, a)
-        + lam * _eval_at(f, b)
-        + _eval_at(f, lam * a + (1.0 - lam) * b)
-    ) / 2.0
+    abscissae = np.array(
+        [a, b, (a + b) / 2.0, (a + m) / 2.0, (b + m) / 2.0, lam * a + (1.0 - lam) * b]
+    )
+    f_a, f_b, f_mid, f_left, f_right, f_other = (
+        float(v) for v in _values(f, abscissae[:, None])
+    )
+    lower = lam * f_left + (1.0 - lam) * f_right
+    upper = ((1.0 - lam) * f_a + lam * f_b + f_other) / 2.0
     return _build_report(
         "cor2",
         [
-            ("f_at_midpoint", _eval_at(f, (a + b) / 2.0)),
+            ("f_at_midpoint", f_mid),
             ("split_lower", lower),
             ("integral_mean", gt.mean_value),
             ("split_upper", upper),
-            ("endpoint_average", (_eval_at(f, a) + _eval_at(f, b)) / 2.0),
+            ("endpoint_average", (f_a + f_b) / 2.0),
         ],
         gt,
     )
@@ -412,12 +422,13 @@ def cor3_check(
     if getattr(f, "dim", 1) != 1:
         raise DimensionMismatchError("cor3 requires a 1-D function")
     A = (p * a + q * b) / (p + q)
+    f_A, f_a, f_b = (float(v) for v in _values(f, np.array([[A], [a], [b]])))
     return _build_report(
         "cor3",
         [
-            ("f_at_weighted_point", _eval_at(f, A)),
+            ("f_at_weighted_point", f_A),
             ("integral_mean", gt.mean_value),
-            ("weighted_endpoint_bound", (p * _eval_at(f, a) + q * _eval_at(f, b)) / (p + q)),
+            ("weighted_endpoint_bound", (p * f_a + q * f_b) / (p + q)),
         ],
         gt,
         condition_holds=cor3_condition_holds(p, q, a, b, y),

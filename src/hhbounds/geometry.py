@@ -6,14 +6,16 @@ Conventions used throughout the package:
   ``(m, n)`` array (one point per row);
 * vertex indices are 0-based;
 * simplices are immutable; every constructor returns a new value, so the
-  cached volume and factorization stay valid and instances are safe to share
-  between threads.
+  volume and centroid stored at construction stay valid and instances are
+  safe to share between threads.
 
 Barycentric coordinates are computed two independent ways: by solving the
 linear system that stacks the vertex-combination equations with the
 weights-sum-to-one constraint (``barycentric_solve``), and by ratios of
 vertex-replacement volumes (``barycentric_volumes``).  The two must agree;
-the test suite enforces this cross-check.
+the test suite enforces this cross-check.  Both use numpy alone: LAPACK's LU
+solve (``numpy.linalg.solve``, backward stable) for the stacked system, and
+``numpy.linalg.det`` for the volumes.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import det as _det
-from scipy.linalg import lu_factor, lu_solve
 
 from .errors import (
     DegenerateSimplexError,
@@ -34,6 +34,18 @@ from .errors import (
 from .tolerances import DEGENERACY_RTOL, TOL_GEOM
 
 __all__ = ["BarycentricCoords", "Simplex", "as_point", "standard_simplex"]
+
+
+def _abs_det(edges: np.ndarray) -> float:
+    """|det| of a square edge matrix.
+
+    numpy's det goes through exp(logdet), which rounds even a 1x1 matrix
+    (det([[3.0]]) is 3.0000000000000004), so a 1x1 matrix is its own
+    determinant here and interval lengths stay exact.
+    """
+    if edges.shape == (1, 1):
+        return abs(float(edges[0, 0]))
+    return abs(float(np.linalg.det(edges)))
 
 
 def as_point(x, dim: int | None = None) -> np.ndarray:
@@ -106,7 +118,7 @@ class BarycentricCoords:
 class Simplex:
     """Nondegenerate n-simplex given by n+1 vertices in R^n."""
 
-    __slots__ = ("_vertices", "_volume", "_abs_det", "_lu")
+    __slots__ = ("_vertices", "_volume", "_abs_det", "_centroid")
 
     def __init__(self, vertices) -> None:
         V = np.array(vertices, dtype=float)
@@ -120,20 +132,20 @@ class Simplex:
         if not np.all(np.isfinite(V)):
             raise ValueError("vertex coordinates must be finite")
         edges = V[1:] - V[0]
-        # scipy's det multiplies LU diagonals directly (numpy's goes through
-        # exp(logdet) and rounds even trivial cases)
-        det = float(_det(edges, check_finite=False))
+        abs_det = _abs_det(edges)
         gauge = float(np.prod(np.linalg.norm(edges, axis=1)))
-        if not gauge > 0.0 or abs(det) <= DEGENERACY_RTOL * gauge:
+        if not gauge > 0.0 or abs_det <= DEGENERACY_RTOL * gauge:
             raise DegenerateSimplexError(
-                f"vertices are affinely dependent (|det|={abs(det):.3e}, "
+                f"vertices are affinely dependent (|det|={abs_det:.3e}, "
                 f"edge gauge={gauge:.3e})"
             )
         V.setflags(write=False)
+        centroid = V.mean(axis=0)
+        centroid.setflags(write=False)
         self._vertices = V
-        self._abs_det = abs(det)
-        self._volume = abs(det) / math.factorial(n)
-        self._lu = None
+        self._abs_det = abs_det
+        self._volume = abs_det / math.factorial(n)
+        self._centroid = centroid
 
     # -- basic data ---------------------------------------------------------
 
@@ -153,29 +165,22 @@ class Simplex:
 
     @property
     def centroid(self) -> np.ndarray:
-        """Vertex centroid, which is also the mean of the uniform measure."""
-        return self._vertices.mean(axis=0)
+        """Read-only vertex centroid, which is also the mean of the uniform measure."""
+        return self._centroid
 
     def __repr__(self) -> str:
         return f"Simplex(dim={self.dimension}, volume={self._volume:.6g})"
 
     # -- barycentric coordinates --------------------------------------------
 
-    def _factorization(self):
-        if self._lu is None:
-            np1 = self.dimension + 1
-            system = np.vstack([self._vertices.T, np.ones((1, np1))])
-            try:
-                self._lu = lu_factor(system)
-            except Exception as exc:  # pragma: no cover - excluded by invariant
-                raise SingularSystemError(str(exc)) from exc
-        return self._lu
-
     def solve_weights(self, points) -> np.ndarray:
         """Raw (unclamped) barycentric weights for one point or a batch.
 
         Returns shape ``(n+1,)`` for a single point, ``(m, n+1)`` for a
-        batch.  Weights may be negative when a point lies outside.
+        batch.  Weights may be negative when a point lies outside.  One LU
+        solve of the stacked system (vertex-combination rows over a row of
+        ones) serves the whole batch; a singular system raises
+        :class:`SingularSystemError`.
         """
         P = np.asarray(points, dtype=float)
         single = P.ndim == 1
@@ -184,8 +189,12 @@ class Simplex:
             raise DimensionMismatchError(
                 f"points have dimension {P.shape[1]}, expected {self.dimension}"
             )
+        system = np.vstack([self._vertices.T, np.ones((1, P.shape[1] + 1))])
         rhs = np.vstack([P.T, np.ones((1, P.shape[0]))])
-        W = lu_solve(self._factorization(), rhs, check_finite=False).T
+        try:
+            W = np.linalg.solve(system, rhs).T
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(f"barycentric system: {exc}") from exc
         return W[0] if single else W
 
     def barycentric_solve(self, x) -> BarycentricCoords:
@@ -210,7 +219,7 @@ class Simplex:
         for k in range(np1):
             W = np.array(self._vertices)
             W[k] = x
-            ratios[k] = abs(float(_det(W[1:] - W[0], check_finite=False))) / self._abs_det
+            ratios[k] = _abs_det(W[1:] - W[0]) / self._abs_det
         return BarycentricCoords(ratios / ratios.sum())
 
     def contains(self, x) -> bool:

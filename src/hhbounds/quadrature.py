@@ -318,8 +318,11 @@ def ground_truth(f, s: Simplex, mc_samples: int = 100_000, seed: int = 0) -> Int
     return ground_truths([(f, s)], mc_samples, seed)[0]
 
 
-def ground_truth_recipe(estimate: IntegralEstimate, seed: int) -> dict:
-    """The replay recipe of an estimate that :func:`ground_truths` made with ``seed``."""
+def ground_truth_recipe(estimate: IntegralEstimate, seed: int | None) -> dict:
+    """The replay recipe of an estimate that :func:`ground_truths` made with ``seed``.
+
+    An exact estimate's recipe names only its method, so its ``seed`` may be None.
+    """
     if estimate.method == METHOD_EXACT:
         return {"method": METHOD_EXACT}
     return {"method": METHOD_MC, "samples": estimate.samples, "seed": seed}

@@ -208,7 +208,7 @@ class TestRunCampaign:
         cfg = CampaignConfig(trials_per_theorem=48, mc_samples=2000)
         digest = hashlib.sha256(run_campaign(cfg).to_json().encode()).hexdigest()
         assert digest == (
-            "7b6596876c8265dacab0f99317f51d5c3048e61b930c4683242503c8221b800c"
+            "aba27cfacc10089f6a8b11dbcf48abdad6972754176ecba8389adf4bb6fb36f7"
         )
 
     def test_polynomial_and_smooth_kinds_result_pinned(self):
@@ -221,7 +221,7 @@ class TestRunCampaign:
         )
         digest = hashlib.sha256(run_campaign(cfg).to_json().encode()).hexdigest()
         assert digest == (
-            "72774f9a21cb01bf5612751de8857e27f1d4b0ee7a0f76a5707acfb8f7bfcd4d"
+            "8abb5ea8917297091910801bd7e9d2f68da3d10514a7ae1d2ec48a575508ca2b"
         )
 
     #: sha256 of ``dumps(per_theorem[name])`` for the simplex chains of a
@@ -229,11 +229,11 @@ class TestRunCampaign:
     #: Carlo ground truth stay as they are.
     _MAX_OF_AFFINES_SECTIONS = {
         "choquet": "45171b7f6df11a2eab0c17d34e71ca01bc97f70674ec910ed64212325d45a8ed",
-        "thm2": "2123e4a9bc1e7d016913e52b7c470006e8800ea509aaf232a8ed906fdde4c470",
-        "thm3": "c83aad92bb666e73824840b159ebbcb8412e7a0a0429849ba22a5871d3717b2f",
-        "thm4": "d2e8d7b9f71e921c02bdaa72442fefa7d07c296e3d325e5d275b3ab84566070b",
-        "thm5": "6cd73cb8213ae0130fad809ab5eda9263eaa6f8a1f1abe4a36beddf32063fb16",
-        "thm6": "24fe56aff75014dfb97d57a380aabaab4e8b1b2e1f6b9cecf6632db3a90c1c7f",
+        "thm2": "bef7cbe9870e9bfac8041923920c06c246eeab3fd7f15b8154b3cc119bbedf63",
+        "thm3": "811430363907fa1c4ed1329e42b0109fe00cfb87e58f58cce6ae55c105cadbb3",
+        "thm4": "ca3a609cd7d698fc93514266c816d9708f56b3230529a015f996bfd2faa57077",
+        "thm5": "b3b86f52e031522229989945337a48281dc690494353905249d7592844d2ec70",
+        "thm6": "3d040bb0fef91f0dcb8151bae730d77856f05b35d11ad75c874c73e7d55929b2",
     }
 
     def test_max_of_affines_multidim_sections_pinned(self):
@@ -257,15 +257,15 @@ class TestRunCampaign:
         2000: {
             "choquet": "98e27b5a514f95afe916d04860c9212782136043197b020a0a529b840a9fe497",
             "thm2": "d4d2b1de4ba5cf2bba7aadf35bf85120957d607b110f59eab458113fa52648bd",
-            "thm3": "19215789bda56a6069928c3bcfb80c342a89aad8a9c64e733d6537f69177e17c",
-            "thm6": "615fd1dd8bf9eebb83d86555f1f69573c21ae4d80a8ca3f05279d99ab744d0c1",
+            "thm3": "c41cdaa5dbc8e1e63605298670b4e0d5543db871941c76dc25edcbf6a5bb66ca",
+            "thm6": "3b72cb365ad5e8dedf92d5b0a97bed9b37e4199608ad5d01a5d20b4f152aedee",
             "cor2": "d0cbdcf7d880e17b14bd4767a70801b2f1fdb82f53683f7ed23ba22f02fba393",
         },
         2: {
-            "choquet": "f3b6846fc2d23176cc217e7683791111f3db48a0ce51aae00dcbf43ffb6f5db5",
-            "thm2": "5e2f3453bc633dfe7029bdf14a760d6f00035a9dc5ee6b185b89b36115b2c7f4",
-            "thm3": "8181ad86a6a9cc0d1d723367afb75c3e803414760ff4f9ee5e431a9990b13bf9",
-            "thm6": "615fd1dd8bf9eebb83d86555f1f69573c21ae4d80a8ca3f05279d99ab744d0c1",
+            "choquet": "c331512bbe0e31fa0961d9a01b67b41b454c1228b74426b2f201014e5ba03911",
+            "thm2": "8c2e9933b4dc382e58f0291a633b19f5111f6b5f0417bf33d7ac1ca564451774",
+            "thm3": "697f4d3a38f4b763780a5749c6c6353ef88301e921401e0c194c56441ccd7626",
+            "thm6": "3b72cb365ad5e8dedf92d5b0a97bed9b37e4199608ad5d01a5d20b4f152aedee",
             "cor2": "0d3113c7eb455a68a022842ce7bdf48ab81010a02f869df7d930e1ebb0b99d21",
         },
     }
@@ -414,7 +414,7 @@ class TestPinnedReplay:
         result = run_campaign(CampaignConfig(trials_per_theorem=48, mc_samples=2))
         text = result.to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "f99e1dfa47c48011cd7c90bf06c36c31725875b83dc3d93dcab9d5d2af681606"
+            "2411eb7f0c3f87c38f61cb0c757f05b4495989bc9740f9ed1f84bc858c8d8aa3"
         )
         failures = json.loads(text)["failures"]
         assert len(failures) == 26

@@ -16,7 +16,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hhbounds import (
+    KINDS,
     BarycenterMismatchError,
+    CampaignConfig,
     CentroidConstraintViolatedError,
     ConvexFunction,
     IntegralEstimate,
@@ -39,6 +41,8 @@ from hhbounds import (
     thm5_upper,
     thm6_chain,
 )
+from hhbounds.campaign import CHAINS, _build_trial
+from hhbounds.chains import _containment_weights
 
 SQ_1D = ConvexFunction(
     "quadratic_psd", {"matrix": [[1.0]], "slope": [0.0], "offset": 0.0}, "x^2"
@@ -401,3 +405,125 @@ class TestReportJson:
     def test_cor3_records_condition(self):
         rep = cor3_check(1.0, 1.0, 0.0, 1.0, 0.5, SQ_1D, GT_UNIT)
         assert rep.to_json_dict()["condition_holds"] is True
+
+
+def _at(f, x) -> float:
+    """f at one point, alone in its call."""
+    return float(f(np.asarray(x, dtype=float)))
+
+
+def single_point_terms(name, f, s, p, mean):
+    """A chain's terms with every f value taken one point per call.
+
+    The reference for the batched chain operations: the same formulas, with
+    each point evaluated alone and each weight vector solved on its own.
+    """
+    if name == "cor2":
+        a, b, lam = p["a"], p["b"], p["lam"]
+        m = (1.0 - lam) * a + lam * b
+        g = lambda t: _at(f, [t])  # noqa: E731
+        return [
+            g((a + b) / 2.0),
+            lam * g((a + m) / 2.0) + (1.0 - lam) * g((b + m) / 2.0),
+            mean,
+            ((1.0 - lam) * g(a) + lam * g(b) + g(lam * a + (1.0 - lam) * b)) / 2.0,
+            (g(a) + g(b)) / 2.0,
+        ]
+    if name == "cor3":
+        pw, qw, a, b = p["p"], p["q"], p["a"], p["b"]
+        A = (pw * a + qw * b) / (pw + qw)
+        return [_at(f, [A]), mean, (pw * _at(f, [a]) + qw * _at(f, [b])) / (pw + qw)]
+    V = s.vertices
+    np1 = len(V)
+    fv = np.array([_at(f, v) for v in V])
+    f_c = _at(f, V.mean(axis=0))
+    if name == "choquet":
+        return [f_c, mean, fv.mean()]
+    if name == "thm2":
+        w = s.solve_weights(p["point"])
+        return [mean, ((1.0 - w) @ fv + _at(f, p["point"])) / np1, fv.mean()]
+    if name == "thm3":
+        sub, j = p["subsimplex"], p["j"]
+        W = np.array([s.solve_weights(q) for q in sub.vertices])
+        q_j = sub.vertices[j]
+        lower = sum(W[j, i] * _at(f, (V.sum(axis=0) - V[i] + q_j) / np1) for i in range(np1))
+        upper = (sum(W[k] @ fv for k in range(np1) if k != j) + _at(f, q_j)) / np1
+        return [f_c, lower, mean, upper, fv.mean()]
+    if name in ("thm4", "thm5"):
+        P = p["subsimplex"].vertices.mean(axis=0)
+        bound = s.solve_weights(P) @ fv
+        f_P = _at(f, P)
+        if name == "thm4":
+            return [f_P, mean, bound]
+        return [mean, ((np1 - 1) * bound + f_P) / np1, bound]
+    # thm6
+    mixture = sum(beta * _at(f, x) for beta, x in zip(p["betas"], p["points"]))
+    return [f_c, mixture, fv.mean()]
+
+
+class TestSharedWork:
+    """One batched evaluation per chain and one containment solve per pair."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_batched_terms_match_single_point_terms(self, kind):
+        # every chain on campaign-drawn instances of dims 1-8; the batched
+        # matmuls may round differently, within a few ulps of each term
+        gt = IntegralEstimate(0.25, 0.0, "exact_polynomial", 0)
+        for dim in range(1, 9):
+            cfg = CampaignConfig(dimensions=(dim,), function_kinds=(kind,))
+            for index in range(2):
+                _, _, instances = _build_trial(cfg, index)
+                for name, cases in instances.items():
+                    for f, s, params in cases:
+                        got = CHAINS[name].run(f, s, params, gt).values
+                        want = single_point_terms(name, f, s, params, gt.mean_value)
+                        for g, w in zip(got, want, strict=True):
+                            assert abs(g - w) <= 1e-14 * max(1.0, abs(w)), (name, dim)
+
+    def test_containment_weights_shared_and_read_only(self):
+        s = random_simplex(4, np.random.default_rng(31))
+        sub = s.homothety_about_centroid(0.6)
+        W = _containment_weights(s, sub)
+        assert _containment_weights(s, sub) is W
+        assert not W.flags.writeable
+        with pytest.raises(ValueError):
+            W[0, 0] = 1.0
+        # rows: the sub vertices, then the sub centroid
+        assert_allclose(W[:-1] @ s.vertices, sub.vertices, rtol=0, atol=1e-13)
+        assert_allclose(W[-1] @ s.vertices, sub.centroid, rtol=0, atol=1e-13)
+
+    def test_thm3_identical_with_cold_and_warm_cache(self):
+        rng = np.random.default_rng(32)
+        s = random_simplex(5, rng)
+        f = random_convex(5, "log_sum_exp", 7, simplex=s)
+        sub = s.homothety_about_centroid(0.4)
+        gt = integrate_mc(f, s, 2000, seed=3)
+        cold = []
+        for j in range(6):
+            _containment_weights.cache_clear()
+            cold.append(thm3_chain(f, s, sub, j, gt).to_json_dict())
+        _containment_weights.cache_clear()
+        warm = [thm3_chain(f, s, sub, j, gt).to_json_dict() for j in range(6)]
+        assert _containment_weights.cache_info().hits == 5
+        assert warm == cold
+
+    def test_one_solve_per_pair(self, monkeypatch):
+        # thm3's j sweep, thm4 and thm5 on one pair: a single stacked solve
+        s = random_simplex(3, np.random.default_rng(33))
+        f = random_convex(3, "quadratic_psd", 5, simplex=s)
+        sub = s.homothety_about_centroid(0.5)
+        gt = integrate_exact(f, s)
+        calls = []
+        solve = Simplex.solve_weights
+
+        def counting(self, points):
+            calls.append(np.shape(points))
+            return solve(self, points)
+
+        _containment_weights.cache_clear()
+        monkeypatch.setattr(Simplex, "solve_weights", counting)
+        for j in range(4):
+            thm3_chain(f, s, sub, j, gt)
+        thm4_chain(f, s, sub, integrate_exact(f, sub))
+        thm5_upper(f, s, sub, integrate_exact(f, sub))
+        assert calls == [(5, 3)]

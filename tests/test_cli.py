@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hhbounds
 from hhbounds import (
     ConvexFunction,
     Simplex,
@@ -426,7 +430,7 @@ class TestCor3Search:
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "10e5b6cd307914360eecf54e55d77ea1a5206692c3f4c03b4f246f6970b0c667"
+            "409467e99977b33c4f1c2d7db4ad6b8e5255f77c9fa68b91d5c193ea74e29ffd"
         )
 
     def test_exhausted_budget_reports_null(self, capsys):
@@ -437,6 +441,37 @@ class TestCor3Search:
         )
         assert code == 0
         assert json.loads(out) == {"witness": None}
+
+
+class TestNoScipy:
+    # What the child prints: the scipy modules loaded after ``import
+    # hhbounds`` and after one ``hh bounds`` call with every simplex chain.
+    CHILD = (
+        "import sys\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "import hhbounds\n"
+        "after_import = scipy_modules()\n"
+        "from hhbounds.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(repr((code, after_import, scipy_modules())), file=sys.stderr)\n"
+    )
+
+    def test_import_and_bounds_do_not_load_scipy(self, tmp_path, triangle_file):
+        func = str(tmp_path / "lse.json")
+        write_json(func, random_convex(2, "log_sum_exp", 3).to_json_dict())
+        src = os.path.dirname(os.path.dirname(os.path.abspath(hhbounds.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        chains = ("choquet", "thm2", "thm3", "thm4", "thm5", "thm6")
+        argv = ["bounds", triangle_file, func, "--mc-samples", "2000"]
+        argv += [arg for name in chains for arg in ("--theorem", name)]
+        proc = subprocess.run(
+            [sys.executable, "-c", self.CHILD, *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert len(proc.stdout.splitlines()) == len(chains)
+        assert proc.stderr.strip().splitlines()[-1] == repr((0, [], []))
 
 
 class TestSample:

@@ -8,6 +8,7 @@ from hhbounds import (
     DimensionMismatchError,
     PointOutsideSimplexError,
     Simplex,
+    SingularSystemError,
     SubsimplexEscapesParentError,
     random_simplex,
     standard_simplex,
@@ -47,6 +48,13 @@ class TestVolume:
         for dim in range(1, 7):
             s = random_simplex(dim, rng)
             assert s.volume > 0.0
+
+    def test_centroid_stored_read_only(self):
+        s = random_simplex(3, np.random.default_rng(3))
+        assert s.centroid is s.centroid
+        assert_allclose(s.centroid, s.vertices.mean(axis=0), rtol=0, atol=0)
+        with pytest.raises(ValueError):
+            s.centroid[0] = 1.0
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateSimplexError):
@@ -90,6 +98,17 @@ class TestBarycentricSolve:
         s = standard_simplex(2)
         w = s.solve_weights(np.array([0.6, 0.6]))
         assert_allclose(w[0], -0.2, atol=1e-14)
+
+    def test_singular_system_raises_typed_error(self):
+        # The constructor rejects degenerate vertices, so make the stacked
+        # system singular behind its back: numpy's LinAlgError must surface
+        # as the package's own error.
+        s = standard_simplex(2)
+        s._vertices = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+        with pytest.raises(SingularSystemError) as info:
+            s.solve_weights(np.array([0.5, 0.5]))
+        assert not isinstance(info.value, np.linalg.LinAlgError)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
     def test_weight_clamping(self):
         c = BarycentricCoords([1.0 + 5e-10, -5e-10])
