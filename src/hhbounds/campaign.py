@@ -703,14 +703,19 @@ def _hinge_exact_slack(
     return bound - _hinge_window_moments(orientation, kink, lo, hi)[0]
 
 
+# Sample count of the notional Monte Carlo mean whose standard error
+# :func:`_certifiable_margin` subtracts; it shapes the search score only.
+_SEARCH_SCORE_SAMPLES = 100_000
+
+
 def _certifiable_margin(
     orientation: int, kink: float, p: float, q: float, a: float, b: float,
-    lo: float, hi: float, mc_samples: int,
+    lo: float, hi: float,
 ) -> float:
     """How far a candidate's violation clears four standard errors of its mean.
 
-    The standard error is that of a ``mc_samples``-sample Monte Carlo mean
-    of the hinge over the window (exact standard deviation over
+    The standard error is that of a ``_SEARCH_SCORE_SAMPLES``-sample Monte
+    Carlo mean of the hinge over the window (exact standard deviation over
     sqrt(samples)).  Maximizing this margin (not the raw violation) steers
     the search away from near-affine hinges whose violation is tiny.  The
     witness itself is certified with its exact window mean.
@@ -720,7 +725,7 @@ def _certifiable_margin(
     f_b = max(0.0, orientation * (b - kink))
     slack = (p * f_a + q * f_b) / (p + q) - m1
     sigma = np.sqrt(max(m2 - m1 * m1, 0.0))
-    return -slack - 4.0 * sigma / np.sqrt(mc_samples)
+    return -slack - 4.0 * sigma / np.sqrt(_SEARCH_SCORE_SAMPLES)
 
 
 def search_cor3_counterexample(
@@ -731,8 +736,6 @@ def search_cor3_counterexample(
     y: float,
     budget: int,
     seed: int,
-    *,
-    mc_samples: int = 100_000,
 ) -> dict | None:
     """Search hinge functions violating the cor3 chain when the condition fails.
 
@@ -773,9 +776,7 @@ def search_cor3_counterexample(
             if examined >= budget:
                 break
             examined += 1
-            margin = _certifiable_margin(
-                orientation, float(kink), p, q, a, b, lo, hi, mc_samples
-            )
+            margin = _certifiable_margin(orientation, float(kink), p, q, a, b, lo, hi)
             if best is None or margin > best[0]:
                 best = (margin, orientation, float(kink))
     # Random refinement around the best kink found so far.
@@ -783,7 +784,7 @@ def search_cor3_counterexample(
     while examined < budget and best is not None:
         examined += 1
         kink = best[2] + radius * float(rng.standard_normal())
-        margin = _certifiable_margin(best[1], kink, p, q, a, b, lo, hi, mc_samples)
+        margin = _certifiable_margin(best[1], kink, p, q, a, b, lo, hi)
         if margin > best[0]:
             best = (margin, best[1], kink)
             radius *= 0.7

@@ -199,7 +199,6 @@ def _cmd_cor3_search(args: argparse.Namespace) -> int:
     witness = search_cor3_counterexample(
         args.p, args.q, args.a, args.b, args.y,
         budget=args.budget, seed=_default_seed(args.seed),
-        mc_samples=args.mc_samples,
     )
     sys.stdout.write(dumps({"witness": witness}) + "\n")
     return 0
@@ -284,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--y", type=float, required=True)
     p_search.add_argument("--budget", type=int, default=10_000)
     p_search.add_argument("--seed", type=int, default=None)
-    p_search.add_argument("--mc-samples", type=int, default=100_000)
 
     p_sample = sub.add_parser("sample", help="draw uniform points from a simplex")
     p_sample.add_argument("simplex", help="simplex descriptor JSON file")

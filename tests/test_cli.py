@@ -442,6 +442,15 @@ class TestCor3Search:
         assert code == 0
         assert json.loads(out) == {"witness": None}
 
+    def test_no_mc_samples_flag(self, capsys):
+        # the witness is certified exactly, so there is no sample count to set
+        code, out, _ = run_cli(
+            capsys,
+            "cor3-search", "--p", "1", "--q", "1", "--a", "0", "--b", "1",
+            "--y", "0.75", "--mc-samples", "1000",
+        )
+        assert code == 2 and out == ""
+
 
 class TestNoScipy:
     # What the child prints: the scipy modules loaded after ``import
