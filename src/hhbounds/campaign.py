@@ -27,6 +27,12 @@ Failures are recorded as self-contained descriptors (simplex, function,
 chain parameters, ground-truth recipe) in the shape of an instance, and
 :func:`replay_failure` re-runs one descriptor bit-for-bit.
 
+:func:`search_cor3_counterexample` tests the necessity of the cor3 window
+condition.  It scores unit hinges by the exact slack they would be
+certified with, certifies the best one through :data:`CHAINS` with its
+exact window mean, and returns it as a descriptor built by the same code
+as a campaign failure.
+
 Wall time is kept on the in-memory result only; the serialized result is a
 pure function of the configuration, so rerunning a campaign writes a
 byte-identical file.
@@ -62,6 +68,7 @@ from .errors import (
 from .funcs import KINDS, ConvexFunction, random_convex
 from .geometry import Simplex
 from .quadrature import (
+    _hinge_mean,
     ground_truth_recipe,
     ground_truths,
     integrate_exact,
@@ -197,24 +204,19 @@ def run_instances(instances, slots: dict[str, int], seeds, mc_samples: int):
 # ---------------------------------------------------------------------------
 
 
-def _json_number(key: str, value) -> float:
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
-    raise ValueError(f"{key}: expected a number, got {value!r}")
+def _check_type(key: str, value, kind: type, expected: str) -> None:
+    """Reject a bool, or a ``value`` of field ``key`` that is not a ``kind``."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{key}: expected {expected}, got {value!r}")
 
 
-def _check_int(key: str, value) -> None:
-    """Reject a bool or non-integer ``value`` of an integer field ``key``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{key}: expected an integer, got {value!r}")
-
-
-def _json_int(key: str, value) -> int:
-    """An integer field read from JSON; an integral float such as 3.0 is allowed."""
+def _from_json(value):
+    """A JSON value as a config value: lists become tuples, 3.0 becomes 3."""
+    if isinstance(value, list):
+        return tuple(_from_json(item) for item in value)
     if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    _check_int(key, value)
-    return int(value)
+        return int(value)
+    return value
 
 
 _INT_FIELDS = ("trials_per_theorem", "mc_samples", "master_seed")
@@ -243,15 +245,15 @@ class CampaignConfig:
 
     def validate(self) -> None:
         for key in _INT_FIELDS:
-            _check_int(key, getattr(self, key))
+            _check_type(key, getattr(self, key), numbers.Integral, "an integer")
         for key in _LIST_FIELDS:
             value = getattr(self, key)
             if not isinstance(value, (list, tuple)):
                 raise ValueError(f"{key}: expected a list, got {value!r}")
         for scale in self.subsimplex_scales:
-            _json_number("subsimplex_scales", scale)
+            _check_type("subsimplex_scales", scale, numbers.Real, "a number")
         for dim in self.dimensions:
-            _check_int("dimensions", dim)
+            _check_type("dimensions", dim, numbers.Integral, "an integer")
         if not self.dimensions or any(d < 1 for d in self.dimensions):
             raise ValueError("dimensions must be a nonempty list of integers >= 1")
         if self.trials_per_theorem < 1:
@@ -292,9 +294,8 @@ class CampaignConfig:
     def from_json_dict(cls, data: dict) -> "CampaignConfig":
         """A validated config from parsed JSON; ill-typed values raise ValueError.
 
-        Integer fields and ``dimensions`` take integral numbers only (no
-        bools), list fields take lists only, and ``subsimplex_scales`` takes
-        numbers only.
+        Lists become tuples and integral floats such as 3.0 become ints; every
+        other check is :meth:`validate`'s.
         """
         if not isinstance(data, dict):
             raise ValueError("campaign config must be a JSON object")
@@ -302,17 +303,7 @@ class CampaignConfig:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        parse_item = {"dimensions": _json_int, "subsimplex_scales": _json_number}
-        kwargs: dict = {}
-        for key, value in data.items():
-            if key in _INT_FIELDS:
-                kwargs[key] = _json_int(key, value)
-            elif isinstance(value, (list, tuple)):
-                parse = parse_item.get(key, lambda _, item: item)
-                kwargs[key] = tuple(parse(key, item) for item in value)
-            else:
-                raise ValueError(f"{key}: expected a list, got {value!r}")
-        cfg = cls(**kwargs)
+        cfg = cls(**{key: _from_json(value) for key, value in data.items()})
         cfg.validate()
         return cfg
 
@@ -350,8 +341,8 @@ class CampaignResult:
             "failures": self.failures,
         }
 
-    def to_json(self, *, indent: int | None = 2) -> str:
-        return dumps(self.to_json_dict(), indent=indent)
+    def to_json(self) -> str:
+        return dumps(self.to_json_dict(), indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -359,28 +350,26 @@ class CampaignResult:
 # ---------------------------------------------------------------------------
 
 
-def random_simplex(
-    dim: int,
-    rng: np.random.Generator,
-    *,
-    cond_limit: float = COND_LIMIT,
-    max_tries: int = 200,
-) -> Simplex:
-    """Standard-normal random simplex, filtered to condition number <= limit.
+#: Draws :func:`random_simplex` makes before giving up.
+_SIMPLEX_TRIES = 200
+
+
+def random_simplex(dim: int, rng: np.random.Generator) -> Simplex:
+    """Standard-normal random simplex, filtered to condition number <= COND_LIMIT.
 
     Near-degenerate simplices probe round-off, not the inequalities, so the
     harness rejects them.
     """
-    for _ in range(max_tries):
+    for _ in range(_SIMPLEX_TRIES):
         V = rng.standard_normal((dim + 1, dim))
         try:
             s = Simplex(V)
         except DegenerateSimplexError:
             continue
-        if np.linalg.cond(V[1:] - V[0]) <= cond_limit:
+        if np.linalg.cond(V[1:] - V[0]) <= COND_LIMIT:
             return s
     raise RuntimeError(
-        f"no well-conditioned simplex of dimension {dim} in {max_tries} tries"
+        f"no well-conditioned simplex of dimension {dim} in {_SIMPLEX_TRIES} tries"
     )
 
 
@@ -544,6 +533,32 @@ class _ChainAgg:
         return data
 
 
+def _descriptor(name: str, where: dict, instance, report: ChainReport, recipe) -> dict:
+    """The replayable descriptor of one chain run on ``instance``.
+
+    ``where`` locates it (``{"trial", "dimension"}`` for a campaign failure,
+    ``{"dimension": 1}`` for a cor3 witness) and ``recipe`` replays its
+    ground truth; :func:`replay_failure` reads the descriptor back.
+    """
+    func, simplex, params = instance
+    descriptor = {
+        "chain": name,
+        **where,
+        "function": func.to_json_dict(),
+        "params": {
+            key: value.to_json_dict() if isinstance(value, Simplex) else jsonable(value)
+            for key, value in params.items()
+        },
+        "ground_truth": recipe,
+        "verdict": report.verdict,
+        "slacks": list(report.slacks),
+        "tolerance": report.tolerance_used,
+    }
+    if simplex is not None:
+        descriptor["simplex"] = simplex.to_json_dict()
+    return descriptor
+
+
 def run_campaign(cfg: CampaignConfig) -> CampaignResult:
     """Run every selected chain on every trial; failures are data, not errors."""
     cfg.validate()
@@ -553,30 +568,13 @@ def run_campaign(cfg: CampaignConfig) -> CampaignResult:
     for index in range(cfg.trials_per_theorem):
         dim, seeds, instances = _build_trial(cfg, index)
         selected = ((name, inst) for name in cfg.theorems for inst in instances[name])
-        for name, (func, simplex, params), report, recipe in run_instances(
+        for name, instance, report, recipe in run_instances(
             selected, _TRIAL_SEED_SLOTS, seeds, cfg.mc_samples
         ):
             aggs[name].record(report)
             if not report.passed:
-                descriptor = {
-                    "chain": name,
-                    "trial": index,
-                    "dimension": dim,
-                    "function": func.to_json_dict(),
-                    "params": {
-                        key: value.to_json_dict()
-                        if isinstance(value, Simplex)
-                        else jsonable(value)
-                        for key, value in params.items()
-                    },
-                    "ground_truth": recipe,
-                    "verdict": report.verdict,
-                    "slacks": list(report.slacks),
-                    "tolerance": report.tolerance_used,
-                }
-                if simplex is not None:
-                    descriptor["simplex"] = simplex.to_json_dict()
-                failures.append(descriptor)
+                where = {"trial": index, "dimension": dim}
+                failures.append(_descriptor(name, where, instance, report, recipe))
     per_theorem = {name: aggs[name].summary() for name in cfg.theorems}
     return CampaignResult(
         config=cfg,
@@ -672,60 +670,20 @@ def slack_histograms_csv(result: CampaignResult) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _hinge_window_moments(
-    orientation: int, kink: float, lo: float, hi: float
-) -> tuple[float, float]:
-    """Exact first and second moments of max(0, orientation*(x - kink)) on [lo, hi]."""
-    width = hi - lo
-    if orientation > 0:
-        start = max(lo, kink)
-        if start >= hi:
-            return 0.0, 0.0
-        m1 = ((hi - kink) ** 2 - (start - kink) ** 2) / (2.0 * width)
-        m2 = ((hi - kink) ** 3 - (start - kink) ** 3) / (3.0 * width)
-    else:
-        stop = min(hi, kink)
-        if stop <= lo:
-            return 0.0, 0.0
-        m1 = ((kink - lo) ** 2 - (kink - stop) ** 2) / (2.0 * width)
-        m2 = ((kink - lo) ** 3 - (kink - stop) ** 3) / (3.0 * width)
-    return m1, m2
-
-
-def _hinge_exact_slack(
+def _hinge_slack(
     orientation: int, kink: float, p: float, q: float, a: float, b: float,
     lo: float, hi: float,
 ) -> float:
-    """Upper-bound slack of the cor3 chain for a unit hinge, exactly."""
-    f_a = max(0.0, orientation * (a - kink))
-    f_b = max(0.0, orientation * (b - kink))
-    bound = (p * f_a + q * f_b) / (p + q)
-    return bound - _hinge_window_moments(orientation, kink, lo, hi)[0]
+    """cor3 upper slack of the unit hinge ``max(0, orientation*(x - kink))``.
 
-
-# Sample count of the notional Monte Carlo mean whose standard error
-# :func:`_certifiable_margin` subtracts; it shapes the search score only.
-_SEARCH_SCORE_SAMPLES = 100_000
-
-
-def _certifiable_margin(
-    orientation: int, kink: float, p: float, q: float, a: float, b: float,
-    lo: float, hi: float,
-) -> float:
-    """How far a candidate's violation clears four standard errors of its mean.
-
-    The standard error is that of a ``_SEARCH_SCORE_SAMPLES``-sample Monte
-    Carlo mean of the hinge over the window (exact standard deviation over
-    sqrt(samples)).  Maximizing this margin (not the raw violation) steers
-    the search away from near-affine hinges whose violation is tiny.  The
-    witness itself is certified with its exact window mean.
+    The window ``[lo, hi]`` mean comes from :func:`~hhbounds.quadrature._hinge_mean`,
+    the closed form :func:`~hhbounds.quadrature.integrate_exact` uses, so
+    this is the slack the witness is certified with.
     """
-    m1, m2 = _hinge_window_moments(orientation, kink, lo, hi)
     f_a = max(0.0, orientation * (a - kink))
     f_b = max(0.0, orientation * (b - kink))
-    slack = (p * f_a + q * f_b) / (p + q) - m1
-    sigma = np.sqrt(max(m2 - m1 * m1, 0.0))
-    return -slack - 4.0 * sigma / np.sqrt(_SEARCH_SCORE_SAMPLES)
+    mean = _hinge_mean([orientation * (lo - kink), orientation * (hi - kink)])
+    return (p * f_a + q * f_b) / (p + q) - mean
 
 
 def search_cor3_counterexample(
@@ -740,15 +698,15 @@ def search_cor3_counterexample(
     """Search hinge functions violating the cor3 chain when the condition fails.
 
     Candidates are unit hinges parameterized by orientation and kink
-    location, scored by exact window moments (grid sweep, then seeded random
-    refinement around the best kink) through :func:`_certifiable_margin`.
-    ``budget`` caps the number of candidates examined.  The best candidate is
-    then verified through :func:`cor3_check` with its exact window mean
-    (:func:`~hhbounds.quadrature.integrate_exact`); a witness descriptor
-    (replayable via :func:`replay_failure`) is returned only if the verified
-    slack is negative beyond the report tolerance.
-    Returns None when the budget is exhausted without a certifiable
-    violation.
+    location, scored by the exact cor3 upper slack they would be certified
+    with (:func:`_hinge_slack`): a grid sweep over both orientations, then
+    seeded random refinement around the best kink, examining exactly
+    ``budget`` candidates.  The best one is certified by the ``cor3`` entry
+    of :data:`CHAINS` with its exact window mean
+    (:func:`~hhbounds.quadrature.integrate_exact`), and a witness descriptor
+    (replayable via :func:`replay_failure`) is returned only if its slack is
+    negative beyond the report tolerance.  Returns None when the budget is
+    exhausted without a certifiable violation.
     """
     p, q, a, b, y = float(p), float(q), float(a), float(b), float(y)
     if p <= 0.0 or q <= 0.0 or y <= 0.0:
@@ -761,59 +719,43 @@ def search_cor3_counterexample(
         raise ConditionNotViolatedError(
             "window-width condition holds; the chain is valid for every convex f"
         )
-    center = (p * a + q * b) / (p + q)
-    lo, hi = center - y, center + y
-    rng = np.random.default_rng(seed)
-
-    examined = 0
-    best: tuple[float, int, float] | None = None  # (margin, orientation, kink)
-    span_lo = min(lo, a)
-    span_hi = max(hi, b)
+    params = {"p": p, "q": q, "a": a, "b": b, "y": y}
+    window = DOMAINS["window"](None, params)
+    lo, hi = (float(x) for x in window.vertices[:, 0])
+    span_lo, span_hi = min(lo, a), max(hi, b)
     grid_size = max(1, min(budget // 2, 512))
-    grid = np.linspace(span_lo, span_hi, grid_size)
-    for orientation in (1, -1):
-        for kink in grid:
-            if examined >= budget:
-                break
-            examined += 1
-            margin = _certifiable_margin(orientation, float(kink), p, q, a, b, lo, hi)
-            if best is None or margin > best[0]:
-                best = (margin, orientation, float(kink))
+    grid = [
+        (orientation, float(kink))
+        for orientation in (1, -1)
+        for kink in np.linspace(span_lo, span_hi, grid_size)
+    ][:budget]
+    best, orientation, kink = min(
+        ((_hinge_slack(o, k, p, q, a, b, lo, hi), o, k) for o, k in grid),
+        key=lambda scored: scored[0],
+    )
     # Random refinement around the best kink found so far.
+    rng = np.random.default_rng(seed)
     radius = (span_hi - span_lo) / max(grid_size - 1, 1)
-    while examined < budget and best is not None:
-        examined += 1
-        kink = best[2] + radius * float(rng.standard_normal())
-        margin = _certifiable_margin(best[1], kink, p, q, a, b, lo, hi)
-        if margin > best[0]:
-            best = (margin, best[1], kink)
+    for _ in range(budget - len(grid)):
+        trial = kink + radius * float(rng.standard_normal())
+        score = _hinge_slack(orientation, trial, p, q, a, b, lo, hi)
+        if score < best:
+            best, kink = score, trial
             radius *= 0.7
 
-    if best is None or best[0] <= 0.0:
-        return None
-    _, orientation, kink = best
     func = ConvexFunction(
         kind="hinge_distance",
         params={"slope": [float(orientation)], "threshold": float(orientation) * kink},
         label=f"hinge-witness-{orientation:+d}",
     )
-    gt = integrate_exact(func, Simplex([[lo], [hi]]))
-    report = cor3_check(p, q, a, b, y, func, gt)
+    instance = func, None, params
+    gt = integrate_exact(func, window)
+    report = CHAINS["cor3"].run(*instance, gt)
     worst = min(report.slacks)
     if worst >= -report.tolerance_used:
         return None
-    return {
-        "chain": "cor3",
-        "dimension": 1,
-        "function": func.to_json_dict(),
-        "params": {"p": p, "q": q, "a": a, "b": b, "y": y},
-        "ground_truth": ground_truth_recipe(gt, None),
-        "verdict": report.verdict,
-        "slacks": list(report.slacks),
-        "tolerance": report.tolerance_used,
-        "kink": kink,
-        "orientation": orientation,
-        "slack": worst,
-        "exact_slack": _hinge_exact_slack(orientation, kink, p, q, a, b, lo, hi),
-        "candidates_examined": examined,
-    }
+    witness = _descriptor(
+        "cor3", {"dimension": 1}, instance, report, ground_truth_recipe(gt, None)
+    )
+    witness.update(kink=kink, orientation=orientation, slack=worst, candidates_examined=budget)
+    return witness

@@ -62,7 +62,7 @@ def _emit_container(items, open_ch, close_ch, parts, indent, level, *, keyed) ->
     pad = "" if indent is None else "\n" + " " * (indent * (level + 1))
     for i, item in enumerate(items):
         if i:
-            parts.append("," if indent is None else ",")
+            parts.append(",")
         parts.append(pad)
         if keyed:
             key, value = item
@@ -103,10 +103,10 @@ def dumps_lines(matrix) -> str:
     return "".join([template % tuple(row) for row in M])
 
 
-def write_json(path: str, obj: Any, *, indent: int | None = 2) -> None:
-    """Write ``obj`` as JSON (with a trailing newline) to ``path``."""
+def write_json(path: str, obj: Any) -> None:
+    """Write ``obj`` as JSON, indented by 2, with a trailing newline to ``path``."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps(obj, indent=indent))
+        handle.write(dumps(obj, indent=2))
         handle.write("\n")
 
 

@@ -141,26 +141,52 @@ def test_criterion_5_refinement_dominance(full_campaign):
     )
 
 
-def test_criterion_6_cor3_necessity():
+def _criterion_6_windows():
+    """The 20 (p, q, a, b, y, seed) cases of criterion 6, each window too wide."""
     weight_pairs = [(1.0, 1.0), (1.0, 3.0), (2.0, 0.5), (0.7, 0.7), (4.0, 1.0)]
     intervals = [(0.0, 1.0), (-1.0, 1.0), (2.0, 5.0), (-3.0, -1.0)]
-    found = 0
     for i, (p, q) in enumerate(weight_pairs):
         for k, (a, b) in enumerate(intervals):
             threshold = (b - a) * min(p, q) / (p + q)
             y = threshold + 0.07 * (b - a)  # 7% of the interval above threshold
-            witness = search_cor3_counterexample(
-                p, q, a, b, y, budget=10_000, seed=1000 + 20 * i + k
-            )
-            assert witness is not None, (p, q, a, b, y)
-            assert witness["slack"] < -1e-6
-            assert witness["candidates_examined"] <= 10_000
-            found += 1
+            yield p, q, a, b, y, 1000 + 20 * i + k
+
+
+def test_criterion_6_cor3_necessity():
+    found = 0
+    for p, q, a, b, y, seed in _criterion_6_windows():
+        witness = search_cor3_counterexample(p, q, a, b, y, budget=10_000, seed=seed)
+        assert witness is not None, (p, q, a, b, y)
+        assert witness["slack"] < -1e-6
+        assert witness["candidates_examined"] <= 10_000
+        found += 1
     assert found == 20
     print(
         "\nACCEPTANCE PASS criterion 6: 20/20 violated-condition instances "
         "produced witnesses with slack < -1e-6"
     )
+
+
+def test_criterion_6_witness_slack_independent():
+    # the witness slack against the cor3 upper slack of its hinge
+    # max(0, s*x - c), s = +-1, with the window mean taken from the ramp's
+    # antiderivative max(0, s*x - c)**2 / (2*s)
+    for p, q, a, b, y, seed in _criterion_6_windows():
+        witness = search_cor3_counterexample(p, q, a, b, y, budget=10_000, seed=seed)
+        params = witness["function"]["params"]
+        s, c = params["slope"][0], params["threshold"]
+
+        def ramp(x):
+            return max(0.0, s * x - c)
+
+        def antiderivative(x):
+            return ramp(x) ** 2 / (2.0 * s)
+
+        center = (p * a + q * b) / (p + q)
+        lo, hi = center - y, center + y
+        mean = (antiderivative(hi) - antiderivative(lo)) / (hi - lo)
+        ref = (p * ramp(a) + q * ramp(b)) / (p + q) - mean
+        assert abs(witness["slack"] - ref) <= 1e-12 * max(1.0, abs(ref)), (p, q, a, b)
 
 
 def test_criterion_7_cross_method_geometry():

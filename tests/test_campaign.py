@@ -599,6 +599,18 @@ class TestCor3Search:
         witness = search_cor3_counterexample(1.0, 1.0, 0.0, 1.0, 0.75, budget=64, seed=4)
         assert witness is None or witness["candidates_examined"] <= 64
 
+    def test_witness_keys_are_campaign_descriptor_keys(self):
+        # one descriptor format: a 1-D campaign failure, less its trial index,
+        # then the search's own keys
+        cfg = CampaignConfig(
+            dimensions=(1,), trials_per_theorem=24, mc_samples=2, theorems=("cor3",)
+        )
+        failure = run_campaign(cfg).failures[0]
+        witness = search_cor3_counterexample(1.0, 1.0, 0.0, 1.0, 0.75, budget=500, seed=3)
+        assert list(witness) == [key for key in failure if key != "trial"] + [
+            "kink", "orientation", "slack", "candidates_examined"
+        ]
+
 
 class TestRandomSimplex:
     def test_conditioning_filter(self):

@@ -430,7 +430,7 @@ class TestCor3Search:
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "409467e99977b33c4f1c2d7db4ad6b8e5255f77c9fa68b91d5c193ea74e29ffd"
+            "9e2623491e1f57cc91e352cfc5b1cb8e5872fb22f6a7579da8ca147778f63a41"
         )
 
     def test_exhausted_budget_reports_null(self, capsys):
