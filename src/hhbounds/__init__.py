@@ -2,8 +2,9 @@
 
 Simplex geometry primitives (volumes, two independent barycentric-coordinate
 routes, subsimplex constructors), a zoo of convex test functions, quadrature
-ground truth (closed form for the polynomial kinds, the hinge and the 1-D
-max of affines, seeded Monte Carlo otherwise),
+ground truth (closed form for the polynomial kinds, the hinge and the 1-D or
+two-piece max of affines, Grundmann-Moller cubature for log-sum-exp where it
+converges, seeded Monte Carlo otherwise),
 one operation per published bound chain, and a randomized verification
 harness with tightness analytics and counterexample search.
 """
@@ -66,6 +67,7 @@ from .quadrature import (
     EXACT_KINDS,
     IntegralEstimate,
     ground_truth,
+    integrate_cubature,
     integrate_exact,
     integrate_mc,
     sample_uniform,
@@ -95,6 +97,7 @@ __all__ = [
     "cor3_condition_holds",
     "default_config",
     "ground_truth",
+    "integrate_cubature",
     "integrate_exact",
     "integrate_mc",
     "midpoint_convexity_check",

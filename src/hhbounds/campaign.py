@@ -11,8 +11,8 @@ params)``, and carries its tightness triple and whether it is 1-D only.
 truth per domain and integrating the domains of one seed slot together, on
 one Monte Carlo weight stream, before any chain runs; the campaign,
 :func:`replay_failure` and ``hh bounds`` all go through it, and the
-exact-or-Monte-Carlo policy and its replay recipes live in
-:mod:`hhbounds.quadrature`.  A campaign trial puts its parent simplex and
+ground-truth policy (exact, cubature or Monte Carlo) and its replay recipes
+live in :mod:`hhbounds.quadrature`.  A campaign trial puts its parent simplex and
 subsimplex on one slot, and its cor2 interval and cor3 window on another.
 
 A campaign draws, per trial, a well-conditioned random simplex, a random
@@ -465,7 +465,7 @@ def tightness_ratio(values, triple, tolerance: float = TOL_CHAIN) -> float | Non
 
     The gap counts as degenerate when it does not clear ``tolerance`` (the
     report's verdict tolerance: 1e-8, or 4 std errors for Monte Carlo
-    ground truth).  With that guard the ratio is at most 1: the refined
+    ground truth; see :func:`~hhbounds.chains.chain_tolerance`).  With that guard the ratio is at most 1: the refined
     bound never exceeds the classical one and both terms share the same
     mean estimate.
     """

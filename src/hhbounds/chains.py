@@ -5,8 +5,9 @@ for a convex function on a simplex and packages the terms, consecutive
 slacks, and a pass/fail verdict into a :class:`ChainReport`.  Terms are
 ordered the way the chain is written: lower bounds ascending to the integral
 mean, then upper bounds ascending.  A chain passes when every consecutive
-slack is ``>= -tolerance``; against Monte Carlo ground truth the tolerance
-widens to four standard errors so sampling noise cannot raise false alarms.
+slack is ``>= -tolerance`` (:func:`chain_tolerance`); against Monte Carlo
+ground truth the tolerance widens to four standard errors so sampling noise
+cannot raise false alarms.
 
 Chain catalogue (``CHAIN_NAMES``):
 
@@ -70,7 +71,13 @@ CHAIN_NAMES: tuple[str, ...] = (
 
 
 def chain_tolerance(gt: IntegralEstimate | None) -> float:
-    """Verdict tolerance: TOL_CHAIN, widened to 4 std errors for MC truth."""
+    """Verdict tolerance: ``max(TOL_CHAIN, 4 * gt.std_error)``.
+
+    A closed-form mean has no error, and the ground-truth policy accepts a
+    cubature mean only when its error estimate is at most TOL_CHAIN / 10,
+    so both are judged at TOL_CHAIN.  Against Monte Carlo it widens to four
+    standard errors.
+    """
     if gt is None:
         return TOL_CHAIN
     return max(TOL_CHAIN, 4.0 * gt.std_error)

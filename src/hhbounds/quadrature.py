@@ -1,9 +1,11 @@
 """Ground-truth integral means over simplices.
 
-Two routes:
+Three routes:
 
 * seeded uniform Monte Carlo (any function kind), with the uniform measure
   realized by normalized-exponential Dirichlet weights over the vertices;
+* Grundmann-Moller cubature (any function kind; :func:`integrate_cubature`),
+  with an embedded error estimate;
 * exact closed-form means (:func:`has_exact_mean` says where):
 
   - ``affine`` and ``quadratic_psd``, in any dimension, via the first and
@@ -27,10 +29,30 @@ Two routes:
     recurrence), so nearly coinciding nodes cause no cancellation;
   - ``max_of_affines`` on a 1-D simplex: the trapezoid rule on the interval
     ends and the pieces' pairwise intersections inside it, exact because
-    the function is linear between consecutive points.
+    the function is linear between consecutive points;
+  - ``max_of_affines`` with two pieces in any dimension:
+    ``max(l1, l2) = l1 + max(0, l2 - l1)``, so the mean is ``l1`` at the
+    centroid plus the hinge mean of ``l2 - l1``.
 
 The second-moment formula and each closed form are re-verified against
 Monte Carlo in the test suite rather than trusted.
+
+The Grundmann-Moller rule of degree ``2S+1`` (Grundmann & Moller 1978,
+*SIAM J. Numer. Anal.* 15) integrates every polynomial of that degree
+exactly.  Its nodes have barycentric coordinates ``(2b+1)/(n+1+2j)`` for
+every ``b`` in ``N^(n+1)`` with ``|b| = j <= S``, and the rule is a signed
+combination of the level sums ``T_j`` of ``f`` over those nodes::
+
+    Q_S = sum_j  w(S, j) T_j
+    w(S, j) = (-1)^i 2^(-2S) (n+1+2j)^(2S+1) n! / (i! (n+1+2S-i)!),  i = S - j
+
+The weights are exact integer ratios, rounded once by Python's int/int
+division.  The rule of degree ``2S-1`` uses the same level sums, so
+``|Q_S - Q_(S-1)|`` is an error estimate at no extra cost; it is the
+estimate's ``std_error``.  Both rules are applied to ``f`` less its value at
+the centroid, which they integrate exactly, so their rounding scales with
+the variation of ``f``.  ``n+1+2S`` choose ``n+1`` nodes are evaluated: at
+degree 15, 36 on an interval and 11 440 in 8-D.
 
 Uniform weights depend only on the dimension and the seed, not on the
 simplex, so :func:`integrate_mc_shared` integrates several ``(function,
@@ -40,7 +62,15 @@ simplex)`` pairs of one dimension on one weight stream, drawn in blocks of
 to drawing, normalising and evaluating all rows at once.
 
 :func:`ground_truths` is the one policy choosing between the routes
-(:func:`ground_truth` is its one-pair case).  Each estimate it makes has a
+(:func:`ground_truth` is its one-pair case): exact where
+:func:`has_exact_mean` allows; for the kinds in :data:`CUBATURE_KINDS`, the
+degree-:data:`CUBATURE_DEGREE` cubature when the input lies in the range the
+rule's accuracy tests cover (:data:`CUBATURE_MAX_DIMENSION`,
+:data:`CUBATURE_MAX_SPREAD`, :data:`CUBATURE_MAX_ARGUMENT`) and its error
+estimate is at most :data:`CUBATURE_MAX_ERROR`; Monte Carlo otherwise.  The
+estimate alone is not enough: it is a heuristic, and where the function has
+a kink sharper than the nodes resolve, the degree-13 and degree-15 rules can
+agree while both miss the mean.  Each estimate it makes has a
 replay recipe (:func:`ground_truth_recipe`), and :func:`replay_ground_truth`
 turns a recipe back into the same estimate, also for an estimate that
 shared its weight stream.
@@ -48,14 +78,25 @@ shared its weight stream.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError, UnsupportedKindError
 from .geometry import Simplex
+from .tolerances import TOL_CHAIN
 
 __all__ = [
+    "CUBATURE_DEGREE",
+    "CUBATURE_KINDS",
+    "CUBATURE_MAX_ARGUMENT",
+    "CUBATURE_MAX_DIMENSION",
+    "CUBATURE_MAX_ERROR",
+    "CUBATURE_MAX_SPREAD",
     "EXACT_KINDS",
     "IntegralEstimate",
     "MC_BLOCK_ROWS",
@@ -63,6 +104,7 @@ __all__ = [
     "ground_truth_recipe",
     "ground_truths",
     "has_exact_mean",
+    "integrate_cubature",
     "integrate_exact",
     "integrate_mc",
     "integrate_mc_shared",
@@ -72,10 +114,46 @@ __all__ = [
 
 METHOD_MC = "monte_carlo"
 METHOD_EXACT = "exact_polynomial"
+METHOD_CUBATURE = "cubature"
 
 #: Function kinds with an exact closed-form mean in every dimension
-#: (``max_of_affines`` has one on 1-D simplices only; see :func:`has_exact_mean`).
+#: (``max_of_affines`` has one on 1-D simplices and with two pieces; see
+#: :func:`has_exact_mean`).
 EXACT_KINDS: tuple[str, ...] = ("affine", "quadratic_psd", "hinge_distance")
+
+#: Kinds whose ground truth is tried by cubature before Monte Carlo.
+CUBATURE_KINDS: tuple[str, ...] = ("log_sum_exp",)
+
+#: Degree of the ground-truth cubature rule (``2S+1`` with ``S = 7``).
+CUBATURE_DEGREE = 15
+
+#: Largest cubature error estimate the policy accepts.  A tenth of
+#: TOL_CHAIN, so four times it stays below TOL_CHAIN and a cubature verdict
+#: is judged at TOL_CHAIN.
+CUBATURE_MAX_ERROR = TOL_CHAIN / 10
+
+#: Most nodes :func:`integrate_cubature` evaluates; a larger degree raises.
+CUBATURE_MAX_NODES = 200_000
+
+#: The policy tries cubature only in dimensions up to this one (11 440 nodes
+#: at degree 15), the range the rule's accuracy tests cover.  Above it the
+#: node count passes the 10^5 default Monte Carlo rows, and in 15-D the cap
+#: of :data:`CUBATURE_MAX_NODES`.
+CUBATURE_MAX_DIMENSION = 8
+
+#: The policy tries cubature only where every pairwise difference of
+#: ``log_sum_exp`` arguments ``A_i.x + b_i`` spans at most this much over the
+#: simplex.  The spread sets how sharp the function's kinks are, so it bounds
+#: the rule's true error whatever its error estimate says: two-piece functions
+#: with their kink inside the simplex, in dims 1-8, stay below 2e-10 at a
+#: spread of 3, and reach 1.5e-9 in 1-D at a spread of 4, where the degree-13
+#: and degree-15 rules can still agree to 1e-10.
+CUBATURE_MAX_SPREAD = 3.0
+
+#: ... and where every argument stays within this magnitude on the simplex.
+#: The absolute weights of the degree-15 rule sum to under 1400 (8-D), so
+#: rounding of values of this size moves the mean by well under 1e-10.
+CUBATURE_MAX_ARGUMENT = 100.0
 
 #: Weight rows per block of :func:`integrate_mc_shared`; the value changes
 #: no result.  On 48-trial default-mix campaign rounds (2-core Xeon, one
@@ -88,7 +166,8 @@ class IntegralEstimate:
     """A normalized integral (1/Vol) * integral of f, with its uncertainty.
 
     ``std_error`` is sample standard deviation / sqrt(samples) for Monte
-    Carlo and exactly zero for the closed-form route.
+    Carlo, the embedded error estimate for cubature, and exactly zero for
+    the closed-form route.  Only Monte Carlo has ``samples``.
     """
 
     mean_value: float
@@ -97,7 +176,7 @@ class IntegralEstimate:
     samples: int
 
     def __post_init__(self) -> None:
-        if self.method not in (METHOD_MC, METHOD_EXACT):
+        if self.method not in (METHOD_MC, METHOD_EXACT, METHOD_CUBATURE):
             raise ValueError(f"unknown method {self.method!r}")
         if self.std_error < 0.0 or not np.isfinite(self.std_error):
             raise ValueError("std_error must be finite and nonnegative")
@@ -105,6 +184,8 @@ class IntegralEstimate:
             raise ValueError("mean_value must be finite")
         if self.method == METHOD_EXACT and (self.samples != 0 or self.std_error != 0.0):
             raise ValueError("exact estimates carry no samples and no error")
+        if self.method == METHOD_CUBATURE and self.samples != 0:
+            raise ValueError("cubature estimates carry no samples")
         if self.method == METHOD_MC and self.samples < 2:
             raise ValueError("monte_carlo estimates need samples >= 2")
 
@@ -226,10 +307,88 @@ def integrate_mc(f, s: Simplex, count: int, seed: int) -> IntegralEstimate:
     return integrate_mc_shared([(f, s)], count, seed)[0]
 
 
+@functools.lru_cache(maxsize=16)  # a campaign uses one entry per dimension
+def _gm_numerators(n: int, order: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Numerators ``2b+1`` of the Grundmann-Moller nodes, level by level.
+
+    Level ``j <= order`` holds the ``C(j+n, n)`` compositions ``b`` of ``j``
+    into ``n+1`` parts (stars and bars); its nodes are ``(2b+1)/(n+1+2j)``.
+    Returns the stacked ``uint16`` numerators and the row count of each level.
+    Only these small integer tables are cached, no float nodes.
+    """
+    rows: list[list[int]] = []
+    counts = []
+    for j in range(order + 1):
+        level = [
+            [2 * (hi - lo) - 1 for lo, hi in zip((-1, *bars), (*bars, j + n))]
+            for bars in itertools.combinations(range(j + n), n)
+        ]
+        rows += level
+        counts.append(len(level))
+    table = np.array(rows, dtype=np.uint16)
+    table.setflags(write=False)
+    return table, tuple(counts)
+
+
+@functools.lru_cache(maxsize=32)
+def _gm_weights(n: int, order: int) -> tuple[float, ...]:
+    """Weights ``w(order, j)`` of the level sums (module docstring), as floats.
+
+    Each is an exact integer ratio rounded once by int/int division.
+    """
+    weights = []
+    for j in range(order + 1):
+        i = order - j
+        num = (n + 1 + 2 * j) ** (2 * order + 1) * math.factorial(n)
+        den = 4**order * math.factorial(i) * math.factorial(n + 1 + 2 * order - i)
+        weights.append((-1) ** i * num / den)
+    return tuple(weights)
+
+
+def integrate_cubature(f, s: Simplex, degree: int) -> IntegralEstimate:
+    """Mean of ``f`` over ``s`` by the Grundmann-Moller rule of ``degree``.
+
+    ``degree`` is an odd integer ``2S+1 >= 3``.  ``std_error`` is the error
+    estimate ``|Q_S - Q_(S-1)|`` against the rule of degree ``degree - 2``
+    on the same level sums (module docstring); ``samples`` is 0.  The same
+    ``f``, simplex and degree give the same estimate bit for bit.
+    """
+    if (
+        isinstance(degree, bool)
+        or not isinstance(degree, numbers.Integral)
+        or degree < 3
+        or degree % 2 == 0
+    ):
+        raise ValueError(f"cubature degree must be an odd integer >= 3, got {degree!r}")
+    n = s.dimension
+    if getattr(f, "dim", n) != n:
+        raise DimensionMismatchError(
+            f"function dimension {f.dim} does not match simplex {n}"
+        )
+    order = (int(degree) - 1) // 2
+    if math.comb(n + 1 + order, n + 1) > CUBATURE_MAX_NODES:
+        raise ValueError(
+            f"cubature degree {degree} in dimension {n} needs more than "
+            f"{CUBATURE_MAX_NODES} nodes"
+        )
+    numerators, counts = _gm_numerators(n, order)
+    denominators = np.repeat(n + 1 + 2 * np.arange(order + 1), counts)
+    values = f((numerators / denominators[:, None]) @ s.vertices)
+    center = float(values[0])  # the level-0 node is the centroid
+    values = values - center
+    stops = itertools.accumulate(counts)
+    sums = [float(values[stop - count : stop].sum()) for stop, count in zip(stops, counts)]
+    fine = math.fsum(w * t for w, t in zip(_gm_weights(n, order), sums))
+    coarse = math.fsum(w * t for w, t in zip(_gm_weights(n, order - 1), sums))
+    return IntegralEstimate(center + fine, abs(fine - coarse), METHOD_CUBATURE, 0)
+
+
 def has_exact_mean(f, s: Simplex) -> bool:
     """Whether :func:`integrate_exact` has a closed form for ``f`` over ``s``."""
     kind = getattr(f, "kind", None)
-    return kind in EXACT_KINDS or (kind == "max_of_affines" and s.dimension == 1)
+    if kind == "max_of_affines":
+        return s.dimension == 1 or len(f.params["offsets"]) == 2
+    return kind in EXACT_KINDS
 
 
 def _hinge_mean(t: np.ndarray) -> float:
@@ -274,7 +433,8 @@ def integrate_exact(f, s: Simplex) -> IntegralEstimate:
     if not has_exact_mean(f, s):
         raise UnsupportedKindError(
             f"no exact mean for kind {kind!r} in dimension {s.dimension}; supported: "
-            f"{EXACT_KINDS} in any dimension, 'max_of_affines' in dimension 1"
+            f"{EXACT_KINDS} in any dimension, 'max_of_affines' in dimension 1 "
+            "or with two pieces"
         )
     if f.dim != s.dimension:
         raise DimensionMismatchError(
@@ -292,19 +452,52 @@ def integrate_exact(f, s: Simplex) -> IntegralEstimate:
         mean = float((moments * gram).sum() + p["slope"] @ centroid + p["offset"])
     elif kind == "hinge_distance":
         mean = _hinge_mean(s.vertices @ p["slope"] - p["threshold"])
-    else:
+    elif s.dimension == 1:
         mean = _max_of_affines_mean_1d(f, s)
+    else:  # two pieces: l1 + max(0, l2 - l1)
+        (a1, a2), (b1, b2) = p["slopes"], p["offsets"]
+        mean = float(a1 @ centroid + b1) + _hinge_mean(s.vertices @ (a2 - a1) + (b2 - b1))
     return IntegralEstimate(mean, 0.0, METHOD_EXACT, 0)
+
+
+def _cubature_admissible(f, s: Simplex) -> bool:
+    """Whether the policy tries cubature for ``f`` over ``s``.
+
+    ``f`` must be a ``log_sum_exp`` within :data:`CUBATURE_MAX_DIMENSION`,
+    :data:`CUBATURE_MAX_SPREAD` and :data:`CUBATURE_MAX_ARGUMENT`.  The
+    arguments are affine, so their extremes on ``s`` are at its vertices.
+    """
+    if getattr(f, "kind", None) not in CUBATURE_KINDS or s.dimension > CUBATURE_MAX_DIMENSION:
+        return False
+    Z = f.params["slopes"] @ s.vertices.T + f.params["offsets"][:, None]
+    gaps = Z[:, None, :] - Z[None, :, :]
+    spread = (gaps.max(axis=2) - gaps.min(axis=2)).max()
+    return spread <= CUBATURE_MAX_SPREAD and np.abs(Z).max() <= CUBATURE_MAX_ARGUMENT
+
+
+def _deterministic_mean(f, s: Simplex) -> IntegralEstimate | None:
+    """The exact or accepted cubature mean of ``f`` over ``s``, else None."""
+    if has_exact_mean(f, s):
+        return integrate_exact(f, s)
+    if _cubature_admissible(f, s):
+        estimate = integrate_cubature(f, s, CUBATURE_DEGREE)
+        if estimate.std_error <= CUBATURE_MAX_ERROR:
+            return estimate
+    return None
 
 
 def ground_truths(pairs, mc_samples: int = 100_000, seed: int = 0) -> list[IntegralEstimate]:
     """The ground-truth policy for ``(f, simplex)`` pairs of one dimension.
 
-    Exact where :func:`has_exact_mean` allows; the other pairs by Monte
-    Carlo, all on the one weight stream of ``seed`` (:func:`integrate_mc_shared`).
+    Exact where :func:`has_exact_mean` allows; for a kind in
+    :data:`CUBATURE_KINDS` inside the limits of :func:`_cubature_admissible`,
+    the degree-:data:`CUBATURE_DEGREE` cubature if its error estimate is at
+    most :data:`CUBATURE_MAX_ERROR`; the other
+    pairs by Monte Carlo, all on the one weight stream of ``seed``
+    (:func:`integrate_mc_shared`).
     """
     pairs = list(pairs)
-    estimates = [integrate_exact(f, s) if has_exact_mean(f, s) else None for f, s in pairs]
+    estimates = [_deterministic_mean(f, s) for f, s in pairs]
     mc = [i for i, est in enumerate(estimates) if est is None]
     if mc:
         shared = integrate_mc_shared([pairs[i] for i in mc], mc_samples, seed)
@@ -314,17 +507,19 @@ def ground_truths(pairs, mc_samples: int = 100_000, seed: int = 0) -> list[Integ
 
 
 def ground_truth(f, s: Simplex, mc_samples: int = 100_000, seed: int = 0) -> IntegralEstimate:
-    """The ground-truth policy for one pair: exact where it can be, else MC."""
+    """The ground-truth policy for one pair: exact, cubature or MC."""
     return ground_truths([(f, s)], mc_samples, seed)[0]
 
 
 def ground_truth_recipe(estimate: IntegralEstimate, seed: int | None) -> dict:
     """The replay recipe of an estimate that :func:`ground_truths` made with ``seed``.
 
-    An exact estimate's recipe names only its method, so its ``seed`` may be None.
+    Exact and cubature recipes do not use ``seed``, so it may be None for them.
     """
     if estimate.method == METHOD_EXACT:
         return {"method": METHOD_EXACT}
+    if estimate.method == METHOD_CUBATURE:
+        return {"method": METHOD_CUBATURE, "degree": CUBATURE_DEGREE}
     return {"method": METHOD_MC, "samples": estimate.samples, "seed": seed}
 
 
@@ -334,12 +529,15 @@ def replay_ground_truth(
     """Recompute an estimate from its recipe by the method the recipe records.
 
     A Monte Carlo recipe replays by Monte Carlo even for a kind that now has
-    an exact mean, so old descriptors reproduce bit for bit.  ``mc_samples``
-    overrides the recorded sample count; None keeps it.
+    an exact or cubature mean, so old descriptors reproduce bit for bit.
+    ``mc_samples`` overrides the recorded sample count of a Monte Carlo
+    recipe; None keeps it.
     """
     method = recipe["method"]
     if method == METHOD_EXACT:
         return integrate_exact(f, s)
+    if method == METHOD_CUBATURE:
+        return integrate_cubature(f, s, recipe["degree"])
     if method != METHOD_MC:
         raise ValueError(f"unknown ground-truth method {method!r}")
     samples = int(recipe["samples"] if mc_samples is None else mc_samples)

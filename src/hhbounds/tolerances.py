@@ -2,14 +2,16 @@
 
 One absolute tolerance governs geometric identities (barycentric weights,
 reconstructions, centroid matching) and one governs inequality-chain
-assertions.  Chain verdicts against Monte Carlo ground truth widen the chain
-tolerance to four standard errors; see ``hhbounds.chains.chain_tolerance``.
+assertions.  Chain verdicts widen the chain tolerance to four times the
+ground truth's error: its standard error for Monte Carlo; for cubature, the
+error estimate, which the ground-truth policy caps at TOL_CHAIN / 10 so the
+tolerance stays TOL_CHAIN.  See ``hhbounds.chains.chain_tolerance``.
 """
 
 #: Absolute tolerance for barycentric weights, reconstructions and centroids.
 TOL_GEOM: float = 1e-9
 
-#: Absolute tolerance for inequality-chain slacks (exact ground truth).
+#: Absolute tolerance for inequality-chain slacks (exact or cubature ground truth).
 TOL_CHAIN: float = 1e-8
 
 #: A simplex is rejected as degenerate when |det(edge matrix)| falls below

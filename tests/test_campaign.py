@@ -208,12 +208,12 @@ class TestRunCampaign:
         cfg = CampaignConfig(trials_per_theorem=48, mc_samples=2000)
         digest = hashlib.sha256(run_campaign(cfg).to_json().encode()).hexdigest()
         assert digest == (
-            "aba27cfacc10089f6a8b11dbcf48abdad6972754176ecba8389adf4bb6fb36f7"
+            "0ce53776031d1e600a7e10dc38cb07dec8a79ffd2b6147b9a1479d42f0e6c004"
         )
 
     def test_polynomial_and_smooth_kinds_result_pinned(self):
-        # The default mix without max_of_affines and hinge_distance, whose
-        # ground-truth routes are the ones that may change.
+        # The default mix without max_of_affines and hinge_distance: the
+        # closed-form, cubature and Monte Carlo kinds of the ground-truth policy.
         cfg = CampaignConfig(
             trials_per_theorem=48,
             mc_samples=2000,
@@ -221,18 +221,18 @@ class TestRunCampaign:
         )
         digest = hashlib.sha256(run_campaign(cfg).to_json().encode()).hexdigest()
         assert digest == (
-            "8abb5ea8917297091910801bd7e9d2f68da3d10514a7ae1d2ec48a575508ca2b"
+            "355340a3bde451960170d0f6872f25abde7c3a1012eec1c79b0d8d85afed5911"
         )
 
     #: sha256 of ``dumps(per_theorem[name])`` for the simplex chains of a
-    #: max_of_affines campaign in dims 2-8, where its draws and its Monte
-    #: Carlo ground truth stay as they are.
+    #: max_of_affines campaign in dims 2-8: exact ground truth for two
+    #: pieces, Monte Carlo for three to five.
     _MAX_OF_AFFINES_SECTIONS = {
-        "choquet": "45171b7f6df11a2eab0c17d34e71ca01bc97f70674ec910ed64212325d45a8ed",
-        "thm2": "bef7cbe9870e9bfac8041923920c06c246eeab3fd7f15b8154b3cc119bbedf63",
-        "thm3": "811430363907fa1c4ed1329e42b0109fe00cfb87e58f58cce6ae55c105cadbb3",
-        "thm4": "ca3a609cd7d698fc93514266c816d9708f56b3230529a015f996bfd2faa57077",
-        "thm5": "b3b86f52e031522229989945337a48281dc690494353905249d7592844d2ec70",
+        "choquet": "6bf483adea90f41ff2b7caba2c6493d95970533e23584615f392067060371c9c",
+        "thm2": "1445f9b1db007b63094f47734db92f9a10a76f8cebe90c245a38f359702625a2",
+        "thm3": "2cfe15048bf1e17331f28e62434d898d70c79266f7c4fbb602c3bce92eb7dedd",
+        "thm4": "2dc35c135408684cd51b662219e00af9707f80db976c45b764a3d04b1cf925e8",
+        "thm5": "ee79487a266a08a175ec41fba6056e4288f8a6a684cf8f1b35ac3fd609e22f69",
         "thm6": "3d040bb0fef91f0dcb8151bae730d77856f05b35d11ad75c874c73e7d55929b2",
     }
 
@@ -252,21 +252,22 @@ class TestRunCampaign:
 
     #: sha256 of ``dumps(per_theorem[name])`` for the chains on the parent
     #: simplex and the cor2 interval, and for thm6, for the 48-trial default
-    #: mix at 2000 and at 2 MC samples.
+    #: mix at 2000 and at 2 MC samples.  thm6 has no ground truth, so its
+    #: sections stay as they were before any ground-truth change.
     _UNMOVED_SECTIONS = {
         2000: {
             "choquet": "98e27b5a514f95afe916d04860c9212782136043197b020a0a529b840a9fe497",
-            "thm2": "d4d2b1de4ba5cf2bba7aadf35bf85120957d607b110f59eab458113fa52648bd",
-            "thm3": "c41cdaa5dbc8e1e63605298670b4e0d5543db871941c76dc25edcbf6a5bb66ca",
+            "thm2": "fb5269c4e61559302af16d908dbc5c5575ecffe8a355e4c38df2c609c8c86207",
+            "thm3": "ad43833a157aed2f0615d1f6af9c5187675fdd3e8933c2ed75887af9001270a0",
             "thm6": "3b72cb365ad5e8dedf92d5b0a97bed9b37e4199608ad5d01a5d20b4f152aedee",
-            "cor2": "d0cbdcf7d880e17b14bd4767a70801b2f1fdb82f53683f7ed23ba22f02fba393",
+            "cor2": "f0ff31fb44a67139338ee6914d01130c314ca212d1ff4731394685617deec844",
         },
         2: {
             "choquet": "c331512bbe0e31fa0961d9a01b67b41b454c1228b74426b2f201014e5ba03911",
-            "thm2": "8c2e9933b4dc382e58f0291a633b19f5111f6b5f0417bf33d7ac1ca564451774",
-            "thm3": "697f4d3a38f4b763780a5749c6c6353ef88301e921401e0c194c56441ccd7626",
+            "thm2": "c29b6101be3d6add00c2449f5c1492965d7b557c181a9244f5185f2ea4e0e1e4",
+            "thm3": "15e4a1557e46fec37819c8291b872eced9092a6661e5b5ad15441fba5536c634",
             "thm6": "3b72cb365ad5e8dedf92d5b0a97bed9b37e4199608ad5d01a5d20b4f152aedee",
-            "cor2": "0d3113c7eb455a68a022842ce7bdf48ab81010a02f869df7d930e1ebb0b99d21",
+            "cor2": "a04b39b99465138c16090c9ca68e5b93d45160f4943e874304eb217f942c898c",
         },
     }
 
@@ -284,10 +285,15 @@ class TestRunCampaign:
         # window), each shared by every chain on its domain; the parent and
         # subsimplex estimates share one weight stream, and so do the
         # interval and window estimates.  Of the 8 hinge_distance trials all
-        # 32 are exact; of the 8 max_of_affines trials, the 16 on 1-D
-        # intervals and windows and the 4 on the two 1-D parents are exact.
-        counts = {"streams": 0, "mc": 0, "exact": 0}
+        # 32 are exact; of the 8 max_of_affines trials (none with two pieces
+        # in dims >= 2), the 16 on 1-D intervals and windows and the 4 on the
+        # two 1-D parents are exact.  Of the 32 domains of the 8 log_sum_exp
+        # trials, 25 lie within the cubature limits (dimension, argument
+        # spread and magnitude) and its estimate is accepted on all 25; the
+        # other 7 go to Monte Carlo.
+        counts = {"streams": 0, "mc": 0, "exact": 0, "cubature": 0, "accepted": 0}
         shared, exact = quadrature.integrate_mc_shared, quadrature.integrate_exact
+        cubature = quadrature.integrate_cubature
 
         def counting_shared(pairs, *args):
             counts["streams"] += 1
@@ -298,10 +304,20 @@ class TestRunCampaign:
             counts["exact"] += 1
             return exact(*args)
 
+        def counting_cubature(*args):
+            estimate = cubature(*args)
+            counts["cubature"] += 1
+            counts["accepted"] += estimate.std_error <= quadrature.CUBATURE_MAX_ERROR
+            return estimate
+
         monkeypatch.setattr(quadrature, "integrate_mc_shared", counting_shared)
         monkeypatch.setattr(quadrature, "integrate_exact", counting_exact)
+        monkeypatch.setattr(quadrature, "integrate_cubature", counting_cubature)
         run_campaign(CampaignConfig(trials_per_theorem=48))
-        assert counts == {"streams": 38, "mc": 76, "exact": 116}
+        assert counts == {
+            "streams": 29, "mc": 51, "exact": 116, "cubature": 25, "accepted": 25
+        }
+        assert counts["exact"] + counts["accepted"] + counts["mc"] == 4 * 48
 
     def test_single_chain_selection_keeps_its_section(self):
         # a shared pass gives each domain the estimate it gets alone, so a
@@ -414,13 +430,11 @@ class TestPinnedReplay:
         result = run_campaign(CampaignConfig(trials_per_theorem=48, mc_samples=2))
         text = result.to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "2411eb7f0c3f87c38f61cb0c757f05b4495989bc9740f9ed1f84bc858c8d8aa3"
+            "fa441e6af7fe527fa0cc0ac61b91dc967139a73014d45af868b368eb781e6a32"
         )
         failures = json.loads(text)["failures"]
-        assert len(failures) == 26
-        assert {d["chain"] for d in failures} == {
-            "choquet", "thm2", "thm3", "thm4", "cor2", "cor3"
-        }
+        assert len(failures) == 21
+        assert {d["chain"] for d in failures} == {"choquet", "thm2", "thm3", "thm4", "cor2"}
         for descriptor in failures:
             report = replay_failure(descriptor)
             assert list(report.slacks) == descriptor["slacks"]
@@ -603,7 +617,11 @@ class TestCor3Search:
         # one descriptor format: a 1-D campaign failure, less its trial index,
         # then the search's own keys
         cfg = CampaignConfig(
-            dimensions=(1,), trials_per_theorem=24, mc_samples=2, theorems=("cor3",)
+            dimensions=(1,),
+            trials_per_theorem=24,
+            mc_samples=2,
+            theorems=("cor3",),
+            function_kinds=("exp_affine",),
         )
         failure = run_campaign(cfg).failures[0]
         witness = search_cor3_counterexample(1.0, 1.0, 0.0, 1.0, 0.75, budget=500, seed=3)

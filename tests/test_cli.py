@@ -181,8 +181,8 @@ class TestBounds:
     ):
         # thm4 and thm5 use one subsimplex ground truth: the reports equal
         # those of separate calls, with one MC integral fewer.
-        path = str(tmp_path / "lse.json")
-        write_json(path, random_convex(2, "log_sum_exp", 4).to_json_dict())
+        path = str(tmp_path / "exp.json")
+        write_json(path, random_convex(2, "exp_affine", 4).to_json_dict())
         calls = []
         shared = quadrature.integrate_mc_shared
 
@@ -213,9 +213,12 @@ class TestBounds:
 class TestBoundsPinned:
     """sha256 of ``hh bounds`` stdout on fixed instances with every flag set.
 
-    The Monte Carlo cases pin the seed of each ground-truth domain: the
-    simplex (also cor2's interval), the thm4/thm5 subsimplex and the cor3
-    window each draw from their own slot of ``--seed``.
+    The ``exp_affine`` cases are Monte Carlo and pin the seed of each
+    ground-truth domain: the simplex (also cor2's interval), the thm4/thm5
+    subsimplex and the cor3 window each draw from their own slot of
+    ``--seed``.  ``LSE_3D`` is judged against Monte Carlo on the simplex,
+    where its arguments spread past ``CUBATURE_MAX_SPREAD`` (3.26), and
+    against cubature on the subsimplex; the others against closed forms.
     """
 
     SIMPLEX_3D = [[0.0, 0.0, 0.0], [1.5, 0.1, 0.0], [0.2, 1.3, 0.1], [0.1, 0.3, 1.2]]
@@ -235,7 +238,9 @@ class TestBoundsPinned:
             "offset": 0.5,
         },
     }
+    EXP_3D = {"kind": "exp_affine", "params": {"slope": [0.8, -0.4, 0.3], "offset": -0.2}}
     HINGE_1D = {"kind": "hinge_distance", "params": {"slope": [1.0], "threshold": -0.2}}
+    EXP_1D = {"kind": "exp_affine", "params": {"slope": [1.2], "offset": -0.3}}
     QUAD_1D = {
         "kind": "quadratic_psd",
         "params": {"matrix": [[2.0]], "slope": [-0.5], "offset": 0.1},
@@ -262,8 +267,9 @@ class TestBoundsPinned:
     @pytest.mark.parametrize(
         "func_name, expected",
         [
-            ("LSE_3D", "dba6c757744b0308428252bb2461a61856ef136b494547da2a1546f17b54254e"),
+            ("LSE_3D", "016a4903b3489b8d2315c37961ba906f08f4d51d800aa9d56f76594622be5c48"),
             ("QUAD_3D", "029b06d9d48d9bb3a92b61bb414e991fd3ad03857f370206cd5c8f28698d981f"),
+            ("EXP_3D", "b5ce92e5f7aa16d642202a9b47ef41b5998343ee3409e1c48a9d92210ad19f55"),
         ],
     )
     def test_simplex_chains(self, capsys, tmp_path, func_name, expected):
@@ -276,6 +282,7 @@ class TestBoundsPinned:
         [
             ("HINGE_1D", "52350841abc64dea821d3d7d067968a1ba9a6a446483b7cf69f4163216dcc3df"),
             ("QUAD_1D", "e7902074956bf294ad1b7f52e99e0a6e5ae16089f587969eb1a792d7a00daa4d"),
+            ("EXP_1D", "4c8e21fd030084e64c8d274017eb1cffd86a3b5e78a46c74c9060aeb6af723b1"),
         ],
     )
     def test_interval_chains(self, capsys, tmp_path, func_name, expected):

@@ -453,14 +453,68 @@ class TestMaxOfAffines1D:
         assert integrate_exact(f, Simplex([[-3.0], [-1.0]])).mean_value == 2.0
 
     def test_higher_dimensions_unsupported(self):
+        # three or more pieces in dims >= 2 have no closed form
         s = standard_simplex(2)
         f = random_convex(2, "max_of_affines", 3, simplex=s)
+        assert len(f.params["offsets"]) > 2
         with pytest.raises(UnsupportedKindError):
             integrate_exact(f, s)
         assert ground_truth(f, s, mc_samples=500, seed=1).method == "monte_carlo"
         g = random_convex(1, "max_of_affines", 3, simplex=UNIT_INTERVAL)
         assert ground_truth(g, UNIT_INTERVAL, mc_samples=500, seed=1).method == (
             "exact_polynomial"
+        )
+
+
+def _two_pieces(dim, rng, case):
+    """Two affine pieces through an interior anchor; ``case`` picks their slopes.
+
+    "crossing" draws two unit slopes as ``random_convex`` does; "parallel"
+    repeats the first slope with another offset, and "coincident" repeats the
+    whole piece.
+    """
+    s = random_simplex(dim, rng)
+    anchor = rng.dirichlet(np.full(dim + 1, 2.0)) @ s.vertices
+    slopes = rng.standard_normal((2, dim))
+    slopes /= np.linalg.norm(slopes, axis=1, keepdims=True)
+    offsets = 0.5 * rng.standard_normal() - slopes @ anchor
+    if case != "crossing":
+        slopes[1] = slopes[0]
+        offsets[1] = offsets[0] + (0.3 if case == "parallel" else 0.0)
+    return s, ConvexFunction("max_of_affines", {"slopes": slopes, "offsets": offsets})
+
+
+class TestMaxOfAffinesTwoPieces:
+    def test_uses_the_closed_form(self):
+        s, f = _two_pieces(4, np.random.default_rng(80), "crossing")
+        est = ground_truth(f, s, mc_samples=500, seed=1)
+        assert est == integrate_exact(f, s) and est.method == "exact_polynomial"
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_against_mc(self, dim):
+        rng = np.random.default_rng(81 + dim)
+        for case in ("crossing",) * 5 + ("parallel", "coincident"):
+            s, f = _two_pieces(dim, rng, case)
+            exact = integrate_exact(f, s)
+            mc = integrate_mc(f, s, 100_000, seed=int(rng.integers(2**31)))
+            assert abs(exact.mean_value - mc.mean_value) <= 4 * mc.std_error, case
+
+    def test_parallel_and_coincident_pieces(self):
+        # parallel pieces: the upper one everywhere; coincident: the piece itself
+        for case, lift in (("parallel", 0.3), ("coincident", 0.0)):
+            s, f = _two_pieces(3, np.random.default_rng(82), case)
+            a, b = f.params["slopes"][0], f.params["offsets"][0]
+            want = float(a @ s.centroid + b) + lift
+            assert integrate_exact(f, s).mean_value == pytest.approx(want, abs=1e-14)
+
+    def test_piece_order_does_not_matter(self):
+        s, f = _two_pieces(5, np.random.default_rng(83), "crossing")
+        p = f.params
+        swapped = ConvexFunction(
+            "max_of_affines", {"slopes": p["slopes"][::-1], "offsets": p["offsets"][::-1]}
+        )
+        assert integrate_exact(swapped, s).mean_value == pytest.approx(
+            integrate_exact(f, s).mean_value, abs=1e-13
         )
 
 
@@ -527,20 +581,20 @@ class TestGroundTruthPolicy:
         assert est.method == "exact_polynomial"
 
     def test_other_kinds_use_mc(self):
-        f = random_convex(1, "log_sum_exp", 19, simplex=UNIT_INTERVAL)
+        f = random_convex(1, "exp_affine", 19, simplex=UNIT_INTERVAL)
         est = ground_truth(f, UNIT_INTERVAL, mc_samples=500, seed=0)
         assert est.method == "monte_carlo" and est.samples == 500
 
     def test_recipe_round_trip(self):
-        lse = random_convex(1, "log_sum_exp", 19, simplex=UNIT_INTERVAL)
-        for f in (SQ_1D, lse):
+        exp = random_convex(1, "exp_affine", 19, simplex=UNIT_INTERVAL)
+        for f in (SQ_1D, exp):
             est = ground_truth(f, UNIT_INTERVAL, mc_samples=500, seed=7)
             recipe = ground_truth_recipe(est, 7)
             assert replay_ground_truth(f, UNIT_INTERVAL, recipe, None) == est
         assert ground_truth_recipe(ground_truth(SQ_1D, UNIT_INTERVAL), 7) == {
             "method": "exact_polynomial"
         }
-        assert ground_truth_recipe(ground_truth(lse, UNIT_INTERVAL, 500, 7), 7) == {
+        assert ground_truth_recipe(ground_truth(exp, UNIT_INTERVAL, 500, 7), 7) == {
             "method": "monte_carlo", "samples": 500, "seed": 7
         }
 
@@ -554,13 +608,13 @@ class TestGroundTruthPolicy:
 
     def test_policy_over_pairs(self):
         # exact pairs stay exact; the MC pairs share the seed's weight stream
-        lse = random_convex(1, "log_sum_exp", 19, simplex=UNIT_INTERVAL)
+        exp = random_convex(1, "exp_affine", 19, simplex=UNIT_INTERVAL)
         window = Simplex([[0.25], [0.75]])
-        got = ground_truths([(lse, UNIT_INTERVAL), (SQ_1D, window), (lse, window)], 500, 7)
+        got = ground_truths([(exp, UNIT_INTERVAL), (SQ_1D, window), (exp, window)], 500, 7)
         assert got == [
-            integrate_mc(lse, UNIT_INTERVAL, 500, 7),
+            integrate_mc(exp, UNIT_INTERVAL, 500, 7),
             integrate_exact(SQ_1D, window),
-            integrate_mc(lse, window, 500, 7),
+            integrate_mc(exp, window, 500, 7),
         ]
         # no MC pair: the sample count is not used
         assert ground_truths([(SQ_1D, window)], 0, 7) == [integrate_exact(SQ_1D, window)]
@@ -597,8 +651,12 @@ class TestIntegralEstimate:
             IntegralEstimate(1.0, 0.0, "exact_polynomial", 5)
         with pytest.raises(ValueError):
             IntegralEstimate(1.0, 0.0, "simpson", 0)
+        with pytest.raises(ValueError):
+            IntegralEstimate(1.0, 1e-12, "cubature", 5)
 
     def test_json_round_trip(self):
-        est = IntegralEstimate(0.25, 0.001, "monte_carlo", 1000)
-        back = IntegralEstimate.from_json_dict(est.to_json_dict())
-        assert back == est
+        for est in (
+            IntegralEstimate(0.25, 0.001, "monte_carlo", 1000),
+            IntegralEstimate(0.25, 1e-12, "cubature", 0),
+        ):
+            assert IntegralEstimate.from_json_dict(est.to_json_dict()) == est
