@@ -62,7 +62,7 @@ from .errors import (
     UnsupportedKindError,
 )
 from .funcs import KINDS, ConvexFunction, midpoint_convexity_check, random_convex
-from .geometry import BarycentricCoords, Simplex, as_point, standard_simplex
+from .geometry import Simplex, as_point, standard_simplex
 from .quadrature import (
     EXACT_KINDS,
     IntegralEstimate,
@@ -77,7 +77,6 @@ from .tolerances import TOL_CHAIN, TOL_GEOM
 __version__ = "0.1.0"
 
 __all__ = [
-    "BarycentricCoords",
     "CampaignConfig",
     "CampaignResult",
     "CHAIN_NAMES",

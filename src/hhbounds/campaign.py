@@ -407,7 +407,7 @@ def _build_trial(cfg: CampaignConfig, index: int):
     t_scale = float(cfg.subsimplex_scales[int(rng.integers(len(cfg.subsimplex_scales)))])
     point = rng.dirichlet(np.full(dim + 1, 2.0)) @ s.vertices
     sub_homothety = s.homothety_about_centroid(t_scale)
-    sub_centered = s.centered_subsimplex(point, t_scale * s.max_centered_scale(point))
+    sub_centered = s.centered_subsimplex(point, t_scale)
 
     # Mixture points averaging to the centroid: shift random points so the
     # beta-mixture hits the centroid, then shrink toward it until all points

@@ -9,9 +9,9 @@ Conventions used throughout the package:
   volume and centroid stored at construction stay valid and instances are
   safe to share between threads.
 
-Barycentric coordinates are computed two independent ways: by solving the
+Barycentric weights are computed two independent ways: by solving the
 linear system that stacks the vertex-combination equations with the
-weights-sum-to-one constraint (``barycentric_solve``), and by ratios of
+weights-sum-to-one constraint (``solve_weights``), and by ratios of
 vertex-replacement volumes (``barycentric_volumes``).  The two must agree;
 the test suite enforces this cross-check.  Both use numpy alone: LAPACK's LU
 solve (``numpy.linalg.solve``, backward stable) for the stacked system, and
@@ -29,11 +29,10 @@ from .errors import (
     DimensionMismatchError,
     PointOutsideSimplexError,
     SingularSystemError,
-    SubsimplexEscapesParentError,
 )
 from .tolerances import DEGENERACY_RTOL, TOL_GEOM
 
-__all__ = ["BarycentricCoords", "Simplex", "as_point", "standard_simplex"]
+__all__ = ["Simplex", "as_point", "standard_simplex"]
 
 
 def _abs_det(edges: np.ndarray) -> float:
@@ -62,57 +61,6 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
     if not np.all(np.isfinite(p)):
         raise ValueError("point coordinates must be finite")
     return p
-
-
-class BarycentricCoords:
-    """Weight vector of a point relative to a simplex's vertices.
-
-    Weights sum to one.  Entries in ``[-TOL_GEOM, 0)`` are treated as
-    round-off, clamped to zero, and the vector renormalized; genuinely
-    negative entries are kept untouched so callers can detect points outside
-    the simplex.
-    """
-
-    __slots__ = ("_weights",)
-
-    def __init__(self, weights) -> None:
-        w = np.array(weights, dtype=float)
-        if w.ndim != 1 or w.size < 2:
-            raise DimensionMismatchError("weights must be a 1-D vector of length n+1")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        total = float(w.sum())
-        if abs(total - 1.0) > TOL_GEOM:
-            raise ValueError(f"weights sum to {total!r}, expected 1")
-        tiny = (w < 0.0) & (w >= -TOL_GEOM)
-        if tiny.any():
-            w[tiny] = 0.0
-            w /= w.sum()
-        w.setflags(write=False)
-        self._weights = w
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self._weights
-
-    @property
-    def min_weight(self) -> float:
-        return float(self._weights.min())
-
-    @property
-    def is_inside(self) -> bool:
-        """True when every weight is nonnegative (after round-off clamping)."""
-        return bool(self._weights.min() >= -TOL_GEOM)
-
-    def reconstruct(self, simplex: "Simplex") -> np.ndarray:
-        """Return the point these weights represent in ``simplex``."""
-        return self._weights @ simplex.vertices
-
-    def __len__(self) -> int:
-        return self._weights.size
-
-    def __repr__(self) -> str:
-        return f"BarycentricCoords({np.array2string(self._weights, precision=6)})"
 
 
 class Simplex:
@@ -174,7 +122,7 @@ class Simplex:
     # -- barycentric coordinates --------------------------------------------
 
     def solve_weights(self, points) -> np.ndarray:
-        """Raw (unclamped) barycentric weights for one point or a batch.
+        """Barycentric weights for one point or a batch.
 
         Returns shape ``(n+1,)`` for a single point, ``(m, n+1)`` for a
         batch.  Weights may be negative when a point lies outside.  One LU
@@ -197,16 +145,12 @@ class Simplex:
             raise SingularSystemError(f"barycentric system: {exc}") from exc
         return W[0] if single else W
 
-    def barycentric_solve(self, x) -> BarycentricCoords:
-        """Barycentric coordinates of ``x`` via the stacked linear system."""
-        return BarycentricCoords(self.solve_weights(as_point(x, self.dimension)))
+    def barycentric_volumes(self, x) -> np.ndarray:
+        """Barycentric weights of ``x`` as vertex-replacement volume ratios.
 
-    def barycentric_volumes(self, x) -> BarycentricCoords:
-        """Barycentric coordinates of ``x`` as vertex-replacement volume ratios.
-
-        Requires ``x`` inside the simplex.  Independent of
-        :meth:`barycentric_solve` (determinants only); the two methods must
-        agree within ``TOL_GEOM`` for interior points.
+        Requires ``x`` inside the simplex.  The weights come from
+        determinants only, independent of :meth:`solve_weights`; the two
+        routes must agree within ``TOL_GEOM`` for interior points.
         """
         x = as_point(x, self.dimension)
         raw = self.solve_weights(x)
@@ -220,7 +164,7 @@ class Simplex:
             W = np.array(self._vertices)
             W[k] = x
             ratios[k] = _abs_det(W[1:] - W[0]) / self._abs_det
-        return BarycentricCoords(ratios / ratios.sum())
+        return ratios / ratios.sum()
 
     def contains(self, x) -> bool:
         """True when all barycentric weights of ``x`` are >= -TOL_GEOM."""
@@ -260,36 +204,25 @@ class Simplex:
         c = self.centroid
         return Simplex(c + t * (self._vertices - c))
 
-    def max_centered_scale(self, p) -> float:
-        """Largest ``t`` for which :meth:`centered_subsimplex` stays inside.
-
-        Equals ``(n+1) * min_k weight_k(p)``: the translated copy
-        ``p + t*(V - c)`` has weights ``w_j(p) + t*(delta_jk - 1/(n+1))``,
-        and the binding constraint is the smallest weight of ``p``.
-        """
-        raw = self.solve_weights(as_point(p, self.dimension))
-        if raw.min() < -TOL_GEOM:
-            raise PointOutsideSimplexError("center point lies outside the simplex")
-        return (self.dimension + 1) * max(0.0, float(raw.min()))
-
-    def centered_subsimplex(self, p, t: float) -> "Simplex":
+    def centered_subsimplex(self, p, fraction: float) -> "Simplex":
         """Subsimplex with centroid ``p``: vertices ``p + t*(V_k - centroid)``.
 
-        ``t`` must be positive and at most :meth:`max_centered_scale`; beyond
-        that a vertex escapes the parent.
+        ``t`` is ``fraction`` in ``(0, 1]`` of the largest scale that keeps
+        every vertex inside, ``t_max = (n+1) * min_k weight_k(p)``: the
+        translated copy has weights ``w_j(p) + t*(delta_jk - 1/(n+1))``, and
+        the binding constraint is the smallest weight of ``p``.  At fraction
+        1 the subsimplex touches the facet where that weight is zero.  ``p``
+        must lie in the interior, where ``t_max`` is positive.
         """
+        if not 0.0 < fraction <= 1.0:
+            raise ValueError(f"fraction must lie in (0, 1], got {fraction!r}")
         p = as_point(p, self.dimension)
-        if t <= 0.0:
-            raise ValueError(f"scale must be positive, got {t!r}")
-        raw = self.solve_weights(p)
-        if raw.min() < -TOL_GEOM:
-            raise PointOutsideSimplexError("center point lies outside the simplex")
-        np1 = self.dimension + 1
-        t_max = np1 * max(0.0, float(raw.min()))
-        if t > np1 * (float(raw.min()) + TOL_GEOM):
-            raise SubsimplexEscapesParentError(
-                f"scale {t!r} exceeds max centered scale {t_max!r}"
+        w_min = float(self.solve_weights(p).min())
+        if not w_min > 0.0:
+            raise PointOutsideSimplexError(
+                f"center point is not interior (min weight {w_min:.3e})"
             )
+        t = fraction * ((self.dimension + 1) * w_min)
         return Simplex(p + t * (self._vertices - self.centroid))
 
     # -- serialization ---------------------------------------------------------

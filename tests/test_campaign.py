@@ -319,6 +319,24 @@ class TestRunCampaign:
         }
         assert counts["exact"] + counts["accepted"] + counts["mc"] == 4 * 48
 
+    def test_six_solves_per_closed_form_trial(self, monkeypatch):
+        # Per trial: the centred subsimplex and the thm6 mixture shift in
+        # _build_trial, then thm2's point, one containment solve for thm3's
+        # j sweep, one shared by thm4 and thm5, and thm6's points.
+        calls = []
+        solve = Simplex.solve_weights
+
+        def counting(self, points):
+            calls.append(1)
+            return solve(self, points)
+
+        monkeypatch.setattr(Simplex, "solve_weights", counting)
+        cfg = CampaignConfig(
+            trials_per_theorem=16, mc_samples=2, function_kinds=quadrature.EXACT_KINDS
+        )
+        run_campaign(cfg)
+        assert len(calls) == 6 * 16
+
     def test_single_chain_selection_keeps_its_section(self):
         # a shared pass gives each domain the estimate it gets alone, so a
         # campaign of thm4 only reproduces the thm4 section of the full one
@@ -446,7 +464,7 @@ class TestPinnedReplay:
     def test_thm5_descriptor_replay_pinned(self):
         s = self._TRIANGLE
         p = [0.7, 0.4]
-        sub = s.centered_subsimplex(p, 0.5 * s.max_centered_scale(p))
+        sub = s.centered_subsimplex(p, 0.5)
         descriptor = {
             "chain": "thm5",
             "dimension": 2,
@@ -564,10 +582,9 @@ class TestTightness:
             s = random_simplex(dim, rng)
             f = random_convex(dim, "quadratic_psd", seed)
             p = rng.dirichlet(np.full(dim + 1, 2.0)) @ s.vertices
-            t_max = s.max_centered_scale(p)
             slacks = []
             for t in grid:
-                sub = s.centered_subsimplex(p, t * t_max)
+                sub = s.centered_subsimplex(p, t)
                 rep = thm4_chain(f, s, sub, integrate_exact(f, sub))
                 slacks.append(rep.slacks[0])
             for larger, smaller in zip(slacks, slacks[1:]):

@@ -163,7 +163,7 @@ class TestThm3:
                 assert thm3_chain(f, s, sub, j, gt).passed
 
     def test_barycenter_mismatch_rejected(self):
-        sub = UNIT.centered_subsimplex(np.array([0.25]), 0.25)
+        sub = UNIT.centered_subsimplex(np.array([0.25]), 0.5)
         with pytest.raises(BarycenterMismatchError):
             thm3_chain(SQ_1D, UNIT, sub, 0, GT_UNIT)
 
@@ -176,7 +176,7 @@ class TestThm3:
             thm3_chain(SQ_1D, UNIT, UNIT, 2, GT_UNIT)
 
 
-SUB_QUARTER = UNIT.centered_subsimplex(np.array([0.25]), 0.25)  # [0.125, 0.375]
+SUB_QUARTER = UNIT.centered_subsimplex(np.array([0.25]), 0.5)  # [0.125, 0.375]
 GT_SUB = integrate_exact(SQ_1D, SUB_QUARTER)
 
 
@@ -197,7 +197,7 @@ class TestThm4:
         s = random_simplex(2, rng)
         f = random_convex(2, "quadratic_psd", 11)
         p = rng.dirichlet(np.full(3, 2.0)) @ s.vertices
-        sub = s.centered_subsimplex(p, 1e-3 * s.max_centered_scale(p))
+        sub = s.centered_subsimplex(p, 1e-3)
         rep = thm4_chain(f, s, sub, integrate_exact(f, sub))
         assert rep.slacks[0] < 1e-4
 
@@ -220,7 +220,7 @@ class TestThm5:
             s = random_simplex(dim, rng)
             f = random_convex(dim, "exp_affine", int(rng.integers(2**31)), simplex=s)
             p = rng.dirichlet(np.full(dim + 1, 2.0)) @ s.vertices
-            sub = s.centered_subsimplex(p, 0.5 * s.max_centered_scale(p))
+            sub = s.centered_subsimplex(p, 0.5)
             gt_sub = integrate_mc(f, sub, 1000, seed=0)
             rep = thm5_upper(f, s, sub, gt_sub)
             expected = (rep.values[2] - f(sub.centroid)) / (dim + 1)
@@ -231,7 +231,7 @@ class TestThm5:
         rng = np.random.default_rng(9)
         for s, f, gt in exact_affine_instances(2, 10, seed=10):
             p = rng.dirichlet(np.full(3, 2.0)) @ s.vertices
-            sub = s.centered_subsimplex(p, 0.7 * s.max_centered_scale(p))
+            sub = s.centered_subsimplex(p, 0.7)
             rep = thm5_upper(f, s, sub, integrate_exact(f, sub))
             assert max(abs(x) for x in rep.slacks) < 1e-12
 

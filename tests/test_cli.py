@@ -198,6 +198,29 @@ class TestBounds:
         _, out5, _ = run_cli(capsys, *args, "--theorem", "thm5")
         assert both == out4 + out5
 
+    def test_six_chains_make_five_solves(
+        self, capsys, monkeypatch, tmp_path, triangle_file, sq_2d_file
+    ):
+        # thm2's point, thm3's containment, the centred subsimplex, the
+        # containment that thm4 and thm5 share, and thm6's points
+        calls = []
+        solve = Simplex.solve_weights
+
+        def counting(self, points):
+            calls.append(1)
+            return solve(self, points)
+
+        monkeypatch.setattr(Simplex, "solve_weights", counting)
+        theorem_args = [
+            arg for name in ("choquet", "thm2", "thm3", "thm4", "thm5", "thm6")
+            for arg in ("--theorem", name)
+        ]
+        code, _, _ = run_cli(
+            capsys, "bounds", triangle_file, sq_2d_file, *theorem_args, "--point", "0.2,0.3"
+        )
+        assert code == 0
+        assert len(calls) == 5
+
     def test_out_file(self, capsys, tmp_path, unit_interval_file, sq_1d_file):
         out_path = str(tmp_path / "reports.jsonl")
         code, out, _ = run_cli(
@@ -250,6 +273,15 @@ class TestBoundsPinned:
         "--cor3-p", "2", "--cor3-q", "0.5", "--mc-samples", "4000",
     )
     SIX = ("choquet", "thm2", "thm3", "thm4", "thm5", "thm6")
+    #: sha256 of stdout, keyed by the name of the function descriptor above.
+    DIGESTS = {
+        "LSE_3D": "016a4903b3489b8d2315c37961ba906f08f4d51d800aa9d56f76594622be5c48",
+        "QUAD_3D": "029b06d9d48d9bb3a92b61bb414e991fd3ad03857f370206cd5c8f28698d981f",
+        "EXP_3D": "b5ce92e5f7aa16d642202a9b47ef41b5998343ee3409e1c48a9d92210ad19f55",
+        "HINGE_1D": "52350841abc64dea821d3d7d067968a1ba9a6a446483b7cf69f4163216dcc3df",
+        "QUAD_1D": "e7902074956bf294ad1b7f52e99e0a6e5ae16089f587969eb1a792d7a00daa4d",
+        "EXP_1D": "4c8e21fd030084e64c8d274017eb1cffd86a3b5e78a46c74c9060aeb6af723b1",
+    }
 
     def digest(self, capsys, tmp_path, vertices, func, chains, point):
         simplex_path = str(tmp_path / "simplex.json")
@@ -264,31 +296,17 @@ class TestBoundsPinned:
         assert code == 0
         return hashlib.sha256(out.encode()).hexdigest()
 
-    @pytest.mark.parametrize(
-        "func_name, expected",
-        [
-            ("LSE_3D", "016a4903b3489b8d2315c37961ba906f08f4d51d800aa9d56f76594622be5c48"),
-            ("QUAD_3D", "029b06d9d48d9bb3a92b61bb414e991fd3ad03857f370206cd5c8f28698d981f"),
-            ("EXP_3D", "b5ce92e5f7aa16d642202a9b47ef41b5998343ee3409e1c48a9d92210ad19f55"),
-        ],
-    )
-    def test_simplex_chains(self, capsys, tmp_path, func_name, expected):
+    @pytest.mark.parametrize("func_name", ["LSE_3D", "QUAD_3D", "EXP_3D"])
+    def test_simplex_chains(self, capsys, tmp_path, func_name):
         func = getattr(self, func_name)
         got = self.digest(capsys, tmp_path, self.SIMPLEX_3D, func, self.SIX, "0.4,0.4,0.3")
-        assert got == expected
+        assert got == self.DIGESTS[func_name]
 
-    @pytest.mark.parametrize(
-        "func_name, expected",
-        [
-            ("HINGE_1D", "52350841abc64dea821d3d7d067968a1ba9a6a446483b7cf69f4163216dcc3df"),
-            ("QUAD_1D", "e7902074956bf294ad1b7f52e99e0a6e5ae16089f587969eb1a792d7a00daa4d"),
-            ("EXP_1D", "4c8e21fd030084e64c8d274017eb1cffd86a3b5e78a46c74c9060aeb6af723b1"),
-        ],
-    )
-    def test_interval_chains(self, capsys, tmp_path, func_name, expected):
+    @pytest.mark.parametrize("func_name", ["HINGE_1D", "QUAD_1D", "EXP_1D"])
+    def test_interval_chains(self, capsys, tmp_path, func_name):
         func = getattr(self, func_name)
         got = self.digest(capsys, tmp_path, self.INTERVAL, func, ("cor2", "cor3"), "0.2")
-        assert got == expected
+        assert got == self.DIGESTS[func_name]
 
 
 class TestCampaign:
@@ -323,6 +341,20 @@ class TestCampaign:
         run_cli(capsys, "campaign", "--config", config, "--out", p2)
         with open(p1, "rb") as h1, open(p2, "rb") as h2:
             assert h1.read() == h2.read()
+
+    def test_stdout_and_out_file_pinned(self, capsys, tmp_path):
+        # the result JSON, indented by 2 with a trailing newline, whichever
+        # way it is written
+        config = self.make_config(tmp_path)
+        out_path = str(tmp_path / "result.json")
+        code, out, _ = run_cli(capsys, "campaign", "--config", config)
+        assert code == 0
+        run_cli(capsys, "campaign", "--config", config, "--out", out_path)
+        with open(out_path, encoding="utf-8") as handle:
+            assert handle.read() == out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "6858ce5cecdddc6ba4599872f8d2aff757787e38212f2ff0ca8bd561732de23d"
+        )
 
     def test_unknown_theorem_exit_2(self, capsys, tmp_path):
         config = self.make_config(tmp_path, theorems=["choquet", "thmX"])

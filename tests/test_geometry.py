@@ -3,13 +3,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from hhbounds import (
-    BarycentricCoords,
     DegenerateSimplexError,
     DimensionMismatchError,
     PointOutsideSimplexError,
     Simplex,
     SingularSystemError,
-    SubsimplexEscapesParentError,
     random_simplex,
     standard_simplex,
 )
@@ -74,14 +72,14 @@ class TestBarycentricSolve:
         rng = np.random.default_rng(1)
         for dim in range(1, 7):
             s = random_simplex(dim, rng)
-            w = s.barycentric_solve(s.centroid).weights
+            w = s.solve_weights(s.centroid)
             assert_allclose(w, np.full(dim + 1, 1.0 / (dim + 1)), atol=1e-12)
 
     def test_vertices_get_unit_weights(self):
         rng = np.random.default_rng(2)
         s = random_simplex(3, rng)
         for j in range(4):
-            w = s.barycentric_solve(s.vertices[j]).weights
+            w = s.solve_weights(s.vertices[j])
             expected = np.zeros(4)
             expected[j] = 1.0
             assert_allclose(w, expected, atol=1e-12)
@@ -89,10 +87,10 @@ class TestBarycentricSolve:
     def test_2d_point_and_reconstruction(self):
         s = standard_simplex(2)
         x = np.array([0.2, 0.3])
-        coords = s.barycentric_solve(x)
-        assert_allclose(coords.weights, [0.5, 0.2, 0.3], atol=1e-14)
+        w = s.solve_weights(x)
+        assert_allclose(w, [0.5, 0.2, 0.3], atol=1e-14)
         # substitution oracle: the weights must reproduce the point
-        assert_allclose(coords.reconstruct(s), x, atol=1e-14)
+        assert_allclose(w @ s.vertices, x, atol=1e-14)
 
     def test_outside_point_keeps_negative_weight(self):
         s = standard_simplex(2)
@@ -110,24 +108,18 @@ class TestBarycentricSolve:
         assert not isinstance(info.value, np.linalg.LinAlgError)
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
-    def test_weight_clamping(self):
-        c = BarycentricCoords([1.0 + 5e-10, -5e-10])
-        assert c.min_weight == 0.0
-        assert abs(c.weights.sum() - 1.0) < 1e-15
-        assert c.is_inside
-
 
 class TestBarycentricVolumes:
     def test_centroid_ratios(self):
         rng = np.random.default_rng(3)
         for dim in (1, 2, 4):
             s = random_simplex(dim, rng)
-            w = s.barycentric_volumes(s.centroid).weights
+            w = s.barycentric_volumes(s.centroid)
             assert_allclose(w, np.full(dim + 1, 1.0 / (dim + 1)), atol=1e-12)
 
     def test_vertex_gives_indicator(self):
         s = standard_simplex(3)
-        w = s.barycentric_volumes(s.vertices[2]).weights
+        w = s.barycentric_volumes(s.vertices[2])
         expected = np.zeros(4)
         expected[2] = 1.0
         assert_allclose(w, expected, atol=1e-12)
@@ -141,8 +133,8 @@ class TestBarycentricVolumes:
         rng = np.random.default_rng(4)
         s = random_simplex(3, rng)
         x = rng.dirichlet(np.ones(4)) @ s.vertices
-        w_solve = s.barycentric_solve(x).weights
-        w_vol = s.barycentric_volumes(x).weights
+        w_solve = s.solve_weights(x)
+        w_vol = s.barycentric_volumes(x)
         assert np.abs(w_solve - w_vol).max() < 1e-10
 
 
@@ -154,7 +146,7 @@ class TestInvariants:
             s = random_simplex(dim, rng)
             for _ in range(25):
                 x = rng.dirichlet(np.ones(dim + 1)) @ s.vertices
-                diff = s.barycentric_solve(x).weights - s.barycentric_volumes(x).weights
+                diff = s.solve_weights(x) - s.barycentric_volumes(x)
                 assert np.abs(diff).max() < 1e-9
 
     def test_partition_of_volume(self):
@@ -193,7 +185,7 @@ class TestReplaceVertex:
         rng = np.random.default_rng(8)
         s = random_simplex(4, rng)
         p = rng.dirichlet(np.full(5, 2.0)) @ s.vertices
-        w = s.barycentric_solve(p).weights
+        w = s.solve_weights(p)
         for i in range(5):
             assert abs(s.replace_vertex(i, p).volume - w[i] * s.volume) < 1e-12 * s.volume
 
@@ -242,16 +234,16 @@ class TestCenteredSubsimplex:
         assert_allclose(sub.vertices, s.vertices, atol=1e-15)
 
     def test_interval_quarter_scale(self):
+        # t_max = 2 * 0.25 = 0.5, so fraction 0.5 scales by 0.25
         s = Simplex([[0.0], [1.0]])
         p = np.array([0.25])
-        assert abs(s.max_centered_scale(p) - 0.5) < 1e-15
-        sub = s.centered_subsimplex(p, 0.25)
+        sub = s.centered_subsimplex(p, 0.5)
         assert_allclose(np.sort(sub.vertices.ravel()), [0.125, 0.375])
         assert abs(sub.centroid[0] - 0.25) < 1e-15
 
     def test_boundary_scale_touches_facet(self):
         s = Simplex([[0.0], [1.0]])
-        sub = s.centered_subsimplex(np.array([0.25]), 0.5)
+        sub = s.centered_subsimplex(np.array([0.25]), 1.0)
         assert_allclose(np.sort(sub.vertices.ravel()), [0.0, 0.5])
         assert all(s.contains(v) for v in sub.vertices)
 
@@ -260,20 +252,28 @@ class TestCenteredSubsimplex:
         for dim in (2, 4, 6):
             s = random_simplex(dim, rng)
             p = rng.dirichlet(np.full(dim + 1, 2.0)) @ s.vertices
-            t = 0.8 * s.max_centered_scale(p)
-            sub = s.centered_subsimplex(p, t)
+            sub = s.centered_subsimplex(p, 0.8)
             assert np.abs(sub.centroid - p).max() < 1e-12
             assert all(s.contains(v) for v in sub.vertices)
 
     def test_escape_raises(self):
+        # a fraction above 1 would put a vertex outside the parent
         s = Simplex([[0.0], [1.0]])
-        with pytest.raises(SubsimplexEscapesParentError):
-            s.centered_subsimplex(np.array([0.25]), 0.51)
+        for fraction in (1.02, 2.0, np.inf):
+            with pytest.raises(ValueError):
+                s.centered_subsimplex(np.array([0.25]), fraction)
 
     def test_scale_must_be_positive(self):
         s = standard_simplex(2)
-        with pytest.raises(ValueError):
-            s.centered_subsimplex(s.centroid, 0.0)
+        for fraction in (0.0, -0.5, np.nan):
+            with pytest.raises(ValueError):
+                s.centered_subsimplex(s.centroid, fraction)
+
+    def test_center_must_be_interior(self):
+        s = standard_simplex(2)
+        for p in ([0.5, 0.5], [0.0, 0.0], [0.6, 0.6]):
+            with pytest.raises(PointOutsideSimplexError):
+                s.centered_subsimplex(np.array(p), 0.5)
 
 
 class TestContains:

@@ -345,7 +345,7 @@ class TestHingeMean:
             for scale in (1.0, 0.5, 0.2):
                 s = parent
                 if scale < 1.0:
-                    s = parent.centered_subsimplex(p, scale * parent.max_centered_scale(p))
+                    s = parent.centered_subsimplex(p, scale)
                 exact = integrate_exact(f, s)
                 assert exact.method == "exact_polynomial"
                 mc = integrate_mc(f, s, 100_000, seed=int(rng.integers(2**31)))
