@@ -671,18 +671,17 @@ def slack_histograms_csv(result: CampaignResult) -> str:
 
 
 def _hinge_slack(
-    orientation: int, kink: float, p: float, q: float, a: float, b: float,
-    lo: float, hi: float,
+    kink: float, p: float, q: float, a: float, b: float, lo: float, hi: float
 ) -> float:
-    """cor3 upper slack of the unit hinge ``max(0, orientation*(x - kink))``.
+    """cor3 upper slack of the unit hinge ``max(0, x - kink)``.
 
     The window ``[lo, hi]`` mean comes from :func:`~hhbounds.quadrature._hinge_mean`,
     the closed form :func:`~hhbounds.quadrature.integrate_exact` uses, so
     this is the slack the witness is certified with.
     """
-    f_a = max(0.0, orientation * (a - kink))
-    f_b = max(0.0, orientation * (b - kink))
-    mean = _hinge_mean([orientation * (lo - kink), orientation * (hi - kink)])
+    f_a = max(0.0, a - kink)
+    f_b = max(0.0, b - kink)
+    mean = _hinge_mean([lo - kink, hi - kink])
     return (p * f_a + q * f_b) / (p + q) - mean
 
 
@@ -697,11 +696,13 @@ def search_cor3_counterexample(
 ) -> dict | None:
     """Search hinge functions violating the cor3 chain when the condition fails.
 
-    Candidates are unit hinges parameterized by orientation and kink
+    Candidates are unit hinges ``max(0, x - kink)`` parameterized by kink
     location, scored by the exact cor3 upper slack they would be certified
-    with (:func:`_hinge_slack`): a grid sweep over both orientations, then
-    seeded random refinement around the best kink, examining exactly
-    ``budget`` candidates.  The best one is certified by the ``cor3`` entry
+    with (:func:`_hinge_slack`): a grid sweep, then seeded random
+    refinement around the best kink, examining exactly ``budget``
+    candidates.  The mirrored hinge ``max(0, kink - x)`` differs from this
+    one by an affine function, whose cor3 slacks are zero because the
+    window is centred at ``A``, so it would score the same.  The best one is certified by the ``cor3`` entry
     of :data:`CHAINS` with its exact window mean
     (:func:`~hhbounds.quadrature.integrate_exact`), and a witness descriptor
     (replayable via :func:`replay_failure`) is returned only if its slack is
@@ -723,30 +724,26 @@ def search_cor3_counterexample(
     window = DOMAINS["window"](None, params)
     lo, hi = (float(x) for x in window.vertices[:, 0])
     span_lo, span_hi = min(lo, a), max(hi, b)
-    grid_size = max(1, min(budget // 2, 512))
-    grid = [
-        (orientation, float(kink))
-        for orientation in (1, -1)
-        for kink in np.linspace(span_lo, span_hi, grid_size)
-    ][:budget]
-    best, orientation, kink = min(
-        ((_hinge_slack(o, k, p, q, a, b, lo, hi), o, k) for o, k in grid),
+    grid_size = min(budget, 1024)
+    best, kink = min(
+        ((_hinge_slack(k, p, q, a, b, lo, hi), k)
+         for k in np.linspace(span_lo, span_hi, grid_size).tolist()),
         key=lambda scored: scored[0],
     )
     # Random refinement around the best kink found so far.
     rng = np.random.default_rng(seed)
     radius = (span_hi - span_lo) / max(grid_size - 1, 1)
-    for _ in range(budget - len(grid)):
+    for _ in range(budget - grid_size):
         trial = kink + radius * float(rng.standard_normal())
-        score = _hinge_slack(orientation, trial, p, q, a, b, lo, hi)
+        score = _hinge_slack(trial, p, q, a, b, lo, hi)
         if score < best:
             best, kink = score, trial
             radius *= 0.7
 
     func = ConvexFunction(
         kind="hinge_distance",
-        params={"slope": [float(orientation)], "threshold": float(orientation) * kink},
-        label=f"hinge-witness-{orientation:+d}",
+        params={"slope": [1.0], "threshold": kink},
+        label="hinge-witness",
     )
     instance = func, None, params
     gt = integrate_exact(func, window)
@@ -757,5 +754,5 @@ def search_cor3_counterexample(
     witness = _descriptor(
         "cor3", {"dimension": 1}, instance, report, ground_truth_recipe(gt, None)
     )
-    witness.update(kink=kink, orientation=orientation, slack=worst, candidates_examined=budget)
+    witness.update(kink=kink, slack=worst, candidates_examined=budget)
     return witness

@@ -643,7 +643,7 @@ class TestCor3Search:
         failure = run_campaign(cfg).failures[0]
         witness = search_cor3_counterexample(1.0, 1.0, 0.0, 1.0, 0.75, budget=500, seed=3)
         assert list(witness) == [key for key in failure if key != "trial"] + [
-            "kink", "orientation", "slack", "candidates_examined"
+            "kink", "slack", "candidates_examined"
         ]
 
 

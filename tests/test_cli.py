@@ -469,7 +469,7 @@ class TestCor3Search:
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "9e2623491e1f57cc91e352cfc5b1cb8e5872fb22f6a7579da8ca147778f63a41"
+            "9dc5103d7ce5b2f03fe0e367b0644cb18cc36abc00079b2645cc838b4410759f"
         )
 
     def test_exhausted_budget_reports_null(self, capsys):
