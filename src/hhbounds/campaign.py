@@ -702,12 +702,12 @@ def search_cor3_counterexample(
     refinement around the best kink, examining exactly ``budget``
     candidates.  The mirrored hinge ``max(0, kink - x)`` differs from this
     one by an affine function, whose cor3 slacks are zero because the
-    window is centred at ``A``, so it would score the same.  The best one is certified by the ``cor3`` entry
-    of :data:`CHAINS` with its exact window mean
-    (:func:`~hhbounds.quadrature.integrate_exact`), and a witness descriptor
-    (replayable via :func:`replay_failure`) is returned only if its slack is
-    negative beyond the report tolerance.  Returns None when the budget is
-    exhausted without a certifiable violation.
+    window is centred at ``A``, so it would score the same.  The best one
+    is certified by the ``cor3`` entry of :data:`CHAINS` with its exact
+    window mean (:func:`~hhbounds.quadrature.integrate_exact`), and a
+    witness descriptor (replayable via :func:`replay_failure`) is returned
+    only if its slack is negative beyond the report tolerance.  Returns
+    None when the budget is exhausted without a certifiable violation.
     """
     p, q, a, b, y = float(p), float(q), float(a), float(b), float(y)
     if p <= 0.0 or q <= 0.0 or y <= 0.0:
