@@ -25,7 +25,9 @@ aggregation order does not matter.
 
 Failures are recorded as self-contained descriptors (simplex, function,
 chain parameters, ground-truth recipe) in the shape of an instance, and
-:func:`replay_failure` re-runs one descriptor bit-for-bit.
+:func:`replay_failure` re-runs one descriptor bit-for-bit, also once read
+back from a result file: floats are written as their shortest round-trip
+``repr``, so ``-0.0`` and ``1.0`` come back as written.
 
 :func:`search_cor3_counterexample` tests the necessity of the cor3 window
 condition.  It scores unit hinges by the exact slack they would be
@@ -74,7 +76,7 @@ from .quadrature import (
     integrate_exact,
     replay_ground_truth,
 )
-from .serialize import dumps, jsonable
+from .serialize import dumps
 from .tolerances import COND_LIMIT, TOL_CHAIN
 
 __all__ = [
@@ -286,7 +288,7 @@ class CampaignConfig:
             "mc_samples": self.mc_samples,
             "master_seed": self.master_seed,
             "theorems": list(self.theorems),
-            "subsimplex_scales": list(self.subsimplex_scales),
+            "subsimplex_scales": [float(t) for t in self.subsimplex_scales],
             "function_kinds": list(self.function_kinds),
         }
 
@@ -546,7 +548,8 @@ def _descriptor(name: str, where: dict, instance, report: ChainReport, recipe) -
         **where,
         "function": func.to_json_dict(),
         "params": {
-            key: value.to_json_dict() if isinstance(value, Simplex) else jsonable(value)
+            key: value.to_json_dict() if isinstance(value, Simplex)
+            else value.tolist() if isinstance(value, np.ndarray) else value
             for key, value in params.items()
         },
         "ground_truth": recipe,
@@ -658,10 +661,8 @@ def slack_histograms_csv(result: CampaignResult) -> str:
         if name not in result.per_theorem:
             continue
         for row in result.per_theorem[name]["slacks"]:
-            lines.append(
-                f"{name},{row['position']},{row['min']:.17g},"
-                f"{row['p50']:.17g},{row['max']:.17g},{row['n']}"
-            )
+            lo, mid, hi = row["min"], row["p50"], row["max"]
+            lines.append(f"{name},{row['position']},{lo!r},{mid!r},{hi!r},{row['n']}")
     return "\n".join(lines) + "\n"
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
@@ -305,14 +304,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except (
-        HHBoundsError,
-        ValueError,
-        KeyError,
-        IndexError,
-        OSError,
-        json.JSONDecodeError,
-    ) as exc:
+    except (HHBoundsError, ValueError, KeyError, IndexError, OSError) as exc:
+        # a malformed JSON file raises json.JSONDecodeError, a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -93,13 +93,13 @@ class ConvexFunction:
         for name in fields:
             value = self.params[name]
             if name in ("matrix", "slope", "slopes", "offsets"):
-                arr = np.atleast_1d(np.asarray(value, dtype=float))
-                if not np.all(np.isfinite(arr)):
-                    raise ValueError(f"{name} must be finite")
-                arr.setflags(write=False)
-                clean[name] = arr
+                value = np.atleast_1d(np.asarray(value, dtype=float))
+                value.setflags(write=False)
             else:
-                clean[name] = float(value)
+                value = float(value)
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite")
+            clean[name] = value
         self._validate_shapes(clean)
         object.__setattr__(self, "params", clean)
 

@@ -68,6 +68,13 @@ class TestConfig:
         back = CampaignConfig.from_json_dict(cfg.to_json_dict())
         assert back == cfg
 
+    def test_default_config_round_trip_same_bytes(self):
+        # the scale 1.0 is read back as the int 1 and must still print as 1.0
+        text = dumps(default_config().to_json_dict())
+        back = CampaignConfig.from_json_dict(json.loads(text))
+        assert dumps(back.to_json_dict()) == text
+        assert '"subsimplex_scales":[0.2,0.4,0.6,0.8,1.0]' in text
+
     def test_unknown_config_key_rejected(self):
         with pytest.raises(ValueError, match="trials"):
             CampaignConfig.from_json_dict({"trials": 10})
@@ -208,7 +215,7 @@ class TestRunCampaign:
         cfg = CampaignConfig(trials_per_theorem=48, mc_samples=2000)
         digest = hashlib.sha256(run_campaign(cfg).to_json().encode()).hexdigest()
         assert digest == (
-            "0ce53776031d1e600a7e10dc38cb07dec8a79ffd2b6147b9a1479d42f0e6c004"
+            "ab58e3825e44923ce6480c97be89c08b99f19821e22efcd132870bd4000a52ff"
         )
 
     def test_polynomial_and_smooth_kinds_result_pinned(self):
@@ -221,19 +228,19 @@ class TestRunCampaign:
         )
         digest = hashlib.sha256(run_campaign(cfg).to_json().encode()).hexdigest()
         assert digest == (
-            "355340a3bde451960170d0f6872f25abde7c3a1012eec1c79b0d8d85afed5911"
+            "4b1de7e89603e5dfd01f087f1506e411d4d8c2018fc149d7a62d8d38fed0b43d"
         )
 
     #: sha256 of ``dumps(per_theorem[name])`` for the simplex chains of a
     #: max_of_affines campaign in dims 2-8: exact ground truth for two
     #: pieces, Monte Carlo for three to five.
     _MAX_OF_AFFINES_SECTIONS = {
-        "choquet": "6bf483adea90f41ff2b7caba2c6493d95970533e23584615f392067060371c9c",
-        "thm2": "1445f9b1db007b63094f47734db92f9a10a76f8cebe90c245a38f359702625a2",
-        "thm3": "2cfe15048bf1e17331f28e62434d898d70c79266f7c4fbb602c3bce92eb7dedd",
-        "thm4": "2dc35c135408684cd51b662219e00af9707f80db976c45b764a3d04b1cf925e8",
-        "thm5": "ee79487a266a08a175ec41fba6056e4288f8a6a684cf8f1b35ac3fd609e22f69",
-        "thm6": "3d040bb0fef91f0dcb8151bae730d77856f05b35d11ad75c874c73e7d55929b2",
+        "choquet": "148b1208ffdb3c65c02aa4af8222be5a6b3c48da31f2396eb9e068bf4864917a",
+        "thm2": "0832271d6498c90f842a4ca7fc1f186c8354e09414aff033f7378cca83d733dc",
+        "thm3": "18bdcfcad42fa0d3a7dad78ded6331ca21fc69de926c9ef085cc25f7688840d3",
+        "thm4": "29de0484269dcf76d1a6d2a23592f381f019185f9804d7f9a592d367c1e8e532",
+        "thm5": "626c40091956806036c9bf53dfb15bf91a4f4b94ae23dc1d21186d5bd3b83e3a",
+        "thm6": "7a482a40bab16cb062f4ffa84dd90a0c05c8fbfd31f16a9cf95569add02318bb",
     }
 
     def test_max_of_affines_multidim_sections_pinned(self):
@@ -256,18 +263,18 @@ class TestRunCampaign:
     #: sections stay as they were before any ground-truth change.
     _UNMOVED_SECTIONS = {
         2000: {
-            "choquet": "98e27b5a514f95afe916d04860c9212782136043197b020a0a529b840a9fe497",
-            "thm2": "fb5269c4e61559302af16d908dbc5c5575ecffe8a355e4c38df2c609c8c86207",
-            "thm3": "ad43833a157aed2f0615d1f6af9c5187675fdd3e8933c2ed75887af9001270a0",
-            "thm6": "3b72cb365ad5e8dedf92d5b0a97bed9b37e4199608ad5d01a5d20b4f152aedee",
-            "cor2": "f0ff31fb44a67139338ee6914d01130c314ca212d1ff4731394685617deec844",
+            "choquet": "0a11fbc28522b96c522ef8790d17dc7bbad32019c2cc250f02a072fb4db49281",
+            "thm2": "ab94699a031e7582b813c42645042d8be2a1436b1f8e9e908afe18e72387d140",
+            "thm3": "9c5ce87b0fc708e18d161b242c57317e01d5589be21c07c63e2e248d498fdf4a",
+            "thm6": "f58d69da05946ad08389044131aec98cf444043fdd5dfe1def5a3ee7eaf61fb5",
+            "cor2": "faeb86cbaa2a6f8d56da64586440e246ee47c548272c64846aa8010155abe421",
         },
         2: {
-            "choquet": "c331512bbe0e31fa0961d9a01b67b41b454c1228b74426b2f201014e5ba03911",
-            "thm2": "c29b6101be3d6add00c2449f5c1492965d7b557c181a9244f5185f2ea4e0e1e4",
-            "thm3": "15e4a1557e46fec37819c8291b872eced9092a6661e5b5ad15441fba5536c634",
-            "thm6": "3b72cb365ad5e8dedf92d5b0a97bed9b37e4199608ad5d01a5d20b4f152aedee",
-            "cor2": "a04b39b99465138c16090c9ca68e5b93d45160f4943e874304eb217f942c898c",
+            "choquet": "460f74e6051e90515bc7450e1e33ae997f5384fdd6109a7bfd391f267df1f15a",
+            "thm2": "6199c7084515d614a9a4159274d7a65812d8dbc8ead04e60322e8eba4cd25548",
+            "thm3": "d873ff0943f4d8c65d93b20db8993bfe43e2442083ccdb181d6b08248b331e69",
+            "thm6": "f58d69da05946ad08389044131aec98cf444043fdd5dfe1def5a3ee7eaf61fb5",
+            "cor2": "3372065786637d1191b00c277fa688f1cb2267b8fc0abfad2ce2121c7d3038e9",
         },
     }
 
@@ -415,6 +422,25 @@ class TestReplay:
         rehydrated = replay_failure(json.loads(dumps(descriptor)))
         assert direct.slacks == rehydrated.slacks
 
+    def test_negative_zero_coordinates_survive_json(self):
+        s = Simplex([[-0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        f = random_convex(2, "quadratic_psd", 4, simplex=s)
+        point = np.array([0.25, -0.0])
+        report = thm2_upper(f, s, point, integrate_exact(f, s))
+        descriptor = {
+            "chain": "thm2",
+            "dimension": 2,
+            "simplex": s.to_json_dict(),
+            "function": f.to_json_dict(),
+            "params": {"point": point.tolist()},
+            "ground_truth": {"method": "exact_polynomial"},
+        }
+        back = json.loads(dumps(descriptor))
+        assert np.signbit(back["simplex"]["vertices"][0][0])
+        assert np.signbit(back["params"]["point"][1])
+        assert np.signbit(Simplex.from_json_dict(back["simplex"]).vertices[0, 0])
+        assert replay_failure(back).slacks == report.slacks
+
     def test_exact_hinge_descriptor_replays(self):
         rng = np.random.default_rng(2)
         s = random_simplex(4, rng)
@@ -448,7 +474,7 @@ class TestPinnedReplay:
         result = run_campaign(CampaignConfig(trials_per_theorem=48, mc_samples=2))
         text = result.to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "fa441e6af7fe527fa0cc0ac61b91dc967139a73014d45af868b368eb781e6a32"
+            "127d2dd922e7093185782c3e55603449c701dc049657c61b37114b9ac5dc2aa1"
         )
         failures = json.loads(text)["failures"]
         assert len(failures) == 21

@@ -233,6 +233,40 @@ class TestBounds:
             assert json.loads(handle.readline())["chain"] == "choquet"
 
 
+class TestNonFiniteParams:
+    """Function files with a non-finite scalar param end in exit 2, naming it."""
+
+    @pytest.mark.parametrize(
+        "params, name, theorem",
+        [
+            ('{"slope": [1.0], "offset": 1e999}', "offset", "choquet"),
+            ('{"slope": [1.0], "offset": -1e999}', "offset", "thm6"),
+            ('{"slope": [1.0], "threshold": 1e999}', "threshold", "thm6"),
+        ],
+    )
+    def test_overflowing_param_exit_2(
+        self, capsys, tmp_path, unit_interval_file, params, name, theorem
+    ):
+        kind = "hinge_distance" if name == "threshold" else "exp_affine"
+        path = tmp_path / "func.json"
+        path.write_text('{"kind": "%s", "params": %s}' % (kind, params))
+        code, out, err = run_cli(
+            capsys, "bounds", unit_interval_file, str(path), "--theorem", theorem
+        )
+        assert code == 2 and out == ""
+        assert f"{name} must be finite" in err
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity"])
+    def test_nonfinite_token_exit_2(self, capsys, tmp_path, unit_interval_file, token):
+        path = tmp_path / "func.json"
+        path.write_text('{"kind": "exp_affine", "params": {"slope": [1.0], "offset": %s}}' % token)
+        code, out, err = run_cli(
+            capsys, "bounds", unit_interval_file, str(path), "--theorem", "thm6"
+        )
+        assert code == 2 and out == ""
+        assert token in err
+
+
 class TestBoundsPinned:
     """sha256 of ``hh bounds`` stdout on fixed instances with every flag set.
 
@@ -275,12 +309,12 @@ class TestBoundsPinned:
     SIX = ("choquet", "thm2", "thm3", "thm4", "thm5", "thm6")
     #: sha256 of stdout, keyed by the name of the function descriptor above.
     DIGESTS = {
-        "LSE_3D": "016a4903b3489b8d2315c37961ba906f08f4d51d800aa9d56f76594622be5c48",
-        "QUAD_3D": "029b06d9d48d9bb3a92b61bb414e991fd3ad03857f370206cd5c8f28698d981f",
-        "EXP_3D": "b5ce92e5f7aa16d642202a9b47ef41b5998343ee3409e1c48a9d92210ad19f55",
-        "HINGE_1D": "52350841abc64dea821d3d7d067968a1ba9a6a446483b7cf69f4163216dcc3df",
-        "QUAD_1D": "e7902074956bf294ad1b7f52e99e0a6e5ae16089f587969eb1a792d7a00daa4d",
-        "EXP_1D": "4c8e21fd030084e64c8d274017eb1cffd86a3b5e78a46c74c9060aeb6af723b1",
+        "LSE_3D": "0ed792284161dc7a8dd1ff5213c888a4a68764c02e678b2413c23d79eb72aa6c",
+        "QUAD_3D": "83215cbb326815e54df78f3ca30966f4047b361eab32e043758ffa2f4b005eba",
+        "EXP_3D": "273d3f55fd32fc4cdd70980a70468efc56e4e7eff7a410b0334d1d83693291b6",
+        "HINGE_1D": "4e78ea0564cd7dff33f12912180849f646aa897e81e0ba20acf8aea9f67c8d39",
+        "QUAD_1D": "d73bece2b241d173adb883177265845e55f86471cdddbe9bd667c11d59aeef98",
+        "EXP_1D": "d2e00484f17731d1e9d15e45db7ca0953a4cb4775ea4e2f6b131eae5310287fe",
     }
 
     def digest(self, capsys, tmp_path, vertices, func, chains, point):
@@ -353,8 +387,31 @@ class TestCampaign:
         with open(out_path, encoding="utf-8") as handle:
             assert handle.read() == out
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "6858ce5cecdddc6ba4599872f8d2aff757787e38212f2ff0ca8bd561732de23d"
+            "ef354f0b0bf24d552f0b61b9d30737ff4260ee9c5cbbd42b56d872c1e1531e4b"
         )
+
+    def test_csv_matches_result_json(self, capsys, tmp_path):
+        config = self.make_config(tmp_path)
+        out_path, csv_path = str(tmp_path / "result.json"), str(tmp_path / "slacks.csv")
+        code, _, _ = run_cli(
+            capsys, "campaign", "--config", config, "--out", out_path, "--csv", csv_path
+        )
+        assert code == 0
+        with open(out_path, encoding="utf-8") as handle:
+            per = json.load(handle)["per_theorem"]
+        with open(csv_path, encoding="utf-8") as handle:
+            header, *rows = handle.read().splitlines()
+        assert header == "theorem,slack_index,min,p50,max,n"
+        expected = [
+            (name, row) for name, stats in per.items() for row in stats["slacks"]
+        ]
+        assert len(rows) == len(expected)
+        for line, (name, row) in zip(rows, expected):
+            chain, position, lo, mid, hi, n = line.split(",")
+            assert (chain, int(position), int(n)) == (name, row["position"], row["n"])
+            for text, key in ((lo, "min"), (mid, "p50"), (hi, "max")):
+                assert float(text).hex() == row[key].hex()
+                assert text == repr(row[key])
 
     def test_unknown_theorem_exit_2(self, capsys, tmp_path):
         config = self.make_config(tmp_path, theorems=["choquet", "thmX"])
@@ -469,7 +526,7 @@ class TestCor3Search:
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "9dc5103d7ce5b2f03fe0e367b0644cb18cc36abc00079b2645cc838b4410759f"
+            "a03a785e5abc417a44049690d62b2267878d67d6f71e6ad64a01dc8c9b936642"
         )
 
     def test_exhausted_budget_reports_null(self, capsys):

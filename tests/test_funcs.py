@@ -158,6 +158,20 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ConvexFunction("affine", {"slope": [np.nan], "offset": 0.0})
 
+    @pytest.mark.parametrize(
+        "kind, params, name",
+        [
+            ("affine", {"slope": [1.0], "offset": np.nan}, "offset"),
+            ("quadratic_psd", {"matrix": [[1.0]], "slope": [0.0], "offset": -np.inf}, "offset"),
+            ("exp_affine", {"slope": [1.0], "offset": np.inf}, "offset"),
+            ("hinge_distance", {"slope": [1.0], "threshold": np.inf}, "threshold"),
+            ("hinge_distance", {"slope": [1.0], "threshold": np.nan}, "threshold"),
+        ],
+    )
+    def test_nonfinite_scalar_param_rejected(self, kind, params, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            ConvexFunction(kind, params)
+
 
 class TestRandomConvex:
     def test_deterministic_in_seed(self):
