@@ -1,18 +1,19 @@
 """Randomized verification campaigns, tightness statistics, and 1-D
 counterexample search for the conditional weighted-endpoint chain.
 
-:data:`CHAINS` is the one table of the eight bound chains.  Each entry
-names the domain its ground truth is integrated over (a key of
-:data:`DOMAINS`: the parent simplex, the centred subsimplex, the cor2
-interval or the cor3 window; or none), calls its operation in
-:mod:`hhbounds.chains` on an instance ``(function, simplex or None,
-params)``, and carries its tightness triple and whether it is 1-D only.
-:func:`run_instances` runs instances through that table, sharing one ground
-truth per domain and integrating the domains of one seed slot together, on
-one Monte Carlo weight stream, before any chain runs; the campaign,
-:func:`replay_failure` and ``hh bounds`` all go through it, and the
-ground-truth policy (exact, cubature or Monte Carlo) and its replay recipes
-live in :mod:`hhbounds.quadrature`.  A campaign trial puts its parent simplex and
+:data:`CHAINS` is the one table of how the campaign runs the eight bound
+chains.  Each entry names the domain its ground truth is integrated over (a
+key of :data:`DOMAINS`: the parent simplex, the centred subsimplex, the cor2
+interval or the cor3 window; or none), and carries its tightness triple and
+whether it is 1-D only; an instance is ``(function, simplex or None,
+params)``.  :func:`run_instances` runs instances through that table,
+sharing one ground truth per domain and integrating the domains of one seed
+slot together, on one Monte Carlo weight stream, before any chain runs;
+then :func:`~hhbounds.chains.chain_reports` evaluates each function once on
+the points of all its chains.  The campaign and ``hh bounds`` go through
+it, and :func:`replay_failure` through ``chain_reports``; the ground-truth
+policy (exact, cubature or Monte Carlo) and its replay recipes live in
+:mod:`hhbounds.quadrature`.  A campaign trial puts its parent simplex and
 subsimplex on one slot, and its cor2 interval and cor3 window on another.
 
 A campaign draws, per trial, a well-conditioned random simplex, a random
@@ -31,8 +32,8 @@ back from a result file: floats are written as their shortest round-trip
 
 :func:`search_cor3_counterexample` tests the necessity of the cor3 window
 condition.  It scores unit hinges by the exact slack they would be
-certified with, certifies the best one through :data:`CHAINS` with its
-exact window mean, and returns it as a descriptor built by the same code
+certified with, certifies the best one as a ``cor3`` chain with its exact
+window mean, and returns it as a descriptor built by the same code
 as a campaign failure.
 
 Wall time is kept on the in-memory result only; the serialized result is a
@@ -49,19 +50,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chains import (
-    CHAIN_NAMES,
-    ChainReport,
-    choquet_chain,
-    cor2_chain,
-    cor3_check,
-    cor3_condition_holds,
-    thm2_upper,
-    thm3_chain,
-    thm4_chain,
-    thm5_upper,
-    thm6_chain,
-)
+from .chains import CHAIN_NAMES, ChainReport, chain_reports, cor3_condition_holds
 from .errors import (
     ConditionNotViolatedError,
     DegenerateSimplexError,
@@ -104,17 +93,15 @@ _DEFAULT_SCALES = (0.2, 0.4, 0.6, 0.8, 1.0)
 
 @dataclass(frozen=True)
 class Chain:
-    """One bound chain, run on an instance ``(function, simplex, params)``.
+    """How the campaign runs one bound chain of :mod:`hhbounds.chains`.
 
     ``domain`` is the :data:`DOMAINS` key of its ground-truth domain (None
-    for a chain without an integral), ``run(f, simplex, params, gt)`` calls
-    the chain operation, ``tightness`` holds the term indices (mean, refined
-    upper, classical upper) of a chain refining a classical upper bound,
-    and ``one_d`` marks a chain that needs a 1-D instance.
+    for a chain without an integral), ``tightness`` holds the term indices
+    (mean, refined upper, classical upper) of a chain refining a classical
+    upper bound, and ``one_d`` marks a chain that needs a 1-D instance.
     """
 
     domain: str | None
-    run: Callable[..., ChainReport]
     tightness: tuple[int, int, int] | None = None
     one_d: bool = False
 
@@ -134,36 +121,15 @@ DOMAINS: dict[str, Callable[[Simplex | None, dict], Simplex]] = {
     "window": _cor3_window,
 }
 
-# The chain operations are looked up by name at call time, so wrappers
-# installed on this module's attributes see every call.
 CHAINS: dict[str, Chain] = {
-    "choquet": Chain("parent", lambda f, s, p, gt: choquet_chain(f, s, gt)),
-    "thm2": Chain(
-        "parent", lambda f, s, p, gt: thm2_upper(f, s, p["point"], gt), (0, 1, 2)
-    ),
-    "thm3": Chain(
-        "parent",
-        lambda f, s, p, gt: thm3_chain(f, s, p["subsimplex"], p["j"], gt),
-        (2, 3, 4),
-    ),
-    "thm4": Chain("subsimplex", lambda f, s, p, gt: thm4_chain(f, s, p["subsimplex"], gt)),
-    "thm5": Chain(
-        "subsimplex",
-        lambda f, s, p, gt: thm5_upper(f, s, p["subsimplex"], gt),
-        (0, 1, 2),
-    ),
-    "thm6": Chain(None, lambda f, s, p, gt: thm6_chain(f, s, p["points"], p["betas"])),
-    "cor2": Chain(
-        "interval",
-        lambda f, s, p, gt: cor2_chain(f, p["a"], p["b"], p["lam"], gt),
-        (2, 3, 4),
-        one_d=True,
-    ),
-    "cor3": Chain(
-        "window",
-        lambda f, s, p, gt: cor3_check(p["p"], p["q"], p["a"], p["b"], p["y"], f, gt),
-        one_d=True,
-    ),
+    "choquet": Chain("parent"),
+    "thm2": Chain("parent", (0, 1, 2)),
+    "thm3": Chain("parent", (2, 3, 4)),
+    "thm4": Chain("subsimplex"),
+    "thm5": Chain("subsimplex", (0, 1, 2)),
+    "thm6": Chain(None),
+    "cor2": Chain("interval", (2, 3, 4), one_d=True),
+    "cor3": Chain("window", one_d=True),
 }
 
 
@@ -176,9 +142,11 @@ def run_instances(instances, slots: dict[str, int], seeds, mc_samples: int):
     slot are integrated together by
     :func:`~hhbounds.quadrature.ground_truths` on that slot's seed, so their
     Monte Carlo estimates share one weight stream; domains that are the very
-    same (function, simplex) objects share one estimate.  Yields ``(name,
-    instance, report, recipe)``; ``recipe`` replays the ground truth, and is
-    None for a chain without one.
+    same (function, simplex) objects share one estimate.  Then
+    :func:`~hhbounds.chains.chain_reports` calls each function once on the
+    points of all its instances.  Yields ``(name, instance, report,
+    recipe)``; ``recipe`` replays the ground truth, and is None for a chain
+    without one.
     """
     instances = list(instances)
     pairs: dict[int, dict[tuple, tuple]] = {}  # slot -> object ids -> (f, domain)
@@ -195,10 +163,13 @@ def run_instances(instances, slots: dict[str, int], seeds, mc_samples: int):
         made = ground_truths(slot_pairs.values(), mc_samples, seeds[slot])
         for ids, est in zip(slot_pairs, made):
             estimates[slot, ids] = est, ground_truth_recipe(est, seeds[slot])
-    for name, instance in instances:
-        domain = CHAINS[name].domain
-        gt, recipe = (None, None) if domain is None else estimates[keys[domain]]
-        yield name, instance, CHAINS[name].run(*instance, gt), recipe
+    found = [
+        (None, None) if (domain := CHAINS[name].domain) is None else estimates[keys[domain]]
+        for name, _ in instances
+    ]
+    reports = chain_reports(instances, [gt for gt, _ in found])
+    for (name, instance), report, (_, recipe) in zip(instances, reports, found):
+        yield name, instance, report, recipe
 
 
 # ---------------------------------------------------------------------------
@@ -467,9 +438,9 @@ def tightness_ratio(values, triple, tolerance: float = TOL_CHAIN) -> float | Non
 
     The gap counts as degenerate when it does not clear ``tolerance`` (the
     report's verdict tolerance: 1e-8, or 4 std errors for Monte Carlo
-    ground truth; see :func:`~hhbounds.chains.chain_tolerance`).  With that guard the ratio is at most 1: the refined
-    bound never exceeds the classical one and both terms share the same
-    mean estimate.
+    ground truth; see :func:`~hhbounds.chains.chain_tolerance`).  With that
+    guard the ratio is at most 1 up to rounding: the refined bound never
+    exceeds the classical one and both terms share the same mean estimate.
     """
     mean_idx, refined_idx, classical_idx = triple
     denom = values[classical_idx] - values[mean_idx]
@@ -611,7 +582,7 @@ def replay_failure(descriptor: dict, mc_samples: int | None = None) -> ChainRepo
     name = descriptor["chain"]
     if name not in CHAINS:
         raise ValueError(f"unknown chain name {name!r}")
-    chain = CHAINS[name]
+    domain_name = CHAINS[name].domain
     func = ConvexFunction.from_json_dict(descriptor["function"])
     simplex = descriptor.get("simplex")
     if simplex is not None:
@@ -622,10 +593,10 @@ def replay_failure(descriptor: dict, mc_samples: int | None = None) -> ChainRepo
     }
     recipe = descriptor.get("ground_truth")
     gt = None
-    if chain.domain is not None and recipe is not None:
-        domain = DOMAINS[chain.domain](simplex, params)
+    if domain_name is not None and recipe is not None:
+        domain = DOMAINS[domain_name](simplex, params)
         gt = replay_ground_truth(func, domain, recipe, mc_samples)
-    return chain.run(func, simplex, params, gt)
+    return chain_reports([(name, (func, simplex, params))], [gt])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -704,8 +675,8 @@ def search_cor3_counterexample(
     candidates.  The mirrored hinge ``max(0, kink - x)`` differs from this
     one by an affine function, whose cor3 slacks are zero because the
     window is centred at ``A``, so it would score the same.  The best one
-    is certified by the ``cor3`` entry of :data:`CHAINS` with its exact
-    window mean (:func:`~hhbounds.quadrature.integrate_exact`), and a
+    is certified as a ``cor3`` chain with its exact window mean
+    (:func:`~hhbounds.quadrature.integrate_exact`), and a
     witness descriptor (replayable via :func:`replay_failure`) is returned
     only if its slack is negative beyond the report tolerance.  Returns
     None when the budget is exhausted without a certifiable violation.
@@ -748,7 +719,7 @@ def search_cor3_counterexample(
     )
     instance = func, None, params
     gt = integrate_exact(func, window)
-    report = CHAINS["cor3"].run(*instance, gt)
+    report = chain_reports([("cor3", instance)], [gt])[0]
     worst = min(report.slacks)
     if worst >= -report.tolerance_used:
         return None

@@ -1,33 +1,26 @@
 """Inequality chains bounding the integral mean of a convex function.
 
-Each operation evaluates every term of one published two-sided bound chain
-for a convex function on a simplex and packages the terms, consecutive
-slacks, and a pass/fail verdict into a :class:`ChainReport`.  Terms are
-ordered the way the chain is written: lower bounds ascending to the integral
-mean, then upper bounds ascending.  A chain passes when every consecutive
-slack is ``>= -tolerance`` (:func:`chain_tolerance`); against Monte Carlo
-ground truth the tolerance widens to four standard errors so sampling noise
-cannot raise false alarms.
-
-Chain catalogue (``CHAIN_NAMES``):
-
-* ``choquet``   - f(centroid) <= mean <= average of vertex values.
-* ``thm2``      - mean <= upper bound pinned at an interior point <= classical.
-* ``thm3``      - five terms around the mean from a subsimplex sharing the
-  parent's centroid, swept over a chosen subsimplex vertex ``j``.
-* ``thm4``      - f(P) <= mean over a subsimplex with centroid P <= weighted
-  vertex bound (weights of P in the parent).
-* ``thm5``      - improvement of thm4's upper bound.
-* ``thm6``      - f(centroid) <= mixture of values at points averaging to the
-  centroid <= average of vertex values.
-* ``cor2``      - 1-D five-term split chain on an interval.
-* ``cor3``      - 1-D weighted-endpoint chain over a window [A-y, A+y],
-  asserted only when the window-width condition holds.
+Every term of a chain is ``∫ f dμ`` for a probability measure ``μ``: the
+uniform measure on a domain for the ground-truth mean, and otherwise a few
+points with weights, so that every slack is ``∫ f d(μ⁺ − μ⁻)`` for two
+measures of equal mass and barycentre (hence every chain is exact on affine
+``f``).  Each chain is a builder that adds its points to its function's batch
+and returns its terms as (row indices, weights) or the mean;
+:func:`chain_reports` then makes one weight solve per parent simplex and one
+evaluation per function for any set of instances, and sums each term's
+products.  A point's value and weights do not depend on its batch, so a
+chain run alone reproduces the terms it gets inside a whole trial.  Terms
+are ordered the way the chain is written: lower bounds ascending to the
+integral mean, then upper bounds ascending.  A chain passes when every
+consecutive slack is ``>= -tolerance`` (:func:`chain_tolerance`); against
+Monte Carlo ground truth the tolerance widens to four standard errors so
+sampling noise cannot raise false alarms.  The chains (``CHAIN_NAMES``)
+are documented on their public functions below.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +39,7 @@ from .tolerances import TOL_CHAIN, TOL_GEOM
 __all__ = [
     "CHAIN_NAMES",
     "ChainReport",
+    "chain_reports",
     "chain_tolerance",
     "choquet_chain",
     "cor2_chain",
@@ -57,17 +51,6 @@ __all__ = [
     "thm5_upper",
     "thm6_chain",
 ]
-
-CHAIN_NAMES: tuple[str, ...] = (
-    "choquet",
-    "thm2",
-    "thm3",
-    "thm4",
-    "thm5",
-    "thm6",
-    "cor2",
-    "cor3",
-)
 
 
 def chain_tolerance(gt: IntegralEstimate | None) -> float:
@@ -127,58 +110,285 @@ class ChainReport:
 
 
 def _build_report(
-    name: str,
-    labeled_terms: list[tuple[str, float]],
-    gt: IntegralEstimate | None,
-    *,
-    condition_holds: bool | None = None,
+    name: str, labeled_terms, gt: IntegralEstimate | None, *, condition_holds=None
 ) -> ChainReport:
-    terms = tuple((label, float(value)) for label, value in labeled_terms)
+    terms = tuple([(label, float(value)) for label, value in labeled_terms])
     values = [value for _, value in terms]
-    slacks = tuple(values[i + 1] - values[i] for i in range(len(values) - 1))
+    slacks = tuple([high - low for low, high in zip(values, values[1:])])
     tolerance = chain_tolerance(gt)
-    ok = all(slack >= -tolerance for slack in slacks)
-    if condition_holds is False:
-        ok = True
-    return ChainReport(
-        chain_name=name,
-        terms=terms,
-        ground_truth=gt,
-        slacks=slacks,
-        tolerance_used=tolerance,
-        verdict="pass" if ok else "fail",
-        condition_holds=condition_holds,
-    )
-
-
-def _values(f, *rows) -> np.ndarray:
-    """``f`` at every row of ``rows`` (points or batches of points), in one call."""
-    return np.asarray(f(np.vstack(rows)), dtype=float)
-
-
-@functools.lru_cache(maxsize=8)
-def _containment_weights(s: Simplex, sub: Simplex) -> np.ndarray:
-    """Parent weights of every subsimplex vertex, then of the subsimplex centroid.
-
-    Row ``k < n+1`` holds the weights of sub vertex ``k`` and the last row
-    those of ``sub.centroid``, from one stacked solve; raises if a vertex
-    escapes.  Simplices are immutable, so the result is cached by the
-    identity of the pair and shared, read-only, by thm3's ``j`` sweep, thm4
-    and thm5.
-    """
-    if sub.dimension != s.dimension:
-        raise DimensionMismatchError("subsimplex dimension differs from parent")
-    W = s.solve_weights(np.vstack([sub.vertices, sub.centroid]))
-    if W[:-1].min() < -TOL_GEOM:
-        raise SubsimplexEscapesParentError(
-            f"subsimplex vertex outside parent (min weight {W[:-1].min():.3e})"
-        )
-    W.setflags(write=False)
-    return W
+    ok = condition_holds is False or all([slack >= -tolerance for slack in slacks])
+    verdict = "pass" if ok else "fail"
+    return ChainReport(name, terms, gt, slacks, tolerance, verdict, condition_holds)
 
 
 # ---------------------------------------------------------------------------
-# chains on a full simplex
+# batches, parent weights and builders
+# ---------------------------------------------------------------------------
+
+
+class _Batch:
+    """The points one function is evaluated at, in blocks kept by key; the
+    batches of one run share ``layout`` (one item: the rows so far)."""
+
+    def __init__(self, dim: int | None, layout: list[int]) -> None:
+        self.dim, self.layout, self.rows, self.index, self.kept = dim, layout, [], [], {}
+
+    def once(self, key, make):
+        """``make()`` on the first request for ``key``; the kept value after."""
+        if key not in self.kept:
+            self.kept[key] = make()
+        return self.kept[key]
+
+    def add(self, rows: np.ndarray) -> np.ndarray:
+        """Row indices of ``rows``, appended as a new block."""
+        if self.dim is not None and rows.shape[1] != self.dim:
+            raise DimensionMismatchError(
+                f"points have dimension {rows.shape[1]}, function expects {self.dim}"
+            )
+        start = self.layout[0]
+        self.layout[0] += len(rows)
+        self.rows.append(rows)
+        self.index.append(np.arange(start, self.layout[0]))
+        return self.index[-1]
+
+
+def _weighed_rows(key: str, s: Simplex, value) -> np.ndarray:
+    """The rows of a param whose parent weights a builder reads: thm2's pin
+    point, a subsimplex's vertices then centroid, thm6's mixture points."""
+    if key == "point":
+        return as_point(value, s.dimension)[None, :]
+    if key == "subsimplex":
+        if value.dimension != s.dimension:
+            raise DimensionMismatchError("subsimplex dimension differs from parent")
+        return np.concatenate((value.vertices, value.centroid[None, :]))
+    M = np.atleast_2d(np.asarray(value, dtype=float))
+    if M.shape[1] != s.dimension:
+        raise DimensionMismatchError("points have the wrong dimension")
+    return M
+
+
+def _weigh(instances) -> dict:
+    """``(id(parent), id(param)) -> (rows, weights)`` of every weighed param,
+    from one solve per parent; a param shared by instances is solved once,
+    and its read-only weights are shared by their builders."""
+    parents: dict[int, tuple[Simplex, dict]] = {}
+    for _, (_, s, params) in instances:
+        for key in ("point", "subsimplex", "points"):
+            if key in params:
+                blocks = parents.setdefault(id(s), (s, {}))[1]
+                if id(params[key]) not in blocks:
+                    blocks[id(params[key])] = _weighed_rows(key, s, params[key])
+    weighed = {}
+    for s, blocks in parents.values():
+        W = s.solve_weights(np.concatenate(list(blocks.values())))
+        W.setflags(write=False)
+        for key, rows in blocks.items():
+            weighed[id(s), key], W = (rows, W[: len(rows)]), W[len(rows) :]
+    return weighed
+
+
+_ONE = np.ones(1)
+_MEAN = ("integral_mean", None, None)
+_SUB_MEAN = ("subsimplex_mean", None, None)
+
+
+def _parent(batch: _Batch, s: Simplex) -> tuple:
+    """Row indices of the vertices and centroid of ``s``; the vertex average."""
+
+    def make():
+        index = batch.add(np.concatenate((s.vertices, s.centroid[None, :])))
+        vertices = index[:-1]
+        uniform = np.full(len(vertices), 1.0 / len(vertices))
+        return vertices, index[-1:], ("vertex_average", vertices, uniform)
+
+    return batch.once(("parent", id(s)), make)
+
+
+def _contained(W: np.ndarray) -> np.ndarray:
+    """The parent weights ``W`` of subsimplex vertices; raises if one escapes."""
+    if W.min() < -TOL_GEOM:
+        raise SubsimplexEscapesParentError(
+            f"subsimplex vertex outside parent (min weight {W.min():.3e})"
+        )
+    return W
+
+
+def _choquet(batch, s, params, weighed):
+    _, centroid, average = _parent(batch, s)
+    return [("f_at_centroid", centroid, _ONE), _MEAN, average], None
+
+
+def _thm2(batch, s, params, weighed):
+    rows, W = weighed[id(s), id(params["point"])]
+    if W.min() < -TOL_GEOM:
+        raise PointOutsideSimplexError("pin point lies outside the simplex")
+    vertices, _, average = _parent(batch, s)
+    at = np.concatenate((vertices, batch.once(("point", id(rows)), lambda: batch.add(rows))))
+    pinned = np.concatenate((1.0 - W[0], _ONE)) / len(vertices)
+    return [_MEAN, ("pinned_upper", at, pinned), average], None
+
+
+def _thm3_sweep(batch, s, sub, weighed):
+    """thm3's points and weights for every ``j`` of one (parent, sub) pair.
+
+    Row ``j`` of the lower bound's arrays holds its arguments and their
+    weights; the upper bound's measures all lie on the parent vertices and
+    the sub vertices, with the weights of row ``j``.
+    """
+    rows, W = weighed[id(s), id(sub)]
+    W = _contained(W[:-1])
+    if np.abs(sub.centroid - s.centroid).max() > TOL_GEOM:
+        raise BarycenterMismatchError("subsimplex centroid differs from parent centroid")
+    V, Q, np1 = s.vertices, rows[:-1], len(W)
+    # argument (j, i): the parent centroid with vertex i replaced by sub vertex j
+    args = ((V.sum(axis=0) - V)[None, :, :] + Q[:, None, :]) / np1
+    index = batch.add(np.concatenate((args.reshape(np1 * np1, -1), Q)))
+    upper_at = np.concatenate((_parent(batch, s)[0], index[np1 * np1 :]))
+    upper = np.concatenate((W.sum(axis=0) - W, np.eye(np1)), axis=1) / np1
+    return index[: np1 * np1].reshape(np1, np1), W, upper_at, upper
+
+
+def _thm3(batch, s, params, weighed):
+    sub, j = params["subsimplex"], params["j"]
+    if not 0 <= j <= s.dimension:
+        raise IndexError(f"vertex index {j} out of range 0..{s.dimension}")
+    args, W, upper_at, upper = batch.once(
+        ("thm3", id(s), id(sub)), lambda: _thm3_sweep(batch, s, sub, weighed)
+    )
+    _, centroid, average = _parent(batch, s)
+    return [
+        ("f_at_centroid", centroid, _ONE),
+        ("subsimplex_lower", args[j], W[j]),
+        _MEAN,
+        ("subsimplex_upper", upper_at, upper[j]),
+        average,
+    ], None
+
+
+def _centre(batch, s, params, weighed):
+    """Row index of the subsimplex centroid P, its weights, the parent vertices."""
+    sub = params["subsimplex"]
+
+    def make():
+        rows, W = weighed[id(s), id(sub)]
+        _contained(W[:-1])
+        return batch.add(rows[-1:]), W[-1], _parent(batch, s)[0]
+
+    return batch.once(("centre", id(s), id(sub)), make)
+
+
+def _thm4(batch, s, params, weighed):
+    at, w, vertices = _centre(batch, s, params, weighed)
+    bound = ("weighted_vertex_bound", vertices, w)
+    return [("f_at_barycenter", at, _ONE), _SUB_MEAN, bound], None
+
+
+def _thm5(batch, s, params, weighed):
+    at, w, vertices = _centre(batch, s, params, weighed)
+    improved = np.concatenate((s.dimension * w, _ONE)) / (s.dimension + 1)
+    return [
+        _SUB_MEAN,
+        ("improved_upper", np.concatenate((vertices, at)), improved),
+        ("weighted_vertex_bound", vertices, w),
+    ], None
+
+
+def _thm6(batch, s, params, weighed):
+    M, W = weighed[id(s), id(params["points"])]
+    betas = np.asarray(params["betas"], dtype=float)
+    if betas.ndim != 1 or betas.shape[0] != M.shape[0]:
+        raise DimensionMismatchError("betas length must match number of points")
+    if betas.min() < 0.0:
+        raise ValueError("betas must be nonnegative")
+    if abs(betas.sum() - 1.0) > TOL_GEOM:
+        raise ValueError(f"betas sum to {betas.sum()!r}, expected 1")
+    if W.min() < -TOL_GEOM:
+        raise PointOutsideSimplexError("a mixture point lies outside the simplex")
+    if np.abs(betas @ M - s.centroid).max() > TOL_GEOM:
+        raise CentroidConstraintViolatedError("beta-mixture of points misses the centroid")
+    _, centroid, average = _parent(batch, s)
+    at = batch.once(("mixture", id(M)), lambda: batch.add(M))
+    return [("f_at_centroid", centroid, _ONE), ("point_mixture", at, betas), average], None
+
+
+def _cor2(batch, s, params, weighed):
+    a, b, lam = float(params["a"]), float(params["b"]), float(params["lam"])
+    if not a < b:
+        raise ValueError(f"need a < b, got a={a!r}, b={b!r}")
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"lam must lie in [0, 1], got {lam!r}")
+    m = (1.0 - lam) * a + lam * b
+    x = [a, b, (a + b) / 2.0, (a + m) / 2.0, (b + m) / 2.0, lam * a + (1.0 - lam) * b]
+    at = batch.add(np.array(x)[:, None])
+    return [
+        ("f_at_midpoint", at[2:3], _ONE),
+        ("split_lower", at[3:5], np.array([lam, 1.0 - lam])),
+        _MEAN,
+        ("split_upper", at[[0, 1, 5]], np.array([1.0 - lam, lam, 1.0]) / 2.0),
+        ("endpoint_average", at[:2], np.array([0.5, 0.5])),
+    ], None
+
+
+def _cor3(batch, s, params, weighed):
+    p, q, a, b, y = (float(params[key]) for key in ("p", "q", "a", "b", "y"))
+    if p <= 0.0 or q <= 0.0:
+        raise ValueError("p and q must be positive")
+    if y <= 0.0:
+        raise ValueError("y must be positive")
+    if not a <= b:
+        raise ValueError(f"need a <= b, got a={a!r}, b={b!r}")
+    at = batch.add(np.array([(p * a + q * b) / (p + q), a, b])[:, None])
+    return [
+        ("f_at_weighted_point", at[:1], _ONE),
+        _MEAN,
+        ("weighted_endpoint_bound", at[1:], np.array([p, q]) / (p + q)),
+    ], cor3_condition_holds(p, q, a, b, y)
+
+
+_BUILDERS = {
+    "choquet": _choquet, "thm2": _thm2, "thm3": _thm3, "thm4": _thm4,
+    "thm5": _thm5, "thm6": _thm6, "cor2": _cor2, "cor3": _cor3,
+}
+
+CHAIN_NAMES: tuple[str, ...] = tuple(_BUILDERS)
+
+
+def chain_reports(instances, ground_truths) -> list[ChainReport]:
+    """Reports of ``(name, (function, simplex or None, params))`` instances.
+
+    ``ground_truths[k]`` judges the k-th (None for thm6, which has no
+    integral).  Every builder runs first; then each function object is
+    called once on its batch, and ``np.add.reduceat`` sums every weighted
+    term's products, each term on its own.
+    """
+    instances = list(instances)
+    if not instances:
+        return []
+    weighed, layout, batches, built = _weigh(instances), [0], {}, []
+    for name, (f, s, params) in instances:
+        if id(f) not in batches:
+            batches[id(f)] = f, _Batch(getattr(f, "dim", None), layout)
+        built.append(_BUILDERS[name](batches[id(f)][1], s, params, weighed))
+    values = np.empty(layout[0])
+    for f, batch in batches.values():
+        values[np.concatenate(batch.index)] = f(np.concatenate(batch.rows))
+    at, coef = zip(*[(at, c) for terms, _ in built for _, at, c in terms if at is not None])
+    starts = list(itertools.accumulate([len(a) for a in at[:-1]], initial=0))
+    products = np.concatenate(coef) * values[np.concatenate(at)]
+    sums = iter(np.add.reduceat(products, starts).tolist())
+    return [
+        _build_report(name, [(label, gt.mean_value if at is None else next(sums))
+                             for label, at, _ in terms], gt, condition_holds=condition)
+        for (name, _), (terms, condition), gt in zip(instances, built, ground_truths)
+    ]
+
+
+def _report(name, f, s, params, gt) -> ChainReport:
+    return chain_reports([(name, (f, s, params))], [gt])[0]
+
+
+# ---------------------------------------------------------------------------
+# the chains, one instance at a time
 # ---------------------------------------------------------------------------
 
 
@@ -188,17 +398,7 @@ def choquet_chain(f, s: Simplex, gt: IntegralEstimate) -> ChainReport:
     ``gt`` must be the mean of ``f`` over ``s`` under the uniform measure,
     whose barycenter is the centroid with equal vertex weights 1/(n+1).
     """
-    values = _values(f, s.vertices, s.centroid)
-    fv = values[:-1]
-    return _build_report(
-        "choquet",
-        [
-            ("f_at_centroid", values[-1]),
-            ("integral_mean", gt.mean_value),
-            ("vertex_average", fv.mean()),
-        ],
-        gt,
-    )
+    return _report("choquet", f, s, {}, gt)
 
 
 def thm2_upper(f, s: Simplex, p, gt: IntegralEstimate) -> ChainReport:
@@ -208,23 +408,7 @@ def thm2_upper(f, s: Simplex, p, gt: IntegralEstimate) -> ChainReport:
     At p = centroid the middle term becomes
     ((n/(n+1)) sum f(V_k) + f(centroid)) / (n+1).
     """
-    p = as_point(p, s.dimension)
-    weights = s.solve_weights(p)
-    if weights.min() < -TOL_GEOM:
-        raise PointOutsideSimplexError("pin point lies outside the simplex")
-    values = _values(f, s.vertices, p)
-    fv = values[:-1]
-    np1 = s.dimension + 1
-    refined = ((1.0 - weights) @ fv + values[-1]) / np1
-    return _build_report(
-        "thm2",
-        [
-            ("integral_mean", gt.mean_value),
-            ("pinned_upper", refined),
-            ("vertex_average", fv.mean()),
-        ],
-        gt,
-    )
+    return _report("thm2", f, s, {"point": p}, gt)
 
 
 def thm3_chain(f, s: Simplex, sub: Simplex, j: int, gt: IntegralEstimate) -> ChainReport:
@@ -241,36 +425,7 @@ def thm3_chain(f, s: Simplex, sub: Simplex, j: int, gt: IntegralEstimate) -> Cha
 
     The ``j`` sweep is the caller's job; every index is valid.
     """
-    np1 = s.dimension + 1
-    if not 0 <= j < np1:
-        raise IndexError(f"vertex index {j} out of range 0..{np1 - 1}")
-    W = _containment_weights(s, sub)[:-1]
-    centroid = s.centroid
-    if np.max(np.abs(sub.centroid - centroid)) > TOL_GEOM:
-        raise BarycenterMismatchError(
-            "subsimplex centroid differs from parent centroid"
-        )
-    q_j = sub.vertices[j]
-    # Arguments of the lower bound: centroid of the parent with vertex i
-    # replaced by sub vertex j.
-    args = (s.vertices.sum(axis=0) - s.vertices + q_j) / np1
-    # rows: vertices, then the lower-bound arguments, then centroid and q_j
-    values = _values(f, s.vertices, args, centroid, q_j)
-    fv, f_args = values[:np1], values[np1 : 2 * np1]
-    mask = np.arange(np1) != j
-    upper = (float((W[mask] @ fv).sum()) + values[-1]) / np1
-    lower = float(W[j] @ f_args)
-    return _build_report(
-        "thm3",
-        [
-            ("f_at_centroid", values[-2]),
-            ("subsimplex_lower", lower),
-            ("integral_mean", gt.mean_value),
-            ("subsimplex_upper", upper),
-            ("vertex_average", fv.mean()),
-        ],
-        gt,
-    )
+    return _report("thm3", f, s, {"subsimplex": sub, "j": j}, gt)
 
 
 def thm4_chain(f, s: Simplex, sub: Simplex, gt_sub: IntegralEstimate) -> ChainReport:
@@ -279,17 +434,7 @@ def thm4_chain(f, s: Simplex, sub: Simplex, gt_sub: IntegralEstimate) -> ChainRe
     Terms: [f(P), mean over sub, sum_j w_j(P) f(V_j)] with weights taken in
     the parent simplex.  ``gt_sub`` must be the mean of ``f`` over ``sub``.
     """
-    weights = _containment_weights(s, sub)[-1]
-    values = _values(f, s.vertices, sub.centroid)
-    return _build_report(
-        "thm4",
-        [
-            ("f_at_barycenter", values[-1]),
-            ("subsimplex_mean", gt_sub.mean_value),
-            ("weighted_vertex_bound", float(weights @ values[:-1])),
-        ],
-        gt_sub,
-    )
+    return _report("thm4", f, s, {"subsimplex": sub}, gt_sub)
 
 
 def thm5_upper(f, s: Simplex, sub: Simplex, gt_sub: IntegralEstimate) -> ChainReport:
@@ -299,20 +444,7 @@ def thm5_upper(f, s: Simplex, sub: Simplex, gt_sub: IntegralEstimate) -> ChainRe
     sum_j w_j(P) f(V_j)]; the last term is thm4's upper bound, carried so
     the improvement is visible.
     """
-    weights = _containment_weights(s, sub)[-1]
-    values = _values(f, s.vertices, sub.centroid)
-    n = s.dimension
-    vertex_bound = float(weights @ values[:-1])
-    improved = (n * vertex_bound + values[-1]) / (n + 1)
-    return _build_report(
-        "thm5",
-        [
-            ("subsimplex_mean", gt_sub.mean_value),
-            ("improved_upper", improved),
-            ("weighted_vertex_bound", vertex_bound),
-        ],
-        gt_sub,
-    )
+    return _report("thm5", f, s, {"subsimplex": sub}, gt_sub)
 
 
 def thm6_chain(f, s: Simplex, points, betas) -> ChainReport:
@@ -321,40 +453,7 @@ def thm6_chain(f, s: Simplex, points, betas) -> ChainReport:
     The points ``M_j`` must lie in ``s`` and their beta-mixture must equal
     the centroid.  No integral is involved; the tolerance is TOL_CHAIN.
     """
-    M = np.atleast_2d(np.asarray(points, dtype=float))
-    betas = np.asarray(betas, dtype=float)
-    if M.shape[1] != s.dimension:
-        raise DimensionMismatchError("points have the wrong dimension")
-    if betas.ndim != 1 or betas.shape[0] != M.shape[0]:
-        raise DimensionMismatchError("betas length must match number of points")
-    if betas.min() < 0.0:
-        raise ValueError("betas must be nonnegative")
-    if abs(betas.sum() - 1.0) > TOL_GEOM:
-        raise ValueError(f"betas sum to {betas.sum()!r}, expected 1")
-    W = s.solve_weights(M)
-    if W.min() < -TOL_GEOM:
-        raise PointOutsideSimplexError("a mixture point lies outside the simplex")
-    centroid = s.centroid
-    if np.max(np.abs(betas @ M - centroid)) > TOL_GEOM:
-        raise CentroidConstraintViolatedError(
-            "beta-mixture of points misses the centroid"
-        )
-    np1 = s.dimension + 1
-    values = _values(f, s.vertices, centroid, M)
-    return _build_report(
-        "thm6",
-        [
-            ("f_at_centroid", values[np1]),
-            ("point_mixture", float(betas @ values[np1 + 1 :])),
-            ("vertex_average", values[:np1].mean()),
-        ],
-        None,
-    )
-
-
-# ---------------------------------------------------------------------------
-# 1-D corollary chains
-# ---------------------------------------------------------------------------
+    return _report("thm6", f, s, {"points": points, "betas": betas}, None)
 
 
 def cor2_chain(f, a: float, b: float, lam: float, gt: IntegralEstimate) -> ChainReport:
@@ -372,33 +471,7 @@ def cor2_chain(f, a: float, b: float, lam: float, gt: IntegralEstimate) -> Chain
     endpoints m and lam*a + (1-lam)*b (lower bound at the m endpoint, upper
     bound at the other).
     """
-    a, b, lam = float(a), float(b), float(lam)
-    if not a < b:
-        raise ValueError(f"need a < b, got a={a!r}, b={b!r}")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lam must lie in [0, 1], got {lam!r}")
-    if getattr(f, "dim", 1) != 1:
-        raise DimensionMismatchError("cor2 requires a 1-D function")
-    m = (1.0 - lam) * a + lam * b
-    abscissae = np.array(
-        [a, b, (a + b) / 2.0, (a + m) / 2.0, (b + m) / 2.0, lam * a + (1.0 - lam) * b]
-    )
-    f_a, f_b, f_mid, f_left, f_right, f_other = (
-        float(v) for v in _values(f, abscissae[:, None])
-    )
-    lower = lam * f_left + (1.0 - lam) * f_right
-    upper = ((1.0 - lam) * f_a + lam * f_b + f_other) / 2.0
-    return _build_report(
-        "cor2",
-        [
-            ("f_at_midpoint", f_mid),
-            ("split_lower", lower),
-            ("integral_mean", gt.mean_value),
-            ("split_upper", upper),
-            ("endpoint_average", (f_a + f_b) / 2.0),
-        ],
-        gt,
-    )
+    return _report("cor2", f, None, {"a": a, "b": b, "lam": lam}, gt)
 
 
 def cor3_condition_holds(p: float, q: float, a: float, b: float, y: float) -> bool:
@@ -419,24 +492,4 @@ def cor3_check(
     report records ``condition_holds`` and only asserts the verdict when it
     is True.  ``gt`` must be the mean of ``f`` over [A-y, A+y].
     """
-    p, q, a, b, y = float(p), float(q), float(a), float(b), float(y)
-    if p <= 0.0 or q <= 0.0:
-        raise ValueError("p and q must be positive")
-    if y <= 0.0:
-        raise ValueError("y must be positive")
-    if not a <= b:
-        raise ValueError(f"need a <= b, got a={a!r}, b={b!r}")
-    if getattr(f, "dim", 1) != 1:
-        raise DimensionMismatchError("cor3 requires a 1-D function")
-    A = (p * a + q * b) / (p + q)
-    f_A, f_a, f_b = (float(v) for v in _values(f, np.array([[A], [a], [b]])))
-    return _build_report(
-        "cor3",
-        [
-            ("f_at_weighted_point", f_A),
-            ("integral_mean", gt.mean_value),
-            ("weighted_endpoint_bound", (p * f_a + q * f_b) / (p + q)),
-        ],
-        gt,
-        condition_holds=cor3_condition_holds(p, q, a, b, y),
-    )
+    return _report("cor3", f, None, {"p": p, "q": q, "a": a, "b": b, "y": y}, gt)

@@ -14,6 +14,14 @@ hinge_distance max(0, a.x - c)                                 no
 ============== =============================================== ==========
 
 Evaluation accepts a single point (shape ``(n,)``) or a batch (``(m, n)``).
+A point's value has the same bits in every batch of two or more points,
+which lets the chains evaluate a whole trial in one call and still replay
+one chain alone bit for bit.  Linear forms go through einsum.  The matrix
+products of ``quadratic_psd``, and of ``max_of_affines`` and
+``log_sum_exp`` with two or more pieces, go through BLAS's matrix-matrix
+path, which rounds each row the same way wherever it sits; a one-row batch
+takes BLAS's vector path there, which can differ in the last digit.
+
 Random generation is deterministic in ``(dim, kind, seed)`` and, when a
 simplex is supplied, anchors kinks and exponents to its interior so the
 nonsmooth/curved structure actually lands where the bounds are probed.
@@ -21,6 +29,7 @@ nonsmooth/curved structure actually lands where the bounds are probed.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,6 +83,16 @@ def _certify_psd(matrix: np.ndarray) -> None:
         raise ValueError("quadratic matrix is not positive semidefinite") from exc
 
 
+def _dot_rows(X: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``X @ a``, each row's products added in one order whatever the batch.
+
+    BLAS's matrix-vector product rounds a row differently depending on where
+    it sits in the batch (and a one-row call takes yet another path); the
+    loop of numpy's einsum adds every row's products the same way.
+    """
+    return np.einsum("ij,j->i", X, a)
+
+
 @dataclass(frozen=True, eq=False)
 class ConvexFunction:
     """A tagged, evaluable convex function on R^n."""
@@ -95,8 +114,10 @@ class ConvexFunction:
             if name in ("matrix", "slope", "slopes", "offsets"):
                 value = np.atleast_1d(np.asarray(value, dtype=float))
                 value.setflags(write=False)
-            else:
+            elif isinstance(value, numbers.Real) and not isinstance(value, bool):
                 value = float(value)
+            else:
+                raise ValueError(f"{name} must be a real number, got {value!r}")
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} must be finite")
             clean[name] = value
@@ -151,9 +172,10 @@ class ConvexFunction:
         p = self.params
         kind = self.kind
         if kind == "affine":
-            return X @ p["slope"] + p["offset"]
+            return _dot_rows(X, p["slope"]) + p["offset"]
         if kind == "quadratic_psd":
-            return ((X @ p["matrix"]) * X).sum(axis=1) + X @ p["slope"] + p["offset"]
+            quadratic = ((X @ p["matrix"]) * X).sum(axis=1)
+            return quadratic + _dot_rows(X, p["slope"]) + p["offset"]
         if kind in ("max_of_affines", "log_sum_exp"):
             # (k, m) layout: one contiguous row of m values per affine piece,
             # so the reductions over the k pieces are k elementwise passes
@@ -171,9 +193,9 @@ class ConvexFunction:
             np.exp(Z, out=Z)
             return peak + np.log(_row_sums(Z.T))
         if kind == "exp_affine":
-            return np.exp(X @ p["slope"] + p["offset"])
+            return np.exp(_dot_rows(X, p["slope"]) + p["offset"])
         # hinge_distance
-        return np.maximum(0.0, X @ p["slope"] - p["threshold"])
+        return np.maximum(0.0, _dot_rows(X, p["slope"]) - p["threshold"])
 
     # -- serialization ------------------------------------------------------
 

@@ -14,8 +14,8 @@ linear system that stacks the vertex-combination equations with the
 weights-sum-to-one constraint (``solve_weights``), and by ratios of
 vertex-replacement volumes (``barycentric_volumes``).  The two must agree;
 the test suite enforces this cross-check.  Both use numpy alone: LAPACK's LU
-solve (``numpy.linalg.solve``, backward stable) for the stacked system, and
-``numpy.linalg.det`` for the volumes.
+solve (``numpy.linalg.solve``, backward stable, one right-hand side per
+point) for the stacked system, and ``numpy.linalg.det`` for the volumes.
 """
 
 from __future__ import annotations
@@ -125,22 +125,27 @@ class Simplex:
         """Barycentric weights for one point or a batch.
 
         Returns shape ``(n+1,)`` for a single point, ``(m, n+1)`` for a
-        batch.  Weights may be negative when a point lies outside.  One LU
-        solve of the stacked system (vertex-combination rows over a row of
-        ones) serves the whole batch; a singular system raises
+        batch.  Weights may be negative when a point lies outside.  The
+        system stacks the vertex-combination rows over a row of ones, and
+        one batched LU solve (LAPACK ``gesv``) takes each point as its own
+        right-hand side.  So a point's weights have the same bits in every
+        batch: a single multi-column solve rounds a column differently
+        depending on its neighbours.  A singular system raises
         :class:`SingularSystemError`.
         """
         P = np.asarray(points, dtype=float)
         single = P.ndim == 1
         P = np.atleast_2d(P)
-        if P.shape[1] != self.dimension:
+        m, n = P.shape
+        if n != self.dimension:
             raise DimensionMismatchError(
-                f"points have dimension {P.shape[1]}, expected {self.dimension}"
+                f"points have dimension {n}, expected {self.dimension}"
             )
-        system = np.vstack([self._vertices.T, np.ones((1, P.shape[1] + 1))])
-        rhs = np.vstack([P.T, np.ones((1, P.shape[0]))])
+        system = np.ones((n + 1, n + 1))
+        system[:n] = self._vertices.T
+        rhs = np.concatenate((P, np.ones((m, 1))), axis=1)[:, :, None]
         try:
-            W = np.linalg.solve(system, rhs).T
+            W = np.linalg.solve(system[None].repeat(m, axis=0), rhs)[:, :, 0]
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(f"barycentric system: {exc}") from exc
         return W[0] if single else W

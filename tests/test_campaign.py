@@ -9,6 +9,7 @@ from hhbounds import (
     CHAIN_NAMES,
     CampaignConfig,
     ConditionNotViolatedError,
+    ConvexFunction,
     MissingBaselineError,
     Simplex,
     default_config,
@@ -41,6 +42,11 @@ SMALL = CampaignConfig(
 @pytest.fixture(scope="module")
 def small_result():
     return run_campaign(SMALL)
+
+
+@pytest.fixture(scope="module")
+def full_24():
+    return run_campaign(CampaignConfig(trials_per_theorem=24, mc_samples=2000))
 
 
 class TestConfig:
@@ -215,7 +221,7 @@ class TestRunCampaign:
         cfg = CampaignConfig(trials_per_theorem=48, mc_samples=2000)
         digest = hashlib.sha256(run_campaign(cfg).to_json().encode()).hexdigest()
         assert digest == (
-            "ab58e3825e44923ce6480c97be89c08b99f19821e22efcd132870bd4000a52ff"
+            "0ca0a52025911b06ec052fd27f170b4e88610e77648c214d126219c12f313ffd"
         )
 
     def test_polynomial_and_smooth_kinds_result_pinned(self):
@@ -228,19 +234,19 @@ class TestRunCampaign:
         )
         digest = hashlib.sha256(run_campaign(cfg).to_json().encode()).hexdigest()
         assert digest == (
-            "4b1de7e89603e5dfd01f087f1506e411d4d8c2018fc149d7a62d8d38fed0b43d"
+            "c8e0ee4860539380683a3a6895f54a4b43fd8dc6f930085d7e287535333ae18f"
         )
 
     #: sha256 of ``dumps(per_theorem[name])`` for the simplex chains of a
     #: max_of_affines campaign in dims 2-8: exact ground truth for two
     #: pieces, Monte Carlo for three to five.
     _MAX_OF_AFFINES_SECTIONS = {
-        "choquet": "148b1208ffdb3c65c02aa4af8222be5a6b3c48da31f2396eb9e068bf4864917a",
-        "thm2": "0832271d6498c90f842a4ca7fc1f186c8354e09414aff033f7378cca83d733dc",
-        "thm3": "18bdcfcad42fa0d3a7dad78ded6331ca21fc69de926c9ef085cc25f7688840d3",
-        "thm4": "29de0484269dcf76d1a6d2a23592f381f019185f9804d7f9a592d367c1e8e532",
-        "thm5": "626c40091956806036c9bf53dfb15bf91a4f4b94ae23dc1d21186d5bd3b83e3a",
-        "thm6": "7a482a40bab16cb062f4ffa84dd90a0c05c8fbfd31f16a9cf95569add02318bb",
+        "choquet": "d6c367ccf497d0cffa7f5f767952237273a62785a6688001df4f384ab6883cf3",
+        "thm2": "83cf2dd14b9864dfbb2225e5053f02da1555521737fc9a07a7c060aa71318630",
+        "thm3": "95318f485d260e2f20ea82bb0e7f7126d7b3cd0060e57b69e5c9aea2d0e8d938",
+        "thm4": "b0c6897792b3ec31a2cbe215ccc9f2c1c04f1477179da8348a8ba88bf0d629a8",
+        "thm5": "dab347303cf63993fe1f4595bf38f9cb1155afa691a18778eba4f897476cad37",
+        "thm6": "dd0dcfbad494d03831c01ebed841e17c85df6e1d77f3e6f0538842d4dc6c5394",
     }
 
     def test_max_of_affines_multidim_sections_pinned(self):
@@ -263,17 +269,17 @@ class TestRunCampaign:
     #: sections stay as they were before any ground-truth change.
     _UNMOVED_SECTIONS = {
         2000: {
-            "choquet": "0a11fbc28522b96c522ef8790d17dc7bbad32019c2cc250f02a072fb4db49281",
-            "thm2": "ab94699a031e7582b813c42645042d8be2a1436b1f8e9e908afe18e72387d140",
-            "thm3": "9c5ce87b0fc708e18d161b242c57317e01d5589be21c07c63e2e248d498fdf4a",
-            "thm6": "f58d69da05946ad08389044131aec98cf444043fdd5dfe1def5a3ee7eaf61fb5",
-            "cor2": "faeb86cbaa2a6f8d56da64586440e246ee47c548272c64846aa8010155abe421",
+            "choquet": "50861b5596c84946795bef7277c96bfc03582f158856c3d6d753c28b2598e5b2",
+            "thm2": "9025e3cdd97c79708ea9fe611fa00ac1134409baaaf8f7d42c1ce524ed702b1b",
+            "thm3": "8a5fb357024e0503d6450b709028e6054029aa0a4ae1304a77c980779267484f",
+            "thm6": "b152066e953a69666f31832bcfafabc0389aecde6069b6b16fec061b57d87ca7",
+            "cor2": "940ae26120957e5ee5bfe25629b6ce8b0e1c695401472aa1fc5614f444b884b4",
         },
         2: {
-            "choquet": "460f74e6051e90515bc7450e1e33ae997f5384fdd6109a7bfd391f267df1f15a",
-            "thm2": "6199c7084515d614a9a4159274d7a65812d8dbc8ead04e60322e8eba4cd25548",
-            "thm3": "d873ff0943f4d8c65d93b20db8993bfe43e2442083ccdb181d6b08248b331e69",
-            "thm6": "f58d69da05946ad08389044131aec98cf444043fdd5dfe1def5a3ee7eaf61fb5",
+            "choquet": "eb7368df7d1a4808a4b4ae515c8e4b68fcf100847d826f66e55d318d7dd8d716",
+            "thm2": "84ea8c32d3ebf972e06b2aa33141cdf7d13c2fda39ed0f077cc5f33c172a0765",
+            "thm3": "f0403a93b793d15627ee3a97f8d4649f6b327f94186e14b09efb848fe4a62cf7",
+            "thm6": "b152066e953a69666f31832bcfafabc0389aecde6069b6b16fec061b57d87ca7",
             "cor2": "3372065786637d1191b00c277fa688f1cb2267b8fc0abfad2ce2121c7d3038e9",
         },
     }
@@ -326,10 +332,11 @@ class TestRunCampaign:
         }
         assert counts["exact"] + counts["accepted"] + counts["mc"] == 4 * 48
 
-    def test_six_solves_per_closed_form_trial(self, monkeypatch):
+    def test_three_solves_per_closed_form_trial(self, monkeypatch):
         # Per trial: the centred subsimplex and the thm6 mixture shift in
-        # _build_trial, then thm2's point, one containment solve for thm3's
-        # j sweep, one shared by thm4 and thm5, and thm6's points.
+        # _build_trial, then one stacked solve of every weight the chains
+        # read: thm2's point, the vertices and centroid of each subsimplex,
+        # and thm6's points.
         calls = []
         solve = Simplex.solve_weights
 
@@ -342,15 +349,32 @@ class TestRunCampaign:
             trials_per_theorem=16, mc_samples=2, function_kinds=quadrature.EXACT_KINDS
         )
         run_campaign(cfg)
-        assert len(calls) == 6 * 16
+        assert len(calls) == 3 * 16
 
-    def test_single_chain_selection_keeps_its_section(self):
-        # a shared pass gives each domain the estimate it gets alone, so a
-        # campaign of thm4 only reproduces the thm4 section of the full one
-        cfg = CampaignConfig(trials_per_theorem=24, mc_samples=2000)
-        full = run_campaign(cfg).per_theorem["thm4"]
-        alone = run_campaign(dataclasses.replace(cfg, theorems=("thm4",)))
-        assert dumps(alone.per_theorem["thm4"]) == dumps(full)
+    def test_three_function_calls_per_trial(self, monkeypatch):
+        # the trial's function, its cor2 function and its cor3 function, each
+        # called once on the union of its chains' points; the ground truths
+        # of these kinds are closed forms, which call none
+        calls = []
+        call = ConvexFunction.__call__
+
+        def counting(self, x):
+            calls.append(len(x))
+            return call(self, x)
+
+        monkeypatch.setattr(ConvexFunction, "__call__", counting)
+        kinds = ("affine", "quadratic_psd", "hinge_distance")
+        run_campaign(CampaignConfig(trials_per_theorem=16, mc_samples=2, function_kinds=kinds))
+        assert len(calls) == 3 * 16
+        assert calls[1::3] == [6] * 16 and calls[2::3] == [3] * 16
+
+    @pytest.mark.parametrize("name", CHAIN_NAMES)
+    def test_single_chain_selection_keeps_its_section(self, name, full_24):
+        # a shared pass gives each domain the estimate it gets alone, and a
+        # point its value and weights in any batch, so a campaign of one
+        # chain reproduces that chain's section of the full one
+        alone = run_campaign(dataclasses.replace(full_24.config, theorems=(name,)))
+        assert dumps(alone.per_theorem[name]) == dumps(full_24.per_theorem[name])
 
     def test_wall_time_not_serialized(self, small_result):
         assert small_result.wall_time_seconds > 0.0
@@ -474,7 +498,7 @@ class TestPinnedReplay:
         result = run_campaign(CampaignConfig(trials_per_theorem=48, mc_samples=2))
         text = result.to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "127d2dd922e7093185782c3e55603449c701dc049657c61b37114b9ac5dc2aa1"
+            "e72b5248f04ea4193ea2411792ff7a809cc0a250ee41177e451499e97aaff38e"
         )
         failures = json.loads(text)["failures"]
         assert len(failures) == 21
@@ -508,7 +532,7 @@ class TestPinnedReplay:
         }
         report = replay_failure(json.loads(dumps(descriptor)))
         assert report.verdict == "pass"
-        assert list(report.slacks) == [0.1258579133606128, 0.0687450378234471]
+        assert list(report.slacks) == [0.12585791336061258, 0.06874503782344732]
         assert report.tolerance_used == 0.006167550807916049
 
     def test_thm6_descriptor_replay_pinned(self):
@@ -529,7 +553,7 @@ class TestPinnedReplay:
         }
         report = replay_failure(json.loads(dumps(descriptor)))
         assert report.verdict == "pass"
-        assert list(report.slacks) == [0.11666666666666661, 0.15000000000000013]
+        assert list(report.slacks) == [0.11666666666666661, 0.15000000000000008]
         assert report.tolerance_used == 1e-08
 
 

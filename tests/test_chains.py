@@ -41,8 +41,8 @@ from hhbounds import (
     thm5_upper,
     thm6_chain,
 )
-from hhbounds.campaign import CHAINS, _build_trial
-from hhbounds.chains import _containment_weights
+from hhbounds.campaign import _build_trial
+from hhbounds.chains import _weigh, chain_reports
 
 SQ_1D = ConvexFunction(
     "quadratic_psd", {"matrix": [[1.0]], "slope": [0.0], "offset": 0.0}, "x^2"
@@ -461,50 +461,75 @@ def single_point_terms(name, f, s, p, mean):
     return [f_c, mixture, fv.mean()]
 
 
+def trial_reports(instances, gt):
+    """Reports of every chain of a trial from one evaluator call, all against ``gt``."""
+    flat = [(name, case) for name, cases in instances.items() for case in cases]
+    gts = [None if name == "thm6" else gt for name, _ in flat]
+    return flat, chain_reports(flat, gts)
+
+
 class TestSharedWork:
-    """One batched evaluation per chain and one containment solve per pair."""
+    """One evaluation per function and one weight solve per parent in a trial."""
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_batched_terms_match_single_point_terms(self, kind):
-        # every chain on campaign-drawn instances of dims 1-8; the batched
-        # matmuls may round differently, within a few ulps of each term
+        # every chain and every thm3 j of campaign-drawn trials in dims 1-8,
+        # each trial in one evaluator call; the batched products may round
+        # differently from one-point calls, within a few ulps of each term
         gt = IntegralEstimate(0.25, 0.0, "exact_polynomial", 0)
         for dim in range(1, 9):
             cfg = CampaignConfig(dimensions=(dim,), function_kinds=(kind,))
             for index in range(2):
                 _, _, instances = _build_trial(cfg, index)
-                for name, cases in instances.items():
-                    for f, s, params in cases:
-                        got = CHAINS[name].run(f, s, params, gt).values
-                        want = single_point_terms(name, f, s, params, gt.mean_value)
-                        for g, w in zip(got, want, strict=True):
-                            assert abs(g - w) <= 1e-14 * max(1.0, abs(w)), (name, dim)
+                flat, reports = trial_reports(instances, gt)
+                assert len(reports) == len(CampaignConfig().theorems) + dim
+                for (name, (f, s, params)), report in zip(flat, reports):
+                    want = single_point_terms(name, f, s, params, gt.mean_value)
+                    for g, w in zip(report.values, want, strict=True):
+                        assert abs(g - w) <= 1e-14 * max(1.0, abs(w)), (name, dim)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_terms_identical_alone_and_in_a_trial(self, kind):
+        # a chain run alone (a public function, a replay) evaluates only its
+        # own points, yet gets the bits it gets inside the whole trial
+        gt = IntegralEstimate(0.25, 0.0, "exact_polynomial", 0)
+        for dim in range(1, 9):
+            cfg = CampaignConfig(dimensions=(dim,), function_kinds=(kind,))
+            _, _, instances = _build_trial(cfg, 3)
+            flat, reports = trial_reports(instances, gt)
+            for (name, case), report in zip(flat, reports):
+                alone = chain_reports([(name, case)], [report.ground_truth])[0]
+                assert alone == report, (name, dim)
 
     def test_containment_weights_shared_and_read_only(self):
+        # thm3's sweep, thm4 and thm5 on one subsimplex read one read-only
+        # block of parent weights: its vertices', then its centroid's
         s = random_simplex(4, np.random.default_rng(31))
         sub = s.homothety_about_centroid(0.6)
-        W = _containment_weights(s, sub)
-        assert _containment_weights(s, sub) is W
+        f = random_convex(4, "quadratic_psd", 3, simplex=s)
+        shared = {"subsimplex": sub}
+        instances = [("thm3", (f, s, {"subsimplex": sub, "j": j})) for j in range(5)]
+        instances += [("thm4", (f, s, shared)), ("thm5", (f, s, shared))]
+        weighed = _weigh(instances)
+        assert list(weighed) == [(id(s), id(sub))]
+        rows, W = weighed[id(s), id(sub)]
         assert not W.flags.writeable
         with pytest.raises(ValueError):
             W[0, 0] = 1.0
-        # rows: the sub vertices, then the sub centroid
         assert_allclose(W[:-1] @ s.vertices, sub.vertices, rtol=0, atol=1e-13)
         assert_allclose(W[-1] @ s.vertices, sub.centroid, rtol=0, atol=1e-13)
 
     def test_thm3_identical_with_cold_and_warm_cache(self):
+        # each j alone, on a fresh batch and weight solve, against the whole
+        # sweep sharing one batch and one solve: the same reports, bit for bit
         rng = np.random.default_rng(32)
         s = random_simplex(5, rng)
         f = random_convex(5, "log_sum_exp", 7, simplex=s)
         sub = s.homothety_about_centroid(0.4)
         gt = integrate_mc(f, s, 2000, seed=3)
-        cold = []
-        for j in range(6):
-            _containment_weights.cache_clear()
-            cold.append(thm3_chain(f, s, sub, j, gt).to_json_dict())
-        _containment_weights.cache_clear()
-        warm = [thm3_chain(f, s, sub, j, gt).to_json_dict() for j in range(6)]
-        assert _containment_weights.cache_info().hits == 5
+        cold = [thm3_chain(f, s, sub, j, gt).to_json_dict() for j in range(6)]
+        sweep = [("thm3", (f, s, {"subsimplex": sub, "j": j})) for j in range(6)]
+        warm = [report.to_json_dict() for report in chain_reports(sweep, [gt] * 6)]
         assert warm == cold
 
     def test_one_solve_per_pair(self, monkeypatch):
@@ -520,10 +545,39 @@ class TestSharedWork:
             calls.append(np.shape(points))
             return solve(self, points)
 
-        _containment_weights.cache_clear()
         monkeypatch.setattr(Simplex, "solve_weights", counting)
-        for j in range(4):
-            thm3_chain(f, s, sub, j, gt)
-        thm4_chain(f, s, sub, integrate_exact(f, sub))
-        thm5_upper(f, s, sub, integrate_exact(f, sub))
+        shared = {"subsimplex": sub}
+        instances = [("thm3", (f, s, {"subsimplex": sub, "j": j})) for j in range(4)]
+        instances += [("thm4", (f, s, shared)), ("thm5", (f, s, shared))]
+        chain_reports(instances, [gt] * 6)
         assert calls == [(5, 3)]
+
+    def test_one_call_per_function(self):
+        # the parent's vertices and centroid once, thm3's (n+1)^2 arguments
+        # and n+1 sub vertices once for the whole sweep, and the pin point,
+        # P and the mixture points once each
+        calls = []
+
+        class Spy:
+            def __init__(self, f):
+                self.f, self.dim = f, f.dim
+
+            def __call__(self, X):
+                calls.append(len(X))
+                return self.f(X)
+
+        gt = IntegralEstimate(0.25, 0.0, "exact_polynomial", 0)
+        for dim in (1, 4, 8):
+            cfg = CampaignConfig(dimensions=(dim,), function_kinds=("quadratic_psd",))
+            _, _, instances = _build_trial(cfg, 0)
+            spies = {id(f): Spy(f) for cases in instances.values() for f, _, _ in cases}
+            flat = [
+                (name, (spies[id(f)], s, params))
+                for name, cases in instances.items()
+                for f, s, params in cases
+            ]
+            calls.clear()
+            chain_reports(flat, [None if name == "thm6" else gt for name, _ in flat])
+            mixture = len(instances["thm6"][0][2]["points"])
+            np1 = dim + 1
+            assert calls == [np1 + 1 + 1 + np1 * np1 + np1 + 1 + mixture, 6, 3]

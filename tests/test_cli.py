@@ -198,11 +198,11 @@ class TestBounds:
         _, out5, _ = run_cli(capsys, *args, "--theorem", "thm5")
         assert both == out4 + out5
 
-    def test_six_chains_make_five_solves(
+    def test_six_chains_make_two_solves(
         self, capsys, monkeypatch, tmp_path, triangle_file, sq_2d_file
     ):
-        # thm2's point, thm3's containment, the centred subsimplex, the
-        # containment that thm4 and thm5 share, and thm6's points
+        # the centred subsimplex, then one stacked solve of thm2's point, both
+        # subsimplices (the one thm4 and thm5 share once) and thm6's points
         calls = []
         solve = Simplex.solve_weights
 
@@ -219,7 +219,7 @@ class TestBounds:
             capsys, "bounds", triangle_file, sq_2d_file, *theorem_args, "--point", "0.2,0.3"
         )
         assert code == 0
-        assert len(calls) == 5
+        assert len(calls) == 2
 
     def test_out_file(self, capsys, tmp_path, unit_interval_file, sq_1d_file):
         out_path = str(tmp_path / "reports.jsonl")
@@ -267,6 +267,18 @@ class TestNonFiniteParams:
         assert token in err
 
 
+class TestNonRealParams:
+    """A scalar param that is not a real number ends in exit 2, naming it."""
+
+    @pytest.mark.parametrize("value", ["[1.0]", "null", '"2"', "true", "{}"])
+    def test_non_real_offset_exit_2(self, capsys, tmp_path, unit_interval_file, value):
+        path = tmp_path / "func.json"
+        path.write_text('{"kind": "affine", "params": {"slope": [1.0], "offset": %s}}' % value)
+        code, out, err = run_cli(capsys, "bounds", unit_interval_file, str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: offset must be a real number, got ")
+
+
 class TestBoundsPinned:
     """sha256 of ``hh bounds`` stdout on fixed instances with every flag set.
 
@@ -309,12 +321,12 @@ class TestBoundsPinned:
     SIX = ("choquet", "thm2", "thm3", "thm4", "thm5", "thm6")
     #: sha256 of stdout, keyed by the name of the function descriptor above.
     DIGESTS = {
-        "LSE_3D": "0ed792284161dc7a8dd1ff5213c888a4a68764c02e678b2413c23d79eb72aa6c",
-        "QUAD_3D": "83215cbb326815e54df78f3ca30966f4047b361eab32e043758ffa2f4b005eba",
-        "EXP_3D": "273d3f55fd32fc4cdd70980a70468efc56e4e7eff7a410b0334d1d83693291b6",
-        "HINGE_1D": "4e78ea0564cd7dff33f12912180849f646aa897e81e0ba20acf8aea9f67c8d39",
-        "QUAD_1D": "d73bece2b241d173adb883177265845e55f86471cdddbe9bd667c11d59aeef98",
-        "EXP_1D": "d2e00484f17731d1e9d15e45db7ca0953a4cb4775ea4e2f6b131eae5310287fe",
+        "LSE_3D": "d3408d5d1a0b33149acdb7a59062d986085687b056a2d90b14ef813d1ed8603b",
+        "QUAD_3D": "8714aa0eb94c5554c109ca2ecbdabe35dafda3a1371d463944c2153b717192af",
+        "EXP_3D": "c949813fa6185f4d57aa167594ae29ba80a2fbe97ddd6f107a5e6d0bcb0ddd93",
+        "HINGE_1D": "a947a24ef0aa2e0d8b39b41d89016e3c3daca746929c613b4bdc652d02145f7c",
+        "QUAD_1D": "f8f50d671579193f3206f8597b126603762e712f4006eb0f17bab3cc865ca72f",
+        "EXP_1D": "d4f327a61e3cbe02dc6f922ab7f15b884cb7a4b2a679e6c59a527b8312e707f8",
     }
 
     def digest(self, capsys, tmp_path, vertices, func, chains, point):
@@ -387,7 +399,7 @@ class TestCampaign:
         with open(out_path, encoding="utf-8") as handle:
             assert handle.read() == out
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "ef354f0b0bf24d552f0b61b9d30737ff4260ee9c5cbbd42b56d872c1e1531e4b"
+            "58380cd3da3a56b9d582adb9cbfcba1022c9e3f4f602b8e735701e05de12fd30"
         )
 
     def test_csv_matches_result_json(self, capsys, tmp_path):

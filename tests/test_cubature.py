@@ -455,4 +455,4 @@ class TestChanceFailureRegression:
             "method": "monte_carlo", "samples": 256, "seed": seeds[_TRIAL_SEED_SLOTS["interval"]]
         }
         old = replay_failure(json.loads(dumps(descriptor)))
-        assert old.verdict == "fail" and old.slacks[2] == -0.08048860401037727
+        assert old.verdict == "fail" and old.slacks[2] == -0.08048860401037738

@@ -172,6 +172,54 @@ class TestConstruction:
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             ConvexFunction(kind, params)
 
+    @pytest.mark.parametrize("value", [[1.0], None, "2", True, False, {"x": 1.0}, 1 + 0j])
+    @pytest.mark.parametrize(
+        "kind, params, name",
+        [
+            ("affine", {"slope": [1.0]}, "offset"),
+            ("quadratic_psd", {"matrix": [[1.0]], "slope": [0.0]}, "offset"),
+            ("exp_affine", {"slope": [1.0]}, "offset"),
+            ("hinge_distance", {"slope": [1.0]}, "threshold"),
+        ],
+    )
+    def test_non_real_scalar_param_rejected(self, kind, params, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
+            ConvexFunction(kind, {**params, name: value})
+
+    @pytest.mark.parametrize("value", [2, np.float32(0.5), np.int64(-3), 0.25])
+    def test_real_scalar_params_accepted(self, value):
+        f = ConvexFunction("hinge_distance", {"slope": [1.0], "threshold": value})
+        assert type(f.params["threshold"]) is float
+        assert f.params["threshold"] == float(value)
+
+
+class TestBatchIndependence:
+    """A point's value has the same bits in every batch of two or more points."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_value_independent_of_batch(self, kind):
+        rng = np.random.default_rng(41)
+        for dim in range(1, 9):
+            for _ in range(3):
+                s = random_simplex(dim, rng)
+                f = random_convex(dim, kind, int(rng.integers(2**31)), simplex=s)
+                X = rng.dirichlet(np.ones(dim + 1), size=60) @ s.vertices
+                full = f(X)
+                for size in (2, 3, 5, 8, 13, 33):
+                    rows = rng.choice(60, size, replace=False)
+                    assert np.array_equal(f(X[rows]), full[rows]), (dim, size)
+                    start = int(rng.integers(60 - size))
+                    assert np.array_equal(f(X[start : start + size]), full[start : start + size])
+
+    @pytest.mark.parametrize("kind", ("affine", "exp_affine", "hinge_distance"))
+    def test_linear_kinds_single_point_equals_batch(self, kind):
+        rng = np.random.default_rng(43)
+        for dim in range(1, 9):
+            s = random_simplex(dim, rng)
+            f = random_convex(dim, kind, 7, simplex=s)
+            X = rng.dirichlet(np.ones(dim + 1), size=20) @ s.vertices
+            assert [f(x) for x in X] == f(X).tolist()
+
 
 class TestRandomConvex:
     def test_deterministic_in_seed(self):

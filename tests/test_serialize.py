@@ -11,7 +11,7 @@ from hhbounds.chains import choquet_chain
 from hhbounds.funcs import ConvexFunction
 from hhbounds.geometry import standard_simplex
 from hhbounds.quadrature import integrate_exact
-from hhbounds.serialize import dumps, dumps_lines, read_json, write_json
+from hhbounds.serialize import LINES_CHUNK_ROWS, dumps, dumps_lines, read_json, write_json
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -136,6 +136,16 @@ class TestDumpsLines:
 
     def test_single_column(self):
         assert dumps_lines(np.array([[0.5], [2.0]])) == "[0.5]\n[2.0]\n"
+
+    @pytest.mark.parametrize(
+        "rows", [1, LINES_CHUNK_ROWS - 1, LINES_CHUNK_ROWS, LINES_CHUNK_ROWS + 1]
+    )
+    def test_chunk_edges_match_dumps_per_row(self, rows):
+        rng = np.random.default_rng(rows)
+        M = rng.standard_normal((rows, 3))
+        M[0] = [-0.0, 5e-324, 1e16]
+        M[-1] = [1e22, -0.0, 5e-324]
+        assert dumps_lines(M) == "".join(dumps(row.tolist()) + "\n" for row in M)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_nonfinite_rejected_as_dumps(self, bad):
