@@ -149,12 +149,22 @@ def run_instances(instances, slots: dict[str, int], seeds, mc_samples: int):
     without one.
     """
     instances = list(instances)
+    domains: dict[str, Simplex] = {}
+    for name, (_, simplex, params) in instances:
+        domain = CHAINS[name].domain
+        if domain is not None and domain not in domains:
+            domains[domain] = DOMAINS[domain](simplex, params)
+    yield from _run_on(instances, domains, slots, seeds, mc_samples)
+
+
+def _run_on(instances: list, domains: dict, slots, seeds, mc_samples: int):
+    """:func:`run_instances` on ground-truth domains already built, by name."""
     pairs: dict[int, dict[tuple, tuple]] = {}  # slot -> object ids -> (f, domain)
     keys: dict[str, tuple] = {}  # domain name -> (slot, object ids)
-    for name, (func, simplex, params) in instances:
+    for name, (func, _, _) in instances:
         domain = CHAINS[name].domain
         if domain is not None and domain not in keys:
-            pair = func, DOMAINS[domain](simplex, params)
+            pair = func, domains[domain]
             ids = id(pair[0]), id(pair[1])
             pairs.setdefault(slots[domain], {}).setdefault(ids, pair)
             keys[domain] = slots[domain], ids
@@ -339,7 +349,8 @@ def random_simplex(dim: int, rng: np.random.Generator) -> Simplex:
             s = Simplex(V)
         except DegenerateSimplexError:
             continue
-        if np.linalg.cond(V[1:] - V[0]) <= COND_LIMIT:
+        sv = np.linalg.svd(V[1:] - V[0], compute_uv=False)
+        if sv[0] / sv[-1] <= COND_LIMIT:
             return s
     raise RuntimeError(
         f"no well-conditioned simplex of dimension {dim} in {_SIMPLEX_TRIES} tries"
@@ -360,10 +371,12 @@ _TRIAL_SEED_SLOTS = {"parent": 0, "subsimplex": 0, "interval": 2, "window": 2}
 def _build_trial(cfg: CampaignConfig, index: int):
     """Deterministically generate one trial from the master seed.
 
-    Returns ``(dim, seeds, instances)``: the trial's four ground-truth seeds
-    (indexed by :data:`_TRIAL_SEED_SLOTS`) and, per chain name, a list of
-    instances ``(function, simplex or None, params)``, one per subsimplex
-    vertex index for thm3 and one for every other chain.
+    Returns ``(dim, seeds, instances, domains)``: the trial's four
+    ground-truth seeds (indexed by :data:`_TRIAL_SEED_SLOTS`); per chain
+    name, a list of instances ``(function, simplex or None, params)``, one
+    per subsimplex vertex index for thm3 and one for every other chain; and
+    its ground-truth domains by :data:`DOMAINS` name, the cor2 interval and
+    cor3 window being the ones their functions were drawn on.
 
     The draw order below is part of the determinism contract: simplex
     (with retries), function seed, subsimplex scale, interior point, mixture
@@ -379,8 +392,6 @@ def _build_trial(cfg: CampaignConfig, index: int):
     f = random_convex(dim, kind, _draw_seed(rng), simplex=s)
     t_scale = float(cfg.subsimplex_scales[int(rng.integers(len(cfg.subsimplex_scales)))])
     point = rng.dirichlet(np.full(dim + 1, 2.0)) @ s.vertices
-    sub_homothety = s.homothety_about_centroid(t_scale)
-    sub_centered = s.centered_subsimplex(point, t_scale)
 
     # Mixture points averaging to the centroid: shift random points so the
     # beta-mixture hits the centroid, then shrink toward it until all points
@@ -391,7 +402,12 @@ def _build_trial(cfg: CampaignConfig, index: int):
     raw_w /= raw_w.sum(axis=1, keepdims=True)
     shifted = raw_w @ s.vertices
     shifted = shifted + (s.centroid - betas @ shifted)
-    w_shift = s.solve_weights(shifted)
+    # One solve for the pin point and the shifted points; each row is its
+    # own right-hand side, so its weights are those of a solve of it alone.
+    W = s.solve_weights(np.concatenate((point[None], shifted)))
+    w_point, w_shift = W[0], W[1:]
+    sub_homothety = s.homothety_about_centroid(t_scale)
+    sub_centered = s._centered(point, w_point, t_scale)
     base = 1.0 / (dim + 1)
     w_min = float(w_shift.min())
     gamma = 1.0 if w_min >= 0.0 else min(1.0, 0.9 * base / (base - w_min))
@@ -400,18 +416,16 @@ def _build_trial(cfg: CampaignConfig, index: int):
     a = float(rng.normal(0.0, 1.0))
     b = a + 0.3 + float(rng.exponential(1.0))
     cor2 = {"a": a, "b": b, "lam": float(rng.uniform(0.0, 1.0))}
-    cor2_func = random_convex(
-        1, kind, _draw_seed(rng), simplex=DOMAINS["interval"](None, cor2)
-    )
+    interval = DOMAINS["interval"](None, cor2)
+    cor2_func = random_convex(1, kind, _draw_seed(rng), simplex=interval)
 
     p, q = float(rng.uniform(0.2, 5.0)), float(rng.uniform(0.2, 5.0))
     a = float(rng.normal(0.0, 1.0))
     b = a + 0.3 + float(rng.exponential(1.0))
     y = float(rng.uniform(0.05, 1.0)) * ((b - a) * min(p, q) / (p + q))
     cor3 = {"p": p, "q": q, "a": a, "b": b, "y": y}
-    cor3_func = random_convex(
-        1, kind, _draw_seed(rng), simplex=DOMAINS["window"](None, cor3)
-    )
+    window = DOMAINS["window"](None, cor3)
+    cor3_func = random_convex(1, kind, _draw_seed(rng), simplex=window)
 
     seeds = [int(seed) for seed in rng.integers(0, 2**63, size=4)]
     centered = {"subsimplex": sub_centered}
@@ -425,7 +439,8 @@ def _build_trial(cfg: CampaignConfig, index: int):
         "cor2": [(cor2_func, None, cor2)],
         "cor3": [(cor3_func, None, cor3)],
     }
-    return dim, seeds, instances
+    domains = {"parent": s, "subsimplex": sub_centered, "interval": interval, "window": window}
+    return dim, seeds, instances, domains
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +474,9 @@ class _ChainAgg:
         self.ratios: list[float] = []
         self.ratio_nulls = 0
 
-    def record(self, report: ChainReport) -> None:
+    def record(self, report: ChainReport, passed: bool) -> None:
         self.evaluations += 1
-        if report.passed:
+        if passed:
             self.passes += 1
         else:
             self.failures += 1
@@ -540,13 +555,14 @@ def run_campaign(cfg: CampaignConfig) -> CampaignResult:
     aggs = {name: _ChainAgg(name) for name in cfg.theorems}
     failures: list[dict] = []
     for index in range(cfg.trials_per_theorem):
-        dim, seeds, instances = _build_trial(cfg, index)
-        selected = ((name, inst) for name in cfg.theorems for inst in instances[name])
-        for name, instance, report, recipe in run_instances(
-            selected, _TRIAL_SEED_SLOTS, seeds, cfg.mc_samples
+        dim, seeds, instances, domains = _build_trial(cfg, index)
+        selected = [(name, inst) for name in cfg.theorems for inst in instances[name]]
+        for name, instance, report, recipe in _run_on(
+            selected, domains, _TRIAL_SEED_SLOTS, seeds, cfg.mc_samples
         ):
-            aggs[name].record(report)
-            if not report.passed:
+            passed = report.passed
+            aggs[name].record(report, passed)
+            if not passed:
                 where = {"trial": index, "dimension": dim}
                 failures.append(_descriptor(name, where, instance, report, recipe))
     per_theorem = {name: aggs[name].summary() for name in cfg.theorems}

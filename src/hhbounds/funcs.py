@@ -29,6 +29,7 @@ nonsmooth/curved structure actually lands where the bounds are probed.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -73,8 +74,8 @@ def _certify_psd(matrix: np.ndarray) -> None:
     1e-10 * scale, which accepts rank-deficient PSD matrices and rejects
     anything with a meaningfully negative eigenvalue.
     """
-    scale = max(1.0, float(np.abs(matrix).max()))
-    if float(np.abs(matrix - matrix.T).max()) > 1e-12 * scale:
+    scale = max(1.0, float(np.maximum.reduce(np.abs(matrix), axis=None)))
+    if float(np.maximum.reduce(np.abs(matrix - matrix.T), axis=None)) > 1e-12 * scale:
         raise ValueError("quadratic matrix must be symmetric")
     jittered = matrix + (1e-10 * scale) * np.eye(matrix.shape[0])
     try:
@@ -114,11 +115,13 @@ class ConvexFunction:
             if name in ("matrix", "slope", "slopes", "offsets"):
                 value = np.atleast_1d(np.asarray(value, dtype=float))
                 value.setflags(write=False)
+                finite = np.isfinite(value).all()
             elif isinstance(value, numbers.Real) and not isinstance(value, bool):
                 value = float(value)
+                finite = math.isfinite(value)
             else:
                 raise ValueError(f"{name} must be a real number, got {value!r}")
-            if not np.all(np.isfinite(value)):
+            if not finite:
                 raise ValueError(f"{name} must be finite")
             clean[name] = value
         self._validate_shapes(clean)
@@ -216,7 +219,7 @@ class ConvexFunction:
 def _unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:
     while True:
         v = rng.standard_normal(dim)
-        norm = np.linalg.norm(v)
+        norm = math.sqrt(v.dot(v))  # np.linalg.norm's own formula for a vector
         if norm > 1e-12:
             return v / norm
 

@@ -6,8 +6,8 @@ Conventions used throughout the package:
   ``(m, n)`` array (one point per row);
 * vertex indices are 0-based;
 * simplices are immutable; every constructor returns a new value, so the
-  volume and centroid stored at construction stay valid and instances are
-  safe to share between threads.
+  centroid stored at construction stays valid and instances are safe to
+  share between threads.
 
 Barycentric weights are computed two independent ways: by solving the
 linear system that stacks the vertex-combination equations with the
@@ -66,7 +66,7 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
 class Simplex:
     """Nondegenerate n-simplex given by n+1 vertices in R^n."""
 
-    __slots__ = ("_vertices", "_volume", "_abs_det", "_centroid")
+    __slots__ = ("_vertices", "_centroid")
 
     def __init__(self, vertices) -> None:
         V = np.array(vertices, dtype=float)
@@ -77,22 +77,24 @@ class Simplex:
             raise DimensionMismatchError(
                 f"need n+1 vertices of dimension n, got {m} vertices in {n}-space"
             )
-        if not np.all(np.isfinite(V)):
+        if not np.isfinite(V).all():
             raise ValueError("vertex coordinates must be finite")
+        # Shape test on unit edge rows: |det| / prod(edge lengths) at any
+        # scale, with no power of the scale to overflow or underflow (hypot
+        # takes each length without squaring an entry).
         edges = V[1:] - V[0]
-        abs_det = _abs_det(edges)
-        gauge = float(np.prod(np.linalg.norm(edges, axis=1)))
-        if not gauge > 0.0 or abs_det <= DEGENERACY_RTOL * gauge:
+        lengths = np.hypot.reduce(edges, axis=1)
+        if not lengths.all():
+            raise DegenerateSimplexError("vertices are affinely dependent (repeated vertex)")
+        shape = _abs_det(edges / lengths[:, None])
+        if not shape > DEGENERACY_RTOL:
             raise DegenerateSimplexError(
-                f"vertices are affinely dependent (|det|={abs_det:.3e}, "
-                f"edge gauge={gauge:.3e})"
+                f"vertices are affinely dependent (|det| of unit edges={shape:.3e})"
             )
         V.setflags(write=False)
-        centroid = V.mean(axis=0)
+        centroid = np.add.reduce(V, axis=0) / m
         centroid.setflags(write=False)
         self._vertices = V
-        self._abs_det = abs_det
-        self._volume = abs_det / math.factorial(n)
         self._centroid = centroid
 
     # -- basic data ---------------------------------------------------------
@@ -108,8 +110,11 @@ class Simplex:
 
     @property
     def volume(self) -> float:
-        """Lebesgue n-volume, |det(edge matrix)| / n!."""
-        return self._volume
+        """Lebesgue n-volume, |det(edge matrix)| / n!, computed when read."""
+        return self._edge_det() / math.factorial(self.dimension)
+
+    def _edge_det(self) -> float:
+        return _abs_det(self._vertices[1:] - self._vertices[0])
 
     @property
     def centroid(self) -> np.ndarray:
@@ -117,7 +122,7 @@ class Simplex:
         return self._centroid
 
     def __repr__(self) -> str:
-        return f"Simplex(dim={self.dimension}, volume={self._volume:.6g})"
+        return f"Simplex(dim={self.dimension}, volume={self.volume:.6g})"
 
     # -- barycentric coordinates --------------------------------------------
 
@@ -145,7 +150,7 @@ class Simplex:
         system[:n] = self._vertices.T
         rhs = np.concatenate((P, np.ones((m, 1))), axis=1)[:, :, None]
         try:
-            W = np.linalg.solve(system[None].repeat(m, axis=0), rhs)[:, :, 0]
+            W = np.linalg.solve(system, rhs)[:, :, 0]
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(f"barycentric system: {exc}") from exc
         return W[0] if single else W
@@ -164,11 +169,12 @@ class Simplex:
                 f"point {x!r} lies outside (min weight {raw.min():.3e})"
             )
         np1 = self.dimension + 1
+        abs_det = self._edge_det()
         ratios = np.empty(np1)
         for k in range(np1):
             W = np.array(self._vertices)
             W[k] = x
-            ratios[k] = _abs_det(W[1:] - W[0]) / self._abs_det
+            ratios[k] = _abs_det(W[1:] - W[0]) / abs_det
         return ratios / ratios.sum()
 
     def contains(self, x) -> bool:
@@ -222,7 +228,11 @@ class Simplex:
         if not 0.0 < fraction <= 1.0:
             raise ValueError(f"fraction must lie in (0, 1], got {fraction!r}")
         p = as_point(p, self.dimension)
-        w_min = float(self.solve_weights(p).min())
+        return self._centered(p, self.solve_weights(p), fraction)
+
+    def _centered(self, p: np.ndarray, weights: np.ndarray, fraction: float) -> "Simplex":
+        """:meth:`centered_subsimplex` from the weights of ``p``, solved by the caller."""
+        w_min = float(weights.min())
         if not w_min > 0.0:
             raise PointOutsideSimplexError(
                 f"center point is not interior (min weight {w_min:.3e})"

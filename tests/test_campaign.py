@@ -332,11 +332,11 @@ class TestRunCampaign:
         }
         assert counts["exact"] + counts["accepted"] + counts["mc"] == 4 * 48
 
-    def test_three_solves_per_closed_form_trial(self, monkeypatch):
-        # Per trial: the centred subsimplex and the thm6 mixture shift in
-        # _build_trial, then one stacked solve of every weight the chains
-        # read: thm2's point, the vertices and centroid of each subsimplex,
-        # and thm6's points.
+    def test_two_solves_per_closed_form_trial(self, monkeypatch):
+        # Per trial: one solve in _build_trial of the centred subsimplex's
+        # pin point and the thm6 mixture shift together, then one stacked
+        # solve of every weight the chains read: thm2's point, the vertices
+        # and centroid of each subsimplex, and thm6's points.
         calls = []
         solve = Simplex.solve_weights
 
@@ -349,7 +349,54 @@ class TestRunCampaign:
             trials_per_theorem=16, mc_samples=2, function_kinds=quadrature.EXACT_KINDS
         )
         run_campaign(cfg)
-        assert len(calls) == 3 * 16
+        assert len(calls) == 2 * 16
+
+    def test_trial_budget_and_shared_domains(self, monkeypatch):
+        # A closed-form trial builds 5 simplices (the parent, the thm3
+        # homothety, the centred subsimplex, the cor2 interval and the cor3
+        # window) and makes 2 solves; the 1-D domains whose ground truths it
+        # takes are the very objects its cor2 and cor3 functions were drawn on.
+        from hhbounds import campaign
+
+        counts = {"simplices": 0, "solves": 0}
+        seeded, integrated = [], []
+        init, solve = Simplex.__init__, Simplex.solve_weights
+        draw, truths = campaign.random_convex, campaign.ground_truths
+
+        def counting_init(self, vertices):
+            counts["simplices"] += 1
+            init(self, vertices)
+
+        def counting_solve(self, points):
+            counts["solves"] += 1
+            return solve(self, points)
+
+        def recording_draw(dim, kind, seed, simplex=None):
+            if dim == 1:
+                seeded.append(simplex)
+            return draw(dim, kind, seed, simplex=simplex)
+
+        def recording_truths(pairs, *args):
+            pairs = list(pairs)
+            integrated.extend(d for _, d in pairs if d.dimension == 1)
+            return truths(pairs, *args)
+
+        monkeypatch.setattr(Simplex, "__init__", counting_init)
+        monkeypatch.setattr(Simplex, "solve_weights", counting_solve)
+        monkeypatch.setattr(campaign, "random_convex", recording_draw)
+        monkeypatch.setattr(campaign, "ground_truths", recording_truths)
+        trials = 24
+        cfg = CampaignConfig(
+            dimensions=(2, 3, 4, 5, 6, 7, 8),
+            trials_per_theorem=trials,
+            mc_samples=2,
+            master_seed=4242,
+            function_kinds=quadrature.EXACT_KINDS,
+        )
+        run_campaign(cfg)
+        assert counts == {"simplices": 5 * trials, "solves": 2 * trials}
+        assert len(seeded) == len(integrated) == 2 * trials
+        assert all(a is b for a, b in zip(seeded, integrated))
 
     def test_three_function_calls_per_trial(self, monkeypatch):
         # the trial's function, its cor2 function and its cor3 function, each

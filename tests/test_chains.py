@@ -480,7 +480,7 @@ class TestSharedWork:
         for dim in range(1, 9):
             cfg = CampaignConfig(dimensions=(dim,), function_kinds=(kind,))
             for index in range(2):
-                _, _, instances = _build_trial(cfg, index)
+                _, _, instances, _ = _build_trial(cfg, index)
                 flat, reports = trial_reports(instances, gt)
                 assert len(reports) == len(CampaignConfig().theorems) + dim
                 for (name, (f, s, params)), report in zip(flat, reports):
@@ -495,7 +495,7 @@ class TestSharedWork:
         gt = IntegralEstimate(0.25, 0.0, "exact_polynomial", 0)
         for dim in range(1, 9):
             cfg = CampaignConfig(dimensions=(dim,), function_kinds=(kind,))
-            _, _, instances = _build_trial(cfg, 3)
+            _, _, instances, _ = _build_trial(cfg, 3)
             flat, reports = trial_reports(instances, gt)
             for (name, case), report in zip(flat, reports):
                 alone = chain_reports([(name, case)], [report.ground_truth])[0]
@@ -569,7 +569,7 @@ class TestSharedWork:
         gt = IntegralEstimate(0.25, 0.0, "exact_polynomial", 0)
         for dim in (1, 4, 8):
             cfg = CampaignConfig(dimensions=(dim,), function_kinds=("quadratic_psd",))
-            _, _, instances = _build_trial(cfg, 0)
+            _, _, instances, _ = _build_trial(cfg, 0)
             spies = {id(f): Spy(f) for cases in instances.values() for f, _, _ in cases}
             flat = [
                 (name, (spies[id(f)], s, params))

@@ -211,7 +211,7 @@ def campaign_domains(count: int, master_seed: int = 20260810):
     """
     cfg = CampaignConfig(function_kinds=("log_sum_exp",), master_seed=master_seed)
     for index in itertools.count():
-        _, _, instances = _build_trial(cfg, index)
+        _, _, instances, _ = _build_trial(cfg, index)
         for name in ("choquet", "thm4", "cor2", "cor3"):
             func, simplex, params = instances[name][0]
             yield func, DOMAINS[CHAINS[name].domain](simplex, params)
@@ -435,7 +435,7 @@ class TestChanceFailureRegression:
         # -0.08049 at tolerance 0.08043; its interval mean now comes from the
         # cubature rule, and the verdict is judged at TOL_CHAIN.
         cfg = CampaignConfig(trials_per_theorem=2000, mc_samples=256)
-        _, seeds, instances = _build_trial(cfg, 628)
+        _, seeds, instances, _ = _build_trial(cfg, 628)
         [(name, instance, report, recipe)] = run_instances(
             [("cor2", instances["cor2"][0])], _TRIAL_SEED_SLOTS, seeds, cfg.mc_samples
         )

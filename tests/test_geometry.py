@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -65,6 +67,68 @@ class TestVolume:
             Simplex([[0.0, 0.0], [1.0, 0.0]])
         with pytest.raises(ValueError):
             Simplex([[0.0], [np.inf]])
+
+
+class TestExtremeScales:
+    """The shape test is scale-free: a simplex scaled by a power of ten in
+    1e-300 .. 1e300 is accepted or rejected as at unit scale, with no
+    overflow or underflow warning (the suite turns warnings into errors)."""
+
+    SCALES = [10.0**e for e in range(-300, 301, 25)]
+
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_well_shaped_accepted(self, dim):
+        rng = np.random.default_rng(dim)
+        for V in (standard_simplex(dim).vertices, random_simplex(dim, rng).vertices):
+            for scale in self.SCALES:
+                s = Simplex(V * scale)
+                assert s.dimension == dim
+
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_repeated_and_collinear_rejected(self, dim):
+        V = random_simplex(dim, np.random.default_rng(50 + dim)).vertices
+        repeated = V.copy()
+        repeated[1] = repeated[0]
+        bad = [repeated]
+        if dim >= 2:
+            collinear = V.copy()
+            collinear[2] = 0.25 * V[0] + 0.75 * V[1]
+            bad.append(collinear)
+        for W in bad:
+            for scale in self.SCALES:
+                with pytest.raises(DegenerateSimplexError):
+                    Simplex(W * scale)
+
+
+class TestConstructorBits:
+    """What the constructor and the centred subsimplex compute, bit for bit."""
+
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_centroid_and_volume(self, dim):
+        rng = np.random.default_rng(700 + dim)
+        for _ in range(25):
+            V = rng.standard_normal((dim + 1, dim))
+            s = Simplex(V)
+            assert s.centroid.tobytes() == V.mean(axis=0).tobytes()
+            E = V[1:] - V[0]
+            det = abs(float(E[0, 0])) if dim == 1 else abs(float(np.linalg.det(E)))
+            assert s.volume == det / math.factorial(dim)
+
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_centered_subsimplex_from_a_solve_of_p_alone(self, dim):
+        rng = np.random.default_rng(800 + dim)
+        for _ in range(25):
+            s = random_simplex(dim, rng)
+            p = rng.dirichlet(np.full(dim + 1, 2.0)) @ s.vertices
+            fraction = float(rng.uniform(0.1, 1.0))
+            sub = s.centered_subsimplex(p, fraction)
+            t = fraction * ((dim + 1) * float(s.solve_weights(p).min()))
+            expected = p + t * (s.vertices - s.centroid)
+            assert sub.vertices.tobytes() == expected.tobytes()
+            # the weights of p from a stacked solve give the same subsimplex
+            others = rng.dirichlet(np.ones(dim + 1), size=3) @ s.vertices
+            W = s.solve_weights(np.concatenate((p[None], others)))
+            assert s._centered(p, W[0], fraction).vertices.tobytes() == expected.tobytes()
 
 
 class TestBarycentricSolve:
