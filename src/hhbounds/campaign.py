@@ -1,20 +1,18 @@
 """Randomized verification campaigns, tightness statistics, and 1-D
 counterexample search for the conditional weighted-endpoint chain.
 
-:data:`CHAINS` is the one table of how the campaign runs the eight bound
-chains.  Each entry names the domain its ground truth is integrated over (a
-key of :data:`DOMAINS`: the parent simplex, the centred subsimplex, the cor2
-interval or the cor3 window; or none), and carries its tightness triple and
-whether it is 1-D only; an instance is ``(function, simplex or None,
-params)``.  :func:`run_instances` runs instances through that table,
-sharing one ground truth per domain and integrating the domains of one seed
-slot together, on one Monte Carlo weight stream, before any chain runs;
-then :func:`~hhbounds.chains.chain_reports` evaluates each function once on
-the points of all its chains.  The campaign and ``hh bounds`` go through
-it, and :func:`replay_failure` through ``chain_reports``; the ground-truth
-policy (exact, cubature or Monte Carlo) and its replay recipes live in
-:mod:`hhbounds.quadrature`.  A campaign trial puts its parent simplex and
-subsimplex on one slot, and its cor2 interval and cor3 window on another.
+:func:`run_instances` runs chain instances ``(function, simplex or None,
+params)`` by the one chain table, :data:`~hhbounds.chains.CHAINS`: it
+shares one ground truth per domain, integrates the domains of one seed
+together, on one Monte Carlo weight stream, before any chain runs, and then
+has :func:`~hhbounds.chains.chain_reports` evaluate each function once on
+the points of all its chains.  Seeds are keyed by domain name.  The
+campaign and ``hh bounds`` go through it, and :func:`replay_failure`
+through ``chain_reports``; the ground-truth policy (exact, cubature or
+Monte Carlo) and its replay recipes live in :mod:`hhbounds.quadrature`.  A
+campaign trial passes in the domains it built, and puts its parent simplex
+and subsimplex on one seed, and its cor2 interval and cor3 window on
+another.
 
 A campaign draws, per trial, a well-conditioned random simplex, a random
 convex function, subsimplex parameters and 1-D companion instances for the
@@ -46,11 +44,18 @@ from __future__ import annotations
 import numbers
 import time
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .chains import CHAIN_NAMES, ChainReport, chain_reports, cor3_condition_holds
+from .chains import (
+    CHAIN_NAMES,
+    CHAINS,
+    DOMAINS,
+    ChainReport,
+    chain_reports,
+    cor3_condition_holds,
+    cor3_max_halfwidth,
+)
 from .errors import (
     ConditionNotViolatedError,
     DegenerateSimplexError,
@@ -69,7 +74,6 @@ from .serialize import dumps
 from .tolerances import COND_LIMIT, TOL_CHAIN
 
 __all__ = [
-    "CHAINS",
     "CampaignConfig",
     "CampaignResult",
     "default_config",
@@ -87,92 +91,43 @@ _DEFAULT_SCALES = (0.2, 0.4, 0.6, 0.8, 1.0)
 
 
 # ---------------------------------------------------------------------------
-# chain registry
+# running instances
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Chain:
-    """How the campaign runs one bound chain of :mod:`hhbounds.chains`.
-
-    ``domain`` is the :data:`DOMAINS` key of its ground-truth domain (None
-    for a chain without an integral), ``tightness`` holds the term indices
-    (mean, refined upper, classical upper) of a chain refining a classical
-    upper bound, and ``one_d`` marks a chain that needs a 1-D instance.
-    """
-
-    domain: str | None
-    tightness: tuple[int, int, int] | None = None
-    one_d: bool = False
-
-
-def _cor3_window(s: Simplex | None, p: dict) -> Simplex:
-    center = (p["p"] * p["a"] + p["q"] * p["b"]) / (p["p"] + p["q"])
-    return Simplex([[center - p["y"]], [center + p["y"]]])
-
-
-#: Ground-truth domains, each worked out from an instance's (simplex, params).
-#: cor2's interval is the instance's 1-D simplex when it has one (``hh
-#: bounds``), else ``[a, b]`` (campaign trials and descriptors).
-DOMAINS: dict[str, Callable[[Simplex | None, dict], Simplex]] = {
-    "parent": lambda s, p: s,
-    "subsimplex": lambda s, p: p["subsimplex"],
-    "interval": lambda s, p: Simplex([[p["a"]], [p["b"]]]) if s is None else s,
-    "window": _cor3_window,
-}
-
-CHAINS: dict[str, Chain] = {
-    "choquet": Chain("parent"),
-    "thm2": Chain("parent", (0, 1, 2)),
-    "thm3": Chain("parent", (2, 3, 4)),
-    "thm4": Chain("subsimplex"),
-    "thm5": Chain("subsimplex", (0, 1, 2)),
-    "thm6": Chain(None),
-    "cor2": Chain("interval", (2, 3, 4), one_d=True),
-    "cor3": Chain("window", one_d=True),
-}
-
-
-def run_instances(instances, slots: dict[str, int], seeds, mc_samples: int):
+def run_instances(instances, seeds: dict[str, int], mc_samples: int, domains: dict):
     """Run ``(name, (function, simplex, params))`` chain instances in order.
 
     Every instance on one ground-truth domain must have the same function
-    and domain, and they share one ground truth.  ``slots`` maps each domain
-    to an index into ``seeds``.  Before any chain runs, the domains of one
-    slot are integrated together by
-    :func:`~hhbounds.quadrature.ground_truths` on that slot's seed, so their
-    Monte Carlo estimates share one weight stream; domains that are the very
-    same (function, simplex) objects share one estimate.  Then
+    and domain, and they share one ground truth.  ``seeds`` and ``domains``
+    are keyed by :data:`~hhbounds.chains.DOMAINS` name; a domain the caller
+    did not build is built through ``DOMAINS``.  Before any chain runs, the
+    domains of one seed are integrated together by
+    :func:`~hhbounds.quadrature.ground_truths`, so their Monte Carlo
+    estimates share one weight stream; domains that are the very same
+    (function, simplex) objects share one estimate.  Then
     :func:`~hhbounds.chains.chain_reports` calls each function once on the
     points of all its instances.  Yields ``(name, instance, report,
     recipe)``; ``recipe`` replays the ground truth, and is None for a chain
     without one.
     """
-    instances = list(instances)
-    domains: dict[str, Simplex] = {}
-    for name, (_, simplex, params) in instances:
-        domain = CHAINS[name].domain
-        if domain is not None and domain not in domains:
-            domains[domain] = DOMAINS[domain](simplex, params)
-    yield from _run_on(instances, domains, slots, seeds, mc_samples)
-
-
-def _run_on(instances: list, domains: dict, slots, seeds, mc_samples: int):
-    """:func:`run_instances` on ground-truth domains already built, by name."""
-    pairs: dict[int, dict[tuple, tuple]] = {}  # slot -> object ids -> (f, domain)
-    keys: dict[str, tuple] = {}  # domain name -> (slot, object ids)
-    for name, (func, _, _) in instances:
+    instances, domains = list(instances), dict(domains)
+    pairs: dict[int, dict[tuple, tuple]] = {}  # seed -> object ids -> (f, domain)
+    keys: dict[str, tuple] = {}  # domain name -> (seed, object ids)
+    for name, (func, simplex, params) in instances:
         domain = CHAINS[name].domain
         if domain is not None and domain not in keys:
+            if domain not in domains:
+                domains[domain] = DOMAINS[domain](simplex, params)
             pair = func, domains[domain]
             ids = id(pair[0]), id(pair[1])
-            pairs.setdefault(slots[domain], {}).setdefault(ids, pair)
-            keys[domain] = slots[domain], ids
+            pairs.setdefault(seeds[domain], {}).setdefault(ids, pair)
+            keys[domain] = seeds[domain], ids
     estimates: dict[tuple, tuple] = {}
-    for slot, slot_pairs in pairs.items():
-        made = ground_truths(slot_pairs.values(), mc_samples, seeds[slot])
-        for ids, est in zip(slot_pairs, made):
-            estimates[slot, ids] = est, ground_truth_recipe(est, seeds[slot])
+    for seed, seed_pairs in pairs.items():
+        made = ground_truths(seed_pairs.values(), mc_samples, seed)
+        for ids, est in zip(seed_pairs, made):
+            estimates[seed, ids] = est, ground_truth_recipe(est, seed)
     found = [
         (None, None) if (domain := CHAINS[name].domain) is None else estimates[keys[domain]]
         for name, _ in instances
@@ -361,27 +316,20 @@ def _draw_seed(rng: np.random.Generator) -> int:
     return int(rng.integers(0, 2**63))
 
 
-#: Which of a trial's four ground-truth seeds each domain uses.  The parent
-#: and the subsimplex share one weight stream, and so do the cor2 interval
-#: and the cor3 window; seeds 1 and 3 are drawn but unused, which keeps the
-#: draw order.
-_TRIAL_SEED_SLOTS = {"parent": 0, "subsimplex": 0, "interval": 2, "window": 2}
-
-
 def _build_trial(cfg: CampaignConfig, index: int):
     """Deterministically generate one trial from the master seed.
 
-    Returns ``(dim, seeds, instances, domains)``: the trial's four
-    ground-truth seeds (indexed by :data:`_TRIAL_SEED_SLOTS`); per chain
-    name, a list of instances ``(function, simplex or None, params)``, one
-    per subsimplex vertex index for thm3 and one for every other chain; and
-    its ground-truth domains by :data:`DOMAINS` name, the cor2 interval and
-    cor3 window being the ones their functions were drawn on.
+    Returns ``(dim, seeds, instances, domains)``: per chain name, a list of
+    instances ``(function, simplex or None, params)``, one per subsimplex
+    vertex index for thm3 and one for every other chain; and by
+    :data:`~hhbounds.chains.DOMAINS` name, each ground-truth seed and domain
+    (the cor2 interval and cor3 window its functions were drawn on).  The
+    parent and subsimplex share a seed, as do the interval and window.
 
     The draw order below is part of the determinism contract: simplex
     (with retries), function seed, subsimplex scale, interior point, mixture
     size/weights/points, cor2 interval + split + function seed, cor3
-    parameters + function seed, then the four ground-truth seeds.
+    parameters + function seed, then four ground-truth seeds (two unused).
     """
     dim = cfg.dimensions[index % len(cfg.dimensions)]
     kind = cfg.function_kinds[index % len(cfg.function_kinds)]
@@ -422,12 +370,13 @@ def _build_trial(cfg: CampaignConfig, index: int):
     p, q = float(rng.uniform(0.2, 5.0)), float(rng.uniform(0.2, 5.0))
     a = float(rng.normal(0.0, 1.0))
     b = a + 0.3 + float(rng.exponential(1.0))
-    y = float(rng.uniform(0.05, 1.0)) * ((b - a) * min(p, q) / (p + q))
+    y = float(rng.uniform(0.05, 1.0)) * cor3_max_halfwidth(p, q, a, b)
     cor3 = {"p": p, "q": q, "a": a, "b": b, "y": y}
     window = DOMAINS["window"](None, cor3)
     cor3_func = random_convex(1, kind, _draw_seed(rng), simplex=window)
 
-    seeds = [int(seed) for seed in rng.integers(0, 2**63, size=4)]
+    first, _, second, _ = (int(seed) for seed in rng.integers(0, 2**63, size=4))
+    seeds = {"parent": first, "subsimplex": first, "interval": second, "window": second}
     centered = {"subsimplex": sub_centered}
     instances = {
         "choquet": [(f, s, {})],
@@ -557,8 +506,8 @@ def run_campaign(cfg: CampaignConfig) -> CampaignResult:
     for index in range(cfg.trials_per_theorem):
         dim, seeds, instances, domains = _build_trial(cfg, index)
         selected = [(name, inst) for name in cfg.theorems for inst in instances[name]]
-        for name, instance, report, recipe in _run_on(
-            selected, domains, _TRIAL_SEED_SLOTS, seeds, cfg.mc_samples
+        for name, instance, report, recipe in run_instances(
+            selected, seeds, cfg.mc_samples, domains
         ):
             passed = report.passed
             aggs[name].record(report, passed)
@@ -579,39 +528,52 @@ def _floats(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
+def _vertex_index(value) -> int:
+    """thm3's ``j`` read back: an integer, or a float with an integer value."""
+    integral = isinstance(value, numbers.Real) and float(value).is_integer()
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"j must be an integer, got {value!r}")
+    return int(value)
+
+
 #: How descriptor params are read back; every other param is a float.
 _PARAM_DECODERS = {
     "subsimplex": Simplex.from_json_dict,
-    "j": int,
+    "j": _vertex_index,
     "point": _floats,
     "points": _floats,
     "betas": _floats,
 }
 
 
-def replay_failure(descriptor: dict, mc_samples: int | None = None) -> ChainReport:
+def replay_failure(descriptor: dict) -> ChainReport:
     """Re-run one failure (or witness) descriptor, reproducing it exactly.
 
     The descriptor is self-contained; replaying with the recorded seeds and
-    sample counts reproduces the verdict and slacks bit-for-bit.
+    sample counts reproduces the verdict and slacks bit-for-bit.  A
+    descriptor that lacks the simplex or the ground-truth recipe its chain
+    needs, or holds a non-integer thm3 ``j``, raises ValueError.
     """
     name = descriptor["chain"]
     if name not in CHAINS:
         raise ValueError(f"unknown chain name {name!r}")
-    domain_name = CHAINS[name].domain
+    chain = CHAINS[name]
     func = ConvexFunction.from_json_dict(descriptor["function"])
     simplex = descriptor.get("simplex")
     if simplex is not None:
         simplex = Simplex.from_json_dict(simplex)
+    elif not chain.one_d:
+        raise ValueError(f"a {name} descriptor needs a simplex")
     params = {
         key: _PARAM_DECODERS.get(key, float)(value)
         for key, value in descriptor["params"].items()
     }
-    recipe = descriptor.get("ground_truth")
     gt = None
-    if domain_name is not None and recipe is not None:
-        domain = DOMAINS[domain_name](simplex, params)
-        gt = replay_ground_truth(func, domain, recipe, mc_samples)
+    if chain.domain is not None:
+        recipe = descriptor.get("ground_truth")
+        if recipe is None:
+            raise ValueError(f"a {name} descriptor needs a ground_truth recipe")
+        gt = replay_ground_truth(func, DOMAINS[chain.domain](simplex, params), recipe)
     return chain_reports([(name, (func, simplex, params))], [gt])[0]
 
 
@@ -698,18 +660,14 @@ def search_cor3_counterexample(
     None when the budget is exhausted without a certifiable violation.
     """
     p, q, a, b, y = float(p), float(q), float(a), float(b), float(y)
-    if p <= 0.0 or q <= 0.0 or y <= 0.0:
-        raise ValueError("p, q and y must be positive")
-    if not a <= b:
-        raise ValueError("need a <= b")
+    params = {"p": p, "q": q, "a": a, "b": b, "y": y}
+    window = DOMAINS["window"](None, params)
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if cor3_condition_holds(p, q, a, b, y):
         raise ConditionNotViolatedError(
             "window-width condition holds; the chain is valid for every convex f"
         )
-    params = {"p": p, "q": q, "a": a, "b": b, "y": y}
-    window = DOMAINS["window"](None, params)
     lo, hi = (float(x) for x in window.vertices[:, 0])
     span_lo, span_hi = min(lo, a), max(hi, b)
     grid_size = min(budget, 1024)

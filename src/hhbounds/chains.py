@@ -14,14 +14,15 @@ are ordered the way the chain is written: lower bounds ascending to the
 integral mean, then upper bounds ascending.  A chain passes when every
 consecutive slack is ``>= -tolerance`` (:func:`chain_tolerance`); against
 Monte Carlo ground truth the tolerance widens to four standard errors so
-sampling noise cannot raise false alarms.  The chains (``CHAIN_NAMES``)
-are documented on their public functions below.
+sampling noise cannot raise false alarms.  :data:`CHAINS` is the one table
+of the chains; they are documented on their public functions below.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -37,14 +38,17 @@ from .quadrature import IntegralEstimate
 from .tolerances import TOL_CHAIN, TOL_GEOM
 
 __all__ = [
+    "CHAINS",
     "CHAIN_NAMES",
     "ChainReport",
+    "DOMAINS",
     "chain_reports",
     "chain_tolerance",
     "choquet_chain",
     "cor2_chain",
     "cor3_check",
     "cor3_condition_holds",
+    "cor3_max_halfwidth",
     "thm2_upper",
     "thm3_chain",
     "thm4_chain",
@@ -330,13 +334,7 @@ def _cor2(batch, s, params, weighed):
 
 
 def _cor3(batch, s, params, weighed):
-    p, q, a, b, y = (float(params[key]) for key in ("p", "q", "a", "b", "y"))
-    if p <= 0.0 or q <= 0.0:
-        raise ValueError("p and q must be positive")
-    if y <= 0.0:
-        raise ValueError("y must be positive")
-    if not a <= b:
-        raise ValueError(f"need a <= b, got a={a!r}, b={b!r}")
+    p, q, a, b, y = _cor3_params(params)
     at = batch.add(np.array([(p * a + q * b) / (p + q), a, b])[:, None])
     return [
         ("f_at_weighted_point", at[:1], _ONE),
@@ -345,12 +343,71 @@ def _cor3(batch, s, params, weighed):
     ], cor3_condition_holds(p, q, a, b, y)
 
 
-_BUILDERS = {
-    "choquet": _choquet, "thm2": _thm2, "thm3": _thm3, "thm4": _thm4,
-    "thm5": _thm5, "thm6": _thm6, "cor2": _cor2, "cor3": _cor3,
+# ---------------------------------------------------------------------------
+# the chain table
+# ---------------------------------------------------------------------------
+
+
+def _cor3_params(params: dict) -> tuple[float, float, float, float, float]:
+    """cor3's ``(p, q, a, b, y)`` as floats, checked.
+
+    Its window and its builder both read an instance through here, so
+    neither divides by ``p + q`` unchecked.
+    """
+    p, q, a, b, y = (float(params[key]) for key in ("p", "q", "a", "b", "y"))
+    cor3_max_halfwidth(p, q, a, b)  # checks p, q and a <= b
+    if not y > 0.0:
+        raise ValueError("y must be positive")
+    return p, q, a, b, y
+
+
+def _window(s: Simplex | None, params: dict) -> Simplex:
+    p, q, a, b, y = _cor3_params(params)
+    centre = (p * a + q * b) / (p + q)
+    return Simplex([[centre - y], [centre + y]])
+
+
+#: Ground-truth domains, each worked out from an instance's (simplex, params).
+#: cor2's interval is the instance's 1-D simplex when it has one (``hh
+#: bounds``), else ``[a, b]`` (campaign trials and descriptors); cor3's
+#: window is ``[A - y, A + y]`` with ``A = (p a + q b) / (p + q)``.
+DOMAINS: dict[str, Callable[[Simplex | None, dict], Simplex]] = {
+    "parent": lambda s, p: s,
+    "subsimplex": lambda s, p: p["subsimplex"],
+    "interval": lambda s, p: Simplex([[p["a"]], [p["b"]]]) if s is None else s,
+    "window": _window,
 }
 
-CHAIN_NAMES: tuple[str, ...] = tuple(_BUILDERS)
+
+@dataclass(frozen=True)
+class Chain:
+    """One bound chain: its builder, the :data:`DOMAINS` key of its
+    ground-truth domain (None for thm6, which has no integral), and the term
+    indices (mean, refined upper, classical upper) of a chain refining a
+    classical upper bound."""
+
+    build: Callable
+    domain: str | None
+    tightness: tuple[int, int, int] | None = None
+
+    @property
+    def one_d(self) -> bool:
+        """Whether the chain needs a 1-D instance: its domain is an interval."""
+        return self.domain in ("interval", "window")
+
+
+CHAINS: dict[str, Chain] = {
+    "choquet": Chain(_choquet, "parent"),
+    "thm2": Chain(_thm2, "parent", (0, 1, 2)),
+    "thm3": Chain(_thm3, "parent", (2, 3, 4)),
+    "thm4": Chain(_thm4, "subsimplex"),
+    "thm5": Chain(_thm5, "subsimplex", (0, 1, 2)),
+    "thm6": Chain(_thm6, None),
+    "cor2": Chain(_cor2, "interval", (2, 3, 4)),
+    "cor3": Chain(_cor3, "window"),
+}
+
+CHAIN_NAMES: tuple[str, ...] = tuple(CHAINS)
 
 
 def chain_reports(instances, ground_truths) -> list[ChainReport]:
@@ -368,7 +425,7 @@ def chain_reports(instances, ground_truths) -> list[ChainReport]:
     for name, (f, s, params) in instances:
         if id(f) not in batches:
             batches[id(f)] = f, _Batch(getattr(f, "dim", None), layout)
-        built.append(_BUILDERS[name](batches[id(f)][1], s, params, weighed))
+        built.append(CHAINS[name].build(batches[id(f)][1], s, params, weighed))
     values = np.empty(layout[0])
     for f, batch in batches.values():
         values[np.concatenate(batch.index)] = f(np.concatenate(batch.rows))
@@ -474,12 +531,24 @@ def cor2_chain(f, a: float, b: float, lam: float, gt: IntegralEstimate) -> Chain
     return _report("cor2", f, None, {"a": a, "b": b, "lam": lam}, gt)
 
 
+def cor3_max_halfwidth(p: float, q: float, a: float, b: float) -> float:
+    """The widest window half-width cor3 holds on: ``(b - a) * min(p, q) / (p + q)``.
+
+    Raises ValueError unless ``p`` and ``q`` are positive and ``a <= b``.
+    """
+    if not (p > 0.0 and q > 0.0):
+        raise ValueError("p and q must be positive")
+    if not a <= b:
+        raise ValueError(f"need a <= b, got a={a!r}, b={b!r}")
+    return (b - a) * min(p, q) / (p + q)
+
+
 def cor3_condition_holds(p: float, q: float, a: float, b: float, y: float) -> bool:
-    """Window-width condition y <= (b - a) * min(p, q) / (p + q).
+    """Window-width condition y <= :func:`cor3_max_halfwidth`.
 
     Inclusive at the boundary, with a TOL_GEOM allowance for round-off.
     """
-    return y <= (b - a) * min(p, q) / (p + q) + TOL_GEOM
+    return y <= cor3_max_halfwidth(p, q, a, b) + TOL_GEOM
 
 
 def cor3_check(

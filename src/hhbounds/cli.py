@@ -25,7 +25,6 @@ import numpy as np
 
 from . import quadrature
 from .campaign import (
-    CHAINS,
     CampaignConfig,
     default_config,
     run_campaign,
@@ -33,6 +32,7 @@ from .campaign import (
     search_cor3_counterexample,
     slack_histograms_csv,
 )
+from .chains import CHAINS, cor3_max_halfwidth
 from .errors import HHBoundsError
 from .funcs import ConvexFunction
 from .geometry import Simplex
@@ -108,7 +108,7 @@ def _cor3_params(args: argparse.Namespace, s: Simplex) -> dict:
     a, b = _endpoints(s)
     p, q, y = args.cor3_p, args.cor3_q, args.cor3_y
     if y is None:
-        y = 0.5 * (b - a) * min(p, q) / (p + q)
+        y = 0.5 * cor3_max_halfwidth(p, q, a, b)
     return {"p": p, "q": q, "a": a, "b": b, "y": y}
 
 
@@ -125,9 +125,6 @@ _ARGV_PARAMS = {
     "cor3": _cor3_params,
 }
 
-#: Seed slot of each ground-truth domain; cor2's interval is the simplex.
-_SEED_SLOTS = {"parent": 0, "interval": 0, "subsimplex": 1, "window": 2}
-
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     s = _load_simplex(args.simplex)
@@ -142,11 +139,13 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         bad = [t for t in theorems if CHAINS[t].one_d]
         if bad:
             raise ValueError(f"chains {bad} require a 1-D simplex")
-    seeds = [_chain_seed(seed, slot) for slot in range(3)]
+    # cor2's interval is the simplex, so it shares the parent's seed
+    parent, sub, window = (_chain_seed(seed, slot) for slot in range(3))
+    seeds = {"parent": parent, "interval": parent, "subsimplex": sub, "window": window}
     builders = dict.fromkeys(_ARGV_PARAMS[name] for name in theorems)
     params = {build: build(args, s) for build in builders}
     instances = ((name, (f, s, params[_ARGV_PARAMS[name]])) for name in theorems)
-    runs = run_instances(instances, _SEED_SLOTS, seeds, args.mc_samples)
+    runs = run_instances(instances, seeds, args.mc_samples, {})
     reports = [report for _, _, report, _ in runs]
     _emit("".join(dumps(r.to_json_dict()) + "\n" for r in reports), args.out)
     return 0 if all(r.passed for r in reports) else 1

@@ -110,11 +110,14 @@ class Simplex:
 
     @property
     def volume(self) -> float:
-        """Lebesgue n-volume, |det(edge matrix)| / n!, computed when read."""
-        return self._edge_det() / math.factorial(self.dimension)
+        """Lebesgue n-volume, |det(edge matrix)| / n!, computed when read.
 
-    def _edge_det(self) -> float:
-        return _abs_det(self._vertices[1:] - self._vertices[0])
+        Outside the float range it does not raise: where the determinant
+        overflows it reads ``inf``, and where it underflows ``0.0``.
+        """
+        with np.errstate(over="ignore", under="ignore"):
+            edges = self._vertices[1:] - self._vertices[0]
+            return _abs_det(edges) / math.factorial(self.dimension)
 
     @property
     def centroid(self) -> np.ndarray:
@@ -168,13 +171,17 @@ class Simplex:
             raise PointOutsideSimplexError(
                 f"point {x!r} lies outside (min weight {raw.min():.3e})"
             )
-        np1 = self.dimension + 1
-        abs_det = self._edge_det()
-        ratios = np.empty(np1)
-        for k in range(np1):
-            W = np.array(self._vertices)
-            W[k] = x
-            ratios[k] = _abs_det(W[1:] - W[0]) / abs_det
+        # Ratios do not change under a common scale, so take them on edges
+        # divided by the longest edge length: as in the constructor's shape
+        # test, no power of the scale is left to overflow or underflow.
+        origin = self._vertices[0]
+        scale = np.hypot.reduce(self._vertices[1:] - origin, axis=1).max()
+        V, y = (self._vertices - origin) / scale, (x - origin) / scale
+        ratios = np.empty(self.dimension + 1)
+        for k in range(len(ratios)):
+            W = np.array(V)
+            W[k] = y
+            ratios[k] = _abs_det(W[1:] - W[0])
         return ratios / ratios.sum()
 
     def contains(self, x) -> bool:

@@ -523,15 +523,11 @@ def ground_truth_recipe(estimate: IntegralEstimate, seed: int | None) -> dict:
     return {"method": METHOD_MC, "samples": estimate.samples, "seed": seed}
 
 
-def replay_ground_truth(
-    f, s: Simplex, recipe: dict, mc_samples: int | None
-) -> IntegralEstimate:
+def replay_ground_truth(f, s: Simplex, recipe: dict) -> IntegralEstimate:
     """Recompute an estimate from its recipe by the method the recipe records.
 
     A Monte Carlo recipe replays by Monte Carlo even for a kind that now has
     an exact or cubature mean, so old descriptors reproduce bit for bit.
-    ``mc_samples`` overrides the recorded sample count of a Monte Carlo
-    recipe; None keeps it.
     """
     method = recipe["method"]
     if method == METHOD_EXACT:
@@ -540,5 +536,4 @@ def replay_ground_truth(
         return integrate_cubature(f, s, recipe["degree"])
     if method != METHOD_MC:
         raise ValueError(f"unknown ground-truth method {method!r}")
-    samples = int(recipe["samples"] if mc_samples is None else mc_samples)
-    return integrate_mc(f, s, samples, int(recipe["seed"]))
+    return integrate_mc(f, s, int(recipe["samples"]), int(recipe["seed"]))

@@ -27,8 +27,7 @@ from hhbounds import (
     tightness_table,
 )
 from hhbounds import quadrature
-from hhbounds.campaign import CHAINS
-from hhbounds.cli import build_parser
+from hhbounds.chains import CHAINS
 from hhbounds.serialize import dumps
 
 SMALL = CampaignConfig(
@@ -155,31 +154,6 @@ class TestConfig:
         cfg = CampaignConfig.from_json_dict({"trials_per_theorem": 3.0, "dimensions": [2.0]})
         assert cfg.trials_per_theorem == 3 and cfg.dimensions == (2,)
         assert isinstance(cfg.trials_per_theorem, int)
-
-
-class TestRegistry:
-    def test_keys_are_the_chain_names(self):
-        assert tuple(CHAINS) == CHAIN_NAMES
-
-    def test_bounds_theorem_choices_come_from_registry(self):
-        parser = build_parser()
-        bounds = next(
-            action.choices["bounds"]
-            for action in parser._actions
-            if action.dest == "command"
-        )
-        (theorem,) = [a for a in bounds._actions if a.dest == "theorem"]
-        assert tuple(theorem.choices) == tuple(CHAINS)
-
-    def test_tightness_rows_unchanged(self):
-        rows = {name: c.tightness for name, c in CHAINS.items() if c.tightness}
-        assert rows == {
-            "thm2": (0, 1, 2),
-            "thm3": (2, 3, 4),
-            "thm5": (0, 1, 2),
-            "cor2": (2, 3, 4),
-        }
-        assert [name for name, c in CHAINS.items() if c.one_d] == ["cor2", "cor3"]
 
 
 class TestRunCampaign:
@@ -527,6 +501,52 @@ class TestReplay:
         assert report.ground_truth == integrate_exact(f, s)
         assert report.tolerance_used == 1e-8 and report.verdict == "pass"
         assert replay_failure(descriptor).slacks == report.slacks
+
+    def test_nonpositive_cor3_weights_raise_value_error(self):
+        witness = search_cor3_counterexample(1.0, 1.0, 0.0, 1.0, 0.75, budget=200, seed=3)
+        for p, q in ((1.0, -1.0), (0.0, 0.0)):
+            bad = {**witness, "params": {**witness["params"], "p": p, "q": q}}
+            with pytest.raises(ValueError, match="p and q must be positive"):
+                replay_failure(bad)
+
+    @pytest.mark.parametrize("name", ["choquet", "thm2", "thm3", "thm4", "thm5", "thm6"])
+    def test_simplex_chain_descriptor_without_simplex_rejected(self, name):
+        descriptor = {
+            "chain": name,
+            "function": random_convex(2, "affine", 1).to_json_dict(),
+            "params": {},
+            "ground_truth": {"method": "exact_polynomial"},
+        }
+        with pytest.raises(ValueError, match=f"{name} descriptor needs a simplex"):
+            replay_failure(descriptor)
+
+    def test_descriptor_without_recipe_rejected(self):
+        s = standard_simplex(2)
+        descriptor = {
+            "chain": "choquet",
+            "simplex": s.to_json_dict(),
+            "function": random_convex(2, "affine", 1, simplex=s).to_json_dict(),
+            "params": {},
+            "ground_truth": None,
+        }
+        with pytest.raises(ValueError, match="choquet descriptor needs a ground_truth"):
+            replay_failure(descriptor)
+
+    @pytest.mark.parametrize("j", [1.5, "1", True])
+    def test_non_integer_thm3_index_rejected(self, j):
+        s = standard_simplex(2)
+        descriptor = {
+            "chain": "thm3",
+            "simplex": s.to_json_dict(),
+            "function": random_convex(2, "affine", 1, simplex=s).to_json_dict(),
+            "params": {"subsimplex": s.homothety_about_centroid(0.5).to_json_dict(), "j": j},
+            "ground_truth": {"method": "exact_polynomial"},
+        }
+        with pytest.raises(ValueError, match="j must be an integer"):
+            replay_failure(descriptor)
+        # an integral float still reads as its index
+        descriptor["params"]["j"] = 1.0
+        assert replay_failure(descriptor).passed
 
     def test_witness_descriptor_replays(self):
         witness = search_cor3_counterexample(1.0, 1.0, 0.0, 1.0, 0.75, budget=2000, seed=3)

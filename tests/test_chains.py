@@ -42,7 +42,8 @@ from hhbounds import (
     thm6_chain,
 )
 from hhbounds.campaign import _build_trial
-from hhbounds.chains import _weigh, chain_reports
+from hhbounds.chains import CHAINS, _weigh, chain_reports
+from hhbounds.cli import build_parser
 
 SQ_1D = ConvexFunction(
     "quadratic_psd", {"matrix": [[1.0]], "slope": [0.0], "offset": 0.0}, "x^2"
@@ -385,6 +386,28 @@ class TestTolerance:
         rep = choquet_chain(SQ_1D, UNIT, bad)
         assert rep.verdict == "fail"
         assert not rep.passed
+
+
+class TestRegistry:
+    def test_bounds_theorem_choices_come_from_registry(self):
+        parser = build_parser()
+        bounds = next(
+            action.choices["bounds"]
+            for action in parser._actions
+            if action.dest == "command"
+        )
+        (theorem,) = [a for a in bounds._actions if a.dest == "theorem"]
+        assert tuple(theorem.choices) == tuple(CHAINS)
+
+    def test_tightness_rows_unchanged(self):
+        rows = {name: c.tightness for name, c in CHAINS.items() if c.tightness}
+        assert rows == {
+            "thm2": (0, 1, 2),
+            "thm3": (2, 3, 4),
+            "thm5": (0, 1, 2),
+            "cor2": (2, 3, 4),
+        }
+        assert [name for name, c in CHAINS.items() if c.one_d] == ["cor2", "cor3"]
 
 
 class TestReportJson:

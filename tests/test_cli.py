@@ -139,6 +139,16 @@ class TestBounds:
         assert code == 2
         assert "1-D" in err
 
+    @pytest.mark.parametrize("p, q", [("1", "-1"), ("0", "0")])
+    def test_nonpositive_cor3_weights_exit_2(self, capsys, unit_interval_file, sq_1d_file, p, q):
+        # the default window half-width divides by p + q
+        code, out, err = run_cli(
+            capsys, "bounds", unit_interval_file, sq_1d_file,
+            "--theorem", "cor3", "--cor3-p", p, "--cor3-q", q,
+        )
+        assert code == 2 and out == ""
+        assert "p and q must be positive" in err
+
     def test_outside_point_exits_2(self, capsys, triangle_file, sq_2d_file):
         code, out, _ = run_cli(
             capsys,

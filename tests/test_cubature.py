@@ -33,14 +33,8 @@ from hhbounds import (
     random_simplex,
     standard_simplex,
 )
-from hhbounds.campaign import (
-    _TRIAL_SEED_SLOTS,
-    CHAINS,
-    DOMAINS,
-    _build_trial,
-    replay_failure,
-    run_instances,
-)
+from hhbounds.campaign import _build_trial, replay_failure, run_instances
+from hhbounds.chains import CHAINS, DOMAINS
 from hhbounds.quadrature import (
     CUBATURE_DEGREE,
     CUBATURE_MAX_ARGUMENT,
@@ -409,24 +403,22 @@ class TestPolicy:
         est = ground_truth(f, s, mc_samples=500, seed=4)
         recipe = ground_truth_recipe(est, 4)
         assert recipe == {"method": "cubature", "degree": 15}
-        again = replay_ground_truth(f, s, json.loads(json.dumps(recipe)), None)
+        again = replay_ground_truth(f, s, json.loads(json.dumps(recipe)))
         assert again == est
         assert dumps(again.to_json_dict()) == dumps(est.to_json_dict())
-        # a sample-count override is for Monte Carlo recipes only
-        assert replay_ground_truth(f, s, recipe, 900) == est
 
     def test_recipe_with_invalid_degree_raises(self):
         s = standard_simplex(2)
         f = random_convex(2, "log_sum_exp", 9, simplex=s)
         for degree in (0, 16, None, "15"):
             with pytest.raises(ValueError):
-                replay_ground_truth(f, s, {"method": "cubature", "degree": degree}, None)
+                replay_ground_truth(f, s, {"method": "cubature", "degree": degree})
 
     def test_old_mc_recipe_replays_by_mc(self):
         s = random_simplex(3, np.random.default_rng(7))
         f = random_convex(3, "log_sum_exp", 8, simplex=s)
         recipe = {"method": "monte_carlo", "samples": 3000, "seed": 23}
-        assert replay_ground_truth(f, s, recipe, None) == integrate_mc(f, s, 3000, 23)
+        assert replay_ground_truth(f, s, recipe) == integrate_mc(f, s, 3000, 23)
 
 
 class TestChanceFailureRegression:
@@ -437,7 +429,7 @@ class TestChanceFailureRegression:
         cfg = CampaignConfig(trials_per_theorem=2000, mc_samples=256)
         _, seeds, instances, _ = _build_trial(cfg, 628)
         [(name, instance, report, recipe)] = run_instances(
-            [("cor2", instances["cor2"][0])], _TRIAL_SEED_SLOTS, seeds, cfg.mc_samples
+            [("cor2", instances["cor2"][0])], seeds, cfg.mc_samples, {}
         )
         assert instance[0].kind == "log_sum_exp"
         assert recipe == {"method": "cubature", "degree": 15}
@@ -452,7 +444,7 @@ class TestChanceFailureRegression:
         assert replay_failure(json.loads(dumps(descriptor))).slacks == report.slacks
         # the descriptor the campaign recorded then still replays by Monte Carlo
         descriptor["ground_truth"] = {
-            "method": "monte_carlo", "samples": 256, "seed": seeds[_TRIAL_SEED_SLOTS["interval"]]
+            "method": "monte_carlo", "samples": 256, "seed": seeds["interval"]
         }
         old = replay_failure(json.loads(dumps(descriptor)))
         assert old.verdict == "fail" and old.slacks[2] == -0.08048860401037738

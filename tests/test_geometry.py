@@ -1,10 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from hhbounds import (
+    TOL_GEOM,
     DegenerateSimplexError,
     DimensionMismatchError,
     PointOutsideSimplexError,
@@ -83,6 +85,28 @@ class TestExtremeScales:
             for scale in self.SCALES:
                 s = Simplex(V * scale)
                 assert s.dimension == dim
+
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_volume_ratios_and_volume_at_any_scale(self, dim):
+        # the ratios take unit-scaled edges; the volume reads inf where the
+        # determinant overflows and 0.0 where it underflows, and never raises
+        rng = np.random.default_rng(900 + dim)
+        for V in (standard_simplex(dim).vertices, random_simplex(dim, rng).vertices):
+            for scale in (10.0**e for e in range(-150, 151, 25)):
+                s = Simplex(V * scale)
+                for x in (s.centroid, rng.dirichlet(np.ones(dim + 1)) @ s.vertices):
+                    diff = s.barycentric_volumes(x) - s.solve_weights(x)
+                    assert np.abs(diff).max() <= TOL_GEOM
+                expected = Simplex(V).volume
+                for _ in range(dim):
+                    expected *= scale
+                if expected > sys.float_info.max / math.factorial(dim):
+                    assert s.volume == math.inf  # |det| overflows
+                elif expected < 1e-300:
+                    assert s.volume < 1e-300  # 0.0, or a subnormal on the way
+                else:
+                    assert math.isclose(s.volume, expected, rel_tol=1e-9)
+                assert repr(s).startswith(f"Simplex(dim={dim}, volume=")
 
     @pytest.mark.parametrize("dim", range(1, 9))
     def test_repeated_and_collinear_rejected(self, dim):

@@ -590,7 +590,7 @@ class TestGroundTruthPolicy:
         for f in (SQ_1D, exp):
             est = ground_truth(f, UNIT_INTERVAL, mc_samples=500, seed=7)
             recipe = ground_truth_recipe(est, 7)
-            assert replay_ground_truth(f, UNIT_INTERVAL, recipe, None) == est
+            assert replay_ground_truth(f, UNIT_INTERVAL, recipe) == est
         assert ground_truth_recipe(ground_truth(SQ_1D, UNIT_INTERVAL), 7) == {
             "method": "exact_polynomial"
         }
@@ -601,10 +601,8 @@ class TestGroundTruthPolicy:
     def test_replay_honours_recorded_method(self):
         # a Monte Carlo recipe stays Monte Carlo for a kind with an exact mean
         recipe = {"method": "monte_carlo", "samples": 400, "seed": 3}
-        est = replay_ground_truth(SQ_1D, UNIT_INTERVAL, recipe, None)
+        est = replay_ground_truth(SQ_1D, UNIT_INTERVAL, recipe)
         assert est == integrate_mc(SQ_1D, UNIT_INTERVAL, 400, 3)
-        override = replay_ground_truth(SQ_1D, UNIT_INTERVAL, recipe, 900)
-        assert override == integrate_mc(SQ_1D, UNIT_INTERVAL, 900, 3)
 
     def test_policy_over_pairs(self):
         # exact pairs stay exact; the MC pairs share the seed's weight stream
@@ -626,7 +624,7 @@ class TestGroundTruthPolicy:
         assert est == integrate_exact(hinge, s)
         recipe = ground_truth_recipe(est, 7)
         assert recipe == {"method": "exact_polynomial"}
-        assert replay_ground_truth(hinge, s, recipe, None) == est
+        assert replay_ground_truth(hinge, s, recipe) == est
 
     def test_old_mc_hinge_recipe_replays_bit_for_bit(self):
         # a recipe recorded while the hinge went by Monte Carlo; the values
@@ -634,13 +632,13 @@ class TestGroundTruthPolicy:
         s = random_simplex(3, np.random.default_rng(4))
         hinge = random_convex(3, "hinge_distance", 5, simplex=s)
         recipe = {"method": "monte_carlo", "samples": 3000, "seed": 23}
-        assert replay_ground_truth(hinge, s, recipe, None) == IntegralEstimate(
+        assert replay_ground_truth(hinge, s, recipe) == IntegralEstimate(
             0.14644721670131436, 0.003258131288686053, "monte_carlo", 3000
         )
 
     def test_replay_rejects_unknown_method(self):
         with pytest.raises(ValueError, match="exact"):
-            replay_ground_truth(SQ_1D, UNIT_INTERVAL, {"method": "exact"}, None)
+            replay_ground_truth(SQ_1D, UNIT_INTERVAL, {"method": "exact"})
 
 
 class TestIntegralEstimate:
