@@ -4,12 +4,14 @@ Every term of a chain is ``∫ f dμ`` for a probability measure ``μ``: the
 uniform measure on a domain for the ground-truth mean, and otherwise a few
 points with weights, so that every slack is ``∫ f d(μ⁺ − μ⁻)`` for two
 measures of equal mass and barycentre (hence every chain is exact on affine
-``f``).  Each chain is a builder that adds its points to its function's batch
-and returns its terms as (row indices, weights) or the mean;
-:func:`chain_reports` then makes one weight solve per parent simplex and one
-evaluation per function for any set of instances, and sums each term's
-products.  A point's value and weights do not depend on its batch, so a
-chain run alone reproduces the terms it gets inside a whole trial.  Terms
+``f``).  Each chain is a pure builder ``build(s, params, weighed)`` that
+returns its terms as explicit measures ``(label, points, weights)``, or the
+mean, given the parent weights ``weighed`` of its params.  For any set of
+instances :func:`chain_reports` makes one weight solve per parent simplex,
+calls each function once on the stacked points of all its terms (a point
+shared by terms is evaluated once per term), and sums each term's products.
+A point's value and weights do not depend on its batch, so a chain run
+alone reproduces the terms it gets inside a whole trial.  Terms
 are ordered the way the chain is written: lower bounds ascending to the
 integral mean, then upper bounds ascending.  A chain passes when every
 consecutive slack is ``>= -tolerance`` (:func:`chain_tolerance`); against
@@ -21,6 +23,7 @@ of the chains; they are documented on their public functions below.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -126,34 +129,8 @@ def _build_report(
 
 
 # ---------------------------------------------------------------------------
-# batches, parent weights and builders
+# parent weights and builders
 # ---------------------------------------------------------------------------
-
-
-class _Batch:
-    """The points one function is evaluated at, in blocks kept by key; the
-    batches of one run share ``layout`` (one item: the rows so far)."""
-
-    def __init__(self, dim: int | None, layout: list[int]) -> None:
-        self.dim, self.layout, self.rows, self.index, self.kept = dim, layout, [], [], {}
-
-    def once(self, key, make):
-        """``make()`` on the first request for ``key``; the kept value after."""
-        if key not in self.kept:
-            self.kept[key] = make()
-        return self.kept[key]
-
-    def add(self, rows: np.ndarray) -> np.ndarray:
-        """Row indices of ``rows``, appended as a new block."""
-        if self.dim is not None and rows.shape[1] != self.dim:
-            raise DimensionMismatchError(
-                f"points have dimension {rows.shape[1]}, function expects {self.dim}"
-            )
-        start = self.layout[0]
-        self.layout[0] += len(rows)
-        self.rows.append(rows)
-        self.index.append(np.arange(start, self.layout[0]))
-        return self.index[-1]
 
 
 def _weighed_rows(key: str, s: Simplex, value) -> np.ndarray:
@@ -168,26 +145,41 @@ def _weighed_rows(key: str, s: Simplex, value) -> np.ndarray:
     M = np.atleast_2d(np.asarray(value, dtype=float))
     if M.shape[1] != s.dimension:
         raise DimensionMismatchError("points have the wrong dimension")
+    if not np.isfinite(M).all():
+        raise ValueError("mixture point coordinates must be finite")
     return M
+
+
+#: The error raised when a row of a weighed param lies outside its parent.
+_OUTSIDE = {
+    "point": (PointOutsideSimplexError, "pin point lies outside the simplex"),
+    "subsimplex": (SubsimplexEscapesParentError, "subsimplex vertex outside parent"),
+    "points": (PointOutsideSimplexError, "a mixture point lies outside the simplex"),
+}
 
 
 def _weigh(instances) -> dict:
     """``(id(parent), id(param)) -> (rows, weights)`` of every weighed param,
-    from one solve per parent; a param shared by instances is solved once,
-    and its read-only weights are shared by their builders."""
+    from one solve per parent; a param shared by instances is solved and
+    checked to lie in its parent once, and its read-only weights are shared
+    by their builders."""
     parents: dict[int, tuple[Simplex, dict]] = {}
     for _, (_, s, params) in instances:
-        for key in ("point", "subsimplex", "points"):
+        for key in _OUTSIDE:
             if key in params:
                 blocks = parents.setdefault(id(s), (s, {}))[1]
                 if id(params[key]) not in blocks:
-                    blocks[id(params[key])] = _weighed_rows(key, s, params[key])
+                    blocks[id(params[key])] = key, _weighed_rows(key, s, params[key])
     weighed = {}
     for s, blocks in parents.values():
-        W = s.solve_weights(np.concatenate(list(blocks.values())))
+        W = s.solve_weights(np.concatenate([rows for _, rows in blocks.values()]))
         W.setflags(write=False)
-        for key, rows in blocks.items():
-            weighed[id(s), key], W = (rows, W[: len(rows)]), W[len(rows) :]
+        for param, (key, rows) in blocks.items():
+            w, W = W[: len(rows)], W[len(rows) :]
+            if w.min() < -TOL_GEOM:
+                error, what = _OUTSIDE[key]
+                raise error(f"{what} (min weight {w.min():.3e})")
+            weighed[id(s), param] = rows, w
     return weighed
 
 
@@ -196,134 +188,95 @@ _MEAN = ("integral_mean", None, None)
 _SUB_MEAN = ("subsimplex_mean", None, None)
 
 
-def _parent(batch: _Batch, s: Simplex) -> tuple:
-    """Row indices of the vertices and centroid of ``s``; the vertex average."""
-
-    def make():
-        index = batch.add(np.concatenate((s.vertices, s.centroid[None, :])))
-        vertices = index[:-1]
-        uniform = np.full(len(vertices), 1.0 / len(vertices))
-        return vertices, index[-1:], ("vertex_average", vertices, uniform)
-
-    return batch.once(("parent", id(s)), make)
+def _at_centroid(s: Simplex) -> tuple:
+    return ("f_at_centroid", s.centroid[None, :], _ONE)
 
 
-def _contained(W: np.ndarray) -> np.ndarray:
-    """The parent weights ``W`` of subsimplex vertices; raises if one escapes."""
-    if W.min() < -TOL_GEOM:
-        raise SubsimplexEscapesParentError(
-            f"subsimplex vertex outside parent (min weight {W.min():.3e})"
-        )
-    return W
+def _vertex_average(s: Simplex) -> tuple:
+    np1 = s.dimension + 1
+    return ("vertex_average", s.vertices, np.full(np1, 1.0 / np1))
 
 
-def _choquet(batch, s, params, weighed):
-    _, centroid, average = _parent(batch, s)
-    return [("f_at_centroid", centroid, _ONE), _MEAN, average], None
+def _choquet(s, params, weighed):
+    return [_at_centroid(s), _MEAN, _vertex_average(s)], None
 
 
-def _thm2(batch, s, params, weighed):
-    rows, W = weighed[id(s), id(params["point"])]
-    if W.min() < -TOL_GEOM:
-        raise PointOutsideSimplexError("pin point lies outside the simplex")
-    vertices, _, average = _parent(batch, s)
-    at = np.concatenate((vertices, batch.once(("point", id(rows)), lambda: batch.add(rows))))
-    pinned = np.concatenate((1.0 - W[0], _ONE)) / len(vertices)
-    return [_MEAN, ("pinned_upper", at, pinned), average], None
+def _thm2(s, params, weighed):
+    point, W = weighed[id(s), id(params["point"])]
+    pinned = np.concatenate((1.0 - W[0], _ONE)) / (s.dimension + 1)
+    at = np.concatenate((s.vertices, point))
+    return [_MEAN, ("pinned_upper", at, pinned), _vertex_average(s)], None
 
 
-def _thm3_sweep(batch, s, sub, weighed):
-    """thm3's points and weights for every ``j`` of one (parent, sub) pair.
-
-    Row ``j`` of the lower bound's arrays holds its arguments and their
-    weights; the upper bound's measures all lie on the parent vertices and
-    the sub vertices, with the weights of row ``j``.
-    """
-    rows, W = weighed[id(s), id(sub)]
-    W = _contained(W[:-1])
-    if np.abs(sub.centroid - s.centroid).max() > TOL_GEOM:
-        raise BarycenterMismatchError("subsimplex centroid differs from parent centroid")
-    V, Q, np1 = s.vertices, rows[:-1], len(W)
-    # argument (j, i): the parent centroid with vertex i replaced by sub vertex j
-    args = ((V.sum(axis=0) - V)[None, :, :] + Q[:, None, :]) / np1
-    index = batch.add(np.concatenate((args.reshape(np1 * np1, -1), Q)))
-    upper_at = np.concatenate((_parent(batch, s)[0], index[np1 * np1 :]))
-    upper = np.concatenate((W.sum(axis=0) - W, np.eye(np1)), axis=1) / np1
-    return index[: np1 * np1].reshape(np1, np1), W, upper_at, upper
-
-
-def _thm3(batch, s, params, weighed):
+def _thm3(s, params, weighed):
     sub, j = params["subsimplex"], params["j"]
     if not 0 <= j <= s.dimension:
         raise IndexError(f"vertex index {j} out of range 0..{s.dimension}")
-    args, W, upper_at, upper = batch.once(
-        ("thm3", id(s), id(sub)), lambda: _thm3_sweep(batch, s, sub, weighed)
-    )
-    _, centroid, average = _parent(batch, s)
+    rows, W = weighed[id(s), id(sub)]
+    W = W[:-1]
+    if np.abs(sub.centroid - s.centroid).max() > TOL_GEOM:
+        raise BarycenterMismatchError("subsimplex centroid differs from parent centroid")
+    V, np1 = s.vertices, len(W)
+    # argument i: the parent centroid with vertex i replaced by sub vertex j.
+    # The upper bound's measure lies on the parent vertices, then every sub
+    # vertex; the zero weights of the sub vertices other than j stay, since
+    # dropping them would regroup the pairwise sum and move result bits.
+    args = (np.add.reduce(V) - V + rows[j]) / np1
+    upper = np.zeros(2 * np1)
+    upper[:np1], upper[np1 + j] = np.add.reduce(W) - W[j], 1.0
+    upper /= np1
     return [
-        ("f_at_centroid", centroid, _ONE),
-        ("subsimplex_lower", args[j], W[j]),
+        _at_centroid(s),
+        ("subsimplex_lower", args, W[j]),
         _MEAN,
-        ("subsimplex_upper", upper_at, upper[j]),
-        average,
+        ("subsimplex_upper", np.concatenate((V, rows[:-1])), upper),
+        _vertex_average(s),
     ], None
 
 
-def _centre(batch, s, params, weighed):
-    """Row index of the subsimplex centroid P, its weights, the parent vertices."""
-    sub = params["subsimplex"]
-
-    def make():
-        rows, W = weighed[id(s), id(sub)]
-        _contained(W[:-1])
-        return batch.add(rows[-1:]), W[-1], _parent(batch, s)[0]
-
-    return batch.once(("centre", id(s), id(sub)), make)
+def _thm4(s, params, weighed):
+    rows, W = weighed[id(s), id(params["subsimplex"])]  # the last row is P
+    bound = ("weighted_vertex_bound", s.vertices, W[-1])
+    return [("f_at_barycenter", rows[-1:], _ONE), _SUB_MEAN, bound], None
 
 
-def _thm4(batch, s, params, weighed):
-    at, w, vertices = _centre(batch, s, params, weighed)
-    bound = ("weighted_vertex_bound", vertices, w)
-    return [("f_at_barycenter", at, _ONE), _SUB_MEAN, bound], None
-
-
-def _thm5(batch, s, params, weighed):
-    at, w, vertices = _centre(batch, s, params, weighed)
-    improved = np.concatenate((s.dimension * w, _ONE)) / (s.dimension + 1)
+def _thm5(s, params, weighed):
+    rows, W = weighed[id(s), id(params["subsimplex"])]  # the last row is P
+    improved = np.concatenate((s.dimension * W[-1], _ONE)) / (s.dimension + 1)
     return [
         _SUB_MEAN,
-        ("improved_upper", np.concatenate((vertices, at)), improved),
-        ("weighted_vertex_bound", vertices, w),
+        ("improved_upper", np.concatenate((s.vertices, rows[-1:])), improved),
+        ("weighted_vertex_bound", s.vertices, W[-1]),
     ], None
 
 
-def _thm6(batch, s, params, weighed):
-    M, W = weighed[id(s), id(params["points"])]
+def _thm6(s, params, weighed):
+    M, _ = weighed[id(s), id(params["points"])]
     betas = np.asarray(params["betas"], dtype=float)
     if betas.ndim != 1 or betas.shape[0] != M.shape[0]:
         raise DimensionMismatchError("betas length must match number of points")
+    if not np.isfinite(betas).all():
+        raise ValueError("betas must be finite")
     if betas.min() < 0.0:
         raise ValueError("betas must be nonnegative")
     if abs(betas.sum() - 1.0) > TOL_GEOM:
         raise ValueError(f"betas sum to {betas.sum()!r}, expected 1")
-    if W.min() < -TOL_GEOM:
-        raise PointOutsideSimplexError("a mixture point lies outside the simplex")
     if np.abs(betas @ M - s.centroid).max() > TOL_GEOM:
         raise CentroidConstraintViolatedError("beta-mixture of points misses the centroid")
-    _, centroid, average = _parent(batch, s)
-    at = batch.once(("mixture", id(M)), lambda: batch.add(M))
-    return [("f_at_centroid", centroid, _ONE), ("point_mixture", at, betas), average], None
+    return [_at_centroid(s), ("point_mixture", M, betas), _vertex_average(s)], None
 
 
-def _cor2(batch, s, params, weighed):
+def _cor2(s, params, weighed):
     a, b, lam = float(params["a"]), float(params["b"]), float(params["lam"])
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"a and b must be finite, got a={a!r}, b={b!r}")
     if not a < b:
         raise ValueError(f"need a < b, got a={a!r}, b={b!r}")
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lam must lie in [0, 1], got {lam!r}")
     m = (1.0 - lam) * a + lam * b
     x = [a, b, (a + b) / 2.0, (a + m) / 2.0, (b + m) / 2.0, lam * a + (1.0 - lam) * b]
-    at = batch.add(np.array(x)[:, None])
+    at = np.array(x)[:, None]
     return [
         ("f_at_midpoint", at[2:3], _ONE),
         ("split_lower", at[3:5], np.array([lam, 1.0 - lam])),
@@ -333,9 +286,9 @@ def _cor2(batch, s, params, weighed):
     ], None
 
 
-def _cor3(batch, s, params, weighed):
+def _cor3(s, params, weighed):
     p, q, a, b, y = _cor3_params(params)
-    at = batch.add(np.array([(p * a + q * b) / (p + q), a, b])[:, None])
+    at = np.array([(p * a + q * b) / (p + q), a, b])[:, None]
     return [
         ("f_at_weighted_point", at[:1], _ONE),
         _MEAN,
@@ -354,10 +307,12 @@ def _cor3_params(params: dict) -> tuple[float, float, float, float, float]:
     Its window and its builder both read an instance through here, so
     neither divides by ``p + q`` unchecked.
     """
-    p, q, a, b, y = (float(params[key]) for key in ("p", "q", "a", "b", "y"))
+    p, q, a, b, y = values = [float(params[key]) for key in ("p", "q", "a", "b", "y")]
     cor3_max_halfwidth(p, q, a, b)  # checks p, q and a <= b
     if not y > 0.0:
         raise ValueError("y must be positive")
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"p, q, a, b and y must be finite, got {values!r}")
     return p, q, a, b, y
 
 
@@ -381,10 +336,10 @@ DOMAINS: dict[str, Callable[[Simplex | None, dict], Simplex]] = {
 
 @dataclass(frozen=True)
 class Chain:
-    """One bound chain: its builder, the :data:`DOMAINS` key of its
-    ground-truth domain (None for thm6, which has no integral), and the term
-    indices (mean, refined upper, classical upper) of a chain refining a
-    classical upper bound."""
+    """One bound chain: its builder (see the module docstring), the
+    :data:`DOMAINS` key of its ground-truth domain (None for thm6, which has
+    no integral), and the term indices (mean, refined upper, classical
+    upper) of a chain refining a classical upper bound."""
 
     build: Callable
     domain: str | None
@@ -415,28 +370,28 @@ def chain_reports(instances, ground_truths) -> list[ChainReport]:
 
     ``ground_truths[k]`` judges the k-th (None for thm6, which has no
     integral).  Every builder runs first; then each function object is
-    called once on its batch, and ``np.add.reduceat`` sums every weighted
-    term's products, each term on its own.
+    called once on the stacked points of all its terms, and one
+    ``np.add.reduceat`` sums every weighted term's products, each term on
+    its own.
     """
     instances = list(instances)
     if not instances:
         return []
-    weighed, layout, batches, built = _weigh(instances), [0], {}, []
-    for name, (f, s, params) in instances:
-        if id(f) not in batches:
-            batches[id(f)] = f, _Batch(getattr(f, "dim", None), layout)
-        built.append(CHAINS[name].build(batches[id(f)][1], s, params, weighed))
-    values = np.empty(layout[0])
-    for f, batch in batches.values():
-        values[np.concatenate(batch.index)] = f(np.concatenate(batch.rows))
-    at, coef = zip(*[(at, c) for terms, _ in built for _, at, c in terms if at is not None])
-    starts = list(itertools.accumulate([len(a) for a in at[:-1]], initial=0))
-    products = np.concatenate(coef) * values[np.concatenate(at)]
-    sums = iter(np.add.reduceat(products, starts).tolist())
+    weighed = _weigh(instances)
+    built = [CHAINS[name].build(s, params, weighed) for name, (_, s, params) in instances]
+    stacks: dict[int, tuple] = {}  # id(f) -> (f, its weighted terms' measures)
+    for (_, (f, _, _)), (terms, _) in zip(instances, built):
+        stacks.setdefault(id(f), (f, []))[1].extend(t[1:] for t in terms if t[1] is not None)
+    values = [f(np.concatenate([at for at, _ in ms])) for f, ms in stacks.values()]
+    weights = [w for _, ms in stacks.values() for _, w in ms]
+    starts = list(itertools.accumulate([len(w) for w in weights[:-1]], initial=0))
+    products = np.concatenate(weights) * np.concatenate(values)
+    flat = iter(np.add.reduceat(products, starts).tolist())
+    sums = {key: iter([next(flat) for _ in ms]) for key, (_, ms) in stacks.items()}
     return [
-        _build_report(name, [(label, gt.mean_value if at is None else next(sums))
+        _build_report(name, [(label, gt.mean_value if at is None else next(sums[id(f)]))
                              for label, at, _ in terms], gt, condition_holds=condition)
-        for (name, _), (terms, condition), gt in zip(instances, built, ground_truths)
+        for (name, (f, _, _)), (terms, condition), gt in zip(instances, built, ground_truths)
     ]
 
 

@@ -47,6 +47,13 @@ def _abs_det(edges: np.ndarray) -> float:
     return abs(float(np.linalg.det(edges)))
 
 
+def _binary_exponent(V: np.ndarray) -> int:
+    """``e`` with ``max|V| * 2**-e`` in [0.5, 1): ``np.ldexp(V, -e)`` scales
+    ``V`` exactly, so differences of the scaled rows cannot overflow and
+    have the bits of the unscaled ones wherever those do not."""
+    return math.frexp(np.abs(V).max())[1]
+
+
 def as_point(x, dim: int | None = None) -> np.ndarray:
     """Validate and return ``x`` as a 1-D float array of finite coordinates."""
     p = np.asarray(x, dtype=float)
@@ -81,8 +88,10 @@ class Simplex:
             raise ValueError("vertex coordinates must be finite")
         # Shape test on unit edge rows: |det| / prod(edge lengths) at any
         # scale, with no power of the scale to overflow or underflow (hypot
-        # takes each length without squaring an entry).
-        edges = V[1:] - V[0]
+        # takes each length without squaring an entry).  The edges are taken
+        # on the vertices scaled by a power of two, so they cannot overflow.
+        U = np.ldexp(V, -_binary_exponent(V))
+        edges = U[1:] - U[0]
         lengths = np.hypot.reduce(edges, axis=1)
         if not lengths.all():
             raise DegenerateSimplexError("vertices are affinely dependent (repeated vertex)")
@@ -173,10 +182,12 @@ class Simplex:
             )
         # Ratios do not change under a common scale, so take them on edges
         # divided by the longest edge length: as in the constructor's shape
-        # test, no power of the scale is left to overflow or underflow.
-        origin = self._vertices[0]
-        scale = np.hypot.reduce(self._vertices[1:] - origin, axis=1).max()
-        V, y = (self._vertices - origin) / scale, (x - origin) / scale
+        # test, no power of the scale is left to overflow or underflow, and
+        # the edges are taken on vertices scaled by a power of two.
+        e = _binary_exponent(self._vertices)
+        V, y = np.ldexp(self._vertices, -e), np.ldexp(x, -e)
+        scale = np.hypot.reduce(V[1:] - V[0], axis=1).max()
+        V, y = (V - V[0]) / scale, (y - V[0]) / scale
         ratios = np.empty(self.dimension + 1)
         for k in range(len(ratios)):
             W = np.array(V)

@@ -374,8 +374,9 @@ class TestRunCampaign:
 
     def test_three_function_calls_per_trial(self, monkeypatch):
         # the trial's function, its cor2 function and its cor3 function, each
-        # called once on the union of its chains' points; the ground truths
-        # of these kinds are closed forms, which call none
+        # called once on the stacked points of its chains' terms (cor2's a
+        # and b appear in two terms each); the ground truths of these kinds
+        # are closed forms, which call none
         calls = []
         call = ConvexFunction.__call__
 
@@ -387,7 +388,7 @@ class TestRunCampaign:
         kinds = ("affine", "quadratic_psd", "hinge_distance")
         run_campaign(CampaignConfig(trials_per_theorem=16, mc_samples=2, function_kinds=kinds))
         assert len(calls) == 3 * 16
-        assert calls[1::3] == [6] * 16 and calls[2::3] == [3] * 16
+        assert calls[1::3] == [8] * 16 and calls[2::3] == [3] * 16
 
     @pytest.mark.parametrize("name", CHAIN_NAMES)
     def test_single_chain_selection_keeps_its_section(self, name, full_24):

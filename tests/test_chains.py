@@ -17,10 +17,12 @@ from numpy.testing import assert_allclose
 
 from hhbounds import (
     KINDS,
+    TOL_GEOM,
     BarycenterMismatchError,
     CampaignConfig,
     CentroidConstraintViolatedError,
     ConvexFunction,
+    DimensionMismatchError,
     IntegralEstimate,
     PointOutsideSimplexError,
     Simplex,
@@ -42,7 +44,7 @@ from hhbounds import (
     thm6_chain,
 )
 from hhbounds.campaign import _build_trial
-from hhbounds.chains import CHAINS, _weigh, chain_reports
+from hhbounds.chains import CHAIN_NAMES, CHAINS, DOMAINS, _weigh, chain_reports
 from hhbounds.cli import build_parser
 
 SQ_1D = ConvexFunction(
@@ -373,6 +375,70 @@ class TestCor3:
             cor3_check(1.0, 1.0, 0.0, 1.0, -0.1, SQ_1D, GT_UNIT)
 
 
+class TestNonFiniteParams:
+    """A non-finite chain param raises ValueError instead of giving a verdict."""
+
+    THIRDS = np.full(3, 1.0 / 3.0)
+    MIDPOINTS = (TRIANGLE.vertices.sum(axis=0) - TRIANGLE.vertices) / 2.0
+
+    def test_thm6_nan_beta(self):
+        betas = np.array([np.nan, 0.5, 0.5])
+        with pytest.raises(ValueError, match="finite"):
+            thm6_chain(SQ_2D, TRIANGLE, self.MIDPOINTS, betas)
+
+    def test_thm6_nan_mixture_point(self):
+        points = self.MIDPOINTS.copy()
+        points[0, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            thm6_chain(SQ_2D, TRIANGLE, points, self.THIRDS)
+
+    @pytest.mark.parametrize("a, b", [(0.0, np.inf), (-np.inf, 1.0)])
+    def test_cor2_infinite_endpoint(self, a, b):
+        with pytest.raises(ValueError, match="finite"):
+            cor2_chain(SQ_1D, a, b, 0.5, GT_UNIT)
+
+    @pytest.mark.parametrize(
+        "p, q, a, b, y",
+        [
+            (1.0, 1.0, 0.0, np.inf, 0.25),
+            (1.0, 1.0, -np.inf, 1.0, 0.25),
+            (np.inf, 1.0, 0.0, 1.0, 0.25),
+            (1.0, 1.0, 0.0, 1.0, np.inf),
+        ],
+    )
+    def test_cor3_infinite_param(self, p, q, a, b, y):
+        with pytest.raises(ValueError, match="finite"):
+            cor3_check(p, q, a, b, y, SQ_1D, GT_UNIT)
+
+
+class TestWrongDimension:
+    """Every chain rejects a function of another dimension than its instance."""
+
+    SUB = TRIANGLE.homothety_about_centroid(0.5)
+    CALLS = {
+        "choquet": lambda f: choquet_chain(f, TRIANGLE, GT_TRIANGLE),
+        "thm2": lambda f: thm2_upper(f, TRIANGLE, TRIANGLE.centroid, GT_TRIANGLE),
+        "thm3": lambda f: thm3_chain(f, TRIANGLE, TestWrongDimension.SUB, 1, GT_TRIANGLE),
+        "thm4": lambda f: thm4_chain(f, TRIANGLE, TestWrongDimension.SUB, GT_TRIANGLE),
+        "thm5": lambda f: thm5_upper(f, TRIANGLE, TestWrongDimension.SUB, GT_TRIANGLE),
+        "thm6": lambda f: thm6_chain(f, TRIANGLE, TRIANGLE.centroid[None, :], [1.0]),
+        "cor2": lambda f: cor2_chain(f, 0.0, 1.0, 0.5, GT_UNIT),
+        "cor3": lambda f: cor3_check(1.0, 1.0, 0.0, 1.0, 0.25, f, GT_UNIT),
+    }
+
+    def test_every_chain_listed(self):
+        assert tuple(self.CALLS) == CHAIN_NAMES
+
+    @pytest.mark.parametrize(
+        "name, dim",
+        [(name, dim) for name in CHAIN_NAMES for dim in ((2,) if CHAINS[name].one_d else (1, 3))],
+    )
+    def test_function_of_wrong_dimension_rejected(self, name, dim):
+        f = random_convex(dim, "quadratic_psd", 17)
+        with pytest.raises(DimensionMismatchError, match="function expects"):
+            self.CALLS[name](f)
+
+
 class TestTolerance:
     def test_exact_uses_chain_tolerance(self):
         assert chain_tolerance(GT_UNIT) == 1e-8
@@ -491,6 +557,34 @@ def trial_reports(instances, gt):
     return flat, chain_reports(flat, gts)
 
 
+class TestMeasures:
+    """Every weighted term is a probability measure whose barycentre is the
+    centroid of its chain's ground-truth domain (the parent for thm6), so
+    every slack is the integral of ``f`` against a difference of two
+    measures of equal mass and barycentre: the reason each chain is exact
+    on affine ``f``."""
+
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_terms_are_probability_measures_at_the_domain_centroid(self, dim):
+        # three campaign trials of each kind: every chain and every thm3 j
+        cfg = CampaignConfig(dimensions=(dim,))
+        for index in range(3 * len(KINDS)):
+            _, _, instances, _ = _build_trial(cfg, index)
+            flat = [(name, case) for name, cases in instances.items() for case in cases]
+            weighed = _weigh(flat)
+            for name, (_, s, params) in flat:
+                chain = CHAINS[name]
+                domain = s if chain.domain is None else DOMAINS[chain.domain](s, params)
+                terms, _ = chain.build(s, params, weighed)
+                for label, points, weights in terms:
+                    if points is None:
+                        continue
+                    assert points.shape == (len(weights), domain.dimension), (name, label)
+                    assert abs(weights.sum() - 1.0) <= 1e-12, (name, label)
+                    gap = np.abs(weights @ points - domain.centroid).max()
+                    assert gap <= TOL_GEOM, (name, label, dim, index)
+
+
 class TestSharedWork:
     """One evaluation per function and one weight solve per parent in a trial."""
 
@@ -542,9 +636,10 @@ class TestSharedWork:
         assert_allclose(W[:-1] @ s.vertices, sub.vertices, rtol=0, atol=1e-13)
         assert_allclose(W[-1] @ s.vertices, sub.centroid, rtol=0, atol=1e-13)
 
-    def test_thm3_identical_with_cold_and_warm_cache(self):
-        # each j alone, on a fresh batch and weight solve, against the whole
-        # sweep sharing one batch and one solve: the same reports, bit for bit
+    def test_thm3_identical_alone_and_in_a_sweep(self):
+        # each j alone, with its own evaluation and weight solve, against the
+        # whole sweep sharing one call and one solve: the same reports, bit
+        # for bit
         rng = np.random.default_rng(32)
         s = random_simplex(5, rng)
         f = random_convex(5, "log_sum_exp", 7, simplex=s)
@@ -576,9 +671,9 @@ class TestSharedWork:
         assert calls == [(5, 3)]
 
     def test_one_call_per_function(self):
-        # the parent's vertices and centroid once, thm3's (n+1)^2 arguments
-        # and n+1 sub vertices once for the whole sweep, and the pin point,
-        # P and the mixture points once each
+        # one call per function, on the points of every weighted term's
+        # measure; a point in several terms (a vertex, the centroid, a sub
+        # vertex) is evaluated once per term
         calls = []
 
         class Spy:
@@ -603,4 +698,14 @@ class TestSharedWork:
             chain_reports(flat, [None if name == "thm6" else gt for name, _ in flat])
             mixture = len(instances["thm6"][0][2]["points"])
             np1 = dim + 1
-            assert calls == [np1 + 1 + 1 + np1 * np1 + np1 + 1 + mixture, 6, 3]
+            rows = {
+                "choquet": 1 + np1,
+                "thm2": (np1 + 1) + np1,
+                "thm3": np1 * (1 + np1 + 2 * np1 + np1),
+                "thm4": 1 + np1,
+                "thm5": (np1 + 1) + np1,
+                "thm6": 1 + mixture + np1,
+            }
+            # cor2: midpoint 1, split lower 2, split upper 3, endpoints 2;
+            # cor3: weighted point 1, endpoints 2
+            assert calls == [sum(rows.values()), 8, 3]

@@ -108,6 +108,14 @@ class TestExtremeScales:
                     assert math.isclose(s.volume, expected, rel_tol=1e-9)
                 assert repr(s).startswith(f"Simplex(dim={dim}, volume=")
 
+    def test_edge_beyond_the_float_range(self):
+        # finite vertices whose edge overflows a float: the shape test and
+        # the volume ratios take their edges on the vertices scaled by a
+        # power of two, so neither warns; the volume reads inf
+        s = Simplex([[-1e308], [1e308]])
+        assert s.volume == math.inf
+        assert s.barycentric_volumes(s.centroid).tolist() == [0.5, 0.5]
+
     @pytest.mark.parametrize("dim", range(1, 9))
     def test_repeated_and_collinear_rejected(self, dim):
         V = random_simplex(dim, np.random.default_rng(50 + dim)).vertices
