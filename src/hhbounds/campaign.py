@@ -29,10 +29,11 @@ back from a result file: floats are written as their shortest round-trip
 ``repr``, so ``-0.0`` and ``1.0`` come back as written.
 
 :func:`search_cor3_counterexample` tests the necessity of the cor3 window
-condition.  It scores unit hinges by the exact slack they would be
-certified with, certifies the best one as a ``cor3`` chain with its exact
-window mean, and returns it as a descriptor built by the same code
-as a campaign failure.
+condition.  The worst unit hinge has a closed form: its kink is the
+endpoint of ``[a, b]`` nearer the weighted point ``A``, and its upper slack
+is ``-(y - h)**2 / (4 y)``.  The search certifies that one hinge as a
+``cor3`` chain with its exact window mean, and returns it as a descriptor
+built by the same code as a campaign failure.
 
 Wall time is kept on the in-memory result only; the serialized result is a
 pure function of the configuration, so rerunning a campaign writes a
@@ -64,7 +65,6 @@ from .errors import (
 from .funcs import KINDS, ConvexFunction, random_convex
 from .geometry import Simplex
 from .quadrature import (
-    _hinge_mean,
     ground_truth_recipe,
     ground_truths,
     integrate_exact,
@@ -95,11 +95,23 @@ _DEFAULT_SCALES = (0.2, 0.4, 0.6, 0.8, 1.0)
 # ---------------------------------------------------------------------------
 
 
+#: What an instance's ground-truth domain is built from, by domain name.
+_DOMAIN_INPUTS = {
+    "parent": lambda s, params: s,
+    "subsimplex": lambda s, params: params["subsimplex"],
+    "interval": lambda s, params: params if s is None else s,
+    "window": lambda s, params: params,
+}
+
+
 def run_instances(instances, seeds: dict[str, int], mc_samples: int, domains: dict):
     """Run ``(name, (function, simplex, params))`` chain instances in order.
 
     Every instance on one ground-truth domain must have the same function
-    and domain, and they share one ground truth.  ``seeds`` and ``domains``
+    object and build the domain from the same object (the simplex, the
+    ``subsimplex`` param, or the params of an interval or window), and they
+    share one ground truth; a later instance that differs raises
+    ValueError naming the domain.  ``seeds`` and ``domains``
     are keyed by :data:`~hhbounds.chains.DOMAINS` name; a domain the caller
     did not build is built through ``DOMAINS``.  Before any chain runs, the
     domains of one seed are integrated together by
@@ -114,9 +126,18 @@ def run_instances(instances, seeds: dict[str, int], mc_samples: int, domains: di
     instances, domains = list(instances), dict(domains)
     pairs: dict[int, dict[tuple, tuple]] = {}  # seed -> object ids -> (f, domain)
     keys: dict[str, tuple] = {}  # domain name -> (seed, object ids)
+    sources: dict[str, tuple] = {}  # domain name -> (function, domain input)
     for name, (func, simplex, params) in instances:
         domain = CHAINS[name].domain
-        if domain is not None and domain not in keys:
+        if domain is None:
+            continue
+        source = func, _DOMAIN_INPUTS[domain](simplex, params)
+        first = sources.setdefault(domain, source)
+        if first[0] is not func or first[1] is not source[1]:
+            raise ValueError(
+                f"instances on the {domain} domain must share one function and one {domain}"
+            )
+        if domain not in keys:
             if domain not in domains:
                 domains[domain] = DOMAINS[domain](simplex, params)
             pair = func, domains[domain]
@@ -620,21 +641,6 @@ def slack_histograms_csv(result: CampaignResult) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _hinge_slack(
-    kink: float, p: float, q: float, a: float, b: float, lo: float, hi: float
-) -> float:
-    """cor3 upper slack of the unit hinge ``max(0, x - kink)``.
-
-    The window ``[lo, hi]`` mean comes from :func:`~hhbounds.quadrature._hinge_mean`,
-    the closed form :func:`~hhbounds.quadrature.integrate_exact` uses, so
-    this is the slack the witness is certified with.
-    """
-    f_a = max(0.0, a - kink)
-    f_b = max(0.0, b - kink)
-    mean = _hinge_mean([lo - kink, hi - kink])
-    return (p * f_a + q * f_b) / (p + q) - mean
-
-
 def search_cor3_counterexample(
     p: float,
     q: float,
@@ -644,20 +650,23 @@ def search_cor3_counterexample(
     budget: int,
     seed: int,
 ) -> dict | None:
-    """Search hinge functions violating the cor3 chain when the condition fails.
+    """The unit hinge that violates the cor3 chain most, when the condition fails.
 
-    Candidates are unit hinges ``max(0, x - kink)`` parameterized by kink
-    location, scored by the exact cor3 upper slack they would be certified
-    with (:func:`_hinge_slack`): a grid sweep, then seeded random
-    refinement around the best kink, examining exactly ``budget``
-    candidates.  The mirrored hinge ``max(0, kink - x)`` differs from this
-    one by an affine function, whose cor3 slacks are zero because the
-    window is centred at ``A``, so it would score the same.  The best one
-    is certified as a ``cor3`` chain with its exact window mean
-    (:func:`~hhbounds.quadrature.integrate_exact`), and a
-    witness descriptor (replayable via :func:`replay_failure`) is returned
-    only if its slack is negative beyond the report tolerance.  Returns
-    None when the budget is exhausted without a certifiable violation.
+    Write ``S(k)`` for the cor3 upper slack of the unit hinge
+    ``max(0, x - k)``.  Between consecutive points of ``{a, b, A - y, A + y}``
+    its endpoint term is linear in ``k`` and its window mean is convex in
+    ``k``, so ``S`` is concave on each piece and its minimum lies at one of
+    those four kinks.  It lies at the endpoint of ``[a, b]`` nearer ``A``
+    (``a`` on a tie), where ``S = -(y - h)**2 / (4 y)`` with ``h`` the
+    :func:`~hhbounds.chains.cor3_max_halfwidth`.  The mirrored hinge
+    ``max(0, k - x)`` differs from this one by an affine function, whose
+    cor3 slacks are zero because the window is centred at ``A``, so it
+    would score the same.  That one hinge is certified as a ``cor3`` chain
+    with its exact window mean (:func:`~hhbounds.quadrature.integrate_exact`),
+    and a witness descriptor (replayable via :func:`replay_failure`) is
+    returned only if its slack is negative beyond the report tolerance;
+    otherwise None.  ``budget`` (at least 1) and ``seed`` do not change the
+    witness.
     """
     p, q, a, b, y = float(p), float(q), float(a), float(b), float(y)
     params = {"p": p, "q": q, "a": a, "b": b, "y": y}
@@ -668,24 +677,8 @@ def search_cor3_counterexample(
         raise ConditionNotViolatedError(
             "window-width condition holds; the chain is valid for every convex f"
         )
-    lo, hi = (float(x) for x in window.vertices[:, 0])
-    span_lo, span_hi = min(lo, a), max(hi, b)
-    grid_size = min(budget, 1024)
-    best, kink = min(
-        ((_hinge_slack(k, p, q, a, b, lo, hi), k)
-         for k in np.linspace(span_lo, span_hi, grid_size).tolist()),
-        key=lambda scored: scored[0],
-    )
-    # Random refinement around the best kink found so far.
-    rng = np.random.default_rng(seed)
-    radius = (span_hi - span_lo) / max(grid_size - 1, 1)
-    for _ in range(budget - grid_size):
-        trial = kink + radius * float(rng.standard_normal())
-        score = _hinge_slack(trial, p, q, a, b, lo, hi)
-        if score < best:
-            best, kink = score, trial
-            radius *= 0.7
-
+    centre = (p * a + q * b) / (p + q)
+    kink = a if centre - a <= b - centre else b
     func = ConvexFunction(
         kind="hinge_distance",
         params={"slope": [1.0], "threshold": kink},
@@ -700,5 +693,5 @@ def search_cor3_counterexample(
     witness = _descriptor(
         "cor3", {"dimension": 1}, instance, report, ground_truth_recipe(gt, None)
     )
-    witness.update(kink=kink, slack=worst, candidates_examined=budget)
+    witness.update(kink=kink, slack=worst, candidates_examined=1)
     return witness

@@ -268,15 +268,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_campaign.add_argument("--mc-samples", type=int, default=None)
 
     p_search = sub.add_parser(
-        "cor3-search", help="search for a convex function violating the cor3 chain"
+        "cor3-search",
+        help="certify the unit hinge that violates the cor3 chain most",
+        description="When the window is too wide, certify the unit hinge that "
+        "violates the cor3 chain most: its kink is the endpoint of [a, b] nearer "
+        "A = (p*a + q*b)/(p + q), in closed form, so there is nothing to search.",
     )
     p_search.add_argument("--p", type=float, required=True)
     p_search.add_argument("--q", type=float, required=True)
     p_search.add_argument("--a", type=float, required=True)
     p_search.add_argument("--b", type=float, required=True)
     p_search.add_argument("--y", type=float, required=True)
-    p_search.add_argument("--budget", type=int, default=10_000)
-    p_search.add_argument("--seed", type=int, default=None)
+    p_search.add_argument(
+        "--budget", type=int, default=10_000,
+        help="must be >= 1; kept for old callers, it does not change the witness",
+    )
+    p_search.add_argument(
+        "--seed", type=int, default=None,
+        help="kept for old callers; it does not change the witness",
+    )
 
     p_sample = sub.add_parser("sample", help="draw uniform points from a simplex")
     p_sample.add_argument("simplex", help="simplex descriptor JSON file")

@@ -54,6 +54,16 @@ def _binary_exponent(V: np.ndarray) -> int:
     return math.frexp(np.abs(V).max())[1]
 
 
+#: Where the binary exponent ``e`` of the vertices lies beyond plus or minus
+#: this, :meth:`Simplex.solve_weights` solves on vertex rows and points
+#: scaled by ``2**-e``.  LAPACK's LU multiplies by the reciprocal of each
+#: pivot, which overflows when a pivot is subnormal (a pivot can lie far
+#: below ``max|V|``), and near the top of the float range its elimination
+#: updates overflow.  Within it the system is solved as given: scaling makes
+#: LAPACK pick other pivots, which moves the weights' last bits.
+_SOLVE_EXPONENT_LIMIT = 900
+
+
 def as_point(x, dim: int | None = None) -> np.ndarray:
     """Validate and return ``x`` as a 1-D float array of finite coordinates."""
     p = np.asarray(x, dtype=float)
@@ -73,7 +83,7 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
 class Simplex:
     """Nondegenerate n-simplex given by n+1 vertices in R^n."""
 
-    __slots__ = ("_vertices", "_centroid")
+    __slots__ = ("_vertices", "_centroid", "_exponent")
 
     def __init__(self, vertices) -> None:
         V = np.array(vertices, dtype=float)
@@ -88,9 +98,11 @@ class Simplex:
             raise ValueError("vertex coordinates must be finite")
         # Shape test on unit edge rows: |det| / prod(edge lengths) at any
         # scale, with no power of the scale to overflow or underflow (hypot
-        # takes each length without squaring an entry).  The edges are taken
-        # on the vertices scaled by a power of two, so they cannot overflow.
-        U = np.ldexp(V, -_binary_exponent(V))
+        # takes each length without squaring an entry).  The edges, and the
+        # centroid's sum, are taken on the vertices scaled by a power of two,
+        # so they cannot overflow.
+        e = _binary_exponent(V)
+        U = np.ldexp(V, -e)
         edges = U[1:] - U[0]
         lengths = np.hypot.reduce(edges, axis=1)
         if not lengths.all():
@@ -101,10 +113,11 @@ class Simplex:
                 f"vertices are affinely dependent (|det| of unit edges={shape:.3e})"
             )
         V.setflags(write=False)
-        centroid = np.add.reduce(V, axis=0) / m
+        centroid = np.ldexp(np.add.reduce(U, axis=0) / m, e)
         centroid.setflags(write=False)
         self._vertices = V
         self._centroid = centroid
+        self._exponent = e
 
     # -- basic data ---------------------------------------------------------
 
@@ -158,8 +171,11 @@ class Simplex:
             raise DimensionMismatchError(
                 f"points have dimension {n}, expected {self.dimension}"
             )
+        V, e = self._vertices, self._exponent
+        if abs(e) > _SOLVE_EXPONENT_LIMIT:
+            V, P = np.ldexp(V, -e), np.ldexp(P, -e)
         system = np.ones((n + 1, n + 1))
-        system[:n] = self._vertices.T
+        system[:n] = V.T
         rhs = np.concatenate((P, np.ones((m, 1))), axis=1)[:, :, None]
         try:
             W = np.linalg.solve(system, rhs)[:, :, 0]
@@ -184,7 +200,7 @@ class Simplex:
         # divided by the longest edge length: as in the constructor's shape
         # test, no power of the scale is left to overflow or underflow, and
         # the edges are taken on vertices scaled by a power of two.
-        e = _binary_exponent(self._vertices)
+        e = self._exponent
         V, y = np.ldexp(self._vertices, -e), np.ldexp(x, -e)
         scale = np.hypot.reduce(V[1:] - V[0], axis=1).max()
         V, y = (V - V[0]) / scale, (y - V[0]) / scale

@@ -27,6 +27,7 @@ from hhbounds import (
     tightness_table,
 )
 from hhbounds import quadrature
+from hhbounds.campaign import run_instances
 from hhbounds.chains import CHAINS
 from hhbounds.serialize import dumps
 
@@ -744,6 +745,45 @@ class TestCor3Search:
         witness = search_cor3_counterexample(1.0, 1.0, 0.0, 1.0, y, budget=500, seed=2)
         assert witness is None
 
+    def test_witness_is_the_worst_unit_hinge(self):
+        # S(k), the cor3 upper slack of max(0, x - k), with the window mean
+        # from the ramp's antiderivative max(0, x - k)**2 / 2.  The witness
+        # slack is the closed form -(y - h)**2 / (4 y), and neither the four
+        # kinks {a, b, A - y, A + y} nor a dense kink grid score lower.
+        # Windows stay 10 % above h: nearer, the slack shrinks as (y - h)**2
+        # and its relative rounding error grows.
+        rng = np.random.default_rng(15)
+        for _ in range(200):
+            p, q = (float(v) for v in rng.uniform(0.05, 20.0, size=2))
+            a = float(rng.normal())
+            b = a + 0.3 + float(rng.exponential())
+            h = (b - a) * min(p, q) / (p + q)
+            y = h * float(rng.uniform(1.1, 10.0))
+            witness = search_cor3_counterexample(p, q, a, b, y, budget=1, seed=0)
+            closed = -((y - h) ** 2) / (4.0 * y)
+            assert abs(witness["slack"] - closed) <= 1e-12 * abs(closed)
+            assert witness["candidates_examined"] == 1
+            centre = (p * a + q * b) / (p + q)
+            lo, hi = centre - y, centre + y
+
+            def slack(k):
+                def anti(x):
+                    return max(0.0, x - k) ** 2 / 2.0
+
+                upper = (p * max(0.0, a - k) + q * max(0.0, b - k)) / (p + q)
+                return upper - (anti(hi) - anti(lo)) / (hi - lo)
+
+            grid = np.linspace(min(a, lo), max(b, hi), 3001).tolist()
+            for k in [a, b, lo, hi] + grid:
+                assert witness["slack"] <= slack(k) + 1e-12 * abs(closed), (p, q, a, b, y, k)
+
+    def test_budget_and_seed_do_not_change_the_witness(self):
+        args = 0.5, 2.0, -1.0, 2.0, 1.2
+        witness = search_cor3_counterexample(*args, budget=1, seed=0)
+        assert witness == search_cor3_counterexample(*args, budget=10_000, seed=7)
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            search_cor3_counterexample(*args, budget=0, seed=0)
+
     def test_budget_respected(self):
         witness = search_cor3_counterexample(1.0, 1.0, 0.0, 1.0, 0.75, budget=64, seed=4)
         assert witness is None or witness["candidates_examined"] <= 64
@@ -763,6 +803,34 @@ class TestCor3Search:
         assert list(witness) == [key for key in failure if key != "trial"] + [
             "kink", "slack", "candidates_examined"
         ]
+
+
+class TestRunInstances:
+    """Instances on one ground-truth domain share one ground truth, so a
+    later instance with another function or domain is rejected."""
+
+    SEEDS = dict.fromkeys(("parent", "subsimplex", "interval", "window"), 5)
+
+    @pytest.mark.parametrize("differs", ["function", "simplex"])
+    def test_second_choquet_on_another_function_or_simplex_rejected(self, differs):
+        s1, s2 = standard_simplex(2), random_simplex(2, np.random.default_rng(3))
+        f1 = random_convex(2, "quadratic_psd", 1, simplex=s1)
+        f2 = random_convex(2, "quadratic_psd", 2, simplex=s2)
+        second = (f2, s1, {}) if differs == "function" else (f1, s2, {})
+        instances = [("choquet", (f1, s1, {})), ("choquet", second)]
+        with pytest.raises(ValueError, match="parent domain"):
+            list(run_instances(instances, self.SEEDS, 1000, {}))
+
+    @pytest.mark.parametrize("name", ["thm4", "thm5"])
+    def test_two_subsimplices_rejected(self, name):
+        s = standard_simplex(2)
+        f = random_convex(2, "exp_affine", 4, simplex=s)
+        instances = [
+            (name, (f, s, {"subsimplex": s.centered_subsimplex(s.centroid, t)}))
+            for t in (0.3, 0.8)
+        ]
+        with pytest.raises(ValueError, match="subsimplex domain"):
+            list(run_instances(instances, self.SEEDS, 1000, {}))
 
 
 class TestRandomSimplex:

@@ -1,5 +1,6 @@
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -115,6 +116,27 @@ class TestExtremeScales:
         s = Simplex([[-1e308], [1e308]])
         assert s.volume == math.inf
         assert s.barycentric_volumes(s.centroid).tolist() == [0.5, 0.5]
+
+    def test_centroid_beyond_the_float_range(self):
+        # the coordinate sums overflow a float; the centroid is summed on the
+        # vertices scaled by a power of two, so it neither warns nor overflows
+        s = Simplex([[-1e308, -1e308], [1e308, -1e308], [-1e308, 1e308]])
+        assert np.isfinite(s.centroid).all()
+        assert s.contains(s.centroid)
+
+    @pytest.mark.parametrize("scale", [1e-310, 1e-320])
+    def test_weights_at_subnormal_scale(self, scale):
+        # the exact weights of the stored centroid: at 1e-320 a subnormal
+        # holds about 11 bits, so the centroid itself is 1/3 off by 5e-4
+        s = Simplex(standard_simplex(2).vertices * scale)
+        x, y = (Fraction(v) / Fraction(scale) for v in s.centroid.tolist())
+        exact = np.array([float(1 - x - y), float(x), float(y)])
+        w = s.solve_weights(s.centroid)
+        assert np.abs(w - exact).max() <= TOL_GEOM
+        if scale == 1e-310:
+            assert np.abs(w - 1.0 / 3.0).max() <= TOL_GEOM
+        assert s.contains(s.centroid)
+        assert np.abs(s.barycentric_volumes(s.centroid) - w).max() <= TOL_GEOM
 
     @pytest.mark.parametrize("dim", range(1, 9))
     def test_repeated_and_collinear_rejected(self, dim):
