@@ -56,12 +56,13 @@ from .errors import (
     DimensionMismatchError,
     HHBoundsError,
     MissingBaselineError,
+    NonFiniteValueError,
     PointOutsideSimplexError,
     SingularSystemError,
     SubsimplexEscapesParentError,
     UnsupportedKindError,
 )
-from .funcs import KINDS, ConvexFunction, midpoint_convexity_check, random_convex
+from .funcs import KINDS, ConvexFunction, random_convex
 from .geometry import Simplex, as_point, standard_simplex
 from .quadrature import (
     EXACT_KINDS,
@@ -99,7 +100,6 @@ __all__ = [
     "integrate_cubature",
     "integrate_exact",
     "integrate_mc",
-    "midpoint_convexity_check",
     "random_convex",
     "random_simplex",
     "replay_failure",
@@ -123,6 +123,7 @@ __all__ = [
     "DegenerateSimplexError",
     "DimensionMismatchError",
     "MissingBaselineError",
+    "NonFiniteValueError",
     "PointOutsideSimplexError",
     "SingularSystemError",
     "SubsimplexEscapesParentError",

@@ -6,13 +6,16 @@ params)`` by the one chain table, :data:`~hhbounds.chains.CHAINS`: it
 shares one ground truth per domain, integrates the domains of one seed
 together, on one Monte Carlo weight stream, before any chain runs, and then
 has :func:`~hhbounds.chains.chain_reports` evaluate each function once on
-the points of all its chains.  Seeds are keyed by domain name.  The
-campaign and ``hh bounds`` go through it, and :func:`replay_failure`
-through ``chain_reports``; the ground-truth policy (exact, cubature or
-Monte Carlo) and its replay recipes live in :mod:`hhbounds.quadrature`.  A
-campaign trial passes in the domains it built, and puts its parent simplex
-and subsimplex on one seed, and its cor2 interval and cor3 window on
-another.
+the points of all its chains.  Seeds are keyed by domain name.  ``hh
+bounds`` goes through it and :func:`replay_failure` through
+``chain_reports``; the ground-truth policy (exact, cubature or Monte Carlo)
+and its replay recipes live in :mod:`hhbounds.quadrature`.  A campaign
+takes each trial's ground truths in the same way, one trial at a time, in
+the domains the trial built: its parent simplex and subsimplex on one
+seed, its cor2 interval and cor3 window on another.  It evaluates the
+chains of :data:`TRIAL_BLOCK` consecutive trials in one block
+(:func:`~hhbounds.chains.evaluate_block`), which gives every instance the
+bits it gets alone.
 
 A campaign draws, per trial, a well-conditioned random simplex, a random
 convex function, subsimplex parameters and 1-D companion instances for the
@@ -53,7 +56,9 @@ from .chains import (
     CHAINS,
     DOMAINS,
     ChainReport,
+    ChainRows,
     chain_reports,
+    evaluate_block,
     cor3_condition_holds,
     cor3_max_halfwidth,
 )
@@ -95,35 +100,15 @@ _DEFAULT_SCALES = (0.2, 0.4, 0.6, 0.8, 1.0)
 # ---------------------------------------------------------------------------
 
 
-#: What an instance's ground-truth domain is built from, by domain name.
-_DOMAIN_INPUTS = {
-    "parent": lambda s, params: s,
-    "subsimplex": lambda s, params: params["subsimplex"],
-    "interval": lambda s, params: params if s is None else s,
-    "window": lambda s, params: params,
-}
+#: Consecutive trials whose chains are evaluated in one block; it changes
+#: no result, since an instance's bits do not depend on its block.
+TRIAL_BLOCK = 128
 
 
-def run_instances(instances, seeds: dict[str, int], mc_samples: int, domains: dict):
-    """Run ``(name, (function, simplex, params))`` chain instances in order.
-
-    Every instance on one ground-truth domain must have the same function
-    object and build the domain from the same object (the simplex, the
-    ``subsimplex`` param, or the params of an interval or window), and they
-    share one ground truth; a later instance that differs raises
-    ValueError naming the domain.  ``seeds`` and ``domains``
-    are keyed by :data:`~hhbounds.chains.DOMAINS` name; a domain the caller
-    did not build is built through ``DOMAINS``.  Before any chain runs, the
-    domains of one seed are integrated together by
-    :func:`~hhbounds.quadrature.ground_truths`, so their Monte Carlo
-    estimates share one weight stream; domains that are the very same
-    (function, simplex) objects share one estimate.  Then
-    :func:`~hhbounds.chains.chain_reports` calls each function once on the
-    points of all its instances.  Yields ``(name, instance, report,
-    recipe)``; ``recipe`` replays the ground truth, and is None for a chain
-    without one.
-    """
-    instances, domains = list(instances), dict(domains)
+def _ground_truths(instances, seeds: dict[str, int], mc_samples: int, domains: dict):
+    """``(estimate, seed)`` of each instance's ground-truth domain, in order
+    (``(None, None)`` for thm6); see :func:`run_instances`."""
+    domains = dict(domains)
     pairs: dict[int, dict[tuple, tuple]] = {}  # seed -> object ids -> (f, domain)
     keys: dict[str, tuple] = {}  # domain name -> (seed, object ids)
     sources: dict[str, tuple] = {}  # domain name -> (function, domain input)
@@ -131,7 +116,7 @@ def run_instances(instances, seeds: dict[str, int], mc_samples: int, domains: di
         domain = CHAINS[name].domain
         if domain is None:
             continue
-        source = func, _DOMAIN_INPUTS[domain](simplex, params)
+        source = func, DOMAINS[domain].input(simplex, params)
         first = sources.setdefault(domain, source)
         if first[0] is not func or first[1] is not source[1]:
             raise ValueError(
@@ -139,7 +124,7 @@ def run_instances(instances, seeds: dict[str, int], mc_samples: int, domains: di
             )
         if domain not in keys:
             if domain not in domains:
-                domains[domain] = DOMAINS[domain](simplex, params)
+                domains[domain] = DOMAINS[domain].build(source[1])
             pair = func, domains[domain]
             ids = id(pair[0]), id(pair[1])
             pairs.setdefault(seeds[domain], {}).setdefault(ids, pair)
@@ -148,14 +133,42 @@ def run_instances(instances, seeds: dict[str, int], mc_samples: int, domains: di
     for seed, seed_pairs in pairs.items():
         made = ground_truths(seed_pairs.values(), mc_samples, seed)
         for ids, est in zip(seed_pairs, made):
-            estimates[seed, ids] = est, ground_truth_recipe(est, seed)
-    found = [
+            estimates[seed, ids] = est, seed
+    return [
         (None, None) if (domain := CHAINS[name].domain) is None else estimates[keys[domain]]
         for name, _ in instances
     ]
+
+
+def run_instances(instances, seeds: dict[str, int], mc_samples: int, domains: dict):
+    """Run ``(name, (function, simplex, params))`` chain instances in order.
+
+    Every instance on one ground-truth domain must have the same function
+    object and build the domain from the same object (its
+    :data:`~hhbounds.chains.DOMAINS` input: the simplex, the ``subsimplex``
+    param, or the params of an interval or window), and they share one
+    ground truth; a later instance that differs raises ValueError naming
+    the domain.  ``seeds`` and ``domains`` are keyed by domain name; a
+    domain the caller did not build is built through ``DOMAINS``.  Before
+    any chain runs, the domains of one seed are integrated together by
+    :func:`~hhbounds.quadrature.ground_truths`, so their Monte Carlo
+    estimates share one weight stream; domains that are the very same
+    (function, simplex) objects share one estimate.  Then
+    :func:`~hhbounds.chains.chain_reports` calls each function once on the
+    points of all its instances.  Yields ``(name, instance, report,
+    recipe)``; ``recipe`` replays the ground truth, and is None for a chain
+    without one.
+    """
+    instances = list(instances)
+    found = _ground_truths(instances, seeds, mc_samples, domains)
     reports = chain_reports(instances, [gt for gt, _ in found])
-    for (name, instance), report, (_, recipe) in zip(instances, reports, found):
-        yield name, instance, report, recipe
+    for (name, instance), report, found_gt in zip(instances, reports, found):
+        yield name, instance, report, _recipe(*found_gt)
+
+
+def _recipe(gt, seed) -> dict | None:
+    """The replay recipe of a ground truth taken with ``seed``; None without one."""
+    return None if gt is None else ground_truth_recipe(gt, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -434,60 +447,47 @@ def tightness_ratio(values, triple, tolerance: float = TOL_CHAIN) -> float | Non
     return (values[refined_idx] - values[mean_idx]) / denom
 
 
+def _spread(values: np.ndarray) -> dict:
+    return {"min": float(np.min(values)), "p50": float(np.median(values)),
+            "max": float(np.max(values))}
+
+
 class _ChainAgg:
+    """One chain's verdicts, slacks and tightness ratios, a block at a time."""
+
     def __init__(self, name: str) -> None:
         self.triple = CHAINS[name].tightness
-        self.evaluations = 0
-        self.passes = 0
-        self.failures = 0
-        self.slack_values: list[list[float]] = []
-        self.ratios: list[float] = []
+        self.passed: list[np.ndarray] = []
+        self.slacks: list[np.ndarray] = []
+        self.ratios: list[np.ndarray] = []
         self.ratio_nulls = 0
 
-    def record(self, report: ChainReport, passed: bool) -> None:
-        self.evaluations += 1
-        if passed:
-            self.passes += 1
-        else:
-            self.failures += 1
-        for pos, slack in enumerate(report.slacks):
-            if pos == len(self.slack_values):
-                self.slack_values.append([])
-            self.slack_values[pos].append(slack)
-        if self.triple is not None:
-            ratio = tightness_ratio(report.values, self.triple, report.tolerance_used)
-            if ratio is None:
-                self.ratio_nulls += 1
-            else:
-                self.ratios.append(ratio)
+    def record(self, rows: ChainRows) -> None:
+        self.passed.append(rows.passed)
+        self.slacks.append(rows.slacks)
+        if self.triple is not None:  # tightness_ratio, row by row
+            mean, refined, classical = (rows.values[:, k] for k in self.triple)
+            denom = classical - mean
+            null = denom <= rows.tolerances
+            self.ratio_nulls += int(null.sum())
+            self.ratios.append((refined - mean)[~null] / denom[~null])
 
     def summary(self) -> dict:
-        slacks = [
-            {
-                "position": pos,
-                "n": len(values),
-                "min": float(np.min(values)),
-                "p50": float(np.median(values)),
-                "max": float(np.max(values)),
-            }
-            for pos, values in enumerate(self.slack_values)
-        ]
+        passed = np.concatenate(self.passed)
         data: dict = {
-            "evaluations": self.evaluations,
-            "passes": self.passes,
-            "failures": self.failures,
-            "slacks": slacks,
+            "evaluations": len(passed),
+            "passes": int(passed.sum()),
+            "failures": int((~passed).sum()),
+            "slacks": [
+                {"position": pos, "n": len(values), **_spread(values)}
+                for pos, values in enumerate(np.concatenate(self.slacks).T)
+            ],
             "tightness": None,
         }
         if self.triple is not None:
-            ratios = self.ratios
-            data["tightness"] = {
-                "n": len(ratios),
-                "nulls": self.ratio_nulls,
-                "min": float(np.min(ratios)) if ratios else None,
-                "p50": float(np.median(ratios)) if ratios else None,
-                "max": float(np.max(ratios)) if ratios else None,
-            }
+            ratios = np.concatenate(self.ratios)
+            data["tightness"] = {"n": len(ratios), "nulls": self.ratio_nulls, **(
+                _spread(ratios) if len(ratios) else dict.fromkeys(("min", "p50", "max")))}
         return data
 
 
@@ -518,23 +518,44 @@ def _descriptor(name: str, where: dict, instance, report: ChainReport, recipe) -
     return descriptor
 
 
+def _run_block(cfg: CampaignConfig, indices: range, aggs: dict, failures: list) -> None:
+    """Build the trials ``indices`` and take their ground truths one at a
+    time, then evaluate their chains as one block; add the rows to ``aggs``
+    and the descriptors of failed rows, in trial order, to ``failures``."""
+    trials = []
+    for index in indices:
+        dim, seeds, instances, domains = _build_trial(cfg, index)
+        selected = [(name, inst) for name in cfg.theorems for inst in instances[name]]
+        found = _ground_truths(selected, seeds, cfg.mc_samples, domains)
+        trials.append((index, dim, selected, found))
+    block = evaluate_block(
+        [selected for _, _, selected, _ in trials],
+        [[gt for gt, _ in found] for _, _, _, found in trials],
+    )
+    failing = []
+    for name, rows in block.items():
+        aggs[name].record(rows)
+        failing += [(rows.sets[r], rows.positions[r], rows, r)
+                    for r in np.flatnonzero(~rows.passed)]
+    for t, i, rows, r in sorted(failing, key=lambda row: row[:2]):
+        index, dim, selected, found = trials[t]
+        where, recipe = {"trial": index, "dimension": dim}, _recipe(*found[i])
+        failures.append(_descriptor(rows.name, where, selected[i][1], rows.report(r), recipe))
+
+
 def run_campaign(cfg: CampaignConfig) -> CampaignResult:
-    """Run every selected chain on every trial; failures are data, not errors."""
+    """Run every selected chain on every trial; failures are data, not errors.
+
+    The chains of :data:`TRIAL_BLOCK` consecutive trials are evaluated as
+    one block.
+    """
     cfg.validate()
     start = time.perf_counter()
     aggs = {name: _ChainAgg(name) for name in cfg.theorems}
     failures: list[dict] = []
-    for index in range(cfg.trials_per_theorem):
-        dim, seeds, instances, domains = _build_trial(cfg, index)
-        selected = [(name, inst) for name in cfg.theorems for inst in instances[name]]
-        for name, instance, report, recipe in run_instances(
-            selected, seeds, cfg.mc_samples, domains
-        ):
-            passed = report.passed
-            aggs[name].record(report, passed)
-            if not passed:
-                where = {"trial": index, "dimension": dim}
-                failures.append(_descriptor(name, where, instance, report, recipe))
+    for first in range(0, cfg.trials_per_theorem, TRIAL_BLOCK):
+        last = min(first + TRIAL_BLOCK, cfg.trials_per_theorem)
+        _run_block(cfg, range(first, last), aggs, failures)
     per_theorem = {name: aggs[name].summary() for name in cfg.theorems}
     return CampaignResult(
         config=cfg,

@@ -4,26 +4,29 @@ Every term of a chain is ``∫ f dμ`` for a probability measure ``μ``: the
 uniform measure on a domain for the ground-truth mean, and otherwise a few
 points with weights, so that every slack is ``∫ f d(μ⁺ − μ⁻)`` for two
 measures of equal mass and barycentre (hence every chain is exact on affine
-``f``).  Each chain is a pure builder ``build(s, params, weighed)`` that
-returns its terms as explicit measures ``(label, points, weights)``, or the
-mean, given the parent weights ``weighed`` of its params.  For any set of
-instances :func:`chain_reports` makes one weight solve per parent simplex,
-calls each function once on the stacked points of all its terms (a point
-shared by terms is evaluated once per term), and sums each term's products.
-A point's value and weights do not depend on its batch, so a chain run
-alone reproduces the terms it gets inside a whole trial.  Terms
-are ordered the way the chain is written: lower bounds ascending to the
-integral mean, then upper bounds ascending.  A chain passes when every
-consecutive slack is ``>= -tolerance`` (:func:`chain_tolerance`); against
-Monte Carlo ground truth the tolerance widens to four standard errors so
-sampling noise cannot raise false alarms.  :data:`CHAINS` is the one table
-of the chains; they are documented on their public functions below.
+``f``).  Each chain is a pure builder that takes a stack of its instances of
+one dimension, with their parents' arrays and the parent weights of their
+params, and returns its terms as stacked measures: rows of the dimension's
+point table, which holds each point once per function, with their weights
+and the rows per instance; or None for the mean.  :func:`evaluate_block`
+runs a block of instance sets through the builders and returns each
+chain's terms, slacks and verdicts as arrays, one row per instance;
+:func:`chain_reports` reports one set.  A point's value and weights, and a
+term's sum, do not depend on the block, so an instance gets the same bits
+alone, in its trial and in any block.  Terms are ordered the
+way the chain is written: lower bounds ascending to the integral mean, then
+upper bounds ascending.  A chain passes when every consecutive slack is
+``>= -tolerance`` (:func:`chain_tolerance`); against Monte Carlo ground
+truth the tolerance widens to four standard errors so sampling noise cannot
+raise false alarms.  :data:`CHAINS` is the one table of the chains and
+:data:`DOMAINS` of their ground-truth domains; the chains are documented
+on their public functions below.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,7 +39,7 @@ from .errors import (
     PointOutsideSimplexError,
     SubsimplexEscapesParentError,
 )
-from .geometry import Simplex, as_point
+from .geometry import Simplex, as_point, solve_stacked
 from .quadrature import IntegralEstimate
 from .tolerances import TOL_CHAIN, TOL_GEOM
 
@@ -116,20 +119,39 @@ class ChainReport:
         return data
 
 
-def _build_report(
-    name: str, labeled_terms, gt: IntegralEstimate | None, *, condition_holds=None
-) -> ChainReport:
-    terms = tuple([(label, float(value)) for label, value in labeled_terms])
-    values = [value for _, value in terms]
-    slacks = tuple([high - low for low, high in zip(values, values[1:])])
-    tolerance = chain_tolerance(gt)
-    ok = condition_holds is False or all([slack >= -tolerance for slack in slacks])
-    verdict = "pass" if ok else "fail"
-    return ChainReport(name, terms, gt, slacks, tolerance, verdict, condition_holds)
+class ChainRows:
+    """One chain's instances in a block, a row each, in block order.
+
+    Row ``r`` is instance ``positions[r]`` of instance set ``sets[r]``:
+    ``values`` holds its terms, ``slacks`` their consecutive differences,
+    and ``passed`` its verdict at ``tolerances[r]`` (vacuously a pass where
+    its cor3 condition is False).  A plain class, so that importing the
+    package builds no dataclass for it.
+    """
+
+    def __init__(self, name, labels, values, tolerances, conditions, ground_truths, sets,
+                 positions) -> None:
+        self.name, self.labels, self.values, self.tolerances = name, labels, values, tolerances
+        self.conditions, self.ground_truths = conditions, ground_truths
+        self.sets, self.positions = sets, positions
+        self.slacks = values[:, 1:] - values[:, :-1]
+        self.passed = (self.slacks >= -tolerances[:, None]).all(axis=1)
+        self.passed |= np.array([c is False for c in conditions], dtype=bool)
+
+    def report(self, r: int) -> ChainReport:
+        return ChainReport(
+            self.name,
+            tuple(zip(self.labels, self.values[r].tolist())),
+            self.ground_truths[r],
+            tuple(self.slacks[r].tolist()),
+            float(self.tolerances[r]),
+            "pass" if self.passed[r] else "fail",
+            self.conditions[r],
+        )
 
 
 # ---------------------------------------------------------------------------
-# parent weights and builders
+# stacked builders
 # ---------------------------------------------------------------------------
 
 
@@ -158,115 +180,182 @@ _OUTSIDE = {
 }
 
 
-def _weigh(instances) -> dict:
-    """``(id(parent), id(param)) -> (rows, weights)`` of every weighed param,
-    from one solve per parent; a param shared by instances is solved and
-    checked to lie in its parent once, and its read-only weights are shared
-    by their builders."""
-    parents: dict[int, tuple[Simplex, dict]] = {}
-    for _, (_, s, params) in instances:
-        for key in _OUTSIDE:
-            if key in params:
-                blocks = parents.setdefault(id(s), (s, {}))[1]
-                if id(params[key]) not in blocks:
-                    blocks[id(params[key])] = key, _weighed_rows(key, s, params[key])
-    weighed = {}
-    for s, blocks in parents.values():
-        W = s.solve_weights(np.concatenate([rows for _, rows in blocks.values()]))
-        W.setflags(write=False)
-        for param, (key, rows) in blocks.items():
-            w, W = W[: len(rows)], W[len(rows) :]
-            if w.min() < -TOL_GEOM:
-                error, what = _OUTSIDE[key]
-                raise error(f"{what} (min weight {w.min():.3e})")
-            weighed[id(s), param] = rows, w
-    return weighed
+class _Stack:
+    """The ``K`` instances of one chain in dimension ``n`` in a block.
+
+    Their terms' points are rows of ``points``, the dimension's point table,
+    which holds each point once per function: ``c`` (K,) and ``v`` (K, n+1)
+    are the rows of each instance's parent centroid and vertices, ``x`` (K,)
+    the first row of its weighed param, and :meth:`own` adds a builder's
+    own points.  ``u`` numbers each instance's function.  ``V`` (K, n+1, n)
+    and ``C`` (K, n) are the parents' coordinates; ``X`` holds the weighed
+    params' rows and ``W`` their parent weights, instance ``k``'s from row
+    ``rows[k]`` on, ``counts[k]`` of them; ``blocks[k]`` numbers its
+    (function, parent, param), so instances that share one share its rows.
+    """
+
+    c = v = x = V = C = X = W = rows = counts = blocks = None
+
+    def __init__(self, n: int, params: list, u: np.ndarray, points: list) -> None:
+        self.n, self.params, self.u, self.points = n, params, u, points
+
+    def row(self, offset) -> tuple[np.ndarray, np.ndarray]:
+        """Row ``offset`` (an int, or an array of them) of each instance's
+        param, and its parent weights."""
+        return self.X[self.rows + offset], self.W[self.rows + offset]
+
+    def own(self, at: np.ndarray) -> np.ndarray:
+        """The table rows (K, r) of points ``at`` (K, r, n) of the instances."""
+        K, r, n = at.shape
+        return _place(self.points, at.reshape(K * r, n), np.repeat(self.u, r)).reshape(K, r)
+
+
+def _place(points: list, at: np.ndarray, owners: np.ndarray) -> np.ndarray:
+    """Append rows ``at`` owned by functions ``owners`` to a point table and
+    return their row numbers."""
+    first = sum(len(piece) for piece, _ in points)
+    points.append((at, owners))
+    return np.arange(first, first + len(at))
+
+
+def _each(rows: np.ndarray, weights) -> tuple:
+    """A term's measures on table ``rows`` (K, r) with ``weights`` (K, r) or
+    (r,): flat rows, flat weights, and ``r`` points per instance."""
+    K, r = rows.shape
+    flat = np.empty((K, r))
+    flat[:] = weights
+    return rows.reshape(K * r), flat.reshape(K * r), np.full(K, r)
+
+
+def _and_one(A: np.ndarray) -> np.ndarray:
+    """``(A[k], 1) / (n + 1)`` for each row ``A[k]`` of ``n + 1`` entries."""
+    return np.concatenate((A, np.ones((len(A), 1))), axis=1) / A.shape[1]
 
 
 _ONE = np.ones(1)
-_MEAN = ("integral_mean", None, None)
-_SUB_MEAN = ("subsimplex_mean", None, None)
+_MEAN = ("integral_mean", None)
+_SUB_MEAN = ("subsimplex_mean", None)
 
 
-def _at_centroid(s: Simplex) -> tuple:
-    return ("f_at_centroid", s.centroid[None, :], _ONE)
+def _at_centroid(g: _Stack) -> tuple:
+    return "f_at_centroid", _each(g.c[:, None], _ONE)
 
 
-def _vertex_average(s: Simplex) -> tuple:
-    np1 = s.dimension + 1
-    return ("vertex_average", s.vertices, np.full(np1, 1.0 / np1))
+def _vertex_average(g: _Stack) -> tuple:
+    return "vertex_average", _each(g.v, np.full(g.n + 1, 1.0 / (g.n + 1)))
 
 
-def _choquet(s, params, weighed):
-    return [_at_centroid(s), _MEAN, _vertex_average(s)], None
+def _choquet(g):
+    return [_at_centroid(g), _MEAN, _vertex_average(g)], None
 
 
-def _thm2(s, params, weighed):
-    point, W = weighed[id(s), id(params["point"])]
-    pinned = np.concatenate((1.0 - W[0], _ONE)) / (s.dimension + 1)
-    at = np.concatenate((s.vertices, point))
-    return [_MEAN, ("pinned_upper", at, pinned), _vertex_average(s)], None
+def _thm2(g):
+    _, w = g.row(0)
+    rows = np.concatenate((g.v, g.x[:, None]), axis=1)  # the vertices, then the pin point
+    return [_MEAN, ("pinned_upper", _each(rows, _and_one(1.0 - w))), _vertex_average(g)], None
 
 
-def _thm3(s, params, weighed):
-    sub, j = params["subsimplex"], params["j"]
-    if not 0 <= j <= s.dimension:
-        raise IndexError(f"vertex index {j} out of range 0..{s.dimension}")
-    rows, W = weighed[id(s), id(sub)]
-    W = W[:-1]
-    if np.abs(sub.centroid - s.centroid).max() > TOL_GEOM:
+def _thm3(g):
+    js = [params["j"] for params in g.params]
+    for j in js:
+        if not (isinstance(j, numbers.Integral) and 0 <= j <= g.n):
+            raise IndexError(f"vertex index {j!r} is not an integer in 0..{g.n}")
+    np1, j = g.n + 1, np.array(js, dtype=int)
+    if (np.abs(g.row(np1)[0] - g.C).max(axis=1) > TOL_GEOM).any():  # the sub centroids
         raise BarycenterMismatchError("subsimplex centroid differs from parent centroid")
-    V, np1 = s.vertices, len(W)
+    # once per (parent, subsimplex) pair: the parent-vertex sum and the
+    # column sums of the sub vertices' parent weights
+    _, first, pair = np.unique(g.blocks, return_index=True, return_inverse=True)
+    vertex_sum = np.add.reduce(g.V[first], axis=1)[pair]
+    weight_sums = np.add.reduce(g.W[g.rows[first, None] + np.arange(np1)], axis=1)[pair]
+    Q, W = g.row(j)  # sub vertex j
     # argument i: the parent centroid with vertex i replaced by sub vertex j.
     # The upper bound's measure lies on the parent vertices, then every sub
     # vertex; the zero weights of the sub vertices other than j stay, since
     # dropping them would regroup the pairwise sum and move result bits.
-    args = (np.add.reduce(V) - V + rows[j]) / np1
-    upper = np.zeros(2 * np1)
-    upper[:np1], upper[np1 + j] = np.add.reduce(W) - W[j], 1.0
+    args = (vertex_sum[:, None] - g.V + Q[:, None]) / np1
+    upper, k = np.zeros((len(j), 2 * np1)), np.arange(len(j))
+    upper[:, :np1], upper[k, np1 + j] = weight_sums - W, 1.0
     upper /= np1
+    rows = np.concatenate((g.v, g.x[:, None] + np.arange(np1)), axis=1)
     return [
-        _at_centroid(s),
-        ("subsimplex_lower", args, W[j]),
+        _at_centroid(g),
+        ("subsimplex_lower", _each(g.own(args), W)),
         _MEAN,
-        ("subsimplex_upper", np.concatenate((V, rows[:-1])), upper),
-        _vertex_average(s),
+        ("subsimplex_upper", _each(rows, upper)),
+        _vertex_average(g),
     ], None
 
 
-def _thm4(s, params, weighed):
-    rows, W = weighed[id(s), id(params["subsimplex"])]  # the last row is P
-    bound = ("weighted_vertex_bound", s.vertices, W[-1])
-    return [("f_at_barycenter", rows[-1:], _ONE), _SUB_MEAN, bound], None
+def _thm4(g):
+    _, w = g.row(g.n + 1)  # each subsimplex's centroid P
+    bound = ("weighted_vertex_bound", _each(g.v, w))
+    return [("f_at_barycenter", _each((g.x + g.n + 1)[:, None], _ONE)), _SUB_MEAN, bound], None
 
 
-def _thm5(s, params, weighed):
-    rows, W = weighed[id(s), id(params["subsimplex"])]  # the last row is P
-    improved = np.concatenate((s.dimension * W[-1], _ONE)) / (s.dimension + 1)
+def _thm5(g):
+    _, w = g.row(g.n + 1)  # each subsimplex's centroid P
+    rows = np.concatenate((g.v, (g.x + g.n + 1)[:, None]), axis=1)
     return [
         _SUB_MEAN,
-        ("improved_upper", np.concatenate((s.vertices, rows[-1:])), improved),
-        ("weighted_vertex_bound", s.vertices, W[-1]),
+        ("improved_upper", _each(rows, _and_one(g.n * w))),
+        ("weighted_vertex_bound", _each(g.v, w)),
     ], None
 
 
-def _thm6(s, params, weighed):
-    M, _ = weighed[id(s), id(params["points"])]
-    betas = np.asarray(params["betas"], dtype=float)
-    if betas.ndim != 1 or betas.shape[0] != M.shape[0]:
+def _thm6(g):
+    betas = [np.asarray(params["betas"], dtype=float) for params in g.params]
+    if any(b.ndim != 1 or len(b) != m for b, m in zip(betas, g.counts)):
         raise DimensionMismatchError("betas length must match number of points")
-    if not np.isfinite(betas).all():
+    B, starts = np.concatenate(betas), np.cumsum(g.counts) - g.counts
+    shift = np.repeat(g.rows - starts, g.counts) + np.arange(len(B))
+    if not np.isfinite(B).all():
         raise ValueError("betas must be finite")
-    if betas.min() < 0.0:
+    if B.min() < 0.0:
         raise ValueError("betas must be nonnegative")
-    if abs(betas.sum() - 1.0) > TOL_GEOM:
-        raise ValueError(f"betas sum to {betas.sum()!r}, expected 1")
-    if np.abs(betas @ M - s.centroid).max() > TOL_GEOM:
+    sums = np.add.reduceat(B, starts)
+    if (off := np.abs(sums - 1.0) > TOL_GEOM).any():
+        raise ValueError(f"betas sum to {sums[off.argmax()]!r}, expected 1")
+    if (np.abs(np.add.reduceat(B[:, None] * g.X[shift], starts) - g.C).max(axis=1)
+            > TOL_GEOM).any():
         raise CentroidConstraintViolatedError("beta-mixture of points misses the centroid")
-    return [_at_centroid(s), ("point_mixture", M, betas), _vertex_average(s)], None
+    mixture = (shift + (g.x - g.rows).repeat(g.counts), B, g.counts)
+    return [_at_centroid(g), ("point_mixture", mixture), _vertex_average(g)], None
 
 
-def _cor2(s, params, weighed):
+def _cor2(g):
+    a, b, lam = np.array([_cor2_params(params) for params in g.params]).T
+    m = (1.0 - lam) * a + lam * b
+    x = [a, b, (a + b) / 2.0, (a + m) / 2.0, (b + m) / 2.0, lam * a + (1.0 - lam) * b]
+    rows = g.own(np.stack(x, axis=1)[:, :, None])
+    upper = np.stack((1.0 - lam, lam, np.ones_like(lam)), axis=1) / 2.0
+    return [
+        ("f_at_midpoint", _each(rows[:, 2:3], _ONE)),
+        ("split_lower", _each(rows[:, 3:5], np.stack((lam, 1.0 - lam), axis=1))),
+        _MEAN,
+        ("split_upper", _each(rows[:, [0, 1, 5]], upper)),
+        ("endpoint_average", _each(rows[:, :2], np.array([0.5, 0.5]))),
+    ], None
+
+
+def _cor3(g):
+    values = [_cor3_params(params) for params in g.params]
+    p, q, a, b, _ = np.array(values).T
+    rows = g.own(np.stack(((p * a + q * b) / (p + q), a, b), axis=1)[:, :, None])
+    return [
+        ("f_at_weighted_point", _each(rows[:, :1], _ONE)),
+        _MEAN,
+        ("weighted_endpoint_bound", _each(rows[:, 1:], np.stack((p, q), 1) / (p + q)[:, None])),
+    ], [cor3_condition_holds(*v) for v in values]
+
+
+# ---------------------------------------------------------------------------
+# the chain and domain tables
+# ---------------------------------------------------------------------------
+
+
+def _cor2_params(params: dict) -> tuple[float, float, float]:
+    """cor2's ``(a, b, lam)`` as floats, checked."""
     a, b, lam = float(params["a"]), float(params["b"]), float(params["lam"])
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"a and b must be finite, got a={a!r}, b={b!r}")
@@ -274,31 +363,7 @@ def _cor2(s, params, weighed):
         raise ValueError(f"need a < b, got a={a!r}, b={b!r}")
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lam must lie in [0, 1], got {lam!r}")
-    m = (1.0 - lam) * a + lam * b
-    x = [a, b, (a + b) / 2.0, (a + m) / 2.0, (b + m) / 2.0, lam * a + (1.0 - lam) * b]
-    at = np.array(x)[:, None]
-    return [
-        ("f_at_midpoint", at[2:3], _ONE),
-        ("split_lower", at[3:5], np.array([lam, 1.0 - lam])),
-        _MEAN,
-        ("split_upper", at[[0, 1, 5]], np.array([1.0 - lam, lam, 1.0]) / 2.0),
-        ("endpoint_average", at[:2], np.array([0.5, 0.5])),
-    ], None
-
-
-def _cor3(s, params, weighed):
-    p, q, a, b, y = _cor3_params(params)
-    at = np.array([(p * a + q * b) / (p + q), a, b])[:, None]
-    return [
-        ("f_at_weighted_point", at[:1], _ONE),
-        _MEAN,
-        ("weighted_endpoint_bound", at[1:], np.array([p, q]) / (p + q)),
-    ], cor3_condition_holds(p, q, a, b, y)
-
-
-# ---------------------------------------------------------------------------
-# the chain table
-# ---------------------------------------------------------------------------
+    return a, b, lam
 
 
 def _cor3_params(params: dict) -> tuple[float, float, float, float, float]:
@@ -316,33 +381,51 @@ def _cor3_params(params: dict) -> tuple[float, float, float, float, float]:
     return p, q, a, b, y
 
 
-def _window(s: Simplex | None, params: dict) -> Simplex:
+def _window(params: dict) -> Simplex:
     p, q, a, b, y = _cor3_params(params)
     centre = (p * a + q * b) / (p + q)
     return Simplex([[centre - y], [centre + y]])
 
 
-#: Ground-truth domains, each worked out from an instance's (simplex, params).
-#: cor2's interval is the instance's 1-D simplex when it has one (``hh
-#: bounds``), else ``[a, b]`` (campaign trials and descriptors); cor3's
-#: window is ``[A - y, A + y]`` with ``A = (p a + q b) / (p + q)``.
-DOMAINS: dict[str, Callable[[Simplex | None, dict], Simplex]] = {
-    "parent": lambda s, p: s,
-    "subsimplex": lambda s, p: p["subsimplex"],
-    "interval": lambda s, p: Simplex([[p["a"]], [p["b"]]]) if s is None else s,
-    "window": _window,
+def _interval(source) -> Simplex:
+    return source if isinstance(source, Simplex) else Simplex([[source["a"]], [source["b"]]])
+
+
+class Domain:
+    """A ground-truth domain: ``input(s, params)`` is the object of an
+    instance that it is built from, and ``build`` makes it from that
+    object; instances on one domain must share that object."""
+
+    def __init__(self, input: Callable, build: Callable = lambda source: source) -> None:
+        self.input, self.build = input, build
+
+    def __call__(self, s: Simplex | None, params: dict) -> Simplex:
+        return self.build(self.input(s, params))
+
+
+#: Ground-truth domains by name.  cor2's interval is the instance's 1-D
+#: simplex when it has one (``hh bounds``), else ``[a, b]`` from its params
+#: (campaign trials and descriptors); cor3's window is ``[A - y, A + y]``
+#: with ``A = (p a + q b) / (p + q)``.
+DOMAINS: dict[str, Domain] = {
+    "parent": Domain(lambda s, p: s),
+    "subsimplex": Domain(lambda s, p: p["subsimplex"]),
+    "interval": Domain(lambda s, p: p if s is None else s, _interval),
+    "window": Domain(lambda s, p: p, _window),
 }
 
 
 @dataclass(frozen=True)
 class Chain:
-    """One bound chain: its builder (see the module docstring), the
+    """One bound chain: its stacked builder (see the module docstring), the
     :data:`DOMAINS` key of its ground-truth domain (None for thm6, which has
-    no integral), and the term indices (mean, refined upper, classical
-    upper) of a chain refining a classical upper bound."""
+    no integral), the param whose parent weights it reads, and the term
+    indices (mean, refined upper, classical upper) of a chain refining a
+    classical upper bound."""
 
     build: Callable
     domain: str | None
+    weighs: str | None = None
     tightness: tuple[int, int, int] | None = None
 
     @property
@@ -353,46 +436,184 @@ class Chain:
 
 CHAINS: dict[str, Chain] = {
     "choquet": Chain(_choquet, "parent"),
-    "thm2": Chain(_thm2, "parent", (0, 1, 2)),
-    "thm3": Chain(_thm3, "parent", (2, 3, 4)),
-    "thm4": Chain(_thm4, "subsimplex"),
-    "thm5": Chain(_thm5, "subsimplex", (0, 1, 2)),
-    "thm6": Chain(_thm6, None),
-    "cor2": Chain(_cor2, "interval", (2, 3, 4)),
+    "thm2": Chain(_thm2, "parent", "point", (0, 1, 2)),
+    "thm3": Chain(_thm3, "parent", "subsimplex", (2, 3, 4)),
+    "thm4": Chain(_thm4, "subsimplex", "subsimplex"),
+    "thm5": Chain(_thm5, "subsimplex", "subsimplex", (0, 1, 2)),
+    "thm6": Chain(_thm6, None, "points"),
+    "cor2": Chain(_cor2, "interval", tightness=(2, 3, 4)),
     "cor3": Chain(_cor3, "window"),
 }
 
 CHAIN_NAMES: tuple[str, ...] = tuple(CHAINS)
 
 
+# ---------------------------------------------------------------------------
+# evaluating a block
+# ---------------------------------------------------------------------------
+
+
+def _weigh(stacks: list, points: list) -> None:
+    """Fill in the parents and weighed params of the stacks ``(name, items,
+    g)`` of one dimension, and put their points in the dimension's point
+    table ``points``: each parent's centroid and vertices, and each weighed
+    param's rows, once per function.  One stacked solve weighs every param;
+    a param shared by instances is solved and checked to lie in its parent
+    once."""
+    parents: dict[tuple[int, int], tuple[int, Simplex, int]] = {}  # -> (number, s, function)
+    blocks: dict[tuple[int, int, int], int] = {}
+    rows: list[tuple[str, int, int, np.ndarray]] = []  # (key, parent, function, rows)
+    at: dict[int, list[int]] = {}  # id(g) -> the numbers of its instances' parents
+    for name, items, g in stacks:
+        if CHAINS[name].one_d:
+            continue
+        pairs = [(id(item[2][0]), id(item[2][1])) for item in items]
+        at[id(g)] = [parents.setdefault(ids, (len(parents), item[2][1], item[4]))[0]
+                     for ids, item in zip(pairs, items)]
+        if not (key := CHAINS[name].weighs):
+            continue
+        numbers = []
+        for ids, p, params in zip(pairs, at[id(g)], g.params):
+            if (block := (*ids, id(params[key]))) not in blocks:
+                blocks[block] = len(rows)
+                s, u = parents[ids][1:]
+                rows.append((key, p, u, _weighed_rows(key, s, params[key])))
+            numbers.append(blocks[block])
+        g.blocks = np.array(numbers)
+    if not parents:
+        return
+    n, simplices = stacks[0][2].n, [s for _, s, _ in parents.values()]
+    V, C = np.stack([s.vertices for s in simplices]), np.stack([s.centroid for s in simplices])
+    owners = np.repeat([u for *_, u in parents.values()], n + 2)
+    base = _place(points, np.concatenate((C[:, None], V), axis=1).reshape(-1, n), owners)
+    if rows:
+        counts = np.array([len(r) for *_, r in rows])
+        starts = np.cumsum(counts) - counts
+        X = np.concatenate([r for *_, r in rows])
+        W = solve_stacked(simplices, X, np.repeat([p for _, p, _, _ in rows], counts))
+        low = np.minimum.reduceat(W.min(axis=1), starts)
+        for b in np.flatnonzero(low < -TOL_GEOM)[:1]:
+            error, what = _OUTSIDE[rows[b][0]]
+            raise error(f"{what} (min weight {low[b]:.3e})")
+        x0 = _place(points, X, np.repeat([u for _, _, u, _ in rows], counts))[0]
+    for _, _, g in stacks:
+        if id(g) in at:
+            g.V, g.C, g.c = V[at[id(g)]], C[at[id(g)]], base[::n + 2][at[id(g)]]
+            g.v = g.c[:, None] + np.arange(1, n + 2)
+        if g.blocks is not None:
+            g.X, g.W, g.rows, g.counts = X, W, starts[g.blocks], counts[g.blocks]
+            g.x = g.rows + x0
+
+
+def _values(funcs: list, P: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """The value at each row of ``P`` of its function ``funcs[owner]``: each
+    function is called once, on all its rows, in the order of ``funcs``."""
+    order, ends = np.argsort(owner, kind="stable"), np.cumsum(np.bincount(owner)).tolist()
+    values = np.empty(len(P))
+    for u, a, b in zip(range(len(ends)), [0, *ends], ends):
+        if a < b:
+            rows = order[a:b]
+            values[rows] = funcs[u](P[rows])
+    return values
+
+
+def _term_sums(n: int, by_name: dict, funcs: list, built: list) -> np.ndarray:
+    """The sum of every weighted term of the instances of dimension ``n``,
+    by chain, from one ``np.add.reduceat``; appends each stack's labels,
+    mean columns and cor3 conditions to ``built``."""
+    points: list = []  # the dimension's point table, as (points, owners) pieces
+    stacks = [
+        (name, items, _Stack(n, [item[2][2] for item in items],
+                             np.array([item[4] for item in items]), points))
+        for name, items in by_name.items()
+    ]
+    _weigh(stacks, points)
+    index, weights, lengths = [], [], []
+    for name, items, g in stacks:
+        terms, held = CHAINS[name].build(g)
+        for rows, w, counts in (measure for _, measure in terms if measure is not None):
+            index.append(rows)
+            weights.append(w)
+            lengths.append(counts)
+        labels = tuple(label for label, _ in terms)
+        means = [measure is None for _, measure in terms]
+        built.append((name, items, labels, means, held or [None] * len(items)))
+    P, owner = (np.concatenate(part) for part in zip(*points))
+    del stacks, points[:]  # free the builders' arrays before the functions run
+    products = np.concatenate(weights)
+    products *= _values(funcs, P, owner)[np.concatenate(index)]
+    lengths = np.concatenate(lengths)
+    return np.add.reduceat(products, np.cumsum(lengths) - lengths)
+
+
+def evaluate_block(sets, ground_truths) -> dict[str, ChainRows]:
+    """Every chain instance of a block of instance sets, as array rows.
+
+    ``sets`` holds lists of ``(name, (function, simplex or None, params))``
+    instances, and ``ground_truths`` their estimates (None for thm6).  The
+    instances are stacked by dimension and chain, one dimension after
+    another: one stacked solve (:func:`~hhbounds.geometry.solve_stacked`)
+    weighs every param the builders read, each builder runs once on its
+    stack, each function object is called once on the points of all its
+    terms (in the order the instances first name them), and one
+    ``np.add.reduceat`` sums every weighted term; only the sums outlive the
+    dimension.  Returns each chain's rows, ordered by set and then by
+    position in the set.
+    """
+    funcs: dict[int, tuple[int, Callable]] = {}
+    groups: dict[int, dict[str, list]] = {}  # n -> name -> [(set, position, instance, gt, f)]
+    for t, (instances, gts) in enumerate(zip(sets, ground_truths)):
+        for i, ((name, instance), gt) in enumerate(zip(instances, gts)):
+            n = 1 if CHAINS[name].one_d else instance[1].dimension
+            u = funcs.setdefault(id(instance[0]), (len(funcs), instance[0]))[0]
+            groups.setdefault(n, {}).setdefault(name, []).append((t, i, instance, gt, u))
+    called = [f for _, f in funcs.values()]
+    built: list = []
+    sums = np.concatenate([_term_sums(n, by_name, called, built) for n, by_name in groups.items()])
+    parts: dict[str, list] = {}
+    done = 0
+    for name, items, labels, means, held in built:
+        columns = []
+        for mean in means:
+            if mean:
+                columns.append([item[3].mean_value for item in items])
+            else:
+                columns.append(sums[done : done + len(items)])
+                done += len(items)
+        parts.setdefault(name, []).append((labels, items, np.column_stack(columns), held))
+    return {name: _rows(name, chain_parts) for name, chain_parts in parts.items()}
+
+
+def _rows(name: str, parts: list) -> ChainRows:
+    """A chain's rows from the parts of its stacks, ordered by set and position."""
+    items = [item for _, part, _, _ in parts for item in part]
+    values = np.concatenate([v for _, _, v, _ in parts])
+    conditions = [c for *_, held in parts for c in held]
+    if len(parts) > 1:  # stacks of several dimensions, each in block order
+        order = np.lexsort(([item[1] for item in items], [item[0] for item in items]))
+        values, order = values[order], order.tolist()
+        items, conditions = [items[r] for r in order], [conditions[r] for r in order]
+    gts = [item[3] for item in items]
+    tolerances = np.array([chain_tolerance(gt) for gt in gts])
+    sets, positions = np.array([item[:2] for item in items]).T
+    return ChainRows(name, parts[0][0], values, tolerances, conditions, gts, sets, positions)
+
+
 def chain_reports(instances, ground_truths) -> list[ChainReport]:
     """Reports of ``(name, (function, simplex or None, params))`` instances.
 
     ``ground_truths[k]`` judges the k-th (None for thm6, which has no
-    integral).  Every builder runs first; then each function object is
-    called once on the stacked points of all its terms, and one
-    ``np.add.reduceat`` sums every weighted term's products, each term on
-    its own.
+    integral).  The instances are the one set of a block
+    (:func:`evaluate_block`), and an instance gets the same bits in any set
+    of any block.
     """
     instances = list(instances)
-    if not instances:
-        return []
-    weighed = _weigh(instances)
-    built = [CHAINS[name].build(s, params, weighed) for name, (_, s, params) in instances]
-    stacks: dict[int, tuple] = {}  # id(f) -> (f, its weighted terms' measures)
-    for (_, (f, _, _)), (terms, _) in zip(instances, built):
-        stacks.setdefault(id(f), (f, []))[1].extend(t[1:] for t in terms if t[1] is not None)
-    values = [f(np.concatenate([at for at, _ in ms])) for f, ms in stacks.values()]
-    weights = [w for _, ms in stacks.values() for _, w in ms]
-    starts = list(itertools.accumulate([len(w) for w in weights[:-1]], initial=0))
-    products = np.concatenate(weights) * np.concatenate(values)
-    flat = iter(np.add.reduceat(products, starts).tolist())
-    sums = {key: iter([next(flat) for _ in ms]) for key, (_, ms) in stacks.items()}
-    return [
-        _build_report(name, [(label, gt.mean_value if at is None else next(sums[id(f)]))
-                             for label, at, _ in terms], gt, condition_holds=condition)
-        for (name, (f, _, _)), (terms, condition), gt in zip(instances, built, ground_truths)
-    ]
+    reports: list = [None] * len(instances)
+    if instances:
+        for rows in evaluate_block([instances], [list(ground_truths)]).values():
+            for r, position in enumerate(rows.positions.tolist()):
+                reports[position] = rows.report(r)
+    return reports
 
 
 def _report(name, f, s, params, gt) -> ChainReport:

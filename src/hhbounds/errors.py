@@ -42,6 +42,11 @@ class CentroidConstraintViolatedError(HHBoundsError):
     """A convex combination of points misses the required centroid."""
 
 
+class NonFiniteValueError(HHBoundsError, ValueError):
+    """A function's values on a domain are not finite (they overflow the
+    float range), so its mean there cannot be estimated."""
+
+
 class UnsupportedKindError(HHBoundsError):
     """The requested operation does not support this function kind."""
 

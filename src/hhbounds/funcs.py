@@ -38,12 +38,10 @@ import numpy as np
 from .errors import DimensionMismatchError
 from .geometry import Simplex, standard_simplex
 from .quadrature import _row_sums
-from .tolerances import TOL_CHAIN
 
 __all__ = [
     "KINDS",
     "ConvexFunction",
-    "midpoint_convexity_check",
     "random_convex",
 ]
 
@@ -297,22 +295,3 @@ def random_convex(
         slope = _unit_vector(rng, dim)
         params = {"slope": slope, "threshold": float(slope @ anchor)}
     return ConvexFunction(kind=kind, params=params, label=label)
-
-
-def midpoint_convexity_check(f, s: Simplex, trials: int, seed: int) -> bool:
-    """Sample pairs in ``s`` and check f((x+y)/2) <= (f(x)+f(y))/2 + TOL_CHAIN.
-
-    Returns False on any violation.  ``f`` may be any callable accepting a
-    batch of points; guards the convexity hypothesis every bound requires.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    np1 = s.dimension + 1
-    weights = rng.standard_exponential((2 * trials, np1))
-    weights /= weights.sum(axis=1, keepdims=True)
-    points = weights @ s.vertices
-    x, y = points[:trials], points[trials:]
-    lhs = f(0.5 * (x + y))
-    rhs = 0.5 * (np.asarray(f(x)) + np.asarray(f(y)))
-    return bool(np.all(lhs <= rhs + TOL_CHAIN))

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .tolerances import DEGENERACY_RTOL, TOL_GEOM
 
-__all__ = ["Simplex", "as_point", "standard_simplex"]
+__all__ = ["Simplex", "as_point", "solve_stacked", "standard_simplex"]
 
 
 def _abs_det(edges: np.ndarray) -> float:
@@ -55,7 +55,7 @@ def _binary_exponent(V: np.ndarray) -> int:
 
 
 #: Where the binary exponent ``e`` of the vertices lies beyond plus or minus
-#: this, :meth:`Simplex.solve_weights` solves on vertex rows and points
+#: this, :func:`solve_stacked` solves on vertex rows and points
 #: scaled by ``2**-e``.  LAPACK's LU multiplies by the reciprocal of each
 #: pivot, which overflows when a pivot is subnormal (a pivot can lie far
 #: below ``max|V|``), and near the top of the float range its elimination
@@ -75,9 +75,56 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
         raise DimensionMismatchError(
             f"point has dimension {p.shape[0]}, expected {dim}"
         )
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValueError("point coordinates must be finite")
     return p
+
+
+def solve_stacked(simplices, points, owners=None) -> np.ndarray:
+    """Barycentric weights of each row of ``points`` in its own simplex.
+
+    Row ``k`` is solved in ``simplices[owners[k]]``, or in the one simplex
+    given when ``owners`` is None, and the weights come back as an ``(m,
+    n+1)`` array.  Each system stacks the vertex-combination rows over a row
+    of ones, and one batched LU solve (LAPACK ``gesv``) takes every row as
+    its own right-hand side with its own copy of its system; the rows of
+    each simplex are solved side by side against its one system.  So a row's
+    weights have the same bits in every batch and beside any other
+    simplices: a single multi-column solve rounds a column differently
+    depending on its neighbours.  A simplex whose binary exponent lies
+    beyond :data:`_SOLVE_EXPONENT_LIMIT` is solved on its vertex rows and
+    points scaled by it.  A singular system raises
+    :class:`SingularSystemError`.
+    """
+    V = np.stack([s._vertices for s in simplices])
+    e = np.array([s._exponent for s in simplices])
+    shift = np.where(np.abs(e) > _SOLVE_EXPONENT_LIMIT, -e, 0)
+    P = np.asarray(points, dtype=float)
+    if shift.any():
+        V = np.ldexp(V, shift[:, None, None])
+        P = np.ldexp(P, (shift if owners is None else shift[owners])[:, None])
+    n = V.shape[2]
+    system = np.ones((len(V), n + 1, n + 1))
+    system[:, :n] = V.transpose(0, 2, 1)
+    rhs = np.concatenate((P, np.ones((len(P), 1))), axis=1)[:, :, None]
+    if owners is not None:  # each simplex's rows side by side, padded with (0, 1)
+        order = np.argsort(owners, kind="stable")
+        counts = np.bincount(owners, minlength=len(V))
+        slots = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
+        place = owners[order], slots
+        padded = np.zeros((len(V), counts.max(), n + 1, 1))
+        padded[:, :, n] = 1.0
+        padded[place] = rhs[order]
+        system, rhs = system[:, None], padded
+    try:
+        W = np.linalg.solve(system, rhs)[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"barycentric system: {exc}") from exc
+    if owners is None:
+        return W
+    out = np.empty((len(order), n + 1))
+    out[order] = W[place]
+    return out
 
 
 class Simplex:
@@ -156,31 +203,18 @@ class Simplex:
 
         Returns shape ``(n+1,)`` for a single point, ``(m, n+1)`` for a
         batch.  Weights may be negative when a point lies outside.  The
-        system stacks the vertex-combination rows over a row of ones, and
-        one batched LU solve (LAPACK ``gesv``) takes each point as its own
-        right-hand side.  So a point's weights have the same bits in every
-        batch: a single multi-column solve rounds a column differently
-        depending on its neighbours.  A singular system raises
-        :class:`SingularSystemError`.
+        solve is :func:`solve_stacked`'s, so a point's weights have the same
+        bits in every batch.
         """
         P = np.asarray(points, dtype=float)
         single = P.ndim == 1
         P = np.atleast_2d(P)
-        m, n = P.shape
+        _, n = P.shape
         if n != self.dimension:
             raise DimensionMismatchError(
                 f"points have dimension {n}, expected {self.dimension}"
             )
-        V, e = self._vertices, self._exponent
-        if abs(e) > _SOLVE_EXPONENT_LIMIT:
-            V, P = np.ldexp(V, -e), np.ldexp(P, -e)
-        system = np.ones((n + 1, n + 1))
-        system[:n] = V.T
-        rhs = np.concatenate((P, np.ones((m, 1))), axis=1)[:, :, None]
-        try:
-            W = np.linalg.solve(system, rhs)[:, :, 0]
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(f"barycentric system: {exc}") from exc
+        W = solve_stacked([self], P)
         return W[0] if single else W
 
     def barycentric_volumes(self, x) -> np.ndarray:

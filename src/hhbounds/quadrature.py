@@ -86,7 +86,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, UnsupportedKindError
+from .errors import DimensionMismatchError, NonFiniteValueError, UnsupportedKindError
 from .geometry import Simplex
 from .tolerances import TOL_CHAIN
 
@@ -271,7 +271,9 @@ def integrate_mc_shared(pairs, count: int, seed: int) -> list[IntegralEstimate]:
     pair's value array, from which the mean and std_error are computed as
     for a single integral.  A pair's estimate therefore does not depend on
     the other pairs: it equals :func:`integrate_mc` of that pair alone with
-    the same seed, bit for bit.
+    the same seed, bit for bit.  A pair without a finite mean and std_error
+    (its values overflow) raises :class:`NonFiniteValueError`, with no numpy
+    warning.
     """
     if count < 2:
         raise ValueError("count must be >= 2")
@@ -290,16 +292,22 @@ def integrate_mc_shared(pairs, count: int, seed: int) -> list[IntegralEstimate]:
     width = dims.pop() + 1
     values = [np.empty(count) for _ in pairs]
     start = 0
-    for stop in _block_stops(count):
-        weights = _uniform_weights(rng, stop - start, width)
-        for (f, s), out in zip(pairs, values):
-            out[start:stop] = f(weights @ s.vertices)
-        start = stop
     root = np.sqrt(count)
-    return [
-        IntegralEstimate(float(v.mean()), float(v.std(ddof=1) / root), METHOD_MC, count)
-        for v in values
-    ]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for stop in _block_stops(count):
+            weights = _uniform_weights(rng, stop - start, width)
+            for (f, s), out in zip(pairs, values):
+                out[start:stop] = f(weights @ s.vertices)
+            start = stop
+        stats = [(float(v.mean()), float(v.std(ddof=1) / root)) for v in values]
+    for (f, s), (mean, error) in zip(pairs, stats):
+        if not (math.isfinite(mean) and math.isfinite(error)):
+            raise NonFiniteValueError(
+                f"{getattr(f, 'kind', type(f).__name__)} on a {s.dimension}-D simplex "
+                f"has no finite Monte Carlo mean (mean {mean!r}, std error {error!r}): "
+                "its values overflow"
+            )
+    return [IntegralEstimate(mean, error, METHOD_MC, count) for mean, error in stats]
 
 
 def integrate_mc(f, s: Simplex, count: int, seed: int) -> IntegralEstimate:

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import json
@@ -26,8 +27,8 @@ from hhbounds import (
     tightness_ratio,
     tightness_table,
 )
-from hhbounds import quadrature
-from hhbounds.campaign import run_instances
+from hhbounds import chains, geometry, quadrature
+from hhbounds.campaign import TRIAL_BLOCK, run_instances
 from hhbounds.chains import CHAINS
 from hhbounds.serialize import dumps
 
@@ -307,44 +308,50 @@ class TestRunCampaign:
         }
         assert counts["exact"] + counts["accepted"] + counts["mc"] == 4 * 48
 
-    def test_two_solves_per_closed_form_trial(self, monkeypatch):
-        # Per trial: one solve in _build_trial of the centred subsimplex's
-        # pin point and the thm6 mixture shift together, then one stacked
-        # solve of every weight the chains read: thm2's point, the vertices
-        # and centroid of each subsimplex, and thm6's points.
+    @staticmethod
+    def count_solves(monkeypatch) -> list:
+        """Record every stacked weight solve: the ones ``Simplex.solve_weights``
+        makes and the chain layer's."""
         calls = []
-        solve = Simplex.solve_weights
+        solve = geometry.solve_stacked
 
-        def counting(self, points):
-            calls.append(1)
-            return solve(self, points)
+        def counting(simplices, points, owners=None):
+            calls.append(len(points))
+            return solve(simplices, points, owners)
 
-        monkeypatch.setattr(Simplex, "solve_weights", counting)
+        monkeypatch.setattr(geometry, "solve_stacked", counting)
+        monkeypatch.setattr(chains, "solve_stacked", counting)
+        return calls
+
+    def test_one_solve_per_trial_and_one_per_block_dimension(self, monkeypatch):
+        # Per trial: one solve in _build_trial of the centred subsimplex's
+        # pin point and the thm6 mixture shift together.  Per dimension of a
+        # block: one stacked solve of every weight its chains read: thm2's
+        # points, the vertices and centroid of each subsimplex, and thm6's
+        # points.  The 16 trials are one block, two trials in each of dims 1-8.
+        calls = self.count_solves(monkeypatch)
         cfg = CampaignConfig(
             trials_per_theorem=16, mc_samples=2, function_kinds=quadrature.EXACT_KINDS
         )
         run_campaign(cfg)
-        assert len(calls) == 2 * 16
+        assert len(calls) == 16 + 8
 
     def test_trial_budget_and_shared_domains(self, monkeypatch):
         # A closed-form trial builds 5 simplices (the parent, the thm3
         # homothety, the centred subsimplex, the cor2 interval and the cor3
-        # window) and makes 2 solves; the 1-D domains whose ground truths it
-        # takes are the very objects its cor2 and cor3 functions were drawn on.
+        # window) and makes 1 solve, and its block 1 more per dimension; the
+        # 1-D domains whose ground truths it takes are the very objects its
+        # cor2 and cor3 functions were drawn on.
         from hhbounds import campaign
 
-        counts = {"simplices": 0, "solves": 0}
+        counts = {"simplices": 0}
         seeded, integrated = [], []
-        init, solve = Simplex.__init__, Simplex.solve_weights
+        init = Simplex.__init__
         draw, truths = campaign.random_convex, campaign.ground_truths
 
         def counting_init(self, vertices):
             counts["simplices"] += 1
             init(self, vertices)
-
-        def counting_solve(self, points):
-            counts["solves"] += 1
-            return solve(self, points)
 
         def recording_draw(dim, kind, seed, simplex=None):
             if dim == 1:
@@ -357,7 +364,7 @@ class TestRunCampaign:
             return truths(pairs, *args)
 
         monkeypatch.setattr(Simplex, "__init__", counting_init)
-        monkeypatch.setattr(Simplex, "solve_weights", counting_solve)
+        solves = self.count_solves(monkeypatch)
         monkeypatch.setattr(campaign, "random_convex", recording_draw)
         monkeypatch.setattr(campaign, "ground_truths", recording_truths)
         trials = 24
@@ -369,27 +376,29 @@ class TestRunCampaign:
             function_kinds=quadrature.EXACT_KINDS,
         )
         run_campaign(cfg)
-        assert counts == {"simplices": 5 * trials, "solves": 2 * trials}
+        assert counts == {"simplices": 5 * trials}
+        assert len(solves) == trials + len(cfg.dimensions)
         assert len(seeded) == len(integrated) == 2 * trials
         assert all(a is b for a, b in zip(seeded, integrated))
 
     def test_three_function_calls_per_trial(self, monkeypatch):
         # the trial's function, its cor2 function and its cor3 function, each
-        # called once on the stacked points of its chains' terms (cor2's a
-        # and b appear in two terms each); the ground truths of these kinds
-        # are closed forms, which call none
+        # called once on the distinct points of its chains' terms (cor2 has
+        # six, cor3 three, and every trial function more than eight); the
+        # ground truths of these kinds are closed forms, which call none
         calls = []
         call = ConvexFunction.__call__
 
         def counting(self, x):
-            calls.append(len(x))
+            calls.append((id(self), len(x)))
             return call(self, x)
 
         monkeypatch.setattr(ConvexFunction, "__call__", counting)
         kinds = ("affine", "quadratic_psd", "hinge_distance")
         run_campaign(CampaignConfig(trials_per_theorem=16, mc_samples=2, function_kinds=kinds))
-        assert len(calls) == 3 * 16
-        assert calls[1::3] == [8] * 16 and calls[2::3] == [3] * 16
+        assert len(calls) == len({f for f, _ in calls}) == 3 * 16
+        sizes = collections.Counter(size for _, size in calls)
+        assert sizes[6] == 16 and sizes[3] == 16 and sum(sizes.values()) == 48
 
     @pytest.mark.parametrize("name", CHAIN_NAMES)
     def test_single_chain_selection_keeps_its_section(self, name, full_24):
@@ -577,6 +586,31 @@ class TestPinnedReplay:
             assert list(report.slacks) == descriptor["slacks"]
             assert report.verdict == descriptor["verdict"]
             assert report.tolerance_used == descriptor["tolerance"]
+
+    def test_campaign_across_blocks_pinned_and_replayed(self):
+        # 300 trials span three blocks of chain evaluation (128, 128, 44).
+        # The digest was recorded when every trial was evaluated on its own,
+        # and every failure descriptor, in trial order, replays bit for bit.
+        result = run_campaign(CampaignConfig(trials_per_theorem=300, mc_samples=2))
+        assert result.trials > 2 * TRIAL_BLOCK
+        text = result.to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "7703eab15133f260f605074b02f9e4c127e36f6dfa1a5f277881d29487400964"
+        )
+        failures = json.loads(text)["failures"]
+        assert len(failures) == 71
+        trials = [d["trial"] for d in failures]
+        assert trials == sorted(trials) and trials[-1] >= 2 * TRIAL_BLOCK
+        for descriptor in failures:
+            report = replay_failure(descriptor)
+            assert list(report.slacks) == descriptor["slacks"]
+            assert report.verdict == descriptor["verdict"]
+            assert report.tolerance_used == descriptor["tolerance"]
+
+    def test_closed_form_campaign_across_blocks_pinned(self):
+        cfg = CampaignConfig(trials_per_theorem=300, function_kinds=quadrature.EXACT_KINDS)
+        digest = hashlib.sha256(run_campaign(cfg).to_json().encode()).hexdigest()
+        assert digest == "d7a21c516ec151db9d7d30a2688c3d8f41af8d17c15242a541356ff03f7d489d"
 
     _TRIANGLE = Simplex([[0.0, 0.0], [2.0, 0.0], [0.5, 1.5]])
 

@@ -23,6 +23,7 @@ from hhbounds import (
     CentroidConstraintViolatedError,
     ConvexFunction,
     DimensionMismatchError,
+    HHBoundsError,
     IntegralEstimate,
     PointOutsideSimplexError,
     Simplex,
@@ -43,9 +44,19 @@ from hhbounds import (
     thm5_upper,
     thm6_chain,
 )
-from hhbounds.campaign import _build_trial
-from hhbounds.chains import CHAIN_NAMES, CHAINS, DOMAINS, _weigh, chain_reports
+from hhbounds import chains
+from hhbounds.campaign import _build_trial, _ground_truths
+from hhbounds.chains import (
+    CHAIN_NAMES,
+    CHAINS,
+    DOMAINS,
+    _Stack,
+    _weigh,
+    chain_reports,
+    evaluate_block,
+)
 from hhbounds.cli import build_parser
+from hhbounds.serialize import dumps
 
 SQ_1D = ConvexFunction(
     "quadratic_psd", {"matrix": [[1.0]], "slope": [0.0], "offset": 0.0}, "x^2"
@@ -174,9 +185,10 @@ class TestThm3:
         with pytest.raises(SubsimplexEscapesParentError):
             thm3_chain(SQ_1D, UNIT, Simplex([[-0.5], [1.5]]), 0, GT_UNIT)
 
-    def test_bad_index_rejected(self):
+    @pytest.mark.parametrize("j", [2, -1, 0.5])
+    def test_bad_index_rejected(self, j):
         with pytest.raises(IndexError):
-            thm3_chain(SQ_1D, UNIT, UNIT, 2, GT_UNIT)
+            thm3_chain(SQ_1D, UNIT, UNIT, j, GT_UNIT)
 
 
 SUB_QUARTER = UNIT.centered_subsimplex(np.array([0.25]), 0.5)  # [0.125, 0.375]
@@ -550,6 +562,33 @@ def single_point_terms(name, f, s, p, mean):
     return [f_c, mixture, fv.mean()]
 
 
+def weighed_stacks(instances):
+    """The weighed stacks ``(name, items, g)`` of a block of one set of
+    instances, all of one dimension and one function, by chain."""
+    items: dict = {}
+    for i, (name, instance) in enumerate(instances):
+        items.setdefault(name, []).append((0, i, instance, None, 0))
+    n, table = instances[0][1][1].dimension, []
+    stacks = [
+        (name, part, _Stack(n, [item[2][2] for item in part], np.zeros(len(part), int), table))
+        for name, part in items.items()
+    ]
+    _weigh(stacks, table)
+    return stacks
+
+
+def built_terms(name, instance):
+    """One instance's terms, from its chain's stacked builder on it alone,
+    each measure as its points and weights."""
+    f, s, params = instance
+    table = []
+    g = _Stack(1 if CHAINS[name].one_d else s.dimension, [params], np.zeros(1, int), table)
+    _weigh([(name, [(0, 0, instance, None, 0)], g)], table)
+    terms, _ = CHAINS[name].build(g)
+    points = np.concatenate([piece for piece, _ in table])
+    return [(label, m if m is None else (points[m[0]], m[1])) for label, m in terms]
+
+
 def trial_reports(instances, gt):
     """Reports of every chain of a trial from one evaluator call, all against ``gt``."""
     flat = [(name, case) for name, cases in instances.items() for case in cases]
@@ -571,14 +610,13 @@ class TestMeasures:
         for index in range(3 * len(KINDS)):
             _, _, instances, _ = _build_trial(cfg, index)
             flat = [(name, case) for name, cases in instances.items() for case in cases]
-            weighed = _weigh(flat)
-            for name, (_, s, params) in flat:
+            for name, (f, s, params) in flat:
                 chain = CHAINS[name]
                 domain = s if chain.domain is None else DOMAINS[chain.domain](s, params)
-                terms, _ = chain.build(s, params, weighed)
-                for label, points, weights in terms:
-                    if points is None:
+                for label, measure in built_terms(name, (f, s, params)):
+                    if measure is None:
                         continue
+                    points, weights = measure
                     assert points.shape == (len(weights), domain.dimension), (name, label)
                     assert abs(weights.sum() - 1.0) <= 1e-12, (name, label)
                     gap = np.abs(weights @ points - domain.centroid).max()
@@ -586,7 +624,8 @@ class TestMeasures:
 
 
 class TestSharedWork:
-    """One evaluation per function and one weight solve per parent in a trial."""
+    """One evaluation per function, and one stacked weight solve per
+    dimension, in a block."""
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_batched_terms_match_single_point_terms(self, kind):
@@ -618,23 +657,21 @@ class TestSharedWork:
                 alone = chain_reports([(name, case)], [report.ground_truth])[0]
                 assert alone == report, (name, dim)
 
-    def test_containment_weights_shared_and_read_only(self):
-        # thm3's sweep, thm4 and thm5 on one subsimplex read one read-only
-        # block of parent weights: its vertices', then its centroid's
+    def test_containment_weights_shared(self):
+        # thm3's sweep, thm4 and thm5 on one subsimplex read one block of
+        # parent weights, solved once: its vertices', then its centroid's
         s = random_simplex(4, np.random.default_rng(31))
         sub = s.homothety_about_centroid(0.6)
         f = random_convex(4, "quadratic_psd", 3, simplex=s)
         shared = {"subsimplex": sub}
         instances = [("thm3", (f, s, {"subsimplex": sub, "j": j})) for j in range(5)]
         instances += [("thm4", (f, s, shared)), ("thm5", (f, s, shared))]
-        weighed = _weigh(instances)
-        assert list(weighed) == [(id(s), id(sub))]
-        rows, W = weighed[id(s), id(sub)]
-        assert not W.flags.writeable
-        with pytest.raises(ValueError):
-            W[0, 0] = 1.0
-        assert_allclose(W[:-1] @ s.vertices, sub.vertices, rtol=0, atol=1e-13)
-        assert_allclose(W[-1] @ s.vertices, sub.centroid, rtol=0, atol=1e-13)
+        stacks = weighed_stacks(instances)
+        assert [g.blocks.tolist() for _, _, g in stacks] == [[0] * 5, [0], [0]]
+        for _, _, g in stacks:
+            assert g.rows.tolist() == [0] * len(g.params) and len(g.X) == 6
+            assert_allclose(g.X, np.concatenate((sub.vertices, sub.centroid[None])))
+            assert_allclose(g.W @ s.vertices, g.X, rtol=0, atol=1e-13)
 
     def test_thm3_identical_alone_and_in_a_sweep(self):
         # each j alone, with its own evaluation and weight solve, against the
@@ -657,13 +694,13 @@ class TestSharedWork:
         sub = s.homothety_about_centroid(0.5)
         gt = integrate_exact(f, s)
         calls = []
-        solve = Simplex.solve_weights
+        solve = chains.solve_stacked
 
-        def counting(self, points):
+        def counting(simplices, points, owners=None):
             calls.append(np.shape(points))
-            return solve(self, points)
+            return solve(simplices, points, owners)
 
-        monkeypatch.setattr(Simplex, "solve_weights", counting)
+        monkeypatch.setattr(chains, "solve_stacked", counting)
         shared = {"subsimplex": sub}
         instances = [("thm3", (f, s, {"subsimplex": sub, "j": j})) for j in range(4)]
         instances += [("thm4", (f, s, shared)), ("thm5", (f, s, shared))]
@@ -671,9 +708,9 @@ class TestSharedWork:
         assert calls == [(5, 3)]
 
     def test_one_call_per_function(self):
-        # one call per function, on the points of every weighted term's
-        # measure; a point in several terms (a vertex, the centroid, a sub
-        # vertex) is evaluated once per term
+        # one call per function, on each distinct point of its terms once:
+        # the parent's centroid and vertices, the weighed params' rows, and
+        # thm3's lower-bound arguments (cor2's abscissae, cor3's three points)
         calls = []
 
         class Spy:
@@ -699,13 +736,98 @@ class TestSharedWork:
             mixture = len(instances["thm6"][0][2]["points"])
             np1 = dim + 1
             rows = {
-                "choquet": 1 + np1,
-                "thm2": (np1 + 1) + np1,
-                "thm3": np1 * (1 + np1 + 2 * np1 + np1),
-                "thm4": 1 + np1,
-                "thm5": (np1 + 1) + np1,
-                "thm6": 1 + mixture + np1,
+                "parent centroid and vertices": 1 + np1,
+                "thm2 pin point": 1,
+                "thm3 subsimplex vertices and centroid": np1 + 1,
+                "thm4 and thm5 subsimplex vertices and centroid": np1 + 1,
+                "thm6 mixture points": mixture,
+                "thm3 lower-bound arguments, n + 1 per j": np1 * np1,
             }
-            # cor2: midpoint 1, split lower 2, split upper 3, endpoints 2;
-            # cor3: weighted point 1, endpoints 2
-            assert calls == [sum(rows.values()), 8, 3]
+            assert calls == [sum(rows.values()), 6, 3]
+
+
+def on_triangle(name, **params):
+    return name, (SQ_2D, TRIANGLE, params)
+
+
+class TestBlocks:
+    """An instance gets the same bits in any block: its terms, slacks and
+    verdict from :func:`evaluate_block` equal those of ``chain_reports`` of
+    it alone, whatever the block size and the instances beside it."""
+
+    TRIALS = 24  # three campaign trials in each of dims 1-8, six kinds in turn
+
+    @pytest.fixture(scope="class")
+    def trials(self):
+        cfg = CampaignConfig(mc_samples=64)
+        out = []
+        for index in range(self.TRIALS):
+            _, seeds, instances, domains = _build_trial(cfg, index)
+            selected = [(name, case) for name in cfg.theorems for case in instances[name]]
+            found = _ground_truths(selected, seeds, cfg.mc_samples, domains)
+            out.append((selected, [gt for gt, _ in found]))
+        return out
+
+    def test_every_block_size_matches_each_instance_alone(self, trials):
+        dims = {case[1].dimension for selected, _ in trials
+                for name, case in selected if name == "choquet"}
+        js = {(case[1].dimension, case[2]["j"]) for selected, _ in trials
+              for name, case in selected if name == "thm3"}
+        mixtures = {len(case[2]["points"]) for selected, _ in trials
+                    for name, case in selected if name == "thm6"}
+        assert dims == set(range(1, 9))
+        assert js == {(n, j) for n in range(1, 9) for j in range(n + 1)}
+        assert mixtures == {2, 3, 4}
+        alone = [
+            [dumps(chain_reports([instance], [gt])[0].to_json_dict())
+             for instance, gt in zip(selected, gts)]
+            for selected, gts in trials
+        ]
+        for size in range(1, len(trials) + 1):
+            for first in range(0, len(trials), size):
+                block = trials[first : first + size]
+                rows = evaluate_block([s for s, _ in block], [gts for _, gts in block])
+                seen = 0
+                for chain in rows.values():
+                    where = list(zip(chain.sets.tolist(), chain.positions.tolist()))
+                    assert where == sorted(where)  # in block order
+                    for r, (t, i) in enumerate(where):
+                        assert dumps(chain.report(r).to_json_dict()) == alone[first + t][i]
+                        seen += 1
+                assert seen == sum(len(selected) for selected, _ in block)
+
+    MIDPOINTS = (TRIANGLE.vertices.sum(axis=0) - TRIANGLE.vertices) / 2.0
+    SUB = TRIANGLE.homothety_about_centroid(0.5)
+    WIDE = Simplex(1.5 * TRIANGLE.vertices - 0.5 * TRIANGLE.centroid)
+    INVALID = {
+        "pin point outside": on_triangle("thm2", point=[2.0, 2.0]),
+        "pin point of another dimension": on_triangle("thm2", point=[0.2] * 3),
+        "bad j": on_triangle("thm3", subsimplex=SUB, j=3),
+        "moved barycentre": on_triangle("thm3", subsimplex=Simplex(SUB.vertices + 0.01), j=0),
+        "sub escapes": on_triangle("thm3", subsimplex=WIDE, j=1),
+        "thm4 sub escapes": on_triangle("thm4", subsimplex=Simplex(SUB.vertices + 1.0)),
+        "betas too short": on_triangle("thm6", points=MIDPOINTS, betas=[0.5] * 2),
+        "negative beta": on_triangle("thm6", points=MIDPOINTS, betas=[0.5, 0.6, -0.1]),
+        "betas off one": on_triangle("thm6", points=MIDPOINTS, betas=[0.5, 0.3, 0.3]),
+        "mixture off centroid": on_triangle("thm6", points=MIDPOINTS, betas=[0.6, 0.2, 0.2]),
+        "mixture point outside": on_triangle("thm6", points=[[3.0, 3.0]], betas=[1.0]),
+        "cor2 a > b": ("cor2", (SQ_1D, None, {"a": 1.0, "b": 0.0, "lam": 0.5})),
+        "cor3 negative p": (
+            "cor3", (SQ_1D, None, {"p": -1.0, "q": 1.0, "a": 0.0, "b": 1.0, "y": 0.1})
+        ),
+        "function of another dimension": (
+            "choquet", (random_convex(3, "affine", 1), TRIANGLE, {})
+        ),
+    }
+
+    @pytest.mark.parametrize("case", INVALID)
+    def test_invalid_instance_raises_in_a_block_as_alone(self, trials, case):
+        name, instance = self.INVALID[case]
+        gt = None if name == "thm6" else GT_UNIT if CHAINS[name].one_d else GT_TRIANGLE
+        with pytest.raises((HHBoundsError, ValueError, IndexError)) as alone:
+            chain_reports([(name, instance)], [gt])
+        (s0, g0), (s1, g1), (s2, g2) = trials[:3]
+        with pytest.raises(type(alone.value)) as inside:
+            evaluate_block([s0, s1 + [(name, instance)], s2], [g0, g1 + [gt], g2])
+        assert type(inside.value) is type(alone.value)
+        assert str(inside.value) == str(alone.value)

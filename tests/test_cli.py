@@ -16,7 +16,7 @@ from hhbounds import (
     sample_uniform,
     standard_simplex,
 )
-from hhbounds import quadrature
+from hhbounds import chains, geometry, quadrature
 from hhbounds.cli import main
 from hhbounds.serialize import dumps, write_json
 
@@ -132,6 +132,15 @@ class TestBounds:
         assert code == 2
         assert out == ""
 
+    def test_overflowing_mean_exits_2(self, capsys, tmp_path, unit_interval_file):
+        path = str(tmp_path / "exp800.json")
+        f = ConvexFunction("exp_affine", {"slope": [800.0], "offset": 0.0})
+        write_json(path, f.to_json_dict())
+        code, out, err = run_cli(capsys, "bounds", unit_interval_file, path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: exp_affine on a 1-D simplex has no finite")
+
     def test_cor2_requires_1d(self, capsys, triangle_file, sq_2d_file):
         code, out, err = run_cli(
             capsys, "bounds", triangle_file, sq_2d_file, "--theorem", "cor2"
@@ -214,13 +223,14 @@ class TestBounds:
         # the centred subsimplex, then one stacked solve of thm2's point, both
         # subsimplices (the one thm4 and thm5 share once) and thm6's points
         calls = []
-        solve = Simplex.solve_weights
+        solve = geometry.solve_stacked
 
-        def counting(self, points):
+        def counting(simplices, points, owners=None):
             calls.append(1)
-            return solve(self, points)
+            return solve(simplices, points, owners)
 
-        monkeypatch.setattr(Simplex, "solve_weights", counting)
+        monkeypatch.setattr(geometry, "solve_stacked", counting)
+        monkeypatch.setattr(chains, "solve_stacked", counting)
         theorem_args = [
             arg for name in ("choquet", "thm2", "thm3", "thm4", "thm5", "thm6")
             for arg in ("--theorem", name)

@@ -8,12 +8,30 @@ from hhbounds import (
     KINDS,
     ConvexFunction,
     DimensionMismatchError,
+    TOL_CHAIN,
     Simplex,
-    midpoint_convexity_check,
     random_convex,
     random_simplex,
     standard_simplex,
 )
+
+
+def midpoint_convexity_check(f, s: Simplex, trials: int, seed: int) -> bool:
+    """Sample pairs in ``s`` and check f((x+y)/2) <= (f(x)+f(y))/2 + TOL_CHAIN.
+
+    Returns False on any violation.  ``f`` may be any callable accepting a
+    batch of points.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    rng = np.random.default_rng(seed)
+    weights = rng.standard_exponential((2 * trials, s.dimension + 1))
+    weights /= weights.sum(axis=1, keepdims=True)
+    points = weights @ s.vertices
+    x, y = points[:trials], points[trials:]
+    lhs = f(0.5 * (x + y))
+    rhs = 0.5 * (np.asarray(f(x)) + np.asarray(f(y)))
+    return bool(np.all(lhs <= rhs + TOL_CHAIN))
 
 
 def make_sq_norm(dim):

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from hhbounds import (
     DimensionMismatchError,
     IntegralEstimate,
     KINDS,
+    NonFiniteValueError,
     Simplex,
     UnsupportedKindError,
     ground_truth,
@@ -118,6 +120,17 @@ class TestIntegrateMC:
             big = integrate_mc(f, s, 8000, seed=seed + 1000)
             ratio = small.std_error / big.std_error
             assert 2.0 * 0.75 < ratio < 2.0 * 1.25
+
+    def test_overflow_raises_typed_error_without_warnings(self):
+        # exp(800 x) overflows on most of [0, 1]: the mean is inf and the
+        # std error NaN.  This used to warn twice and then raise a bare
+        # ValueError from IntegralEstimate.
+        f = ConvexFunction("exp_affine", {"slope": [800.0], "offset": 0.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValueError, match="exp_affine on a 1-D simplex"):
+                ground_truth(f, UNIT_INTERVAL, 1000, seed=1)
+        assert issubclass(NonFiniteValueError, ValueError)
 
 
 def _one_shot_values(f, s, count, seed):
