@@ -36,6 +36,7 @@ from .errors import (
     BarycenterMismatchError,
     CentroidConstraintViolatedError,
     DimensionMismatchError,
+    NonFiniteValueError,
     PointOutsideSimplexError,
     SubsimplexEscapesParentError,
 )
@@ -120,13 +121,13 @@ class ChainReport:
 
 
 class ChainRows:
-    """One chain's instances in a block, a row each, in block order.
+    """One chain's instances in a block, a row each.
 
-    Row ``r`` is instance ``positions[r]`` of instance set ``sets[r]``:
-    ``values`` holds its terms, ``slacks`` their consecutive differences,
-    and ``passed`` its verdict at ``tolerances[r]`` (vacuously a pass where
-    its cor3 condition is False).  A plain class, so that importing the
-    package builds no dataclass for it.
+    Row ``r`` is instance ``positions[r]`` of instance set ``sets[r]``,
+    which identify it in any order: ``values`` holds its terms, ``slacks``
+    their consecutive differences, and ``passed`` its verdict at
+    ``tolerances[r]`` (vacuously a pass where its cor3 condition is False).
+    A plain class, so that importing the package builds no dataclass for it.
     """
 
     def __init__(self, name, labels, values, tolerances, conditions, ground_truths, sets,
@@ -187,14 +188,14 @@ class _Stack:
     which holds each point once per function: ``c`` (K,) and ``v`` (K, n+1)
     are the rows of each instance's parent centroid and vertices, ``x`` (K,)
     the first row of its weighed param, and :meth:`own` adds a builder's
-    own points.  ``u`` numbers each instance's function.  ``V`` (K, n+1, n)
-    and ``C`` (K, n) are the parents' coordinates; ``X`` holds the weighed
-    params' rows and ``W`` their parent weights, instance ``k``'s from row
-    ``rows[k]`` on, ``counts[k]`` of them; ``blocks[k]`` numbers its
-    (function, parent, param), so instances that share one share its rows.
+    own points.  ``u`` and ``parent`` number each instance's function and
+    parent.  ``V`` (K, n+1, n) and ``C`` (K, n) are the parents' coordinates,
+    ``X`` the weighed params' rows and ``W`` their parent weights, instance
+    ``k``'s from row ``rows[k]`` on, ``counts[k]`` of them; ``blocks[k]`` numbers
+    its (function, parent, param), so instances that share one share its rows.
     """
 
-    c = v = x = V = C = X = W = rows = counts = blocks = None
+    c = v = x = V = C = X = W = rows = counts = blocks = parent = None
 
     def __init__(self, n: int, params: list, u: np.ndarray, points: list) -> None:
         self.n, self.params, self.u, self.points = n, params, u, points
@@ -463,17 +464,16 @@ def _weigh(stacks: list, points: list) -> None:
     parents: dict[tuple[int, int], tuple[int, Simplex, int]] = {}  # -> (number, s, function)
     blocks: dict[tuple[int, int, int], int] = {}
     rows: list[tuple[str, int, int, np.ndarray]] = []  # (key, parent, function, rows)
-    at: dict[int, list[int]] = {}  # id(g) -> the numbers of its instances' parents
     for name, items, g in stacks:
         if CHAINS[name].one_d:
             continue
         pairs = [(id(item[2][0]), id(item[2][1])) for item in items]
-        at[id(g)] = [parents.setdefault(ids, (len(parents), item[2][1], item[4]))[0]
-                     for ids, item in zip(pairs, items)]
+        g.parent = [parents.setdefault(ids, (len(parents), item[2][1], item[4]))[0]
+                    for ids, item in zip(pairs, items)]
         if not (key := CHAINS[name].weighs):
             continue
         numbers = []
-        for ids, p, params in zip(pairs, at[id(g)], g.params):
+        for ids, p, params in zip(pairs, g.parent, g.params):
             if (block := (*ids, id(params[key]))) not in blocks:
                 blocks[block] = len(rows)
                 s, u = parents[ids][1:]
@@ -497,8 +497,8 @@ def _weigh(stacks: list, points: list) -> None:
             raise error(f"{what} (min weight {low[b]:.3e})")
         x0 = _place(points, X, np.repeat([u for _, _, u, _ in rows], counts))[0]
     for _, _, g in stacks:
-        if id(g) in at:
-            g.V, g.C, g.c = V[at[id(g)]], C[at[id(g)]], base[::n + 2][at[id(g)]]
+        if g.parent is not None:
+            g.V, g.C, g.c = V[g.parent], C[g.parent], base[::n + 2][g.parent]
             g.v = g.c[:, None] + np.arange(1, n + 2)
         if g.blocks is not None:
             g.X, g.W, g.rows, g.counts = X, W, starts[g.blocks], counts[g.blocks]
@@ -540,8 +540,16 @@ def _term_sums(n: int, by_name: dict, funcs: list, built: list) -> np.ndarray:
         built.append((name, items, labels, means, held or [None] * len(items)))
     P, owner = (np.concatenate(part) for part in zip(*points))
     del stacks, points[:]  # free the builders' arrays before the functions run
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        values = _values(funcs, P, owner)
+    if not (finite := np.isfinite(values)).all():
+        f = funcs[owner[finite.argmin()]]
+        raise NonFiniteValueError(
+            f"{getattr(f, 'kind', type(f).__name__)} has non-finite values at the chain "
+            f"points of dimension {n}: its values overflow"
+        )
     products = np.concatenate(weights)
-    products *= _values(funcs, P, owner)[np.concatenate(index)]
+    products *= values[np.concatenate(index)]
     lengths = np.concatenate(lengths)
     return np.add.reduceat(products, np.cumsum(lengths) - lengths)
 
@@ -557,8 +565,8 @@ def evaluate_block(sets, ground_truths) -> dict[str, ChainRows]:
     stack, each function object is called once on the points of all its
     terms (in the order the instances first name them), and one
     ``np.add.reduceat`` sums every weighted term; only the sums outlive the
-    dimension.  Returns each chain's rows, ordered by set and then by
-    position in the set.
+    dimension.  Returns each chain's rows, a dimension at a time; a row
+    is identified by its set and position, not by its order.
     """
     funcs: dict[int, tuple[int, Callable]] = {}
     groups: dict[int, dict[str, list]] = {}  # n -> name -> [(set, position, instance, gt, f)]
@@ -585,14 +593,10 @@ def evaluate_block(sets, ground_truths) -> dict[str, ChainRows]:
 
 
 def _rows(name: str, parts: list) -> ChainRows:
-    """A chain's rows from the parts of its stacks, ordered by set and position."""
+    """A chain's rows from the parts of its stacks, one stack after another."""
     items = [item for _, part, _, _ in parts for item in part]
     values = np.concatenate([v for _, _, v, _ in parts])
     conditions = [c for *_, held in parts for c in held]
-    if len(parts) > 1:  # stacks of several dimensions, each in block order
-        order = np.lexsort(([item[1] for item in items], [item[0] for item in items]))
-        values, order = values[order], order.tolist()
-        items, conditions = [items[r] for r in order], [conditions[r] for r in order]
     gts = [item[3] for item in items]
     tolerances = np.array([chain_tolerance(gt) for gt in gts])
     sets, positions = np.array([item[:2] for item in items]).T

@@ -11,7 +11,9 @@ Standard output carries only JSON (one object per line for multi-report
 output); diagnostics go to standard error.  Exit codes: 0 on success with
 all verdicts passing, 1 when any inequality verdict fails, 2 on usage,
 parse, or I/O errors.  The environment variable ``HH_SEED`` provides the
-default seed; an explicit ``--seed`` flag wins.
+default seed of ``bounds``, ``campaign`` and ``sample``; an explicit
+``--seed`` flag wins.  ``cor3-search`` computes its witness in closed form
+and reads no seed.
 """
 
 from __future__ import annotations
@@ -191,10 +193,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_cor3_search(args: argparse.Namespace) -> int:
-    witness = search_cor3_counterexample(
-        args.p, args.q, args.a, args.b, args.y,
-        budget=args.budget, seed=_default_seed(args.seed),
-    )
+    if args.budget < 1:  # the flag is otherwise ignored, as is --seed
+        raise ValueError("budget must be >= 1")
+    witness = search_cor3_counterexample(args.p, args.q, args.a, args.b, args.y)
     sys.stdout.write(dumps({"witness": witness}) + "\n")
     return 0
 
@@ -281,11 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--y", type=float, required=True)
     p_search.add_argument(
         "--budget", type=int, default=10_000,
-        help="must be >= 1; kept for old callers, it does not change the witness",
+        help="must be >= 1; kept for old callers and otherwise ignored",
     )
     p_search.add_argument(
-        "--seed", type=int, default=None,
-        help="kept for old callers; it does not change the witness",
+        "--seed", type=int, default=None, help="kept for old callers and ignored",
     )
 
     p_sample = sub.add_parser("sample", help="draw uniform points from a simplex")

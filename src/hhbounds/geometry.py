@@ -83,48 +83,33 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
 def solve_stacked(simplices, points, owners=None) -> np.ndarray:
     """Barycentric weights of each row of ``points`` in its own simplex.
 
-    Row ``k`` is solved in ``simplices[owners[k]]``, or in the one simplex
-    given when ``owners`` is None, and the weights come back as an ``(m,
-    n+1)`` array.  Each system stacks the vertex-combination rows over a row
-    of ones, and one batched LU solve (LAPACK ``gesv``) takes every row as
-    its own right-hand side with its own copy of its system; the rows of
-    each simplex are solved side by side against its one system.  So a row's
-    weights have the same bits in every batch and beside any other
-    simplices: a single multi-column solve rounds a column differently
-    depending on its neighbours.  A simplex whose binary exponent lies
-    beyond :data:`_SOLVE_EXPONENT_LIMIT` is solved on its vertex rows and
-    points scaled by it.  A singular system raises
+    Row ``k`` is solved in ``simplices[owners[k]]``, or in ``simplices[0]``
+    when ``owners`` is None, and the weights come back as an ``(m, n+1)``
+    array.  Each row gets its own copy of its simplex's system, the
+    vertex-combination rows over a row of ones, and one batched LU solve
+    (LAPACK ``gesv``) takes each copy with the row as its one right-hand
+    side.  So a row's weights have the same bits in every batch and beside
+    any other rows: a single multi-column solve rounds a column differently
+    depending on its neighbours.  A row whose simplex's binary exponent lies
+    beyond :data:`_SOLVE_EXPONENT_LIMIT` is solved on that simplex's vertex
+    rows and the point scaled by it.  A singular system raises
     :class:`SingularSystemError`.
     """
-    V = np.stack([s._vertices for s in simplices])
-    e = np.array([s._exponent for s in simplices])
-    shift = np.where(np.abs(e) > _SOLVE_EXPONENT_LIMIT, -e, 0)
     P = np.asarray(points, dtype=float)
+    owners = np.zeros(len(P), dtype=int) if owners is None else owners
+    V = np.stack([s._vertices for s in simplices])[owners]
+    e = np.array([s._exponent for s in simplices])[owners]
+    shift = np.where(np.abs(e) > _SOLVE_EXPONENT_LIMIT, -e, 0)
     if shift.any():
-        V = np.ldexp(V, shift[:, None, None])
-        P = np.ldexp(P, (shift if owners is None else shift[owners])[:, None])
+        V, P = np.ldexp(V, shift[:, None, None]), np.ldexp(P, shift[:, None])
     n = V.shape[2]
     system = np.ones((len(V), n + 1, n + 1))
     system[:, :n] = V.transpose(0, 2, 1)
     rhs = np.concatenate((P, np.ones((len(P), 1))), axis=1)[:, :, None]
-    if owners is not None:  # each simplex's rows side by side, padded with (0, 1)
-        order = np.argsort(owners, kind="stable")
-        counts = np.bincount(owners, minlength=len(V))
-        slots = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
-        place = owners[order], slots
-        padded = np.zeros((len(V), counts.max(), n + 1, 1))
-        padded[:, :, n] = 1.0
-        padded[place] = rhs[order]
-        system, rhs = system[:, None], padded
     try:
-        W = np.linalg.solve(system, rhs)[..., 0]
+        return np.linalg.solve(system, rhs)[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"barycentric system: {exc}") from exc
-    if owners is None:
-        return W
-    out = np.empty((len(order), n + 1))
-    out[order] = W[place]
-    return out
 
 
 class Simplex:

@@ -435,8 +435,13 @@ def _max_of_affines_mean_1d(f, s: Simplex) -> float:
     return float((np.diff(x) * (y[:-1] + y[1:])).sum() / (2.0 * (hi - lo)))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a mean that overflows is checked below
 def integrate_exact(f, s: Simplex) -> IntegralEstimate:
-    """Exact mean of ``f`` over ``s`` where :func:`has_exact_mean` allows."""
+    """Exact mean of ``f`` over ``s`` where :func:`has_exact_mean` allows.
+
+    A mean that is not finite (its terms overflow) raises
+    :class:`NonFiniteValueError`, with no numpy warning.
+    """
     kind = getattr(f, "kind", None)
     if not has_exact_mean(f, s):
         raise UnsupportedKindError(
@@ -465,6 +470,11 @@ def integrate_exact(f, s: Simplex) -> IntegralEstimate:
     else:  # two pieces: l1 + max(0, l2 - l1)
         (a1, a2), (b1, b2) = p["slopes"], p["offsets"]
         mean = float(a1 @ centroid + b1) + _hinge_mean(s.vertices @ (a2 - a1) + (b2 - b1))
+    if not math.isfinite(mean):
+        raise NonFiniteValueError(
+            f"{kind} on a {s.dimension}-D simplex has no finite closed-form mean "
+            f"({mean!r}): its values overflow"
+        )
     return IntegralEstimate(mean, 0.0, METHOD_EXACT, 0)
 
 

@@ -2,11 +2,17 @@
 
 Run with ``pytest -v tests/test_acceptance.py`` (add ``-s`` to see the
 per-criterion PASS lines).  The full randomized campaign (criterion 3) runs
-once as a session fixture and is reused by criteria 5 and 8; criterion 8
-performs the second, byte-comparison run.  These three are marked ``slow``;
-``pytest -m "not slow"`` leaves them out for a fast development loop.
+once as a session fixture and is reused by criteria 5 and 8.  Before it
+starts, the fixture starts the second run, ``hh campaign`` in a child
+process, so the two run side by side; criterion 8 compares its result file
+byte for byte.  These three are marked ``slow``; ``pytest -m "not slow"``
+leaves them out for a fast development loop.
 """
 
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -37,8 +43,29 @@ SQ_2D = ConvexFunction(
 )
 
 
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
 @pytest.fixture(scope="session")
-def full_campaign():
+def campaign_child(tmp_path_factory):
+    """``hh campaign --out`` on the default config in a child process, with
+    ``PYTHONPATH`` set to ``src`` and no ``HH_SEED``; yields the process and
+    its result path.  A child still running at the end is terminated."""
+    out = tmp_path_factory.mktemp("determinism") / "cli.json"
+    env = {key: value for key, value in os.environ.items() if key != "HH_SEED"}
+    env["PYTHONPATH"] = str(SRC)
+    child = subprocess.Popen(
+        [sys.executable, "-m", "hhbounds.cli", "campaign", "--out", str(out)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+    )
+    yield child, out
+    if child.poll() is None:
+        child.terminate()
+    child.communicate()
+
+
+@pytest.fixture(scope="session")
+def full_campaign(campaign_child):
     return run_campaign(default_config())
 
 
@@ -142,20 +169,20 @@ def test_criterion_5_refinement_dominance(full_campaign):
 
 
 def _criterion_6_windows():
-    """The 20 (p, q, a, b, y, seed) cases of criterion 6, each window too wide."""
+    """The 20 (p, q, a, b, y) cases of criterion 6, each window too wide."""
     weight_pairs = [(1.0, 1.0), (1.0, 3.0), (2.0, 0.5), (0.7, 0.7), (4.0, 1.0)]
     intervals = [(0.0, 1.0), (-1.0, 1.0), (2.0, 5.0), (-3.0, -1.0)]
-    for i, (p, q) in enumerate(weight_pairs):
-        for k, (a, b) in enumerate(intervals):
+    for p, q in weight_pairs:
+        for a, b in intervals:
             threshold = (b - a) * min(p, q) / (p + q)
             y = threshold + 0.07 * (b - a)  # 7% of the interval above threshold
-            yield p, q, a, b, y, 1000 + 20 * i + k
+            yield p, q, a, b, y
 
 
 def test_criterion_6_cor3_necessity():
     found = 0
-    for p, q, a, b, y, seed in _criterion_6_windows():
-        witness = search_cor3_counterexample(p, q, a, b, y, budget=10_000, seed=seed)
+    for p, q, a, b, y in _criterion_6_windows():
+        witness = search_cor3_counterexample(p, q, a, b, y)
         assert witness is not None, (p, q, a, b, y)
         assert witness["slack"] < -1e-6
         assert witness["candidates_examined"] <= 10_000
@@ -171,8 +198,8 @@ def test_criterion_6_witness_slack_independent():
     # the witness slack against the cor3 upper slack of its hinge
     # max(0, s*x - c), s = +-1, with the window mean taken from the ramp's
     # antiderivative max(0, s*x - c)**2 / (2*s)
-    for p, q, a, b, y, seed in _criterion_6_windows():
-        witness = search_cor3_counterexample(p, q, a, b, y, budget=10_000, seed=seed)
+    for p, q, a, b, y in _criterion_6_windows():
+        witness = search_cor3_counterexample(p, q, a, b, y)
         params = witness["function"]["params"]
         s, c = params["slope"][0], params["threshold"]
 
@@ -210,17 +237,15 @@ def test_criterion_7_cross_method_geometry():
 
 
 @pytest.mark.slow
-def test_criterion_8_campaign_determinism(full_campaign, tmp_path_factory):
-    directory = tmp_path_factory.mktemp("determinism")
-    first = directory / "run1.json"
-    second = directory / "run2.json"
-    first.write_text(full_campaign.to_json() + "\n")
-    rerun = run_campaign(default_config())
-    second.write_text(rerun.to_json() + "\n")
-    assert first.read_bytes() == second.read_bytes()
+def test_criterion_8_campaign_determinism(full_campaign, campaign_child):
+    child, out = campaign_child
+    _, err = child.communicate(timeout=900)
+    assert child.returncode == (0 if full_campaign.all_passed else 1), err
+    expected = (full_campaign.to_json() + "\n").encode()
+    assert out.read_bytes() == expected
     print(
-        "\nACCEPTANCE PASS criterion 8: two default-campaign runs wrote "
-        f"byte-identical result files ({len(first.read_bytes())} bytes)"
+        "\nACCEPTANCE PASS criterion 8: hh campaign in a child process wrote the "
+        f"in-process result byte for byte ({len(expected)} bytes)"
     )
 
 

@@ -514,7 +514,7 @@ class TestReplay:
         assert replay_failure(descriptor).slacks == report.slacks
 
     def test_nonpositive_cor3_weights_raise_value_error(self):
-        witness = search_cor3_counterexample(1.0, 1.0, 0.0, 1.0, 0.75, budget=200, seed=3)
+        witness = search_cor3_counterexample(1.0, 1.0, 0.0, 1.0, 0.75)
         for p, q in ((1.0, -1.0), (0.0, 0.0)):
             bad = {**witness, "params": {**witness["params"], "p": p, "q": q}}
             with pytest.raises(ValueError, match="p and q must be positive"):
@@ -560,7 +560,7 @@ class TestReplay:
         assert replay_failure(descriptor).passed
 
     def test_witness_descriptor_replays(self):
-        witness = search_cor3_counterexample(1.0, 1.0, 0.0, 1.0, 0.75, budget=2000, seed=3)
+        witness = search_cor3_counterexample(1.0, 1.0, 0.0, 1.0, 0.75)
         assert witness is not None
         rep = replay_failure(witness)
         assert list(rep.slacks) == witness["slacks"]
@@ -756,7 +756,7 @@ class TestCsv:
 
 class TestCor3Search:
     def test_witness_found_for_wide_window(self):
-        witness = search_cor3_counterexample(1.0, 1.0, 0.0, 1.0, 0.75, budget=4000, seed=1)
+        witness = search_cor3_counterexample(1.0, 1.0, 0.0, 1.0, 0.75)
         assert witness is not None
         assert witness["slack"] < -1e-6
         # kink sits near an endpoint of [a, b]
@@ -764,19 +764,19 @@ class TestCor3Search:
         assert witness["candidates_examined"] <= 4000
 
     def test_determinism(self):
-        w1 = search_cor3_counterexample(0.5, 2.0, -1.0, 2.0, 1.2, budget=3000, seed=9)
-        w2 = search_cor3_counterexample(0.5, 2.0, -1.0, 2.0, 1.2, budget=3000, seed=9)
+        w1 = search_cor3_counterexample(0.5, 2.0, -1.0, 2.0, 1.2)
+        w2 = search_cor3_counterexample(0.5, 2.0, -1.0, 2.0, 1.2)
         assert w1 == w2
 
     def test_condition_not_violated_raises(self):
         with pytest.raises(ConditionNotViolatedError):
-            search_cor3_counterexample(1.0, 1.0, 0.0, 1.0, 0.4, budget=100, seed=0)
+            search_cor3_counterexample(1.0, 1.0, 0.0, 1.0, 0.4)
 
     def test_barely_violating_window_reports_honestly(self):
         # violation depth ~ (1e-6)^2: far below any certifiable slack, so the
         # search must come back empty rather than fake a witness
         y = 0.5 + 1e-6
-        witness = search_cor3_counterexample(1.0, 1.0, 0.0, 1.0, y, budget=500, seed=2)
+        witness = search_cor3_counterexample(1.0, 1.0, 0.0, 1.0, y)
         assert witness is None
 
     def test_witness_is_the_worst_unit_hinge(self):
@@ -793,7 +793,7 @@ class TestCor3Search:
             b = a + 0.3 + float(rng.exponential())
             h = (b - a) * min(p, q) / (p + q)
             y = h * float(rng.uniform(1.1, 10.0))
-            witness = search_cor3_counterexample(p, q, a, b, y, budget=1, seed=0)
+            witness = search_cor3_counterexample(p, q, a, b, y)
             closed = -((y - h) ** 2) / (4.0 * y)
             assert abs(witness["slack"] - closed) <= 1e-12 * abs(closed)
             assert witness["candidates_examined"] == 1
@@ -811,17 +811,6 @@ class TestCor3Search:
             for k in [a, b, lo, hi] + grid:
                 assert witness["slack"] <= slack(k) + 1e-12 * abs(closed), (p, q, a, b, y, k)
 
-    def test_budget_and_seed_do_not_change_the_witness(self):
-        args = 0.5, 2.0, -1.0, 2.0, 1.2
-        witness = search_cor3_counterexample(*args, budget=1, seed=0)
-        assert witness == search_cor3_counterexample(*args, budget=10_000, seed=7)
-        with pytest.raises(ValueError, match="budget must be >= 1"):
-            search_cor3_counterexample(*args, budget=0, seed=0)
-
-    def test_budget_respected(self):
-        witness = search_cor3_counterexample(1.0, 1.0, 0.0, 1.0, 0.75, budget=64, seed=4)
-        assert witness is None or witness["candidates_examined"] <= 64
-
     def test_witness_keys_are_campaign_descriptor_keys(self):
         # one descriptor format: a 1-D campaign failure, less its trial index,
         # then the search's own keys
@@ -833,7 +822,7 @@ class TestCor3Search:
             function_kinds=("exp_affine",),
         )
         failure = run_campaign(cfg).failures[0]
-        witness = search_cor3_counterexample(1.0, 1.0, 0.0, 1.0, 0.75, budget=500, seed=3)
+        witness = search_cor3_counterexample(1.0, 1.0, 0.0, 1.0, 0.75)
         assert list(witness) == [key for key in failure if key != "trial"] + [
             "kink", "slack", "candidates_examined"
         ]

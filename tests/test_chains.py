@@ -25,6 +25,7 @@ from hhbounds import (
     DimensionMismatchError,
     HHBoundsError,
     IntegralEstimate,
+    NonFiniteValueError,
     PointOutsideSimplexError,
     Simplex,
     SubsimplexEscapesParentError,
@@ -422,6 +423,13 @@ class TestNonFiniteParams:
         with pytest.raises(ValueError, match="finite"):
             cor3_check(p, q, a, b, y, SQ_1D, GT_UNIT)
 
+    def test_overflowing_values_raise_typed_error(self):
+        # exp(800 x) overflows at the vertex (1, 0): one typed error for the
+        # dimension, and no numpy warning (the suite turns warnings into errors)
+        f = ConvexFunction("exp_affine", {"slope": [800.0, 0.0], "offset": 0.0})
+        with pytest.raises(NonFiniteValueError, match="exp_affine .* dimension 2"):
+            thm6_chain(f, TRIANGLE, self.MIDPOINTS, self.THIRDS)
+
 
 class TestWrongDimension:
     """Every chain rejects a function of another dimension than its instance."""
@@ -787,14 +795,16 @@ class TestBlocks:
             for first in range(0, len(trials), size):
                 block = trials[first : first + size]
                 rows = evaluate_block([s for s, _ in block], [gts for _, gts in block])
-                seen = 0
+                seen = []
                 for chain in rows.values():
                     where = list(zip(chain.sets.tolist(), chain.positions.tolist()))
-                    assert where == sorted(where)  # in block order
                     for r, (t, i) in enumerate(where):
                         assert dumps(chain.report(r).to_json_dict()) == alone[first + t][i]
-                        seen += 1
-                assert seen == sum(len(selected) for selected, _ in block)
+                    seen += where
+                # rows come in no set order: each (set, position) appears exactly once
+                assert sorted(seen) == [
+                    (t, i) for t, (selected, _) in enumerate(block) for i in range(len(selected))
+                ]
 
     MIDPOINTS = (TRIANGLE.vertices.sum(axis=0) - TRIANGLE.vertices) / 2.0
     SUB = TRIANGLE.homothety_about_centroid(0.5)

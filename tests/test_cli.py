@@ -287,6 +287,37 @@ class TestNonFiniteParams:
         assert token in err
 
 
+class TestNonFiniteValues:
+    """Finite params whose values overflow end in exit 2, naming the kind
+    and dimension, with no numpy warning (the suite turns warnings into
+    errors)."""
+
+    def test_overflowing_chain_values_exit_2(self, capsys, tmp_path, triangle_file):
+        path = tmp_path / "func.json"
+        path.write_text('{"kind": "exp_affine", "params": {"slope": [800, 0], "offset": 0}}')
+        code, out, err = run_cli(capsys, "bounds", triangle_file, str(path), "--theorem", "thm6")
+        assert code == 2 and out == ""
+        assert err == (
+            "error: exp_affine has non-finite values at the chain points of dimension 2: "
+            "its values overflow\n"
+        )
+
+    def test_overflowing_closed_form_mean_exit_2(self, capsys, tmp_path):
+        simplex, func = tmp_path / "simplex.json", tmp_path / "func.json"
+        simplex.write_text('{"vertices": [[0, 0], [10, 0], [0, 10]]}')
+        func.write_text(
+            '{"kind": "quadratic_psd", "params": {"matrix": [[1e308, 0], [0, 1e308]], '
+            '"slope": [0, 0], "offset": 0}}'
+        )
+        code, out, err = run_cli(
+            capsys, "bounds", str(simplex), str(func), "--theorem", "choquet"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(
+            "error: quadratic_psd on a 2-D simplex has no finite closed-form mean"
+        )
+
+
 class TestNonRealParams:
     """A scalar param that is not a real number ends in exit 2, naming it."""
 
@@ -570,6 +601,24 @@ class TestCor3Search:
         )
         assert code == 0
         assert json.loads(out) == {"witness": None}
+
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_budget_below_one_exit_2(self, capsys, budget):
+        code, out, err = run_cli(
+            capsys,
+            "cor3-search", "--p", "1", "--q", "1", "--a", "0", "--b", "1",
+            "--y", "0.75", "--budget", budget,
+        )
+        assert code == 2 and out == ""
+        assert "budget must be >= 1" in err
+
+    def test_seed_unused(self, capsys, monkeypatch):
+        # the witness is in closed form: --seed and HH_SEED are not read
+        args = ("cor3-search", "--p", "1", "--q", "1", "--a", "0", "--b", "1", "--y", "0.75")
+        _, plain, _ = run_cli(capsys, *args)
+        monkeypatch.setenv("HH_SEED", "not-a-seed")
+        code, out, _ = run_cli(capsys, *args, "--seed", "9")
+        assert code == 0 and out == plain
 
     def test_no_mc_samples_flag(self, capsys):
         # the witness is certified exactly, so there is no sample count to set

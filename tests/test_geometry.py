@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hhbounds import (
@@ -16,6 +18,7 @@ from hhbounds import (
     random_simplex,
     standard_simplex,
 )
+from hhbounds.geometry import solve_stacked
 
 
 def hit_ratio_volume(simplex, box_lo, box_hi, count, seed):
@@ -225,6 +228,33 @@ class TestBarycentricSolve:
             s.solve_weights(np.array([0.5, 0.5]))
         assert not isinstance(info.value, np.linalg.LinAlgError)
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+class TestStackedSolve:
+    """Each row of a stacked solve is solved on its own copy of its
+    simplex's system, so it has the bits of a solve of that row alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(1, 8),
+        exponents=st.lists(st.sampled_from([-1000, -950, -3, 0, 7, 950, 1000]),
+                           min_size=1, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_each_row_has_the_bits_of_its_solve_alone(self, dim, exponents, seed):
+        rng = np.random.default_rng(seed)
+        simplices = [Simplex(np.ldexp(random_simplex(dim, rng).vertices, e)) for e in exponents]
+        owners = rng.permutation(np.repeat(np.arange(len(simplices)),
+                                           rng.integers(1, 13, size=len(simplices))))
+        points = np.stack([rng.dirichlet(np.ones(dim + 1)) @ simplices[o].vertices
+                           for o in owners])
+        W = solve_stacked(simplices, points, owners)
+        assert W.shape == (len(points), dim + 1)
+        for row, o, w in zip(points, owners, W):
+            assert w.tobytes() == simplices[o].solve_weights(row).tobytes()
+        first = owners == 0
+        alone = solve_stacked(simplices[:1], points[first])  # owners=None: simplices[0]
+        assert alone.tobytes() == W[first].tobytes()
 
 
 class TestBarycentricVolumes:

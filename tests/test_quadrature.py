@@ -293,6 +293,17 @@ class TestIntegrateExact:
             expected = (np.ones((np1, np1)) + np.eye(np1)) / (np1 * (np1 + 1))
             assert np.abs(emp - expected).max() < 5e-3
 
+    def test_overflowing_closed_form_mean_raises_typed_error(self):
+        # the Gram matrix of diag(1e308) on vertices of size 10 overflows;
+        # the suite turns warnings into errors, so none may escape matmul
+        f = ConvexFunction(
+            "quadratic_psd",
+            {"matrix": np.eye(2) * 1e308, "slope": np.zeros(2), "offset": 0.0},
+        )
+        s = Simplex([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
+        with pytest.raises(NonFiniteValueError, match="quadratic_psd on a 2-D simplex"):
+            ground_truth(f, s, 1000, seed=1)
+
 
 def _rational_hinge_mean(t):
     """Mean of max(0, x) over nodes ``t`` (distinct), in exact arithmetic.
