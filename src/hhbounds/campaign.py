@@ -10,12 +10,12 @@ the points of all its chains.  Seeds are keyed by domain name.  ``hh
 bounds`` goes through it and :func:`replay_failure` through
 ``chain_reports``; the ground-truth policy (exact, cubature or Monte Carlo)
 and its replay recipes live in :mod:`hhbounds.quadrature`.  A campaign
-takes each trial's ground truths in the same way, one trial at a time, in
-the domains the trial built: its parent simplex and subsimplex on one
-seed, its cor2 interval and cor3 window on another.  It evaluates the
-chains of :data:`TRIAL_BLOCK` consecutive trials in one block
-(:func:`~hhbounds.chains.evaluate_block`), which gives every instance the
-bits it gets alone.
+builds :data:`TRIAL_BLOCK` consecutive trials as one block, takes each
+trial's ground truths in the same way, in the domains the trial built (its
+parent simplex and subsimplex on one seed, its cor2 interval and cor3
+window on another), and evaluates the block's chains at once
+(:func:`~hhbounds.chains.evaluate_block`); every value gets the bits it
+gets in a block of one.
 
 A campaign draws, per trial, a well-conditioned random simplex, a random
 convex function, subsimplex parameters and 1-D companion instances for the
@@ -61,14 +61,16 @@ from .chains import (
     evaluate_block,
     cor3_condition_holds,
     cor3_max_halfwidth,
+    window_vertices,
 )
 from .errors import (
     ConditionNotViolatedError,
-    DegenerateSimplexError,
     MissingBaselineError,
+    PointOutsideSimplexError,
 )
-from .funcs import KINDS, ConvexFunction, random_convex
-from .geometry import Simplex
+from .funcs import KINDS, ConvexFunction, convex_functions, random_params
+from .funcs import random_convex  # noqa: F401  (perfbench wraps it under this module)
+from .geometry import Simplex, scaled_copies, simplices, solve_stacked
 from .quadrature import (
     ground_truth_recipe,
     ground_truths,
@@ -326,97 +328,131 @@ def random_simplex(dim: int, rng: np.random.Generator) -> Simplex:
     harness rejects them.
     """
     for _ in range(_SIMPLEX_TRIES):
-        V = rng.standard_normal((dim + 1, dim))
-        try:
-            s = Simplex(V)
-        except DegenerateSimplexError:
-            continue
-        sv = np.linalg.svd(V[1:] - V[0], compute_uv=False)
-        if sv[0] / sv[-1] <= COND_LIMIT:
+        (s,) = simplices(rng.standard_normal((1, dim + 1, dim)), COND_LIMIT)
+        if isinstance(s, Simplex):
             return s
     raise RuntimeError(
         f"no well-conditioned simplex of dimension {dim} in {_SIMPLEX_TRIES} tries"
     )
 
 
-def _draw_seed(rng: np.random.Generator) -> int:
-    return int(rng.integers(0, 2**63))
-
-
-def _build_trial(cfg: CampaignConfig, index: int):
-    """Deterministically generate one trial from the master seed.
-
-    Returns ``(dim, seeds, instances, domains)``: per chain name, a list of
-    instances ``(function, simplex or None, params)``, one per subsimplex
-    vertex index for thm3 and one for every other chain; and by
-    :data:`~hhbounds.chains.DOMAINS` name, each ground-truth seed and domain
-    (the cor2 interval and cor3 window its functions were drawn on).  The
-    parent and subsimplex share a seed, as do the interval and window.
-
-    The draw order below is part of the determinism contract: simplex
-    (with retries), function seed, subsimplex scale, interior point, mixture
-    size/weights/points, cor2 interval + split + function seed, cor3
-    parameters + function seed, then three ground-truth seeds (one unused).
-    """
+def _draw_trial(cfg: CampaignConfig, index: int, retry: bool = False):
+    """The seeded draws of trial ``index``, in the order of the determinism contract:
+    simplex (with retries), function seed, subsimplex scale, interior point, mixture
+    size/weights/points, cor2 interval + split + function seed, cor3 parameters +
+    function seed, then three ground-truth seeds (one unused).  The vertices are
+    :func:`random_simplex`'s first try, or with ``retry`` the ``parent`` it accepts."""
     dim = cfg.dimensions[index % len(cfg.dimensions)]
     kind = cfg.function_kinds[index % len(cfg.function_kinds)]
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=cfg.master_seed, spawn_key=(index,))
     )
-    s = random_simplex(dim, rng)
-    f = random_convex(dim, kind, _draw_seed(rng), simplex=s)
+    parent = random_simplex(dim, rng) if retry else None
+    V = parent.vertices if retry else rng.standard_normal((dim + 1, dim))
+    specs = [(kind, *random_params(dim, kind, int(rng.integers(0, 2**63)), V))]
     t_scale = float(cfg.subsimplex_scales[int(rng.integers(len(cfg.subsimplex_scales)))])
-    point = rng.dirichlet(np.full(dim + 1, 2.0)) @ s.vertices
-
-    # Mixture points averaging to the centroid: shift random points so the
-    # beta-mixture hits the centroid, then shrink toward it until all points
-    # are strictly interior.
+    point = rng.dirichlet(np.full(dim + 1, 2.0)) @ V
     m = int(rng.integers(2, 5))
     betas = rng.dirichlet(np.full(m, 2.0))
     raw_w = rng.standard_exponential((m, dim + 1))
     raw_w /= raw_w.sum(axis=1, keepdims=True)
-    shifted = raw_w @ s.vertices
-    shifted = shifted + (s.centroid - betas @ shifted)
-    # One solve for the pin point and the shifted points; each row is its
-    # own right-hand side, so its weights are those of a solve of it alone.
-    W = s.solve_weights(np.concatenate((point[None], shifted)))
-    w_point, w_shift = W[0], W[1:]
-    sub_homothety = s.homothety_about_centroid(t_scale)
-    sub_centered = s._centered(point, w_point, t_scale)
-    base = 1.0 / (dim + 1)
-    w_min = float(w_shift.min())
-    gamma = 1.0 if w_min >= 0.0 else min(1.0, 0.9 * base / (base - w_min))
-    mix_points = s.centroid + gamma * (shifted - s.centroid)
+    shifted = raw_w @ V
 
     a = float(rng.normal(0.0, 1.0))
     b = a + 0.3 + float(rng.exponential(1.0))
     cor2 = {"a": a, "b": b, "lam": float(rng.uniform(0.0, 1.0))}
-    interval = DOMAINS["interval"](None, cor2)
-    cor2_func = random_convex(1, kind, _draw_seed(rng), simplex=interval)
+    interval = np.array([[a], [b]])
+    specs.append((kind, *random_params(1, kind, int(rng.integers(0, 2**63)), interval)))
 
     p, q = float(rng.uniform(0.2, 5.0)), float(rng.uniform(0.2, 5.0))
     a = float(rng.normal(0.0, 1.0))
     b = a + 0.3 + float(rng.exponential(1.0))
     y = float(rng.uniform(0.05, 1.0)) * cor3_max_halfwidth(p, q, a, b)
     cor3 = {"p": p, "q": q, "a": a, "b": b, "y": y}
-    window = DOMAINS["window"](None, cor3)
-    cor3_func = random_convex(1, kind, _draw_seed(rng), simplex=window)
+    window = np.array(window_vertices(cor3))
+    specs.append((kind, *random_params(1, kind, int(rng.integers(0, 2**63)), window)))
 
     first, _, second = (int(seed) for seed in rng.integers(0, 2**63, size=3))
     seeds = {"parent": first, "subsimplex": first, "interval": second, "window": second}
-    centered = {"subsimplex": sub_centered}
-    instances = {
-        "choquet": [(f, s, {})],
-        "thm2": [(f, s, {"point": point})],
-        "thm3": [(f, s, {"subsimplex": sub_homothety, "j": j}) for j in range(dim + 1)],
-        "thm4": [(f, s, centered)],
-        "thm5": [(f, s, centered)],
-        "thm6": [(f, s, {"points": mix_points, "betas": betas})],
-        "cor2": [(cor2_func, None, cor2)],
-        "cor3": [(cor3_func, None, cor3)],
-    }
-    domains = {"parent": s, "subsimplex": sub_centered, "interval": interval, "window": window}
-    return dim, seeds, instances, domains
+    return {"dim": dim, "parent": parent, "vertices": V, "scale": t_scale, "point": point,
+            "betas": betas, "shifted": shifted, "cor2": cor2, "cor3": cor3,
+            "domains_1d": (interval, window), "specs": specs, "seeds": seeds}
+
+
+def _build_block(cfg: CampaignConfig, indices) -> list:
+    """Deterministically generate the trials ``indices`` from the master seed.
+
+    Returns, per trial, ``(dim, seeds, instances, domains)``: per chain
+    name, a list of instances ``(function, simplex or None, params)``, one
+    per subsimplex vertex index for thm3 and one for every other chain; and
+    by :data:`~hhbounds.chains.DOMAINS` name, each ground-truth seed and
+    domain (the cor2 interval and cor3 window its functions were drawn on).
+    The parent and subsimplex share a seed, as do the interval and window.
+    Each trial draws alone (:func:`_draw_trial`); checks and geometry run
+    stacked per dimension, with the bits of a block of one."""
+    indices = list(indices)
+    draws = [_draw_trial(cfg, index) for index in indices]
+    by_dim: dict[int, list[int]] = {}
+    for t, drawn in enumerate(draws):
+        by_dim.setdefault(drawn["dim"], []).append(t)
+    for ts in by_dim.values():
+        for t, s in zip(ts, simplices([draws[t]["vertices"] for t in ts], COND_LIMIT)):
+            if isinstance(s, Simplex):
+                draws[t]["parent"] = s
+            else:  # drawn again, random_simplex making every try
+                draws[t] = _draw_trial(cfg, indices[t], retry=True)
+    domains_1d = simplices([v for drawn in draws for v in drawn["domains_1d"]], strict=True)
+    functions = convex_functions([spec for drawn in draws for spec in drawn["specs"]])
+    for dim, ts in by_dim.items():
+        # Mixture points averaging to the centroid: shift random points so the
+        # beta-mixture hits the centroid, then shrink toward it until all are
+        # strictly interior.  One solve weighs every pin point and shifted point.
+        parents = [draws[t]["parent"] for t in ts]
+        C = np.stack([s.centroid for s in parents])
+        for c, t in zip(C, ts):
+            shifted = draws[t]["shifted"]
+            draws[t]["shifted"] = shifted + (c - draws[t]["betas"] @ shifted)
+        rows = [np.vstack((draws[t]["point"], draws[t]["shifted"])) for t in ts]
+        sizes = [len(row) for row in rows]
+        W = solve_stacked(parents, np.concatenate(rows), np.repeat(np.arange(len(ts)), sizes))
+        base, w_min = 1.0 / (dim + 1), []
+        for c, t, w in zip(C, ts, np.split(W, np.cumsum(sizes)[:-1])):
+            w_min.append(float(w[0].min()))
+            gamma = 1.0 if w[1:].min() >= 0.0 else min(1.0, 0.9 * base / (base - w[1:].min()))
+            draws[t]["mixture"] = c + gamma * (draws[t]["shifted"] - c)
+        if not (least := min(w_min)) > 0.0:
+            raise PointOutsideSimplexError(f"center point is not interior (min weight {least:.3e})")
+        # The thm3 homothety c + t (V - c), and the subsimplex p + t' (V - c)
+        # centred at the pin point p, t' = t (n+1) min_k w_k(p) (see Simplex).
+        scales = np.array([draws[t]["scale"] for t in ts])
+        fitted = scales * ((dim + 1) * np.array(w_min))
+        P = np.stack([draws[t]["point"] for t in ts])
+        subs = scaled_copies(parents * 2, np.concatenate((C, P)), np.concatenate((scales, fitted)))
+        for k, t in enumerate(ts):
+            draws[t]["homothety"], draws[t]["centred"] = subs[k], subs[len(ts) + k]
+    trials = []
+    for t, drawn in enumerate(draws):
+        dim, s, f, cor2_func, cor3_func = drawn["dim"], drawn["parent"], *functions[3 * t:3 * t + 3]
+        centered = {"subsimplex": drawn["centred"]}
+        instances = {
+            "choquet": [(f, s, {})],
+            "thm2": [(f, s, {"point": drawn["point"]})],
+            "thm3": [(f, s, {"subsimplex": drawn["homothety"], "j": j}) for j in range(dim + 1)],
+            "thm4": [(f, s, centered)],
+            "thm5": [(f, s, centered)],
+            "thm6": [(f, s, {"points": drawn["mixture"], "betas": drawn["betas"]})],
+            "cor2": [(cor2_func, None, drawn["cor2"])],
+            "cor3": [(cor3_func, None, drawn["cor3"])],
+        }
+        domains = dict(zip(("parent", "subsimplex", "interval", "window"),
+                           (s, drawn["centred"], *domains_1d[2 * t:2 * t + 2])))
+        trials.append((dim, drawn["seeds"], instances, domains))
+    return trials
+
+
+def _build_trial(cfg: CampaignConfig, index: int):
+    """Trial ``index`` built in a block of one (see :func:`_build_block`)."""
+    return _build_block(cfg, [index])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -513,12 +549,11 @@ def _descriptor(name: str, where: dict, instance, report: ChainReport, recipe) -
 
 
 def _run_block(cfg: CampaignConfig, indices: range, aggs: dict, failures: list) -> None:
-    """Build the trials ``indices`` and take their ground truths one at a
-    time, then evaluate their chains as one block; add the rows to ``aggs``
-    and the descriptors of failed rows, in trial order, to ``failures``."""
+    """Build the trials ``indices`` as one block and take their ground truths
+    one at a time, then evaluate their chains as one block; add the rows to
+    ``aggs`` and the descriptors of failed rows, in trial order, to ``failures``."""
     trials = []
-    for index in indices:
-        dim, seeds, instances, domains = _build_trial(cfg, index)
+    for index, (dim, seeds, instances, domains) in zip(indices, _build_block(cfg, indices)):
         selected = [(name, inst) for name in cfg.theorems for inst in instances[name]]
         found = _ground_truths(selected, seeds, cfg.mc_samples, domains)
         trials.append((index, dim, selected, found))

@@ -382,10 +382,11 @@ def _cor3_params(params: dict) -> tuple[float, float, float, float, float]:
     return p, q, a, b, y
 
 
-def _window(params: dict) -> Simplex:
+def window_vertices(params: dict) -> list:
+    """cor3's window ``[[A - y], [A + y]]``, ``A = (p a + q b) / (p + q)``."""
     p, q, a, b, y = _cor3_params(params)
     centre = (p * a + q * b) / (p + q)
-    return Simplex([[centre - y], [centre + y]])
+    return [[centre - y], [centre + y]]
 
 
 def _interval(source) -> Simplex:
@@ -412,7 +413,7 @@ DOMAINS: dict[str, Domain] = {
     "parent": Domain(lambda s, p: s),
     "subsimplex": Domain(lambda s, p: p["subsimplex"]),
     "interval": Domain(lambda s, p: p if s is None else s, _interval),
-    "window": Domain(lambda s, p: p, _window),
+    "window": Domain(lambda s, p: p, lambda p: Simplex(window_vertices(p))),
 }
 
 

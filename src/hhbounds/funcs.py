@@ -42,7 +42,9 @@ from .quadrature import _row_sums
 __all__ = [
     "KINDS",
     "ConvexFunction",
+    "convex_functions",
     "random_convex",
+    "random_params",
 ]
 
 KINDS: tuple[str, ...] = (
@@ -65,17 +67,17 @@ _SCHEMAS = {
 }
 
 
-def _certify_psd(matrix: np.ndarray) -> None:
-    """Reject matrices that are not symmetric positive semidefinite.
+def _certify_psd(matrices: np.ndarray) -> None:
+    """Reject a ``(k, n, n)`` stack unless every matrix is symmetric PSD.
 
-    Certification is by attempted Cholesky factorization after a jitter of
-    1e-10 * scale, which accepts rank-deficient PSD matrices and rejects
-    anything with a meaningfully negative eigenvalue.
-    """
-    scale = max(1.0, float(np.maximum.reduce(np.abs(matrix), axis=None)))
-    if float(np.maximum.reduce(np.abs(matrix - matrix.T), axis=None)) > 1e-12 * scale:
+    Certification is by one attempted Cholesky factorization of the stack, each
+    matrix jittered by 1e-10 * its scale, which accepts rank-deficient PSD
+    matrices and rejects anything with a meaningfully negative eigenvalue."""
+    scale = np.maximum(1.0, np.abs(matrices).max(axis=(1, 2)))
+    asymmetry = np.abs(matrices - matrices.transpose(0, 2, 1)).max(axis=(1, 2))
+    if (asymmetry > 1e-12 * scale).any():
         raise ValueError("quadratic matrix must be symmetric")
-    jittered = matrix + (1e-10 * scale) * np.eye(matrix.shape[0])
+    jittered = matrices + (1e-10 * scale)[:, None, None] * np.eye(matrices.shape[1])
     try:
         np.linalg.cholesky(jittered)
     except np.linalg.LinAlgError as exc:
@@ -92,6 +94,52 @@ def _dot_rows(X: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.einsum("ij,j->i", X, a)
 
 
+def _clean_params(kind: str, params: dict) -> dict:
+    """``params`` of a ``kind`` function checked as finite read-only floats and
+    arrays of its schema's shapes; the caller certifies a quadratic matrix."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown function kind {kind!r}")
+    fields = _SCHEMAS[kind]
+    missing = [name for name in fields if name not in params]
+    if missing:
+        raise ValueError(f"{kind} params missing {missing}")
+    p: dict = {}
+    for name in fields:
+        value = params[name]
+        if name in ("matrix", "slope", "slopes", "offsets"):
+            value = np.atleast_1d(np.asarray(value, dtype=float))
+            value.setflags(write=False)
+            finite = np.isfinite(value).all()
+        elif isinstance(value, numbers.Real) and not isinstance(value, bool):
+            value = float(value)
+            finite = math.isfinite(value)
+        else:
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+        if not finite:
+            raise ValueError(f"{name} must be finite")
+        p[name] = value
+    if kind in ("affine", "exp_affine", "hinge_distance"):
+        if p["slope"].ndim != 1:
+            raise ValueError("slope must be a vector")
+    elif kind == "quadratic_psd":
+        M = p["matrix"]
+        if M.ndim != 2 or M.shape[0] != M.shape[1]:
+            raise ValueError("matrix must be square")
+        if p["slope"].shape != (M.shape[0],):
+            raise ValueError("slope length must match matrix size")
+    elif kind in ("max_of_affines", "log_sum_exp"):
+        S = p["slopes"]
+        if S.ndim == 1:
+            S = S.reshape(1, -1)
+            S.setflags(write=False)
+            p["slopes"] = S
+        if S.ndim != 2 or S.shape[0] < 1:
+            raise ValueError("need at least one affine piece")
+        if p["offsets"].shape != (S.shape[0],):
+            raise ValueError("offsets length must match number of pieces")
+    return p
+
+
 @dataclass(frozen=True, eq=False)
 class ConvexFunction:
     """A tagged, evaluable convex function on R^n."""
@@ -101,52 +149,10 @@ class ConvexFunction:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown function kind {self.kind!r}")
-        fields = _SCHEMAS[self.kind]
-        missing = [name for name in fields if name not in self.params]
-        if missing:
-            raise ValueError(f"{self.kind} params missing {missing}")
-        clean: dict = {}
-        for name in fields:
-            value = self.params[name]
-            if name in ("matrix", "slope", "slopes", "offsets"):
-                value = np.atleast_1d(np.asarray(value, dtype=float))
-                value.setflags(write=False)
-                finite = np.isfinite(value).all()
-            elif isinstance(value, numbers.Real) and not isinstance(value, bool):
-                value = float(value)
-                finite = math.isfinite(value)
-            else:
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            if not finite:
-                raise ValueError(f"{name} must be finite")
-            clean[name] = value
-        self._validate_shapes(clean)
+        clean = _clean_params(self.kind, self.params)
+        if self.kind == "quadratic_psd":
+            _certify_psd(clean["matrix"][None])
         object.__setattr__(self, "params", clean)
-
-    def _validate_shapes(self, p: dict) -> None:
-        kind = self.kind
-        if kind in ("affine", "exp_affine", "hinge_distance"):
-            if p["slope"].ndim != 1:
-                raise ValueError("slope must be a vector")
-        elif kind == "quadratic_psd":
-            M = p["matrix"]
-            if M.ndim != 2 or M.shape[0] != M.shape[1]:
-                raise ValueError("matrix must be square")
-            if p["slope"].shape != (M.shape[0],):
-                raise ValueError("slope length must match matrix size")
-            _certify_psd(M)
-        elif kind in ("max_of_affines", "log_sum_exp"):
-            S = p["slopes"]
-            if S.ndim == 1:
-                S = S.reshape(1, -1)
-                S.setflags(write=False)
-                p["slopes"] = S
-            if S.ndim != 2 or S.shape[0] < 1:
-                raise ValueError("need at least one affine piece")
-            if p["offsets"].shape != (S.shape[0],):
-                raise ValueError("offsets length must match number of pieces")
 
     @property
     def dim(self) -> int:
@@ -260,8 +266,13 @@ def random_convex(
         raise DimensionMismatchError(
             f"simplex has dimension {simplex.dimension}, expected {dim}"
         )
+    return ConvexFunction(kind, *random_params(dim, kind, seed, simplex.vertices))
+
+
+def random_params(dim: int, kind: str, seed: int, vertices: np.ndarray) -> tuple[dict, str]:
+    """Unchecked params and label that :func:`random_convex` draws on ``vertices``."""
     rng = np.random.default_rng(seed)
-    anchor = rng.dirichlet(np.full(dim + 1, 2.0)) @ simplex.vertices
+    anchor = rng.dirichlet(np.full(dim + 1, 2.0)) @ vertices
     label = f"{kind}-{seed % 10**8:08d}"
 
     if kind == "affine":
@@ -294,4 +305,19 @@ def random_convex(
     else:  # hinge_distance
         slope = _unit_vector(rng, dim)
         params = {"slope": slope, "threshold": float(slope @ anchor)}
-    return ConvexFunction(kind=kind, params=params, label=label)
+    return params, label
+
+
+def convex_functions(specs) -> list[ConvexFunction]:
+    """``ConvexFunction(kind, params, label)`` of each triple in ``specs``, with
+    one stacked PSD certificate per matrix size for their quadratic matrices."""
+    made, matrices = [], {}
+    for kind, params, label in specs:
+        f = object.__new__(ConvexFunction)  # frozen: set the fields past __setattr__
+        f.__dict__.update(kind=kind, params=_clean_params(kind, params), label=label)
+        made.append(f)
+        if kind == "quadratic_psd":
+            matrices.setdefault(f.dim, []).append(f.params["matrix"])
+    for stack in matrices.values():
+        _certify_psd(np.stack(stack))
+    return made

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .tolerances import DEGENERACY_RTOL, TOL_GEOM
 
-__all__ = ["Simplex", "as_point", "solve_stacked", "standard_simplex"]
+__all__ = ["Simplex", "as_point", "scaled_copies", "simplices", "solve_stacked", "standard_simplex"]
 
 
 def _abs_det(edges: np.ndarray) -> float:
@@ -45,13 +45,6 @@ def _abs_det(edges: np.ndarray) -> float:
     if edges.shape == (1, 1):
         return abs(float(edges[0, 0]))
     return abs(float(np.linalg.det(edges)))
-
-
-def _binary_exponent(V: np.ndarray) -> int:
-    """``e`` with ``max|V| * 2**-e`` in [0.5, 1): ``np.ldexp(V, -e)`` scales
-    ``V`` exactly, so differences of the scaled rows cannot overflow and
-    have the bits of the unscaled ones wherever those do not."""
-    return math.frexp(np.abs(V).max())[1]
 
 
 #: Where the binary exponent ``e`` of the vertices lies beyond plus or minus
@@ -92,8 +85,9 @@ def solve_stacked(simplices, points, owners=None) -> np.ndarray:
     any other rows: a single multi-column solve rounds a column differently
     depending on its neighbours.  A row whose simplex's binary exponent lies
     beyond :data:`_SOLVE_EXPONENT_LIMIT` is solved on that simplex's vertex
-    rows and the point scaled by it.  A singular system raises
-    :class:`SingularSystemError`.
+    rows and the point scaled by it; a point that this overflows lies so far
+    outside that it raises :class:`PointOutsideSimplexError`.  A singular
+    system raises :class:`SingularSystemError`.
     """
     P = np.asarray(points, dtype=float)
     owners = np.zeros(len(P), dtype=int) if owners is None else owners
@@ -101,7 +95,10 @@ def solve_stacked(simplices, points, owners=None) -> np.ndarray:
     e = np.array([s._exponent for s in simplices])[owners]
     shift = np.where(np.abs(e) > _SOLVE_EXPONENT_LIMIT, -e, 0)
     if shift.any():
-        V, P = np.ldexp(V, shift[:, None, None]), np.ldexp(P, shift[:, None])
+        with np.errstate(over="ignore"):
+            V, P = np.ldexp(V, shift[:, None, None]), np.ldexp(P, shift[:, None])
+        if not np.isfinite(P).all():
+            raise PointOutsideSimplexError("a point lies so far outside that its weights overflow")
     n = V.shape[2]
     system = np.ones((len(V), n + 1, n + 1))
     system[:, :n] = V.transpose(0, 2, 1)
@@ -112,44 +109,81 @@ def solve_stacked(simplices, points, owners=None) -> np.ndarray:
         raise SingularSystemError(f"barycentric system: {exc}") from exc
 
 
+def simplices(vertices, cond_limit: float = math.inf, strict: bool = False) -> list:
+    """Validate a ``(k, n+1, n)`` stack of vertex arrays, member by member.
+
+    Member ``i`` comes back as ``Simplex(vertices[i])``, bit for bit, or as
+    the error that call raises, returned (raised if ``strict``); with a
+    finite ``cond_limit``, also as DegenerateSimplexError where the condition
+    number of its edge matrix exceeds it.  ``Simplex(V)`` is a stack of one.
+    """
+    V = np.array(vertices, dtype=float)
+    if V.ndim != 3 or V.shape[2] < 1 or V.shape[1] != V.shape[2] + 1:
+        raise DimensionMismatchError(f"need (k, n+1, n) stacked vertices, got shape {V.shape}")
+    _, m, n = V.shape
+    U, finite = V, True
+    if not np.isfinite(V).all():  # such a member is zeroed here and fails below
+        finite = np.isfinite(V).all(axis=(1, 2))
+        U = np.where(finite[:, None, None], V, 0.0)
+    # max|V| * 2**-e lies in [0.5, 1): np.ldexp scales exactly, so edges and centroid sums
+    # cannot overflow and keep the unscaled bits elsewhere.  Shape test: |det| / prod(edge
+    # lengths) on unit edge rows, scale-free (hypot takes each length without squaring).
+    e = np.frexp(np.abs(U).max(axis=(1, 2), keepdims=True))[1]
+    U = np.ldexp(U, -e)
+    edges = U[:, 1:] - U[:, :1]
+    lengths = np.hypot.reduce(edges, axis=2)
+    if not lengths.all():  # a zero edge stays zero, so its member's shape is 0
+        lengths = np.where(lengths > 0.0, lengths, 1.0)
+    unit = edges / lengths[:, :, None]
+    shape = np.abs(unit[:, 0, 0] if n == 1 else np.linalg.det(unit))  # see _abs_det
+    centroids = np.ldexp(np.add.reduce(U, axis=1) / m, e[:, 0])
+    bad = shape <= DEGENERACY_RTOL
+    if cond_limit < math.inf:  # a failed member's edges become eye(n), of condition 1
+        sv = np.linalg.svd(np.where(bad[:, None, None], np.eye(n), edges), compute_uv=False)
+        cond = sv[:, 0] / sv[:, -1]
+        bad |= cond > cond_limit
+    V.setflags(write=False)
+    centroids.setflags(write=False)
+    members: list = []
+    for i, (failed, exponent) in enumerate(zip(bad.tolist(), e.ravel().tolist())):
+        if not failed:
+            s = Simplex.__new__(Simplex)
+            s._vertices, s._centroid, s._exponent = V[i], centroids[i], exponent
+        elif not np.all(finite) and not finite[i]:
+            s = ValueError("vertex coordinates must be finite")
+        elif shape[i] > DEGENERACY_RTOL:
+            s = DegenerateSimplexError(
+                f"edge condition number {cond[i]:.3e} exceeds {cond_limit:.3e}")
+        else:
+            detail = ("repeated vertex" if not np.hypot.reduce(edges[i], axis=1).all()
+                      else f"|det| of unit edges={shape[i]:.3e}")
+            s = DegenerateSimplexError(f"vertices are affinely dependent ({detail})")
+        if strict and failed:
+            raise s
+        members.append(s)
+    return members
+
+
+def scaled_copies(parents, anchors, scales) -> list:
+    """The simplices ``anchors[i] + scales[i] * (V_i - c_i)`` of ``parents[i]``
+    (vertices ``V_i``, centroid ``c_i``) as one strict stack (see :func:`simplices`)."""
+    C = np.stack([s.centroid for s in parents])[:, None]
+    D = np.stack([s.vertices for s in parents]) - C
+    Q, T = np.asarray(anchors)[:, None], np.asarray(scales)[:, None, None]
+    return simplices(Q + T * D, strict=True)
+
+
 class Simplex:
     """Nondegenerate n-simplex given by n+1 vertices in R^n."""
 
     __slots__ = ("_vertices", "_centroid", "_exponent")
 
     def __init__(self, vertices) -> None:
-        V = np.array(vertices, dtype=float)
-        if V.ndim != 2:
-            raise DimensionMismatchError("vertices must be an (n+1, n) array")
-        m, n = V.shape
-        if n < 1 or m != n + 1:
-            raise DimensionMismatchError(
-                f"need n+1 vertices of dimension n, got {m} vertices in {n}-space"
-            )
-        if not np.isfinite(V).all():
-            raise ValueError("vertex coordinates must be finite")
-        # Shape test on unit edge rows: |det| / prod(edge lengths) at any
-        # scale, with no power of the scale to overflow or underflow (hypot
-        # takes each length without squaring an entry).  The edges, and the
-        # centroid's sum, are taken on the vertices scaled by a power of two,
-        # so they cannot overflow.
-        e = _binary_exponent(V)
-        U = np.ldexp(V, -e)
-        edges = U[1:] - U[0]
-        lengths = np.hypot.reduce(edges, axis=1)
-        if not lengths.all():
-            raise DegenerateSimplexError("vertices are affinely dependent (repeated vertex)")
-        shape = _abs_det(edges / lengths[:, None])
-        if not shape > DEGENERACY_RTOL:
-            raise DegenerateSimplexError(
-                f"vertices are affinely dependent (|det| of unit edges={shape:.3e})"
-            )
-        V.setflags(write=False)
-        centroid = np.ldexp(np.add.reduce(U, axis=0) / m, e)
-        centroid.setflags(write=False)
-        self._vertices = V
-        self._centroid = centroid
-        self._exponent = e
+        V = np.asarray(vertices, dtype=float)
+        if V.ndim != 2 or V.shape[1] < 1 or V.shape[0] != V.shape[1] + 1:
+            raise DimensionMismatchError(f"need n+1 vertices in R^n, got shape {V.shape}")
+        (s,) = simplices(V[None], strict=True)
+        self._vertices, self._centroid, self._exponent = s._vertices, s._centroid, s._exponent
 
     # -- basic data ---------------------------------------------------------
 
@@ -231,8 +265,11 @@ class Simplex:
         return ratios / ratios.sum()
 
     def contains(self, x) -> bool:
-        """True when all barycentric weights of ``x`` are >= -TOL_GEOM."""
-        raw = self.solve_weights(as_point(x, self.dimension))
+        """True when all barycentric weights of ``x`` are >= -TOL_GEOM (not when they overflow)."""
+        try:
+            raw = self.solve_weights(as_point(x, self.dimension))
+        except PointOutsideSimplexError:
+            return False
         return bool(raw.min() >= -TOL_GEOM)
 
     # -- derived simplices ----------------------------------------------------
@@ -265,8 +302,7 @@ class Simplex:
         """
         if not 0.0 < t <= 1.0:
             raise ValueError(f"scale must lie in (0, 1], got {t!r}")
-        c = self.centroid
-        return Simplex(c + t * (self._vertices - c))
+        return scaled_copies([self], [self.centroid], [t])[0]
 
     def centered_subsimplex(self, p, fraction: float) -> "Simplex":
         """Subsimplex with centroid ``p``: vertices ``p + t*(V_k - centroid)``.
@@ -281,17 +317,13 @@ class Simplex:
         if not 0.0 < fraction <= 1.0:
             raise ValueError(f"fraction must lie in (0, 1], got {fraction!r}")
         p = as_point(p, self.dimension)
-        return self._centered(p, self.solve_weights(p), fraction)
-
-    def _centered(self, p: np.ndarray, weights: np.ndarray, fraction: float) -> "Simplex":
-        """:meth:`centered_subsimplex` from the weights of ``p``, solved by the caller."""
-        w_min = float(weights.min())
+        w_min = float(self.solve_weights(p).min())
         if not w_min > 0.0:
             raise PointOutsideSimplexError(
                 f"center point is not interior (min weight {w_min:.3e})"
             )
         t = fraction * ((self.dimension + 1) * w_min)
-        return Simplex(p + t * (self._vertices - self.centroid))
+        return scaled_copies([self], [p], [t])[0]
 
     # -- serialization ---------------------------------------------------------
 

@@ -435,6 +435,14 @@ def _max_of_affines_mean_1d(f, s: Simplex) -> float:
     return float((np.diff(x) * (y[:-1] + y[1:])).sum() / (2.0 * (hi - lo)))
 
 
+@functools.lru_cache(maxsize=32)
+def _second_moments(np1: int) -> np.ndarray:
+    """Read-only ``E[w w^T]`` of uniform weights on ``np1`` vertices."""
+    moments = (np.ones((np1, np1)) + np.eye(np1)) / (np1 * (np1 + 1))
+    moments.setflags(write=False)
+    return moments
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a mean that overflows is checked below
 def integrate_exact(f, s: Simplex) -> IntegralEstimate:
     """Exact mean of ``f`` over ``s`` where :func:`has_exact_mean` allows.
@@ -458,10 +466,8 @@ def integrate_exact(f, s: Simplex) -> IntegralEstimate:
     if kind == "affine":
         mean = float(p["slope"] @ centroid + p["offset"])
     elif kind == "quadratic_psd":
-        V = s.vertices
-        np1 = s.dimension + 1
+        V, moments = s.vertices, _second_moments(s.dimension + 1)
         gram = V @ p["matrix"] @ V.T
-        moments = (np.ones((np1, np1)) + np.eye(np1)) / (np1 * (np1 + 1))
         mean = float((moments * gram).sum() + p["slope"] @ centroid + p["offset"])
     elif kind == "hinge_distance":
         mean = _hinge_mean(s.vertices @ p["slope"] - p["threshold"])

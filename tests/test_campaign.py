@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hhbounds import (
     CHAIN_NAMES,
@@ -27,9 +29,10 @@ from hhbounds import (
     tightness_ratio,
     tightness_table,
 )
-from hhbounds import chains, geometry, quadrature
-from hhbounds.campaign import TRIAL_BLOCK, run_instances
+from hhbounds import campaign, chains, geometry, quadrature
+from hhbounds.campaign import TRIAL_BLOCK, _build_block, run_instances
 from hhbounds.chains import CHAINS
+from hhbounds.funcs import KINDS
 from hhbounds.serialize import dumps
 
 SMALL = CampaignConfig(
@@ -310,8 +313,8 @@ class TestRunCampaign:
 
     @staticmethod
     def count_solves(monkeypatch) -> list:
-        """Record every stacked weight solve: the ones ``Simplex.solve_weights``
-        makes and the chain layer's."""
+        """Record every stacked weight solve: the trial builder's, the ones
+        ``Simplex.solve_weights`` makes and the chain layer's."""
         calls = []
         solve = geometry.solve_stacked
 
@@ -319,44 +322,45 @@ class TestRunCampaign:
             calls.append(len(points))
             return solve(simplices, points, owners)
 
-        monkeypatch.setattr(geometry, "solve_stacked", counting)
-        monkeypatch.setattr(chains, "solve_stacked", counting)
+        for module in (geometry, chains, campaign):
+            monkeypatch.setattr(module, "solve_stacked", counting)
         return calls
 
-    def test_one_solve_per_trial_and_one_per_block_dimension(self, monkeypatch):
-        # Per trial: one solve in _build_trial of the centred subsimplex's
-        # pin point and the thm6 mixture shift together.  Per dimension of a
-        # block: one stacked solve of every weight its chains read: thm2's
-        # points, the vertices and centroid of each subsimplex, and thm6's
-        # points.  The 16 trials are one block, two trials in each of dims 1-8.
+    def test_two_solves_per_block_dimension(self, monkeypatch):
+        # Per dimension of a block: one solve while building its trials, of
+        # every centred subsimplex's pin point and thm6 mixture shift, and one
+        # stacked solve of every weight its chains read: thm2's points, the
+        # vertices and centroid of each subsimplex, and thm6's points.  The 16
+        # trials are one block, two trials in each of dims 1-8.
         calls = self.count_solves(monkeypatch)
         cfg = CampaignConfig(
             trials_per_theorem=16, mc_samples=2, function_kinds=quadrature.EXACT_KINDS
         )
         run_campaign(cfg)
-        assert len(calls) == 16 + 8
+        assert len(calls) == 8 + 8
 
     def test_trial_budget_and_shared_domains(self, monkeypatch):
         # A closed-form trial builds 5 simplices (the parent, the thm3
         # homothety, the centred subsimplex, the cor2 interval and the cor3
-        # window) and makes 1 solve, and its block 1 more per dimension; the
-        # 1-D domains whose ground truths it takes are the very objects its
-        # cor2 and cor3 functions were drawn on.
-        from hhbounds import campaign
-
-        counts = {"simplices": 0}
-        seeded, integrated = [], []
-        init = Simplex.__init__
-        draw, truths = campaign.random_convex, campaign.ground_truths
+        # window), all of them in stacks: per dimension of a block one stack of
+        # parents and one of subsimplices, and one stack of the block's 1-D
+        # domains, with no Simplex built alone.  A block makes 2 solves per
+        # dimension, and the 1-D domains whose ground truths it takes are the
+        # very objects of that stack.
+        counts = {"alone": 0, "stacks": 0, "members": 0}
+        built_1d, integrated = [], []
+        init, stacked, truths = Simplex.__init__, campaign.simplices, campaign.ground_truths
 
         def counting_init(self, vertices):
-            counts["simplices"] += 1
+            counts["alone"] += 1
             init(self, vertices)
 
-        def recording_draw(dim, kind, seed, simplex=None):
-            if dim == 1:
-                seeded.append(simplex)
-            return draw(dim, kind, seed, simplex=simplex)
+        def recording_stack(vertices, *args, **kwargs):
+            members = stacked(vertices, *args, **kwargs)
+            counts["stacks"] += 1
+            counts["members"] += len(members)
+            built_1d.extend(s for s in members if s.dimension == 1)
+            return members
 
         def recording_truths(pairs, *args):
             pairs = list(pairs)
@@ -365,7 +369,8 @@ class TestRunCampaign:
 
         monkeypatch.setattr(Simplex, "__init__", counting_init)
         solves = self.count_solves(monkeypatch)
-        monkeypatch.setattr(campaign, "random_convex", recording_draw)
+        monkeypatch.setattr(campaign, "simplices", recording_stack)
+        monkeypatch.setattr(geometry, "simplices", recording_stack)  # scaled_copies's
         monkeypatch.setattr(campaign, "ground_truths", recording_truths)
         trials = 24
         cfg = CampaignConfig(
@@ -376,10 +381,11 @@ class TestRunCampaign:
             function_kinds=quadrature.EXACT_KINDS,
         )
         run_campaign(cfg)
-        assert counts == {"simplices": 5 * trials}
-        assert len(solves) == trials + len(cfg.dimensions)
-        assert len(seeded) == len(integrated) == 2 * trials
-        assert all(a is b for a, b in zip(seeded, integrated))
+        dims = len(cfg.dimensions)
+        assert counts == {"alone": 0, "stacks": 2 * dims + 1, "members": 5 * trials}
+        assert len(solves) == 2 * dims
+        assert len(built_1d) == len(integrated) == 2 * trials
+        assert all(a is b for a, b in zip(built_1d, integrated))
 
     def test_three_function_calls_per_trial(self, monkeypatch):
         # the trial's function, its cor2 function and its cor3 function, each
@@ -565,6 +571,64 @@ class TestReplay:
         rep = replay_failure(witness)
         assert list(rep.slacks) == witness["slacks"]
         assert rep.condition_holds is False
+
+
+def _trial_bytes(value):
+    """Every array, simplex, function, label and seed of a built trial, as
+    nested lists of bytes and reprs, for a bitwise comparison."""
+    if isinstance(value, Simplex):
+        return ["simplex", value.vertices.tobytes(), value.centroid.tobytes(), value._exponent]
+    if isinstance(value, np.ndarray):
+        return ["array", value.dtype.str, value.shape, value.tobytes()]
+    if isinstance(value, ConvexFunction):
+        return ["function", value.kind, value.label, _trial_bytes(value.params)]
+    if isinstance(value, dict):
+        return [(key, _trial_bytes(item)) for key, item in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [_trial_bytes(item) for item in value]
+    return repr(value)
+
+
+class TestBlockBuilding:
+    """A trial built in a block has the bits it gets in a block of one."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        dimensions=st.lists(st.integers(1, 8), min_size=1, max_size=4, unique=True),
+        kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=3, unique=True),
+        trials=st.integers(1, 24),
+        block=st.integers(1, 24),
+        master_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_trial_as_in_a_block_of_one(self, dimensions, kinds, trials, block, master_seed):
+        cfg = CampaignConfig(dimensions=tuple(dimensions), trials_per_theorem=trials,
+                             master_seed=master_seed, function_kinds=tuple(kinds))
+        for first in range(0, trials, block):
+            indices = range(first, min(first + block, trials))
+            for index, built in zip(indices, _build_block(cfg, indices)):
+                assert _trial_bytes(built) == _trial_bytes(_build_block(cfg, [index])[0])
+
+    def test_retried_parents_keep_their_draws(self, monkeypatch):
+        # At COND_LIMIT = 5 most parents in dims 2-4 fail their first try, so
+        # those trials are drawn again through random_simplex.  The digest was
+        # recorded when every trial was built alone, with random_simplex
+        # making each try, so a retry consumes the draws it did then.
+        retried = []
+        draw = campaign.random_simplex
+
+        def recording(dim, rng):
+            retried.append(dim)
+            return draw(dim, rng)
+
+        monkeypatch.setattr(campaign, "COND_LIMIT", 5.0)
+        monkeypatch.setattr(campaign, "random_simplex", recording)
+        cfg = CampaignConfig(dimensions=(1, 2, 3, 4), trials_per_theorem=16, mc_samples=2,
+                             master_seed=99, function_kinds=quadrature.EXACT_KINDS)
+        text = run_campaign(cfg).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "94026c2ec65910867d591026cc00fadf85b120f0de7e69bb511d5b46a527f42c"
+        )
+        assert retried == [3, 3, 3, 3, 4, 4, 4]
 
 
 class TestPinnedReplay:

@@ -14,6 +14,7 @@ from hhbounds import (
     random_simplex,
     standard_simplex,
 )
+from hhbounds.funcs import convex_functions, random_params
 
 
 def midpoint_convexity_check(f, s: Simplex, trials: int, seed: int) -> bool:
@@ -163,6 +164,34 @@ class TestConstruction:
                 "quadratic_psd",
                 {"matrix": [[1.0, 0.5], [0.0, 1.0]], "slope": [0.0, 0.0], "offset": 0.0},
             )
+
+    def test_stacked_functions_match_their_single_construction(self):
+        rng = np.random.default_rng(41)
+        specs = []
+        for kind in KINDS * 2:
+            dim = int(rng.integers(1, 6))
+            V = random_simplex(dim, rng).vertices
+            specs.append((kind, *random_params(dim, kind, int(rng.integers(2**31)), V)))
+        for (kind, params, label), f in zip(specs, convex_functions(specs)):
+            alone = ConvexFunction(kind, params, label)
+            assert (f.kind, f.label) == (kind, label)
+            assert f.params.keys() == alone.params.keys()
+            for name, value in f.params.items():
+                assert np.asarray(value).tobytes() == np.asarray(alone.params[name]).tobytes()
+                assert not isinstance(value, np.ndarray) or not value.flags.writeable
+
+    @pytest.mark.parametrize("matrix, message", [
+        ([[1.0, 0.0], [0.0, -1.0]], "positive semidefinite"),
+        ([[1.0, 0.5], [0.0, 1.0]], "symmetric"),
+    ])
+    def test_stacked_certificate_rejects_one_bad_matrix(self, matrix, message):
+        good = {"matrix": np.eye(2), "slope": [0.0, 0.0], "offset": 0.0}
+        bad = {"matrix": matrix, "slope": [0.0, 0.0], "offset": 0.0}
+        specs = [("quadratic_psd", good, "a"), ("affine", {"slope": [1.0], "offset": 0.0}, "b"),
+                 ("quadratic_psd", bad, "c"), ("quadratic_psd", good, "d")]
+        convex_functions([specs[0], specs[1], specs[3]])
+        with pytest.raises(ValueError, match=message):
+            convex_functions(specs)
 
     def test_empty_pieces_rejected(self):
         with pytest.raises(ValueError):

@@ -18,6 +18,7 @@ from hhbounds import (
     random_simplex,
     standard_simplex,
 )
+from hhbounds import geometry
 from hhbounds.geometry import solve_stacked
 
 
@@ -185,7 +186,8 @@ class TestConstructorBits:
             # the weights of p from a stacked solve give the same subsimplex
             others = rng.dirichlet(np.ones(dim + 1), size=3) @ s.vertices
             W = s.solve_weights(np.concatenate((p[None], others)))
-            assert s._centered(p, W[0], fraction).vertices.tobytes() == expected.tobytes()
+            t = fraction * ((dim + 1) * float(W[0].min()))
+            assert Simplex(p + t * (s.vertices - s.centroid)).vertices.tobytes() == expected.tobytes()
 
 
 class TestBarycentricSolve:
@@ -255,6 +257,94 @@ class TestStackedSolve:
         first = owners == 0
         alone = solve_stacked(simplices[:1], points[first])  # owners=None: simplices[0]
         assert alone.tobytes() == W[first].tobytes()
+
+
+class TestFarPoints:
+    """A point whose scaled coordinates overflow raises a typed error."""
+
+    TINY = Simplex(standard_simplex(2).vertices * 2.0**-950)
+
+    def test_solve_weights_raises_point_outside(self):
+        with pytest.raises(PointOutsideSimplexError, match="overflow"):
+            self.TINY.solve_weights([1e300, 0.0])
+
+    def test_contains_answers_false(self):
+        assert not self.TINY.contains([1e300, 0.0])
+        assert self.TINY.contains(self.TINY.centroid)
+
+    def test_in_range_points_keep_their_weights(self):
+        W = self.TINY.solve_weights(self.TINY.vertices)
+        assert_allclose(W, np.eye(3), atol=1e-15)
+
+
+def _member(kind: str, dim: int, scale: float, rng) -> np.ndarray:
+    """Vertices of one stack member: a random simplex, or one with an
+    affinely dependent, a repeated or a non-finite vertex, times ``scale``."""
+    V = rng.standard_normal((dim + 1, dim))
+    if kind == "degenerate" and dim > 1:
+        V[-1] = 0.25 * V[0] + 0.75 * V[1]
+    elif kind in ("repeated", "degenerate"):
+        V[-1] = V[0]
+    V = V * scale
+    if kind == "nonfinite":
+        V[rng.integers(dim + 1), rng.integers(dim)] = rng.choice([np.inf, -np.inf, np.nan])
+    return V
+
+
+class TestStackedValidator:
+    """``geometry.simplices`` judges each member of a stack on its own."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(1, 8),
+        members=st.lists(
+            st.tuples(st.sampled_from(["good", "good", "degenerate", "repeated", "nonfinite"]),
+                      st.sampled_from([1e-300, 1e-150, 1e-10, 1.0, 1e10, 1e150, 1e300])),
+            min_size=1, max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_each_member_as_alone(self, dim, members, seed):
+        rng = np.random.default_rng(seed)
+        V = np.stack([_member(kind, dim, scale, rng) for kind, scale in members])
+        expected = {"good": Simplex, "degenerate": DegenerateSimplexError,
+                    "repeated": DegenerateSimplexError, "nonfinite": ValueError}
+        for (kind, _), vertices, member in zip(members, V, geometry.simplices(V)):
+            assert isinstance(member, expected[kind])
+            if kind == "good":
+                alone = Simplex(vertices)
+                assert member.vertices.tobytes() == alone.vertices.tobytes()
+                assert member.centroid.tobytes() == alone.centroid.tobytes()
+                assert member._exponent == alone._exponent
+                assert not member.vertices.flags.writeable
+                assert not member.centroid.flags.writeable
+                x = alone.centroid
+                assert member.solve_weights(x).tobytes() == alone.solve_weights(x).tobytes()
+            else:
+                with pytest.raises(type(member)) as alone:
+                    Simplex(vertices)
+                assert str(alone.value) == str(member)
+                if kind == "repeated":
+                    assert "repeated vertex" in str(member)
+
+    def test_condition_limit_flags_its_members_only(self):
+        rng = np.random.default_rng(12)
+        V = rng.standard_normal((6, 4, 3))
+        V[[1, 4], :, 2] *= 1e-7  # flat in one direction: condition number near 1e7
+        members = geometry.simplices(V, cond_limit=1e6)
+        for k, (vertices, member) in enumerate(zip(V, members)):
+            E = vertices[1:] - vertices[0]
+            if k in (1, 4):
+                assert isinstance(member, DegenerateSimplexError)
+                assert "condition number" in str(member)
+                assert isinstance(Simplex(vertices), Simplex)  # no limit alone
+            else:
+                assert np.linalg.cond(E) <= 1e6
+                assert member.vertices.tobytes() == Simplex(vertices).vertices.tobytes()
+
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 3, 3), (2, 2, 0), (0,)])
+    def test_bad_stack_shape_rejected(self, shape):
+        with pytest.raises(DimensionMismatchError):
+            geometry.simplices(np.zeros(shape))
 
 
 class TestBarycentricVolumes:

@@ -204,6 +204,15 @@ class TestBlockedMC:
 
 
 class TestIntegrateExact:
+    def test_second_moments_cached_read_only(self):
+        from hhbounds.quadrature import _second_moments
+
+        for np1 in range(2, 10):
+            moments = _second_moments(np1)
+            assert moments is _second_moments(np1) and not moments.flags.writeable
+            expected = (np.ones((np1, np1)) + np.eye(np1)) / (np1 * (np1 + 1))
+            assert moments.tobytes() == expected.tobytes()
+
     def test_affine_mean_is_centroid_value(self):
         rng = np.random.default_rng(9)
         for dim in (1, 3, 5):
