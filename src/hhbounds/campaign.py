@@ -15,7 +15,9 @@ trial's ground truths in the same way, in the domains the trial built (its
 parent simplex and subsimplex on one seed, its cor2 interval and cor3
 window on another), and evaluates the block's chains at once
 (:func:`~hhbounds.chains.evaluate_block`); every value gets the bits it
-gets in a block of one.
+gets in a block of one.  The block's Monte Carlo streams, one per (trial,
+seed), run on :data:`MC_WORKERS` threads, and a stream's arrays do not
+outlive it.
 
 A campaign draws, per trial, a well-conditioned random simplex, a random
 convex function, subsimplex parameters and 1-D companion instances for the
@@ -46,6 +48,8 @@ byte-identical file.
 from __future__ import annotations
 
 import numbers
+import os
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -71,9 +75,10 @@ from .errors import (
 from .funcs import KINDS, ConvexFunction, convex_functions, random_params
 from .funcs import random_convex  # noqa: F401  (perfbench wraps it under this module)
 from .geometry import Simplex, scaled_copies, simplices, solve_stacked
+from . import quadrature
 from .quadrature import (
+    deterministic_mean,
     ground_truth_recipe,
-    ground_truths,
     integrate_exact,
     replay_ground_truth,
 )
@@ -107,9 +112,23 @@ _DEFAULT_SCALES = (0.2, 0.4, 0.6, 0.8, 1.0)
 TRIAL_BLOCK = 128
 
 
-def _ground_truths(instances, seeds: dict[str, int], mc_samples: int, domains: dict):
-    """``(estimate, seed)`` of each instance's ground-truth domain, in order
-    (``(None, None)`` for thm6); see :func:`run_instances`."""
+#: Threads that run a block's Monte Carlo streams, the calling thread among
+#: them: the CPUs this process may run on.  It changes no result, since each
+#: stream draws from its own generator; each thread beyond the first holds
+#: one more stream's arrays, about 2 MiB at 10^5 samples.
+MC_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count() or 1)
+
+
+def _plan_ground_truths(instances, seeds: dict[str, int], domains: dict, streams: list) -> list:
+    """The serial half of :func:`_ground_truths` for one instance set.
+
+    Checks that each domain has one function and one domain input, builds
+    the domains, takes the exact and cubature means in place and appends the
+    Monte Carlo pairs of each seed to ``streams`` as ``(pairs, seed, slots)``.
+    Returns each instance's slot, ``[estimate, seed]`` (None for thm6); the
+    slots of a stream's pairs are filled once it has run.
+    """
     sources: dict[str, tuple] = {}  # domain name -> (function, domain input)
     for name, (func, simplex, params) in instances:
         if (domain := CHAINS[name].domain) is not None:
@@ -119,20 +138,78 @@ def _ground_truths(instances, seeds: dict[str, int], mc_samples: int, domains: d
                 raise ValueError(
                     f"instances on the {domain} domain must share one function and one {domain}"
                 )
-    pairs: dict[int, dict[tuple, tuple]] = {}  # seed -> object ids -> (function, domain)
+    groups: dict[int, dict[tuple, tuple]] = {}  # seed -> object ids -> (function, domain)
     keys: dict[str, tuple] = {}  # domain name -> (seed, object ids)
     for domain, (func, source) in sources.items():
         built = domains[domain] if domain in domains else DOMAINS[domain].build(source)
         keys[domain] = seeds[domain], (id(func), id(built))
-        pairs.setdefault(seeds[domain], {}).setdefault(keys[domain][1], (func, built))
-    estimates: dict[tuple, tuple] = {}
-    for seed, seed_pairs in pairs.items():
-        for ids, est in zip(seed_pairs, ground_truths(seed_pairs.values(), mc_samples, seed)):
-            estimates[seed, ids] = est, seed
+        groups.setdefault(seeds[domain], {}).setdefault(keys[domain][1], (func, built))
+    slots: dict[tuple, list] = {}
+    for seed, pairs in groups.items():
+        for ids, (func, domain) in pairs.items():
+            slots[seed, ids] = [deterministic_mean(func, domain), seed]
+        if mc := [ids for ids in pairs if slots[seed, ids][0] is None]:
+            streams.append(([pairs[ids] for ids in mc], seed, [slots[seed, ids] for ids in mc]))
     return [
-        (None, None) if (domain := CHAINS[name].domain) is None else estimates[keys[domain]]
+        None if (domain := CHAINS[name].domain) is None else slots[keys[domain]]
         for name, _ in instances
     ]
+
+
+def _run_streams(streams, mc_samples: int) -> list:
+    """``integrate_mc_shared(pairs, mc_samples, seed)`` of each ``(pairs,
+    seed, ...)`` stream, in order.
+
+    The streams run on up to :data:`MC_WORKERS` threads, the calling thread
+    among them, each taking the next stream not yet taken; numpy releases
+    the GIL in the draws, matmuls and ufunc loops.  Fewer than two streams
+    start no thread.  After every stream has run, the error of the first
+    stream that raised is raised, as a serial run would raise it.
+    """
+    results: list = [None] * len(streams)
+    errors: dict[int, Exception] = {}
+    order = iter(range(len(streams)))  # next() hands out each index once
+
+    def work() -> None:
+        for i in order:
+            pairs, seed, *_ = streams[i]
+            try:
+                results[i] = quadrature.integrate_mc_shared(pairs, mc_samples, seed)
+            except Exception as exc:  # raised below, in stream order
+                errors[i] = exc
+
+    helpers = [threading.Thread(target=work) for _ in range(min(MC_WORKERS, len(streams)) - 1)]
+    for thread in helpers:
+        thread.start()
+    work()
+    for thread in helpers:
+        thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
+def _ground_truths(sets, mc_samples: int) -> list[list[tuple]]:
+    """``(estimate, seed)`` of each instance's ground-truth domain, in order
+    (``(None, None)`` for thm6), for each ``(instances, seeds, domains)``
+    set; see :func:`run_instances`.
+
+    A serial plan (:func:`_plan_ground_truths`) takes every set's exact and
+    cubature means, then the Monte Carlo streams of all sets, one per (set,
+    seed), run together (:func:`_run_streams`).  Any error is the one a run
+    set by set, seed by seed, raises first: one raised while planning a set
+    is raised only after the streams planned before it ran without error.
+    """
+    streams: list[tuple] = []
+    try:
+        planned = [_plan_ground_truths(*source, streams) for source in sets]
+    except Exception:
+        _run_streams(streams, mc_samples)
+        raise
+    for (_, _, slots), estimates in zip(streams, _run_streams(streams, mc_samples)):
+        for slot, estimate in zip(slots, estimates):
+            slot[0] = estimate
+    return [[(None, None) if slot is None else tuple(slot) for slot in plan] for plan in planned]
 
 
 def run_instances(instances, seeds: dict[str, int], mc_samples: int, domains: dict):
@@ -145,17 +222,18 @@ def run_instances(instances, seeds: dict[str, int], mc_samples: int, domains: di
     ground truth; a later instance that differs raises ValueError naming
     the domain.  ``seeds`` and ``domains`` are keyed by domain name; a
     domain the caller did not build is built through ``DOMAINS``.  Before
-    any chain runs, the domains of one seed are integrated together by
-    :func:`~hhbounds.quadrature.ground_truths`, so their Monte Carlo
-    estimates share one weight stream; domains that are the very same
-    (function, simplex) objects share one estimate.  Then
+    any chain runs, the domains of one seed are integrated together by the
+    policy of :func:`~hhbounds.quadrature.ground_truths` (see
+    :func:`_ground_truths`), so their Monte Carlo estimates share one
+    weight stream; domains that are the very same (function, simplex)
+    objects share one estimate.  Then
     :func:`~hhbounds.chains.chain_reports` calls each function once on the
     points of all its instances.  Yields ``(name, instance, report,
     recipe)``; ``recipe`` replays the ground truth, and is None for a chain
     without one.
     """
     instances = list(instances)
-    found = _ground_truths(instances, seeds, mc_samples, domains)
+    found = _ground_truths([(instances, seeds, domains)], mc_samples)[0]
     reports = chain_reports(instances, [gt for gt, _ in found])
     for (name, instance), report, found_gt in zip(instances, reports, found):
         yield name, instance, report, _recipe(*found_gt)
@@ -549,27 +627,24 @@ def _descriptor(name: str, where: dict, instance, report: ChainReport, recipe) -
 
 
 def _run_block(cfg: CampaignConfig, indices: range, aggs: dict, failures: list) -> None:
-    """Build the trials ``indices`` as one block and take their ground truths
-    one at a time, then evaluate their chains as one block; add the rows to
+    """Build the trials ``indices`` as one block, take their ground truths
+    together and evaluate their chains as one block; add the rows to
     ``aggs`` and the descriptors of failed rows, in trial order, to ``failures``."""
-    trials = []
-    for index, (dim, seeds, instances, domains) in zip(indices, _build_block(cfg, indices)):
-        selected = [(name, inst) for name in cfg.theorems for inst in instances[name]]
-        found = _ground_truths(selected, seeds, cfg.mc_samples, domains)
-        trials.append((index, dim, selected, found))
-    block = evaluate_block(
-        [selected for _, _, selected, _ in trials],
-        [[gt for gt, _ in found] for _, _, _, found in trials],
-    )
+    built = _build_block(cfg, indices)
+    selected = [[(name, inst) for name in cfg.theorems for inst in instances[name]]
+                for _, _, instances, _ in built]
+    found = _ground_truths([(sel, seeds, domains) for sel, (_, seeds, _, domains)
+                            in zip(selected, built)], cfg.mc_samples)
+    block = evaluate_block(selected, [[gt for gt, _ in trial] for trial in found])
     failing = []
     for name, rows in block.items():
         aggs[name].record(rows)
         failing += [(rows.sets[r], rows.positions[r], rows, r)
                     for r in np.flatnonzero(~rows.passed)]
     for t, i, rows, r in sorted(failing, key=lambda row: row[:2]):
-        index, dim, selected, found = trials[t]
-        where, recipe = {"trial": index, "dimension": dim}, _recipe(*found[i])
-        failures.append(_descriptor(rows.name, where, selected[i][1], rows.report(r), recipe))
+        where = {"trial": indices[t], "dimension": built[t][0]}
+        failures.append(_descriptor(rows.name, where, selected[t][i][1], rows.report(r),
+                                    _recipe(*found[t][i])))
 
 
 def run_campaign(cfg: CampaignConfig) -> CampaignResult:

@@ -44,7 +44,8 @@ class CentroidConstraintViolatedError(HHBoundsError):
 
 class NonFiniteValueError(HHBoundsError, ValueError):
     """A function's values on a domain are not finite (they overflow the
-    float range), so its mean there cannot be estimated."""
+    float range), so its mean there cannot be estimated; or a point's
+    coordinates are not finite, so it has no barycentric weights."""
 
 
 class UnsupportedKindError(HHBoundsError):

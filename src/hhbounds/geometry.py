@@ -27,6 +27,7 @@ import numpy as np
 from .errors import (
     DegenerateSimplexError,
     DimensionMismatchError,
+    NonFiniteValueError,
     PointOutsideSimplexError,
     SingularSystemError,
 )
@@ -85,9 +86,11 @@ def solve_stacked(simplices, points, owners=None) -> np.ndarray:
     any other rows: a single multi-column solve rounds a column differently
     depending on its neighbours.  A row whose simplex's binary exponent lies
     beyond :data:`_SOLVE_EXPONENT_LIMIT` is solved on that simplex's vertex
-    rows and the point scaled by it; a point that this overflows lies so far
-    outside that it raises :class:`PointOutsideSimplexError`.  A singular
-    system raises :class:`SingularSystemError`.
+    rows and the point scaled by it.  A point whose weights overflow, scaled
+    or not, lies so far outside that it raises
+    :class:`PointOutsideSimplexError`; a point that is not finite raises
+    :class:`NonFiniteValueError`.  A singular system raises
+    :class:`SingularSystemError`.
     """
     P = np.asarray(points, dtype=float)
     owners = np.zeros(len(P), dtype=int) if owners is None else owners
@@ -95,18 +98,21 @@ def solve_stacked(simplices, points, owners=None) -> np.ndarray:
     e = np.array([s._exponent for s in simplices])[owners]
     shift = np.where(np.abs(e) > _SOLVE_EXPONENT_LIMIT, -e, 0)
     if shift.any():
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):  # a scaled point that overflows is caught below
             V, P = np.ldexp(V, shift[:, None, None]), np.ldexp(P, shift[:, None])
-        if not np.isfinite(P).all():
-            raise PointOutsideSimplexError("a point lies so far outside that its weights overflow")
     n = V.shape[2]
     system = np.ones((len(V), n + 1, n + 1))
     system[:, :n] = V.transpose(0, 2, 1)
     rhs = np.concatenate((P, np.ones((len(P), 1))), axis=1)[:, :, None]
     try:
-        return np.linalg.solve(system, rhs)[..., 0]
+        W = np.linalg.solve(system, rhs)[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"barycentric system: {exc}") from exc
+    if not np.isfinite(W).all():  # a non-finite point has non-finite weights
+        if not np.isfinite(np.asarray(points, dtype=float)).all():
+            raise NonFiniteValueError("point coordinates must be finite")
+        raise PointOutsideSimplexError("a point lies so far outside that its weights overflow")
+    return W
 
 
 def simplices(vertices, cond_limit: float = math.inf, strict: bool = False) -> list:

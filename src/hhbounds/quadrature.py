@@ -59,7 +59,10 @@ simplex, so :func:`integrate_mc_shared` integrates several ``(function,
 simplex)`` pairs of one dimension on one weight stream, drawn in blocks of
 :data:`MC_BLOCK_ROWS` rows.  Each pair's values are those it gets alone
 (:func:`integrate_mc` is the one-pair case), and every value is bit-identical
-to drawing, normalising and evaluating all rows at once.
+to drawing, normalising and evaluating all rows at once.  A call keeps one
+value array per pair, and no other array outlives its block; it shares no
+state with another call, so campaigns run the calls of a block of trials
+on concurrent threads (:func:`hhbounds.campaign._run_streams`).
 
 :func:`ground_truths` is the one policy choosing between the routes
 (:func:`ground_truth` is its one-pair case): exact where
@@ -100,6 +103,7 @@ __all__ = [
     "EXACT_KINDS",
     "IntegralEstimate",
     "MC_BLOCK_ROWS",
+    "deterministic_mean",
     "ground_truth",
     "ground_truth_recipe",
     "ground_truths",
@@ -156,9 +160,11 @@ CUBATURE_MAX_SPREAD = 3.0
 CUBATURE_MAX_ARGUMENT = 100.0
 
 #: Weight rows per block of :func:`integrate_mc_shared`; the value changes
-#: no result.  On 48-trial default-mix campaign rounds (2-core Xeon, one
-#: BLAS thread) 8192 was faster than 4096 and 32768.
-MC_BLOCK_ROWS = 8192
+#: no result.  On the Monte Carlo streams of a 48-trial default-mix block
+#: (2-core Xeon, one BLAS thread) 8192 rows took 2-7 % less CPU time than
+#: 4096, but campaigns run two streams at once there, and 4096 keeps a
+#: stream's peak at 2.2 MiB (2.8 MiB at 8192) at 10^5 samples.
+MC_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -263,6 +269,19 @@ def _block_stops(count: int) -> list[int]:
     return [*range(MC_BLOCK_ROWS, count - 1, MC_BLOCK_ROWS), count]
 
 
+def _mean_and_error(v: np.ndarray) -> tuple[float, float]:
+    """Mean and ``std(ddof=1) / sqrt(n)`` of ``v``, overwriting ``v``.
+
+    numpy's ``std`` sums the squared deviations from the mean in a new
+    array; squaring them in place takes the same steps, bit for bit,
+    without that temporary.
+    """
+    mean = v.mean()
+    v -= mean
+    v *= v
+    return float(mean), float(np.sqrt(v.sum() / (len(v) - 1)) / np.sqrt(len(v)))
+
+
 def integrate_mc_shared(pairs, count: int, seed: int) -> list[IntegralEstimate]:
     """Monte Carlo means of ``(f, simplex)`` pairs of one dimension on one stream.
 
@@ -292,14 +311,13 @@ def integrate_mc_shared(pairs, count: int, seed: int) -> list[IntegralEstimate]:
     width = dims.pop() + 1
     values = [np.empty(count) for _ in pairs]
     start = 0
-    root = np.sqrt(count)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         for stop in _block_stops(count):
             weights = _uniform_weights(rng, stop - start, width)
             for (f, s), out in zip(pairs, values):
                 out[start:stop] = f(weights @ s.vertices)
             start = stop
-        stats = [(float(v.mean()), float(v.std(ddof=1) / root)) for v in values]
+        stats = [_mean_and_error(v) for v in values]
     for (f, s), (mean, error) in zip(pairs, stats):
         if not (math.isfinite(mean) and math.isfinite(error)):
             raise NonFiniteValueError(
@@ -499,8 +517,10 @@ def _cubature_admissible(f, s: Simplex) -> bool:
     return spread <= CUBATURE_MAX_SPREAD and np.abs(Z).max() <= CUBATURE_MAX_ARGUMENT
 
 
-def _deterministic_mean(f, s: Simplex) -> IntegralEstimate | None:
-    """The exact or accepted cubature mean of ``f`` over ``s``, else None."""
+def deterministic_mean(f, s: Simplex) -> IntegralEstimate | None:
+    """The policy's exact or accepted cubature mean of ``f`` over ``s``, or
+    None where it takes Monte Carlo (:func:`ground_truths` is this, then
+    :func:`integrate_mc_shared`)."""
     if has_exact_mean(f, s):
         return integrate_exact(f, s)
     if _cubature_admissible(f, s):
@@ -521,7 +541,7 @@ def ground_truths(pairs, mc_samples: int = 100_000, seed: int = 0) -> list[Integ
     (:func:`integrate_mc_shared`).
     """
     pairs = list(pairs)
-    estimates = [_deterministic_mean(f, s) for f, s in pairs]
+    estimates = [deterministic_mean(f, s) for f, s in pairs]
     mc = [i for i, est in enumerate(estimates) if est is None]
     if mc:
         shared = integrate_mc_shared([pairs[i] for i in mc], mc_samples, seed)

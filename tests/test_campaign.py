@@ -2,6 +2,9 @@ import collections
 import dataclasses
 import hashlib
 import json
+import sys
+import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from hhbounds import (
     ConditionNotViolatedError,
     ConvexFunction,
     MissingBaselineError,
+    NonFiniteValueError,
     Simplex,
     default_config,
     integrate_exact,
@@ -41,6 +45,40 @@ SMALL = CampaignConfig(
     mc_samples=4000,
     master_seed=777,
 )
+
+
+#: The pinned sha256 of ``run_campaign(cfg).to_json()`` for the default mix
+#: at 48 trials and 2000 Monte Carlo samples, at 48 trials and 2 samples, and
+#: at 300 trials (three blocks) and 2 samples.
+PINNED = {
+    "default_48": (
+        CampaignConfig(trials_per_theorem=48, mc_samples=2000),
+        "0ca0a52025911b06ec052fd27f170b4e88610e77648c214d126219c12f313ffd",
+    ),
+    "two_sample_48": (
+        CampaignConfig(trials_per_theorem=48, mc_samples=2),
+        "e72b5248f04ea4193ea2411792ff7a809cc0a250ee41177e451499e97aaff38e",
+    ),
+    "two_sample_300": (
+        CampaignConfig(trials_per_theorem=300, mc_samples=2),
+        "7703eab15133f260f605074b02f9e4c127e36f6dfa1a5f277881d29487400964",
+    ),
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _assert_failures_replay(text: str) -> list:
+    """Replay every failure descriptor of a result, bit for bit; return them."""
+    failures = json.loads(text)["failures"]
+    for descriptor in failures:
+        report = replay_failure(descriptor)
+        assert list(report.slacks) == descriptor["slacks"]
+        assert report.verdict == descriptor["verdict"]
+        assert report.tolerance_used == descriptor["tolerance"]
+    return failures
 
 
 @pytest.fixture(scope="module")
@@ -197,11 +235,8 @@ class TestRunCampaign:
         # Regression gate for kernel and refactoring work: the default mix
         # (all kinds and chains, dims 1-8) must keep producing these exact
         # result bytes.  A change here has to be stated and explained.
-        cfg = CampaignConfig(trials_per_theorem=48, mc_samples=2000)
-        digest = hashlib.sha256(run_campaign(cfg).to_json().encode()).hexdigest()
-        assert digest == (
-            "0ca0a52025911b06ec052fd27f170b4e88610e77648c214d126219c12f313ffd"
-        )
+        cfg, digest = PINNED["default_48"]
+        assert _sha256(run_campaign(cfg).to_json()) == digest
 
     def test_polynomial_and_smooth_kinds_result_pinned(self):
         # The default mix without max_of_affines and hinge_distance: the
@@ -282,14 +317,15 @@ class TestRunCampaign:
         # two 1-D parents are exact.  Of the 32 domains of the 8 log_sum_exp
         # trials, 25 lie within the cubature limits (dimension, argument
         # spread and magnitude) and its estimate is accepted on all 25; the
-        # other 7 go to Monte Carlo.
-        counts = {"streams": 0, "mc": 0, "exact": 0, "cubature": 0, "accepted": 0}
+        # other 7 go to Monte Carlo.  The streams run on concurrent threads,
+        # so they are recorded by appending, which no other thread interrupts.
+        counts = {"exact": 0, "cubature": 0, "accepted": 0}
+        streams = []
         shared, exact = quadrature.integrate_mc_shared, quadrature.integrate_exact
         cubature = quadrature.integrate_cubature
 
         def counting_shared(pairs, *args):
-            counts["streams"] += 1
-            counts["mc"] += len(pairs)
+            streams.append(len(pairs))
             return shared(pairs, *args)
 
         def counting_exact(*args):
@@ -306,6 +342,7 @@ class TestRunCampaign:
         monkeypatch.setattr(quadrature, "integrate_exact", counting_exact)
         monkeypatch.setattr(quadrature, "integrate_cubature", counting_cubature)
         run_campaign(CampaignConfig(trials_per_theorem=48))
+        counts.update(streams=len(streams), mc=sum(streams))
         assert counts == {
             "streams": 29, "mc": 51, "exact": 116, "cubature": 25, "accepted": 25
         }
@@ -349,7 +386,7 @@ class TestRunCampaign:
         # very objects of that stack.
         counts = {"alone": 0, "stacks": 0, "members": 0}
         built_1d, integrated = [], []
-        init, stacked, truths = Simplex.__init__, campaign.simplices, campaign.ground_truths
+        init, stacked, mean = Simplex.__init__, campaign.simplices, campaign.deterministic_mean
 
         def counting_init(self, vertices):
             counts["alone"] += 1
@@ -362,16 +399,16 @@ class TestRunCampaign:
             built_1d.extend(s for s in members if s.dimension == 1)
             return members
 
-        def recording_truths(pairs, *args):
-            pairs = list(pairs)
-            integrated.extend(d for _, d in pairs if d.dimension == 1)
-            return truths(pairs, *args)
+        def recording_mean(f, domain):
+            if domain.dimension == 1:
+                integrated.append(domain)
+            return mean(f, domain)
 
         monkeypatch.setattr(Simplex, "__init__", counting_init)
         solves = self.count_solves(monkeypatch)
         monkeypatch.setattr(campaign, "simplices", recording_stack)
         monkeypatch.setattr(geometry, "simplices", recording_stack)  # scaled_copies's
-        monkeypatch.setattr(campaign, "ground_truths", recording_truths)
+        monkeypatch.setattr(campaign, "deterministic_mean", recording_mean)
         trials = 24
         cfg = CampaignConfig(
             dimensions=(2, 3, 4, 5, 6, 7, 8),
@@ -637,39 +674,26 @@ class TestPinnedReplay:
     def test_two_sample_campaign_pinned_and_replayed(self):
         # mc_samples=2 makes the Monte Carlo tolerance noisy enough that the
         # default mix fails on several chains, so the failure path is covered.
-        result = run_campaign(CampaignConfig(trials_per_theorem=48, mc_samples=2))
-        text = result.to_json()
-        assert hashlib.sha256(text.encode()).hexdigest() == (
-            "e72b5248f04ea4193ea2411792ff7a809cc0a250ee41177e451499e97aaff38e"
-        )
-        failures = json.loads(text)["failures"]
+        cfg, digest = PINNED["two_sample_48"]
+        text = run_campaign(cfg).to_json()
+        assert _sha256(text) == digest
+        failures = _assert_failures_replay(text)
         assert len(failures) == 21
         assert {d["chain"] for d in failures} == {"choquet", "thm2", "thm3", "thm4", "cor2"}
-        for descriptor in failures:
-            report = replay_failure(descriptor)
-            assert list(report.slacks) == descriptor["slacks"]
-            assert report.verdict == descriptor["verdict"]
-            assert report.tolerance_used == descriptor["tolerance"]
 
     def test_campaign_across_blocks_pinned_and_replayed(self):
         # 300 trials span three blocks of chain evaluation (128, 128, 44).
         # The digest was recorded when every trial was evaluated on its own,
         # and every failure descriptor, in trial order, replays bit for bit.
-        result = run_campaign(CampaignConfig(trials_per_theorem=300, mc_samples=2))
+        cfg, digest = PINNED["two_sample_300"]
+        result = run_campaign(cfg)
         assert result.trials > 2 * TRIAL_BLOCK
         text = result.to_json()
-        assert hashlib.sha256(text.encode()).hexdigest() == (
-            "7703eab15133f260f605074b02f9e4c127e36f6dfa1a5f277881d29487400964"
-        )
-        failures = json.loads(text)["failures"]
+        assert _sha256(text) == digest
+        failures = _assert_failures_replay(text)
         assert len(failures) == 71
         trials = [d["trial"] for d in failures]
         assert trials == sorted(trials) and trials[-1] >= 2 * TRIAL_BLOCK
-        for descriptor in failures:
-            report = replay_failure(descriptor)
-            assert list(report.slacks) == descriptor["slacks"]
-            assert report.verdict == descriptor["verdict"]
-            assert report.tolerance_used == descriptor["tolerance"]
 
     def test_closed_form_campaign_across_blocks_pinned(self):
         cfg = CampaignConfig(trials_per_theorem=300, function_kinds=quadrature.EXACT_KINDS)
@@ -722,6 +746,105 @@ class TestPinnedReplay:
         assert report.verdict == "pass"
         assert list(report.slacks) == [0.11666666666666661, 0.15000000000000008]
         assert report.tolerance_used == 1e-08
+
+
+class TestMonteCarloThreads:
+    """A block's Monte Carlo streams run on ``campaign.MC_WORKERS`` threads;
+    no result byte and no error depends on how many."""
+
+    @staticmethod
+    def count_threads(monkeypatch) -> list:
+        """Record each helper thread the campaign starts."""
+        started = []
+
+        def recording(**kwargs):
+            started.append(threading.Thread(**kwargs))
+            return started[-1]
+
+        monkeypatch.setattr(campaign, "threading", SimpleNamespace(Thread=recording))
+        return started
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_pinned_bytes_at_every_thread_count(self, workers, monkeypatch):
+        monkeypatch.setattr(campaign, "MC_WORKERS", workers)
+        started = self.count_threads(monkeypatch)
+        for cfg, digest in PINNED.values():
+            text = run_campaign(cfg).to_json()
+            assert _sha256(text) == digest
+            _assert_failures_replay(text)
+        assert (len(started) > 0) == (workers > 1)
+
+    def test_more_threads_than_cpus_switching_often(self, monkeypatch):
+        # Each stream runs exactly once and its estimates land at its own
+        # index, with 8 threads on 64 short streams and the interpreter
+        # switching threads as often as it can.
+        f = ConvexFunction("exp_affine", {"slope": [1.0, -2.0], "offset": 0.5})
+        pairs = [(f, standard_simplex(2)), (f, standard_simplex(2).homothety_about_centroid(0.5))]
+        streams = [(pairs, seed) for seed in range(64)]
+        want = [quadrature.integrate_mc_shared(pairs, 500, seed) for seed in range(64)]
+        ran, shared = [], quadrature.integrate_mc_shared
+
+        def recording(pairs, count, seed):
+            ran.append(seed)
+            return shared(pairs, count, seed)
+
+        monkeypatch.setattr(quadrature, "integrate_mc_shared", recording)
+        monkeypatch.setattr(campaign, "MC_WORKERS", 8)
+        interval, threads = sys.getswitchinterval(), threading.active_count()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = campaign._run_streams(streams, 500)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+        assert sorted(ran) == list(range(64))
+        assert threading.active_count() == threads  # every helper was joined
+
+    @staticmethod
+    def _set(kind: str, params: dict, vertices):
+        f = ConvexFunction(kind, params)
+        return [("choquet", (f, Simplex(vertices), {}))], {"parent": 3}, {}
+
+    def _monte_carlo_overflow(self, dim: int):
+        """exp(800 x), whose Monte Carlo values overflow on the unit simplex."""
+        params = {"slope": [800.0] + [0.0] * (dim - 1), "offset": 0.0}
+        return self._set("exp_affine", params, standard_simplex(dim).vertices)
+
+    def _closed_form_overflow(self):
+        params = {"matrix": np.diag([1e308, 1e308]), "slope": [0.0, 0.0], "offset": 0.0}
+        return self._set("quadratic_psd", params, [[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
+
+    @staticmethod
+    def _raised(sets) -> str:
+        with pytest.raises(NonFiniteValueError) as raised:
+            campaign._ground_truths(sets, 20_000)
+        return str(raised.value)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_first_error_in_trial_order(self, workers, monkeypatch):
+        # The later sets' streams are the cheaper ones, so a helper thread
+        # can meet their overflow first; the block still raises the first
+        # set's error, as a serial run does, also where a later set's
+        # closed-form mean overflows while it is planned.
+        first, second = self._monte_carlo_overflow(3), self._monte_carlo_overflow(1)
+        closed_form = self._closed_form_overflow()
+        serial = self._raised([first])
+        assert "3-D simplex has no finite Monte Carlo mean" in serial
+        monkeypatch.setattr(campaign, "MC_WORKERS", workers)
+        assert self._raised([first, second]) == serial
+        assert self._raised([first, second, closed_form]) == serial
+        assert self._raised([first, closed_form, second]) == serial
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_planning_error_after_the_streams_before_it(self, workers, monkeypatch):
+        # a set whose closed-form mean overflows raises its error once the
+        # streams planned before it have run without one
+        monkeypatch.setattr(campaign, "MC_WORKERS", workers)
+        finite = self._set("exp_affine", {"slope": [1.0, 2.0], "offset": 0.0},
+                           standard_simplex(2).vertices)
+        sets = [finite, finite, self._closed_form_overflow(), self._monte_carlo_overflow(1)]
+        message = self._raised(sets)
+        assert message.startswith("quadratic_psd on a 2-D simplex has no finite closed-form mean")
 
 
 class TestTightness:

@@ -661,6 +661,39 @@ class TestNoScipy:
         assert proc.stderr.strip().splitlines()[-1] == repr((0, [], []))
 
 
+class TestNoThreads:
+    # What the child prints: whether ``import hhbounds`` loaded
+    # concurrent.futures, and the threads one ``hh bounds`` call started, on
+    # the parent simplex only, so with one Monte Carlo stream.
+    CHILD = (
+        "import sys\n"
+        "import hhbounds\n"
+        "after_import = 'concurrent.futures' in sys.modules\n"
+        "import threading\n"
+        "started = []\n"
+        "start = threading.Thread.start\n"
+        "threading.Thread.start = lambda self: (started.append(self), start(self))[1]\n"
+        "from hhbounds.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(repr((code, after_import, len(started))), file=sys.stderr)\n"
+    )
+
+    def test_import_and_one_stream_start_no_thread(self, tmp_path, triangle_file):
+        func = str(tmp_path / "exp.json")
+        write_json(func, random_convex(2, "exp_affine", 3).to_json_dict())
+        src = os.path.dirname(os.path.dirname(os.path.abspath(hhbounds.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        argv = ["bounds", triangle_file, func, "--mc-samples", "20000"]
+        argv += [arg for name in ("choquet", "thm2", "thm3") for arg in ("--theorem", name)]
+        proc = subprocess.run(
+            [sys.executable, "-c", self.CHILD, *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert len(proc.stdout.splitlines()) == 3
+        assert proc.stderr.strip().splitlines()[-1] == repr((0, False, 0))
+
+
 class TestSample:
     def test_points_inside_and_deterministic(self, capsys, triangle_file):
         code, out1, _ = run_cli(

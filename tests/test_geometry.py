@@ -12,6 +12,7 @@ from hhbounds import (
     TOL_GEOM,
     DegenerateSimplexError,
     DimensionMismatchError,
+    NonFiniteValueError,
     PointOutsideSimplexError,
     Simplex,
     SingularSystemError,
@@ -260,7 +261,8 @@ class TestStackedSolve:
 
 
 class TestFarPoints:
-    """A point whose scaled coordinates overflow raises a typed error."""
+    """A point that is not finite, or whose weights overflow (scaled or not),
+    raises a typed error."""
 
     TINY = Simplex(standard_simplex(2).vertices * 2.0**-950)
 
@@ -275,6 +277,23 @@ class TestFarPoints:
     def test_in_range_points_keep_their_weights(self):
         W = self.TINY.solve_weights(self.TINY.vertices)
         assert_allclose(W, np.eye(3), atol=1e-15)
+
+    def test_overflowing_weights_raise_point_outside(self):
+        # in range for the solve, but the weights overflow
+        unit = standard_simplex(2)
+        with pytest.raises(PointOutsideSimplexError, match="overflow"):
+            unit.solve_weights([1e308, 1e308])
+        with pytest.raises(PointOutsideSimplexError, match="overflow"):
+            solve_stacked([unit, self.TINY], [[0.2, 0.3], [1e308, 1e308]], np.array([1, 0]))
+        assert not unit.contains([1e308, 1e308])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_point_raises_typed_error(self, bad):
+        for simplex in (standard_simplex(2), self.TINY):
+            with pytest.raises(NonFiniteValueError, match="finite"):
+                simplex.solve_weights([bad, 0.0])
+            with pytest.raises(NonFiniteValueError, match="finite"):
+                simplex.solve_weights([[0.1, 0.1], [0.0, bad]])
 
 
 def _member(kind: str, dim: int, scale: float, rng) -> np.ndarray:

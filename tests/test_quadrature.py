@@ -26,6 +26,7 @@ from hhbounds import (
 from hhbounds.quadrature import (
     MC_BLOCK_ROWS,
     _hinge_mean,
+    _mean_and_error,
     _row_sums,
     ground_truth_recipe,
     ground_truths,
@@ -201,6 +202,17 @@ class TestBlockedMC:
         with pytest.raises(ValueError):
             integrate_mc_shared([(SQ_1D, UNIT_INTERVAL)], 1, 0)
         assert integrate_mc_shared([], 100, 0) == []
+
+    def test_in_place_error_has_the_bits_of_std(self):
+        # the squared deviations overwrite the values, with the steps of
+        # numpy's std: 550 arrays of 2 to 10^5 values at assorted scales
+        rng = np.random.default_rng(550)
+        sizes = [*range(2, 52), *np.unique(np.geomspace(52, 100_000, 502).astype(int))]
+        draws = (rng.standard_normal, rng.standard_exponential, rng.random)
+        for k, n in enumerate(sizes):
+            v = draws[k % 3](n) * 10.0 ** rng.integers(-8, 9) + rng.choice([0.0, 1.0, 1e6])
+            want = (float(v.mean()), float(v.std(ddof=1) / np.sqrt(n)))
+            assert _mean_and_error(v.copy()) == want, n
 
 
 class TestIntegrateExact:
