@@ -61,6 +61,7 @@ from .errors import (
     SingularSystemError,
     SubsimplexEscapesParentError,
     UnsupportedKindError,
+    WorkerError,
 )
 from .funcs import KINDS, ConvexFunction, random_convex
 from .geometry import Simplex, as_point, standard_simplex
@@ -128,4 +129,5 @@ __all__ = [
     "SingularSystemError",
     "SubsimplexEscapesParentError",
     "UnsupportedKindError",
+    "WorkerError",
 ]

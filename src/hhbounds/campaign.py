@@ -10,14 +10,13 @@ the points of all its chains.  Seeds are keyed by domain name.  ``hh
 bounds`` goes through it and :func:`replay_failure` through
 ``chain_reports``; the ground-truth policy (exact, cubature or Monte Carlo)
 and its replay recipes live in :mod:`hhbounds.quadrature`.  A campaign
-builds :data:`TRIAL_BLOCK` consecutive trials as one block, takes each
-trial's ground truths in the same way, in the domains the trial built (its
-parent simplex and subsimplex on one seed, its cor2 interval and cor3
+builds up to :data:`TRIAL_BLOCK` consecutive trials as one block, takes
+each trial's ground truths in the same way, in the domains the trial built
+(its parent simplex and subsimplex on one seed, its cor2 interval and cor3
 window on another), and evaluates the block's chains at once
 (:func:`~hhbounds.chains.evaluate_block`); every value gets the bits it
-gets in a block of one.  The block's Monte Carlo streams, one per (trial,
-seed), run on :data:`MC_WORKERS` threads, and a stream's arrays do not
-outlive it.
+gets in a block of one.  The blocks run on :data:`WORKERS` processes, this
+one and forked children, and are recorded in block order.
 
 A campaign draws, per trial, a well-conditioned random simplex, a random
 convex function, subsimplex parameters and 1-D companion instances for the
@@ -49,6 +48,7 @@ from __future__ import annotations
 
 import numbers
 import os
+import pickle
 import threading
 import time
 from dataclasses import dataclass, field
@@ -60,7 +60,6 @@ from .chains import (
     CHAINS,
     DOMAINS,
     ChainReport,
-    ChainRows,
     chain_reports,
     evaluate_block,
     cor3_condition_holds,
@@ -71,14 +70,14 @@ from .errors import (
     ConditionNotViolatedError,
     MissingBaselineError,
     PointOutsideSimplexError,
+    WorkerError,
 )
 from .funcs import KINDS, ConvexFunction, convex_functions, random_params
 from .funcs import random_convex  # noqa: F401  (perfbench wraps it under this module)
 from .geometry import Simplex, scaled_copies, simplices, solve_stacked
-from . import quadrature
 from .quadrature import (
-    deterministic_mean,
     ground_truth_recipe,
+    ground_truths,
     integrate_exact,
     replay_ground_truth,
 )
@@ -107,28 +106,21 @@ _DEFAULT_SCALES = (0.2, 0.4, 0.6, 0.8, 1.0)
 # ---------------------------------------------------------------------------
 
 
-#: Consecutive trials whose chains are evaluated in one block; it changes
-#: no result, since an instance's bits do not depend on its block.
+#: Most trials per block (see :func:`run_campaign`); it changes no result,
+#: since an instance's bits do not depend on its block.
 TRIAL_BLOCK = 128
 
 
-#: Threads that run a block's Monte Carlo streams, the calling thread among
-#: them: the CPUs this process may run on.  It changes no result, since each
-#: stream draws from its own generator; each thread beyond the first holds
-#: one more stream's arrays, about 2 MiB at 10^5 samples.
-MC_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-              else os.cpu_count() or 1)
+#: Processes that run a campaign's blocks, this one among them: the CPUs it
+#: may run on.  It changes no result, since every trial draws from its own
+#: seeds and the blocks are recorded in order.
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
 
 
-def _plan_ground_truths(instances, seeds: dict[str, int], domains: dict, streams: list) -> list:
-    """The serial half of :func:`_ground_truths` for one instance set.
-
-    Checks that each domain has one function and one domain input, builds
-    the domains, takes the exact and cubature means in place and appends the
-    Monte Carlo pairs of each seed to ``streams`` as ``(pairs, seed, slots)``.
-    Returns each instance's slot, ``[estimate, seed]`` (None for thm6); the
-    slots of a stream's pairs are filled once it has run.
-    """
+def _ground_truths(instances, seeds: dict[str, int], mc_samples: int, domains: dict):
+    """``(estimate, seed)`` of each instance's ground-truth domain, in order
+    (``(None, None)`` for thm6); see :func:`run_instances`."""
     sources: dict[str, tuple] = {}  # domain name -> (function, domain input)
     for name, (func, simplex, params) in instances:
         if (domain := CHAINS[name].domain) is not None:
@@ -138,78 +130,20 @@ def _plan_ground_truths(instances, seeds: dict[str, int], domains: dict, streams
                 raise ValueError(
                     f"instances on the {domain} domain must share one function and one {domain}"
                 )
-    groups: dict[int, dict[tuple, tuple]] = {}  # seed -> object ids -> (function, domain)
+    pairs: dict[int, dict[tuple, tuple]] = {}  # seed -> object ids -> (function, domain)
     keys: dict[str, tuple] = {}  # domain name -> (seed, object ids)
     for domain, (func, source) in sources.items():
         built = domains[domain] if domain in domains else DOMAINS[domain].build(source)
         keys[domain] = seeds[domain], (id(func), id(built))
-        groups.setdefault(seeds[domain], {}).setdefault(keys[domain][1], (func, built))
-    slots: dict[tuple, list] = {}
-    for seed, pairs in groups.items():
-        for ids, (func, domain) in pairs.items():
-            slots[seed, ids] = [deterministic_mean(func, domain), seed]
-        if mc := [ids for ids in pairs if slots[seed, ids][0] is None]:
-            streams.append(([pairs[ids] for ids in mc], seed, [slots[seed, ids] for ids in mc]))
+        pairs.setdefault(seeds[domain], {}).setdefault(keys[domain][1], (func, built))
+    estimates: dict[tuple, tuple] = {}
+    for seed, seed_pairs in pairs.items():
+        for ids, est in zip(seed_pairs, ground_truths(seed_pairs.values(), mc_samples, seed)):
+            estimates[seed, ids] = est, seed
     return [
-        None if (domain := CHAINS[name].domain) is None else slots[keys[domain]]
+        (None, None) if (domain := CHAINS[name].domain) is None else estimates[keys[domain]]
         for name, _ in instances
     ]
-
-
-def _run_streams(streams, mc_samples: int) -> list:
-    """``integrate_mc_shared(pairs, mc_samples, seed)`` of each ``(pairs,
-    seed, ...)`` stream, in order.
-
-    The streams run on up to :data:`MC_WORKERS` threads, the calling thread
-    among them, each taking the next stream not yet taken; numpy releases
-    the GIL in the draws, matmuls and ufunc loops.  Fewer than two streams
-    start no thread.  After every stream has run, the error of the first
-    stream that raised is raised, as a serial run would raise it.
-    """
-    results: list = [None] * len(streams)
-    errors: dict[int, Exception] = {}
-    order = iter(range(len(streams)))  # next() hands out each index once
-
-    def work() -> None:
-        for i in order:
-            pairs, seed, *_ = streams[i]
-            try:
-                results[i] = quadrature.integrate_mc_shared(pairs, mc_samples, seed)
-            except Exception as exc:  # raised below, in stream order
-                errors[i] = exc
-
-    helpers = [threading.Thread(target=work) for _ in range(min(MC_WORKERS, len(streams)) - 1)]
-    for thread in helpers:
-        thread.start()
-    work()
-    for thread in helpers:
-        thread.join()
-    if errors:
-        raise errors[min(errors)]
-    return results
-
-
-def _ground_truths(sets, mc_samples: int) -> list[list[tuple]]:
-    """``(estimate, seed)`` of each instance's ground-truth domain, in order
-    (``(None, None)`` for thm6), for each ``(instances, seeds, domains)``
-    set; see :func:`run_instances`.
-
-    A serial plan (:func:`_plan_ground_truths`) takes every set's exact and
-    cubature means, then the Monte Carlo streams of all sets, one per (set,
-    seed), run together (:func:`_run_streams`).  Any error is the one a run
-    set by set, seed by seed, raises first: one raised while planning a set
-    is raised only after the streams planned before it ran without error.
-    """
-    streams: list[tuple] = []
-    try:
-        planned = [_plan_ground_truths(*source, streams) for source in sets]
-    except Exception:
-        _run_streams(streams, mc_samples)
-        raise
-    for (_, _, slots), estimates in zip(streams, _run_streams(streams, mc_samples)):
-        for slot, estimate in zip(slots, estimates):
-            slot[0] = estimate
-    return [[(None, None) if slot is None else tuple(slot) for slot in plan] for plan in planned]
 
 
 def run_instances(instances, seeds: dict[str, int], mc_samples: int, domains: dict):
@@ -222,18 +156,17 @@ def run_instances(instances, seeds: dict[str, int], mc_samples: int, domains: di
     ground truth; a later instance that differs raises ValueError naming
     the domain.  ``seeds`` and ``domains`` are keyed by domain name; a
     domain the caller did not build is built through ``DOMAINS``.  Before
-    any chain runs, the domains of one seed are integrated together by the
-    policy of :func:`~hhbounds.quadrature.ground_truths` (see
-    :func:`_ground_truths`), so their Monte Carlo estimates share one
-    weight stream; domains that are the very same (function, simplex)
-    objects share one estimate.  Then
+    any chain runs, the domains of one seed are integrated together by
+    :func:`~hhbounds.quadrature.ground_truths`, so their Monte Carlo
+    estimates share one weight stream; domains that are the very same
+    (function, simplex) objects share one estimate.  Then
     :func:`~hhbounds.chains.chain_reports` calls each function once on the
     points of all its instances.  Yields ``(name, instance, report,
     recipe)``; ``recipe`` replays the ground truth, and is None for a chain
     without one.
     """
     instances = list(instances)
-    found = _ground_truths([(instances, seeds, domains)], mc_samples)[0]
+    found = _ground_truths(instances, seeds, mc_samples, domains)
     reports = chain_reports(instances, [gt for gt, _ in found])
     for (name, instance), report, found_gt in zip(instances, reports, found):
         yield name, instance, report, _recipe(*found_gt)
@@ -570,13 +503,14 @@ class _ChainAgg:
         self.ratios: list[np.ndarray] = []
         self.ratio_nulls = 0
 
-    def record(self, rows: ChainRows) -> None:
-        self.passed.append(rows.passed)
-        self.slacks.append(rows.slacks)
+    def record(self, passed, slacks, values, tolerances) -> None:
+        """Add a block's rows (see :class:`~hhbounds.chains.ChainRows`)."""
+        self.passed.append(passed)
+        self.slacks.append(slacks)
         if self.triple is not None:  # tightness_ratio, row by row
-            mean, refined, classical = (rows.values[:, k] for k in self.triple)
+            mean, refined, classical = (values[:, k] for k in self.triple)
             denom = classical - mean
-            null = denom <= rows.tolerances
+            null = denom <= tolerances
             self.ratio_nulls += int(null.sum())
             self.ratios.append((refined - mean)[~null] / denom[~null])
 
@@ -626,44 +560,134 @@ def _descriptor(name: str, where: dict, instance, report: ChainReport, recipe) -
     return descriptor
 
 
-def _run_block(cfg: CampaignConfig, indices: range, aggs: dict, failures: list) -> None:
+def _run_block(cfg: CampaignConfig, indices: range) -> tuple[dict, list]:
     """Build the trials ``indices`` as one block, take their ground truths
-    together and evaluate their chains as one block; add the rows to
-    ``aggs`` and the descriptors of failed rows, in trial order, to ``failures``."""
+    and evaluate their chains as one block.  Returns each chain's
+    ``(passed, slacks, values, tolerances)`` rows and the descriptors of the
+    failed rows, in trial order."""
     built = _build_block(cfg, indices)
     selected = [[(name, inst) for name in cfg.theorems for inst in instances[name]]
                 for _, _, instances, _ in built]
-    found = _ground_truths([(sel, seeds, domains) for sel, (_, seeds, _, domains)
-                            in zip(selected, built)], cfg.mc_samples)
+    found = [_ground_truths(sel, seeds, cfg.mc_samples, domains)
+             for sel, (_, seeds, _, domains) in zip(selected, built)]
     block = evaluate_block(selected, [[gt for gt, _ in trial] for trial in found])
     failing = []
-    for name, rows in block.items():
-        aggs[name].record(rows)
+    for rows in block.values():
         failing += [(rows.sets[r], rows.positions[r], rows, r)
                     for r in np.flatnonzero(~rows.passed)]
+    failures = []
     for t, i, rows, r in sorted(failing, key=lambda row: row[:2]):
         where = {"trial": indices[t], "dimension": built[t][0]}
         failures.append(_descriptor(rows.name, where, selected[t][i][1], rows.report(r),
                                     _recipe(*found[t][i])))
+    arrays = {name: (rows.passed, rows.slacks, rows.values, rows.tolerances)
+              for name, rows in block.items()}
+    return arrays, failures
+
+
+def _run_share(cfg: CampaignConfig, blocks) -> tuple[list, Exception | None]:
+    """:func:`_run_block` of each block in order, up to the first that
+    raises: the results of the blocks before it, and its error (None if
+    none raised)."""
+    done = []
+    for indices in blocks:
+        try:
+            done.append(_run_block(cfg, indices))
+        except Exception as exc:  # raised by the caller, in block order
+            return done, exc
+    return done, None
+
+
+def _worker(cfg: CampaignConfig, blocks, read: int, write: int):
+    """A forked worker: run ``blocks`` (:func:`_run_share`), write the
+    pickled share to the pipe ``write`` and leave through ``os._exit``, with
+    status 0 only once the whole share is written.  It closes its copy of
+    the pipe's ``read`` end, so a write to a parent that died fails."""
+    status = 1
+    try:
+        os.close(read)
+        with open(write, "wb") as pipe:
+            pipe.write(pickle.dumps(_run_share(cfg, blocks), pickle.HIGHEST_PROTOCOL))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _run_blocks(cfg: CampaignConfig, blocks: list) -> list:
+    """:func:`_run_block` of each block, in block order.
+
+    Block ``b`` runs on worker ``b % P``, ``P = min(WORKERS, len(blocks))``.
+    Worker 0 is this process; the others are forked children, which send
+    their results through a pipe after their last block.  The error raised
+    is the earliest block's, as in a serial run; a child that ends without
+    sending its results raises :class:`~hhbounds.errors.WorkerError`.  On
+    any error here, or an interrupt, the children still running are killed,
+    and every child is reaped before this returns.  The blocks run here,
+    one after another, when ``P < 2``, without ``os.fork``, or while other
+    threads run (a forked child would hold only the thread that forked it).
+    """
+    step = min(WORKERS, len(blocks))
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        step = 1
+    workers: list[list] = []  # [pid, or None once reaped; the pipe it writes]
+    try:
+        for first in range(1, step):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _worker(cfg, blocks[first::step], read, write)
+            os.close(write)
+            workers.append([pid, open(read, "rb")])
+        shares = [_run_share(cfg, blocks[::step])]
+        if shares[0][1] is not None and not shares[0][0]:
+            raise shares[0][1]  # block 0 raised: no block can raise before it
+        for worker in workers:
+            payload = worker[1].read()
+            status = os.waitstatus_to_exitcode(os.waitpid(worker[0], 0)[1])
+            worker[0] = None
+            if status != 0:
+                raise WorkerError(
+                    f"a campaign worker ended without sending its blocks (exit status {status})"
+                )
+            shares.append(pickle.loads(payload))
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            if pid is not None:  # running, or exited and not yet reaped
+                from signal import SIGKILL
+
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+    errors = [(w + step * len(done), error)
+              for w, (done, error) in enumerate(shares) if error is not None]
+    if errors:
+        raise min(errors, key=lambda item: item[0])[1]
+    return [shares[b % step][0][b // step] for b in range(len(blocks))]
 
 
 def run_campaign(cfg: CampaignConfig) -> CampaignResult:
     """Run every selected chain on every trial; failures are data, not errors.
 
-    The chains of :data:`TRIAL_BLOCK` consecutive trials are evaluated as
-    one block.
+    The trials are split into ``P * ceil(trials / (P * TRIAL_BLOCK))``
+    consecutive blocks of near-equal size (no more blocks than trials), with
+    ``P`` = :data:`WORKERS`, and each block is built and evaluated as one
+    (:func:`_run_blocks`); the blocks are recorded in order.
     """
     cfg.validate()
     start = time.perf_counter()
+    trials = cfg.trials_per_theorem
+    count = min(trials, WORKERS * -(-trials // (WORKERS * TRIAL_BLOCK)))
+    blocks = [range(b * trials // count, (b + 1) * trials // count) for b in range(count)]
     aggs = {name: _ChainAgg(name) for name in cfg.theorems}
     failures: list[dict] = []
-    for first in range(0, cfg.trials_per_theorem, TRIAL_BLOCK):
-        last = min(first + TRIAL_BLOCK, cfg.trials_per_theorem)
-        _run_block(cfg, range(first, last), aggs, failures)
+    for arrays, failed in _run_blocks(cfg, blocks):
+        for name, rows in arrays.items():
+            aggs[name].record(*rows)
+        failures += failed
     per_theorem = {name: aggs[name].summary() for name in cfg.theorems}
     return CampaignResult(
         config=cfg,
-        trials=cfg.trials_per_theorem,
+        trials=trials,
         per_theorem=per_theorem,
         failures=failures,
         wall_time_seconds=time.perf_counter() - start,

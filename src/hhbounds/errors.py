@@ -58,3 +58,7 @@ class MissingBaselineError(HHBoundsError):
 
 class ConditionNotViolatedError(HHBoundsError):
     """Counterexample search requested although the sufficiency condition holds."""
+
+
+class WorkerError(HHBoundsError):
+    """A campaign worker process ended without sending its results."""

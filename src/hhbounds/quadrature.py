@@ -61,8 +61,8 @@ simplex)`` pairs of one dimension on one weight stream, drawn in blocks of
 (:func:`integrate_mc` is the one-pair case), and every value is bit-identical
 to drawing, normalising and evaluating all rows at once.  A call keeps one
 value array per pair, and no other array outlives its block; it shares no
-state with another call, so campaigns run the calls of a block of trials
-on concurrent threads (:func:`hhbounds.campaign._run_streams`).
+state with another call, so its result does not depend on the calls before
+it or on the process that makes it.
 
 :func:`ground_truths` is the one policy choosing between the routes
 (:func:`ground_truth` is its one-pair case): exact where
@@ -162,8 +162,8 @@ CUBATURE_MAX_ARGUMENT = 100.0
 #: Weight rows per block of :func:`integrate_mc_shared`; the value changes
 #: no result.  On the Monte Carlo streams of a 48-trial default-mix block
 #: (2-core Xeon, one BLAS thread) 8192 rows took 2-7 % less CPU time than
-#: 4096, but campaigns run two streams at once there, and 4096 keeps a
-#: stream's peak at 2.2 MiB (2.8 MiB at 8192) at 10^5 samples.
+#: 4096, but 4096 keeps a stream's peak at 2.2 MiB (2.8 MiB at 8192) at
+#: 10^5 samples.
 MC_BLOCK_ROWS = 4096
 
 
@@ -216,19 +216,32 @@ class IntegralEstimate:
 def _row_sums(W: np.ndarray) -> np.ndarray:
     """Row sums of an ``(m, w)`` array, bit-identical to a C-contiguous row sum.
 
-    numpy adds a contiguous row of fewer than 8 elements left to right, and
-    from 8 up with an 8-way pairwise unroll.  Below width 8 the columns are
-    accumulated left to right here, one elementwise pass each: the same
-    order, without numpy's per-row reduction overhead, which on 2-5 wide rows
-    costs more than the additions.  From width 8 up numpy's own contiguous
-    row sum is used (a strided or ``axis=0`` sum would add sequentially and
-    round differently).  ``W`` may be a transposed view, as in the ``(k, m)``
-    layout of :meth:`ConvexFunction._eval_batch`.
+    numpy adds a contiguous row of fewer than 8 elements left to right; up
+    to 128 elements it keeps 8 running sums ``r_j = a_j + a_(j+8) + ...``
+    over the whole groups of 8, adds them as
+    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))`` and then adds the
+    leftover elements left to right.  Here each step is one elementwise pass
+    over columns: the same order, without numpy's per-row reduction overhead,
+    which costs more than the additions on rows this short.  Above 128
+    numpy's pairwise sum recurses, and its own contiguous row sum is used (a
+    strided or ``axis=0`` sum would add sequentially and round differently).
+    ``W`` may be a transposed view, as in the ``(k, m)`` layout of
+    :meth:`ConvexFunction._eval_batch`.
     """
-    if W.shape[1] >= 8:
+    width = W.shape[1]
+    if width > 128:
         return np.ascontiguousarray(W).sum(axis=1)
-    total = W[:, 0].copy()
-    for j in range(1, W.shape[1]):
+    if width < 8:
+        total = W[:, 0].copy()
+        for j in range(1, width):
+            total += W[:, j]
+        return total
+    tail = width - width % 8
+    r = [W[:, j] for j in range(8)]
+    for i in range(8, tail, 8):
+        r = [r[j] + W[:, i + j] for j in range(8)]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for j in range(tail, width):
         total += W[:, j]
     return total
 

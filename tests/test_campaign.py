@@ -2,9 +2,10 @@ import collections
 import dataclasses
 import hashlib
 import json
-import sys
+import os
+import signal
 import threading
-from types import SimpleNamespace
+import time
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hhbounds import (
     MissingBaselineError,
     NonFiniteValueError,
     Simplex,
+    WorkerError,
     default_config,
     integrate_exact,
     random_convex,
@@ -49,7 +51,7 @@ SMALL = CampaignConfig(
 
 #: The pinned sha256 of ``run_campaign(cfg).to_json()`` for the default mix
 #: at 48 trials and 2000 Monte Carlo samples, at 48 trials and 2 samples, and
-#: at 300 trials (three blocks) and 2 samples.
+#: at 300 trials (more than two TRIAL_BLOCKs) and 2 samples.
 PINNED = {
     "default_48": (
         CampaignConfig(trials_per_theorem=48, mc_samples=2000),
@@ -79,6 +81,21 @@ def _assert_failures_replay(text: str) -> list:
         assert report.verdict == descriptor["verdict"]
         assert report.tolerance_used == descriptor["tolerance"]
     return failures
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """After each test this process has no child left: every campaign
+    worker was reaped (``waitpid`` raises ChildProcessError when none is)."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def one_worker(monkeypatch):
+    """Run campaigns in this process alone, for tests that count calls."""
+    monkeypatch.setattr(campaign, "WORKERS", 1)
 
 
 @pytest.fixture(scope="module")
@@ -307,7 +324,7 @@ class TestRunCampaign:
         }
         assert digests == self._UNMOVED_SECTIONS[mc_samples]
 
-    def test_four_ground_truths_per_trial(self, monkeypatch):
+    def test_four_ground_truths_per_trial(self, monkeypatch, one_worker):
         # 4 ground truths per trial (parent, subsimplex, cor2 interval, cor3
         # window), each shared by every chain on its domain; the parent and
         # subsimplex estimates share one weight stream, and so do the
@@ -317,8 +334,7 @@ class TestRunCampaign:
         # two 1-D parents are exact.  Of the 32 domains of the 8 log_sum_exp
         # trials, 25 lie within the cubature limits (dimension, argument
         # spread and magnitude) and its estimate is accepted on all 25; the
-        # other 7 go to Monte Carlo.  The streams run on concurrent threads,
-        # so they are recorded by appending, which no other thread interrupts.
+        # other 7 go to Monte Carlo.
         counts = {"exact": 0, "cubature": 0, "accepted": 0}
         streams = []
         shared, exact = quadrature.integrate_mc_shared, quadrature.integrate_exact
@@ -363,7 +379,7 @@ class TestRunCampaign:
             monkeypatch.setattr(module, "solve_stacked", counting)
         return calls
 
-    def test_two_solves_per_block_dimension(self, monkeypatch):
+    def test_two_solves_per_block_dimension(self, monkeypatch, one_worker):
         # Per dimension of a block: one solve while building its trials, of
         # every centred subsimplex's pin point and thm6 mixture shift, and one
         # stacked solve of every weight its chains read: thm2's points, the
@@ -376,7 +392,7 @@ class TestRunCampaign:
         run_campaign(cfg)
         assert len(calls) == 8 + 8
 
-    def test_trial_budget_and_shared_domains(self, monkeypatch):
+    def test_trial_budget_and_shared_domains(self, monkeypatch, one_worker):
         # A closed-form trial builds 5 simplices (the parent, the thm3
         # homothety, the centred subsimplex, the cor2 interval and the cor3
         # window), all of them in stacks: per dimension of a block one stack of
@@ -386,7 +402,7 @@ class TestRunCampaign:
         # very objects of that stack.
         counts = {"alone": 0, "stacks": 0, "members": 0}
         built_1d, integrated = [], []
-        init, stacked, mean = Simplex.__init__, campaign.simplices, campaign.deterministic_mean
+        init, stacked, mean = Simplex.__init__, campaign.simplices, quadrature.deterministic_mean
 
         def counting_init(self, vertices):
             counts["alone"] += 1
@@ -408,7 +424,7 @@ class TestRunCampaign:
         solves = self.count_solves(monkeypatch)
         monkeypatch.setattr(campaign, "simplices", recording_stack)
         monkeypatch.setattr(geometry, "simplices", recording_stack)  # scaled_copies's
-        monkeypatch.setattr(campaign, "deterministic_mean", recording_mean)
+        monkeypatch.setattr(quadrature, "deterministic_mean", recording_mean)
         trials = 24
         cfg = CampaignConfig(
             dimensions=(2, 3, 4, 5, 6, 7, 8),
@@ -424,7 +440,7 @@ class TestRunCampaign:
         assert len(built_1d) == len(integrated) == 2 * trials
         assert all(a is b for a, b in zip(built_1d, integrated))
 
-    def test_three_function_calls_per_trial(self, monkeypatch):
+    def test_three_function_calls_per_trial(self, monkeypatch, one_worker):
         # the trial's function, its cor2 function and its cor3 function, each
         # called once on the distinct points of its chains' terms (cor2 has
         # six, cor3 three, and every trial function more than eight); the
@@ -645,7 +661,7 @@ class TestBlockBuilding:
             for index, built in zip(indices, _build_block(cfg, indices)):
                 assert _trial_bytes(built) == _trial_bytes(_build_block(cfg, [index])[0])
 
-    def test_retried_parents_keep_their_draws(self, monkeypatch):
+    def test_retried_parents_keep_their_draws(self, monkeypatch, one_worker):
         # At COND_LIMIT = 5 most parents in dims 2-4 fail their first try, so
         # those trials are drawn again through random_simplex.  The digest was
         # recorded when every trial was built alone, with random_simplex
@@ -682,7 +698,8 @@ class TestPinnedReplay:
         assert {d["chain"] for d in failures} == {"choquet", "thm2", "thm3", "thm4", "cor2"}
 
     def test_campaign_across_blocks_pinned_and_replayed(self):
-        # 300 trials span three blocks of chain evaluation (128, 128, 44).
+        # 300 trials span several blocks: three of 100 trials with one
+        # worker, four of 75 with two.
         # The digest was recorded when every trial was evaluated on its own,
         # and every failure descriptor, in trial order, replays bit for bit.
         cfg, digest = PINNED["two_sample_300"]
@@ -748,103 +765,121 @@ class TestPinnedReplay:
         assert report.tolerance_used == 1e-08
 
 
-class TestMonteCarloThreads:
-    """A block's Monte Carlo streams run on ``campaign.MC_WORKERS`` threads;
-    no result byte and no error depends on how many."""
+class TestWorkers:
+    """A campaign's blocks run on ``campaign.WORKERS`` processes, this one
+    and forked children; no result byte and no error depends on how many."""
 
     @staticmethod
-    def count_threads(monkeypatch) -> list:
-        """Record each helper thread the campaign starts."""
-        started = []
+    def count_forks(monkeypatch) -> list:
+        """Record the pid of each worker the campaign forks."""
+        forks = []
+        fork = os.fork
 
-        def recording(**kwargs):
-            started.append(threading.Thread(**kwargs))
-            return started[-1]
+        def recording():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
 
-        monkeypatch.setattr(campaign, "threading", SimpleNamespace(Thread=recording))
-        return started
+        monkeypatch.setattr(os, "fork", recording)
+        return forks
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_pinned_bytes_at_every_thread_count(self, workers, monkeypatch):
-        monkeypatch.setattr(campaign, "MC_WORKERS", workers)
-        started = self.count_threads(monkeypatch)
+    def test_pinned_bytes_at_every_worker_count(self, workers, monkeypatch):
+        monkeypatch.setattr(campaign, "WORKERS", workers)
+        forks = self.count_forks(monkeypatch)
         for cfg, digest in PINNED.values():
             text = run_campaign(cfg).to_json()
             assert _sha256(text) == digest
             _assert_failures_replay(text)
-        assert (len(started) > 0) == (workers > 1)
-
-    def test_more_threads_than_cpus_switching_often(self, monkeypatch):
-        # Each stream runs exactly once and its estimates land at its own
-        # index, with 8 threads on 64 short streams and the interpreter
-        # switching threads as often as it can.
-        f = ConvexFunction("exp_affine", {"slope": [1.0, -2.0], "offset": 0.5})
-        pairs = [(f, standard_simplex(2)), (f, standard_simplex(2).homothety_about_centroid(0.5))]
-        streams = [(pairs, seed) for seed in range(64)]
-        want = [quadrature.integrate_mc_shared(pairs, 500, seed) for seed in range(64)]
-        ran, shared = [], quadrature.integrate_mc_shared
-
-        def recording(pairs, count, seed):
-            ran.append(seed)
-            return shared(pairs, count, seed)
-
-        monkeypatch.setattr(quadrature, "integrate_mc_shared", recording)
-        monkeypatch.setattr(campaign, "MC_WORKERS", 8)
-        interval, threads = sys.getswitchinterval(), threading.active_count()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = campaign._run_streams(streams, 500)
-        finally:
-            sys.setswitchinterval(interval)
-        assert got == want
-        assert sorted(ran) == list(range(64))
-        assert threading.active_count() == threads  # every helper was joined
+        assert len(forks) == len(PINNED) * (workers - 1)
 
     @staticmethod
-    def _set(kind: str, params: dict, vertices):
-        f = ConvexFunction(kind, params)
-        return [("choquet", (f, Simplex(vertices), {}))], {"parent": 3}, {}
+    def raise_in_blocks(monkeypatch, raising: dict) -> None:
+        """Make block ``b`` (trials ``4b .. 4b+3`` of 24) sleep ``raising[b]``
+        seconds, then raise an error naming it."""
+        monkeypatch.setattr(campaign, "TRIAL_BLOCK", 4)
+        run_block = campaign._run_block
 
-    def _monte_carlo_overflow(self, dim: int):
-        """exp(800 x), whose Monte Carlo values overflow on the unit simplex."""
-        params = {"slope": [800.0] + [0.0] * (dim - 1), "offset": 0.0}
-        return self._set("exp_affine", params, standard_simplex(dim).vertices)
+        def failing(cfg, indices):
+            if (b := indices[0] // 4) in raising:
+                time.sleep(raising[b])
+                raise NonFiniteValueError(f"block {b}")
+            return run_block(cfg, indices)
 
-    def _closed_form_overflow(self):
-        params = {"matrix": np.diag([1e308, 1e308]), "slope": [0.0, 0.0], "offset": 0.0}
-        return self._set("quadratic_psd", params, [[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
+        monkeypatch.setattr(campaign, "_run_block", failing)
 
     @staticmethod
-    def _raised(sets) -> str:
+    def _raised() -> str:
         with pytest.raises(NonFiniteValueError) as raised:
-            campaign._ground_truths(sets, 20_000)
+            run_campaign(CampaignConfig(trials_per_theorem=24, mc_samples=2))
         return str(raised.value)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_first_error_in_trial_order(self, workers, monkeypatch):
-        # The later sets' streams are the cheaper ones, so a helper thread
-        # can meet their overflow first; the block still raises the first
-        # set's error, as a serial run does, also where a later set's
-        # closed-form mean overflows while it is planned.
-        first, second = self._monte_carlo_overflow(3), self._monte_carlo_overflow(1)
-        closed_form = self._closed_form_overflow()
-        serial = self._raised([first])
-        assert "3-D simplex has no finite Monte Carlo mean" in serial
-        monkeypatch.setattr(campaign, "MC_WORKERS", workers)
-        assert self._raised([first, second]) == serial
-        assert self._raised([first, second, closed_form]) == serial
-        assert self._raised([first, closed_form, second]) == serial
+    def test_first_error_in_block_order(self, workers, monkeypatch):
+        # Six blocks of four trials (with 2 or 3 workers too), block b on
+        # worker b % workers, this process being worker 0.  The later blocks
+        # raise first, yet the earliest block's error is the one raised, as
+        # in a serial run.
+        monkeypatch.setattr(campaign, "WORKERS", workers)
+        self.raise_in_blocks(monkeypatch, {2: 0.3, 3: 0.0, 4: 0.0, 5: 0.0})
+        assert self._raised() == "block 2"
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_planning_error_after_the_streams_before_it(self, workers, monkeypatch):
-        # a set whose closed-form mean overflows raises its error once the
-        # streams planned before it have run without one
-        monkeypatch.setattr(campaign, "MC_WORKERS", workers)
-        finite = self._set("exp_affine", {"slope": [1.0, 2.0], "offset": 0.0},
-                           standard_simplex(2).vertices)
-        sets = [finite, finite, self._closed_form_overflow(), self._monte_carlo_overflow(1)]
-        message = self._raised(sets)
-        assert message.startswith("quadratic_psd on a 2-D simplex has no finite closed-form mean")
+    def test_own_first_block_raises_while_a_worker_runs(self, monkeypatch):
+        # Block 0 comes first, so its error is raised at once: the worker
+        # still running block 1 is killed, not waited for.
+        monkeypatch.setattr(campaign, "WORKERS", 2)
+        self.raise_in_blocks(monkeypatch, {0: 0.0, 1: 60.0})
+        start = time.perf_counter()
+        assert self._raised() == "block 0"
+        assert time.perf_counter() - start < 30.0
+
+    def test_worker_error_before_own_later_error(self, monkeypatch):
+        # This process raises in block 2 while the worker is still in block
+        # 1, whose error comes first and is the one raised.
+        monkeypatch.setattr(campaign, "WORKERS", 2)
+        self.raise_in_blocks(monkeypatch, {1: 0.5, 2: 0.0})
+        assert self._raised() == "block 1"
+
+    def test_killed_worker_raises(self, monkeypatch):
+        # A worker killed mid-block sends nothing: the campaign raises a
+        # WorkerError instead of waiting.  An alarm fails the test if it hangs.
+        parent = os.getpid()
+        monkeypatch.setattr(campaign, "WORKERS", 2)
+        run_block = campaign._run_block
+
+        def dying(cfg, indices):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return run_block(cfg, indices)
+
+        def hung(*_):
+            raise TimeoutError("the campaign did not notice its killed worker")
+
+        monkeypatch.setattr(campaign, "_run_block", dying)
+        handler = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(WorkerError, match="exit status -9"):
+                run_campaign(CampaignConfig(trials_per_theorem=48, mc_samples=2))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, handler)
+
+    def test_runs_serially_while_other_threads_run(self, monkeypatch):
+        forks = self.count_forks(monkeypatch)
+        monkeypatch.setattr(campaign, "WORKERS", 2)
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            cfg, digest = PINNED["two_sample_48"]
+            assert _sha256(run_campaign(cfg).to_json()) == digest
+        finally:
+            stop.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert forks == []
 
 
 class TestTightness:

@@ -772,7 +772,7 @@ class TestBlocks:
         for index in range(self.TRIALS):
             _, seeds, instances, domains = _build_trial(cfg, index)
             selected = [(name, case) for name in cfg.theorems for case in instances[name]]
-            found = _ground_truths([(selected, seeds, domains)], cfg.mc_samples)[0]
+            found = _ground_truths(selected, seeds, cfg.mc_samples, domains)
             out.append((selected, [gt for gt, _ in found]))
         return out
 

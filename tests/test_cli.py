@@ -663,16 +663,19 @@ class TestNoScipy:
 
 class TestNoThreads:
     # What the child prints: whether ``import hhbounds`` loaded
-    # concurrent.futures, and the threads one ``hh bounds`` call started, on
-    # the parent simplex only, so with one Monte Carlo stream.
+    # concurrent.futures or multiprocessing, and the threads and processes
+    # one ``hh bounds`` call started, on the parent simplex only, so with
+    # one Monte Carlo stream.
     CHILD = (
         "import sys\n"
         "import hhbounds\n"
-        "after_import = 'concurrent.futures' in sys.modules\n"
-        "import threading\n"
+        "after_import = [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules]\n"
+        "import os, threading\n"
         "started = []\n"
         "start = threading.Thread.start\n"
         "threading.Thread.start = lambda self: (started.append(self), start(self))[1]\n"
+        "fork = os.fork\n"
+        "os.fork = lambda: (started.append('fork'), fork())[1]\n"
         "from hhbounds.cli import main\n"
         "code = main(sys.argv[1:])\n"
         "print(repr((code, after_import, len(started))), file=sys.stderr)\n"
@@ -691,7 +694,7 @@ class TestNoThreads:
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert len(proc.stdout.splitlines()) == 3
-        assert proc.stderr.strip().splitlines()[-1] == repr((0, False, 0))
+        assert proc.stderr.strip().splitlines()[-1] == repr((0, [], 0))
 
 
 class TestSample:
