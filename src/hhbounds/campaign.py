@@ -461,11 +461,6 @@ def _build_block(cfg: CampaignConfig, indices) -> list:
     return trials
 
 
-def _build_trial(cfg: CampaignConfig, index: int):
-    """Trial ``index`` built in a block of one (see :func:`_build_block`)."""
-    return _build_block(cfg, [index])[0]
-
-
 # ---------------------------------------------------------------------------
 # aggregation
 # ---------------------------------------------------------------------------
@@ -585,12 +580,18 @@ def _run_block(cfg: CampaignConfig, indices: range) -> tuple[dict, list]:
     return arrays, failures
 
 
-def _run_share(cfg: CampaignConfig, blocks) -> tuple[list, Exception | None]:
+def _run_share(
+    cfg: CampaignConfig, blocks, caller: int | None = None
+) -> tuple[list, Exception | None]:
     """:func:`_run_block` of each block in order, up to the first that
     raises: the results of the blocks before it, and its error (None if
-    none raised)."""
+    none raised).  A forked worker passes its caller's pid: before each
+    block it leaves through ``os._exit`` if its parent is no longer that
+    caller, which has died."""
     done = []
     for indices in blocks:
+        if caller is not None and os.getppid() != caller:
+            os._exit(1)
         try:
             done.append(_run_block(cfg, indices))
         except Exception as exc:  # raised by the caller, in block order
@@ -598,16 +599,18 @@ def _run_share(cfg: CampaignConfig, blocks) -> tuple[list, Exception | None]:
     return done, None
 
 
-def _worker(cfg: CampaignConfig, blocks, read: int, write: int):
-    """A forked worker: run ``blocks`` (:func:`_run_share`), write the
-    pickled share to the pipe ``write`` and leave through ``os._exit``, with
-    status 0 only once the whole share is written.  It closes its copy of
-    the pipe's ``read`` end, so a write to a parent that died fails."""
+def _worker(cfg: CampaignConfig, blocks, read: int, write: int, caller: int):
+    """A forked worker of the process ``caller``: run ``blocks``
+    (:func:`_run_share`, which leaves between blocks once ``caller`` has
+    died), write the pickled share to the pipe ``write`` and leave through
+    ``os._exit``, with status 0 only once the whole share is written.  It
+    closes its copy of the pipe's ``read`` end, so a write to a parent that
+    died fails."""
     status = 1
     try:
         os.close(read)
         with open(write, "wb") as pipe:
-            pipe.write(pickle.dumps(_run_share(cfg, blocks), pickle.HIGHEST_PROTOCOL))
+            pipe.write(pickle.dumps(_run_share(cfg, blocks, caller), pickle.HIGHEST_PROTOCOL))
         status = 0
     finally:
         os._exit(status)
@@ -618,8 +621,9 @@ def _run_blocks(cfg: CampaignConfig, blocks: list) -> list:
 
     Block ``b`` runs on worker ``b % P``, ``P = min(WORKERS, len(blocks))``.
     Worker 0 is this process; the others are forked children, which send
-    their results through a pipe after their last block.  The error raised
-    is the earliest block's, as in a serial run; a child that ends without
+    their results through a pipe after their last block, and end before
+    their next block if this process dies.  The error raised is the
+    earliest block's, as in a serial run; a child that ends without
     sending its results raises :class:`~hhbounds.errors.WorkerError`.  On
     any error here, or an interrupt, the children still running are killed,
     and every child is reaped before this returns.  The blocks run here,
@@ -630,12 +634,13 @@ def _run_blocks(cfg: CampaignConfig, blocks: list) -> list:
     if not hasattr(os, "fork") or threading.active_count() > 1:
         step = 1
     workers: list[list] = []  # [pid, or None once reaped; the pipe it writes]
+    caller = os.getpid()
     try:
         for first in range(1, step):
             read, write = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _worker(cfg, blocks[first::step], read, write)
+                _worker(cfg, blocks[first::step], read, write, caller)
             os.close(write)
             workers.append([pid, open(read, "rb")])
         shares = [_run_share(cfg, blocks[::step])]

@@ -32,7 +32,29 @@ Three routes:
     the function is linear between consecutive points;
   - ``max_of_affines`` with two pieces in any dimension:
     ``max(l1, l2) = l1 + max(0, l2 - l1)``, so the mean is ``l1`` at the
-    centroid plus the hinge mean of ``l2 - l1``.
+    centroid plus the hinge mean of ``l2 - l1``;
+  - ``max_of_affines`` with three or more pieces in dims >= 2, by coning
+    over the simplex's faces (:mod:`hhbounds.cones`), in dims up to
+    :data:`CONE_MAX_DIMENSION` and where its rounding bound is at most
+    :data:`CONE_MAX_ERROR`.  In barycentric coordinates
+    ``w`` piece ``i`` is the linear form ``(T w)_i``, ``T[i, j]`` its value
+    at vertex ``j``.  The uniform measure on a face ``J`` splits into signed
+    cones from any point ``p = sum_j w_j v_j`` of its affine hull over its
+    facets ``J - j``, of weights ``w_j`` (Lasserre 1998, *Proc. AMS* 126).
+    Where every piece takes one value ``h(p)`` at ``p``, ``f - h(p)`` is
+    positively homogeneous of degree 1 about ``p``, and its mean over a cone
+    of dimension ``m`` is ``m/(m+1)`` times its mean over the base::
+
+        mean_J = h(p) + m/(m+1) sum_j w_j (mean_(J-j) - h(p))
+
+    ``p`` is the common point nearest the face's centroid, and the
+    recursion ends at triangles, whose envelope cells are clipped from the
+    triangle.  Each face mean carries a propagated rounding bound, which
+    grows where a face's point lies far outside it and is large where a
+    face has no common point (a face of four or more vertices with more
+    pieces than vertices, or pieces parallel on the face).  The guard: the
+    mean is rejected, and Monte Carlo taken, where the bound passes
+    :data:`CONE_MAX_ERROR`.
 
 The second-moment formula and each closed form are re-verified against
 Monte Carlo in the test suite rather than trusted.
@@ -52,7 +74,12 @@ division.  The rule of degree ``2S-1`` uses the same level sums, so
 estimate's ``std_error``.  Both rules are applied to ``f`` less its value at
 the centroid, which they integrate exactly, so their rounding scales with
 the variation of ``f``.  ``n+1+2S`` choose ``n+1`` nodes are evaluated: at
-degree 15, 36 on an interval and 11 440 in 8-D.
+degree 15, 36 on an interval and 11 440 in 8-D.  On an interval the
+spread of the arguments of ``log_sum_exp`` is linear in the length, so the
+policy cuts an interval whose spread passes :data:`CUBATURE_MAX_SPREAD` into
+``2^L`` equal pieces, each within it (up to :data:`CUBATURE_MAX_PIECES`),
+and runs the rule on every piece in one call of ``f``; the mean and the
+error estimate are the averages over the pieces.
 
 Uniform weights depend only on the dimension and the seed, not on the
 simplex, so :func:`integrate_mc_shared` integrates several ``(function,
@@ -69,14 +96,14 @@ it or on the process that makes it.
 :func:`has_exact_mean` allows; for the kinds in :data:`CUBATURE_KINDS`, the
 degree-:data:`CUBATURE_DEGREE` cubature when the input lies in the range the
 rule's accuracy tests cover (:data:`CUBATURE_MAX_DIMENSION`,
-:data:`CUBATURE_MAX_SPREAD`, :data:`CUBATURE_MAX_ARGUMENT`) and its error
-estimate is at most :data:`CUBATURE_MAX_ERROR`; Monte Carlo otherwise.  The
-estimate alone is not enough: it is a heuristic, and where the function has
-a kink sharper than the nodes resolve, the degree-13 and degree-15 rules can
-agree while both miss the mean.  Each estimate it makes has a
-replay recipe (:func:`ground_truth_recipe`), and :func:`replay_ground_truth`
-turns a recipe back into the same estimate, also for an estimate that
-shared its weight stream.
+:data:`CUBATURE_MAX_SPREAD` per piece, :data:`CUBATURE_MAX_ARGUMENT`) and
+its error estimate is at most :data:`CUBATURE_MAX_ERROR`; Monte Carlo
+otherwise.  The estimate alone is not enough: it is a heuristic, and where
+the function has a kink sharper than the nodes resolve, the degree-13 and
+degree-15 rules can agree while both miss the mean.  Each estimate it makes
+has a replay recipe (:func:`ground_truth_recipe`), and
+:func:`replay_ground_truth` turns a recipe back into the same estimate,
+also for an estimate that shared its weight stream.
 """
 
 from __future__ import annotations
@@ -94,11 +121,14 @@ from .geometry import Simplex
 from .tolerances import TOL_CHAIN
 
 __all__ = [
+    "CONE_MAX_DIMENSION",
+    "CONE_MAX_ERROR",
     "CUBATURE_DEGREE",
     "CUBATURE_KINDS",
     "CUBATURE_MAX_ARGUMENT",
     "CUBATURE_MAX_DIMENSION",
     "CUBATURE_MAX_ERROR",
+    "CUBATURE_MAX_PIECES",
     "CUBATURE_MAX_SPREAD",
     "EXACT_KINDS",
     "IntegralEstimate",
@@ -121,9 +151,22 @@ METHOD_EXACT = "exact_polynomial"
 METHOD_CUBATURE = "cubature"
 
 #: Function kinds with an exact closed-form mean in every dimension
-#: (``max_of_affines`` has one on 1-D simplices and with two pieces; see
-#: :func:`has_exact_mean`).
+#: (``max_of_affines`` has one on 1-D simplices, with two pieces, and where
+#: its coned mean is accepted; see :func:`has_exact_mean`).
 EXACT_KINDS: tuple[str, ...] = ("affine", "quadratic_psd", "hinge_distance")
+
+#: Largest rounding bound at which a coned ``max_of_affines`` mean (module
+#: docstring) is accepted as exact.  An exact verdict is judged at
+#: TOL_CHAIN, and this moves its slack by at most a hundredth of that.  The
+#: bound is a worst case: on campaign draws in dims 2-8 the errors against a
+#: 40-digit evaluation stayed below 2 % of it.
+CONE_MAX_ERROR = TOL_CHAIN / 100
+
+#: The policy takes the coned mean only in dimensions up to this one, the
+#: range its accuracy tests cover.  A simplex's faces double with each
+#: dimension (466 of three or more vertices in 8-D), and so do the coned
+#: mean's time and memory.
+CONE_MAX_DIMENSION = 8
 
 #: Kinds whose ground truth is tried by cubature before Monte Carlo.
 CUBATURE_KINDS: tuple[str, ...] = ("log_sum_exp",)
@@ -154,6 +197,10 @@ CUBATURE_MAX_DIMENSION = 8
 #: and degree-15 rules can still agree to 1e-10.
 CUBATURE_MAX_SPREAD = 3.0
 
+#: Most equal pieces the policy cuts an interval into for cubature, each with
+#: a spread of at most :data:`CUBATURE_MAX_SPREAD` (so spreads up to 48).
+CUBATURE_MAX_PIECES = 16
+
 #: ... and where every argument stays within this magnitude on the simplex.
 #: The absolute weights of the degree-15 rule sum to under 1400 (8-D), so
 #: rounding of values of this size moves the mean by well under 1e-10.
@@ -173,13 +220,15 @@ class IntegralEstimate:
 
     ``std_error`` is sample standard deviation / sqrt(samples) for Monte
     Carlo, the embedded error estimate for cubature, and exactly zero for
-    the closed-form route.  Only Monte Carlo has ``samples``.
+    the closed-form route.  Only Monte Carlo has ``samples``, and only
+    cubature more than one equal ``pieces`` of an interval.
     """
 
     mean_value: float
     std_error: float
     method: str
     samples: int
+    pieces: int = 1
 
     def __post_init__(self) -> None:
         if self.method not in (METHOD_MC, METHOD_EXACT, METHOD_CUBATURE):
@@ -194,14 +243,19 @@ class IntegralEstimate:
             raise ValueError("cubature estimates carry no samples")
         if self.method == METHOD_MC and self.samples < 2:
             raise ValueError("monte_carlo estimates need samples >= 2")
+        if self.pieces < 1 or (self.pieces > 1 and self.method != METHOD_CUBATURE):
+            raise ValueError("only cubature estimates are cut into pieces")
 
     def to_json_dict(self) -> dict:
-        return {
+        data = {
             "mean_value": self.mean_value,
             "std_error": self.std_error,
             "method": self.method,
             "samples": self.samples,
         }
+        if self.pieces > 1:
+            data["pieces"] = self.pieces
+        return data
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "IntegralEstimate":
@@ -210,6 +264,7 @@ class IntegralEstimate:
             std_error=float(data["std_error"]),
             method=str(data["method"]),
             samples=int(data["samples"]),
+            pieces=int(data.get("pieces", 1)),
         )
 
 
@@ -384,13 +439,15 @@ def _gm_weights(n: int, order: int) -> tuple[float, ...]:
     return tuple(weights)
 
 
-def integrate_cubature(f, s: Simplex, degree: int) -> IntegralEstimate:
+def integrate_cubature(f, s: Simplex, degree: int, pieces: int = 1) -> IntegralEstimate:
     """Mean of ``f`` over ``s`` by the Grundmann-Moller rule of ``degree``.
 
     ``degree`` is an odd integer ``2S+1 >= 3``.  ``std_error`` is the error
     estimate ``|Q_S - Q_(S-1)|`` against the rule of degree ``degree - 2``
-    on the same level sums (module docstring); ``samples`` is 0.  The same
-    ``f``, simplex and degree give the same estimate bit for bit.
+    on the same level sums (module docstring); ``samples`` is 0.  On an
+    interval, ``pieces`` cuts it into that many equal pieces, and the mean
+    and the error estimate are their averages over the pieces.  The same
+    ``f``, simplex, degree and pieces give the same estimate bit for bit.
     """
     if (
         isinstance(degree, bool)
@@ -400,33 +457,67 @@ def integrate_cubature(f, s: Simplex, degree: int) -> IntegralEstimate:
     ):
         raise ValueError(f"cubature degree must be an odd integer >= 3, got {degree!r}")
     n = s.dimension
+    if (
+        isinstance(pieces, bool)
+        or not isinstance(pieces, numbers.Integral)
+        or pieces < 1
+        or (pieces > 1 and n != 1)
+    ):
+        raise ValueError(f"cubature pieces must be 1, or an integer > 1 in 1-D, got {pieces!r}")
     if getattr(f, "dim", n) != n:
         raise DimensionMismatchError(
             f"function dimension {f.dim} does not match simplex {n}"
         )
     order = (int(degree) - 1) // 2
-    if math.comb(n + 1 + order, n + 1) > CUBATURE_MAX_NODES:
+    if math.comb(n + 1 + order, n + 1) * pieces > CUBATURE_MAX_NODES:
         raise ValueError(
-            f"cubature degree {degree} in dimension {n} needs more than "
-            f"{CUBATURE_MAX_NODES} nodes"
+            f"cubature degree {degree} in dimension {n} on {pieces} piece(s) needs more "
+            f"than {CUBATURE_MAX_NODES} nodes"
         )
     numerators, counts = _gm_numerators(n, order)
     denominators = np.repeat(n + 1 + 2 * np.arange(order + 1), counts)
-    values = f((numerators / denominators[:, None]) @ s.vertices)
-    center = float(values[0])  # the level-0 node is the centroid
-    values = values - center
-    stops = itertools.accumulate(counts)
-    sums = [float(values[stop - count : stop].sum()) for stop, count in zip(stops, counts)]
-    fine = math.fsum(w * t for w, t in zip(_gm_weights(n, order), sums))
-    coarse = math.fsum(w * t for w, t in zip(_gm_weights(n, order - 1), sums))
-    return IntegralEstimate(center + fine, abs(fine - coarse), METHOD_CUBATURE, 0)
+    nodes = numerators / denominators[:, None]
+    if pieces == 1:
+        values = f(nodes @ s.vertices)[None]
+    else:  # piece p runs from cut p to cut p + 1 of the interval
+        cuts = np.linspace(0.0, 1.0, pieces + 1)[:, None]
+        x = (1.0 - cuts) * s.vertices[0] + cuts * s.vertices[1]
+        values = f((nodes @ np.stack([x[:-1], x[1:]], axis=1)).reshape(-1, 1))
+        values = values.reshape(pieces, -1)
+    means, errors = [], []
+    for row in values:
+        center = float(row[0])  # the level-0 node is the centroid
+        row = row - center
+        stops = itertools.accumulate(counts)
+        sums = [float(row[stop - count : stop].sum()) for stop, count in zip(stops, counts)]
+        fine = math.fsum(w * t for w, t in zip(_gm_weights(n, order), sums))
+        coarse = math.fsum(w * t for w, t in zip(_gm_weights(n, order - 1), sums))
+        means.append(center + fine)
+        errors.append(abs(fine - coarse))
+    return IntegralEstimate(
+        math.fsum(means) / pieces, math.fsum(errors) / pieces, METHOD_CUBATURE, 0, pieces
+    )
 
 
 def has_exact_mean(f, s: Simplex) -> bool:
-    """Whether :func:`integrate_exact` has a closed form for ``f`` over ``s``."""
+    """Whether :func:`integrate_exact` has an exact mean for ``f`` over ``s``.
+
+    It has one for the :data:`EXACT_KINDS`, and for ``max_of_affines`` in
+    dimension 1, with two pieces, or, in dimensions up to
+    :data:`CONE_MAX_DIMENSION`, where its coned mean (module docstring) has
+    a rounding bound of at most :data:`CONE_MAX_ERROR`; that last case
+    takes the coned mean, which :func:`integrate_exact` then reuses.
+    """
     kind = getattr(f, "kind", None)
     if kind == "max_of_affines":
-        return s.dimension == 1 or len(f.params["offsets"]) == 2
+        return (
+            s.dimension == 1
+            or len(f.params["offsets"]) == 2
+            or (
+                f.dim == s.dimension <= CONE_MAX_DIMENSION
+                and _coned_mean(f, s) is not None
+            )
+        )
     return kind in EXACT_KINDS
 
 
@@ -466,12 +557,37 @@ def _max_of_affines_mean_1d(f, s: Simplex) -> float:
     return float((np.diff(x) * (y[:-1] + y[1:])).sum() / (2.0 * (hi - lo)))
 
 
+@functools.lru_cache(maxsize=1)  # has_exact_mean, then integrate_exact, on one pair
+def _coned_mean(f, s: Simplex) -> float | None:
+    """The coned mean of a ``max_of_affines`` ``f`` over ``s`` (``n >= 2``), or
+    None where its bound, with the rounding of ``f``'s vertex values, is above
+    :data:`CONE_MAX_ERROR` or not finite.  :mod:`hhbounds.cones` is imported
+    here, on the first such mean, so that no other use of the package
+    compiles it."""
+    from .cones import coned_means
+
+    p, V = f.params, s.vertices
+    mean, bound = coned_means(p["slopes"] @ V.T + p["offsets"][:, None])
+    scale = (np.abs(p["slopes"]) @ np.abs(V).T + np.abs(p["offsets"])[:, None]).max()
+    bound += (s.dimension + 2) * np.finfo(float).eps * scale
+    return mean if bound <= CONE_MAX_ERROR else None
+
+
 @functools.lru_cache(maxsize=32)
 def _second_moments(np1: int) -> np.ndarray:
     """Read-only ``E[w w^T]`` of uniform weights on ``np1`` vertices."""
     moments = (np.ones((np1, np1)) + np.eye(np1)) / (np1 * (np1 + 1))
     moments.setflags(write=False)
     return moments
+
+
+def _no_exact_mean(kind, s: Simplex) -> str:
+    return (
+        f"no exact mean for kind {kind!r} in dimension {s.dimension}; supported: "
+        f"{EXACT_KINDS} in any dimension, 'max_of_affines' in dimension 1, with two "
+        f"pieces, or in dimensions up to {CONE_MAX_DIMENSION} where its coned mean's "
+        f"rounding bound is at most {CONE_MAX_ERROR:g}"
+    )
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a mean that overflows is checked below
@@ -482,16 +598,14 @@ def integrate_exact(f, s: Simplex) -> IntegralEstimate:
     :class:`NonFiniteValueError`, with no numpy warning.
     """
     kind = getattr(f, "kind", None)
-    if not has_exact_mean(f, s):
-        raise UnsupportedKindError(
-            f"no exact mean for kind {kind!r} in dimension {s.dimension}; supported: "
-            f"{EXACT_KINDS} in any dimension, 'max_of_affines' in dimension 1 "
-            "or with two pieces"
-        )
+    if kind not in EXACT_KINDS and kind != "max_of_affines":
+        raise UnsupportedKindError(_no_exact_mean(kind, s))
     if f.dim != s.dimension:
         raise DimensionMismatchError(
             f"function dimension {f.dim} does not match simplex {s.dimension}"
         )
+    if not has_exact_mean(f, s):
+        raise UnsupportedKindError(_no_exact_mean(kind, s))
     p = f.params
     centroid = s.centroid
     if kind == "affine":
@@ -504,9 +618,11 @@ def integrate_exact(f, s: Simplex) -> IntegralEstimate:
         mean = _hinge_mean(s.vertices @ p["slope"] - p["threshold"])
     elif s.dimension == 1:
         mean = _max_of_affines_mean_1d(f, s)
-    else:  # two pieces: l1 + max(0, l2 - l1)
+    elif len(p["offsets"]) == 2:  # l1 + max(0, l2 - l1)
         (a1, a2), (b1, b2) = p["slopes"], p["offsets"]
         mean = float(a1 @ centroid + b1) + _hinge_mean(s.vertices @ (a2 - a1) + (b2 - b1))
+    else:
+        mean = _coned_mean(f, s)
     if not math.isfinite(mean):
         raise NonFiniteValueError(
             f"{kind} on a {s.dimension}-D simplex has no finite closed-form mean "
@@ -515,19 +631,29 @@ def integrate_exact(f, s: Simplex) -> IntegralEstimate:
     return IntegralEstimate(mean, 0.0, METHOD_EXACT, 0)
 
 
-def _cubature_admissible(f, s: Simplex) -> bool:
-    """Whether the policy tries cubature for ``f`` over ``s``.
+def _cubature_pieces(f, s: Simplex) -> int:
+    """The equal pieces the policy cuts ``s`` into for cubature of ``f``; 0
+    where it does not try cubature.
 
-    ``f`` must be a ``log_sum_exp`` within :data:`CUBATURE_MAX_DIMENSION`,
-    :data:`CUBATURE_MAX_SPREAD` and :data:`CUBATURE_MAX_ARGUMENT`.  The
-    arguments are affine, so their extremes on ``s`` are at its vertices.
+    ``f`` must be a ``log_sum_exp`` within :data:`CUBATURE_MAX_DIMENSION`
+    and :data:`CUBATURE_MAX_ARGUMENT`, and each piece within
+    :data:`CUBATURE_MAX_SPREAD`: the whole simplex, or on an interval the
+    fewest of 1, 2, 4, ... :data:`CUBATURE_MAX_PIECES` pieces.  The
+    arguments are affine, so their extremes on ``s`` are at its vertices,
+    and on an interval their spread is linear in its length.
     """
     if getattr(f, "kind", None) not in CUBATURE_KINDS or s.dimension > CUBATURE_MAX_DIMENSION:
-        return False
+        return 0
     Z = f.params["slopes"] @ s.vertices.T + f.params["offsets"][:, None]
+    if not np.abs(Z).max() <= CUBATURE_MAX_ARGUMENT:
+        return 0
     gaps = Z[:, None, :] - Z[None, :, :]
     spread = (gaps.max(axis=2) - gaps.min(axis=2)).max()
-    return spread <= CUBATURE_MAX_SPREAD and np.abs(Z).max() <= CUBATURE_MAX_ARGUMENT
+    most = CUBATURE_MAX_PIECES if s.dimension == 1 else 1
+    pieces = 1
+    while spread > CUBATURE_MAX_SPREAD * pieces and pieces < most:
+        pieces *= 2
+    return pieces if spread <= CUBATURE_MAX_SPREAD * pieces else 0
 
 
 def deterministic_mean(f, s: Simplex) -> IntegralEstimate | None:
@@ -536,8 +662,8 @@ def deterministic_mean(f, s: Simplex) -> IntegralEstimate | None:
     :func:`integrate_mc_shared`)."""
     if has_exact_mean(f, s):
         return integrate_exact(f, s)
-    if _cubature_admissible(f, s):
-        estimate = integrate_cubature(f, s, CUBATURE_DEGREE)
+    if pieces := _cubature_pieces(f, s):
+        estimate = integrate_cubature(f, s, CUBATURE_DEGREE, pieces)
         if estimate.std_error <= CUBATURE_MAX_ERROR:
             return estimate
     return None
@@ -547,7 +673,7 @@ def ground_truths(pairs, mc_samples: int = 100_000, seed: int = 0) -> list[Integ
     """The ground-truth policy for ``(f, simplex)`` pairs of one dimension.
 
     Exact where :func:`has_exact_mean` allows; for a kind in
-    :data:`CUBATURE_KINDS` inside the limits of :func:`_cubature_admissible`,
+    :data:`CUBATURE_KINDS` inside the limits of :func:`_cubature_pieces`,
     the degree-:data:`CUBATURE_DEGREE` cubature if its error estimate is at
     most :data:`CUBATURE_MAX_ERROR`; the other
     pairs by Monte Carlo, all on the one weight stream of ``seed``
@@ -576,7 +702,10 @@ def ground_truth_recipe(estimate: IntegralEstimate, seed: int | None) -> dict:
     if estimate.method == METHOD_EXACT:
         return {"method": METHOD_EXACT}
     if estimate.method == METHOD_CUBATURE:
-        return {"method": METHOD_CUBATURE, "degree": CUBATURE_DEGREE}
+        recipe = {"method": METHOD_CUBATURE, "degree": CUBATURE_DEGREE}
+        if estimate.pieces > 1:
+            recipe["pieces"] = estimate.pieces
+        return recipe
     return {"method": METHOD_MC, "samples": estimate.samples, "seed": seed}
 
 
@@ -584,13 +713,14 @@ def replay_ground_truth(f, s: Simplex, recipe: dict) -> IntegralEstimate:
     """Recompute an estimate from its recipe by the method the recipe records.
 
     A Monte Carlo recipe replays by Monte Carlo even for a kind that now has
-    an exact or cubature mean, so old descriptors reproduce bit for bit.
+    an exact or cubature mean, and a cubature recipe without ``pieces`` as
+    one piece, so old descriptors reproduce bit for bit.
     """
     method = recipe["method"]
     if method == METHOD_EXACT:
         return integrate_exact(f, s)
     if method == METHOD_CUBATURE:
-        return integrate_cubature(f, s, recipe["degree"])
+        return integrate_cubature(f, s, recipe["degree"], recipe.get("pieces", 1))
     if method != METHOD_MC:
         raise ValueError(f"unknown ground-truth method {method!r}")
     return integrate_mc(f, s, int(recipe["samples"]), int(recipe["seed"]))

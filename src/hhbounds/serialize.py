@@ -52,12 +52,6 @@ def dumps_lines(matrix) -> str:
     return "".join([template * len(c) % tuple(c.ravel().tolist()) for c in chunks])
 
 
-def write_json(path: str, obj: Any) -> None:
-    """Write ``obj`` as JSON, indented by 2, with a trailing newline to ``path``."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps(obj, indent=2) + "\n")
-
-
 def _reject_constant(token: str):
     raise ValueError(f"non-finite number {token} is not valid JSON")
 

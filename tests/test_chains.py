@@ -46,7 +46,7 @@ from hhbounds import (
     thm6_chain,
 )
 from hhbounds import chains
-from hhbounds.campaign import _build_trial, _ground_truths
+from hhbounds.campaign import _build_block, _ground_truths
 from hhbounds.chains import (
     CHAIN_NAMES,
     CHAINS,
@@ -616,7 +616,7 @@ class TestMeasures:
         # three campaign trials of each kind: every chain and every thm3 j
         cfg = CampaignConfig(dimensions=(dim,))
         for index in range(3 * len(KINDS)):
-            _, _, instances, _ = _build_trial(cfg, index)
+            _, _, instances, _ = _build_block(cfg, [index])[0]
             flat = [(name, case) for name, cases in instances.items() for case in cases]
             for name, (f, s, params) in flat:
                 chain = CHAINS[name]
@@ -644,7 +644,7 @@ class TestSharedWork:
         for dim in range(1, 9):
             cfg = CampaignConfig(dimensions=(dim,), function_kinds=(kind,))
             for index in range(2):
-                _, _, instances, _ = _build_trial(cfg, index)
+                _, _, instances, _ = _build_block(cfg, [index])[0]
                 flat, reports = trial_reports(instances, gt)
                 assert len(reports) == len(CampaignConfig().theorems) + dim
                 for (name, (f, s, params)), report in zip(flat, reports):
@@ -659,7 +659,7 @@ class TestSharedWork:
         gt = IntegralEstimate(0.25, 0.0, "exact_polynomial", 0)
         for dim in range(1, 9):
             cfg = CampaignConfig(dimensions=(dim,), function_kinds=(kind,))
-            _, _, instances, _ = _build_trial(cfg, 3)
+            _, _, instances, _ = _build_block(cfg, [3])[0]
             flat, reports = trial_reports(instances, gt)
             for (name, case), report in zip(flat, reports):
                 alone = chain_reports([(name, case)], [report.ground_truth])[0]
@@ -732,7 +732,7 @@ class TestSharedWork:
         gt = IntegralEstimate(0.25, 0.0, "exact_polynomial", 0)
         for dim in (1, 4, 8):
             cfg = CampaignConfig(dimensions=(dim,), function_kinds=("quadratic_psd",))
-            _, _, instances, _ = _build_trial(cfg, 0)
+            _, _, instances, _ = _build_block(cfg, [0])[0]
             spies = {id(f): Spy(f) for cases in instances.values() for f, _, _ in cases}
             flat = [
                 (name, (spies[id(f)], s, params))
@@ -770,7 +770,7 @@ class TestBlocks:
         cfg = CampaignConfig(mc_samples=64)
         out = []
         for index in range(self.TRIALS):
-            _, seeds, instances, domains = _build_trial(cfg, index)
+            _, seeds, instances, domains = _build_block(cfg, [index])[0]
             selected = [(name, case) for name in cfg.theorems for case in instances[name]]
             found = _ground_truths(selected, seeds, cfg.mc_samples, domains)
             out.append((selected, [gt for gt, _ in found]))

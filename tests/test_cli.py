@@ -18,7 +18,8 @@ from hhbounds import (
 )
 from hhbounds import chains, geometry, quadrature
 from hhbounds.cli import main
-from hhbounds.serialize import dumps, write_json
+from hhbounds.serialize import dumps
+from jsonfiles import write_json
 
 
 @pytest.fixture()
@@ -450,7 +451,7 @@ class TestCampaign:
         with open(out_path, encoding="utf-8") as handle:
             assert handle.read() == out
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "58380cd3da3a56b9d582adb9cbfcba1022c9e3f4f602b8e735701e05de12fd30"
+            "eb3e8cae5eb30152441f7923a05c6121d2b14c04cd402e6c58f459f9484f6865"
         )
 
     def test_csv_matches_result_json(self, capsys, tmp_path):

@@ -33,7 +33,7 @@ from hhbounds import (
     random_simplex,
     standard_simplex,
 )
-from hhbounds.campaign import _build_trial, replay_failure, run_instances
+from hhbounds.campaign import _build_block, replay_failure, run_instances
 from hhbounds.chains import CHAINS, DOMAINS
 from hhbounds.quadrature import (
     CUBATURE_DEGREE,
@@ -205,7 +205,7 @@ def campaign_domains(count: int, master_seed: int = 20260810):
     """
     cfg = CampaignConfig(function_kinds=("log_sum_exp",), master_seed=master_seed)
     for index in itertools.count():
-        _, _, instances, _ = _build_trial(cfg, index)
+        _, _, instances, _ = _build_block(cfg, [index])[0]
         for name in ("choquet", "thm4", "cor2", "cor3"):
             func, simplex, params = instances[name][0]
             yield func, DOMAINS[CHAINS[name].domain](simplex, params)
@@ -360,10 +360,9 @@ class TestPolicy:
         "slopes, offsets, error",
         [
             # a kink between the nodes: every node sees one piece, so the
-            # degree-13 and degree-15 rules agree on a mean near 0
+            # degree-13 and degree-15 rules agree on a mean near 0; at a
+            # spread of 1000 the interval would need more than 16 pieces
             ([[1000.0], [0.0]], [-999.0, 0.0], 1e-3),
-            # spread 4: the two rules agree to 8e-11 and both miss by 1.5e-9
-            ([[2.0], [-2.0]], [-0.8, 0.8], 1.4e-9),
         ],
     )
     def test_sharp_kink_falls_back_to_mc(self, slopes, offsets, error):
@@ -373,6 +372,18 @@ class TestPolicy:
         assert est.std_error <= CUBATURE_MAX_ERROR
         assert abs(est.mean_value - _mpmath_mean(f, s)) > error
         assert ground_truth(f, s, mc_samples=500, seed=2) == integrate_mc(f, s, 500, 2)
+
+    def test_spread_4_is_cut_in_two(self):
+        # spread 4 on one piece: the two rules agree to 8e-11 and both miss
+        # by 1.5e-9; the policy cuts the interval into two pieces of spread 2
+        f = ConvexFunction("log_sum_exp", {"slopes": [[2.0], [-2.0]], "offsets": [-0.8, 0.8]})
+        s = Simplex([[0.0], [1.0]])
+        whole = integrate_cubature(f, s, CUBATURE_DEGREE)
+        assert whole.std_error <= CUBATURE_MAX_ERROR
+        assert abs(whole.mean_value - _mpmath_mean(f, s)) > 1.4e-9
+        est = ground_truth(f, s, mc_samples=500, seed=2)
+        assert est == integrate_cubature(f, s, CUBATURE_DEGREE, 2) and est.pieces == 2
+        assert abs(est.mean_value - _mpmath_mean(f, s)) < 1e-12
 
     def test_large_arguments_fall_back_to_mc(self):
         f = ConvexFunction("log_sum_exp", {"slopes": [[0.5], [-0.5]], "offsets": [150.0, 150.5]})
@@ -414,11 +425,88 @@ class TestPolicy:
             with pytest.raises(ValueError):
                 replay_ground_truth(f, s, {"method": "cubature", "degree": degree})
 
+    def test_cut_recipe_round_trip(self):
+        # spread 6 on [0, 1]: two pieces; a recipe without "pieces" is one piece
+        s = Simplex([[0.0], [1.0]])
+        f = ConvexFunction("log_sum_exp", {"slopes": [[3.0], [-3.0]], "offsets": [-1.4, 1.4]})
+        est = ground_truth(f, s, mc_samples=500, seed=4)
+        recipe = ground_truth_recipe(est, 4)
+        assert recipe == {"method": "cubature", "degree": 15, "pieces": 2}
+        again = replay_ground_truth(f, s, json.loads(json.dumps(recipe)))
+        assert again == est and dumps(again.to_json_dict()) == dumps(est.to_json_dict())
+        assert est.to_json_dict()["pieces"] == 2
+        old = replay_ground_truth(f, s, {"method": "cubature", "degree": 15})
+        assert old == integrate_cubature(f, s, CUBATURE_DEGREE) and old.pieces == 1
+        assert "pieces" not in old.to_json_dict()
+
+    def test_pieces_validation(self):
+        s = Simplex([[0.0], [1.0]])
+        f = ConvexFunction("log_sum_exp", {"slopes": [[1.0], [-1.0]], "offsets": [0.0, 0.0]})
+        for pieces in (0, -2, True, 2.0, "2"):
+            with pytest.raises(ValueError):
+                integrate_cubature(f, s, CUBATURE_DEGREE, pieces)
+        g = random_convex(2, "log_sum_exp", 9, simplex=standard_simplex(2))
+        with pytest.raises(ValueError):
+            integrate_cubature(g, standard_simplex(2), CUBATURE_DEGREE, 2)
+        with pytest.raises(ValueError):  # more nodes than CUBATURE_MAX_NODES
+            integrate_cubature(f, s, CUBATURE_DEGREE, 10**5)
+
+    def test_one_piece_has_the_bits_of_the_whole_interval(self):
+        s = random_simplex(1, np.random.default_rng(5))
+        f = random_convex(1, "log_sum_exp", 5, simplex=s)
+        assert integrate_cubature(f, s, CUBATURE_DEGREE, 1) == integrate_cubature(
+            f, s, CUBATURE_DEGREE
+        )
+
     def test_old_mc_recipe_replays_by_mc(self):
         s = random_simplex(3, np.random.default_rng(7))
         f = random_convex(3, "log_sum_exp", 8, simplex=s)
         recipe = {"method": "monte_carlo", "samples": 3000, "seed": 23}
         assert replay_ground_truth(f, s, recipe) == integrate_mc(f, s, 3000, 23)
+
+
+def _interval_log_sum_exp(spread: float, rng: np.random.Generator):
+    """A ``log_sum_exp`` of 2-4 pieces on a random interval whose arguments
+    spread by ``spread`` over it, every pair crossing inside it."""
+    s = random_simplex(1, rng)
+    lo, hi = sorted(s.vertices[:, 0])
+    k = int(rng.integers(2, 5))
+    slopes = rng.uniform(-1.0, 1.0, k)
+    slopes *= spread / ((slopes.max() - slopes.min()) * (hi - lo))
+    kinks = rng.uniform(lo, hi, k)
+    offsets = -slopes * kinks + rng.uniform(-0.1, 0.1, k)
+    return ConvexFunction("log_sum_exp", {"slopes": slopes[:, None], "offsets": offsets}), s
+
+
+class TestSplitCubature:
+    @pytest.mark.parametrize("spread", [3.5, 5.5, 11.0, 23.0, 47.5])
+    def test_within_the_gate_of_mpmath(self, spread):
+        rng = np.random.default_rng(int(spread * 10))
+        accepted = 0
+        for _ in range(6):
+            f, s = _interval_log_sum_exp(spread, rng)
+            est = ground_truth(f, s, mc_samples=2)
+            if est.method == "cubature":
+                accepted += 1
+                assert est.pieces == 2 ** math.ceil(math.log2(spread / CUBATURE_MAX_SPREAD))
+                assert abs(est.mean_value - _mpmath_mean(f, s)) <= CUBATURE_MAX_ERROR
+        assert accepted >= 4
+
+    def test_spread_above_48_takes_mc(self):
+        f, s = _interval_log_sum_exp(48.5, np.random.default_rng(8))
+        assert ground_truth(f, s, mc_samples=500, seed=3) == integrate_mc(f, s, 500, 3)
+
+    def test_campaign_intervals_leave_mc(self):
+        # the 1-D log_sum_exp domains of 96 campaign trials: of those past the
+        # spread limit, the split rule takes all but the few whose pieces'
+        # error estimates stay above CUBATURE_MAX_ERROR
+        cut = mc = 0
+        for f, s in campaign_domains(384):
+            if s.dimension == 1:
+                est = ground_truth(f, s, mc_samples=2)
+                cut += est.pieces > 1
+                mc += est.method == "monte_carlo"
+        assert cut >= 10 and mc <= cut // 4
 
 
 class TestChanceFailureRegression:
@@ -427,7 +515,7 @@ class TestChanceFailureRegression:
         # -0.08049 at tolerance 0.08043; its interval mean now comes from the
         # cubature rule, and the verdict is judged at TOL_CHAIN.
         cfg = CampaignConfig(trials_per_theorem=2000, mc_samples=256)
-        _, seeds, instances, _ = _build_trial(cfg, 628)
+        _, seeds, instances, _ = _build_block(cfg, [628])[0]
         [(name, instance, report, recipe)] = run_instances(
             [("cor2", instances["cor2"][0])], seeds, cfg.mc_samples, {}
         )

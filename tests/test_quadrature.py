@@ -498,13 +498,20 @@ class TestMaxOfAffines1D:
         assert integrate_exact(f, Simplex([[-3.0], [-1.0]])).mean_value == 2.0
 
     def test_higher_dimensions_unsupported(self):
-        # three or more pieces in dims >= 2 have no closed form
+        # three pieces in 2-D take the coned mean; five pieces through one
+        # point in 5-D meet the 4-vertex faces at no common point, so they
+        # have no exact mean and take Monte Carlo
         s = standard_simplex(2)
-        f = random_convex(2, "max_of_affines", 3, simplex=s)
-        assert len(f.params["offsets"]) > 2
-        with pytest.raises(UnsupportedKindError):
-            integrate_exact(f, s)
-        assert ground_truth(f, s, mc_samples=500, seed=1).method == "monte_carlo"
+        f = random_convex(2, "max_of_affines", 1, simplex=s)
+        assert len(f.params["offsets"]) == 3
+        est = ground_truth(f, s, mc_samples=500, seed=1)
+        assert est == integrate_exact(f, s) and est.method == "exact_polynomial"
+        s5 = standard_simplex(5)
+        f5 = random_convex(5, "max_of_affines", 1, simplex=s5)
+        assert len(f5.params["offsets"]) == 5
+        with pytest.raises(UnsupportedKindError, match="coned mean"):
+            integrate_exact(f5, s5)
+        assert ground_truth(f5, s5, mc_samples=500, seed=1) == integrate_mc(f5, s5, 500, 1)
         g = random_convex(1, "max_of_affines", 3, simplex=UNIT_INTERVAL)
         assert ground_truth(g, UNIT_INTERVAL, mc_samples=500, seed=1).method == (
             "exact_polynomial"
@@ -696,10 +703,17 @@ class TestIntegralEstimate:
             IntegralEstimate(1.0, 0.0, "simpson", 0)
         with pytest.raises(ValueError):
             IntegralEstimate(1.0, 1e-12, "cubature", 5)
+        for method, samples in (("exact_polynomial", 0), ("monte_carlo", 10)):
+            with pytest.raises(ValueError):
+                IntegralEstimate(1.0, 0.0, method, samples, 2)
+        with pytest.raises(ValueError):
+            IntegralEstimate(1.0, 1e-12, "cubature", 0, 0)
 
     def test_json_round_trip(self):
         for est in (
             IntegralEstimate(0.25, 0.001, "monte_carlo", 1000),
             IntegralEstimate(0.25, 1e-12, "cubature", 0),
+            IntegralEstimate(0.25, 1e-12, "cubature", 0, 4),
         ):
             assert IntegralEstimate.from_json_dict(est.to_json_dict()) == est
+        assert "pieces" not in IntegralEstimate(0.25, 1e-12, "cubature", 0).to_json_dict()

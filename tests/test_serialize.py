@@ -11,7 +11,8 @@ from hhbounds.chains import choquet_chain
 from hhbounds.funcs import ConvexFunction
 from hhbounds.geometry import standard_simplex
 from hhbounds.quadrature import integrate_exact
-from hhbounds.serialize import LINES_CHUNK_ROWS, dumps, dumps_lines, read_json, write_json
+from hhbounds.serialize import LINES_CHUNK_ROWS, dumps, dumps_lines, read_json
+from jsonfiles import write_json
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
