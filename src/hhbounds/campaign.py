@@ -24,7 +24,13 @@ interval chains, and evaluates every selected chain.  Trials derive child
 seeds from the master seed through a counter-based splittable scheme
 (``numpy.random.SeedSequence`` with the trial index as spawn key), so the
 campaign is deterministic in the master seed, trials are independent, and
-aggregation order does not matter.
+aggregation order does not matter.  Each function draws as
+``numpy.random.default_rng`` does on a seed its trial drew.  A block does
+not build these generators one at a time: :func:`_pcg64_states` computes
+every trial's PCG64 state, then every function's, in one numpy pass of
+SeedSequence's hash, and one generator is set to each in turn; the
+Dirichlet draws take numpy's own gamma form.  The bits, and the contract
+that trial ``i`` depends only on ``(master_seed, i)``, are numpy's.
 
 Failures are recorded as self-contained descriptors (simplex, function,
 chain parameters, ground-truth recipe) in the shape of an instance, and
@@ -72,7 +78,7 @@ from .errors import (
     PointOutsideSimplexError,
     WorkerError,
 )
-from .funcs import KINDS, ConvexFunction, convex_functions, random_params
+from .funcs import KINDS, ConvexFunction, _dirichlet, convex_functions, random_params
 from .funcs import random_convex  # noqa: F401  (perfbench wraps it under this module)
 from .geometry import Simplex, scaled_copies, simplices, solve_stacked
 from .quadrature import (
@@ -347,24 +353,109 @@ def random_simplex(dim: int, rng: np.random.Generator) -> Simplex:
     )
 
 
-def _draw_trial(cfg: CampaignConfig, index: int, retry: bool = False):
-    """The seeded draws of trial ``index``, in the order of the determinism contract:
-    simplex (with retries), function seed, subsimplex scale, interior point, mixture
-    size/weights/points, cor2 interval + split + function seed, cor3 parameters +
-    function seed, then three ground-truth seeds (one unused).  The vertices are
-    :func:`random_simplex`'s first try, or with ``retry`` the ``parent`` it accepts."""
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and the PCG64
+# multiplier (numpy/random/src/pcg64), which _pcg64_states reproduces.
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _words(n: int) -> list[int]:
+    """A nonnegative int as SeedSequence reads it: 32-bit words, low first."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _entropy_words(entropy: int, spawn_key: tuple[int, ...] = ()) -> list[int]:
+    """The words ``SeedSequence(entropy, spawn_key=spawn_key)`` hashes: when
+    spawned, its entropy padded to the pool's 4 words, then the key's."""
+    words = _words(int(entropy))
+    if spawn_key:
+        words += [0] * (4 - len(words))
+        for key in spawn_key:
+            words += _words(key)
+    return words
+
+
+def _pcg64_states(entropies: list[list[int]]) -> list[tuple[int, int]]:
+    """``(state, inc)`` of ``PCG64(SeedSequence(e))`` for each ``e`` in
+    ``entropies``, each given as the words SeedSequence assembles from its
+    entropy and spawn key, all in one numpy pass per row length.
+
+    A row shorter than SeedSequence's pool of 4 words reads as if padded
+    with zero words, as in numpy's hash.  uint32 arithmetic wraps as the
+    hash's C does; PCG64's 128-bit seeding step runs on Python ints."""
+    out: list = [None] * len(entropies)
+    by_length: dict[int, list[int]] = {}
+    for t, row in enumerate(entropies):
+        by_length.setdefault(max(4, len(row)), []).append(t)
+    for length, ts in by_length.items():
+        entropy = np.zeros((length, len(ts)), dtype=np.uint32)
+        for column, t in enumerate(ts):
+            entropy[:len(entropies[t]), column] = entropies[t]
+        hash_const = _INIT_A
+
+        def hashmix(value):
+            nonlocal hash_const
+            value = value ^ np.uint32(hash_const)
+            hash_const = hash_const * _MULT_A & _MASK32
+            value *= np.uint32(hash_const)
+            return value ^ (value >> 16)
+
+        def mix(x, y):
+            result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+            return result ^ (result >> 16)
+
+        pool = [hashmix(entropy[i]) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for src in range(4, length):
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(entropy[src]))
+        hash_const, state = _INIT_B, []  # generate_state(4, np.uint64)
+        for i in range(8):
+            value = pool[i % 4] ^ np.uint32(hash_const)
+            hash_const = hash_const * _MULT_B & _MASK32
+            value *= np.uint32(hash_const)
+            state.append((value ^ (value >> 16)).astype(np.uint64))
+        words64 = [(state[2 * j] | state[2 * j + 1] << np.uint64(32)).tolist() for j in range(4)]
+        for t, seed_hi, seed_lo, seq_hi, seq_lo in zip(ts, *words64):
+            # pcg64_set_seed: inc = seq << 1 | 1; two steps from state 0, seed added after one
+            inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+            out[t] = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128, inc
+    return out
+
+
+def _seeded(rng: np.random.Generator, state: tuple[int, int]) -> np.random.Generator:
+    """``rng``, its PCG64 set to ``(state, inc)`` as numpy's seeding leaves it."""
+    rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                               "state": {"state": state[0], "inc": state[1]}}
+    return rng
+
+
+def _draw_trial(cfg: CampaignConfig, index: int, rng: np.random.Generator, retry: bool = False):
+    """The seeded draws of trial ``index`` from ``rng``, in the state
+    ``SeedSequence(master_seed, spawn_key=(index,))`` seeds, in the order of the
+    determinism contract: simplex (with retries), function seed, subsimplex
+    scale, interior point, mixture size/weights/points, cor2 interval + split +
+    function seed, cor3 parameters + function seed, then three ground-truth seeds
+    (one unused).  The vertices are :func:`random_simplex`'s first try, or with
+    ``retry`` the ``parent`` it accepts.  Each function is left as ``(kind, dim,
+    seed, vertices)``, for the block to draw from its own seed."""
     dim = cfg.dimensions[index % len(cfg.dimensions)]
     kind = cfg.function_kinds[index % len(cfg.function_kinds)]
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=cfg.master_seed, spawn_key=(index,))
-    )
     parent = random_simplex(dim, rng) if retry else None
     V = parent.vertices if retry else rng.standard_normal((dim + 1, dim))
-    specs = [(kind, *random_params(dim, kind, int(rng.integers(0, 2**63)), V))]
+    specs = [(kind, dim, int(rng.integers(0, 2**63)), V)]
     t_scale = float(cfg.subsimplex_scales[int(rng.integers(len(cfg.subsimplex_scales)))])
-    point = rng.dirichlet(np.full(dim + 1, 2.0)) @ V
+    point = _dirichlet(rng, dim + 1) @ V
     m = int(rng.integers(2, 5))
-    betas = rng.dirichlet(np.full(m, 2.0))
+    betas = _dirichlet(rng, m)
     raw_w = rng.standard_exponential((m, dim + 1))
     raw_w /= raw_w.sum(axis=1, keepdims=True)
     shifted = raw_w @ V
@@ -373,7 +464,7 @@ def _draw_trial(cfg: CampaignConfig, index: int, retry: bool = False):
     b = a + 0.3 + float(rng.exponential(1.0))
     cor2 = {"a": a, "b": b, "lam": float(rng.uniform(0.0, 1.0))}
     interval = np.array([[a], [b]])
-    specs.append((kind, *random_params(1, kind, int(rng.integers(0, 2**63)), interval)))
+    specs.append((kind, 1, int(rng.integers(0, 2**63)), interval))
 
     p, q = float(rng.uniform(0.2, 5.0)), float(rng.uniform(0.2, 5.0))
     a = float(rng.normal(0.0, 1.0))
@@ -381,7 +472,7 @@ def _draw_trial(cfg: CampaignConfig, index: int, retry: bool = False):
     y = float(rng.uniform(0.05, 1.0)) * cor3_max_halfwidth(p, q, a, b)
     cor3 = {"p": p, "q": q, "a": a, "b": b, "y": y}
     window = np.array(window_vertices(cor3))
-    specs.append((kind, *random_params(1, kind, int(rng.integers(0, 2**63)), window)))
+    specs.append((kind, 1, int(rng.integers(0, 2**63)), window))
 
     first, _, second = (int(seed) for seed in rng.integers(0, 2**63, size=3))
     seeds = {"parent": first, "subsimplex": first, "interval": second, "window": second}
@@ -399,10 +490,15 @@ def _build_block(cfg: CampaignConfig, indices) -> list:
     by :data:`~hhbounds.chains.DOMAINS` name, each ground-truth seed and
     domain (the cor2 interval and cor3 window its functions were drawn on).
     The parent and subsimplex share a seed, as do the interval and window.
-    Each trial draws alone (:func:`_draw_trial`); checks and geometry run
-    stacked per dimension, with the bits of a block of one."""
+    Each trial draws alone (:func:`_draw_trial`), and each function from its
+    own seed, on one generator whose states :func:`_pcg64_states` computes
+    for the whole block, first the trials' and then the functions'; checks
+    and geometry run stacked per dimension, with the bits of a block of one."""
     indices = list(indices)
-    draws = [_draw_trial(cfg, index) for index in indices]
+    rng = np.random.Generator(np.random.PCG64(0))
+    states = _pcg64_states([_entropy_words(cfg.master_seed, (index,)) for index in indices])
+    draws = [_draw_trial(cfg, index, _seeded(rng, state))
+             for index, state in zip(indices, states)]
     by_dim: dict[int, list[int]] = {}
     for t, drawn in enumerate(draws):
         by_dim.setdefault(drawn["dim"], []).append(t)
@@ -411,9 +507,15 @@ def _build_block(cfg: CampaignConfig, indices) -> list:
             if isinstance(s, Simplex):
                 draws[t]["parent"] = s
             else:  # drawn again, random_simplex making every try
-                draws[t] = _draw_trial(cfg, indices[t], retry=True)
+                spawned = np.random.SeedSequence(cfg.master_seed, spawn_key=(indices[t],))
+                draws[t] = _draw_trial(cfg, indices[t], np.random.default_rng(spawned), retry=True)
     domains_1d = simplices([v for drawn in draws for v in drawn["domains_1d"]], strict=True)
-    functions = convex_functions([spec for drawn in draws for spec in drawn["specs"]])
+    specs = [spec for drawn in draws for spec in drawn["specs"]]
+    states = _pcg64_states([_entropy_words(seed) for _, _, seed, _ in specs])
+    functions = convex_functions([
+        (kind, *random_params(dim, kind, seed, V, _seeded(rng, state)))
+        for (kind, dim, seed, V), state in zip(specs, states)
+    ])
     for dim, ts in by_dim.items():
         # Mixture points averaging to the centroid: shift random points so the
         # beta-mixture hits the centroid, then shrink toward it until all are

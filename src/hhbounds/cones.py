@@ -116,8 +116,11 @@ def triangle_means(T3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def coned_means(T: np.ndarray) -> tuple[float, float]:
-    """Mean of ``max_i (T w)_i`` over uniform barycentric ``w``, with its rounding bound.
+def coned_means(
+    T: np.ndarray, allowance: float = 0.0, limit: float | None = None
+) -> tuple[float | None, float]:
+    """Mean of ``max_i (T w)_i`` over uniform barycentric ``w``, with its
+    rounding bound plus ``allowance``.
 
     ``T`` is ``(k, n+1)``, ``n >= 2``: piece ``i`` at vertex ``j``.  Coning
     over the faces of four or more vertices, one level per size, from the
@@ -131,15 +134,22 @@ def coned_means(T: np.ndarray) -> tuple[float, float]:
     so their order changes no bit, and coincident pieces are kept once.  A
     piece that another is at least at every vertex is at most it on the
     whole simplex, and is dropped (parallel pieces, for one).
+
+    With a ``limit``, the bound is priced before the triangles: propagated
+    from triangle bounds of zero, every term is nonnegative and rounding is
+    monotone, so it is at most the full bound (a non-finite one stays
+    non-finite).  Where it plus ``allowance`` is not at most ``limit``,
+    neither is the full bound, and the triangles are skipped: the mean is
+    None and the bound this lower one.
     """
     T = T[np.lexsort(T.T[::-1])]
     T = T[np.append(True, (T[1:] != T[:-1]).any(axis=1))]
     T = T[(T[:, None] <= T[None]).all(axis=2).sum(axis=1) == 1]
     k, np1 = T.shape
     triangles, member, levels = face_lattice(np1)
-    means, bounds = triangle_means(T[:, triangles].transpose(1, 0, 2))
     if np1 == 3:
-        return float(means[0]), float(bounds[0])
+        means, bounds = triangle_means(T[:, triangles].transpose(1, 0, 2))
+        return float(means[0]), float(bounds[0]) + allowance
     a = np.vstack([T[1:] - T[:1], np.ones(np1)]).T
     G = (member @ (a[:, :, None] * a[:, None, :]).reshape(np1, -1)).reshape(-1, k, k)
     G += (EPS * np.trace(G, axis1=1, axis2=2))[:, None, None] * np.eye(k)
@@ -156,11 +166,20 @@ def coned_means(T: np.ndarray) -> tuple[float, float]:
     mass = np.abs(w).sum(axis=1)
     rounding = (np.abs(w.sum(axis=1) - 1.0) + 2 * sizes * EPS) * (1.0 + 2.0 * mass)
     local = off * mass / sizes + rounding * np.abs(T).max()
+    steps = []  # per level: facet rows, weights of the faces' points, h there, ratio, rows
     for first, faces, facets in levels:
         F, size = faces.shape
         at = np.arange(first, first + F)
-        wf, c = w[at[:, None], faces], h[at]
-        ratio = (size - 1) / size
+        steps.append((facets, w[at[:, None], faces], h[at], (size - 1) / size, at))
+
+    def bound(bounds):
+        for facets, wf, _, ratio, at in steps:
+            bounds = ratio * (np.abs(wf) * bounds[facets]).sum(axis=1) + local[at]
+        return float(bounds[0]) + allowance
+
+    if limit is not None and not (lower := bound(np.zeros(len(triangles)))) <= limit:
+        return None, lower
+    means, bounds = triangle_means(T[:, triangles].transpose(1, 0, 2))
+    for facets, wf, c, ratio, _ in steps:
         means = c + ratio * (wf * (means[facets] - c[:, None])).sum(axis=1)
-        bounds = ratio * (np.abs(wf) * bounds[facets]).sum(axis=1) + local[at]
-    return float(means[0]), float(bounds[0])
+    return float(means[0]), bound(bounds)

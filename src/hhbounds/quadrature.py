@@ -233,9 +233,9 @@ class IntegralEstimate:
     def __post_init__(self) -> None:
         if self.method not in (METHOD_MC, METHOD_EXACT, METHOD_CUBATURE):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.std_error < 0.0 or not np.isfinite(self.std_error):
+        if self.std_error < 0.0 or not math.isfinite(self.std_error):
             raise ValueError("std_error must be finite and nonnegative")
-        if not np.isfinite(self.mean_value):
+        if not math.isfinite(self.mean_value):
             raise ValueError("mean_value must be finite")
         if self.method == METHOD_EXACT and (self.samples != 0 or self.std_error != 0.0):
             raise ValueError("exact estimates carry no samples and no error")
@@ -527,7 +527,7 @@ def _hinge_mean(t: np.ndarray) -> float:
     The recurrence of the module docstring, run in place: after pass ``m``,
     ``g[i]`` holds ``G[i..i+m]``.
     """
-    t = sorted(float(x) for x in t)
+    t = sorted(map(float, t))
     g = [max(x, 0.0) for x in t]
     for m in range(1, len(t)):
         for i in range(len(t) - m):
@@ -567,9 +567,9 @@ def _coned_mean(f, s: Simplex) -> float | None:
     from .cones import coned_means
 
     p, V = f.params, s.vertices
-    mean, bound = coned_means(p["slopes"] @ V.T + p["offsets"][:, None])
     scale = (np.abs(p["slopes"]) @ np.abs(V).T + np.abs(p["offsets"])[:, None]).max()
-    bound += (s.dimension + 2) * np.finfo(float).eps * scale
+    allowance = (s.dimension + 2) * np.finfo(float).eps * scale
+    mean, bound = coned_means(p["slopes"] @ V.T + p["offsets"][:, None], allowance, CONE_MAX_ERROR)
     return mean if bound <= CONE_MAX_ERROR else None
 
 
@@ -604,7 +604,7 @@ def integrate_exact(f, s: Simplex) -> IntegralEstimate:
         raise DimensionMismatchError(
             f"function dimension {f.dim} does not match simplex {s.dimension}"
         )
-    if not has_exact_mean(f, s):
+    if kind == "max_of_affines" and not has_exact_mean(f, s):  # the others always have one
         raise UnsupportedKindError(_no_exact_mean(kind, s))
     p = f.params
     centroid = s.centroid

@@ -697,6 +697,59 @@ class TestBlockBuilding:
         )
         assert retried == [3, 3, 3, 3, 4, 4, 4]
 
+    def test_first_default_trials_pinned(self):
+        # The first 48 trials of the default config, every kind in every
+        # dimension.  The digest was recorded when every trial and function
+        # built its own generator through numpy's seeding and drew its
+        # Dirichlets with Generator.dirichlet.
+        built = _build_block(default_config(), range(48))
+        assert _sha256(repr(_trial_bytes(built))) == (
+            "ff1841ffbefce8104a15c5362d18261d181f38658e1d699777e9ff747355382d"
+        )
+
+
+class TestTrialSeeding:
+    """A block's generator states, computed in one pass, are numpy's."""
+
+    ENTROPIES = (0, 1, 5, 2**32 - 1, 2**32, 2**63 - 1, 2**64, 2**96 + 3,
+                 2**128 - 1, 2**128, 2**200 + 7, 20260810)
+
+    @pytest.mark.parametrize("spawn_key", [(), (0,), (2**32 - 1,), (2**32,), (3, 2**40)])
+    def test_states_are_numpys(self, spawn_key):
+        # no key, as default_rng(seed) seeds a function; a key, as a trial is
+        # seeded; entropies of 1 to 7 words, beyond the pool's 4, and keys of
+        # 1 to 3 words
+        states = campaign._pcg64_states(
+            [campaign._entropy_words(e, spawn_key) for e in self.ENTROPIES]
+        )
+        for entropy, state in zip(self.ENTROPIES, states):
+            seeded = np.random.PCG64(np.random.SeedSequence(entropy, spawn_key=spawn_key))
+            assert state == tuple(seeded.state["state"].values())
+
+    def test_drawn_seeds_and_mixed_lengths(self):
+        rng = np.random.default_rng(2026)
+        seeds = [int(seed) for seed in rng.integers(0, 2**63, size=200)] + [7, 2**33]
+        rows = [campaign._entropy_words(s) for s in seeds]
+        rows += [campaign._entropy_words(20260810, (index,)) for index in (0, 5, 2**32 + 1)]
+        want = [np.random.PCG64(s).state["state"] for s in seeds]
+        for index in (0, 5, 2**32 + 1):
+            spawned = np.random.SeedSequence(20260810, spawn_key=(index,))
+            want.append(np.random.PCG64(spawned).state["state"])
+        assert campaign._pcg64_states(rows) == [(w["state"], w["inc"]) for w in want]
+
+    def test_seeded_generator_draws_as_numpys(self):
+        (state,) = campaign._pcg64_states([campaign._entropy_words(99, (4,))])
+        rng = np.random.Generator(np.random.PCG64(0))
+        rng.random(3)  # a used generator, set to the state
+        rng.random(dtype=np.float32)  # with a buffered half word
+        ours = campaign._seeded(rng, state)
+        theirs = np.random.default_rng(np.random.SeedSequence(99, spawn_key=(4,)))
+        for draw in ("standard_normal", "random", "integers"):
+            args = (2**40,) if draw == "integers" else ()
+            assert np.array_equal(getattr(ours, draw)(*args, size=5),
+                                  getattr(theirs, draw)(*args, size=5))
+        assert ours.random(dtype=np.float32) == theirs.random(dtype=np.float32)
+
 
 class TestPinnedReplay:
     """Fixed outputs that the campaign and replay paths must keep exactly."""

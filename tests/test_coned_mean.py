@@ -26,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhbounds import CampaignConfig, ConvexFunction, Simplex, random_convex, random_simplex
-from hhbounds import quadrature
+from hhbounds import cones, quadrature
 from hhbounds.campaign import _build_block
 from hhbounds.cones import coned_means, face_lattice
 from hhbounds.quadrature import (
@@ -211,6 +211,44 @@ class TestAgainstMpmath:
         assert not bound <= CONE_MAX_ERROR
         assert not has_exact_mean(f, s)
         assert mp_max_of_affines_mean(f, s) is None
+
+
+class TestPricedBeforeTriangles:
+    def test_same_domains_accepted_with_fewer_triangle_passes(self):
+        # The policy prices the bound from triangle bounds of zero before any
+        # triangle: against the full bound, plus the same allowance, it takes
+        # and leaves the same means, with the same bits, and the five-piece
+        # draws in dims 4-8, whose 4-vertex faces have no common point, skip
+        # the triangles.
+        rng = np.random.default_rng(460)
+        cases = [campaign_draw(dim, pieces, rng)
+                 for dim in range(4, 9) for pieces in (5, 5, 3)]
+        calls = []
+        triangles = cones.triangle_means
+
+        def counting(T3):
+            calls.append(len(T3))
+            return triangles(T3)
+
+        skipped = accepted = 0
+        for f, s in cases:
+            T = vertex_values(f, s)
+            mean, bound = coned_means(T)
+            scale = (np.abs(f.params["slopes"]) @ np.abs(s.vertices).T
+                     + np.abs(f.params["offsets"])[:, None]).max()
+            bound += (s.dimension + 2) * np.finfo(float).eps * scale
+            want = mean if bound <= CONE_MAX_ERROR else None
+            del calls[:]
+            with mock.patch.object(cones, "triangle_means", counting):
+                got = quadrature._coned_mean.__wrapped__(f, s)
+            assert got == want and (want is None or got.hex() == want.hex())
+            if want is not None:
+                assert len(calls) == 1
+            elif len(f.params["offsets"]) == 5:
+                assert not calls
+            skipped += not calls
+            accepted += want is not None
+        assert skipped == 10 and accepted >= 3
 
 
 def _special(dim: int, case: str, rng: np.random.Generator):

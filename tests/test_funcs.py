@@ -14,7 +14,7 @@ from hhbounds import (
     random_simplex,
     standard_simplex,
 )
-from hhbounds.funcs import convex_functions, random_params
+from hhbounds.funcs import _dirichlet, convex_functions, random_params
 
 
 def midpoint_convexity_check(f, s: Simplex, trials: int, seed: int) -> bool:
@@ -323,6 +323,25 @@ class TestRandomConvex:
         assert digest.hexdigest() == (
             "6ba3f76bd3ee5e6528c68a538cd09ff5234e866996f77a1194502f07f8ce9574"
         )
+
+    @pytest.mark.parametrize("k", range(2, 10))
+    def test_dirichlet_in_gamma_form_is_numpys(self, k):
+        # the same values and the same generator state after them
+        for seed in range(40):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert _dirichlet(ours, k).tobytes() == theirs.dirichlet(np.full(k, 2.0)).tobytes()
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_params_from_a_given_generator(self):
+        # a generator in default_rng(seed)'s state draws what the seed does
+        V = random_simplex(3, np.random.default_rng(8)).vertices
+        for kind in KINDS:
+            for seed in (0, 17, 2**40 + 1):
+                rng = np.random.default_rng(seed)
+                got = random_params(3, kind, seed, V, rng)
+                want = random_params(3, kind, seed, V)
+                assert got[1] == want[1]
+                assert all(np.array_equal(got[0][key], want[0][key]) for key in want[0])
 
     def test_hinge_kink_inside_simplex(self):
         rng = np.random.default_rng(2)
