@@ -327,13 +327,64 @@ def random_params(
     return params, label
 
 
+def _drawn_params(specs) -> list[dict] | None:
+    """The params of every ``(kind, params, label)`` in ``specs`` as
+    :func:`_clean_params` returns them, where all are in the form
+    :func:`random_params` draws (float64 arrays of their schema's shapes,
+    float scalars) and finite, checked with one stacked finiteness check;
+    None otherwise."""
+    out, arrays, scalars = [], [], []
+    for kind, params, _ in specs:
+        if kind not in _SCHEMAS or type(params) is not dict:
+            return None
+        p = {}
+        for name in _SCHEMAS[kind]:
+            value = params.get(name)
+            if name in ("matrix", "slope", "slopes", "offsets"):
+                if type(value) is not np.ndarray or value.dtype != np.float64:
+                    return None
+                arrays.append(value.ravel())
+            elif type(value) is float or type(value) is np.float64:
+                value = float(value)
+                scalars.append(value)
+            else:
+                return None
+            p[name] = value
+        if kind in ("max_of_affines", "log_sum_exp"):
+            shaped = p["slopes"].ndim == 2 and p["offsets"].shape == (len(p["slopes"]),) != (0,)
+        elif kind == "quadratic_psd":
+            M = p["matrix"]
+            shaped = M.ndim == 2 and p["slope"].shape == M.shape[:1] == M.shape[1:]
+        else:
+            shaped = p["slope"].ndim == 1
+        if not shaped:
+            return None
+        out.append(p)
+    if not np.isfinite(np.concatenate([*arrays, scalars])).all():
+        return None
+    for p in out:
+        for value in p.values():
+            if type(value) is np.ndarray:
+                value.setflags(write=False)
+    return out
+
+
 def convex_functions(specs) -> list[ConvexFunction]:
     """``ConvexFunction(kind, params, label)`` of each triple in ``specs``, with
-    one stacked PSD certificate per matrix size for their quadratic matrices."""
+    one stacked PSD certificate per matrix size for their quadratic matrices.
+
+    Params in the form :func:`random_params` draws them are checked together
+    (:func:`_drawn_params`); any others, and drawn ones that fail that check,
+    go through :func:`_clean_params` one function at a time, which raises
+    the error :class:`ConvexFunction` would."""
+    specs = list(specs)
+    cleaned = _drawn_params(specs)
+    if cleaned is None:
+        cleaned = [_clean_params(kind, params) for kind, params, _ in specs]
     made, matrices = [], {}
-    for kind, params, label in specs:
+    for (kind, _, label), params in zip(specs, cleaned):
         f = object.__new__(ConvexFunction)  # frozen: set the fields past __setattr__
-        f.__dict__.update(kind=kind, params=_clean_params(kind, params), label=label)
+        f.__dict__.update(kind=kind, params=params, label=label)
         made.append(f)
         if kind == "quadratic_psd":
             matrices.setdefault(f.dim, []).append(f.params["matrix"])

@@ -337,9 +337,10 @@ class TestBoundsPinned:
     The ``exp_affine`` cases are Monte Carlo and pin the seed of each
     ground-truth domain: the simplex (also cor2's interval), the thm4/thm5
     subsimplex and the cor3 window each draw from their own slot of
-    ``--seed``.  ``LSE_3D`` is judged against Monte Carlo on the simplex,
-    where its arguments spread past ``CUBATURE_MAX_SPREAD`` (3.26), and
-    against cubature on the subsimplex; the others against closed forms.
+    ``--seed``.  ``LSE_3D`` is judged against cubature: on the simplex,
+    where its arguments spread past ``CUBATURE_MAX_SPREAD`` (3.26), split
+    into two pieces, and on the subsimplex whole; the others against closed
+    forms.
     """
 
     SIMPLEX_3D = [[0.0, 0.0, 0.0], [1.5, 0.1, 0.0], [0.2, 1.3, 0.1], [0.1, 0.3, 1.2]]
@@ -373,7 +374,7 @@ class TestBoundsPinned:
     SIX = ("choquet", "thm2", "thm3", "thm4", "thm5", "thm6")
     #: sha256 of stdout, keyed by the name of the function descriptor above.
     DIGESTS = {
-        "LSE_3D": "d3408d5d1a0b33149acdb7a59062d986085687b056a2d90b14ef813d1ed8603b",
+        "LSE_3D": "ac74e08c633b2556fb677c13255d9a0e1a9e393202ebd305bd34f7e156fa6dae",
         "QUAD_3D": "8714aa0eb94c5554c109ca2ecbdabe35dafda3a1371d463944c2153b717192af",
         "EXP_3D": "c949813fa6185f4d57aa167594ae29ba80a2fbe97ddd6f107a5e6d0bcb0ddd93",
         "HINGE_1D": "a947a24ef0aa2e0d8b39b41d89016e3c3daca746929c613b4bdc652d02145f7c",
@@ -399,6 +400,21 @@ class TestBoundsPinned:
         func = getattr(self, func_name)
         got = self.digest(capsys, tmp_path, self.SIMPLEX_3D, func, self.SIX, "0.4,0.4,0.3")
         assert got == self.DIGESTS[func_name]
+
+    def test_split_cubature_report(self, capsys, tmp_path):
+        # the report of a split ground truth names its pieces and spread,
+        # and replaying that recipe gives the same estimate
+        simplex_path, func_path = str(tmp_path / "simplex.json"), str(tmp_path / "func.json")
+        write_json(simplex_path, {"dimension": 3, "vertices": self.SIMPLEX_3D})
+        write_json(func_path, self.LSE_3D)
+        code, out, _ = run_cli(capsys, "bounds", simplex_path, func_path, "--theorem", "choquet")
+        assert code == 0
+        gt = json.loads(out)["ground_truth"]
+        assert gt["method"] == "cubature" and gt["pieces"] == 2 and gt["spread"] == 3.0
+        f = ConvexFunction.from_json_dict(self.LSE_3D)
+        recipe = {"method": "cubature", "degree": 15, "pieces": 2, "spread": 3.0}
+        replayed = quadrature.replay_ground_truth(f, Simplex(self.SIMPLEX_3D), recipe)
+        assert replayed.to_json_dict() == gt
 
     @pytest.mark.parametrize("func_name", ["HINGE_1D", "QUAD_1D", "EXP_1D"])
     def test_interval_chains(self, capsys, tmp_path, func_name):

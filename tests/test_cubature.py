@@ -1,21 +1,26 @@
 """The Grundmann-Moller cubature rule and its place in the ground-truth policy.
 
 The coverage gate checks every estimate the policy accepts against a
-reference, on two sets of inputs:
+reference, on three sets of inputs:
 
 * campaign-drawn ``log_sum_exp`` domains, against ``mpmath.quad`` on
   intervals, a collapsed-coordinate Gauss-Legendre product rule in dims 2-4,
   and in dims 5-8 the rule three (or four) levels higher, with its own error
-  estimate 100 times below the gate.  :func:`coverage_errors` runs it on any
-  number of domains, so a longer sweep is one call away
-  (``coverage_errors(2000)``);
+  estimate 100 times below the gate (on a domain the policy splits, the
+  degree-21 rule on a finer split, :func:`split_reference`).
+  :func:`coverage_errors` runs it on any number of domains, so a longer
+  sweep is one call away (``coverage_errors(2000)``);
 * two-piece functions at the edge of the policy's input limits, with their
   kink inside the simplex, against an exact one-dimensional reduction
-  (:func:`two_piece_reference`).
+  (:func:`two_piece_reference`);
+* split domains in dims 2-8 spreading by 3.5-12: two-piece kinks against
+  the same reduction, and campaign-style draws of three and four terms
+  against :func:`split_reference`.
 
 ``mpmath`` is in the ``test`` extras (sympy depends on it too).
 """
 
+import hashlib
 import itertools
 import json
 import math
@@ -28,6 +33,7 @@ from hhbounds import (
     CampaignConfig,
     ConvexFunction,
     DimensionMismatchError,
+    IntegralEstimate,
     Simplex,
     random_convex,
     random_simplex,
@@ -41,6 +47,10 @@ from hhbounds.quadrature import (
     CUBATURE_MAX_DIMENSION,
     CUBATURE_MAX_ERROR,
     CUBATURE_MAX_SPREAD,
+    MC_BLOCK_ROWS,
+    _arguments,
+    _cubature,
+    _split,
     ground_truth,
     ground_truth_recipe,
     integrate_cubature,
@@ -187,6 +197,8 @@ def reference_mean(f, s: Simplex) -> float:
         return _mpmath_mean(f, s)
     if n <= 4:
         return _collapsed_gauss_mean(f, s)
+    if _split(_arguments(f, s), CUBATURE_MAX_SPREAD, 1) is None:  # a split domain
+        return split_reference(f, s)
     # The rule three levels up, or four where three have not converged.  Its
     # own estimate must be 100 times below the gate; 1e-12 is at the
     # rounding floor of these levels in 8-D.
@@ -258,24 +270,54 @@ def two_piece_reference(f, s: Simplex) -> float:
     return float(a1 @ s.centroid + b1) + softplus
 
 
-def edge_two_piece(n: int, rng: np.random.Generator):
+def edge_two_piece(n: int, rng: np.random.Generator, spread: float = CUBATURE_MAX_SPREAD):
     """A two-piece ``log_sum_exp`` at the edge of the policy's input limits.
 
-    Its arguments spread by exactly :data:`CUBATURE_MAX_SPREAD` over the
-    simplex (the standard simplex or a campaign-style random one), its kink
-    passes through a random interior point, and a common slope and offset
-    put the largest argument magnitude at 90 % of
-    :data:`CUBATURE_MAX_ARGUMENT`.
+    Its arguments spread by exactly ``spread`` over the simplex (the
+    standard simplex or a campaign-style random one), its kink passes
+    through a random interior point, and a common slope and offset put the
+    largest argument magnitude at 90 % of :data:`CUBATURE_MAX_ARGUMENT`.
     """
     s = standard_simplex(n) if rng.integers(2) else random_simplex(n, rng)
     gap, common = rng.standard_normal((2, n))
-    gap *= CUBATURE_MAX_SPREAD / np.ptp(s.vertices @ gap)
+    gap *= spread / np.ptp(s.vertices @ gap)
     common *= 20.0 / np.ptp(s.vertices @ common)
     slopes = np.vstack([common + gap / 2, common - gap / 2])
     kink = rng.dirichlet(np.full(n + 1, rng.choice([0.3, 1.0, 3.0]))) @ s.vertices
     offsets = -slopes @ kink
     offsets += 0.9 * CUBATURE_MAX_ARGUMENT - (slopes @ s.vertices.T + offsets[:, None]).max()
     return ConvexFunction("log_sum_exp", {"slopes": slopes, "offsets": offsets}), s
+
+
+def split_draw(n: int, k: int, spread: float, rng: np.random.Generator):
+    """A campaign-style ``k``-term ``log_sum_exp`` on a random ``n``-simplex
+    whose pairwise gaps spread by ``spread`` at most over it.
+
+    Unit slopes scaled by U(0.5, 1.5) and arguments within 0.5 of each other
+    at a Dirichlet(2) anchor, as :func:`~hhbounds.funcs.random_convex`
+    draws them; then every slope is scaled by one factor, the arguments at
+    the anchor kept, so the largest spread is ``spread``.
+    """
+    s = random_simplex(n, rng)
+    anchor = rng.dirichlet(np.full(n + 1, 2.0)) @ s.vertices
+    slopes = rng.standard_normal((k, n))
+    slopes *= rng.uniform(0.5, 1.5, (k, 1)) / np.linalg.norm(slopes, axis=1, keepdims=True)
+    gaps = [s.vertices @ (a - b) for a, b in itertools.combinations(slopes, 2)]
+    slopes *= spread / max(np.ptp(g) for g in gaps)
+    offsets = rng.uniform(-0.5, 0.5, k) - slopes @ anchor
+    return ConvexFunction("log_sum_exp", {"slopes": slopes, "offsets": offsets}), s
+
+
+def split_reference(f, s: Simplex) -> float:
+    """The mean of ``f`` by the degree-21 rule on a split at half the
+    policy's spread limit, whose own error estimate must be 100 times below
+    the gate.  In 7-D and 8-D that split can run to a thousand pieces and
+    take seconds, so there the rule runs on the policy's own pieces."""
+    spread = CUBATURE_MAX_SPREAD / (2 if s.dimension <= 6 else 1)
+    cells, depths = _split(_arguments(f, s), spread, 10**4)
+    finer = _cubature(f, s, 10, cells, depths, None if len(cells) == 1 else spread)
+    assert finer.std_error < CUBATURE_MAX_ERROR / 100, finer
+    return finer.mean_value
 
 
 class TestCoverage:
@@ -320,6 +362,39 @@ class TestCoverage:
                 accepted += 1
                 assert abs(est.mean_value - two_piece_reference(f, s)) <= CUBATURE_MAX_ERROR
         assert accepted >= 2
+
+    @pytest.mark.parametrize("n", range(2, CUBATURE_MAX_DIMENSION + 1))
+    def test_split_two_piece_kinks(self, n):
+        # two-piece functions spreading by 3.5-12 with their kink inside the
+        # simplex, at 90 % of the argument limit: every split estimate the
+        # policy accepts, against the exact 1-D reduction
+        rng = np.random.default_rng(400 + n)
+        split = 0
+        for spread in (3.5, 5.0, 8.0, 12.0):
+            f, s = edge_two_piece(n, rng, spread)
+            est = ground_truth(f, s, mc_samples=2)
+            if est.method == "cubature":
+                split += est.pieces > 1
+                error = abs(est.mean_value - two_piece_reference(f, s))
+                assert error <= CUBATURE_MAX_ERROR, (spread, est, error)
+        assert split >= 2
+
+    @pytest.mark.parametrize("n", range(2, CUBATURE_MAX_DIMENSION + 1))
+    def test_split_campaign_draws(self, n):
+        # campaign-style draws of two to four terms spreading by 3.5-12: two
+        # terms against the 1-D reduction, three and four against the
+        # degree-21 rule on a finer split
+        rng = np.random.default_rng(500 + n)
+        split = 0
+        for k, spread in itertools.product((2, 3, 4), (3.5, 6.0, 12.0)):
+            f, s = split_draw(n, k, spread, rng)
+            est = ground_truth(f, s, mc_samples=2)
+            if est.method == "cubature":
+                split += est.pieces > 1
+                want = two_piece_reference(f, s) if k == 2 else split_reference(f, s)
+                error = abs(est.mean_value - want)
+                assert error <= CUBATURE_MAX_ERROR, (k, spread, est, error)
+        assert split >= 3
 
     def test_kink_positions_on_an_interval(self):
         # slopes +-1.5 on [0, 1]: spread 3, kink moved across the interval
@@ -507,6 +582,111 @@ class TestSplitCubature:
                 cut += est.pieces > 1
                 mc += est.method == "monte_carlo"
         assert cut >= 10 and mc <= cut // 4
+
+
+class _Recording:
+    """A function that records the size of every batch it is called on."""
+
+    def __init__(self, f):
+        self.f, self.kind, self.params, self.dim, self.batches = f, f.kind, f.params, f.dim, []
+
+    def __call__(self, X):
+        self.batches.append(len(X))
+        return self.f(X)
+
+
+class TestSplitOfASimplex:
+    def test_interval_estimates_pinned(self):
+        # every 1-D cubature estimate of 96 log_sum_exp campaign trials (28
+        # of 216 cut into pieces), recorded when intervals had their own
+        # equal split
+        estimates = [
+            ground_truth(f, s, mc_samples=2).to_json_dict()
+            for f, s in campaign_domains(384)
+            if s.dimension == 1
+        ]
+        assert all(est["method"] == "cubature" for est in estimates)
+        assert sum(est.get("pieces", 1) > 1 for est in estimates) == 28
+        assert hashlib.sha256(dumps(estimates).encode()).hexdigest() == (
+            "396be8af27aa8ee77156fb16ca602d02bddf73952b63da4b3f2f1e3675b88611"
+        )
+
+    def test_interval_split_is_equal_pieces(self):
+        # spread 21 on an interval: eight equal pieces, in order, with the
+        # cells and bits of an eight-piece recipe
+        f = ConvexFunction("log_sum_exp", {"slopes": [[10.5], [-10.5]], "offsets": [0.2, -0.1]})
+        s = Simplex([[-0.5], [0.5]])
+        cells, depths = _split(_arguments(f, s), CUBATURE_MAX_SPREAD, 16)
+        c = np.arange(9) / 8
+        equal = np.stack([1 - c[:-1], c[:-1], 1 - c[1:], c[1:]], axis=1).reshape(-1, 2, 2)
+        assert np.array_equal(cells, equal)
+        assert depths.tolist() == [3] * 8
+        est = ground_truth(f, s, mc_samples=2)
+        assert est == integrate_cubature(f, s, CUBATURE_DEGREE, 8) and est.spread is None
+        assert ground_truth_recipe(est, None) == {"method": "cubature", "degree": 15, "pieces": 8}
+
+    @pytest.mark.parametrize("n", range(2, CUBATURE_MAX_DIMENSION + 1))
+    def test_pieces_tile_the_simplex_within_the_spread(self, n):
+        rng = np.random.default_rng(600 + n)
+        f, s = split_draw(n, 3, 5.0, rng)
+        cells, depths = _split(_arguments(f, s), CUBATURE_MAX_SPREAD, 10**4)
+        assert len(cells) > 1 and math.fsum(0.5 ** d for d in depths.tolist()) == 1.0
+        assert np.array_equal(cells.sum(axis=2), np.ones(cells.shape[:2]))  # dyadic rows
+        for cell, depth in zip(cells, depths.tolist()):
+            piece = Simplex(cell @ s.vertices)
+            assert piece.volume == pytest.approx(s.volume * 0.5**depth, rel=1e-9)
+            Z = _arguments(f, piece)
+            spread = max(np.ptp(Z[i] - Z[j]) for i, j in itertools.combinations(range(3), 2))
+            assert spread <= CUBATURE_MAX_SPREAD * (1 + 1e-12)
+
+    def test_nd_recipe_round_trip(self):
+        f, s = split_draw(3, 3, 6.0, np.random.default_rng(9))
+        est = ground_truth(f, s, mc_samples=500, seed=4)
+        recipe = ground_truth_recipe(est, 4)
+        assert recipe == {"method": "cubature", "degree": 15, "pieces": est.pieces, "spread": 3.0}
+        assert est.pieces > 1 and est.std_error <= CUBATURE_MAX_ERROR
+        again = replay_ground_truth(f, s, json.loads(json.dumps(recipe)))
+        assert again == est and dumps(again.to_json_dict()) == dumps(est.to_json_dict())
+        assert est.to_json_dict()["spread"] == 3.0
+        assert IntegralEstimate.from_json_dict(json.loads(dumps(est.to_json_dict()))) == est
+        for pieces in (est.pieces - 1, est.pieces + 1):  # not the split at that spread
+            with pytest.raises(ValueError, match="does not come to"):
+                replay_ground_truth(f, s, {**recipe, "pieces": pieces})
+        # a recipe of the whole simplex replays on it
+        whole = replay_ground_truth(f, s, {"method": "cubature", "degree": 15})
+        assert whole == integrate_cubature(f, s, CUBATURE_DEGREE) and whole.pieces == 1
+
+    def test_old_mc_recipe_replays_by_mc_on_a_split_domain(self):
+        f, s = split_draw(5, 2, 5.0, np.random.default_rng(10))
+        assert ground_truth(f, s, mc_samples=500, seed=4).pieces > 1
+        recipe = {"method": "monte_carlo", "samples": 3000, "seed": 23}
+        assert replay_ground_truth(f, s, recipe) == integrate_mc(f, s, 3000, 23)
+
+    def test_split_needs_a_log_sum_exp_and_a_spread(self):
+        s = standard_simplex(2)
+        f = random_convex(2, "log_sum_exp", 9, simplex=s)
+        g = random_convex(2, "exp_affine", 9, simplex=s)
+        for spread in (0.0, -1.0, math.inf, math.nan, True, "3"):
+            with pytest.raises(ValueError, match="spread"):
+                integrate_cubature(f, s, CUBATURE_DEGREE, 1, spread)
+        with pytest.raises(ValueError, match="log_sum_exp"):
+            integrate_cubature(g, s, CUBATURE_DEGREE, 1, 3.0)
+        with pytest.raises(ValueError):
+            IntegralEstimate(0.5, 0.0, "cubature", 0, 1, 3.0)  # one piece, no split
+
+    def test_nodes_evaluated_in_blocks(self):
+        # a 7-D split: 6435 nodes a piece, so each piece is two blocks of at
+        # most MC_BLOCK_ROWS rows; the mean is the pieces' own means weighed
+        f, s = split_draw(7, 2, 4.5, np.random.default_rng(11))
+        cells, depths = _split(_arguments(f, s), CUBATURE_MAX_SPREAD, 16)
+        assert 1 < len(cells) <= 16
+        recording = _Recording(f)
+        est = _cubature(recording, s, CUBATURE_DEGREE // 2, cells, depths, 3.0)
+        assert max(recording.batches) <= MC_BLOCK_ROWS
+        assert sum(recording.batches) == len(cells) * math.comb(15, 8)
+        pieces = [integrate_cubature(f, Simplex(c @ s.vertices), CUBATURE_DEGREE) for c in cells]
+        mean = math.fsum(p.mean_value * 0.5**d for p, d in zip(pieces, depths.tolist()))
+        assert est.mean_value == pytest.approx(mean, rel=1e-14, abs=1e-14)
 
 
 class TestChanceFailureRegression:

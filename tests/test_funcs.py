@@ -180,6 +180,33 @@ class TestConstruction:
                 assert np.asarray(value).tobytes() == np.asarray(alone.params[name]).tobytes()
                 assert not isinstance(value, np.ndarray) or not value.flags.writeable
 
+    @pytest.mark.parametrize("name, value", [
+        ("slopes", np.nan), ("offsets", np.inf), ("slopes", "row"), ("offsets", "length"),
+    ])
+    def test_bad_drawn_spec_raises_what_construction_raises(self, name, value):
+        # drawn specs are checked together; a bad one raises the error its
+        # own construction raises, and specs in other forms are accepted
+        rng = np.random.default_rng(42)
+        V = random_simplex(3, rng).vertices
+        specs = [(kind, *random_params(3, kind, 7, V)) for kind in KINDS]
+        listed = ("affine", {"slope": [1.0, 0.0, 2.0], "offset": 1}, "listed")
+        assert len(convex_functions([*specs, listed])) == len(KINDS) + 1
+        kind, params, label = specs[4]  # log_sum_exp
+        bad = dict(params)
+        if value == "row":
+            bad[name] = params[name][0]
+        elif value == "length":
+            bad[name] = params[name][:-1]
+        else:
+            bad[name] = params[name].copy()
+            bad[name][0] = value
+        specs[4] = (kind, bad, label)
+        with pytest.raises(ValueError) as alone:
+            ConvexFunction(kind, bad, label)
+        for mixed in (specs, [*specs, listed]):
+            with pytest.raises(ValueError, match=str(alone.value)):
+                convex_functions(mixed)
+
     @pytest.mark.parametrize("matrix, message", [
         ([[1.0, 0.0], [0.0, -1.0]], "positive semidefinite"),
         ([[1.0, 0.5], [0.0, 1.0]], "symmetric"),
