@@ -1,19 +1,20 @@
 """Randomized verification campaigns, tightness statistics, and 1-D
 counterexample search for the conditional weighted-endpoint chain.
 
-:func:`run_instances` runs chain instances ``(function, simplex or None,
-params)`` by the one chain table, :data:`~hhbounds.chains.CHAINS`: it
-shares one ground truth per domain, integrates the domains of one seed
-together, on one Monte Carlo weight stream, before any chain runs, and then
-has :func:`~hhbounds.chains.chain_reports` evaluate each function once on
-the points of all its chains.  Seeds are keyed by domain name.  ``hh
-bounds`` goes through it and :func:`replay_failure` through
-``chain_reports``; the ground-truth policy (exact, cubature or Monte Carlo)
-and its replay recipes live in :mod:`hhbounds.quadrature`.  A campaign
-builds up to :data:`TRIAL_BLOCK` consecutive trials as one block, takes
-each trial's ground truths in the same way, in the domains the trial built
-(its parent simplex and subsimplex on one seed, its cor2 interval and cor3
-window on another), and evaluates the block's chains at once
+Chain instances ``(function, simplex or None, params)`` run by the one
+chain table, :data:`~hhbounds.chains.CHAINS`, in two steps.
+:func:`_ground_truths` takes one ground truth per domain, named by the
+first instance on it, and integrates the domains of one seed together, on
+one Monte Carlo weight stream, before any chain runs; then
+:func:`~hhbounds.chains.chain_reports` evaluates each function once on the
+points of all its chains.  Seeds are keyed by domain name.  ``hh bounds``
+takes both steps and :func:`replay_failure` the second; the ground-truth
+policy (exact, cubature or Monte Carlo) and its replay recipes live in
+:mod:`hhbounds.quadrature`.  A campaign builds up to :data:`TRIAL_BLOCK`
+consecutive trials as one block, takes each trial's ground truths in the
+same way, in the domains the trial built (its parent simplex and
+subsimplex on one seed, its cor2 interval and cor3 window on another), and
+evaluates the block's chains at once
 (:func:`~hhbounds.chains.evaluate_block`); every value gets the bits it
 gets in a block of one.  The blocks run on :data:`WORKERS` processes, this
 one and forked children, and are recorded in block order.
@@ -97,7 +98,6 @@ __all__ = [
     "random_simplex",
     "replay_failure",
     "run_campaign",
-    "run_instances",
     "search_cor3_counterexample",
     "slack_histograms_csv",
     "tightness_ratio",
@@ -125,23 +125,21 @@ WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 
 
 def _ground_truths(instances, seeds: dict[str, int], mc_samples: int, domains: dict):
-    """``(estimate, seed)`` of each instance's ground-truth domain, in order
-    (``(None, None)`` for thm6); see :func:`run_instances`."""
-    sources: dict[str, tuple] = {}  # domain name -> (function, domain input)
-    for name, (func, simplex, params) in instances:
-        if (domain := CHAINS[name].domain) is not None:
-            source = func, DOMAINS[domain].input(simplex, params)
-            first = sources.setdefault(domain, source)
-            if first[0] is not func or first[1] is not source[1]:
-                raise ValueError(
-                    f"instances on the {domain} domain must share one function and one {domain}"
-                )
+    """``(estimate, seed)`` of the ground-truth domain of each ``(name,
+    (function, simplex, params))`` instance, in order (``(None, None)`` for
+    thm6).  The first instance on a domain names the function and simplex
+    that later ones share: ``domains[name]``, or built through
+    :data:`~hhbounds.chains.DOMAINS`.  ``seeds`` and ``domains`` are keyed by
+    domain name.  The domains of one seed are integrated together, on one
+    Monte Carlo weight stream (:func:`~hhbounds.quadrature.ground_truths`);
+    the very same (function, simplex) objects share one estimate."""
     pairs: dict[int, dict[tuple, tuple]] = {}  # seed -> object ids -> (function, domain)
     keys: dict[str, tuple] = {}  # domain name -> (seed, object ids)
-    for domain, (func, source) in sources.items():
-        built = domains[domain] if domain in domains else DOMAINS[domain].build(source)
-        keys[domain] = seeds[domain], (id(func), id(built))
-        pairs.setdefault(seeds[domain], {}).setdefault(keys[domain][1], (func, built))
+    for name, (func, simplex, params) in instances:
+        if (domain := CHAINS[name].domain) is not None and domain not in keys:
+            built = domains[domain] if domain in domains else DOMAINS[domain](simplex, params)
+            keys[domain] = seeds[domain], (id(func), id(built))
+            pairs.setdefault(seeds[domain], {}).setdefault(keys[domain][1], (func, built))
     estimates: dict[tuple, tuple] = {}
     for seed, seed_pairs in pairs.items():
         for ids, est in zip(seed_pairs, ground_truths(seed_pairs.values(), mc_samples, seed)):
@@ -150,32 +148,6 @@ def _ground_truths(instances, seeds: dict[str, int], mc_samples: int, domains: d
         (None, None) if (domain := CHAINS[name].domain) is None else estimates[keys[domain]]
         for name, _ in instances
     ]
-
-
-def run_instances(instances, seeds: dict[str, int], mc_samples: int, domains: dict):
-    """Run ``(name, (function, simplex, params))`` chain instances in order.
-
-    Every instance on one ground-truth domain must have the same function
-    object and build the domain from the same object (its
-    :data:`~hhbounds.chains.DOMAINS` input: the simplex, the ``subsimplex``
-    param, or the params of an interval or window), and they share one
-    ground truth; a later instance that differs raises ValueError naming
-    the domain.  ``seeds`` and ``domains`` are keyed by domain name; a
-    domain the caller did not build is built through ``DOMAINS``.  Before
-    any chain runs, the domains of one seed are integrated together by
-    :func:`~hhbounds.quadrature.ground_truths`, so their Monte Carlo
-    estimates share one weight stream; domains that are the very same
-    (function, simplex) objects share one estimate.  Then
-    :func:`~hhbounds.chains.chain_reports` calls each function once on the
-    points of all its instances.  Yields ``(name, instance, report,
-    recipe)``; ``recipe`` replays the ground truth, and is None for a chain
-    without one.
-    """
-    instances = list(instances)
-    found = _ground_truths(instances, seeds, mc_samples, domains)
-    reports = chain_reports(instances, [gt for gt, _ in found])
-    for (name, instance), report, found_gt in zip(instances, reports, found):
-        yield name, instance, report, _recipe(*found_gt)
 
 
 def _recipe(gt, seed) -> dict | None:
@@ -490,10 +462,12 @@ def _build_block(cfg: CampaignConfig, indices) -> list:
     by :data:`~hhbounds.chains.DOMAINS` name, each ground-truth seed and
     domain (the cor2 interval and cor3 window its functions were drawn on).
     The parent and subsimplex share a seed, as do the interval and window.
-    Each trial draws alone (:func:`_draw_trial`), and each function from its
-    own seed, on one generator whose states :func:`_pcg64_states` computes
-    for the whole block, first the trials' and then the functions'; checks
-    and geometry run stacked per dimension, with the bits of a block of one."""
+    Each trial draws alone (:func:`_draw_trial`; again from its own state,
+    with every simplex try, if its parent fails the first), and each
+    function from its own seed, on one generator whose states
+    :func:`_pcg64_states` computes for the whole block, first the trials'
+    and then the functions'; checks and geometry run stacked per dimension,
+    with the bits of a block of one."""
     indices = list(indices)
     rng = np.random.Generator(np.random.PCG64(0))
     states = _pcg64_states([_entropy_words(cfg.master_seed, (index,)) for index in indices])
@@ -507,8 +481,7 @@ def _build_block(cfg: CampaignConfig, indices) -> list:
             if isinstance(s, Simplex):
                 draws[t]["parent"] = s
             else:  # drawn again, random_simplex making every try
-                spawned = np.random.SeedSequence(cfg.master_seed, spawn_key=(indices[t],))
-                draws[t] = _draw_trial(cfg, indices[t], np.random.default_rng(spawned), retry=True)
+                draws[t] = _draw_trial(cfg, indices[t], _seeded(rng, states[t]), retry=True)
     domains_1d = simplices([v for drawn in draws for v in drawn["domains_1d"]], strict=True)
     specs = [spec for drawn in draws for spec in drawn["specs"]]
     states = _pcg64_states([_entropy_words(seed) for _, _, seed, _ in specs])
@@ -573,9 +546,12 @@ def tightness_ratio(values, triple, tolerance: float = TOL_CHAIN) -> float | Non
 
     The gap counts as degenerate when it does not clear ``tolerance`` (the
     report's verdict tolerance: 1e-8, or 4 std errors for Monte Carlo
-    ground truth; see :func:`~hhbounds.chains.chain_tolerance`).  With that
-    guard the ratio is at most 1 up to rounding: the refined bound never
-    exceeds the classical one and both terms share the same mean estimate.
+    ground truth; see :func:`~hhbounds.chains.chain_tolerance`).  The refined
+    bound never exceeds the classical one and both terms share the same mean
+    estimate, so the ratio is at most 1 up to the rounding of the terms; over
+    a gap that only just clears the tolerance that rounding can put it above
+    1 (thm3 read 1.0000000022639286 on a 1-D cubature interval).  It is
+    returned as computed, not clipped.
     """
     mean_idx, refined_idx, classical_idx = triple
     denom = values[classical_idx] - values[mean_idx]
@@ -864,6 +840,8 @@ def tightness_table(result: CampaignResult) -> list[dict]:
 
     Ratios in [0, 1] quantify how much a refined bound improves on the
     classical one; degenerate gaps (affine functions) are counted as nulls.
+    A ratio can exceed 1 by rounding over a small gap (see
+    :func:`tightness_ratio`), and the ``max`` reports it unclipped.
     Requires the baseline ``choquet`` chain plus at least one refined chain
     in the result.
     """

@@ -389,31 +389,16 @@ def window_vertices(params: dict) -> list:
     return [[centre - y], [centre + y]]
 
 
-def _interval(source) -> Simplex:
-    return source if isinstance(source, Simplex) else Simplex([[source["a"]], [source["b"]]])
-
-
-class Domain:
-    """A ground-truth domain: ``input(s, params)`` is the object of an
-    instance that it is built from, and ``build`` makes it from that
-    object; instances on one domain must share that object."""
-
-    def __init__(self, input: Callable, build: Callable = lambda source: source) -> None:
-        self.input, self.build = input, build
-
-    def __call__(self, s: Simplex | None, params: dict) -> Simplex:
-        return self.build(self.input(s, params))
-
-
-#: Ground-truth domains by name.  cor2's interval is the instance's 1-D
-#: simplex when it has one (``hh bounds``), else ``[a, b]`` from its params
-#: (campaign trials and descriptors); cor3's window is ``[A - y, A + y]``
-#: with ``A = (p a + q b) / (p + q)``.
-DOMAINS: dict[str, Domain] = {
-    "parent": Domain(lambda s, p: s),
-    "subsimplex": Domain(lambda s, p: p["subsimplex"]),
-    "interval": Domain(lambda s, p: p if s is None else s, _interval),
-    "window": Domain(lambda s, p: p, lambda p: Simplex(window_vertices(p))),
+#: Ground-truth domains by name, each built from an instance's simplex
+#: and params.  cor2's interval is the instance's 1-D simplex when it has
+#: one (``hh bounds``), else ``[a, b]`` from its params (campaign trials and
+#: descriptors); cor3's window is ``[A - y, A + y]`` with
+#: ``A = (p a + q b) / (p + q)``.
+DOMAINS: dict[str, Callable[[Simplex | None, dict], Simplex]] = {
+    "parent": lambda s, p: s,
+    "subsimplex": lambda s, p: p["subsimplex"],
+    "interval": lambda s, p: Simplex([[p["a"]], [p["b"]]]) if s is None else s,
+    "window": lambda s, p: Simplex(window_vertices(p)),
 }
 
 

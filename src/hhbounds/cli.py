@@ -28,13 +28,13 @@ import numpy as np
 from . import quadrature
 from .campaign import (
     CampaignConfig,
+    _ground_truths,
     default_config,
     run_campaign,
-    run_instances,
     search_cor3_counterexample,
     slack_histograms_csv,
 )
-from .chains import CHAINS, cor3_max_halfwidth
+from .chains import CHAINS, chain_reports, cor3_max_halfwidth
 from .errors import HHBoundsError
 from .funcs import ConvexFunction
 from .geometry import Simplex
@@ -146,9 +146,9 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     seeds = {"parent": parent, "interval": parent, "subsimplex": sub, "window": window}
     builders = dict.fromkeys(_ARGV_PARAMS[name] for name in theorems)
     params = {build: build(args, s) for build in builders}
-    instances = ((name, (f, s, params[_ARGV_PARAMS[name]])) for name in theorems)
-    runs = run_instances(instances, seeds, args.mc_samples, {})
-    reports = [report for _, _, report, _ in runs]
+    instances = [(name, (f, s, params[_ARGV_PARAMS[name]])) for name in theorems]
+    found = _ground_truths(instances, seeds, args.mc_samples, {})
+    reports = chain_reports(instances, [gt for gt, _ in found])
     _emit("".join(dumps(r.to_json_dict()) + "\n" for r in reports), args.out)
     return 0 if all(r.passed for r in reports) else 1
 

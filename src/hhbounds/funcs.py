@@ -94,9 +94,9 @@ def _dot_rows(X: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.einsum("ij,j->i", X, a)
 
 
-def _clean_params(kind: str, params: dict) -> dict:
-    """``params`` of a ``kind`` function checked as finite read-only floats and
-    arrays of its schema's shapes; the caller certifies a quadratic matrix."""
+def _shaped_params(kind: str, params: dict) -> dict:
+    """``params`` of a ``kind`` function as read-only floats and float arrays
+    of its schema's shapes, not yet checked as finite."""
     if kind not in KINDS:
         raise ValueError(f"unknown function kind {kind!r}")
     fields = _SCHEMAS[kind]
@@ -107,16 +107,12 @@ def _clean_params(kind: str, params: dict) -> dict:
     for name in fields:
         value = params[name]
         if name in ("matrix", "slope", "slopes", "offsets"):
-            value = np.atleast_1d(np.asarray(value, dtype=float))
+            value = np.array(value, dtype=float, ndmin=1, copy=None)
             value.setflags(write=False)
-            finite = np.isfinite(value).all()
-        elif isinstance(value, numbers.Real) and not isinstance(value, bool):
+        elif isinstance(value, (float, numbers.Real)) and not isinstance(value, bool):
             value = float(value)
-            finite = math.isfinite(value)
         else:
             raise ValueError(f"{name} must be a real number, got {value!r}")
-        if not finite:
-            raise ValueError(f"{name} must be finite")
         p[name] = value
     if kind in ("affine", "exp_affine", "hinge_distance"):
         if p["slope"].ndim != 1:
@@ -140,6 +136,39 @@ def _clean_params(kind: str, params: dict) -> dict:
     return p
 
 
+def _clean_params(specs) -> list[dict]:
+    """The params of each ``(kind, params, ...)`` in ``specs``, checked as
+    finite read-only floats and arrays of its schema's shapes, with one
+    finiteness check for the stack and one PSD certificate per matrix size.
+
+    The first bad spec raises the error it raises alone: its kind, schema,
+    type or shape error, else ``<name> must be finite`` for its first
+    non-finite param.  The PSD certificate runs once every spec has passed
+    the other checks."""
+    cleaned, error = [], None
+    for kind, params, *_ in specs:
+        try:
+            cleaned.append(_shaped_params(kind, params))
+        except (TypeError, ValueError) as exc:  # raised once those before it are finite
+            error = exc
+            break
+    values = [value for p in cleaned for value in p.values()]
+    arrays = [value.ravel() for value in values if isinstance(value, np.ndarray)]
+    scalars = [value for value in values if not isinstance(value, np.ndarray)]
+    if not np.isfinite(np.concatenate([*arrays, scalars])).all():
+        raise ValueError(next(f"{name} must be finite" for p in cleaned
+                              for name, value in p.items() if not np.isfinite(value).all()))
+    if error is not None:
+        raise error
+    matrices: dict[int, list] = {}
+    for p in cleaned:
+        if "matrix" in p:
+            matrices.setdefault(len(p["matrix"]), []).append(p["matrix"])
+    for stack in matrices.values():
+        _certify_psd(np.stack(stack))
+    return cleaned
+
+
 @dataclass(frozen=True, eq=False)
 class ConvexFunction:
     """A tagged, evaluable convex function on R^n."""
@@ -149,9 +178,7 @@ class ConvexFunction:
     label: str = ""
 
     def __post_init__(self) -> None:
-        clean = _clean_params(self.kind, self.params)
-        if self.kind == "quadratic_psd":
-            _certify_psd(clean["matrix"][None])
+        [clean] = _clean_params([(self.kind, self.params)])
         object.__setattr__(self, "params", clean)
 
     @property
@@ -327,67 +354,14 @@ def random_params(
     return params, label
 
 
-def _drawn_params(specs) -> list[dict] | None:
-    """The params of every ``(kind, params, label)`` in ``specs`` as
-    :func:`_clean_params` returns them, where all are in the form
-    :func:`random_params` draws (float64 arrays of their schema's shapes,
-    float scalars) and finite, checked with one stacked finiteness check;
-    None otherwise."""
-    out, arrays, scalars = [], [], []
-    for kind, params, _ in specs:
-        if kind not in _SCHEMAS or type(params) is not dict:
-            return None
-        p = {}
-        for name in _SCHEMAS[kind]:
-            value = params.get(name)
-            if name in ("matrix", "slope", "slopes", "offsets"):
-                if type(value) is not np.ndarray or value.dtype != np.float64:
-                    return None
-                arrays.append(value.ravel())
-            elif type(value) is float or type(value) is np.float64:
-                value = float(value)
-                scalars.append(value)
-            else:
-                return None
-            p[name] = value
-        if kind in ("max_of_affines", "log_sum_exp"):
-            shaped = p["slopes"].ndim == 2 and p["offsets"].shape == (len(p["slopes"]),) != (0,)
-        elif kind == "quadratic_psd":
-            M = p["matrix"]
-            shaped = M.ndim == 2 and p["slope"].shape == M.shape[:1] == M.shape[1:]
-        else:
-            shaped = p["slope"].ndim == 1
-        if not shaped:
-            return None
-        out.append(p)
-    if not np.isfinite(np.concatenate([*arrays, scalars])).all():
-        return None
-    for p in out:
-        for value in p.values():
-            if type(value) is np.ndarray:
-                value.setflags(write=False)
-    return out
-
-
 def convex_functions(specs) -> list[ConvexFunction]:
-    """``ConvexFunction(kind, params, label)`` of each triple in ``specs``, with
-    one stacked PSD certificate per matrix size for their quadratic matrices.
-
-    Params in the form :func:`random_params` draws them are checked together
-    (:func:`_drawn_params`); any others, and drawn ones that fail that check,
-    go through :func:`_clean_params` one function at a time, which raises
-    the error :class:`ConvexFunction` would."""
+    """``ConvexFunction(kind, params, label)`` of each triple in ``specs``,
+    with the checks of that construction made once for the stack
+    (:func:`_clean_params`)."""
     specs = list(specs)
-    cleaned = _drawn_params(specs)
-    if cleaned is None:
-        cleaned = [_clean_params(kind, params) for kind, params, _ in specs]
-    made, matrices = [], {}
-    for (kind, _, label), params in zip(specs, cleaned):
-        f = object.__new__(ConvexFunction)  # frozen: set the fields past __setattr__
+    made = []
+    for (kind, _, label), params in zip(specs, _clean_params(specs)):
+        f = object.__new__(ConvexFunction)  # checked: set the frozen fields directly
         f.__dict__.update(kind=kind, params=params, label=label)
         made.append(f)
-        if kind == "quadratic_psd":
-            matrices.setdefault(f.dim, []).append(f.params["matrix"])
-    for stack in matrices.values():
-        _certify_psd(np.stack(stack))
     return made

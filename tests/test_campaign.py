@@ -36,7 +36,7 @@ from hhbounds import (
     tightness_table,
 )
 from hhbounds import campaign, chains, geometry, quadrature
-from hhbounds.campaign import TRIAL_BLOCK, _build_block, run_instances
+from hhbounds.campaign import TRIAL_BLOCK, _build_block
 from hhbounds.chains import CHAINS
 from hhbounds.funcs import KINDS
 from hhbounds.serialize import dumps
@@ -1162,34 +1162,6 @@ class TestCor3Search:
         assert list(witness) == [key for key in failure if key != "trial"] + [
             "kink", "slack", "candidates_examined"
         ]
-
-
-class TestRunInstances:
-    """Instances on one ground-truth domain share one ground truth, so a
-    later instance with another function or domain is rejected."""
-
-    SEEDS = dict.fromkeys(("parent", "subsimplex", "interval", "window"), 5)
-
-    @pytest.mark.parametrize("differs", ["function", "simplex"])
-    def test_second_choquet_on_another_function_or_simplex_rejected(self, differs):
-        s1, s2 = standard_simplex(2), random_simplex(2, np.random.default_rng(3))
-        f1 = random_convex(2, "quadratic_psd", 1, simplex=s1)
-        f2 = random_convex(2, "quadratic_psd", 2, simplex=s2)
-        second = (f2, s1, {}) if differs == "function" else (f1, s2, {})
-        instances = [("choquet", (f1, s1, {})), ("choquet", second)]
-        with pytest.raises(ValueError, match="parent domain"):
-            list(run_instances(instances, self.SEEDS, 1000, {}))
-
-    @pytest.mark.parametrize("name", ["thm4", "thm5"])
-    def test_two_subsimplices_rejected(self, name):
-        s = standard_simplex(2)
-        f = random_convex(2, "exp_affine", 4, simplex=s)
-        instances = [
-            (name, (f, s, {"subsimplex": s.centered_subsimplex(s.centroid, t)}))
-            for t in (0.3, 0.8)
-        ]
-        with pytest.raises(ValueError, match="subsimplex domain"):
-            list(run_instances(instances, self.SEEDS, 1000, {}))
 
 
 class TestRandomSimplex:

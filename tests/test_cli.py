@@ -110,6 +110,31 @@ class TestBounds:
         assert [r["chain"] for r in reports] == ["choquet", "thm3", "cor2"]
         assert all(r["verdict"] == "pass" for r in reports)
 
+    def test_parent_and_interval_share_one_monte_carlo_pair(
+        self, capsys, monkeypatch, tmp_path, unit_interval_file
+    ):
+        # A 1-D cor2's interval is the simplex, on the parent's seed: choquet
+        # and cor2 integrate one (function, simplex) pair, and each report has
+        # the bytes of its own call.
+        path = str(tmp_path / "exp.json")
+        f = ConvexFunction("exp_affine", {"slope": [1.5], "offset": -0.25})
+        write_json(path, f.to_json_dict())
+        streams = []
+        shared = quadrature.integrate_mc_shared
+
+        def counting_shared(pairs, *args):
+            streams.append(len(pairs))
+            return shared(pairs, *args)
+
+        monkeypatch.setattr(quadrature, "integrate_mc_shared", counting_shared)
+        argv = ("bounds", unit_interval_file, path, "--mc-samples", "4000")
+        code, out, _ = run_cli(capsys, *argv, "--theorem", "choquet", "--theorem", "cor2")
+        assert code == 0 and streams == [1]
+        assert [r["ground_truth"]["method"] for r in json_lines(out)] == ["monte_carlo"] * 2
+        alone = [run_cli(capsys, *argv, "--theorem", name)[1] for name in ("choquet", "cor2")]
+        assert streams == [1, 1, 1]
+        assert out == "".join(alone)
+
     def test_explicit_point_coordinates(self, capsys, triangle_file, sq_2d_file):
         code, out, _ = run_cli(
             capsys,

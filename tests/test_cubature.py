@@ -39,8 +39,8 @@ from hhbounds import (
     random_simplex,
     standard_simplex,
 )
-from hhbounds.campaign import _build_block, replay_failure, run_instances
-from hhbounds.chains import CHAINS, DOMAINS
+from hhbounds.campaign import _build_block, _ground_truths, replay_failure
+from hhbounds.chains import CHAINS, DOMAINS, chain_reports
 from hhbounds.quadrature import (
     CUBATURE_DEGREE,
     CUBATURE_MAX_ARGUMENT,
@@ -696,9 +696,10 @@ class TestChanceFailureRegression:
         # cubature rule, and the verdict is judged at TOL_CHAIN.
         cfg = CampaignConfig(trials_per_theorem=2000, mc_samples=256)
         _, seeds, instances, _ = _build_block(cfg, [628])[0]
-        [(name, instance, report, recipe)] = run_instances(
-            [("cor2", instances["cor2"][0])], seeds, cfg.mc_samples, {}
-        )
+        selected = [("cor2", instance := instances["cor2"][0])]
+        [(gt, seed)] = _ground_truths(selected, seeds, cfg.mc_samples, {})
+        [report] = chain_reports(selected, [gt])
+        recipe = ground_truth_recipe(gt, seed)
         assert instance[0].kind == "log_sum_exp"
         assert recipe == {"method": "cubature", "degree": 15}
         assert report.passed and report.tolerance_used == 1e-8

@@ -207,6 +207,23 @@ class TestConstruction:
             with pytest.raises(ValueError, match=str(alone.value)):
                 convex_functions(mixed)
 
+    def test_earlier_nonfinite_spec_raises_before_a_later_misshaped_one(self):
+        # the stack's one finiteness check still names the first bad spec
+        nonfinite = ("exp_affine", {"slope": [1.0, 2.0], "offset": np.inf}, "a")
+        misshaped = ("log_sum_exp", {"slopes": np.eye(2), "offsets": [0.0]}, "b")
+        fine = ("affine", {"slope": [1.0, 2.0], "offset": 0.0}, "c")
+        errors = []
+        for spec in (nonfinite, misshaped):
+            with pytest.raises(ValueError) as alone:
+                ConvexFunction(*spec)
+            errors.append(str(alone.value))
+        assert errors == ["offset must be finite", "offsets length must match number of pieces"]
+        for specs, error in (([fine, nonfinite, misshaped], errors[0]),
+                             ([fine, misshaped, nonfinite], errors[1])):
+            with pytest.raises(ValueError) as stacked:
+                convex_functions(specs)
+            assert str(stacked.value) == error
+
     @pytest.mark.parametrize("matrix, message", [
         ([[1.0, 0.0], [0.0, -1.0]], "positive semidefinite"),
         ([[1.0, 0.5], [0.0, 1.0]], "symmetric"),
