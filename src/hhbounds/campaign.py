@@ -150,11 +150,6 @@ def _ground_truths(instances, seeds: dict[str, int], mc_samples: int, domains: d
     ]
 
 
-def _recipe(gt, seed) -> dict | None:
-    """The replay recipe of a ground truth taken with ``seed``; None without one."""
-    return None if gt is None else ground_truth_recipe(gt, seed)
-
-
 # ---------------------------------------------------------------------------
 # configuration / result containers
 # ---------------------------------------------------------------------------
@@ -651,8 +646,9 @@ def _run_block(cfg: CampaignConfig, indices: range) -> tuple[dict, list]:
     failures = []
     for t, i, rows, r in sorted(failing, key=lambda row: row[:2]):
         where = {"trial": indices[t], "dimension": built[t][0]}
-        failures.append(_descriptor(rows.name, where, selected[t][i][1], rows.report(r),
-                                    _recipe(*found[t][i])))
+        gt, seed = found[t][i]
+        recipe = None if gt is None else ground_truth_recipe(gt, seed)
+        failures.append(_descriptor(rows.name, where, selected[t][i][1], rows.report(r), recipe))
     arrays = {name: (rows.passed, rows.slacks, rows.values, rows.tolerances)
               for name, rows in block.items()}
     return arrays, failures
