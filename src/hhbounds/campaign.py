@@ -15,9 +15,10 @@ consecutive trials as one block, takes each trial's ground truths in the
 same way, in the domains the trial built (its parent simplex and
 subsimplex on one seed, its cor2 interval and cor3 window on another), and
 evaluates the block's chains at once
-(:func:`~hhbounds.chains.evaluate_block`); every value gets the bits it
-gets in a block of one.  The blocks run on :data:`WORKERS` processes, this
-one and forked children, and are recorded in block order.
+(:func:`~hhbounds.chains.evaluate_block`), whose rows come a (chain,
+dimension) stack at a time; every value gets the bits it gets in a block
+of one.  The blocks run in :data:`WORKERS` consecutive shares, on this
+process and forked children, and are recorded in block order.
 
 A campaign draws, per trial, a well-conditioned random simplex, a random
 convex function, subsimplex parameters and 1-D companion instances for the
@@ -125,10 +126,10 @@ WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 
 
 def _ground_truths(instances, seeds: dict[str, int], mc_samples: int, domains: dict):
-    """``(estimate, seed)`` of the ground-truth domain of each ``(name,
-    (function, simplex, params))`` instance, in order (``(None, None)`` for
-    thm6).  The first instance on a domain names the function and simplex
-    that later ones share: ``domains[name]``, or built through
+    """The estimate of the ground-truth domain of each ``(name, (function,
+    simplex, params))`` instance, in order (None for thm6).  The first
+    instance on a domain names the function and simplex that later ones
+    share: ``domains[name]``, or built through
     :data:`~hhbounds.chains.DOMAINS`.  ``seeds`` and ``domains`` are keyed by
     domain name.  The domains of one seed are integrated together, on one
     Monte Carlo weight stream (:func:`~hhbounds.quadrature.ground_truths`);
@@ -140,12 +141,12 @@ def _ground_truths(instances, seeds: dict[str, int], mc_samples: int, domains: d
             built = domains[domain] if domain in domains else DOMAINS[domain](simplex, params)
             keys[domain] = seeds[domain], (id(func), id(built))
             pairs.setdefault(seeds[domain], {}).setdefault(keys[domain][1], (func, built))
-    estimates: dict[tuple, tuple] = {}
+    estimates = {}
     for seed, seed_pairs in pairs.items():
         for ids, est in zip(seed_pairs, ground_truths(seed_pairs.values(), mc_samples, seed)):
-            estimates[seed, ids] = est, seed
+            estimates[seed, ids] = est
     return [
-        (None, None) if (domain := CHAINS[name].domain) is None else estimates[keys[domain]]
+        None if (domain := CHAINS[name].domain) is None else estimates[keys[domain]]
         for name, _ in instances
     ]
 
@@ -561,7 +562,7 @@ def _spread(values: np.ndarray) -> dict:
 
 
 class _ChainAgg:
-    """One chain's verdicts, slacks and tightness ratios, a block at a time
+    """One chain's verdicts, slacks and tightness ratios, a stack at a time
     and in any row order: it keeps counts, min, median and max."""
 
     def __init__(self, name: str) -> None:
@@ -572,7 +573,7 @@ class _ChainAgg:
         self.ratio_nulls = 0
 
     def record(self, passed, slacks, values, tolerances) -> None:
-        """Add a block's rows (see :class:`~hhbounds.chains.ChainRows`)."""
+        """Add one stack's rows (see :class:`~hhbounds.chains.ChainRows`)."""
         self.passed.append(passed)
         self.slacks.append(slacks)
         if self.triple is not None:  # tightness_ratio, row by row
@@ -628,30 +629,28 @@ def _descriptor(name: str, where: dict, instance, report: ChainReport, recipe) -
     return descriptor
 
 
-def _run_block(cfg: CampaignConfig, indices: range) -> tuple[dict, list]:
+def _run_block(cfg: CampaignConfig, indices: range) -> tuple[list, list]:
     """Build the trials ``indices`` as one block, take their ground truths
-    and evaluate their chains as one block.  Returns each chain's
-    ``(passed, slacks, values, tolerances)`` rows and the descriptors of the
-    failed rows, in trial order."""
+    and evaluate their chains as one block.  Returns the ``(name, (passed,
+    slacks, values, tolerances))`` rows of each (chain, dimension) stack and
+    the descriptors of the failed rows, in trial order."""
     built = _build_block(cfg, indices)
     selected = [[(name, inst) for name in cfg.theorems for inst in instances[name]]
                 for _, _, instances, _ in built]
     found = [_ground_truths(sel, seeds, cfg.mc_samples, domains)
              for sel, (_, seeds, _, domains) in zip(selected, built)]
-    block = evaluate_block(selected, [[gt for gt, _ in trial] for trial in found])
-    failing = []
-    for rows in block.values():
-        failing += [(rows.sets[r], rows.positions[r], rows, r)
-                    for r in np.flatnonzero(~rows.passed)]
+    block = evaluate_block(selected, found)
+    failing = [(rows.sets[r], rows.positions[r], rows, r)
+               for rows in block for r in np.flatnonzero(~rows.passed)]
     failures = []
     for t, i, rows, r in sorted(failing, key=lambda row: row[:2]):
-        where = {"trial": indices[t], "dimension": built[t][0]}
-        gt, seed = found[t][i]
-        recipe = None if gt is None else ground_truth_recipe(gt, seed)
-        failures.append(_descriptor(rows.name, where, selected[t][i][1], rows.report(r), recipe))
-    arrays = {name: (rows.passed, rows.slacks, rows.values, rows.tolerances)
-              for name, rows in block.items()}
-    return arrays, failures
+        dim, seeds = built[t][:2]
+        gt = found[t][i]
+        recipe = None if gt is None else ground_truth_recipe(gt, seeds[CHAINS[rows.name].domain])
+        failures.append(_descriptor(rows.name, {"trial": indices[t], "dimension": dim},
+                                    selected[t][i][1], rows.report(r), recipe))
+    return [(rows.name, (rows.passed, rows.slacks, rows.values, rows.tolerances))
+            for rows in block], failures
 
 
 def _run_share(
@@ -673,54 +672,46 @@ def _run_share(
     return done, None
 
 
-def _worker(cfg: CampaignConfig, blocks, read: int, write: int, caller: int):
-    """A forked worker of the process ``caller``: run ``blocks``
-    (:func:`_run_share`, which leaves between blocks once ``caller`` has
-    died), write the pickled share to the pipe ``write`` and leave through
-    ``os._exit``, with status 0 only once the whole share is written.  It
-    closes its copy of the pipe's ``read`` end, so a write to a parent that
-    died fails."""
-    status = 1
-    try:
-        os.close(read)
-        with open(write, "wb") as pipe:
-            pipe.write(pickle.dumps(_run_share(cfg, blocks, caller), pickle.HIGHEST_PROTOCOL))
-        status = 0
-    finally:
-        os._exit(status)
-
-
 def _run_blocks(cfg: CampaignConfig, blocks: list) -> list:
     """:func:`_run_block` of each block, in block order.
 
-    Block ``b`` runs on worker ``b % P``, ``P = min(WORKERS, len(blocks))``.
-    Worker 0 is this process; the others are forked children, which send
-    their results through a pipe after their last block, and end before
-    their next block if this process dies.  The error raised is the
-    earliest block's, as in a serial run; a child that ends without
-    sending its results raises :class:`~hhbounds.errors.WorkerError`.  On
-    any error here, or an interrupt, the children still running are killed,
-    and every child is reaped before this returns.  The blocks run here,
-    one after another, when ``P < 2``, without ``os.fork``, or while other
-    threads run (a forked child would hold only the thread that forked it).
+    Share ``w`` of ``P = min(WORKERS, len(blocks))`` consecutive shares of
+    near-equal length runs on forked child ``w``, which sends its results
+    through a pipe after its last block and ends before its next block if
+    this process dies; share 0 runs here.  The error raised is the earliest
+    block's, as in a serial run: this process raises its own at once, then
+    reads the children in order (:class:`~hhbounds.errors.WorkerError` for
+    a child that ends without sending its results).  On any error here, or
+    an interrupt, the children still running are killed, and every child is
+    reaped before this returns.  The blocks run here, one after another,
+    when ``P < 2``, without ``os.fork``, or while other threads run (a
+    forked child would hold only the thread that forked it).
     """
-    step = min(WORKERS, len(blocks))
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        step = 1
+    P = min(WORKERS, len(blocks)) if hasattr(os, "fork") and threading.active_count() == 1 else 1
+    shares = [blocks[w * len(blocks) // P:(w + 1) * len(blocks) // P] for w in range(P)]
     workers: list[list] = []  # [pid, or None once reaped; the pipe it writes]
     caller = os.getpid()
     try:
-        for first in range(1, step):
+        for share in shares[1:]:
             read, write = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _worker(cfg, blocks[first::step], read, write, caller)
+            if (pid := os.fork()) == 0:
+                # status 0 only once the whole share is written; with its copy
+                # of the read end closed, a write to a caller that died fails
+                status = 1
+                try:
+                    os.close(read)
+                    with open(write, "wb") as pipe:
+                        pipe.write(pickle.dumps(_run_share(cfg, share, caller),
+                                                pickle.HIGHEST_PROTOCOL))
+                    status = 0
+                finally:
+                    os._exit(status)
             os.close(write)
             workers.append([pid, open(read, "rb")])
-        shares = [_run_share(cfg, blocks[::step])]
-        if shares[0][1] is not None and not shares[0][0]:
-            raise shares[0][1]  # block 0 raised: no block can raise before it
+        results, error = _run_share(cfg, shares[0])
         for worker in workers:
+            if error is not None:
+                break
             payload = worker[1].read()
             status = os.waitstatus_to_exitcode(os.waitpid(worker[0], 0)[1])
             worker[0] = None
@@ -728,7 +719,8 @@ def _run_blocks(cfg: CampaignConfig, blocks: list) -> list:
                 raise WorkerError(
                     f"a campaign worker ended without sending its blocks (exit status {status})"
                 )
-            shares.append(pickle.loads(payload))
+            done, error = pickle.loads(payload)
+            results += done
     finally:
         for pid, pipe in workers:
             pipe.close()
@@ -737,11 +729,9 @@ def _run_blocks(cfg: CampaignConfig, blocks: list) -> list:
 
                 os.kill(pid, SIGKILL)
                 os.waitpid(pid, 0)
-    errors = [(w + step * len(done), error)
-              for w, (done, error) in enumerate(shares) if error is not None]
-    if errors:
-        raise min(errors, key=lambda item: item[0])[1]
-    return [shares[b % step][0][b // step] for b in range(len(blocks))]
+    if error is not None:
+        raise error
+    return results
 
 
 def run_campaign(cfg: CampaignConfig) -> CampaignResult:
@@ -749,8 +739,9 @@ def run_campaign(cfg: CampaignConfig) -> CampaignResult:
 
     The trials are split into ``P * ceil(trials / (P * TRIAL_BLOCK))``
     consecutive blocks of near-equal size (no more blocks than trials), with
-    ``P`` = :data:`WORKERS`, and each block is built and evaluated as one
-    (:func:`_run_blocks`); the blocks are recorded in order.
+    ``P`` = :data:`WORKERS`, and each block is built and evaluated as one,
+    in ``P`` consecutive shares (:func:`_run_blocks`); the blocks are
+    recorded in order, a (chain, dimension) stack at a time.
     """
     cfg.validate()
     start = time.perf_counter()
@@ -759,8 +750,8 @@ def run_campaign(cfg: CampaignConfig) -> CampaignResult:
     blocks = [range(b * trials // count, (b + 1) * trials // count) for b in range(count)]
     aggs = {name: _ChainAgg(name) for name in cfg.theorems}
     failures: list[dict] = []
-    for arrays, failed in _run_blocks(cfg, blocks):
-        for name, rows in arrays.items():
+    for stacks, failed in _run_blocks(cfg, blocks):
+        for name, rows in stacks:
             aggs[name].record(*rows)
         failures += failed
     per_theorem = {name: aggs[name].summary() for name in cfg.theorems}

@@ -9,11 +9,11 @@ one dimension, with their parents' arrays and the parent weights of their
 params, and returns its terms as stacked measures: rows of the dimension's
 point table, which holds each point once per function, with their weights
 and the rows per instance; or None for the mean.  :func:`evaluate_block`
-runs a block of instance sets through the builders and returns each
-chain's terms, slacks and verdicts as arrays, one row per instance;
-:func:`chain_reports` reports one set.  A point's value and weights, and a
-term's sum, do not depend on the block, so an instance gets the same bits
-alone, in its trial and in any block.  Terms are ordered the
+runs a block of instance sets through the builders and returns the terms,
+slacks and verdicts of each (chain, dimension) stack as arrays, one row
+per instance; :func:`chain_reports` reports one set.  A point's value and
+weights, and a term's sum, do not depend on the block, so an instance gets
+the same bits alone, in its trial and in any block.  Terms are ordered the
 way the chain is written: lower bounds ascending to the integral mean, then
 upper bounds ascending.  A chain passes when every consecutive slack is
 ``>= -tolerance`` (:func:`chain_tolerance`); against Monte Carlo ground
@@ -121,22 +121,24 @@ class ChainReport:
 
 
 class ChainRows:
-    """One chain's instances in a block, a row each.
+    """The instances of one chain in one dimension of a block, a row each.
 
     Row ``r`` is instance ``positions[r]`` of instance set ``sets[r]``,
     which identify it in any order: ``values`` holds its terms, ``slacks``
     their consecutive differences, and ``passed`` its verdict at
     ``tolerances[r]`` (vacuously a pass where its cor3 condition is False).
-    A plain class, so that importing the package builds no dataclass for it.
+    Built from each row's ``(set, position, instance, ground truth,
+    function number)``; a plain class, so that importing the package builds
+    no dataclass for it.
     """
 
-    def __init__(self, name, labels, values, tolerances, conditions, ground_truths, sets,
-                 positions) -> None:
-        self.name, self.labels, self.values, self.tolerances = name, labels, values, tolerances
-        self.conditions, self.ground_truths = conditions, ground_truths
-        self.sets, self.positions = sets, positions
+    def __init__(self, name, labels, values, conditions, items) -> None:
+        self.name, self.labels, self.values, self.conditions = name, labels, values, conditions
+        self.ground_truths = [item[3] for item in items]
+        self.tolerances = np.array([chain_tolerance(gt) for gt in self.ground_truths])
+        self.sets, self.positions = np.array([item[:2] for item in items]).T
         self.slacks = values[:, 1:] - values[:, :-1]
-        self.passed = (self.slacks >= -tolerances[:, None]).all(axis=1)
+        self.passed = (self.slacks >= -self.tolerances[:, None]).all(axis=1)
         self.passed |= np.array([c is False for c in conditions], dtype=bool)
 
     def report(self, r: int) -> ChainReport:
@@ -503,10 +505,9 @@ def _values(funcs: list, P: np.ndarray, owner: np.ndarray) -> np.ndarray:
     return values
 
 
-def _term_sums(n: int, by_name: dict, funcs: list, built: list) -> np.ndarray:
-    """The sum of every weighted term of the instances of dimension ``n``,
-    by chain, from one ``np.add.reduceat``; appends each stack's labels,
-    mean columns and cor3 conditions to ``built``."""
+def _dimension_rows(n: int, by_name: dict, funcs: list) -> list[ChainRows]:
+    """The rows of the instances of dimension ``n``, a stack per chain, with
+    the sum of every weighted term from one ``np.add.reduceat``."""
     points: list = []  # the dimension's point table, as (points, owners) pieces
     stacks = [
         (name, items, _Stack(n, [item[2][2] for item in items],
@@ -514,7 +515,7 @@ def _term_sums(n: int, by_name: dict, funcs: list, built: list) -> np.ndarray:
         for name, items in by_name.items()
     ]
     _weigh(stacks, points)
-    index, weights, lengths = [], [], []
+    index, weights, lengths, built = [], [], [], []
     for name, items, g in stacks:
         terms, held = CHAINS[name].build(g)
         for rows, w, counts in (measure for _, measure in terms if measure is not None):
@@ -537,10 +538,21 @@ def _term_sums(n: int, by_name: dict, funcs: list, built: list) -> np.ndarray:
     products = np.concatenate(weights)
     products *= values[np.concatenate(index)]
     lengths = np.concatenate(lengths)
-    return np.add.reduceat(products, np.cumsum(lengths) - lengths)
+    sums = np.add.reduceat(products, np.cumsum(lengths) - lengths)
+    out, done = [], 0
+    for name, items, labels, means, held in built:
+        columns = []
+        for mean in means:
+            if mean:
+                columns.append([item[3].mean_value for item in items])
+            else:
+                columns.append(sums[done : done + len(items)])
+                done += len(items)
+        out.append(ChainRows(name, labels, np.column_stack(columns), held, items))
+    return out
 
 
-def evaluate_block(sets, ground_truths) -> dict[str, ChainRows]:
+def evaluate_block(sets, ground_truths) -> list[ChainRows]:
     """Every chain instance of a block of instance sets, as array rows.
 
     ``sets`` holds lists of ``(name, (function, simplex or None, params))``
@@ -551,8 +563,9 @@ def evaluate_block(sets, ground_truths) -> dict[str, ChainRows]:
     stack, each function object is called once on the points of all its
     terms (in the order the instances first name them), and one
     ``np.add.reduceat`` sums every weighted term; only the sums outlive the
-    dimension.  Returns each chain's rows, a dimension at a time; a row
-    is identified by its set and position, not by its order.
+    dimension.  Returns the rows of each (chain, dimension) stack, a
+    dimension at a time; a row is identified by its set and position, not
+    by its order.
     """
     funcs: dict[int, tuple[int, Callable]] = {}
     groups: dict[int, dict[str, list]] = {}  # n -> name -> [(set, position, instance, gt, f)]
@@ -562,31 +575,7 @@ def evaluate_block(sets, ground_truths) -> dict[str, ChainRows]:
             u = funcs.setdefault(id(instance[0]), (len(funcs), instance[0]))[0]
             groups.setdefault(n, {}).setdefault(name, []).append((t, i, instance, gt, u))
     called = [f for _, f in funcs.values()]
-    built: list = []
-    sums = np.concatenate([_term_sums(n, by_name, called, built) for n, by_name in groups.items()])
-    parts: dict[str, list] = {}
-    done = 0
-    for name, items, labels, means, held in built:
-        columns = []
-        for mean in means:
-            if mean:
-                columns.append([item[3].mean_value for item in items])
-            else:
-                columns.append(sums[done : done + len(items)])
-                done += len(items)
-        parts.setdefault(name, []).append((labels, items, np.column_stack(columns), held))
-    return {name: _rows(name, chain_parts) for name, chain_parts in parts.items()}
-
-
-def _rows(name: str, parts: list) -> ChainRows:
-    """A chain's rows from the parts of its stacks, one stack after another."""
-    items = [item for _, part, _, _ in parts for item in part]
-    values = np.concatenate([v for _, _, v, _ in parts])
-    conditions = [c for *_, held in parts for c in held]
-    gts = [item[3] for item in items]
-    tolerances = np.array([chain_tolerance(gt) for gt in gts])
-    sets, positions = np.array([item[:2] for item in items]).T
-    return ChainRows(name, parts[0][0], values, tolerances, conditions, gts, sets, positions)
+    return [rows for n, by_name in groups.items() for rows in _dimension_rows(n, by_name, called)]
 
 
 def chain_reports(instances, ground_truths) -> list[ChainReport]:
@@ -600,7 +589,7 @@ def chain_reports(instances, ground_truths) -> list[ChainReport]:
     instances = list(instances)
     reports: list = [None] * len(instances)
     if instances:
-        for rows in evaluate_block([instances], [list(ground_truths)]).values():
+        for rows in evaluate_block([instances], [list(ground_truths)]):
             for r, position in enumerate(rows.positions.tolist()):
                 reports[position] = rows.report(r)
     return reports

@@ -136,36 +136,46 @@ def _shaped_params(kind: str, params: dict) -> dict:
     return p
 
 
-def _clean_params(specs) -> list[dict]:
-    """The params of each ``(kind, params, ...)`` in ``specs``, checked as
-    finite read-only floats and arrays of its schema's shapes, with one
-    finiteness check for the stack and one PSD certificate per matrix size.
-
-    The first bad spec raises the error it raises alone: its kind, schema,
-    type or shape error, else ``<name> must be finite`` for its first
-    non-finite param.  The PSD certificate runs once every spec has passed
-    the other checks."""
-    cleaned, error = [], None
-    for kind, params, *_ in specs:
-        try:
-            cleaned.append(_shaped_params(kind, params))
-        except (TypeError, ValueError) as exc:  # raised once those before it are finite
-            error = exc
-            break
+def _finite_psd(cleaned: list[dict]) -> None:
+    """Reject shaped params unless all are finite (naming the first that is
+    not), then unless every matrix is symmetric PSD (one test per size)."""
     values = [value for p in cleaned for value in p.values()]
     arrays = [value.ravel() for value in values if isinstance(value, np.ndarray)]
     scalars = [value for value in values if not isinstance(value, np.ndarray)]
     if not np.isfinite(np.concatenate([*arrays, scalars])).all():
         raise ValueError(next(f"{name} must be finite" for p in cleaned
                               for name, value in p.items() if not np.isfinite(value).all()))
-    if error is not None:
-        raise error
     matrices: dict[int, list] = {}
     for p in cleaned:
         if "matrix" in p:
             matrices.setdefault(len(p["matrix"]), []).append(p["matrix"])
     for stack in matrices.values():
         _certify_psd(np.stack(stack))
+
+
+def _clean_params(specs) -> list[dict]:
+    """The params of each ``(kind, params, ...)`` in ``specs``, checked as
+    finite read-only floats and arrays of its schema's shapes, with one
+    finiteness test for the stack and one PSD certificate per matrix size.
+
+    The first bad spec raises the error it raises alone: its kind, schema,
+    type or shape error, else its finiteness, symmetry or PSD error, found
+    by checking the specs one at a time once a stacked check fails."""
+    cleaned, error = [], None
+    for kind, params, *_ in specs:
+        try:
+            cleaned.append(_shaped_params(kind, params))
+        except (TypeError, ValueError) as exc:  # raised once those before it are checked
+            error = exc
+            break
+    try:
+        _finite_psd(cleaned)
+    except ValueError:
+        for p in cleaned:
+            _finite_psd([p])
+        raise
+    if error is not None:
+        raise error
     return cleaned
 
 

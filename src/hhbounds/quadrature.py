@@ -563,24 +563,22 @@ def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cubature(f, s: Simplex, order: int, cells, depths, spread) -> IntegralEstimate:
-    """The rule of ``order`` on the pieces ``cells`` of ``s`` (see :func:`_split`)."""
+    """The rule of ``order`` on the pieces ``cells`` of ``s`` (see :func:`_split`;
+    the whole simplex is the one cell ``np.eye(n + 1)``)."""
     n = s.dimension
     numerators, counts = _gm_numerators(n, order)
     denominators = np.repeat(n + 1 + 2 * np.arange(order + 1), counts)
     nodes = numerators / denominators[:, None]
-    if len(cells) == 1:  # the whole simplex
-        values = f(nodes @ s.vertices)[None]
-    else:
-        corners = cells[..., 0, None] * s.vertices[0]
-        for k in range(1, n + 1):
-            corners += cells[..., k, None] * s.vertices[k]
-        values = np.empty((len(cells), len(nodes)))
-        rows = min(len(nodes), MC_BLOCK_ROWS)
-        group = max(1, MC_BLOCK_ROWS // len(nodes))  # whole pieces per block
-        for p in range(0, len(cells), group):
-            for r in range(0, len(nodes), rows):
-                x = nodes[r : r + rows] @ corners[p : p + group]
-                values[p : p + group, r : r + rows] = f(x.reshape(-1, n)).reshape(len(x), -1)
+    corners = cells[..., 0, None] * s.vertices[0]
+    for k in range(1, n + 1):
+        corners += cells[..., k, None] * s.vertices[k]
+    values = np.empty((len(cells), len(nodes)))
+    rows = min(len(nodes), MC_BLOCK_ROWS)
+    group = max(1, MC_BLOCK_ROWS // len(nodes))  # whole pieces per block
+    for p in range(0, len(cells), group):
+        for r in range(0, len(nodes), rows):
+            x = nodes[r : r + rows] @ corners[p : p + group]
+            values[p : p + group, r : r + rows] = f(x.reshape(-1, n)).reshape(len(x), -1)
     centers = values[:, 0].copy()  # the level-0 node is the centroid
     values -= centers[:, None]
     stops = itertools.accumulate(counts)  # each row's level sums, in numpy's own order

@@ -484,6 +484,20 @@ class TestRunCampaign:
         alone = run_campaign(dataclasses.replace(full_24.config, theorems=(name,)))
         assert dumps(alone.per_theorem[name]) == dumps(full_24.per_theorem[name])
 
+    def test_aggregation_ignores_stack_order(self):
+        # A block's rows come a (chain, dimension) stack at a time; a chain's
+        # summary is the same whatever order its stacks are recorded in.
+        cfg = CampaignConfig(trials_per_theorem=16, mc_samples=64)
+        stacks, _ = campaign._run_block(cfg, range(16))
+        assert len(stacks) > len({name for name, _ in stacks})  # a chain has several
+        summaries = []
+        for order in (stacks, stacks[::-1]):
+            aggs = {name: campaign._ChainAgg(name) for name in cfg.theorems}
+            for name, rows in order:
+                aggs[name].record(*rows)
+            summaries.append(dumps({name: agg.summary() for name, agg in aggs.items()}))
+        assert summaries[0] == summaries[1]
+
     def test_wall_time_not_serialized(self, small_result):
         assert small_result.wall_time_seconds > 0.0
         assert "wall" not in small_result.to_json()
@@ -888,29 +902,31 @@ class TestWorkers:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_first_error_in_block_order(self, workers, monkeypatch):
-        # Six blocks of four trials (with 2 or 3 workers too), block b on
-        # worker b % workers, this process being worker 0.  The later blocks
-        # raise first, yet the earliest block's error is the one raised, as
-        # in a serial run.
+        # Six blocks of four trials (with 2 or 3 workers too), cut into
+        # consecutive shares, this process running the first.  The later
+        # blocks raise first, yet the earliest block's error is the one
+        # raised, as in a serial run.
         monkeypatch.setattr(campaign, "WORKERS", workers)
         self.raise_in_blocks(monkeypatch, {2: 0.3, 3: 0.0, 4: 0.0, 5: 0.0})
         assert self._raised() == "block 2"
 
     def test_own_first_block_raises_while_a_worker_runs(self, monkeypatch):
-        # Block 0 comes first, so its error is raised at once: the worker
-        # still running block 1 is killed, not waited for.
+        # This process runs blocks 0-2 and the worker blocks 3-5.  Block 0
+        # comes first, so its error is raised at once: the worker still
+        # running block 3 is killed, not waited for.
         monkeypatch.setattr(campaign, "WORKERS", 2)
-        self.raise_in_blocks(monkeypatch, {0: 0.0, 1: 60.0})
+        self.raise_in_blocks(monkeypatch, {0: 0.0, 3: 60.0})
         start = time.perf_counter()
         assert self._raised() == "block 0"
         assert time.perf_counter() - start < 30.0
 
-    def test_worker_error_before_own_later_error(self, monkeypatch):
-        # This process raises in block 2 while the worker is still in block
-        # 1, whose error comes first and is the one raised.
-        monkeypatch.setattr(campaign, "WORKERS", 2)
-        self.raise_in_blocks(monkeypatch, {1: 0.5, 2: 0.0})
-        assert self._raised() == "block 1"
+    def test_slow_worker_error_before_a_later_workers_fast_one(self, monkeypatch):
+        # Worker 1 runs blocks 2-3 and worker 2 blocks 4-5.  Worker 2 raises
+        # in block 4 while worker 1 is still in block 2, whose error comes
+        # first and is the one raised.
+        monkeypatch.setattr(campaign, "WORKERS", 3)
+        self.raise_in_blocks(monkeypatch, {2: 0.5, 4: 0.0})
+        assert self._raised() == "block 2"
 
     def test_killed_worker_raises(self, monkeypatch):
         # A worker killed mid-block sends nothing: the campaign raises a

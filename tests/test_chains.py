@@ -772,8 +772,7 @@ class TestBlocks:
         for index in range(self.TRIALS):
             _, seeds, instances, domains = _build_block(cfg, [index])[0]
             selected = [(name, case) for name in cfg.theorems for case in instances[name]]
-            found = _ground_truths(selected, seeds, cfg.mc_samples, domains)
-            out.append((selected, [gt for gt, _ in found]))
+            out.append((selected, _ground_truths(selected, seeds, cfg.mc_samples, domains)))
         return out
 
     def test_every_block_size_matches_each_instance_alone(self, trials):
@@ -796,7 +795,7 @@ class TestBlocks:
                 block = trials[first : first + size]
                 rows = evaluate_block([s for s, _ in block], [gts for _, gts in block])
                 seen = []
-                for chain in rows.values():
+                for chain in rows:
                     where = list(zip(chain.sets.tolist(), chain.positions.tolist()))
                     for r, (t, i) in enumerate(where):
                         assert dumps(chain.report(r).to_json_dict()) == alone[first + t][i]

@@ -697,9 +697,9 @@ class TestChanceFailureRegression:
         cfg = CampaignConfig(trials_per_theorem=2000, mc_samples=256)
         _, seeds, instances, _ = _build_block(cfg, [628])[0]
         selected = [("cor2", instance := instances["cor2"][0])]
-        [(gt, seed)] = _ground_truths(selected, seeds, cfg.mc_samples, {})
+        [gt] = _ground_truths(selected, seeds, cfg.mc_samples, {})
         [report] = chain_reports(selected, [gt])
-        recipe = ground_truth_recipe(gt, seed)
+        recipe = ground_truth_recipe(gt, seeds["interval"])
         assert instance[0].kind == "log_sum_exp"
         assert recipe == {"method": "cubature", "degree": 15}
         assert report.passed and report.tolerance_used == 1e-8

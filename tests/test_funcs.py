@@ -224,6 +224,24 @@ class TestConstruction:
                 convex_functions(specs)
             assert str(stacked.value) == error
 
+    NON_PSD = ("quadratic_psd", {"matrix": [[1.0, 0.0], [0.0, -1.0]], "slope": [0.0, 0.0],
+                                 "offset": 0.0}, "a")
+
+    @pytest.mark.parametrize("later", [
+        ("affine", {"slope": [1.0, 2.0], "offset": np.inf}, "b"),
+        ("quadratic_psd", {"matrix": [[1.0, 0.5], [0.0, 1.0]], "slope": [0.0, 0.0],
+                           "offset": 0.0}, "b"),
+    ], ids=["non-finite", "asymmetric"])
+    def test_earlier_non_psd_spec_raises_before_a_later_bad_one(self, later):
+        # a later spec's finiteness or symmetry error fails the stacked
+        # checks first; the error raised is still the first bad spec's
+        with pytest.raises(ValueError) as alone:
+            ConvexFunction(*self.NON_PSD)
+        assert str(alone.value) == "quadratic matrix is not positive semidefinite"
+        with pytest.raises(ValueError) as stacked:
+            convex_functions([self.NON_PSD, later])
+        assert str(stacked.value) == str(alone.value)
+
     @pytest.mark.parametrize("matrix, message", [
         ([[1.0, 0.0], [0.0, -1.0]], "positive semidefinite"),
         ([[1.0, 0.5], [0.0, 1.0]], "symmetric"),
