@@ -22,6 +22,11 @@ products of ``quadratic_psd``, and of ``max_of_affines`` and
 path, which rounds each row the same way wherever it sits; a one-row batch
 takes BLAS's vector path there, which can differ in the last digit.
 
+Every kind but ``quadratic_psd`` is an outer function (identity, ``exp``,
+``max(0, .)``, max over pieces, log-sum-exp) of affine arguments, and
+point evaluation and Monte Carlo's evaluation on vertex values
+(:meth:`ConvexFunction.row_evaluator`) share that outer function.
+
 Random generation is deterministic in ``(dim, kind, seed)`` and, when a
 simplex is supplied, anchors kinks and exponents to its interior so the
 nonsmooth/curved structure actually lands where the bounds are probed.
@@ -82,6 +87,12 @@ def _certify_psd(matrices: np.ndarray) -> None:
         np.linalg.cholesky(jittered)
     except np.linalg.LinAlgError as exc:
         raise ValueError("quadratic matrix is not positive semidefinite") from exc
+
+
+#: :meth:`ConvexFunction.row_evaluator` scales its table of vertex values
+#: below ``2**_TABLE_EXPONENT``, so that a row's products with it cannot
+#: overflow for rows summing to less than ``2**24``.
+_TABLE_EXPONENT = 1000
 
 
 def _dot_rows(X: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -214,32 +225,79 @@ class ConvexFunction:
 
     def _eval_batch(self, X: np.ndarray) -> np.ndarray:
         p = self.params
-        kind = self.kind
-        if kind == "affine":
-            return _dot_rows(X, p["slope"]) + p["offset"]
-        if kind == "quadratic_psd":
+        if self.kind == "quadratic_psd":
             quadratic = ((X @ p["matrix"]) * X).sum(axis=1)
             return quadratic + _dot_rows(X, p["slope"]) + p["offset"]
-        if kind in ("max_of_affines", "log_sum_exp"):
-            # (k, m) layout: one contiguous row of m values per affine piece,
-            # so the reductions over the k pieces are k elementwise passes
-            # instead of a numpy reduction along a 2-5 wide axis per point.
-            # Every value, and the summation order of log_sum_exp (see
-            # _row_sums), matches the (m, k) layout, so results stay
-            # bit-identical to it and campaign results and replays do not move.
+        if self.kind in ("max_of_affines", "log_sum_exp"):
             Z = p["slopes"] @ X.T
+        else:
+            Z = _dot_rows(X, p["slope"])
+        return self._outer(Z)
+
+    def row_evaluator(self, vertices: np.ndarray):
+        """The values at the points ``(E / sums[:, None]) @ vertices``, as a
+        function of rows ``E`` and their sums; None for ``quadratic_psd``.
+
+        Every other kind is an outer function of affine arguments ``A x + b``,
+        and a point's arguments are ``(E @ T) / sums + b`` with ``T`` the
+        table ``vertices @ A.T`` of vertex values: one product with ``T``, a
+        division of the arguments by the sums and the outer function, with no
+        point matrix.  ``T`` is scaled by a power of two where ``E @ T``
+        could overflow though the arguments do not, which changes no bit of
+        an argument that does not overflow.  A row's value depends only on
+        its row and sum wherever BLAS's matrix-vector product (one affine
+        argument) rounds it the same way: where blocks of rows start at
+        multiples of 4096 (:data:`~hhbounds.quadrature.MC_BLOCK_ROWS`).
+        """
+        if self.kind == "quadratic_psd":
+            return None
+        p = self.params
+        T = p["slopes"] @ vertices.T if "slopes" in p else vertices @ p["slope"]
+        exponent = math.frexp(float(np.abs(T).max()))[1] - _TABLE_EXPONENT
+        scale = math.ldexp(1.0, max(exponent, 0))
+        if scale > 1.0:
+            T = T / scale
+
+        def evaluate(E: np.ndarray, sums: np.ndarray) -> np.ndarray:
+            Z = T @ E.T if T.ndim == 2 else E @ T
+            Z /= sums
+            if scale > 1.0:
+                Z *= scale
+            return self._outer(Z)
+
+        return evaluate
+
+    def _outer(self, Z: np.ndarray) -> np.ndarray:
+        """The values whose linear parts are ``Z``: ``(k, m)`` for the
+        multi-piece kinds, ``(m,)`` for the others.  The offsets are added in
+        place, and the kind's outer function is applied in place where it
+        keeps the shape."""
+        p = self.params
+        if "offsets" in p:
             Z += p["offsets"][:, None]
-            peak = Z.max(axis=0)
-            if kind == "max_of_affines":
-                return peak
-            # max-subtraction for overflow safety
-            Z -= peak
-            np.exp(Z, out=Z)
-            return peak + np.log(_row_sums(Z.T))
+        elif "threshold" in p:
+            Z -= p["threshold"]
+        else:
+            Z += p["offset"]
+        kind = self.kind
+        if kind == "affine":
+            return Z
         if kind == "exp_affine":
-            return np.exp(_dot_rows(X, p["slope"]) + p["offset"])
-        # hinge_distance
-        return np.maximum(0.0, _dot_rows(X, p["slope"]) - p["threshold"])
+            return np.exp(Z, out=Z)
+        if kind == "hinge_distance":
+            return np.maximum(0.0, Z, out=Z)
+        # (k, m) layout: one contiguous row of m values per affine piece, so
+        # the reductions over the k pieces are k elementwise passes instead of
+        # a numpy reduction along a 2-5 wide axis per point.  Every value, and
+        # the summation order of log_sum_exp (see _row_sums), matches the
+        # (m, k) layout.
+        peak = Z.max(axis=0)
+        if kind == "max_of_affines":
+            return peak
+        # max-subtraction for overflow safety
+        Z -= peak
+        np.exp(Z, out=Z)
+        return peak + np.log(_row_sums(Z.T))
 
     # -- serialization ------------------------------------------------------
 

@@ -3,7 +3,8 @@
 Three routes:
 
 * seeded uniform Monte Carlo (any function kind), with the uniform measure
-  realized by normalized-exponential Dirichlet weights over the vertices;
+  realized by normalized-exponential Dirichlet weights over the vertices
+  (evaluated on the vertex values where the kind allows);
 * Grundmann-Moller cubature (any function kind; :func:`integrate_cubature`),
   with an embedded error estimate;
 * exact closed-form means (:func:`has_exact_mean` says where):
@@ -87,13 +88,20 @@ runs on all pieces in one call of ``f``, in blocks of at most
 
 Uniform weights depend only on the dimension and the seed, not on the
 simplex, so :func:`integrate_mc_shared` integrates several ``(function,
-simplex)`` pairs of one dimension on one weight stream, drawn in blocks of
-:data:`MC_BLOCK_ROWS` rows.  Each pair's values are those it gets alone
-(:func:`integrate_mc` is the one-pair case), and every value is bit-identical
-to drawing, normalising and evaluating all rows at once.  A call keeps one
-value array per pair, and no other array outlives its block; it shares no
-state with another call, so its result does not depend on the calls before
-it or on the process that makes it.
+simplex)`` pairs of one dimension on one stream of i.i.d. standard
+exponential rows ``e``, drawn in blocks of :data:`MC_BLOCK_ROWS` rows.  A
+row's point is ``x = sum_k w_k V_k`` with ``w = e / sum(e)``.  Every kind
+but ``quadratic_psd`` is an outer function ``g(A x + b)`` of affine
+arguments, and those arguments are ``(e . T) / sum(e) + b`` with ``T = V
+A^T`` the table of the pair's vertex values, so such a pair is evaluated
+from the raw rows and their sums alone, with no weight or point matrix
+(:meth:`~hhbounds.funcs.ConvexFunction.row_evaluator`).  ``quadratic_psd``
+and plain callables get ``f((e / sum(e)) @ V)``.  Each pair's values are
+those it gets alone (:func:`integrate_mc` is the one-pair case), and every
+value is bit-identical to evaluating all rows at once by the same route.  A
+call keeps one value array per pair, and no other array outlives its block;
+it shares no state with another call, so its result does not depend on the
+calls before it or on the process that makes it.
 
 :func:`ground_truths` is the one policy choosing between the routes
 (:func:`ground_truth` is its one-pair case): exact where
@@ -214,11 +222,15 @@ CUBATURE_MAX_PIECES = 16
 #: rounding of values of this size moves the mean by well under 1e-10.
 CUBATURE_MAX_ARGUMENT = 100.0
 
-#: Weight rows per block of :func:`integrate_mc_shared`; the value changes
-#: no result.  On the Monte Carlo streams of a 48-trial default-mix block
-#: (2-core Xeon, one BLAS thread) 8192 rows took 2-7 % less CPU time than
-#: 4096, but 4096 keeps a stream's peak at 2.2 MiB (2.8 MiB at 8192) at
-#: 10^5 samples.
+#: Exponential rows per block of :func:`integrate_mc_shared`; the value
+#: changes no result.  Blocks start at multiples of it, which a function of
+#: one affine argument needs: BLAS's matrix-vector product of the rows with
+#: the pair's vertex values rounds a row the same way in every block that
+#: starts at a multiple of 4096 (widths 2-10, one BLAS thread), but rows 8
+#: or 10 wide can round differently in a block that starts at an odd row.
+#: On the Monte Carlo streams of a 48-trial default-mix block (2-core Xeon,
+#: one BLAS thread) 8192 rows took 2-7 % less CPU time than 4096, but 4096
+#: keeps a stream's peak at 2.2 MiB (2.8 MiB at 8192) at 10^5 samples.
 MC_BLOCK_ROWS = 4096
 
 
@@ -318,18 +330,6 @@ def _row_sums(W: np.ndarray) -> np.ndarray:
     return total
 
 
-def _uniform_weights(rng: np.random.Generator, rows: int, width: int) -> np.ndarray:
-    """The next ``rows`` uniform-Dirichlet weight rows of ``width`` vertices.
-
-    I.i.d. standard exponentials normalized to sum one.  Drawing a stream in
-    consecutive blocks gives the same rows as one draw, and the normalizing
-    sums keep numpy's summation order (see :func:`_row_sums`).
-    """
-    weights = rng.standard_exponential((rows, width))
-    weights /= _row_sums(weights)[:, None]
-    return weights
-
-
 def sample_uniform(s: Simplex, count: int, seed: int) -> np.ndarray:
     """Draw ``count`` uniform points from ``s`` as a ``(count, n)`` array.
 
@@ -340,7 +340,8 @@ def sample_uniform(s: Simplex, count: int, seed: int) -> np.ndarray:
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    weights = _uniform_weights(np.random.default_rng(seed), count, s.dimension + 1)
+    weights = np.random.default_rng(seed).standard_exponential((count, s.dimension + 1))
+    weights /= _row_sums(weights)[:, None]  # numpy's summation order
     return weights @ s.vertices
 
 
@@ -367,17 +368,27 @@ def _mean_and_error(v: np.ndarray) -> tuple[float, float]:
     return float(mean), float(np.sqrt(v.sum() / (len(v) - 1)) / np.sqrt(len(v)))
 
 
+def _on_points(f, vertices: np.ndarray):
+    """``f`` at the points ``(rows / sums) @ vertices``, as a function of
+    exponential rows and their sums: the points :func:`sample_uniform` draws."""
+    return lambda rows, sums: f((rows / sums[:, None]) @ vertices)
+
+
 def integrate_mc_shared(pairs, count: int, seed: int) -> list[IntegralEstimate]:
     """Monte Carlo means of ``(f, simplex)`` pairs of one dimension on one stream.
 
-    One seeded stream of ``count`` weight rows is drawn in blocks; every
-    block is mapped into each pair's simplex and its values stored in that
-    pair's value array, from which the mean and std_error are computed as
-    for a single integral.  A pair's estimate therefore does not depend on
-    the other pairs: it equals :func:`integrate_mc` of that pair alone with
-    the same seed, bit for bit.  A pair without a finite mean and std_error
-    (its values overflow) raises :class:`NonFiniteValueError`, with no numpy
-    warning.
+    One seeded stream of ``count`` rows of standard exponentials is drawn in
+    blocks, with the rows' sums.  A pair whose ``f`` has a ``row_evaluator``
+    (every :class:`~hhbounds.funcs.ConvexFunction` but a ``quadratic_psd``)
+    evaluates each block from its rows and sums on the simplex's vertex
+    values; any other ``f`` is called on the block's points ``(rows / sums)
+    @ vertices``, as :func:`sample_uniform` gives them.  The values go into
+    the pair's value array, from which the mean and std_error are computed
+    as for a single integral.  A pair's estimate therefore does not depend
+    on the other pairs: it equals :func:`integrate_mc` of that pair alone
+    with the same seed, bit for bit.  A pair without a finite mean and
+    std_error (its values overflow) raises :class:`NonFiniteValueError`,
+    with no numpy warning.
     """
     if count < 2:
         raise ValueError("count must be >= 2")
@@ -397,10 +408,15 @@ def integrate_mc_shared(pairs, count: int, seed: int) -> list[IntegralEstimate]:
     values = [np.empty(count) for _ in pairs]
     start = 0
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        evaluators = [
+            getattr(f, "row_evaluator", lambda _: None)(s.vertices) or _on_points(f, s.vertices)
+            for f, s in pairs
+        ]
         for stop in _block_stops(count):
-            weights = _uniform_weights(rng, stop - start, width)
-            for (f, s), out in zip(pairs, values):
-                out[start:stop] = f(weights @ s.vertices)
+            rows = rng.standard_exponential((stop - start, width))
+            sums = _row_sums(rows)
+            for evaluate, out in zip(evaluators, values):
+                out[start:stop] = evaluate(rows, sums)
             start = stop
         stats = [_mean_and_error(v) for v in values]
     for (f, s), (mean, error) in zip(pairs, stats):

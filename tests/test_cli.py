@@ -404,7 +404,7 @@ class TestBoundsPinned:
         "EXP_3D": "c949813fa6185f4d57aa167594ae29ba80a2fbe97ddd6f107a5e6d0bcb0ddd93",
         "HINGE_1D": "a947a24ef0aa2e0d8b39b41d89016e3c3daca746929c613b4bdc652d02145f7c",
         "QUAD_1D": "f8f50d671579193f3206f8597b126603762e712f4006eb0f17bab3cc865ca72f",
-        "EXP_1D": "d4f327a61e3cbe02dc6f922ab7f15b884cb7a4b2a679e6c59a527b8312e707f8",
+        "EXP_1D": "cbd85a2433de2c946aa339b63f42aab69678f847485452d5740d98f8a9850d1f",
     }
 
     def digest(self, capsys, tmp_path, vertices, func, chains, point):

@@ -215,6 +215,120 @@ class TestBlockedMC:
             assert _mean_and_error(v.copy()) == want, n
 
 
+class _RecordingRows:
+    """A function on the row route that keeps every batch of values it returns."""
+
+    def __init__(self, f):
+        self.f, self.dim, self.batches = f, f.dim, []
+
+    def row_evaluator(self, vertices):
+        evaluate = self.f.row_evaluator(vertices)
+
+        def record(rows, sums):
+            self.batches.append(evaluate(rows, sums))
+            return self.batches[-1]
+
+        return record
+
+
+ROW_KINDS = tuple(kind for kind in KINDS if kind != "quadratic_psd")
+
+
+class TestRowRoute:
+    """Monte Carlo on vertex values: every kind but ``quadratic_psd`` is
+    evaluated from the raw exponential rows and their sums."""
+
+    COUNTS = TestBlockedMC.COUNTS
+
+    @staticmethod
+    def _rows(s, count, seed):
+        rows = np.random.default_rng(seed).standard_exponential((count, s.dimension + 1))
+        return rows, _row_sums(rows)
+
+    @pytest.mark.parametrize("dim", range(1, 10))
+    def test_blocks_equal_one_shot(self, dim):
+        s = random_simplex(dim, np.random.default_rng(dim))
+        for k, kind in enumerate(ROW_KINDS):
+            f = random_convex(dim, kind, 100 * dim + k, simplex=s)
+            for count in self.COUNTS:
+                want = f.row_evaluator(s.vertices)(*self._rows(s, count, 31 + k))
+                recording = _RecordingRows(f)
+                est = integrate_mc(recording, s, count, 31 + k)
+                assert np.array_equal(np.concatenate(recording.batches), want), (kind, count)
+                assert est == integrate_mc(f, s, count, 31 + k)
+                assert (est.mean_value, est.std_error) == _mean_and_error(want.copy())
+
+    @pytest.mark.parametrize("dim", range(1, 10))
+    def test_shared_pass_equals_each_pair_alone(self, dim):
+        rng = np.random.default_rng(60 + dim)
+        parent = random_simplex(dim, rng)
+        sub = parent.homothety_about_centroid(0.3)
+        pairs = [(random_convex(dim, kind, 9 * k, simplex=parent), parent)
+                 for k, kind in enumerate(KINDS)]
+        pairs += [(f, sub) for f, _ in pairs]
+        for count in self.COUNTS:
+            shared = integrate_mc_shared(pairs, count, 12)
+            assert shared == [integrate_mc(f, s, count, 12) for f, s in pairs]
+
+    @pytest.mark.parametrize("dim", range(1, 10))
+    def test_agrees_with_point_route(self, dim):
+        # the route changes only the rounding: each value is within a few
+        # ulps of the arguments' scale (times the value, for exp) of the
+        # value at the point the row's weights give
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(70 + dim)
+        s = random_simplex(dim, rng)
+        for k, kind in enumerate(ROW_KINDS):
+            f = random_convex(dim, kind, 11 * dim + k, simplex=s)
+            rows, sums = self._rows(s, 100_000, 5 + k)
+            got = f.row_evaluator(s.vertices)(rows, sums)
+            want = f((rows / sums[:, None]) @ s.vertices)
+            p = f.params
+            slopes = np.atleast_2d(p.get("slopes", p.get("slope")))
+            shift = np.abs(p.get("offsets", p.get("offset", p.get("threshold"))))
+            scale = (np.abs(slopes) @ np.abs(s.vertices).T).max() + np.max(shift)
+            allowed = 4 * (dim + 2) * eps * scale
+            if kind == "exp_affine":
+                allowed = allowed * want
+            assert (np.abs(got - want) <= allowed).all(), kind
+
+    def test_quadratic_keeps_the_point_route(self):
+        for dim in (1, 4, 9):
+            s = random_simplex(dim, np.random.default_rng(dim))
+            f = random_convex(dim, "quadratic_psd", dim, simplex=s)
+            assert f.row_evaluator(s.vertices) is None
+            for count in (2, MC_BLOCK_ROWS + 1, 100_000):
+                want = _one_shot_values(f, s, count, 3)
+                est = integrate_mc(f, s, count, 3)
+                assert (est.mean_value, est.std_error) == _mean_and_error(want)
+
+    def test_exp_overflow_raises_without_warning(self):
+        s = standard_simplex(4)
+        f = ConvexFunction("exp_affine", {"slope": [0.0, 900.0, 0.0, 0.0], "offset": 0.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValueError, match="exp_affine on a 4-D simplex"):
+                integrate_mc(f, s, 10_000, seed=2)
+
+    @pytest.mark.parametrize("dim", (1, 4, 8))
+    def test_huge_vertex_values_keep_a_finite_mean(self, dim):
+        # The second piece is 1e308 (1 - w_0) - 1.5e308 in barycentric
+        # weights, below -0.5e308 everywhere.  Its linear part is 0 and 1e308
+        # at the vertices, so a row of exponentials times those values
+        # overflows wherever the row less its first entry sums past 1.8,
+        # though every weighted mean of them is finite.  The first piece, the
+        # constant 2.5, is the max everywhere.
+        s = standard_simplex(dim)
+        f = ConvexFunction("max_of_affines", {
+            "slopes": [np.zeros(dim), np.full(dim, 1e308)], "offsets": [2.5, -1.5e308]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = integrate_mc(f, s, 100_000, seed=dim)
+        assert (est.mean_value, est.std_error) == (2.5, 0.0)
+        rows, sums = self._rows(s, 100_000, dim)
+        assert (sums - rows[:, 0] > np.finfo(float).max / 1e308).mean() > 0.1
+
+
 class TestIntegrateExact:
     def test_second_moments_cached_read_only(self):
         from hhbounds.quadrature import _second_moments
@@ -680,12 +794,13 @@ class TestGroundTruthPolicy:
 
     def test_old_mc_hinge_recipe_replays_bit_for_bit(self):
         # a recipe recorded while the hinge went by Monte Carlo; the values
-        # are the ones it gave then
+        # are the ones it gave then, but for the last digit of the mean, which
+        # moved (from ...436) when Monte Carlo went onto vertex values
         s = random_simplex(3, np.random.default_rng(4))
         hinge = random_convex(3, "hinge_distance", 5, simplex=s)
         recipe = {"method": "monte_carlo", "samples": 3000, "seed": 23}
         assert replay_ground_truth(hinge, s, recipe) == IntegralEstimate(
-            0.14644721670131436, 0.003258131288686053, "monte_carlo", 3000
+            0.14644721670131441, 0.003258131288686053, "monte_carlo", 3000
         )
 
     def test_replay_rejects_unknown_method(self):
