@@ -9,6 +9,7 @@ one operation per published bound chain, and a randomized verification
 harness with tightness analytics and counterexample search.
 """
 
+import importlib as _importlib
 import os as _os
 
 # The workload is tall-skinny matmuls and tiny solves; multithreaded BLAS
@@ -22,112 +23,49 @@ for _var in (
 ):
     _os.environ.setdefault(_var, "1")
 
-from .campaign import (
-    CampaignConfig,
-    CampaignResult,
-    default_config,
-    random_simplex,
-    replay_failure,
-    run_campaign,
-    search_cor3_counterexample,
-    slack_histograms_csv,
-    tightness_ratio,
-    tightness_table,
-)
-from .chains import (
-    CHAIN_NAMES,
-    ChainReport,
-    chain_tolerance,
-    choquet_chain,
-    cor2_chain,
-    cor3_check,
-    cor3_condition_holds,
-    thm2_upper,
-    thm3_chain,
-    thm4_chain,
-    thm5_upper,
-    thm6_chain,
-)
-from .errors import (
-    BarycenterMismatchError,
-    CentroidConstraintViolatedError,
-    ConditionNotViolatedError,
-    DegenerateSimplexError,
-    DimensionMismatchError,
-    HHBoundsError,
-    MissingBaselineError,
-    NonFiniteValueError,
-    PointOutsideSimplexError,
-    SingularSystemError,
-    SubsimplexEscapesParentError,
-    UnsupportedKindError,
-    WorkerError,
-)
-from .funcs import KINDS, ConvexFunction, random_convex
-from .geometry import Simplex, as_point, standard_simplex
-from .quadrature import (
-    EXACT_KINDS,
-    IntegralEstimate,
-    ground_truth,
-    integrate_cubature,
-    integrate_exact,
-    integrate_mc,
-    sample_uniform,
-)
-from .tolerances import TOL_CHAIN, TOL_GEOM
-
 __version__ = "0.1.0"
 
-__all__ = [
-    "CampaignConfig",
-    "CampaignResult",
-    "CHAIN_NAMES",
-    "ChainReport",
-    "ConvexFunction",
-    "EXACT_KINDS",
-    "IntegralEstimate",
-    "KINDS",
-    "Simplex",
-    "TOL_CHAIN",
-    "TOL_GEOM",
-    "as_point",
-    "chain_tolerance",
-    "choquet_chain",
-    "cor2_chain",
-    "cor3_check",
-    "cor3_condition_holds",
-    "default_config",
-    "ground_truth",
-    "integrate_cubature",
-    "integrate_exact",
-    "integrate_mc",
-    "random_convex",
-    "random_simplex",
-    "replay_failure",
-    "run_campaign",
-    "sample_uniform",
-    "search_cor3_counterexample",
-    "slack_histograms_csv",
-    "standard_simplex",
-    "thm2_upper",
-    "thm3_chain",
-    "thm4_chain",
-    "thm5_upper",
-    "thm6_chain",
-    "tightness_ratio",
-    "tightness_table",
-    # errors
-    "HHBoundsError",
-    "BarycenterMismatchError",
-    "CentroidConstraintViolatedError",
-    "ConditionNotViolatedError",
-    "DegenerateSimplexError",
-    "DimensionMismatchError",
-    "MissingBaselineError",
-    "NonFiniteValueError",
-    "PointOutsideSimplexError",
-    "SingularSystemError",
-    "SubsimplexEscapesParentError",
-    "UnsupportedKindError",
-    "WorkerError",
-]
+#: The public names by home module.  ``import hhbounds`` loads no
+#: submodule (and so not numpy): the first access to a name imports its
+#: home module and caches the name here (PEP 562).
+_EXPORTS = {
+    "campaign": (
+        "CampaignConfig", "CampaignResult", "default_config", "random_simplex",
+        "replay_failure", "run_campaign", "slack_histograms_csv", "tightness_ratio",
+        "tightness_table",
+    ),
+    "chains": (
+        "CHAIN_NAMES", "ChainReport", "chain_tolerance", "choquet_chain", "cor2_chain",
+        "cor3_check", "cor3_condition_holds", "search_cor3_counterexample", "thm2_upper",
+        "thm3_chain", "thm4_chain", "thm5_upper", "thm6_chain",
+    ),
+    "errors": (
+        "HHBoundsError", "BarycenterMismatchError", "CentroidConstraintViolatedError",
+        "ConditionNotViolatedError", "DegenerateSimplexError", "DimensionMismatchError",
+        "MissingBaselineError", "NonFiniteValueError", "PointOutsideSimplexError",
+        "SingularSystemError", "SubsimplexEscapesParentError", "UnsupportedKindError",
+        "WorkerError",
+    ),
+    "funcs": ("KINDS", "ConvexFunction", "random_convex"),
+    "geometry": ("Simplex", "as_point", "standard_simplex"),
+    "quadrature": (
+        "EXACT_KINDS", "IntegralEstimate", "ground_truth", "integrate_cubature",
+        "integrate_exact", "integrate_mc", "sample_uniform",
+    ),
+    "tolerances": ("TOL_CHAIN", "TOL_GEOM"),
+}
+_HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_importlib.import_module(f"{__name__}.{_HOMES[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

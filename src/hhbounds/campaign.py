@@ -1,20 +1,15 @@
-"""Randomized verification campaigns, tightness statistics, and 1-D
-counterexample search for the conditional weighted-endpoint chain.
+"""Randomized verification campaigns and tightness statistics.
 
 Chain instances ``(function, simplex or None, params)`` run by the one
-chain table, :data:`~hhbounds.chains.CHAINS`, in two steps.
-:func:`_ground_truths` takes one ground truth per domain, named by the
-first instance on it, and integrates the domains of one seed together, on
-one Monte Carlo weight stream, before any chain runs; then
-:func:`~hhbounds.chains.chain_reports` evaluates each function once on the
-points of all its chains.  Seeds are keyed by domain name.  ``hh bounds``
-takes both steps and :func:`replay_failure` the second; the ground-truth
-policy (exact, cubature or Monte Carlo) and its replay recipes live in
-:mod:`hhbounds.quadrature`.  A campaign builds up to :data:`TRIAL_BLOCK`
-consecutive trials as one block, takes each trial's ground truths in the
-same way, in the domains the trial built (its parent simplex and
-subsimplex on one seed, its cor2 interval and cor3 window on another), and
-evaluates the block's chains at once
+chain table, :data:`~hhbounds.chains.CHAINS`, in the two steps of
+:mod:`hhbounds.chains`: their ground truths, one per domain, then
+:func:`~hhbounds.chains.chain_reports`.  :func:`replay_failure` takes the
+second step; the ground-truth policy (exact, cubature or Monte Carlo) and
+its replay recipes live in :mod:`hhbounds.quadrature`.  A campaign builds
+up to :data:`TRIAL_BLOCK` consecutive trials as one block, takes each
+trial's ground truths in the domains the trial built (its parent simplex
+and subsimplex on one seed, its cor2 interval and cor3 window on another),
+and evaluates the block's chains at once
 (:func:`~hhbounds.chains.evaluate_block`), whose rows come a (chain,
 dimension) stack at a time; every value gets the bits it gets in a block
 of one.  The blocks run in :data:`WORKERS` consecutive shares, on this
@@ -35,17 +30,12 @@ Dirichlet draws take numpy's own gamma form.  The bits, and the contract
 that trial ``i`` depends only on ``(master_seed, i)``, are numpy's.
 
 Failures are recorded as self-contained descriptors (simplex, function,
-chain parameters, ground-truth recipe) in the shape of an instance, and
+chain parameters, ground-truth recipe) in the shape of an instance, built
+by the same code as a cor3 witness
+(:func:`~hhbounds.chains.search_cor3_counterexample`), and
 :func:`replay_failure` re-runs one descriptor bit-for-bit, also once read
 back from a result file: floats are written as their shortest round-trip
 ``repr``, so ``-0.0`` and ``1.0`` come back as written.
-
-:func:`search_cor3_counterexample` tests the necessity of the cor3 window
-condition.  The worst unit hinge has a closed form: its kink is the
-endpoint of ``[a, b]`` nearer the weighted point ``A``, and its upper slack
-is ``-(y - h)**2 / (4 y)``.  The search certifies that one hinge as a
-``cor3`` chain with its exact window mean, and returns it as a descriptor
-built by the same code as a campaign failure.
 
 Wall time is kept on the in-memory result only; the serialized result is a
 pure function of the configuration, so rerunning a campaign writes a
@@ -68,27 +58,18 @@ from .chains import (
     CHAINS,
     DOMAINS,
     ChainReport,
+    _descriptor,
+    _ground_truths,
     chain_reports,
     evaluate_block,
-    cor3_condition_holds,
     cor3_max_halfwidth,
     window_vertices,
 )
-from .errors import (
-    ConditionNotViolatedError,
-    MissingBaselineError,
-    PointOutsideSimplexError,
-    WorkerError,
-)
+from .errors import MissingBaselineError, PointOutsideSimplexError, WorkerError
 from .funcs import KINDS, ConvexFunction, _dirichlet, convex_functions, random_params
 from .funcs import random_convex  # noqa: F401  (perfbench wraps it under this module)
 from .geometry import Simplex, scaled_copies, simplices, solve_stacked
-from .quadrature import (
-    ground_truth_recipe,
-    ground_truths,
-    integrate_exact,
-    replay_ground_truth,
-)
+from .quadrature import ground_truth_recipe, replay_ground_truth
 from .serialize import dumps
 from .tolerances import COND_LIMIT, TOL_CHAIN
 
@@ -99,7 +80,6 @@ __all__ = [
     "random_simplex",
     "replay_failure",
     "run_campaign",
-    "search_cor3_counterexample",
     "slack_histograms_csv",
     "tightness_ratio",
     "tightness_table",
@@ -123,32 +103,6 @@ TRIAL_BLOCK = 128
 #: seeds and the blocks are recorded in order.
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
-
-
-def _ground_truths(instances, seeds: dict[str, int], mc_samples: int, domains: dict):
-    """The estimate of the ground-truth domain of each ``(name, (function,
-    simplex, params))`` instance, in order (None for thm6).  The first
-    instance on a domain names the function and simplex that later ones
-    share: ``domains[name]``, or built through
-    :data:`~hhbounds.chains.DOMAINS`.  ``seeds`` and ``domains`` are keyed by
-    domain name.  The domains of one seed are integrated together, on one
-    Monte Carlo weight stream (:func:`~hhbounds.quadrature.ground_truths`);
-    the very same (function, simplex) objects share one estimate."""
-    pairs: dict[int, dict[tuple, tuple]] = {}  # seed -> object ids -> (function, domain)
-    keys: dict[str, tuple] = {}  # domain name -> (seed, object ids)
-    for name, (func, simplex, params) in instances:
-        if (domain := CHAINS[name].domain) is not None and domain not in keys:
-            built = domains[domain] if domain in domains else DOMAINS[domain](simplex, params)
-            keys[domain] = seeds[domain], (id(func), id(built))
-            pairs.setdefault(seeds[domain], {}).setdefault(keys[domain][1], (func, built))
-    estimates = {}
-    for seed, seed_pairs in pairs.items():
-        for ids, est in zip(seed_pairs, ground_truths(seed_pairs.values(), mc_samples, seed)):
-            estimates[seed, ids] = est
-    return [
-        None if (domain := CHAINS[name].domain) is None else estimates[keys[domain]]
-        for name, _ in instances
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -608,33 +562,6 @@ class _ChainAgg:
         return data
 
 
-def _descriptor(name: str, where: dict, instance, report: ChainReport, recipe) -> dict:
-    """The replayable descriptor of one chain run on ``instance``.
-
-    ``where`` locates it (``{"trial", "dimension"}`` for a campaign failure,
-    ``{"dimension": 1}`` for a cor3 witness) and ``recipe`` replays its
-    ground truth; :func:`replay_failure` reads the descriptor back.
-    """
-    func, simplex, params = instance
-    descriptor = {
-        "chain": name,
-        **where,
-        "function": func.to_json_dict(),
-        "params": {
-            key: value.to_json_dict() if isinstance(value, Simplex)
-            else value.tolist() if isinstance(value, np.ndarray) else value
-            for key, value in params.items()
-        },
-        "ground_truth": recipe,
-        "verdict": report.verdict,
-        "slacks": list(report.slacks),
-        "tolerance": report.tolerance_used,
-    }
-    if simplex is not None:
-        descriptor["simplex"] = simplex.to_json_dict()
-    return descriptor
-
-
 def _run_block(cfg: CampaignConfig, indices: range) -> tuple[list, list]:
     """Build the trials ``indices`` as one block, take their ground truths
     and evaluate their chains as one block.  Returns the ``(name, (passed,
@@ -863,53 +790,3 @@ def slack_histograms_csv(result: CampaignResult) -> str:
             lo, mid, hi = row["min"], row["p50"], row["max"]
             lines.append(f"{name},{row['position']},{lo!r},{mid!r},{hi!r},{row['n']}")
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# counterexample search (necessity direction of the cor3 condition)
-# ---------------------------------------------------------------------------
-
-
-def search_cor3_counterexample(p: float, q: float, a: float, b: float, y: float) -> dict | None:
-    """The unit hinge that violates the cor3 chain most, when the condition fails.
-
-    Write ``S(k)`` for the cor3 upper slack of the unit hinge
-    ``max(0, x - k)``.  Between consecutive points of ``{a, b, A - y, A + y}``
-    its endpoint term is linear in ``k`` and its window mean is convex in
-    ``k``, so ``S`` is concave on each piece and its minimum lies at one of
-    those four kinks.  It lies at the endpoint of ``[a, b]`` nearer ``A``
-    (``a`` on a tie), where ``S = -(y - h)**2 / (4 y)`` with ``h`` the
-    :func:`~hhbounds.chains.cor3_max_halfwidth`.  The mirrored hinge
-    ``max(0, k - x)`` differs from this one by an affine function, whose
-    cor3 slacks are zero because the window is centred at ``A``, so it
-    would score the same.  That one hinge is certified as a ``cor3`` chain
-    with its exact window mean (:func:`~hhbounds.quadrature.integrate_exact`),
-    and a witness descriptor (replayable via :func:`replay_failure`) is
-    returned only if its slack is negative beyond the report tolerance;
-    otherwise None.
-    """
-    p, q, a, b, y = float(p), float(q), float(a), float(b), float(y)
-    params = {"p": p, "q": q, "a": a, "b": b, "y": y}
-    window = DOMAINS["window"](None, params)
-    if cor3_condition_holds(p, q, a, b, y):
-        raise ConditionNotViolatedError(
-            "window-width condition holds; the chain is valid for every convex f"
-        )
-    centre = (p * a + q * b) / (p + q)
-    kink = a if centre - a <= b - centre else b
-    func = ConvexFunction(
-        kind="hinge_distance",
-        params={"slope": [1.0], "threshold": kink},
-        label="hinge-witness",
-    )
-    instance = func, None, params
-    gt = integrate_exact(func, window)
-    report = chain_reports([("cor3", instance)], [gt])[0]
-    worst = min(report.slacks)
-    if worst >= -report.tolerance_used:
-        return None
-    witness = _descriptor(
-        "cor3", {"dimension": 1}, instance, report, ground_truth_recipe(gt, None)
-    )
-    witness.update(kink=kink, slack=worst, candidates_examined=1)
-    return witness

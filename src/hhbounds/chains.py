@@ -21,6 +21,21 @@ truth the tolerance widens to four standard errors so sampling noise cannot
 raise false alarms.  :data:`CHAINS` is the one table of the chains and
 :data:`DOMAINS` of their ground-truth domains; the chains are documented
 on their public functions below.
+
+An instance set runs in two steps.  :func:`_ground_truths` takes one
+ground truth per domain, named by the first instance on it, and integrates
+the domains of one seed together, on one Monte Carlo weight stream, before
+any chain runs; then :func:`chain_reports` evaluates each function once on
+the points of all its chains.  Seeds are keyed by domain name.  ``hh
+bounds`` and each campaign trial take both steps, and
+:func:`~hhbounds.campaign.replay_failure` the second.
+
+:func:`search_cor3_counterexample` tests the necessity of the cor3 window
+condition.  The worst unit hinge has a closed form: its kink is the
+endpoint of ``[a, b]`` nearer the weighted point ``A``, and its upper slack
+is ``-(y - h)**2 / (4 y)``.  The search certifies that one hinge as a
+``cor3`` chain with its exact window mean, and returns it as a descriptor
+built by the same code as a campaign failure.
 """
 
 from __future__ import annotations
@@ -32,14 +47,17 @@ from typing import Callable
 
 import numpy as np
 
+from . import quadrature  # looked up at call time, so wrappers installed on it see the calls
 from .errors import (
     BarycenterMismatchError,
     CentroidConstraintViolatedError,
+    ConditionNotViolatedError,
     DimensionMismatchError,
     NonFiniteValueError,
     PointOutsideSimplexError,
     SubsimplexEscapesParentError,
 )
+from .funcs import ConvexFunction
 from .geometry import Simplex, as_point, solve_stacked
 from .quadrature import IntegralEstimate
 from .tolerances import TOL_CHAIN, TOL_GEOM
@@ -56,6 +74,7 @@ __all__ = [
     "cor3_check",
     "cor3_condition_holds",
     "cor3_max_halfwidth",
+    "search_cor3_counterexample",
     "thm2_upper",
     "thm3_chain",
     "thm4_chain",
@@ -595,6 +614,33 @@ def chain_reports(instances, ground_truths) -> list[ChainReport]:
     return reports
 
 
+def _ground_truths(instances, seeds: dict[str, int], mc_samples: int, domains: dict):
+    """The estimate of the ground-truth domain of each ``(name, (function,
+    simplex, params))`` instance, in order (None for thm6).  The first
+    instance on a domain names the function and simplex that later ones
+    share: ``domains[name]``, or built through :data:`DOMAINS`.  ``seeds``
+    and ``domains`` are keyed by domain name.  The domains of one seed are
+    integrated together, on one Monte Carlo weight stream
+    (:func:`~hhbounds.quadrature.ground_truths`); the very same (function,
+    simplex) objects share one estimate."""
+    pairs: dict[int, dict[tuple, tuple]] = {}  # seed -> object ids -> (function, domain)
+    keys: dict[str, tuple] = {}  # domain name -> (seed, object ids)
+    for name, (func, simplex, params) in instances:
+        if (domain := CHAINS[name].domain) is not None and domain not in keys:
+            built = domains[domain] if domain in domains else DOMAINS[domain](simplex, params)
+            keys[domain] = seeds[domain], (id(func), id(built))
+            pairs.setdefault(seeds[domain], {}).setdefault(keys[domain][1], (func, built))
+    estimates = {}
+    for seed, seed_pairs in pairs.items():
+        found = quadrature.ground_truths(seed_pairs.values(), mc_samples, seed)
+        for ids, est in zip(seed_pairs, found):
+            estimates[seed, ids] = est
+    return [
+        None if (domain := CHAINS[name].domain) is None else estimates[keys[domain]]
+        for name, _ in instances
+    ]
+
+
 def _report(name, f, s, params, gt) -> ChainReport:
     return chain_reports([(name, (f, s, params))], [gt])[0]
 
@@ -717,3 +763,81 @@ def cor3_check(
     is True.  ``gt`` must be the mean of ``f`` over [A-y, A+y].
     """
     return _report("cor3", f, None, {"p": p, "q": q, "a": a, "b": b, "y": y}, gt)
+
+
+# ---------------------------------------------------------------------------
+# counterexample search (necessity direction of the cor3 condition)
+# ---------------------------------------------------------------------------
+
+
+def _descriptor(name: str, where: dict, instance, report: ChainReport, recipe) -> dict:
+    """The replayable descriptor of one chain run on ``instance``.
+
+    ``where`` locates it (``{"trial", "dimension"}`` for a campaign failure,
+    ``{"dimension": 1}`` for a cor3 witness) and ``recipe`` replays its
+    ground truth; :func:`~hhbounds.campaign.replay_failure` reads the
+    descriptor back.
+    """
+    func, simplex, params = instance
+    descriptor = {
+        "chain": name,
+        **where,
+        "function": func.to_json_dict(),
+        "params": {
+            key: value.to_json_dict() if isinstance(value, Simplex)
+            else value.tolist() if isinstance(value, np.ndarray) else value
+            for key, value in params.items()
+        },
+        "ground_truth": recipe,
+        "verdict": report.verdict,
+        "slacks": list(report.slacks),
+        "tolerance": report.tolerance_used,
+    }
+    if simplex is not None:
+        descriptor["simplex"] = simplex.to_json_dict()
+    return descriptor
+
+
+def search_cor3_counterexample(p: float, q: float, a: float, b: float, y: float) -> dict | None:
+    """The unit hinge that violates the cor3 chain most, when the condition fails.
+
+    Write ``S(k)`` for the cor3 upper slack of the unit hinge
+    ``max(0, x - k)``.  Between consecutive points of ``{a, b, A - y, A + y}``
+    its endpoint term is linear in ``k`` and its window mean is convex in
+    ``k``, so ``S`` is concave on each piece and its minimum lies at one of
+    those four kinks.  It lies at the endpoint of ``[a, b]`` nearer ``A``
+    (``a`` on a tie), where ``S = -(y - h)**2 / (4 y)`` with ``h`` the
+    :func:`cor3_max_halfwidth`.  The mirrored hinge
+    ``max(0, k - x)`` differs from this one by an affine function, whose
+    cor3 slacks are zero because the window is centred at ``A``, so it
+    would score the same.  That one hinge is certified as a ``cor3`` chain
+    with its exact window mean (:func:`~hhbounds.quadrature.integrate_exact`),
+    and a witness descriptor (replayable via
+    :func:`~hhbounds.campaign.replay_failure`) is returned only if its
+    slack is negative beyond the report tolerance; otherwise None.
+    """
+    p, q, a, b, y = float(p), float(q), float(a), float(b), float(y)
+    params = {"p": p, "q": q, "a": a, "b": b, "y": y}
+    window = DOMAINS["window"](None, params)
+    if cor3_condition_holds(p, q, a, b, y):
+        raise ConditionNotViolatedError(
+            "window-width condition holds; the chain is valid for every convex f"
+        )
+    centre = (p * a + q * b) / (p + q)
+    kink = a if centre - a <= b - centre else b
+    func = ConvexFunction(
+        kind="hinge_distance",
+        params={"slope": [1.0], "threshold": kink},
+        label="hinge-witness",
+    )
+    instance = func, None, params
+    gt = quadrature.integrate_exact(func, window)
+    report = _report("cor3", *instance, gt)
+    worst = min(report.slacks)
+    if worst >= -report.tolerance_used:
+        return None
+    witness = _descriptor(
+        "cor3", {"dimension": 1}, instance, report, quadrature.ground_truth_recipe(gt, None)
+    )
+    witness.update(kink=kink, slack=worst, candidates_examined=1)
+    return witness

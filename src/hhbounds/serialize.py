@@ -10,6 +10,7 @@ requires.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from typing import Any
 
 import numpy as np
@@ -34,13 +35,15 @@ def dumps(obj: Any, *, indent: int | None = None) -> str:
 LINES_CHUNK_ROWS = 8192
 
 
-def dumps_lines(matrix) -> str:
+def dumps_lines(matrix) -> Iterator[str]:
     """JSON Lines text of a 2-D float matrix, equal to ``dumps(row.tolist())`` per row.
 
-    One ``"[%r,...]"`` row template, repeated for a chunk of
-    :data:`LINES_CHUNK_ROWS` rows, formats the whole chunk in one ``%``
-    call, without the encoder's per-value dispatch (the cost of ``hh
-    sample``).  Only one chunk at a time is held as Python floats.
+    A non-finite value raises dumps' error at the call, before any text is
+    made.  The text comes as one string per chunk of
+    :data:`LINES_CHUNK_ROWS` rows, made as it is read: one ``"[%r,...]"``
+    row template, repeated for the chunk, formats it in one ``%`` call,
+    without the encoder's per-value dispatch (the cost of ``hh sample``).
+    Only one chunk at a time is held as Python floats and as text.
     """
     M = np.asarray(matrix, dtype=float)
     finite = np.isfinite(M)
@@ -49,7 +52,7 @@ def dumps_lines(matrix) -> str:
     template = "[" + ",".join(["%r"] * M.shape[1]) + "]\n"
     starts = range(0, len(M), LINES_CHUNK_ROWS)
     chunks = (M[start : start + LINES_CHUNK_ROWS] for start in starts)
-    return "".join([template * len(c) % tuple(c.ravel().tolist()) for c in chunks])
+    return (template * len(c) % tuple(c.ravel().tolist()) for c in chunks)
 
 
 def _reject_constant(token: str):

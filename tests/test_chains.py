@@ -46,12 +46,13 @@ from hhbounds import (
     thm6_chain,
 )
 from hhbounds import chains
-from hhbounds.campaign import _build_block, _ground_truths
+from hhbounds.campaign import _build_block
 from hhbounds.chains import (
     CHAIN_NAMES,
     CHAINS,
     DOMAINS,
     _Stack,
+    _ground_truths,
     _weigh,
     chain_reports,
     evaluate_block,

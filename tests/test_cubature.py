@@ -39,8 +39,8 @@ from hhbounds import (
     random_simplex,
     standard_simplex,
 )
-from hhbounds.campaign import _build_block, _ground_truths, replay_failure
-from hhbounds.chains import CHAINS, DOMAINS, chain_reports
+from hhbounds.campaign import _build_block, replay_failure
+from hhbounds.chains import CHAINS, DOMAINS, _ground_truths, chain_reports
 from hhbounds.quadrature import (
     CUBATURE_DEGREE,
     CUBATURE_MAX_ARGUMENT,

@@ -119,7 +119,7 @@ class TestDumpsLines:
         M = rng.standard_normal((200, 4)) * 10.0 ** rng.integers(-320, 300, (200, 4))
         M[0] = [-0.0, 1.0, 1e16, 2.0**-1074]
         M[1] = [1 / 3, -2.5, 123456789.0, 5e-324]
-        assert dumps_lines(M) == "".join(dumps(row.tolist()) + "\n" for row in M)
+        assert "".join(dumps_lines(M)) == "".join(dumps(row.tolist()) + "\n" for row in M)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -130,13 +130,13 @@ class TestDumpsLines:
         )
     )
     def test_matches_dumps_per_row_property(self, M):
-        text = dumps_lines(M)
+        text = "".join(dumps_lines(M))
         assert text == "".join(dumps(row.tolist()) + "\n" for row in M)
         back = np.array([json.loads(line) for line in text.splitlines()])
         assert back.tobytes() == M.tobytes()
 
     def test_single_column(self):
-        assert dumps_lines(np.array([[0.5], [2.0]])) == "[0.5]\n[2.0]\n"
+        assert "".join(dumps_lines(np.array([[0.5], [2.0]]))) == "[0.5]\n[2.0]\n"
 
     @pytest.mark.parametrize(
         "rows", [1, LINES_CHUNK_ROWS - 1, LINES_CHUNK_ROWS, LINES_CHUNK_ROWS + 1]
@@ -146,7 +146,13 @@ class TestDumpsLines:
         M = rng.standard_normal((rows, 3))
         M[0] = [-0.0, 5e-324, 1e16]
         M[-1] = [1e22, -0.0, 5e-324]
-        assert dumps_lines(M) == "".join(dumps(row.tolist()) + "\n" for row in M)
+        assert "".join(dumps_lines(M)) == "".join(dumps(row.tolist()) + "\n" for row in M)
+
+    def test_one_string_per_chunk(self):
+        M = np.ones((2 * LINES_CHUNK_ROWS + 1, 2))
+        chunks = dumps_lines(M)
+        assert not isinstance(chunks, str)
+        assert [len(c) for c in chunks] == [10 * LINES_CHUNK_ROWS] * 2 + [10]  # "[1.0,1.0]\n"
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_nonfinite_rejected_as_dumps(self, bad):
