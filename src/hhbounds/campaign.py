@@ -532,16 +532,13 @@ class _ChainAgg:
         self.ratios: list[np.ndarray] = []
         self.ratio_nulls = 0
 
-    def record(self, passed, slacks, values, tolerances) -> None:
-        """Add one stack's rows (see :class:`~hhbounds.chains.ChainRows`)."""
+    def record(self, passed, slacks, ratios, nulls) -> None:
+        """Add one stack's verdicts, slacks and :func:`_stack_ratios`."""
         self.passed.append(passed)
         self.slacks.append(slacks)
-        if self.triple is not None:  # tightness_ratio, row by row
-            mean, refined, classical = (values[:, k] for k in self.triple)
-            denom = classical - mean
-            null = denom <= tolerances
-            self.ratio_nulls += int(null.sum())
-            self.ratios.append((refined - mean)[~null] / denom[~null])
+        if ratios is not None:
+            self.ratios.append(ratios)
+            self.ratio_nulls += nulls
 
     def summary(self) -> dict:
         passed = np.concatenate(self.passed)
@@ -562,11 +559,26 @@ class _ChainAgg:
         return data
 
 
+def _stack_ratios(rows) -> tuple[np.ndarray | None, int]:
+    """The tightness ratios of a stack's rows (see
+    :class:`~hhbounds.chains.ChainRows`) whose gap clears their tolerance,
+    and the count of those whose gap does not: :func:`tightness_ratio`, row
+    by row.  ``None, 0`` for a chain without a tightness triple."""
+    triple = CHAINS[rows.name].tightness
+    if triple is None:
+        return None, 0
+    mean, refined, classical = (rows.values[:, k] for k in triple)
+    denom = classical - mean
+    null = denom <= rows.tolerances
+    return (refined - mean)[~null] / denom[~null], int(null.sum())
+
+
 def _run_block(cfg: CampaignConfig, indices: range) -> tuple[list, list]:
     """Build the trials ``indices`` as one block, take their ground truths
     and evaluate their chains as one block.  Returns the ``(name, (passed,
-    slacks, values, tolerances))`` rows of each (chain, dimension) stack and
-    the descriptors of the failed rows, in trial order."""
+    slacks, ratios, nulls))`` rows of each (chain, dimension) stack (see
+    :func:`_stack_ratios`) and the descriptors of the failed rows, in trial
+    order."""
     built = _build_block(cfg, indices)
     selected = [[(name, inst) for name in cfg.theorems for inst in instances[name]]
                 for _, _, instances, _ in built]
@@ -582,7 +594,7 @@ def _run_block(cfg: CampaignConfig, indices: range) -> tuple[list, list]:
         recipe = None if gt is None else ground_truth_recipe(gt, seeds[CHAINS[rows.name].domain])
         failures.append(_descriptor(rows.name, {"trial": indices[t], "dimension": dim},
                                     selected[t][i][1], rows.report(r), recipe))
-    return [(rows.name, (rows.passed, rows.slacks, rows.values, rows.tolerances))
+    return [(rows.name, (rows.passed, rows.slacks, *_stack_ratios(rows)))
             for rows in block], failures
 
 

@@ -208,9 +208,11 @@ def _cmd_cor3_search(args: argparse.Namespace) -> int:
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     s = _load_simplex(args.simplex)
-    # looked up on its module at call time, so wrappers installed there see the call
-    points = quadrature.sample_uniform(s, args.count, _default_seed(args.seed))
-    _emit(dumps_lines(points), args.out)
+    # looked up on its module at call time, so wrappers installed there see
+    # the call; each block of points is formatted as it is drawn, so no
+    # weight or point matrix of all --count rows is ever held
+    blocks = quadrature._sample_blocks(s, args.count, _default_seed(args.seed))
+    _emit(map(dumps_lines, blocks), args.out)
     return 0
 
 

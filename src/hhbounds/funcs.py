@@ -236,18 +236,22 @@ class ConvexFunction:
 
     def row_evaluator(self, vertices: np.ndarray):
         """The values at the points ``(E / sums[:, None]) @ vertices``, as a
-        function of rows ``E`` and their sums; None for ``quadratic_psd``.
+        function ``evaluate(E, sums, out=None)`` of rows ``E`` and their sums
+        that writes them into ``out`` (a new array if None) and returns it;
+        None for ``quadratic_psd``.
 
         Every other kind is an outer function of affine arguments ``A x + b``,
         and a point's arguments are ``(E @ T) / sums + b`` with ``T`` the
         table ``vertices @ A.T`` of vertex values: one product with ``T``, a
         division of the arguments by the sums and the outer function, with no
-        point matrix.  ``T`` is scaled by a power of two where ``E @ T``
-        could overflow though the arguments do not, which changes no bit of
-        an argument that does not overflow.  A row's value depends only on
-        its row and sum wherever BLAS's matrix-vector product (one affine
-        argument) rounds it the same way: where blocks of rows start at
-        multiples of 4096 (:data:`~hhbounds.quadrature.MC_BLOCK_ROWS`).
+        point matrix.  A kind of one argument computes all of it in ``out``;
+        the others keep one ``(k, m)`` array of arguments.  ``T`` is scaled by
+        a power of two where ``E @ T`` could overflow though the arguments do
+        not, which changes no bit of an argument that does not overflow.  A
+        row's value depends only on its row and sum wherever BLAS's
+        matrix-vector product (one affine argument) rounds it the same way:
+        where blocks of rows start at multiples of 4096
+        (:data:`~hhbounds.quadrature.MC_BLOCK_ROWS`).
         """
         if self.kind == "quadratic_psd":
             return None
@@ -258,20 +262,21 @@ class ConvexFunction:
         if scale > 1.0:
             T = T / scale
 
-        def evaluate(E: np.ndarray, sums: np.ndarray) -> np.ndarray:
-            Z = T @ E.T if T.ndim == 2 else E @ T
+        def evaluate(E: np.ndarray, sums: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+            Z = T @ E.T if T.ndim == 2 else np.matmul(E, T, out=out)
             Z /= sums
             if scale > 1.0:
                 Z *= scale
-            return self._outer(Z)
+            return self._outer(Z, out)
 
         return evaluate
 
-    def _outer(self, Z: np.ndarray) -> np.ndarray:
+    def _outer(self, Z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The values whose linear parts are ``Z``: ``(k, m)`` for the
         multi-piece kinds, ``(m,)`` for the others.  The offsets are added in
         place, and the kind's outer function is applied in place where it
-        keeps the shape."""
+        keeps the shape; a multi-piece kind writes its values into ``out``
+        (a new array if None), and a kind of one argument returns ``Z``."""
         p = self.params
         if "offsets" in p:
             Z += p["offsets"][:, None]
@@ -291,13 +296,13 @@ class ConvexFunction:
         # a numpy reduction along a 2-5 wide axis per point.  Every value, and
         # the summation order of log_sum_exp (see _row_sums), matches the
         # (m, k) layout.
-        peak = Z.max(axis=0)
         if kind == "max_of_affines":
-            return peak
+            return Z.max(axis=0, out=out)
         # max-subtraction for overflow safety
+        peak = Z.max(axis=0)
         Z -= peak
         np.exp(Z, out=Z)
-        return peak + np.log(_row_sums(Z.T))
+        return np.add(peak, np.log(_row_sums(Z.T)), out=out)
 
     # -- serialization ------------------------------------------------------
 

@@ -99,9 +99,12 @@ from the raw rows and their sums alone, with no weight or point matrix
 and plain callables get ``f((e / sum(e)) @ V)``.  Each pair's values are
 those it gets alone (:func:`integrate_mc` is the one-pair case), and every
 value is bit-identical to evaluating all rows at once by the same route.  A
-call keeps one value array per pair, and no other array outlives its block;
-it shares no state with another call, so its result does not depend on the
-calls before it or on the process that makes it.
+call draws every block into one reused buffer and writes each pair's values
+in place into one ``(pairs, count)`` array; no other array outlives its
+block.  It shares no state with another call, so its result does not depend
+on the calls before it or on the process that makes it.  :func:`sample_uniform`
+draws the same stream and writes its points into its result a block at a
+time, and ``hh sample`` formats each block of points as it is drawn.
 
 :func:`ground_truths` is the one policy choosing between the routes
 (:func:`ground_truth` is its one-pair case): exact where
@@ -228,9 +231,12 @@ CUBATURE_MAX_ARGUMENT = 100.0
 #: the pair's vertex values rounds a row the same way in every block that
 #: starts at a multiple of 4096 (widths 2-10, one BLAS thread), but rows 8
 #: or 10 wide can round differently in a block that starts at an odd row.
-#: On the Monte Carlo streams of a 48-trial default-mix block (2-core Xeon,
-#: one BLAS thread) 8192 rows took 2-7 % less CPU time than 4096, but 4096
-#: keeps a stream's peak at 2.2 MiB (2.8 MiB at 8192) at 10^5 samples.
+#: A stream draws every block into one buffer of ``MC_BLOCK_ROWS + 1`` rows
+#: (:func:`_exponential_blocks`), so its peak is its result (0.8 MB a pair at
+#: 10^5 samples) plus that buffer (295 KB at width 9) and a few vectors of a
+#: block's rows.  On two-pair ``exp_affine`` streams of 10^5 rows in dims 2-8
+#: (2-core Xeon, one BLAS thread), 8192 and 16384 rows took within 2 % of
+#: the CPU time of 4096.
 MC_BLOCK_ROWS = 4096
 
 
@@ -330,21 +336,6 @@ def _row_sums(W: np.ndarray) -> np.ndarray:
     return total
 
 
-def sample_uniform(s: Simplex, count: int, seed: int) -> np.ndarray:
-    """Draw ``count`` uniform points from ``s`` as a ``(count, n)`` array.
-
-    Vertex weights are i.i.d. standard exponentials normalized to sum one
-    (uniform-Dirichlet); the stream is deterministic per seed and every row
-    lies inside the simplex by construction.  Every point, and with it every
-    campaign result and failure replay, is reproduced bit for bit.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    weights = np.random.default_rng(seed).standard_exponential((count, s.dimension + 1))
-    weights /= _row_sums(weights)[:, None]  # numpy's summation order
-    return weights @ s.vertices
-
-
 def _block_stops(count: int) -> list[int]:
     """End rows of the weight blocks of a ``count``-row stream.
 
@@ -353,6 +344,57 @@ def _block_stops(count: int) -> list[int]:
     matrix path every other block (and a one-draw stream) takes.
     """
     return [*range(MC_BLOCK_ROWS, count - 1, MC_BLOCK_ROWS), count]
+
+
+def _exponential_blocks(count: int, width: int, seed: int):
+    """The seeded stream of ``count`` rows of ``width`` i.i.d. standard
+    exponentials, as ``(rows, sums)`` per block of :func:`_block_stops`.
+
+    Every block is drawn into one buffer of ``MC_BLOCK_ROWS + 1`` rows,
+    allocated once per stream, so ``rows`` is only valid until the next
+    block; the draws, row-major, are those of drawing all rows at once.
+    """
+    rng = np.random.default_rng(seed)
+    buffer = np.empty((MC_BLOCK_ROWS + 1, width))
+    start = 0
+    for stop in _block_stops(count):
+        rows = rng.standard_exponential(out=buffer[: stop - start])
+        yield rows, _row_sums(rows)
+        start = stop
+
+
+def _points(rows: np.ndarray, sums: np.ndarray, vertices: np.ndarray, out=None) -> np.ndarray:
+    """The uniform points ``(rows / sums) @ vertices`` of exponential rows."""
+    return np.matmul(rows / sums[:, None], vertices, out=out)
+
+
+def sample_uniform(s: Simplex, count: int, seed: int) -> np.ndarray:
+    """Draw ``count`` uniform points from ``s`` as a ``(count, n)`` array.
+
+    Vertex weights are i.i.d. standard exponentials normalized to sum one
+    (uniform-Dirichlet); the stream is deterministic per seed and every row
+    lies inside the simplex by construction.  Every point, and with it every
+    campaign result and failure replay, is reproduced bit for bit.  The
+    points are written into the result a block at a time, with no weight
+    matrix.
+    """
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    points = np.empty((count, s.dimension))
+    start = 0
+    for rows, sums in _exponential_blocks(count, s.dimension + 1, seed):
+        _points(rows, sums, s.vertices, out=points[start : start + len(rows)])
+        start += len(rows)
+    return points
+
+
+def _sample_blocks(s: Simplex, count: int, seed: int):
+    """The points :func:`sample_uniform` draws, as one array per block of
+    the stream, made as they are read; ``count < 1`` raises at the call."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    blocks = _exponential_blocks(count, s.dimension + 1, seed)
+    return (_points(rows, sums, s.vertices) for rows, sums in blocks)
 
 
 def _mean_and_error(v: np.ndarray) -> tuple[float, float]:
@@ -369,26 +411,32 @@ def _mean_and_error(v: np.ndarray) -> tuple[float, float]:
 
 
 def _on_points(f, vertices: np.ndarray):
-    """``f`` at the points ``(rows / sums) @ vertices``, as a function of
-    exponential rows and their sums: the points :func:`sample_uniform` draws."""
-    return lambda rows, sums: f((rows / sums[:, None]) @ vertices)
+    """``f`` at the points :func:`_points` of exponential rows, written into
+    ``out``: the points :func:`sample_uniform` draws."""
+
+    def evaluate(rows, sums, out):
+        out[...] = f(_points(rows, sums, vertices))
+        return out
+
+    return evaluate
 
 
 def integrate_mc_shared(pairs, count: int, seed: int) -> list[IntegralEstimate]:
     """Monte Carlo means of ``(f, simplex)`` pairs of one dimension on one stream.
 
     One seeded stream of ``count`` rows of standard exponentials is drawn in
-    blocks, with the rows' sums.  A pair whose ``f`` has a ``row_evaluator``
-    (every :class:`~hhbounds.funcs.ConvexFunction` but a ``quadratic_psd``)
+    blocks, with the rows' sums (:func:`_exponential_blocks`).  A pair whose
+    ``f`` has a ``row_evaluator`` (every
+    :class:`~hhbounds.funcs.ConvexFunction` but a ``quadratic_psd``)
     evaluates each block from its rows and sums on the simplex's vertex
     values; any other ``f`` is called on the block's points ``(rows / sums)
-    @ vertices``, as :func:`sample_uniform` gives them.  The values go into
-    the pair's value array, from which the mean and std_error are computed
-    as for a single integral.  A pair's estimate therefore does not depend
-    on the other pairs: it equals :func:`integrate_mc` of that pair alone
-    with the same seed, bit for bit.  A pair without a finite mean and
-    std_error (its values overflow) raises :class:`NonFiniteValueError`,
-    with no numpy warning.
+    @ vertices``, as :func:`sample_uniform` gives them.  Pair ``p`` writes
+    its values in place into row ``p`` of one ``(pairs, count)`` array, from
+    which the mean and std_error are computed as for a single integral.  A
+    pair's estimate therefore does not depend on the other pairs: it equals
+    :func:`integrate_mc` of that pair alone with the same seed, bit for bit.
+    A pair without a finite mean and std_error (its values overflow) raises
+    :class:`NonFiniteValueError`, with no numpy warning.
     """
     if count < 2:
         raise ValueError("count must be >= 2")
@@ -403,20 +451,17 @@ def integrate_mc_shared(pairs, count: int, seed: int) -> list[IntegralEstimate]:
             raise DimensionMismatchError(
                 f"function dimension {f.dim} does not match simplex {s.dimension}"
             )
-    rng = np.random.default_rng(seed)
-    width = dims.pop() + 1
-    values = [np.empty(count) for _ in pairs]
+    values = np.empty((len(pairs), count))
     start = 0
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         evaluators = [
             getattr(f, "row_evaluator", lambda _: None)(s.vertices) or _on_points(f, s.vertices)
             for f, s in pairs
         ]
-        for stop in _block_stops(count):
-            rows = rng.standard_exponential((stop - start, width))
-            sums = _row_sums(rows)
-            for evaluate, out in zip(evaluators, values):
-                out[start:stop] = evaluate(rows, sums)
+        for rows, sums in _exponential_blocks(count, dims.pop() + 1, seed):
+            stop = start + len(rows)
+            for evaluate, v in zip(evaluators, values):
+                evaluate(rows, sums, v[start:stop])
             start = stop
         stats = [_mean_and_error(v) for v in values]
     for (f, s), (mean, error) in zip(pairs, stats):

@@ -10,7 +10,6 @@ requires.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
 from typing import Any
 
 import numpy as np
@@ -31,28 +30,20 @@ def dumps(obj: Any, *, indent: int | None = None) -> str:
     )
 
 
-#: Rows :func:`dumps_lines` formats per call of its template.
-LINES_CHUNK_ROWS = 8192
-
-
-def dumps_lines(matrix) -> Iterator[str]:
+def dumps_lines(matrix) -> str:
     """JSON Lines text of a 2-D float matrix, equal to ``dumps(row.tolist())`` per row.
 
-    A non-finite value raises dumps' error at the call, before any text is
-    made.  The text comes as one string per chunk of
-    :data:`LINES_CHUNK_ROWS` rows, made as it is read: one ``"[%r,...]"``
-    row template, repeated for the chunk, formats it in one ``%`` call,
-    without the encoder's per-value dispatch (the cost of ``hh sample``).
-    Only one chunk at a time is held as Python floats and as text.
+    A non-finite value raises dumps' error before any text is made.  One
+    ``"[%r,...]"`` row template, repeated for every row, formats the matrix
+    in one ``%`` call, without the encoder's per-value dispatch (the cost of
+    ``hh sample``, which formats its points a block at a time).
     """
     M = np.asarray(matrix, dtype=float)
     finite = np.isfinite(M)
     if not finite.all():
         dumps(float(M[~finite][0]))  # raises dumps' error for the first one
     template = "[" + ",".join(["%r"] * M.shape[1]) + "]\n"
-    starts = range(0, len(M), LINES_CHUNK_ROWS)
-    chunks = (M[start : start + LINES_CHUNK_ROWS] for start in starts)
-    return (template * len(c) % tuple(c.ravel().tolist()) for c in chunks)
+    return template * len(M) % tuple(M.ravel().tolist())
 
 
 def _reject_constant(token: str):

@@ -20,6 +20,7 @@ from hhbounds import chains, geometry, quadrature
 from hhbounds.cli import main
 from hhbounds.serialize import dumps
 from jsonfiles import write_json
+from test_quadrature import BLOCK_EDGE_COUNTS, reference
 
 
 @pytest.fixture()
@@ -765,6 +766,58 @@ class TestSample:
         _, out, _ = run_cli(capsys, "sample", triangle_file, "--count", "5", "--seed", "0")
         for line in out.strip().splitlines():
             json.loads(line)
+
+    @pytest.mark.parametrize("dim", range(1, 10))
+    def test_block_edges_match_whole_matrix_reference(self, capsys, tmp_path, dim):
+        # each block of the stream is formatted as it is drawn; stdout and
+        # --out both equal the whole-matrix draw, a row of dumps per point
+        s = random_simplex(dim, np.random.default_rng(30 + dim))
+        path, out_path = str(tmp_path / "s.json"), tmp_path / "points.jsonl"
+        write_json(path, s.to_json_dict())
+        for count in BLOCK_EDGE_COUNTS:
+            want = "".join(dumps(row.tolist()) + "\n" for row in reference(s, count, dim))
+            argv = ["sample", path, "--count", str(count), "--seed", str(dim)]
+            code, out, _ = run_cli(capsys, *argv)
+            assert (code, out) == (0, want), count
+            assert main([*argv, "--out", str(out_path)]) == 0
+            assert out_path.read_text(encoding="utf-8") == want, count
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_count_below_one_exits_2_before_any_output(self, capsys, tmp_path, triangle_file, count):
+        out_path = tmp_path / "points.jsonl"
+        code, out, err = run_cli(capsys, "sample", triangle_file, "--count", count)
+        assert (code, out) == (2, "") and "count must be >= 1" in err
+        assert main(["sample", triangle_file, "--count", count, "--out", str(out_path)]) == 2
+        assert not out_path.exists()
+
+    def test_peak_memory_does_not_grow_with_count(self, tmp_path):
+        # a block of points at a time: 100 times the rows, the same peak
+        # (the whole matrices of 3 * 10^5 4-D points and their weights took
+        # about 20 MiB more).  The child reads its own peak, VmHWM: its
+        # ru_maxrss would start from the RSS of this process, which spawns it.
+        path = str(tmp_path / "s4.json")
+        write_json(path, random_simplex(4, np.random.default_rng(4)).to_json_dict())
+        probe = (
+            "import sys\n"
+            "from hhbounds.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "with open('/proc/self/status') as status:\n"
+            "    peak = next(line for line in status if line.startswith('VmHWM:'))\n"
+            "print(peak.split()[1], file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(hhbounds.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        peaks = []
+        for count in (3_000, 300_000):
+            proc = subprocess.run(
+                [sys.executable, "-c", probe, "sample", path, "--count", str(count)],
+                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                timeout=120, check=True,
+            )
+            peaks.append(int(proc.stderr.split()[-1]))  # KiB on Linux
+        assert abs(peaks[1] - peaks[0]) < 2 * 1024, peaks
 
 
 class TestUsage:

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -43,6 +44,22 @@ SQ_2D = ConvexFunction(
 )
 
 
+#: Stream lengths on both sides of the block edges of a Monte Carlo stream
+#: and of ``hh sample``: one and two rows, one block less, exactly and plus
+#: one row (a one-row tail joins the block before it), two blocks plus one
+#: row, and a stream that ends mid-block.
+BLOCK_EDGE_COUNTS = (1, 2, MC_BLOCK_ROWS - 1, MC_BLOCK_ROWS, MC_BLOCK_ROWS + 1,
+                     2 * MC_BLOCK_ROWS + 1, 20_001)
+
+
+def reference(s, count, seed):
+    """The whole-matrix draw: every weight row at once, normalised by numpy's
+    row sums, times the vertices."""
+    weights = np.random.default_rng(seed).standard_exponential((count, s.dimension + 1))
+    weights /= weights.sum(axis=1, keepdims=True)
+    return weights @ s.vertices
+
+
 class TestSampleUniform:
     def test_deterministic_byte_identical(self):
         s = standard_simplex(3)
@@ -72,16 +89,17 @@ class TestSampleUniform:
     def test_bit_identical_to_reference(self, dim):
         # dims 1-9 give weight rows 2-10 wide: both sides of the width-8
         # switch in _row_sums
-        def reference(s, count, seed):
-            weights = np.random.default_rng(seed).standard_exponential(
-                (count, s.dimension + 1)
-            )
-            weights /= weights.sum(axis=1, keepdims=True)
-            return weights @ s.vertices
-
         s = random_simplex(dim, np.random.default_rng(dim))
         for count, seed in ((1, 5), (7, 6), (20_001, 7)):
             assert np.array_equal(sample_uniform(s, count, seed), reference(s, count, seed))
+
+    @pytest.mark.parametrize("dim", range(1, 10))
+    def test_block_edges_bit_identical_to_reference(self, dim):
+        # the points are written a block of the stream at a time
+        s = random_simplex(dim, np.random.default_rng(20 + dim))
+        for count in BLOCK_EDGE_COUNTS:
+            want = reference(s, count, count)
+            assert sample_uniform(s, count, count).tobytes() == want.tobytes(), count
 
 
 class TestRowSums:
@@ -215,8 +233,54 @@ class TestBlockedMC:
             assert _mean_and_error(v.copy()) == want, n
 
 
+def _traced_peak(call) -> int:
+    """The most memory that numpy and Python held at once during ``call()``,
+    counted from its start, as :mod:`tracemalloc` traces it."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestConstantMemory:
+    """A stream holds its result, one block buffer and a few vectors of a
+    block's rows at a time, whatever its length."""
+
+    COLUMN = (MC_BLOCK_ROWS + 1) * 8  # bytes of one float per row of a block
+    TEMPORARIES = 6 * COLUMN  # row sums and their partial sums, in 8-D
+    SLACK = 64 * 1024  # generator, evaluators, estimates and Python frames
+
+    def test_integrate_mc_holds_the_values_and_one_buffer(self):
+        s = random_simplex(8, np.random.default_rng(8))
+        f = random_convex(8, "exp_affine", 8, simplex=s)
+        pairs = [(f, s), (f, s.homothety_about_centroid(0.3))]
+        integrate_mc_shared(pairs, 1000, 3)  # first-call caches and imports
+        buffer = 9 * self.COLUMN
+        peaks = {}
+        for count in (100_000, 200_000):
+            peaks[count] = _traced_peak(lambda: integrate_mc_shared(pairs, count, 3))
+            values = len(pairs) * count * 8
+            assert peaks[count] <= values + buffer + self.TEMPORARIES + self.SLACK, count
+        # twice the rows: only the value array grows
+        assert peaks[200_000] - peaks[100_000] <= len(pairs) * 100_000 * 8 + 16 * 1024
+
+    def test_sample_uniform_holds_its_result_and_one_buffer(self):
+        s = random_simplex(8, np.random.default_rng(8))
+        sample_uniform(s, 10, 3)
+        buffer = weights = 9 * self.COLUMN  # the rows, then their weights
+        peaks = {}
+        for count in (100_000, 200_000):
+            peaks[count] = _traced_peak(lambda: sample_uniform(s, count, 3))
+            points = count * 8 * 8
+            assert peaks[count] <= points + buffer + weights + self.TEMPORARIES + self.SLACK
+        assert peaks[200_000] - peaks[100_000] <= 100_000 * 8 * 8 + 16 * 1024
+
+
 class _RecordingRows:
-    """A function on the row route that keeps every batch of values it returns."""
+    """A function on the row route that keeps a copy of every batch of values
+    it writes (the caller overwrites them with the squared deviations)."""
 
     def __init__(self, f):
         self.f, self.dim, self.batches = f, f.dim, []
@@ -224,9 +288,9 @@ class _RecordingRows:
     def row_evaluator(self, vertices):
         evaluate = self.f.row_evaluator(vertices)
 
-        def record(rows, sums):
-            self.batches.append(evaluate(rows, sums))
-            return self.batches[-1]
+        def record(rows, sums, out):
+            self.batches.append(evaluate(rows, sums, out).copy())
+            return out
 
         return record
 

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from hhbounds.chains import choquet_chain
+from hhbounds.cli import main
 from hhbounds.funcs import ConvexFunction
 from hhbounds.geometry import standard_simplex
-from hhbounds.quadrature import integrate_exact
-from hhbounds.serialize import LINES_CHUNK_ROWS, dumps, dumps_lines, read_json
+from hhbounds.quadrature import MC_BLOCK_ROWS, _sample_blocks, integrate_exact, sample_uniform
+from hhbounds.serialize import dumps, dumps_lines, read_json
 from jsonfiles import write_json
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
@@ -119,7 +121,7 @@ class TestDumpsLines:
         M = rng.standard_normal((200, 4)) * 10.0 ** rng.integers(-320, 300, (200, 4))
         M[0] = [-0.0, 1.0, 1e16, 2.0**-1074]
         M[1] = [1 / 3, -2.5, 123456789.0, 5e-324]
-        assert "".join(dumps_lines(M)) == "".join(dumps(row.tolist()) + "\n" for row in M)
+        assert dumps_lines(M) == "".join(dumps(row.tolist()) + "\n" for row in M)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -130,29 +132,38 @@ class TestDumpsLines:
         )
     )
     def test_matches_dumps_per_row_property(self, M):
-        text = "".join(dumps_lines(M))
+        text = dumps_lines(M)
         assert text == "".join(dumps(row.tolist()) + "\n" for row in M)
         back = np.array([json.loads(line) for line in text.splitlines()])
         assert back.tobytes() == M.tobytes()
 
     def test_single_column(self):
-        assert "".join(dumps_lines(np.array([[0.5], [2.0]]))) == "[0.5]\n[2.0]\n"
+        assert dumps_lines(np.array([[0.5], [2.0]])) == "[0.5]\n[2.0]\n"
 
+    # hh sample formats each block of its stream of points as one chunk
     @pytest.mark.parametrize(
-        "rows", [1, LINES_CHUNK_ROWS - 1, LINES_CHUNK_ROWS, LINES_CHUNK_ROWS + 1]
+        "rows", [1, 2 * MC_BLOCK_ROWS - 1, 2 * MC_BLOCK_ROWS, 2 * MC_BLOCK_ROWS + 1]
     )
     def test_chunk_edges_match_dumps_per_row(self, rows):
-        rng = np.random.default_rng(rows)
-        M = rng.standard_normal((rows, 3))
-        M[0] = [-0.0, 5e-324, 1e16]
-        M[-1] = [1e22, -0.0, 5e-324]
-        assert "".join(dumps_lines(M)) == "".join(dumps(row.tolist()) + "\n" for row in M)
+        s = standard_simplex(3)
+        text = "".join(map(dumps_lines, _sample_blocks(s, rows, rows)))
+        points = sample_uniform(s, rows, rows)
+        assert text == "".join(dumps(row.tolist()) + "\n" for row in points)
 
-    def test_one_string_per_chunk(self):
-        M = np.ones((2 * LINES_CHUNK_ROWS + 1, 2))
-        chunks = dumps_lines(M)
-        assert not isinstance(chunks, str)
-        assert [len(c) for c in chunks] == [10 * LINES_CHUNK_ROWS] * 2 + [10]  # "[1.0,1.0]\n"
+    def test_one_string_per_chunk(self, monkeypatch, tmp_path):
+        # one string per block of hh sample's stream; a one-row tail joins
+        # the block before it
+        path = str(tmp_path / "interval.json")
+        write_json(path, standard_simplex(1).to_json_dict())
+        written = []
+
+        class Stdout:
+            def writelines(self, chunks):
+                written.extend(chunks)
+
+        monkeypatch.setattr(sys, "stdout", Stdout())
+        assert main(["sample", path, "--count", str(2 * MC_BLOCK_ROWS + 1)]) == 0
+        assert [chunk.count("\n") for chunk in written] == [MC_BLOCK_ROWS, MC_BLOCK_ROWS + 1]
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_nonfinite_rejected_as_dumps(self, bad):
