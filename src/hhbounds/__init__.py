@@ -4,8 +4,8 @@ Simplex geometry primitives (volumes, two independent barycentric-coordinate
 routes, subsimplex constructors), a zoo of convex test functions, quadrature
 ground truth (closed form for the polynomial kinds, the hinge and the 1-D or
 two-piece max of affines, Grundmann-Moller cubature for log-sum-exp where it
-converges, seeded Monte Carlo otherwise),
-one operation per published bound chain, and a randomized verification
+converges, seeded Monte Carlo otherwise), every published bound chain
+through one entry (``chain_reports``), and a randomized verification
 harness with tightness analytics and counterexample search.
 """
 
@@ -35,9 +35,8 @@ _EXPORTS = {
         "tightness_table",
     ),
     "chains": (
-        "CHAIN_NAMES", "ChainReport", "chain_tolerance", "choquet_chain", "cor2_chain",
-        "cor3_check", "cor3_condition_holds", "search_cor3_counterexample", "thm2_upper",
-        "thm3_chain", "thm4_chain", "thm5_upper", "thm6_chain",
+        "CHAIN_NAMES", "ChainReport", "chain_reports", "chain_tolerance",
+        "cor3_condition_holds", "search_cor3_counterexample",
     ),
     "errors": (
         "HHBoundsError", "BarycenterMismatchError", "CentroidConstraintViolatedError",

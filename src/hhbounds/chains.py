@@ -11,16 +11,15 @@ point table, which holds each point once per function, with their weights
 and the rows per instance; or None for the mean.  :func:`evaluate_block`
 runs a block of instance sets through the builders and returns the terms,
 slacks and verdicts of each (chain, dimension) stack as arrays, one row
-per instance; :func:`chain_reports` reports one set.  A point's value and
-weights, and a term's sum, do not depend on the block, so an instance gets
-the same bits alone, in its trial and in any block.  Terms are ordered the
-way the chain is written: lower bounds ascending to the integral mean, then
-upper bounds ascending.  A chain passes when every consecutive slack is
-``>= -tolerance`` (:func:`chain_tolerance`); against Monte Carlo ground
-truth the tolerance widens to four standard errors so sampling noise cannot
-raise false alarms.  :data:`CHAINS` is the one table of the chains and
-:data:`DOMAINS` of their ground-truth domains; the chains are documented
-on their public functions below.
+per instance; :func:`chain_reports`, the public entry, reports one set.
+A point's value and weights, and a term's sum, do not depend on the block,
+so an instance gets the same bits alone, in its trial and in any block.
+Terms are ordered the way the chain is written: lower bounds ascending to
+the integral mean, then upper bounds ascending.  A chain passes when every
+consecutive slack is ``>= -tolerance`` (:func:`chain_tolerance`); against
+Monte Carlo ground truth the tolerance widens to four standard errors so
+sampling noise cannot raise false alarms.  :data:`CHAINS` is the one table of the chains, with
+their terms, and :data:`DOMAINS` of their ground-truth domains.
 
 An instance set runs in two steps.  :func:`_ground_truths` takes one
 ground truth per domain, named by the first instance on it, and integrates
@@ -69,17 +68,9 @@ __all__ = [
     "DOMAINS",
     "chain_reports",
     "chain_tolerance",
-    "choquet_chain",
-    "cor2_chain",
-    "cor3_check",
     "cor3_condition_holds",
     "cor3_max_halfwidth",
     "search_cor3_counterexample",
-    "thm2_upper",
-    "thm3_chain",
-    "thm4_chain",
-    "thm5_upper",
-    "thm6_chain",
 ]
 
 
@@ -442,6 +433,34 @@ class Chain:
         return self.domain in ("interval", "window")
 
 
+#: The chains, with their terms in chain order.  ``V_k`` are the parent's
+#: vertices, ``c`` its centroid, ``w(x)`` the parent weights of ``x``, and
+#: the vertex average is ``sum_k f(V_k) / (n+1)``.
+#:
+#: - choquet: ``f(c) <= mean <= vertex average``.
+#: - thm2, pin point ``p``: ``mean <= (sum_k (1 - w_k(p)) f(V_k) + f(p)) /
+#:   (n+1) <= vertex average``; at ``p = c`` the middle term is
+#:   ``(n/(n+1) sum_k f(V_k) + f(c)) / (n+1)``.
+#: - thm3, subsimplex with vertices ``Q_k`` and centroid ``c``, ``W[k] =
+#:   w(Q_k)``, any ``j`` in ``0..n`` (callers sweep it): ``f(c) <= sum_i
+#:   W[j, i] f((sum_{k != i} V_k + Q_j) / (n+1)) <= mean <= (sum_{k != j}
+#:   W[k] @ f(V) + f(Q_j)) / (n+1) <= vertex average``.
+#: - thm4, subsimplex with centroid ``P``: ``f(P) <= mean over it <= sum_j
+#:   w_j(P) f(V_j)``.
+#: - thm5, the same: ``mean over it <= (n sum_j w_j(P) f(V_j) + f(P)) /
+#:   (n+1) <= sum_j w_j(P) f(V_j)``, thm4's upper bound, carried so the
+#:   improvement shows.
+#: - thm6, points ``M_j`` whose ``beta``-mixture is ``c``: ``f(c) <= sum_j
+#:   beta_j f(M_j) <= vertex average``; no integral, so judged at TOL_CHAIN.
+#: - cor2, ``[a, b]`` split at ``m = (1-lam) a + lam b``, ``lam`` in
+#:   ``[0, 1]``: ``f((a+b)/2) <= lam f((a+m)/2) + (1-lam) f((b+m)/2) <= mean
+#:   <= ((1-lam) f(a) + lam f(b) + f(lam a + (1-lam) b)) / 2 <= (f(a) +
+#:   f(b)) / 2``: thm3 in 1-D on the subinterval with ends ``m`` and ``lam a
+#:   + (1-lam) b``, its lower bound at the ``m`` end, its upper at the other.
+#: - cor3, window ``[A-y, A+y]``, ``A = (p a + q b) / (p+q)``: ``f(A) <=
+#:   mean over the window <= (p f(a) + q f(b)) / (p+q)``.  It holds for
+#:   every convex ``f`` iff :func:`cor3_condition_holds` does; a report
+#:   records that as ``condition_holds`` and asserts its verdict only then.
 CHAINS: dict[str, Chain] = {
     "choquet": Chain(_choquet, "parent"),
     "thm2": Chain(_thm2, "parent", "point", (0, 1, 2)),
@@ -601,14 +620,23 @@ def chain_reports(instances, ground_truths) -> list[ChainReport]:
     """Reports of ``(name, (function, simplex or None, params))`` instances.
 
     ``ground_truths[k]`` judges the k-th (None for thm6, which has no
-    integral).  The instances are the one set of a block
-    (:func:`evaluate_block`), and an instance gets the same bits in any set
-    of any block.
+    integral); a count or a None that does not match raises ValueError.
+    The instances are the one set of a block (:func:`evaluate_block`), and
+    an instance gets the same bits in any set of any block.
     """
-    instances = list(instances)
+    instances, ground_truths = list(instances), list(ground_truths)
+    if len(instances) != len(ground_truths):
+        k = min(len(instances), len(ground_truths))
+        odd = f"instance {k} ({instances[k][0]})" if k < len(instances) else f"ground truth {k}"
+        raise ValueError(f"{odd} has no match: {len(instances)} instances, "
+                         f"{len(ground_truths)} ground truths")
+    for k, ((name, _), gt) in enumerate(zip(instances, ground_truths)):
+        if (CHAINS[name].domain is None) != (gt is None):
+            wants = "no ground truth" if CHAINS[name].domain is None else "a ground truth"
+            raise ValueError(f"instance {k} ({name}) takes {wants}")
     reports: list = [None] * len(instances)
     if instances:
-        for rows in evaluate_block([instances], [list(ground_truths)]):
+        for rows in evaluate_block([instances], [ground_truths]):
             for r, position in enumerate(rows.positions.tolist()):
                 reports[position] = rows.report(r)
     return reports
@@ -641,95 +669,9 @@ def _ground_truths(instances, seeds: dict[str, int], mc_samples: int, domains: d
     ]
 
 
-def _report(name, f, s, params, gt) -> ChainReport:
-    return chain_reports([(name, (f, s, params))], [gt])[0]
-
-
 # ---------------------------------------------------------------------------
-# the chains, one instance at a time
+# the cor3 window condition, and the counterexample search for its necessity
 # ---------------------------------------------------------------------------
-
-
-def choquet_chain(f, s: Simplex, gt: IntegralEstimate) -> ChainReport:
-    """Classical two-sided chain: f(centroid) <= mean <= vertex average.
-
-    ``gt`` must be the mean of ``f`` over ``s`` under the uniform measure,
-    whose barycenter is the centroid with equal vertex weights 1/(n+1).
-    """
-    return _report("choquet", f, s, {}, gt)
-
-
-def thm2_upper(f, s: Simplex, p, gt: IntegralEstimate) -> ChainReport:
-    """Upper bound pinned at an interior point p, vs the classical bound.
-
-    Terms: [mean, (sum_k (1-w_k(p)) f(V_k) + f(p)) / (n+1), vertex average].
-    At p = centroid the middle term becomes
-    ((n/(n+1)) sum f(V_k) + f(centroid)) / (n+1).
-    """
-    return _report("thm2", f, s, {"point": p}, gt)
-
-
-def thm3_chain(f, s: Simplex, sub: Simplex, j: int, gt: IntegralEstimate) -> ChainReport:
-    """Five-term chain from a subsimplex sharing the parent's centroid.
-
-    With W[k, i] the parent weight of parent-vertex i in sub-vertex k, and
-    Q_k = sub vertex k, the terms are::
-
-        f(centroid)
-        sum_i W[j, i] * f((sum_{k != i} V_k + Q_j) / (n+1))      (lower)
-        integral mean over the parent
-        (sum_{k != j} W[k, :] @ f(V) + f(Q_j)) / (n+1)           (upper)
-        vertex average
-
-    The ``j`` sweep is the caller's job; every index is valid.
-    """
-    return _report("thm3", f, s, {"subsimplex": sub, "j": j}, gt)
-
-
-def thm4_chain(f, s: Simplex, sub: Simplex, gt_sub: IntegralEstimate) -> ChainReport:
-    """Two-sided chain for the mean over a subsimplex with centroid P.
-
-    Terms: [f(P), mean over sub, sum_j w_j(P) f(V_j)] with weights taken in
-    the parent simplex.  ``gt_sub`` must be the mean of ``f`` over ``sub``.
-    """
-    return _report("thm4", f, s, {"subsimplex": sub}, gt_sub)
-
-
-def thm5_upper(f, s: Simplex, sub: Simplex, gt_sub: IntegralEstimate) -> ChainReport:
-    """Improved upper bound for the subsimplex mean of ``thm4``.
-
-    Terms: [mean over sub, (n * sum_j w_j(P) f(V_j) + f(P)) / (n+1),
-    sum_j w_j(P) f(V_j)]; the last term is thm4's upper bound, carried so
-    the improvement is visible.
-    """
-    return _report("thm5", f, s, {"subsimplex": sub}, gt_sub)
-
-
-def thm6_chain(f, s: Simplex, points, betas) -> ChainReport:
-    """Mixture chain: f(centroid) <= sum_j beta_j f(M_j) <= vertex average.
-
-    The points ``M_j`` must lie in ``s`` and their beta-mixture must equal
-    the centroid.  No integral is involved; the tolerance is TOL_CHAIN.
-    """
-    return _report("thm6", f, s, {"points": points, "betas": betas}, None)
-
-
-def cor2_chain(f, a: float, b: float, lam: float, gt: IntegralEstimate) -> ChainReport:
-    """Five-term split chain on [a, b] with split parameter lam in [0, 1].
-
-    With m = (1-lam)*a + lam*b the chain reads::
-
-        f((a+b)/2)
-        lam * f((a+m)/2) + (1-lam) * f((b+m)/2)
-        integral mean over [a, b]
-        ((1-lam) f(a) + lam f(b) + f(lam*a + (1-lam)*b)) / 2
-        (f(a) + f(b)) / 2
-
-    This is the 1-D specialization of ``thm3`` for the subinterval with
-    endpoints m and lam*a + (1-lam)*b (lower bound at the m endpoint, upper
-    bound at the other).
-    """
-    return _report("cor2", f, None, {"a": a, "b": b, "lam": lam}, gt)
 
 
 def cor3_max_halfwidth(p: float, q: float, a: float, b: float) -> float:
@@ -750,24 +692,6 @@ def cor3_condition_holds(p: float, q: float, a: float, b: float, y: float) -> bo
     Inclusive at the boundary, with a TOL_GEOM allowance for round-off.
     """
     return y <= cor3_max_halfwidth(p, q, a, b) + TOL_GEOM
-
-
-def cor3_check(
-    p: float, q: float, a: float, b: float, y: float, f, gt: IntegralEstimate
-) -> ChainReport:
-    """Weighted-endpoint chain over the window [A-y, A+y], A=(pa+qb)/(p+q).
-
-    Terms: [f(A), mean over the window, (p f(a) + q f(b)) / (p+q)].  The
-    chain holds for every convex f iff the window-width condition does; the
-    report records ``condition_holds`` and only asserts the verdict when it
-    is True.  ``gt`` must be the mean of ``f`` over [A-y, A+y].
-    """
-    return _report("cor3", f, None, {"p": p, "q": q, "a": a, "b": b, "y": y}, gt)
-
-
-# ---------------------------------------------------------------------------
-# counterexample search (necessity direction of the cor3 condition)
-# ---------------------------------------------------------------------------
 
 
 def _descriptor(name: str, where: dict, instance, report: ChainReport, recipe) -> dict:
@@ -832,7 +756,7 @@ def search_cor3_counterexample(p: float, q: float, a: float, b: float, y: float)
     )
     instance = func, None, params
     gt = quadrature.integrate_exact(func, window)
-    report = _report("cor3", *instance, gt)
+    report = chain_reports([("cor3", instance)], [gt])[0]
     worst = min(report.slacks)
     if worst >= -report.tolerance_used:
         return None

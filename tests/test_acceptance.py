@@ -22,7 +22,7 @@ from hhbounds import (
     CampaignConfig,
     ConvexFunction,
     Simplex,
-    choquet_chain,
+    chain_reports,
     default_config,
     integrate_exact,
     integrate_mc,
@@ -31,8 +31,6 @@ from hhbounds import (
     run_campaign,
     search_cor3_counterexample,
     standard_simplex,
-    thm2_upper,
-    thm3_chain,
 )
 
 SQ_1D = ConvexFunction(
@@ -75,7 +73,7 @@ def test_criterion_1_classical_interval_chain():
 
     def one_shot():
         gt = integrate_exact(SQ_1D, unit)
-        return choquet_chain(SQ_1D, unit, gt)
+        return chain_reports([("choquet", (SQ_1D, unit, {}))], [gt])[0]
 
     report = one_shot()
     assert report.ground_truth.method == "exact_polynomial"
@@ -97,7 +95,7 @@ def test_criterion_1_classical_interval_chain():
 def test_criterion_2_pinned_upper_desk_check():
     triangle = standard_simplex(2)
     gt = integrate_exact(SQ_2D, triangle)
-    report = thm2_upper(SQ_2D, triangle, triangle.centroid, gt)
+    report = chain_reports([("thm2", (SQ_2D, triangle, {"point": triangle.centroid}))], [gt])[0]
     expected = np.array([1.0 / 3.0, 14.0 / 27.0, 2.0 / 3.0])
     assert np.abs(np.array(report.values) - expected).max() < 1e-12
     # strictly between the mean and the classical bound
@@ -261,15 +259,16 @@ def test_criterion_9_degeneration_identities():
             if f.kind == "quadratic_psd"
             else integrate_mc(f, s, 1000, seed=case)
         )
-        classical = choquet_chain(f, s, gt)
+        classical = chain_reports([("choquet", (f, s, {}))], [gt])[0]
         # subsimplex chain at full scale collapses onto the classical chain
-        degenerate = thm3_chain(f, s, s, int(rng.integers(dim + 1)), gt)
+        j = int(rng.integers(dim + 1))
+        degenerate = chain_reports([("thm3", (f, s, {"subsimplex": s, "j": j}))], [gt])[0]
         assert abs(degenerate.values[0] - classical.values[0]) < 1e-12
         assert abs(degenerate.values[1] - classical.values[0]) < 1e-12
         assert abs(degenerate.values[3] - classical.values[2]) < 1e-12
         assert abs(degenerate.values[4] - classical.values[2]) < 1e-12
         # pinning at the centroid reproduces the reduced closed form
-        pinned = thm2_upper(f, s, s.centroid, gt)
+        pinned = chain_reports([("thm2", (f, s, {"point": s.centroid}))], [gt])[0]
         fv = f(s.vertices)
         reduced = (dim / (dim + 1) * fv.sum() + f(s.centroid)) / (dim + 1)
         assert abs(pinned.values[1] - reduced) < 1e-12

@@ -30,14 +30,12 @@ from hhbounds import (
     search_cor3_counterexample,
     slack_histograms_csv,
     standard_simplex,
-    thm2_upper,
-    thm4_chain,
     tightness_ratio,
     tightness_table,
 )
 from hhbounds import campaign, chains, geometry, quadrature
 from hhbounds.campaign import TRIAL_BLOCK, _build_block
-from hhbounds.chains import CHAINS
+from hhbounds.chains import CHAINS, chain_reports
 from hhbounds.funcs import KINDS
 from hhbounds.serialize import dumps
 
@@ -574,7 +572,7 @@ class TestReplay:
         s = Simplex([[-0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         f = random_convex(2, "quadratic_psd", 4, simplex=s)
         point = np.array([0.25, -0.0])
-        report = thm2_upper(f, s, point, integrate_exact(f, s))
+        report = chain_reports([("thm2", (f, s, {"point": point}))], [integrate_exact(f, s)])[0]
         descriptor = {
             "chain": "thm2",
             "dimension": 2,
@@ -1024,7 +1022,7 @@ class TestTightness:
             "quadratic_psd", {"matrix": [[1.0]], "slope": [0.0], "offset": 0.0}
         )
         gt = integrate_exact(sq, unit)
-        rep = thm2_upper(sq, unit, np.array([0.5]), gt)
+        rep = chain_reports([("thm2", (sq, unit, {"point": np.array([0.5])}))], [gt])[0]
         ratio = tightness_ratio(rep.values, CHAINS["thm2"].tightness)
         assert abs(ratio - 0.25) < 1e-14
 
@@ -1032,7 +1030,7 @@ class TestTightness:
         f = random_convex(2, "affine", 4)
         s = standard_simplex(2)
         gt = integrate_exact(f, s)
-        rep = thm2_upper(f, s, s.centroid, gt)
+        rep = chain_reports([("thm2", (f, s, {"point": s.centroid}))], [gt])[0]
         assert tightness_ratio(rep.values, CHAINS["thm2"].tightness) is None
 
     def test_table_rows_and_bounds(self, small_result):
@@ -1092,7 +1090,8 @@ class TestTightness:
             slacks = []
             for t in grid:
                 sub = s.centered_subsimplex(p, t)
-                rep = thm4_chain(f, s, sub, integrate_exact(f, sub))
+                instance = f, s, {"subsimplex": sub}
+                rep = chain_reports([("thm4", instance)], [integrate_exact(f, sub)])[0]
                 slacks.append(rep.slacks[0])
             for larger, smaller in zip(slacks, slacks[1:]):
                 assert smaller <= larger + 1e-12

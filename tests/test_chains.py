@@ -1,4 +1,5 @@
-"""Chain operations against frozen closed-form values and their invariants.
+"""Chains run through ``chain_reports``, against frozen closed-form values
+and their invariants.
 
 Frozen oracles (all for f(x) = x^2 / |x|^2 unless noted):
 
@@ -29,21 +30,14 @@ from hhbounds import (
     PointOutsideSimplexError,
     Simplex,
     SubsimplexEscapesParentError,
+    chain_reports,
     chain_tolerance,
-    choquet_chain,
-    cor2_chain,
-    cor3_check,
     cor3_condition_holds,
     integrate_exact,
     integrate_mc,
     random_convex,
     random_simplex,
     standard_simplex,
-    thm2_upper,
-    thm3_chain,
-    thm4_chain,
-    thm5_upper,
-    thm6_chain,
 )
 from hhbounds import chains
 from hhbounds.campaign import _build_block
@@ -54,7 +48,6 @@ from hhbounds.chains import (
     _Stack,
     _ground_truths,
     _weigh,
-    chain_reports,
     evaluate_block,
 )
 from hhbounds.cli import build_parser
@@ -70,6 +63,11 @@ UNIT = Simplex([[0.0], [1.0]])
 TRIANGLE = standard_simplex(2)
 GT_UNIT = integrate_exact(SQ_1D, UNIT)
 GT_TRIANGLE = integrate_exact(SQ_2D, TRIANGLE)
+CENTROID = TRIANGLE.centroid[None, :]  # a one-point thm6 mixture
+
+
+def run_chain(name, f, s, gt=None, **params):
+    return chain_reports([(name, (f, s, params))], [gt])[0]
 
 
 def exact_affine_instances(dim, count, seed):
@@ -82,29 +80,29 @@ def exact_affine_instances(dim, count, seed):
 
 class TestChoquet:
     def test_unit_interval_frozen(self):
-        rep = choquet_chain(SQ_1D, UNIT, GT_UNIT)
+        rep = run_chain("choquet", SQ_1D, UNIT, GT_UNIT)
         assert_allclose(rep.values, [0.25, 1.0 / 3.0, 0.5], rtol=0, atol=1e-15)
         assert rep.passed
         assert all(slack > 0 for slack in rep.slacks)
 
     def test_triangle_frozen(self):
-        rep = choquet_chain(SQ_2D, TRIANGLE, GT_TRIANGLE)
+        rep = run_chain("choquet", SQ_2D, TRIANGLE, GT_TRIANGLE)
         assert_allclose(rep.values, [2.0 / 9.0, 1.0 / 3.0, 2.0 / 3.0], rtol=0, atol=1e-15)
         assert all(slack > 0 for slack in rep.slacks)
 
     def test_affine_equality(self):
         for s, f, gt in exact_affine_instances(3, 20, seed=0):
-            rep = choquet_chain(f, s, gt)
+            rep = run_chain("choquet", f, s, gt)
             assert max(abs(x) for x in rep.slacks) < 1e-12
 
 
 class TestThm2:
     def test_unit_interval_midpoint_frozen(self):
-        rep = thm2_upper(SQ_1D, UNIT, np.array([0.5]), GT_UNIT)
+        rep = run_chain("thm2", SQ_1D, UNIT, GT_UNIT, point=np.array([0.5]))
         assert_allclose(rep.values, [1.0 / 3.0, 0.375, 0.5], rtol=0, atol=1e-15)
 
     def test_triangle_centroid_frozen(self):
-        rep = thm2_upper(SQ_2D, TRIANGLE, TRIANGLE.centroid, GT_TRIANGLE)
+        rep = run_chain("thm2", SQ_2D, TRIANGLE, GT_TRIANGLE, point=TRIANGLE.centroid)
         assert_allclose(rep.values, [1.0 / 3.0, 14.0 / 27.0, 2.0 / 3.0], rtol=0, atol=1e-14)
 
     def test_centroid_reduction_identity(self):
@@ -114,7 +112,7 @@ class TestThm2:
             s = random_simplex(dim, rng)
             f = random_convex(dim, "quadratic_psd", int(rng.integers(2**31)))
             gt = integrate_exact(f, s)
-            rep = thm2_upper(f, s, s.centroid, gt)
+            rep = run_chain("thm2", f, s, gt, point=s.centroid)
             fv = f(s.vertices)
             np1 = dim + 1
             reduced = (dim / np1 * fv.sum() + f(s.centroid)) / np1
@@ -129,23 +127,23 @@ class TestThm2:
             f = random_convex(dim, kind, int(rng.integers(2**31)), simplex=s)
             gt = IntegralEstimate(0.0, 0.0, "exact_polynomial", 0)  # unused by the bound
             p = rng.dirichlet(np.ones(dim + 1)) @ s.vertices
-            rep = thm2_upper(f, s, p, gt)
+            rep = run_chain("thm2", f, s, gt, point=p)
             assert rep.values[1] <= rep.values[2] + 1e-8
 
     def test_outside_point_rejected(self):
         with pytest.raises(PointOutsideSimplexError):
-            thm2_upper(SQ_2D, TRIANGLE, np.array([0.6, 0.6]), GT_TRIANGLE)
+            run_chain("thm2", SQ_2D, TRIANGLE, GT_TRIANGLE, point=np.array([0.6, 0.6]))
 
     def test_affine_equality_of_mean_and_bound(self):
         for s, f, gt in exact_affine_instances(2, 20, seed=3):
-            rep = thm2_upper(f, s, s.vertices.mean(axis=0), gt)
+            rep = run_chain("thm2", f, s, gt, point=s.vertices.mean(axis=0))
             assert abs(rep.slacks[0]) < 1e-12
 
 
 class TestThm3:
     def test_degenerates_to_classical_when_sub_is_parent(self):
-        rep = thm3_chain(SQ_2D, TRIANGLE, TRIANGLE, 1, GT_TRIANGLE)
-        classical = choquet_chain(SQ_2D, TRIANGLE, GT_TRIANGLE)
+        rep = run_chain("thm3", SQ_2D, TRIANGLE, GT_TRIANGLE, subsimplex=TRIANGLE, j=1)
+        classical = run_chain("choquet", SQ_2D, TRIANGLE, GT_TRIANGLE)
         assert rep.values[0] == classical.values[0]
         assert abs(rep.values[1] - classical.values[0]) < 1e-15
         assert abs(rep.values[3] - classical.values[2]) < 1e-15
@@ -154,7 +152,7 @@ class TestThm3:
     def test_unit_interval_frozen_split(self):
         sub = Simplex([[0.75], [0.25]])
         for j in (0, 1):
-            rep = thm3_chain(SQ_1D, UNIT, sub, j, GT_UNIT)
+            rep = run_chain("thm3", SQ_1D, UNIT, GT_UNIT, subsimplex=sub, j=j)
             assert_allclose(
                 rep.values, [0.25, 0.296875, 1.0 / 3.0, 0.40625, 0.5], rtol=0, atol=1e-15
             )
@@ -164,7 +162,7 @@ class TestThm3:
         rng = np.random.default_rng(4)
         for s, f, gt in exact_affine_instances(3, 20, seed=5):
             sub = s.homothety_about_centroid(float(rng.uniform(0.2, 1.0)))
-            rep = thm3_chain(f, s, sub, int(rng.integers(4)), gt)
+            rep = run_chain("thm3", f, s, gt, subsimplex=sub, j=int(rng.integers(4)))
             assert max(abs(x) for x in rep.slacks) < 1e-12
 
     def test_all_j_ordered_for_zoo(self):
@@ -176,21 +174,21 @@ class TestThm3:
             gt = integrate_mc(f, s, 40_000, seed=int(rng.integers(2**31)))
             sub = s.homothety_about_centroid(float(rng.uniform(0.1, 1.0)))
             for j in range(dim + 1):
-                assert thm3_chain(f, s, sub, j, gt).passed
+                assert run_chain("thm3", f, s, gt, subsimplex=sub, j=j).passed
 
     def test_barycenter_mismatch_rejected(self):
         sub = UNIT.centered_subsimplex(np.array([0.25]), 0.5)
         with pytest.raises(BarycenterMismatchError):
-            thm3_chain(SQ_1D, UNIT, sub, 0, GT_UNIT)
+            run_chain("thm3", SQ_1D, UNIT, GT_UNIT, subsimplex=sub, j=0)
 
     def test_escaping_sub_rejected(self):
         with pytest.raises(SubsimplexEscapesParentError):
-            thm3_chain(SQ_1D, UNIT, Simplex([[-0.5], [1.5]]), 0, GT_UNIT)
+            run_chain("thm3", SQ_1D, UNIT, GT_UNIT, subsimplex=Simplex([[-0.5], [1.5]]), j=0)
 
     @pytest.mark.parametrize("j", [2, -1, 0.5])
     def test_bad_index_rejected(self, j):
         with pytest.raises(IndexError):
-            thm3_chain(SQ_1D, UNIT, UNIT, j, GT_UNIT)
+            run_chain("thm3", SQ_1D, UNIT, GT_UNIT, subsimplex=UNIT, j=j)
 
 
 SUB_QUARTER = UNIT.centered_subsimplex(np.array([0.25]), 0.5)  # [0.125, 0.375]
@@ -199,12 +197,12 @@ GT_SUB = integrate_exact(SQ_1D, SUB_QUARTER)
 
 class TestThm4:
     def test_reduces_to_classical_when_sub_is_parent(self):
-        rep = thm4_chain(SQ_1D, UNIT, UNIT, GT_UNIT)
-        classical = choquet_chain(SQ_1D, UNIT, GT_UNIT)
+        rep = run_chain("thm4", SQ_1D, UNIT, GT_UNIT, subsimplex=UNIT)
+        classical = run_chain("choquet", SQ_1D, UNIT, GT_UNIT)
         assert_allclose(rep.values, classical.values, rtol=0, atol=1e-15)
 
     def test_frozen_subinterval(self):
-        rep = thm4_chain(SQ_1D, UNIT, SUB_QUARTER, GT_SUB)
+        rep = run_chain("thm4", SQ_1D, UNIT, GT_SUB, subsimplex=SUB_QUARTER)
         mean_sub = (0.375**3 - 0.125**3) / (3 * 0.25)
         assert_allclose(rep.values, [0.0625, mean_sub, 0.25], rtol=0, atol=1e-15)
 
@@ -215,17 +213,17 @@ class TestThm4:
         f = random_convex(2, "quadratic_psd", 11)
         p = rng.dirichlet(np.full(3, 2.0)) @ s.vertices
         sub = s.centered_subsimplex(p, 1e-3)
-        rep = thm4_chain(f, s, sub, integrate_exact(f, sub))
+        rep = run_chain("thm4", f, s, integrate_exact(f, sub), subsimplex=sub)
         assert rep.slacks[0] < 1e-4
 
     def test_escape_rejected(self):
         with pytest.raises(SubsimplexEscapesParentError):
-            thm4_chain(SQ_1D, UNIT, Simplex([[0.5], [1.5]]), GT_SUB)
+            run_chain("thm4", SQ_1D, UNIT, GT_SUB, subsimplex=Simplex([[0.5], [1.5]]))
 
 
 class TestThm5:
     def test_frozen_subinterval(self):
-        rep = thm5_upper(SQ_1D, UNIT, SUB_QUARTER, GT_SUB)
+        rep = run_chain("thm5", SQ_1D, UNIT, GT_SUB, subsimplex=SUB_QUARTER)
         mean_sub = (0.375**3 - 0.125**3) / (3 * 0.25)
         assert_allclose(rep.values, [mean_sub, 0.15625, 0.25], rtol=0, atol=1e-15)
 
@@ -239,7 +237,7 @@ class TestThm5:
             p = rng.dirichlet(np.full(dim + 1, 2.0)) @ s.vertices
             sub = s.centered_subsimplex(p, 0.5)
             gt_sub = integrate_mc(f, sub, 1000, seed=0)
-            rep = thm5_upper(f, s, sub, gt_sub)
+            rep = run_chain("thm5", f, s, gt_sub, subsimplex=sub)
             expected = (rep.values[2] - f(sub.centroid)) / (dim + 1)
             assert abs(rep.slacks[1] - expected) < 1e-12
             assert rep.slacks[1] >= -1e-8
@@ -249,20 +247,20 @@ class TestThm5:
         for s, f, gt in exact_affine_instances(2, 10, seed=10):
             p = rng.dirichlet(np.full(3, 2.0)) @ s.vertices
             sub = s.centered_subsimplex(p, 0.7)
-            rep = thm5_upper(f, s, sub, integrate_exact(f, sub))
+            rep = run_chain("thm5", f, s, integrate_exact(f, sub), subsimplex=sub)
             assert max(abs(x) for x in rep.slacks) < 1e-12
 
 
 class TestThm6:
     def test_single_point_at_centroid(self):
-        rep = thm6_chain(SQ_2D, TRIANGLE, TRIANGLE.centroid[None, :], np.array([1.0]))
+        rep = run_chain("thm6", SQ_2D, TRIANGLE, points=CENTROID, betas=np.array([1.0]))
         assert abs(rep.values[0] - rep.values[1]) < 1e-15
         assert_allclose(rep.values, [2.0 / 9.0, 2.0 / 9.0, 2.0 / 3.0], rtol=0, atol=1e-15)
 
     def test_facet_midpoints_frozen(self):
         V = TRIANGLE.vertices
         midpoints = (V.sum(axis=0) - V) / 2.0
-        rep = thm6_chain(SQ_2D, TRIANGLE, midpoints, np.full(3, 1.0 / 3.0))
+        rep = run_chain("thm6", SQ_2D, TRIANGLE, points=midpoints, betas=np.full(3, 1.0 / 3.0))
         assert_allclose(rep.values, [2.0 / 9.0, 1.0 / 3.0, 2.0 / 3.0], rtol=0, atol=1e-15)
         assert rep.ground_truth is None
         assert rep.tolerance_used == chain_tolerance(None)
@@ -271,32 +269,32 @@ class TestThm6:
         for s, f, _ in exact_affine_instances(2, 10, seed=12):
             V = s.vertices
             midpoints = (V.sum(axis=0) - V) / 2.0
-            rep = thm6_chain(f, s, midpoints, np.full(3, 1.0 / 3.0))
+            rep = run_chain("thm6", f, s, points=midpoints, betas=np.full(3, 1.0 / 3.0))
             assert max(abs(x) for x in rep.slacks) < 1e-12
 
     def test_centroid_constraint_enforced(self):
         with pytest.raises(CentroidConstraintViolatedError):
-            thm6_chain(SQ_2D, TRIANGLE, TRIANGLE.vertices[:1], np.array([1.0]))
+            run_chain(
+                "thm6", SQ_2D, TRIANGLE, points=TRIANGLE.vertices[:1], betas=np.array([1.0])
+            )
 
     def test_outside_point_rejected(self):
         with pytest.raises(PointOutsideSimplexError):
-            thm6_chain(SQ_2D, TRIANGLE, np.array([[2.0, 2.0]]), np.array([1.0]))
+            run_chain(
+                "thm6", SQ_2D, TRIANGLE, points=np.array([[2.0, 2.0]]), betas=np.array([1.0])
+            )
 
     def test_beta_validation(self):
         with pytest.raises(ValueError):
-            thm6_chain(SQ_2D, TRIANGLE, TRIANGLE.centroid[None, :], np.array([0.5]))
+            run_chain("thm6", SQ_2D, TRIANGLE, points=CENTROID, betas=np.array([0.5]))
         with pytest.raises(ValueError):
-            thm6_chain(
-                SQ_2D,
-                TRIANGLE,
-                np.vstack([TRIANGLE.centroid, TRIANGLE.centroid]),
-                np.array([1.5, -0.5]),
-            )
+            twice = np.vstack([TRIANGLE.centroid, TRIANGLE.centroid])
+            run_chain("thm6", SQ_2D, TRIANGLE, points=twice, betas=np.array([1.5, -0.5]))
 
 
 class TestCor2:
     def test_frozen_lambda_075(self):
-        rep = cor2_chain(SQ_1D, 0.0, 1.0, 0.75, GT_UNIT)
+        rep = run_chain("cor2", SQ_1D, None, GT_UNIT, a=0.0, b=1.0, lam=0.75)
         assert_allclose(
             rep.values, [0.25, 0.296875, 1.0 / 3.0, 0.40625, 0.5], rtol=0, atol=1e-15
         )
@@ -306,13 +304,13 @@ class TestCor2:
         # the 1-D specialization must agree with the general subsimplex chain
         lam = 0.6180339887
         sub = Simplex([[(1 - lam) * 0.0 + lam * 1.0], [lam * 0.0 + (1 - lam) * 1.0]])
-        rep3 = thm3_chain(SQ_1D, UNIT, sub, 0, GT_UNIT)
-        rep2 = cor2_chain(SQ_1D, 0.0, 1.0, lam, GT_UNIT)
+        rep3 = run_chain("thm3", SQ_1D, UNIT, GT_UNIT, subsimplex=sub, j=0)
+        rep2 = run_chain("cor2", SQ_1D, None, GT_UNIT, a=0.0, b=1.0, lam=lam)
         assert_allclose(rep2.values, rep3.values, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("lam", [0.0, 1.0])
     def test_endpoint_lambda_collapses(self, lam):
-        rep = cor2_chain(SQ_1D, 0.0, 1.0, lam, GT_UNIT)
+        rep = run_chain("cor2", SQ_1D, None, GT_UNIT, a=0.0, b=1.0, lam=lam)
         values = rep.values
         assert abs(values[1] - values[0]) < 1e-15  # lower collapses to midpoint value
         assert abs(values[3] - values[4]) < 1e-15  # upper collapses to endpoint mean
@@ -326,26 +324,26 @@ class TestCor2:
             kind = ("hinge_distance", "exp_affine", "max_of_affines")[int(rng.integers(3))]
             f = random_convex(1, kind, int(rng.integers(2**31)), simplex=Simplex([[a], [b]]))
             gt = integrate_mc(f, Simplex([[a], [b]]), 40_000, seed=int(rng.integers(2**31)))
-            rep = cor2_chain(f, a, b, float(rng.uniform()), gt)
+            rep = run_chain("cor2", f, None, gt, a=a, b=b, lam=float(rng.uniform()))
             assert rep.passed
 
     def test_affine_equality(self):
         for _, f, _ in exact_affine_instances(1, 10, seed=14):
             gt = integrate_exact(f, UNIT)
-            rep = cor2_chain(f, 0.0, 1.0, 0.3, gt)
+            rep = run_chain("cor2", f, None, gt, a=0.0, b=1.0, lam=0.3)
             assert max(abs(x) for x in rep.slacks) < 1e-12
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            cor2_chain(SQ_1D, 1.0, 0.0, 0.5, GT_UNIT)
+            run_chain("cor2", SQ_1D, None, GT_UNIT, a=1.0, b=0.0, lam=0.5)
         with pytest.raises(ValueError):
-            cor2_chain(SQ_1D, 0.0, 1.0, 1.5, GT_UNIT)
+            run_chain("cor2", SQ_1D, None, GT_UNIT, a=0.0, b=1.0, lam=1.5)
 
 
 class TestCor3:
     def test_boundary_case_is_classical(self):
         # p=q=1, y at the admissible maximum: window is [a, b] itself
-        rep = cor3_check(1.0, 1.0, 0.0, 1.0, 0.5, SQ_1D, GT_UNIT)
+        rep = run_chain("cor3", SQ_1D, None, GT_UNIT, p=1.0, q=1.0, a=0.0, b=1.0, y=0.5)
         assert rep.condition_holds
         assert_allclose(rep.values, [0.25, 1.0 / 3.0, 0.5], rtol=0, atol=1e-15)
         assert rep.passed
@@ -368,7 +366,7 @@ class TestCor3:
             kind = ("hinge_distance", "log_sum_exp")[int(rng.integers(2))]
             f = random_convex(1, kind, int(rng.integers(2**31)), simplex=window)
             gt = integrate_mc(f, window, 40_000, seed=int(rng.integers(2**31)))
-            rep = cor3_check(p, q, a, b, y, f, gt)
+            rep = run_chain("cor3", f, None, gt, p=p, q=q, a=a, b=b, y=y)
             assert rep.condition_holds and rep.passed
 
     def test_violated_condition_vacuous_verdict(self):
@@ -377,16 +375,16 @@ class TestCor3:
         f = ConvexFunction("hinge_distance", {"slope": [1.0], "threshold": 1.0})
         window = Simplex([[-0.25], [1.25]])
         gt = integrate_mc(f, window, 100_000, seed=16)
-        rep = cor3_check(1.0, 1.0, 0.0, 1.0, 0.75, f, gt)
+        rep = run_chain("cor3", f, None, gt, p=1.0, q=1.0, a=0.0, b=1.0, y=0.75)
         assert rep.condition_holds is False
         assert min(rep.slacks) < -1e-3
         assert rep.verdict == "pass"
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            cor3_check(0.0, 1.0, 0.0, 1.0, 0.1, SQ_1D, GT_UNIT)
+            run_chain("cor3", SQ_1D, None, GT_UNIT, p=0.0, q=1.0, a=0.0, b=1.0, y=0.1)
         with pytest.raises(ValueError):
-            cor3_check(1.0, 1.0, 0.0, 1.0, -0.1, SQ_1D, GT_UNIT)
+            run_chain("cor3", SQ_1D, None, GT_UNIT, p=1.0, q=1.0, a=0.0, b=1.0, y=-0.1)
 
 
 class TestNonFiniteParams:
@@ -398,18 +396,18 @@ class TestNonFiniteParams:
     def test_thm6_nan_beta(self):
         betas = np.array([np.nan, 0.5, 0.5])
         with pytest.raises(ValueError, match="finite"):
-            thm6_chain(SQ_2D, TRIANGLE, self.MIDPOINTS, betas)
+            run_chain("thm6", SQ_2D, TRIANGLE, points=self.MIDPOINTS, betas=betas)
 
     def test_thm6_nan_mixture_point(self):
         points = self.MIDPOINTS.copy()
         points[0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            thm6_chain(SQ_2D, TRIANGLE, points, self.THIRDS)
+            run_chain("thm6", SQ_2D, TRIANGLE, points=points, betas=self.THIRDS)
 
     @pytest.mark.parametrize("a, b", [(0.0, np.inf), (-np.inf, 1.0)])
     def test_cor2_infinite_endpoint(self, a, b):
         with pytest.raises(ValueError, match="finite"):
-            cor2_chain(SQ_1D, a, b, 0.5, GT_UNIT)
+            run_chain("cor2", SQ_1D, None, GT_UNIT, a=a, b=b, lam=0.5)
 
     @pytest.mark.parametrize(
         "p, q, a, b, y",
@@ -422,33 +420,33 @@ class TestNonFiniteParams:
     )
     def test_cor3_infinite_param(self, p, q, a, b, y):
         with pytest.raises(ValueError, match="finite"):
-            cor3_check(p, q, a, b, y, SQ_1D, GT_UNIT)
+            run_chain("cor3", SQ_1D, None, GT_UNIT, p=p, q=q, a=a, b=b, y=y)
 
     def test_overflowing_values_raise_typed_error(self):
         # exp(800 x) overflows at the vertex (1, 0): one typed error for the
         # dimension, and no numpy warning (the suite turns warnings into errors)
         f = ConvexFunction("exp_affine", {"slope": [800.0, 0.0], "offset": 0.0})
         with pytest.raises(NonFiniteValueError, match="exp_affine .* dimension 2"):
-            thm6_chain(f, TRIANGLE, self.MIDPOINTS, self.THIRDS)
+            run_chain("thm6", f, TRIANGLE, points=self.MIDPOINTS, betas=self.THIRDS)
 
 
 class TestWrongDimension:
     """Every chain rejects a function of another dimension than its instance."""
 
     SUB = TRIANGLE.homothety_about_centroid(0.5)
-    CALLS = {
-        "choquet": lambda f: choquet_chain(f, TRIANGLE, GT_TRIANGLE),
-        "thm2": lambda f: thm2_upper(f, TRIANGLE, TRIANGLE.centroid, GT_TRIANGLE),
-        "thm3": lambda f: thm3_chain(f, TRIANGLE, TestWrongDimension.SUB, 1, GT_TRIANGLE),
-        "thm4": lambda f: thm4_chain(f, TRIANGLE, TestWrongDimension.SUB, GT_TRIANGLE),
-        "thm5": lambda f: thm5_upper(f, TRIANGLE, TestWrongDimension.SUB, GT_TRIANGLE),
-        "thm6": lambda f: thm6_chain(f, TRIANGLE, TRIANGLE.centroid[None, :], [1.0]),
-        "cor2": lambda f: cor2_chain(f, 0.0, 1.0, 0.5, GT_UNIT),
-        "cor3": lambda f: cor3_check(1.0, 1.0, 0.0, 1.0, 0.25, f, GT_UNIT),
+    PARAMS = {
+        "choquet": {},
+        "thm2": {"point": TRIANGLE.centroid},
+        "thm3": {"subsimplex": SUB, "j": 1},
+        "thm4": {"subsimplex": SUB},
+        "thm5": {"subsimplex": SUB},
+        "thm6": {"points": CENTROID, "betas": [1.0]},
+        "cor2": {"a": 0.0, "b": 1.0, "lam": 0.5},
+        "cor3": {"p": 1.0, "q": 1.0, "a": 0.0, "b": 1.0, "y": 0.25},
     }
 
     def test_every_chain_listed(self):
-        assert tuple(self.CALLS) == CHAIN_NAMES
+        assert tuple(self.PARAMS) == CHAIN_NAMES
 
     @pytest.mark.parametrize(
         "name, dim",
@@ -456,8 +454,10 @@ class TestWrongDimension:
     )
     def test_function_of_wrong_dimension_rejected(self, name, dim):
         f = random_convex(dim, "quadratic_psd", 17)
+        chain = CHAINS[name]
+        gt = None if chain.domain is None else GT_UNIT if chain.one_d else GT_TRIANGLE
         with pytest.raises(DimensionMismatchError, match="function expects"):
-            self.CALLS[name](f)
+            run_chain(name, f, None if chain.one_d else TRIANGLE, gt, **self.PARAMS[name])
 
 
 class TestTolerance:
@@ -470,7 +470,7 @@ class TestTolerance:
 
     def test_verdict_fails_beyond_tolerance(self):
         bad = IntegralEstimate(10.0, 0.0, "exact_polynomial", 0)
-        rep = choquet_chain(SQ_1D, UNIT, bad)
+        rep = run_chain("choquet", SQ_1D, UNIT, bad)
         assert rep.verdict == "fail"
         assert not rep.passed
 
@@ -499,7 +499,7 @@ class TestRegistry:
 
 class TestReportJson:
     def test_shape(self):
-        rep = choquet_chain(SQ_1D, UNIT, GT_UNIT)
+        rep = run_chain("choquet", SQ_1D, UNIT, GT_UNIT)
         data = rep.to_json_dict()
         assert data["chain"] == "choquet"
         assert [t["label"] for t in data["terms"]] == [
@@ -513,7 +513,7 @@ class TestReportJson:
         assert "condition_holds" not in data
 
     def test_cor3_records_condition(self):
-        rep = cor3_check(1.0, 1.0, 0.0, 1.0, 0.5, SQ_1D, GT_UNIT)
+        rep = run_chain("cor3", SQ_1D, None, GT_UNIT, p=1.0, q=1.0, a=0.0, b=1.0, y=0.5)
         assert rep.to_json_dict()["condition_holds"] is True
 
 
@@ -655,7 +655,7 @@ class TestSharedWork:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_terms_identical_alone_and_in_a_trial(self, kind):
-        # a chain run alone (a public function, a replay) evaluates only its
+        # a chain run alone (chain_reports of it alone, a replay) evaluates only its
         # own points, yet gets the bits it gets inside the whole trial
         gt = IntegralEstimate(0.25, 0.0, "exact_polynomial", 0)
         for dim in range(1, 9):
@@ -691,7 +691,7 @@ class TestSharedWork:
         f = random_convex(5, "log_sum_exp", 7, simplex=s)
         sub = s.homothety_about_centroid(0.4)
         gt = integrate_mc(f, s, 2000, seed=3)
-        cold = [thm3_chain(f, s, sub, j, gt).to_json_dict() for j in range(6)]
+        cold = [run_chain("thm3", f, s, gt, subsimplex=sub, j=j).to_json_dict() for j in range(6)]
         sweep = [("thm3", (f, s, {"subsimplex": sub, "j": j})) for j in range(6)]
         warm = [report.to_json_dict() for report in chain_reports(sweep, [gt] * 6)]
         assert warm == cold
@@ -841,3 +841,29 @@ class TestBlocks:
             evaluate_block([s0, s1 + [(name, instance)], s2], [g0, g1 + [gt], g2])
         assert type(inside.value) is type(alone.value)
         assert str(inside.value) == str(alone.value)
+
+
+CHOQUET = "choquet", (SQ_1D, UNIT, {})
+THM6 = on_triangle("thm6", points=CENTROID, betas=[1.0])
+
+
+class TestMismatchedInputs:
+    """``chain_reports`` takes one ground truth per instance, None for thm6
+    and only there, and names the instance that breaks that."""
+
+    CASES = {
+        "fewer ground truths": ([CHOQUET, CHOQUET], [GT_UNIT], r"instance 1 \(choquet\)"),
+        "more ground truths": ([CHOQUET], [GT_UNIT, GT_UNIT], "ground truth 1 has no match"),
+        "None for a chain with a mean": (
+            [THM6, CHOQUET], [None, None], r"instance 1 \(choquet\) takes a ground truth"
+        ),
+        "a ground truth for thm6": (
+            [CHOQUET, THM6], [GT_UNIT, GT_TRIANGLE], r"instance 1 \(thm6\) takes no ground"
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_rejected_before_any_chain_runs(self, case):
+        instances, gts, message = self.CASES[case]
+        with pytest.raises(ValueError, match=message):
+            chain_reports(instances, gts)

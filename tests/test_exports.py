@@ -47,3 +47,19 @@ def test_moved_functions_are_exported_where_they_live():
     assert chains._ground_truths.__module__ == chains._descriptor.__module__ == "hhbounds.chains"
     assert "search_cor3_counterexample" not in campaign.__all__
     assert campaign._ground_truths is chains._ground_truths
+
+
+#: The per-chain wrappers that ``chain_reports`` replaced.
+RETIRED = (
+    "choquet_chain", "thm2_upper", "thm3_chain", "thm4_chain", "thm5_upper", "thm6_chain",
+    "cor2_chain", "cor3_check",
+)
+
+
+def test_chain_reports_is_the_one_chain_entry():
+    from hhbounds import chains
+
+    assert hhbounds.chain_reports is chains.chain_reports
+    for name in MODULES:
+        exported = set(getattr(importlib.import_module(name), "__all__", []))
+        assert exported.isdisjoint(RETIRED), name

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from hhbounds.chains import choquet_chain
+from hhbounds.chains import chain_reports
 from hhbounds.cli import main
 from hhbounds.funcs import ConvexFunction
 from hhbounds.geometry import standard_simplex
@@ -109,7 +109,7 @@ class TestDumps:
     def test_float_term_reads_back_as_float(self):
         s = standard_simplex(2)
         f = ConvexFunction(kind="affine", params={"slope": [0.0, 0.0], "offset": 1.0})
-        report = choquet_chain(f, s, integrate_exact(f, s))
+        report = chain_reports([("choquet", (f, s, {}))], [integrate_exact(f, s)])[0]
         terms = json.loads(dumps(report.to_json_dict()))["terms"]
         assert [term["value"] for term in terms] == [1.0, 1.0, 1.0]
         assert all(type(term["value"]) is float for term in terms)
