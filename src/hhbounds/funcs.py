@@ -23,9 +23,11 @@ path, which rounds each row the same way wherever it sits; a one-row batch
 takes BLAS's vector path there, which can differ in the last digit.
 
 Every kind but ``quadratic_psd`` is an outer function (identity, ``exp``,
-``max(0, .)``, max over pieces, log-sum-exp) of affine arguments, and
-point evaluation and Monte Carlo's evaluation on vertex values
-(:meth:`ConvexFunction.row_evaluator`) share that outer function.
+``max(0, .)``, max over pieces, log-sum-exp) of affine arguments ``A x + b``.
+Point evaluation and Monte Carlo's evaluation on vertex values
+(:meth:`ConvexFunction.row_evaluator`) share that outer function, and
+:meth:`ConvexFunction.vertex_table` alone builds the table ``A V^T`` of vertex
+values that Monte Carlo and the exact and cubature means start from.
 
 Random generation is deterministic in ``(dim, kind, seed)`` and, when a
 simplex is supplied, anchors kinks and exponents to its interior so the
@@ -204,12 +206,7 @@ class ConvexFunction:
 
     @property
     def dim(self) -> int:
-        p = self.params
-        if self.kind == "quadratic_psd":
-            return p["matrix"].shape[0]
-        if self.kind in ("max_of_affines", "log_sum_exp"):
-            return p["slopes"].shape[1]
-        return p["slope"].shape[0]
+        return self.params[_SCHEMAS[self.kind][0]].shape[-1]
 
     def __call__(self, x):
         """Evaluate at a point (returns float) or a batch (returns (m,) array)."""
@@ -228,11 +225,16 @@ class ConvexFunction:
         if self.kind == "quadratic_psd":
             quadratic = ((X @ p["matrix"]) * X).sum(axis=1)
             return quadratic + _dot_rows(X, p["slope"]) + p["offset"]
-        if self.kind in ("max_of_affines", "log_sum_exp"):
-            Z = p["slopes"] @ X.T
-        else:
-            Z = _dot_rows(X, p["slope"])
-        return self._outer(Z)
+        return self._outer(p["slopes"] @ X.T if "slopes" in p else _dot_rows(X, p["slope"]))
+
+    def vertex_table(self, vertices: np.ndarray) -> np.ndarray | None:
+        """The linear parts of the arguments at ``vertices``: ``slopes @
+        vertices.T``, a row per piece, for the multi-piece kinds, ``vertices @
+        slope`` for the others; None for ``quadratic_psd``."""
+        p = self.params
+        if "matrix" in p:
+            return None
+        return p["slopes"] @ vertices.T if "slopes" in p else vertices @ p["slope"]
 
     def row_evaluator(self, vertices: np.ndarray):
         """The values at the points ``(E / sums[:, None]) @ vertices``, as a
@@ -242,21 +244,20 @@ class ConvexFunction:
 
         Every other kind is an outer function of affine arguments ``A x + b``,
         and a point's arguments are ``(E @ T) / sums + b`` with ``T`` the
-        table ``vertices @ A.T`` of vertex values: one product with ``T``, a
-        division of the arguments by the sums and the outer function, with no
-        point matrix.  A kind of one argument computes all of it in ``out``;
-        the others keep one ``(k, m)`` array of arguments.  ``T`` is scaled by
-        a power of two where ``E @ T`` could overflow though the arguments do
-        not, which changes no bit of an argument that does not overflow.  A
-        row's value depends only on its row and sum wherever BLAS's
-        matrix-vector product (one affine argument) rounds it the same way:
-        where blocks of rows start at multiples of 4096
-        (:data:`~hhbounds.quadrature.MC_BLOCK_ROWS`).
+        table ``vertices @ A.T`` of vertex values (:meth:`vertex_table`): one
+        product with ``T``, a division of the arguments by the sums and the
+        outer function, with no point matrix.  A kind of one argument computes
+        all of it in ``out``; the others keep one ``(k, m)`` array of
+        arguments.  ``T`` is scaled by a power of two where ``E @ T`` could
+        overflow though the arguments do not, which changes no bit of an
+        argument that does not overflow.  A row's value depends only on its
+        row and sum wherever BLAS's matrix-vector product (one affine
+        argument) rounds it the same way: where blocks of rows start at
+        multiples of 4096 (:data:`~hhbounds.quadrature.MC_BLOCK_ROWS`).
         """
-        if self.kind == "quadratic_psd":
+        T = self.vertex_table(vertices)
+        if T is None:
             return None
-        p = self.params
-        T = p["slopes"] @ vertices.T if "slopes" in p else vertices @ p["slope"]
         exponent = math.frexp(float(np.abs(T).max()))[1] - _TABLE_EXPONENT
         scale = math.ldexp(1.0, max(exponent, 0))
         if scale > 1.0:

@@ -7,7 +7,7 @@ Three routes:
   (evaluated on the vertex values where the kind allows);
 * Grundmann-Moller cubature (any function kind; :func:`integrate_cubature`),
   with an embedded error estimate;
-* exact closed-form means (:func:`has_exact_mean` says where):
+* exact closed-form means (one route per kind, :data:`_EXACT_ROUTES`):
 
   - ``affine`` and ``quadratic_psd``, in any dimension, via the first and
     second moments of barycentric weights under the uniform measure::
@@ -166,9 +166,8 @@ METHOD_MC = "monte_carlo"
 METHOD_EXACT = "exact_polynomial"
 METHOD_CUBATURE = "cubature"
 
-#: Function kinds with an exact closed-form mean in every dimension
-#: (``max_of_affines`` has one on 1-D simplices, with two pieces, and where
-#: its coned mean is accepted; see :func:`has_exact_mean`).
+#: Function kinds with an exact mean in every dimension (``max_of_affines``
+#: has one where its route in :data:`_EXACT_ROUTES` gives one).
 EXACT_KINDS: tuple[str, ...] = ("affine", "quadratic_psd", "hinge_distance")
 
 #: Largest rounding bound at which a coned ``max_of_affines`` mean (module
@@ -421,6 +420,14 @@ def _on_points(f, vertices: np.ndarray):
     return evaluate
 
 
+def _check_dimension(f, s: Simplex) -> None:
+    """Raise :class:`DimensionMismatchError` where ``f`` is not of ``s``'s dimension."""
+    if getattr(f, "dim", s.dimension) != s.dimension:
+        raise DimensionMismatchError(
+            f"function dimension {f.dim} does not match simplex {s.dimension}"
+        )
+
+
 def integrate_mc_shared(pairs, count: int, seed: int) -> list[IntegralEstimate]:
     """Monte Carlo means of ``(f, simplex)`` pairs of one dimension on one stream.
 
@@ -447,10 +454,7 @@ def integrate_mc_shared(pairs, count: int, seed: int) -> list[IntegralEstimate]:
     if len(dims) != 1:
         raise DimensionMismatchError(f"pairs span simplex dimensions {sorted(dims)}")
     for f, s in pairs:
-        if getattr(f, "dim", s.dimension) != s.dimension:
-            raise DimensionMismatchError(
-                f"function dimension {f.dim} does not match simplex {s.dimension}"
-            )
+        _check_dimension(f, s)
     values = np.empty((len(pairs), count))
     start = 0
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
@@ -548,10 +552,7 @@ def integrate_cubature(
         or not 0.0 < spread < math.inf or getattr(f, "kind", None) not in CUBATURE_KINDS
     ):
         raise ValueError(f"a split needs a log_sum_exp and a finite spread > 0, got {spread!r}")
-    if getattr(f, "dim", n) != n:
-        raise DimensionMismatchError(
-            f"function dimension {f.dim} does not match simplex {n}"
-        )
+    _check_dimension(f, s)
     order = (int(degree) - 1) // 2
     if math.comb(n + 1 + order, n + 1) * pieces > CUBATURE_MAX_NODES:
         raise ValueError(
@@ -573,8 +574,8 @@ def integrate_cubature(
 
 
 def _arguments(f, s: Simplex) -> np.ndarray:
-    """The arguments of a ``log_sum_exp`` at the vertices of ``s``, a row each."""
-    return f.params["slopes"] @ s.vertices.T + f.params["offsets"][:, None]
+    """The arguments of a multi-piece kind at the vertices of ``s``, a row each."""
+    return f.vertex_table(s.vertices) + f.params["offsets"][:, None]
 
 
 def _split(Z: np.ndarray, spread: float, most: int):
@@ -652,28 +653,6 @@ def _cubature(f, s: Simplex, order: int, cells, depths, spread) -> IntegralEstim
     return IntegralEstimate(mean, error, METHOD_CUBATURE, 0, len(cells), spread)
 
 
-def has_exact_mean(f, s: Simplex) -> bool:
-    """Whether :func:`integrate_exact` has an exact mean for ``f`` over ``s``.
-
-    It has one for the :data:`EXACT_KINDS`, and for ``max_of_affines`` in
-    dimension 1, with two pieces, or, in dimensions up to
-    :data:`CONE_MAX_DIMENSION`, where its coned mean (module docstring) has
-    a rounding bound of at most :data:`CONE_MAX_ERROR`; that last case
-    takes the coned mean, which :func:`integrate_exact` then reuses.
-    """
-    kind = getattr(f, "kind", None)
-    if kind == "max_of_affines":
-        return (
-            s.dimension == 1
-            or len(f.params["offsets"]) == 2
-            or (
-                f.dim == s.dimension <= CONE_MAX_DIMENSION
-                and _coned_mean(f, s) is not None
-            )
-        )
-    return kind in EXACT_KINDS
-
-
 def _hinge_mean(t: np.ndarray) -> float:
     """Mean of ``max(0, x)`` over a simplex whose vertices map to the nodes ``t``.
 
@@ -710,7 +689,6 @@ def _max_of_affines_mean_1d(f, s: Simplex) -> float:
     return float((np.diff(x) * (y[:-1] + y[1:])).sum() / (2.0 * (hi - lo)))
 
 
-@functools.lru_cache(maxsize=1)  # has_exact_mean, then integrate_exact, on one pair
 def _coned_mean(f, s: Simplex) -> float | None:
     """The coned mean of a ``max_of_affines`` ``f`` over ``s`` (``n >= 2``), or
     None where its bound, with the rounding of ``f``'s vertex values, is above
@@ -722,8 +700,18 @@ def _coned_mean(f, s: Simplex) -> float | None:
     p, V = f.params, s.vertices
     scale = (np.abs(p["slopes"]) @ np.abs(V).T + np.abs(p["offsets"])[:, None]).max()
     allowance = (s.dimension + 2) * np.finfo(float).eps * scale
-    mean, bound = coned_means(p["slopes"] @ V.T + p["offsets"][:, None], allowance, CONE_MAX_ERROR)
+    mean, bound = coned_means(_arguments(f, s), allowance, CONE_MAX_ERROR)
     return mean if bound <= CONE_MAX_ERROR else None
+
+
+def _max_of_affines_mean(f, s: Simplex) -> float | None:
+    """On an interval, with two pieces, or coned (module docstring); else None."""
+    if s.dimension == 1:
+        return _max_of_affines_mean_1d(f, s)
+    if len(f.params["offsets"]) == 2:  # l1 + max(0, l2 - l1)
+        (a1, a2), (b1, b2) = f.params["slopes"], f.params["offsets"]
+        return float(a1 @ s.centroid + b1) + _hinge_mean(s.vertices @ (a2 - a1) + (b2 - b1))
+    return _coned_mean(f, s) if s.dimension <= CONE_MAX_DIMENSION else None
 
 
 @functools.lru_cache(maxsize=32)
@@ -734,54 +722,65 @@ def _second_moments(np1: int) -> np.ndarray:
     return moments
 
 
-def _no_exact_mean(kind, s: Simplex) -> str:
-    return (
-        f"no exact mean for kind {kind!r} in dimension {s.dimension}; supported: "
-        f"{EXACT_KINDS} in any dimension, 'max_of_affines' in dimension 1, with two "
-        f"pieces, or in dimensions up to {CONE_MAX_DIMENSION} where its coned mean's "
-        f"rounding bound is at most {CONE_MAX_ERROR:g}"
-    )
+def _quadratic_mean(f, s: Simplex) -> float:
+    p, V = f.params, s.vertices
+    moments, gram = _second_moments(s.dimension + 1), V @ p["matrix"] @ V.T
+    return float((moments * gram).sum() + p["slope"] @ s.centroid + p["offset"])
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a mean that overflows is checked below
+#: Each kind's exact mean (module docstring), as a route from ``(f, s)`` to
+#: the mean, or to None where the route declines.
+_EXACT_ROUTES = {
+    "affine": lambda f, s: float(f.params["slope"] @ s.centroid + f.params["offset"]),
+    "quadratic_psd": _quadratic_mean,
+    "hinge_distance": lambda f, s: _hinge_mean(f.vertex_table(s.vertices) - f.params["threshold"]),
+    "max_of_affines": _max_of_affines_mean,
+}
+
+
+def _exact_estimate(f, s: Simplex) -> IntegralEstimate | None:
+    """The exact mean of ``f`` over ``s`` by its kind's route in
+    :data:`_EXACT_ROUTES`, or None where it has none; a mismatched dimension
+    or a mean that is not finite raises as in :func:`integrate_exact`."""
+    route = _EXACT_ROUTES.get(getattr(f, "kind", None))
+    if route is None:
+        return None
+    _check_dimension(f, s)
+    with np.errstate(over="ignore", invalid="ignore"):  # a mean that overflows is checked below
+        mean = route(f, s)
+    if mean is not None and not math.isfinite(mean):
+        raise NonFiniteValueError(
+            f"{f.kind} on a {s.dimension}-D simplex has no finite closed-form mean "
+            f"({mean!r}): its values overflow"
+        )
+    return None if mean is None else IntegralEstimate(mean, 0.0, METHOD_EXACT, 0)
+
+
+def has_exact_mean(f, s: Simplex) -> bool:
+    """Whether :func:`integrate_exact` has an exact mean for ``f`` over ``s``,
+    finite or not: whether its kind's route in :data:`_EXACT_ROUTES` (module
+    docstring) gives one.  A function of another dimension raises
+    :class:`DimensionMismatchError`."""
+    try:
+        return _exact_estimate(f, s) is not None
+    except NonFiniteValueError:
+        return True
+
+
 def integrate_exact(f, s: Simplex) -> IntegralEstimate:
     """Exact mean of ``f`` over ``s`` where :func:`has_exact_mean` allows.
 
     A mean that is not finite (its terms overflow) raises
     :class:`NonFiniteValueError`, with no numpy warning.
     """
-    kind = getattr(f, "kind", None)
-    if kind not in EXACT_KINDS and kind != "max_of_affines":
-        raise UnsupportedKindError(_no_exact_mean(kind, s))
-    if f.dim != s.dimension:
-        raise DimensionMismatchError(
-            f"function dimension {f.dim} does not match simplex {s.dimension}"
-        )
-    if kind == "max_of_affines" and not has_exact_mean(f, s):  # the others always have one
-        raise UnsupportedKindError(_no_exact_mean(kind, s))
-    p = f.params
-    centroid = s.centroid
-    if kind == "affine":
-        mean = float(p["slope"] @ centroid + p["offset"])
-    elif kind == "quadratic_psd":
-        V, moments = s.vertices, _second_moments(s.dimension + 1)
-        gram = V @ p["matrix"] @ V.T
-        mean = float((moments * gram).sum() + p["slope"] @ centroid + p["offset"])
-    elif kind == "hinge_distance":
-        mean = _hinge_mean(s.vertices @ p["slope"] - p["threshold"])
-    elif s.dimension == 1:
-        mean = _max_of_affines_mean_1d(f, s)
-    elif len(p["offsets"]) == 2:  # l1 + max(0, l2 - l1)
-        (a1, a2), (b1, b2) = p["slopes"], p["offsets"]
-        mean = float(a1 @ centroid + b1) + _hinge_mean(s.vertices @ (a2 - a1) + (b2 - b1))
-    else:
-        mean = _coned_mean(f, s)
-    if not math.isfinite(mean):
-        raise NonFiniteValueError(
-            f"{kind} on a {s.dimension}-D simplex has no finite closed-form mean "
-            f"({mean!r}): its values overflow"
-        )
-    return IntegralEstimate(mean, 0.0, METHOD_EXACT, 0)
+    if (estimate := _exact_estimate(f, s)) is not None:
+        return estimate
+    raise UnsupportedKindError(
+        f"no exact mean for kind {getattr(f, 'kind', None)!r} in dimension {s.dimension}; "
+        f"supported: {EXACT_KINDS} in any dimension, 'max_of_affines' in dimension 1, with "
+        f"two pieces, or in dimensions up to {CONE_MAX_DIMENSION} where its coned mean's "
+        f"rounding bound is at most {CONE_MAX_ERROR:g}"
+    )
 
 
 def _cubature_split(f, s: Simplex):
@@ -806,8 +805,8 @@ def deterministic_mean(f, s: Simplex) -> IntegralEstimate | None:
     """The policy's exact or accepted cubature mean of ``f`` over ``s``, or
     None where it takes Monte Carlo (:func:`ground_truths` is this, then
     :func:`integrate_mc_shared`)."""
-    if has_exact_mean(f, s):
-        return integrate_exact(f, s)
+    if (estimate := _exact_estimate(f, s)) is not None:
+        return estimate
     if (split := _cubature_split(f, s)) is not None:
         spread = CUBATURE_MAX_SPREAD if s.dimension > 1 and len(split[0]) > 1 else None
         estimate = _cubature(f, s, CUBATURE_DEGREE // 2, *split, spread)

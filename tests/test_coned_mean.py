@@ -240,7 +240,7 @@ class TestPricedBeforeTriangles:
             want = mean if bound <= CONE_MAX_ERROR else None
             del calls[:]
             with mock.patch.object(cones, "triangle_means", counting):
-                got = quadrature._coned_mean.__wrapped__(f, s)
+                got = quadrature._coned_mean(f, s)
             assert got == want and (want is None or got.hex() == want.hex())
             if want is not None:
                 assert len(calls) == 1

@@ -143,6 +143,24 @@ class TestBitIdentity:
         assert np.array_equal(f(X), want)
 
 
+class TestVertexTable:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_bit_identical_to_its_formula(self, kind):
+        rng = np.random.default_rng(31)
+        for dim in range(1, 9):
+            s = random_simplex(dim, rng)
+            f = random_convex(dim, kind, 3100 + dim, simplex=s)
+            T, p, V = f.vertex_table(s.vertices), f.params, s.vertices
+            if kind == "quadratic_psd":
+                assert T is None
+            elif kind in ("max_of_affines", "log_sum_exp"):
+                want = p["slopes"] @ V.T
+                assert T.shape == want.shape and T.tobytes() == want.tobytes()
+            else:
+                want = V @ p["slope"]
+                assert T.shape == want.shape and T.tobytes() == want.tobytes()
+
+
 class TestConstruction:
     def test_psd_certificate_rejects_indefinite(self):
         with pytest.raises(ValueError):

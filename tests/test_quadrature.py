@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hhbounds import (
+    EXACT_KINDS,
     ConvexFunction,
     DimensionMismatchError,
     IntegralEstimate,
@@ -24,13 +25,16 @@ from hhbounds import (
     sample_uniform,
     standard_simplex,
 )
+from hhbounds import cones
 from hhbounds.quadrature import (
     MC_BLOCK_ROWS,
     _hinge_mean,
     _mean_and_error,
     _row_sums,
+    deterministic_mean,
     ground_truth_recipe,
     ground_truths,
+    has_exact_mean,
     integrate_mc_shared,
     replay_ground_truth,
 )
@@ -496,6 +500,9 @@ class TestIntegrateExact:
         s = Simplex([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
         with pytest.raises(NonFiniteValueError, match="quadratic_psd on a 2-D simplex"):
             ground_truth(f, s, 1000, seed=1)
+        assert has_exact_mean(f, s)  # it has a mean, which overflows
+        with pytest.raises(NonFiniteValueError, match="quadratic_psd on a 2-D simplex"):
+            integrate_exact(f, s)
 
 
 def _rational_hinge_mean(t):
@@ -864,6 +871,62 @@ class TestGroundTruthPolicy:
     def test_replay_rejects_unknown_method(self):
         with pytest.raises(ValueError, match="exact"):
             replay_ground_truth(SQ_1D, UNIT_INTERVAL, {"method": "exact"})
+
+
+#: A 2-D function of each kind with an exact route, for a 1-D simplex.
+MISMATCHED = {
+    "affine": {"slope": [1.0, 2.0], "offset": 0.5},
+    "hinge_distance": {"slope": [1.0, -1.0], "threshold": 0.2},
+    "max_of_affines": {"slopes": [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]],
+                       "offsets": [0.0, 0.1, 0.2]},
+    "quadratic_psd": {"matrix": np.eye(2), "slope": [0.0, 1.0], "offset": 0.0},
+}
+
+
+class TestExactLookup:
+    """has_exact_mean, integrate_exact and deterministic_mean reach each
+    kind's exact mean through one lookup."""
+
+    @pytest.mark.parametrize("kind", sorted(MISMATCHED))
+    def test_mismatched_dimension_raises_in_both(self, kind):
+        f = ConvexFunction(kind, MISMATCHED[kind])
+        for call in (has_exact_mean, integrate_exact):
+            with pytest.raises(DimensionMismatchError, match="dimension 2 does not match simplex 1"):
+                call(f, UNIT_INTERVAL)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_has_exact_mean_is_where_integrate_exact_returns(self, kind):
+        rng = np.random.default_rng(53)
+        answers = set()
+        for dim in range(1, 9):
+            for seed in range(3):
+                s = random_simplex(dim, rng)
+                f = random_convex(dim, kind, 10 * dim + seed, simplex=s)
+                answers.add(has_exact_mean(f, s))
+                if has_exact_mean(f, s):
+                    assert deterministic_mean(f, s) == integrate_exact(f, s)
+                else:
+                    with pytest.raises(UnsupportedKindError):
+                        integrate_exact(f, s)
+        want = {True, False} if kind == "max_of_affines" else {kind in EXACT_KINDS}
+        assert answers == want
+
+    def test_one_coned_mean_per_coned_domain(self, monkeypatch):
+        calls = []
+        coned = cones.coned_means
+
+        def counting(*args):
+            calls.append(args)
+            return coned(*args)
+
+        monkeypatch.setattr(cones, "coned_means", counting)
+        s = random_simplex(5, np.random.default_rng(54))
+        fs = [random_convex(5, "max_of_affines", seed, simplex=s) for seed in range(8)]
+        coned_domains = [len(f.params["offsets"]) >= 3 for f in fs]
+        estimates = ground_truths([(f, s) for f in fs], 200, 1)
+        assert len(calls) == sum(coned_domains)
+        methods = {est.method for est, c in zip(estimates, coned_domains) if c}
+        assert methods == {"exact_polynomial", "monte_carlo"}
 
 
 class TestIntegralEstimate:
