@@ -31,12 +31,11 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "campaign": (
         "CampaignConfig", "CampaignResult", "default_config", "random_simplex",
-        "replay_failure", "run_campaign", "slack_histograms_csv", "tightness_ratio",
-        "tightness_table",
+        "run_campaign", "slack_histograms_csv", "tightness_ratio", "tightness_table",
     ),
     "chains": (
         "CHAIN_NAMES", "ChainReport", "chain_reports", "chain_tolerance",
-        "cor3_condition_holds", "search_cor3_counterexample",
+        "cor3_condition_holds", "replay_failure", "search_cor3_counterexample",
     ),
     "errors": (
         "HHBoundsError", "BarycenterMismatchError", "CentroidConstraintViolatedError",

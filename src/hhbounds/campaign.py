@@ -3,9 +3,9 @@
 Chain instances ``(function, simplex or None, params)`` run by the one
 chain table, :data:`~hhbounds.chains.CHAINS`, in the two steps of
 :mod:`hhbounds.chains`: their ground truths, one per domain, then
-:func:`~hhbounds.chains.chain_reports`.  :func:`replay_failure` takes the
-second step; the ground-truth policy (exact, cubature or Monte Carlo) and
-its replay recipes live in :mod:`hhbounds.quadrature`.  A campaign builds
+:func:`~hhbounds.chains.chain_reports`.  The ground-truth policy (exact,
+cubature or Monte Carlo) and its replay recipes live in
+:mod:`hhbounds.quadrature`.  A campaign builds
 up to :data:`TRIAL_BLOCK` consecutive trials as one block, takes each
 trial's ground truths in the domains the trial built (its parent simplex
 and subsimplex on one seed, its cor2 interval and cor3 window on another),
@@ -33,9 +33,9 @@ Failures are recorded as self-contained descriptors (simplex, function,
 chain parameters, ground-truth recipe) in the shape of an instance, built
 by the same code as a cor3 witness
 (:func:`~hhbounds.chains.search_cor3_counterexample`), and
-:func:`replay_failure` re-runs one descriptor bit-for-bit, also once read
-back from a result file: floats are written as their shortest round-trip
-``repr``, so ``-0.0`` and ``1.0`` come back as written.
+:func:`~hhbounds.chains.replay_failure` re-runs one descriptor bit-for-bit,
+also once read back from a result file: floats are written as their
+shortest round-trip ``repr``, so ``-0.0`` and ``1.0`` come back as written.
 
 Wall time is kept on the in-memory result only; the serialized result is a
 pure function of the configuration, so rerunning a campaign writes a
@@ -56,8 +56,6 @@ import numpy as np
 from .chains import (
     CHAIN_NAMES,
     CHAINS,
-    DOMAINS,
-    ChainReport,
     _descriptor,
     _ground_truths,
     chain_reports,
@@ -66,10 +64,10 @@ from .chains import (
     window_vertices,
 )
 from .errors import MissingBaselineError, PointOutsideSimplexError, WorkerError
-from .funcs import KINDS, ConvexFunction, _dirichlet, convex_functions, random_params
+from .funcs import KINDS, _dirichlet, convex_functions, random_params
 from .funcs import random_convex  # noqa: F401  (perfbench wraps it under this module)
 from .geometry import Simplex, scaled_copies, simplices, solve_stacked
-from .quadrature import ground_truth_recipe, replay_ground_truth
+from .quadrature import ground_truth_recipe
 from .serialize import dumps
 from .tolerances import COND_LIMIT, TOL_CHAIN
 
@@ -78,7 +76,6 @@ __all__ = [
     "CampaignResult",
     "default_config",
     "random_simplex",
-    "replay_failure",
     "run_campaign",
     "slack_histograms_csv",
     "tightness_ratio",
@@ -509,11 +506,20 @@ def tightness_ratio(values, triple, tolerance: float = TOL_CHAIN) -> float | Non
     1 (thm3 read 1.0000000022639286 on a 1-D cubature interval).  It is
     returned as computed, not clipped.
     """
-    mean_idx, refined_idx, classical_idx = triple
-    denom = values[classical_idx] - values[mean_idx]
-    if denom <= tolerance:
-        return None
-    return (values[refined_idx] - values[mean_idx]) / denom
+    ratios, nulls = _stack_ratios(np.array([values], dtype=float), triple, tolerance)
+    return None if nulls else float(ratios[0])
+
+
+def _stack_ratios(values: np.ndarray, triple, tolerances) -> tuple[np.ndarray | None, int]:
+    """The tightness ratios of the rows of ``values`` whose gap clears its
+    tolerance, and the count of those whose gap does not; ``None, 0``
+    without a tightness ``triple``."""
+    if triple is None:
+        return None, 0
+    mean, refined, classical = (values[:, k] for k in triple)
+    denom = classical - mean
+    null = denom <= tolerances
+    return (refined - mean)[~null] / denom[~null], int(null.sum())
 
 
 def _spread(values: np.ndarray) -> dict:
@@ -559,20 +565,6 @@ class _ChainAgg:
         return data
 
 
-def _stack_ratios(rows) -> tuple[np.ndarray | None, int]:
-    """The tightness ratios of a stack's rows (see
-    :class:`~hhbounds.chains.ChainRows`) whose gap clears their tolerance,
-    and the count of those whose gap does not: :func:`tightness_ratio`, row
-    by row.  ``None, 0`` for a chain without a tightness triple."""
-    triple = CHAINS[rows.name].tightness
-    if triple is None:
-        return None, 0
-    mean, refined, classical = (rows.values[:, k] for k in triple)
-    denom = classical - mean
-    null = denom <= rows.tolerances
-    return (refined - mean)[~null] / denom[~null], int(null.sum())
-
-
 def _run_block(cfg: CampaignConfig, indices: range) -> tuple[list, list]:
     """Build the trials ``indices`` as one block, take their ground truths
     and evaluate their chains as one block.  Returns the ``(name, (passed,
@@ -594,8 +586,8 @@ def _run_block(cfg: CampaignConfig, indices: range) -> tuple[list, list]:
         recipe = None if gt is None else ground_truth_recipe(gt, seeds[CHAINS[rows.name].domain])
         failures.append(_descriptor(rows.name, {"trial": indices[t], "dimension": dim},
                                     selected[t][i][1], rows.report(r), recipe))
-    return [(rows.name, (rows.passed, rows.slacks, *_stack_ratios(rows)))
-            for rows in block], failures
+    return [(rows.name, (rows.passed, rows.slacks, *_stack_ratios(
+        rows.values, CHAINS[rows.name].tightness, rows.tolerances))) for rows in block], failures
 
 
 def _run_share(
@@ -709,59 +701,6 @@ def run_campaign(cfg: CampaignConfig) -> CampaignResult:
         failures=failures,
         wall_time_seconds=time.perf_counter() - start,
     )
-
-
-def _floats(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
-
-
-def _vertex_index(value) -> int:
-    """thm3's ``j`` read back: an integer, or a float with an integer value."""
-    integral = isinstance(value, numbers.Real) and float(value).is_integer()
-    if isinstance(value, bool) or not integral:
-        raise ValueError(f"j must be an integer, got {value!r}")
-    return int(value)
-
-
-#: How descriptor params are read back; every other param is a float.
-_PARAM_DECODERS = {
-    "subsimplex": Simplex.from_json_dict,
-    "j": _vertex_index,
-    "point": _floats,
-    "points": _floats,
-    "betas": _floats,
-}
-
-
-def replay_failure(descriptor: dict) -> ChainReport:
-    """Re-run one failure (or witness) descriptor, reproducing it exactly.
-
-    The descriptor is self-contained; replaying with the recorded seeds and
-    sample counts reproduces the verdict and slacks bit-for-bit.  A
-    descriptor that lacks the simplex or the ground-truth recipe its chain
-    needs, or holds a non-integer thm3 ``j``, raises ValueError.
-    """
-    name = descriptor["chain"]
-    if name not in CHAINS:
-        raise ValueError(f"unknown chain name {name!r}")
-    chain = CHAINS[name]
-    func = ConvexFunction.from_json_dict(descriptor["function"])
-    simplex = descriptor.get("simplex")
-    if simplex is not None:
-        simplex = Simplex.from_json_dict(simplex)
-    elif not chain.one_d:
-        raise ValueError(f"a {name} descriptor needs a simplex")
-    params = {
-        key: _PARAM_DECODERS.get(key, float)(value)
-        for key, value in descriptor["params"].items()
-    }
-    gt = None
-    if chain.domain is not None:
-        recipe = descriptor.get("ground_truth")
-        if recipe is None:
-            raise ValueError(f"a {name} descriptor needs a ground_truth recipe")
-        gt = replay_ground_truth(func, DOMAINS[chain.domain](simplex, params), recipe)
-    return chain_reports([(name, (func, simplex, params))], [gt])[0]
 
 
 # ---------------------------------------------------------------------------

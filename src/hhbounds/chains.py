@@ -27,7 +27,8 @@ the domains of one seed together, on one Monte Carlo weight stream, before
 any chain runs; then :func:`chain_reports` evaluates each function once on
 the points of all its chains.  Seeds are keyed by domain name.  ``hh
 bounds`` and each campaign trial take both steps, and
-:func:`~hhbounds.campaign.replay_failure` the second.
+:func:`replay_failure` the second.  :func:`_descriptor` writes a run's
+replayable descriptor, and :func:`replay_failure` reads it back.
 
 :func:`search_cor3_counterexample` tests the necessity of the cor3 window
 condition.  The worst unit hinge has a closed form: its kink is the
@@ -70,6 +71,7 @@ __all__ = [
     "chain_tolerance",
     "cor3_condition_holds",
     "cor3_max_halfwidth",
+    "replay_failure",
     "search_cor3_counterexample",
 ]
 
@@ -699,8 +701,7 @@ def _descriptor(name: str, where: dict, instance, report: ChainReport, recipe) -
 
     ``where`` locates it (``{"trial", "dimension"}`` for a campaign failure,
     ``{"dimension": 1}`` for a cor3 witness) and ``recipe`` replays its
-    ground truth; :func:`~hhbounds.campaign.replay_failure` reads the
-    descriptor back.
+    ground truth; :func:`replay_failure` reads the descriptor back.
     """
     func, simplex, params = instance
     descriptor = {
@@ -722,6 +723,53 @@ def _descriptor(name: str, where: dict, instance, report: ChainReport, recipe) -
     return descriptor
 
 
+def _vertex_index(value) -> int:
+    """thm3's ``j`` read back: an integer, or a float with an integer value."""
+    integral = isinstance(value, numbers.Real) and float(value).is_integer()
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"j must be an integer, got {value!r}")
+    return int(value)
+
+
+#: How descriptor params are read back; every other param is a float.
+_PARAM_DECODERS = {
+    "subsimplex": Simplex.from_json_dict,
+    "j": _vertex_index,
+    **dict.fromkeys(("point", "points", "betas"), lambda value: np.asarray(value, dtype=float)),
+}
+
+
+def replay_failure(descriptor: dict) -> ChainReport:
+    """Re-run one failure (or witness) descriptor, reproducing it exactly.
+
+    The descriptor is self-contained; replaying with the recorded seeds and
+    sample counts reproduces the verdict and slacks bit-for-bit.  A
+    descriptor that lacks the simplex or the ground-truth recipe its chain
+    needs, or holds a non-integer thm3 ``j``, raises ValueError.
+    """
+    name = descriptor["chain"]
+    if name not in CHAINS:
+        raise ValueError(f"unknown chain name {name!r}")
+    chain = CHAINS[name]
+    func = ConvexFunction.from_json_dict(descriptor["function"])
+    simplex = descriptor.get("simplex")
+    if simplex is not None:
+        simplex = Simplex.from_json_dict(simplex)
+    elif not chain.one_d:
+        raise ValueError(f"a {name} descriptor needs a simplex")
+    params = {
+        key: _PARAM_DECODERS.get(key, float)(value)
+        for key, value in descriptor["params"].items()
+    }
+    gt = None
+    if chain.domain is not None:
+        recipe = descriptor.get("ground_truth")
+        if recipe is None:
+            raise ValueError(f"a {name} descriptor needs a ground_truth recipe")
+        gt = quadrature.replay_ground_truth(func, DOMAINS[chain.domain](simplex, params), recipe)
+    return chain_reports([(name, (func, simplex, params))], [gt])[0]
+
+
 def search_cor3_counterexample(p: float, q: float, a: float, b: float, y: float) -> dict | None:
     """The unit hinge that violates the cor3 chain most, when the condition fails.
 
@@ -737,7 +785,7 @@ def search_cor3_counterexample(p: float, q: float, a: float, b: float, y: float)
     would score the same.  That one hinge is certified as a ``cor3`` chain
     with its exact window mean (:func:`~hhbounds.quadrature.integrate_exact`),
     and a witness descriptor (replayable via
-    :func:`~hhbounds.campaign.replay_failure`) is returned only if its
+    :func:`replay_failure`) is returned only if its
     slack is negative beyond the report tolerance; otherwise None.
     """
     p, q, a, b, y = float(p), float(q), float(a), float(b), float(y)

@@ -56,10 +56,6 @@ def _load_simplex(path: str) -> Simplex:
     return Simplex.from_json_dict(read_json(path))
 
 
-def _load_function(path: str) -> ConvexFunction:
-    return ConvexFunction.from_json_dict(read_json(path))
-
-
 def _parse_point(text: str, s: Simplex) -> np.ndarray:
     if text == "centroid":
         return s.centroid
@@ -129,7 +125,7 @@ _ARGV_PARAMS = {
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     s = _load_simplex(args.simplex)
-    f = _load_function(args.function)
+    f = ConvexFunction.from_json_dict(read_json(args.function))
     if f.dim != s.dimension:
         raise ValueError(
             f"function dimension {f.dim} does not match simplex {s.dimension}"

@@ -22,12 +22,17 @@ products of ``quadratic_psd``, and of ``max_of_affines`` and
 path, which rounds each row the same way wherever it sits; a one-row batch
 takes BLAS's vector path there, which can differ in the last digit.
 
-Every kind but ``quadratic_psd`` is an outer function (identity, ``exp``,
+Each kind is one record of :data:`_KINDS`: its param names and, for every
+kind but ``quadratic_psd``, its outer function (identity, ``exp``,
 ``max(0, .)``, max over pieces, log-sum-exp) of affine arguments ``A x + b``.
 Point evaluation and Monte Carlo's evaluation on vertex values
-(:meth:`ConvexFunction.row_evaluator`) share that outer function, and
+(:meth:`ConvexFunction.row_evaluator`) share that outer function.
 :meth:`ConvexFunction.vertex_table` alone builds the table ``A V^T`` of vertex
-values that Monte Carlo and the exact and cubature means start from.
+values that Monte Carlo and the exact and cubature means start from, and
+:meth:`ConvexFunction.arguments` alone adds the offsets ``b`` to it.  A new
+kind is one record of :data:`_KINDS`, one branch of :func:`random_params`
+and, if it has a closed-form mean, one entry of
+:data:`hhbounds.quadrature._EXACT_ROUTES`.
 
 Random generation is deterministic in ``(dim, kind, seed)`` and, when a
 simplex is supplied, anchors kinks and exponents to its interior so the
@@ -39,11 +44,12 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .geometry import Simplex, standard_simplex
+from .geometry import Simplex, _real_array, standard_simplex
 from .quadrature import _row_sums
 
 __all__ = [
@@ -53,26 +59,6 @@ __all__ = [
     "random_convex",
     "random_params",
 ]
-
-KINDS: tuple[str, ...] = (
-    "affine",
-    "quadratic_psd",
-    "max_of_affines",
-    "exp_affine",
-    "log_sum_exp",
-    "hinge_distance",
-)
-
-# Parameter names per kind; vectors/matrices as noted in the module docstring.
-_SCHEMAS = {
-    "affine": ("slope", "offset"),
-    "quadratic_psd": ("matrix", "slope", "offset"),
-    "max_of_affines": ("slopes", "offsets"),
-    "exp_affine": ("slope", "offset"),
-    "log_sum_exp": ("slopes", "offsets"),
-    "hinge_distance": ("slope", "threshold"),
-}
-
 
 def _certify_psd(matrices: np.ndarray) -> None:
     """Reject a ``(k, n, n)`` stack unless every matrix is symmetric PSD.
@@ -107,45 +93,75 @@ def _dot_rows(X: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.einsum("ij,j->i", X, a)
 
 
+def _log_sum_exp(Z: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """``log sum_i exp(Z_i)`` over the rows, the peak subtracted for overflow
+    safety; ``Z`` is overwritten."""
+    peak = Z.max(axis=0)
+    Z -= peak
+    np.exp(Z, out=Z)
+    return np.add(peak, np.log(_row_sums(Z.T)), out=out)
+
+
+class _Kind(NamedTuple):
+    """A kind's param names (shapes as in the module docstring) and its outer
+    function ``outer(Z, out)`` (see :meth:`ConvexFunction._outer`), if any."""
+
+    schema: tuple[str, ...]
+    outer: Callable[[np.ndarray, np.ndarray | None], np.ndarray] | None
+
+
+# The multi-piece kinds take (k, m) arguments: one contiguous row of m values
+# per affine piece, so the reductions over the k pieces are k elementwise
+# passes instead of a numpy reduction along a 2-5 wide axis per point.  Every
+# value, and the summation order of log_sum_exp (see _row_sums), matches the
+# (m, k) layout.
+_KINDS = {
+    "affine": _Kind(("slope", "offset"), lambda Z, out: Z),
+    "quadratic_psd": _Kind(("matrix", "slope", "offset"), None),
+    "max_of_affines": _Kind(("slopes", "offsets"), lambda Z, out: Z.max(axis=0, out=out)),
+    "exp_affine": _Kind(("slope", "offset"), lambda Z, out: np.exp(Z, out=Z)),
+    "log_sum_exp": _Kind(("slopes", "offsets"), _log_sum_exp),
+    "hinge_distance": _Kind(("slope", "threshold"), lambda Z, out: np.maximum(0.0, Z, out=Z)),
+}
+
+KINDS: tuple[str, ...] = tuple(_KINDS)
+
+
 def _shaped_params(kind: str, params: dict) -> dict:
     """``params`` of a ``kind`` function as read-only floats and float arrays
     of its schema's shapes, not yet checked as finite."""
-    if kind not in KINDS:
+    record = _KINDS.get(kind) if isinstance(kind, str) else None
+    if record is None:
         raise ValueError(f"unknown function kind {kind!r}")
-    fields = _SCHEMAS[kind]
-    missing = [name for name in fields if name not in params]
+    missing = [name for name in record.schema if name not in params]
     if missing:
         raise ValueError(f"{kind} params missing {missing}")
     p: dict = {}
-    for name in fields:
+    for name in record.schema:
         value = params[name]
         if name in ("matrix", "slope", "slopes", "offsets"):
-            value = np.array(value, dtype=float, ndmin=1, copy=None)
+            # a single piece's slopes may come as a vector: it becomes a row
+            value = _real_array(value, name, ndmin=2 if name == "slopes" else 1)
             value.setflags(write=False)
         elif isinstance(value, (float, numbers.Real)) and not isinstance(value, bool):
             value = float(value)
         else:
             raise ValueError(f"{name} must be a real number, got {value!r}")
         p[name] = value
-    if kind in ("affine", "exp_affine", "hinge_distance"):
-        if p["slope"].ndim != 1:
-            raise ValueError("slope must be a vector")
-    elif kind == "quadratic_psd":
+    if "matrix" in p:
         M = p["matrix"]
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ValueError("matrix must be square")
         if p["slope"].shape != (M.shape[0],):
             raise ValueError("slope length must match matrix size")
-    elif kind in ("max_of_affines", "log_sum_exp"):
+    elif "slopes" in p:
         S = p["slopes"]
-        if S.ndim == 1:
-            S = S.reshape(1, -1)
-            S.setflags(write=False)
-            p["slopes"] = S
         if S.ndim != 2 or S.shape[0] < 1:
             raise ValueError("need at least one affine piece")
         if p["offsets"].shape != (S.shape[0],):
             raise ValueError("offsets length must match number of pieces")
+    elif p["slope"].ndim != 1:
+        raise ValueError("slope must be a vector")
     return p
 
 
@@ -206,7 +222,7 @@ class ConvexFunction:
 
     @property
     def dim(self) -> int:
-        return self.params[_SCHEMAS[self.kind][0]].shape[-1]
+        return self.params[_KINDS[self.kind].schema[0]].shape[-1]
 
     def __call__(self, x):
         """Evaluate at a point (returns float) or a batch (returns (m,) array)."""
@@ -222,7 +238,7 @@ class ConvexFunction:
 
     def _eval_batch(self, X: np.ndarray) -> np.ndarray:
         p = self.params
-        if self.kind == "quadratic_psd":
+        if "matrix" in p:
             quadratic = ((X @ p["matrix"]) * X).sum(axis=1)
             return quadratic + _dot_rows(X, p["slope"]) + p["offset"]
         return self._outer(p["slopes"] @ X.T if "slopes" in p else _dot_rows(X, p["slope"]))
@@ -230,11 +246,17 @@ class ConvexFunction:
     def vertex_table(self, vertices: np.ndarray) -> np.ndarray | None:
         """The linear parts of the arguments at ``vertices``: ``slopes @
         vertices.T``, a row per piece, for the multi-piece kinds, ``vertices @
-        slope`` for the others; None for ``quadratic_psd``."""
+        slope`` for the others; None for ``quadratic_psd`` (no outer function)."""
         p = self.params
-        if "matrix" in p:
+        if _KINDS[self.kind].outer is None:
             return None
         return p["slopes"] @ vertices.T if "slopes" in p else vertices @ p["slope"]
+
+    def arguments(self, vertices: np.ndarray) -> np.ndarray | None:
+        """The affine arguments ``A x + b`` at ``vertices``: the
+        :meth:`vertex_table` plus the offsets; None for ``quadratic_psd``."""
+        T = self.vertex_table(vertices)
+        return None if T is None else self._add_offsets(T)
 
     def row_evaluator(self, vertices: np.ndarray):
         """The values at the points ``(E / sums[:, None]) @ vertices``, as a
@@ -272,12 +294,9 @@ class ConvexFunction:
 
         return evaluate
 
-    def _outer(self, Z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The values whose linear parts are ``Z``: ``(k, m)`` for the
-        multi-piece kinds, ``(m,)`` for the others.  The offsets are added in
-        place, and the kind's outer function is applied in place where it
-        keeps the shape; a multi-piece kind writes its values into ``out``
-        (a new array if None), and a kind of one argument returns ``Z``."""
+    def _add_offsets(self, Z: np.ndarray) -> np.ndarray:
+        """``Z`` with the offsets of the arguments added in place: a row of
+        ``offsets`` per piece, ``offset``, or minus ``threshold``."""
         p = self.params
         if "offsets" in p:
             Z += p["offsets"][:, None]
@@ -285,25 +304,15 @@ class ConvexFunction:
             Z -= p["threshold"]
         else:
             Z += p["offset"]
-        kind = self.kind
-        if kind == "affine":
-            return Z
-        if kind == "exp_affine":
-            return np.exp(Z, out=Z)
-        if kind == "hinge_distance":
-            return np.maximum(0.0, Z, out=Z)
-        # (k, m) layout: one contiguous row of m values per affine piece, so
-        # the reductions over the k pieces are k elementwise passes instead of
-        # a numpy reduction along a 2-5 wide axis per point.  Every value, and
-        # the summation order of log_sum_exp (see _row_sums), matches the
-        # (m, k) layout.
-        if kind == "max_of_affines":
-            return Z.max(axis=0, out=out)
-        # max-subtraction for overflow safety
-        peak = Z.max(axis=0)
-        Z -= peak
-        np.exp(Z, out=Z)
-        return np.add(peak, np.log(_row_sums(Z.T)), out=out)
+        return Z
+
+    def _outer(self, Z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The values whose linear parts are ``Z``: ``(k, m)`` for the
+        multi-piece kinds, ``(m,)`` for the others.  The offsets are added in
+        place, and the kind's outer function is applied in place where it
+        keeps the shape; a multi-piece kind writes its values into ``out``
+        (a new array if None), and a kind of one argument returns ``Z``."""
+        return _KINDS[self.kind].outer(self._add_offsets(Z), out)
 
     # -- serialization ------------------------------------------------------
 
@@ -316,9 +325,11 @@ class ConvexFunction:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ConvexFunction":
-        return cls(
-            kind=data["kind"], params=dict(data["params"]), label=data.get("label", "")
-        )
+        if not isinstance(data, dict):
+            raise ValueError(f"a function descriptor must be an object, got {data!r}")
+        if not isinstance(data["params"], dict):
+            raise ValueError(f"params must be an object, got {data['params']!r}")
+        return cls(data["kind"], dict(data["params"]), data.get("label", ""))
 
 
 def _unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:

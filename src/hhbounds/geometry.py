@@ -74,6 +74,15 @@ def as_point(x, dim: int | None = None) -> np.ndarray:
     return p
 
 
+def _real_array(value, name: str, ndmin: int = 0) -> np.ndarray:
+    """``np.array(value, dtype=float, ndmin=ndmin, copy=None)``, or a
+    ValueError naming the field ``name`` where ``value`` is no array of reals."""
+    try:
+        return np.array(value, dtype=float, ndmin=ndmin, copy=None)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be an array of real numbers, got {value!r}") from exc
+
+
 def solve_stacked(simplices, points, owners=None) -> np.ndarray:
     """Barycentric weights of each row of ``points`` in its own simplex.
 
@@ -341,8 +350,9 @@ class Simplex:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Simplex":
-        vertices = np.asarray(data["vertices"], dtype=float)
-        s = cls(vertices)
+        if not isinstance(data, dict):
+            raise ValueError(f"a simplex descriptor must be an object, got {data!r}")
+        s = cls(_real_array(data["vertices"], "vertices"))
         if "dimension" in data and int(data["dimension"]) != s.dimension:
             raise DimensionMismatchError(
                 f"descriptor says dimension {data['dimension']}, "

@@ -561,7 +561,7 @@ def integrate_cubature(
         )
     pieces, spread = int(pieces), None if spread is None else float(spread)
     if spread is not None:
-        split = _split(_arguments(f, s), spread, pieces)
+        split = _split(f.arguments(s.vertices), spread, pieces)
         if split is None or len(split[0]) != pieces:
             raise ValueError(f"the split at spread {spread!r} does not come to {pieces} pieces")
     elif pieces > 1:  # equal pieces, c_p to c_(p+1) of the interval
@@ -571,11 +571,6 @@ def integrate_cubature(
     else:
         split = np.eye(n + 1)[None], np.zeros(1, dtype=int)
     return _cubature(f, s, order, *split, None if pieces == 1 else spread)
-
-
-def _arguments(f, s: Simplex) -> np.ndarray:
-    """The arguments of a multi-piece kind at the vertices of ``s``, a row each."""
-    return f.vertex_table(s.vertices) + f.params["offsets"][:, None]
 
 
 def _split(Z: np.ndarray, spread: float, most: int):
@@ -700,7 +695,7 @@ def _coned_mean(f, s: Simplex) -> float | None:
     p, V = f.params, s.vertices
     scale = (np.abs(p["slopes"]) @ np.abs(V).T + np.abs(p["offsets"])[:, None]).max()
     allowance = (s.dimension + 2) * np.finfo(float).eps * scale
-    mean, bound = coned_means(_arguments(f, s), allowance, CONE_MAX_ERROR)
+    mean, bound = coned_means(f.arguments(V), allowance, CONE_MAX_ERROR)
     return mean if bound <= CONE_MAX_ERROR else None
 
 
@@ -733,7 +728,7 @@ def _quadratic_mean(f, s: Simplex) -> float:
 _EXACT_ROUTES = {
     "affine": lambda f, s: float(f.params["slope"] @ s.centroid + f.params["offset"]),
     "quadratic_psd": _quadratic_mean,
-    "hinge_distance": lambda f, s: _hinge_mean(f.vertex_table(s.vertices) - f.params["threshold"]),
+    "hinge_distance": lambda f, s: _hinge_mean(f.arguments(s.vertices)),
     "max_of_affines": _max_of_affines_mean,
 }
 
@@ -795,7 +790,7 @@ def _cubature_split(f, s: Simplex):
     """
     if getattr(f, "kind", None) not in CUBATURE_KINDS or s.dimension > CUBATURE_MAX_DIMENSION:
         return None
-    Z = _arguments(f, s)
+    Z = f.arguments(s.vertices)
     if not np.abs(Z).max() <= CUBATURE_MAX_ARGUMENT:
         return None
     return _split(Z, CUBATURE_MAX_SPREAD, CUBATURE_MAX_PIECES)

@@ -357,6 +357,35 @@ class TestNonRealParams:
         assert err.startswith("error: offset must be a real number, got ")
 
 
+class TestMalformedDescriptors:
+    """A descriptor of the wrong JSON shape ends in exit 2 and one error line
+    naming the field, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "simplex, function, message",
+        [
+            (None, '{"kind": "affine", "params": {"slope": {"a": 1}, "offset": 0}}',
+             "slope must be an array of real numbers"),
+            (None, "[1, 2]", "a function descriptor must be an object"),
+            (None, '{"kind": "affine", "params": [1, 2]}', "params must be an object"),
+            ('{"vertices": {"a": 1}}', '{"kind": "affine", "params": {"slope": [1], "offset": 0}}',
+             "vertices must be an array of real numbers"),
+        ],
+        ids=["slope-object", "function-list", "params-list", "vertices-object"],
+    )
+    def test_exit_2_naming_the_field(
+        self, capsys, tmp_path, unit_interval_file, simplex, function, message
+    ):
+        func, simplex_path = tmp_path / "func.json", unit_interval_file
+        func.write_text(function)
+        if simplex is not None:
+            simplex_path = tmp_path / "simplex.json"
+            simplex_path.write_text(simplex)
+        code, out, err = run_cli(capsys, "bounds", str(simplex_path), str(func))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 class TestBoundsPinned:
     """sha256 of ``hh bounds`` stdout on fixed instances with every flag set.
 

@@ -39,8 +39,8 @@ from hhbounds import (
     random_simplex,
     standard_simplex,
 )
-from hhbounds.campaign import _build_block, replay_failure
-from hhbounds.chains import CHAINS, DOMAINS, _ground_truths, chain_reports
+from hhbounds.campaign import _build_block
+from hhbounds.chains import CHAINS, DOMAINS, _ground_truths, chain_reports, replay_failure
 from hhbounds.quadrature import (
     CUBATURE_DEGREE,
     CUBATURE_MAX_ARGUMENT,
@@ -48,7 +48,6 @@ from hhbounds.quadrature import (
     CUBATURE_MAX_ERROR,
     CUBATURE_MAX_SPREAD,
     MC_BLOCK_ROWS,
-    _arguments,
     _cubature,
     _split,
     ground_truth,
@@ -197,7 +196,7 @@ def reference_mean(f, s: Simplex) -> float:
         return _mpmath_mean(f, s)
     if n <= 4:
         return _collapsed_gauss_mean(f, s)
-    if _split(_arguments(f, s), CUBATURE_MAX_SPREAD, 1) is None:  # a split domain
+    if _split(f.arguments(s.vertices), CUBATURE_MAX_SPREAD, 1) is None:  # a split domain
         return split_reference(f, s)
     # The rule three levels up, or four where three have not converged.  Its
     # own estimate must be 100 times below the gate; 1e-12 is at the
@@ -314,7 +313,7 @@ def split_reference(f, s: Simplex) -> float:
     the gate.  In 7-D and 8-D that split can run to a thousand pieces and
     take seconds, so there the rule runs on the policy's own pieces."""
     spread = CUBATURE_MAX_SPREAD / (2 if s.dimension <= 6 else 1)
-    cells, depths = _split(_arguments(f, s), spread, 10**4)
+    cells, depths = _split(f.arguments(s.vertices), spread, 10**4)
     finer = _cubature(f, s, 10, cells, depths, None if len(cells) == 1 else spread)
     assert finer.std_error < CUBATURE_MAX_ERROR / 100, finer
     return finer.mean_value
@@ -616,7 +615,7 @@ class TestSplitOfASimplex:
         # cells and bits of an eight-piece recipe
         f = ConvexFunction("log_sum_exp", {"slopes": [[10.5], [-10.5]], "offsets": [0.2, -0.1]})
         s = Simplex([[-0.5], [0.5]])
-        cells, depths = _split(_arguments(f, s), CUBATURE_MAX_SPREAD, 16)
+        cells, depths = _split(f.arguments(s.vertices), CUBATURE_MAX_SPREAD, 16)
         c = np.arange(9) / 8
         equal = np.stack([1 - c[:-1], c[:-1], 1 - c[1:], c[1:]], axis=1).reshape(-1, 2, 2)
         assert np.array_equal(cells, equal)
@@ -629,13 +628,13 @@ class TestSplitOfASimplex:
     def test_pieces_tile_the_simplex_within_the_spread(self, n):
         rng = np.random.default_rng(600 + n)
         f, s = split_draw(n, 3, 5.0, rng)
-        cells, depths = _split(_arguments(f, s), CUBATURE_MAX_SPREAD, 10**4)
+        cells, depths = _split(f.arguments(s.vertices), CUBATURE_MAX_SPREAD, 10**4)
         assert len(cells) > 1 and math.fsum(0.5 ** d for d in depths.tolist()) == 1.0
         assert np.array_equal(cells.sum(axis=2), np.ones(cells.shape[:2]))  # dyadic rows
         for cell, depth in zip(cells, depths.tolist()):
             piece = Simplex(cell @ s.vertices)
             assert piece.volume == pytest.approx(s.volume * 0.5**depth, rel=1e-9)
-            Z = _arguments(f, piece)
+            Z = f.arguments(piece.vertices)
             spread = max(np.ptp(Z[i] - Z[j]) for i, j in itertools.combinations(range(3), 2))
             assert spread <= CUBATURE_MAX_SPREAD * (1 + 1e-12)
 
@@ -678,7 +677,7 @@ class TestSplitOfASimplex:
         # a 7-D split: 6435 nodes a piece, so each piece is two blocks of at
         # most MC_BLOCK_ROWS rows; the mean is the pieces' own means weighed
         f, s = split_draw(7, 2, 4.5, np.random.default_rng(11))
-        cells, depths = _split(_arguments(f, s), CUBATURE_MAX_SPREAD, 16)
+        cells, depths = _split(f.arguments(s.vertices), CUBATURE_MAX_SPREAD, 16)
         assert 1 < len(cells) <= 16
         recording = _Recording(f)
         est = _cubature(recording, s, CUBATURE_DEGREE // 2, cells, depths, 3.0)

@@ -14,7 +14,8 @@ from hhbounds import (
     random_simplex,
     standard_simplex,
 )
-from hhbounds.funcs import _dirichlet, convex_functions, random_params
+from hhbounds import quadrature
+from hhbounds.funcs import _KINDS, _dirichlet, convex_functions, random_params
 
 
 def midpoint_convexity_check(f, s: Simplex, trials: int, seed: int) -> bool:
@@ -159,6 +160,51 @@ class TestVertexTable:
             else:
                 want = V @ p["slope"]
                 assert T.shape == want.shape and T.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_arguments_bit_identical_to_table_plus_offsets(self, kind):
+        rng = np.random.default_rng(32)
+        for dim in range(1, 9):
+            s = random_simplex(dim, rng)
+            f = random_convex(dim, kind, 3200 + dim, simplex=s)
+            Z, p, V = f.arguments(s.vertices), f.params, s.vertices
+            if kind == "quadratic_psd":
+                assert Z is None
+                continue
+            T = f.vertex_table(V)
+            if kind in ("max_of_affines", "log_sum_exp"):
+                want = T + p["offsets"][:, None]
+            elif kind == "hinge_distance":
+                want = T - p["threshold"]
+            else:
+                want = T + p["offset"]
+            assert Z.shape == want.shape and Z.tobytes() == want.tobytes()
+
+
+class TestKindRegistry:
+    """Every kind is one record of ``funcs._KINDS``, and every table keyed by
+    kind names only kinds of that record."""
+
+    def test_kinds_in_their_order(self):
+        assert KINDS == (
+            "affine", "quadratic_psd", "max_of_affines", "exp_affine", "log_sum_exp",
+            "hinge_distance",
+        )
+        assert KINDS == tuple(_KINDS)
+
+    def test_quadrature_tables_name_only_kinds(self):
+        # a misspelt route key would leave its kind on Monte Carlo, silently
+        named = [*quadrature._EXACT_ROUTES, *quadrature.EXACT_KINDS, *quadrature.CUBATURE_KINDS]
+        assert set(named) <= set(KINDS)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_random_params_draw_each_kind_in_its_schema(self, kind):
+        for dim in (1, 3):
+            params, label = random_params(dim, kind, 7, standard_simplex(dim).vertices)
+            assert tuple(params) == _KINDS[kind].schema and label.startswith(kind)
+            f = ConvexFunction(kind, params, label)
+            assert tuple(f.to_json_dict()["params"]) == _KINDS[kind].schema
+            assert f.dim == dim
 
 
 class TestConstruction:

@@ -108,3 +108,15 @@ def test_campaign_loads_campaign(tmp_path):
                         "mc_samples": 500, "master_seed": 7})
     assert hh_loads_campaign("campaign", "--config", config,
                              "--out", str(tmp_path / "result.json"))
+
+
+def test_replay_does_not_load_campaign():
+    proc = run_child(
+        "import json, sys\n"
+        "import hhbounds\n"
+        "witness = hhbounds.search_cor3_counterexample(1, 1, 0, 1, 0.75)\n"
+        "report = hhbounds.replay_failure(json.loads(json.dumps(witness)))\n"
+        "print(json.dumps([report.slacks == tuple(witness['slacks']),\n"
+        "                  'hhbounds.campaign' in sys.modules]))\n"
+    )
+    assert json.loads(proc.stdout) == [True, False]
